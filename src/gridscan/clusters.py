@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from . import gridfmt as gf
 from .simdisk import SimDisk, SimConfig
 
 ABSENT32 = 2 ** 32 - 1
+INF = float("inf")
 
 
 class ClusterError(Exception):
@@ -107,14 +110,7 @@ class ClusterScheme:
 
     def boundary_coords(self, ci: int, cj: int) -> list[tuple[int, int]]:
         """Boundary cells clockwise from the upper-left corner, 0-based."""
-        r0, c0, hgt, wid = self.extent(ci, cj)
-        out = [(r0, c0 + lc) for lc in range(wid)]
-        out += [(r0 + lr, c0 + wid - 1) for lr in range(1, hgt)]
-        if hgt > 1:
-            out += [(r0 + hgt - 1, c0 + lc) for lc in range(wid - 2, -1, -1)]
-        if wid > 1:
-            out += [(r0 + lr, c0) for lr in range(hgt - 2, 0, -1)]
-        return out
+        return _clockwise(*self.extent(ci, cj))
 
     def boundary_position(self, r: int, c: int) -> int | None:
         """Clockwise position of (r, c) on its cluster's boundary, or None."""
@@ -153,12 +149,41 @@ class ClusterScheme:
         return z0, hgt * wid
 
 
+def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
+    """Boundary cells of an hgt x wid block at (r0, c0), clockwise from its
+    upper-left corner."""
+    out = [(r0, c0 + lc) for lc in range(wid)]
+    out += [(r0 + lr, c0 + wid - 1) for lr in range(1, hgt)]
+    if hgt > 1:
+        out += [(r0 + hgt - 1, c0 + lc) for lc in range(wid - 2, -1, -1)]
+    if wid > 1:
+        out += [(r0 + lr, c0) for lr in range(hgt - 2, 0, -1)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # In-memory clusters
 
 
 @dataclass
 class InMemoryCluster:
+    """One decoded cluster.
+
+    ``intra[v]`` lists the arcs leaving local cell v = lr*wid+lc that stay
+    inside the cluster, as (dir, lr2, lc2, w).  ``out_edges`` lists the arcs
+    that leave the cluster, as (lr, lc, dir, r2, c2, w) with (r2, c2) 0-based
+    global coordinates.  Unweighted arcs have w = 1.
+
+    Both lists follow the records in storage order: arcs are visited by the
+    cluster's local Z rank and, per vertex, by ascending direction.  In the
+    weighted_undirected encoding an intra-cluster arc is stored once, at its
+    owning endpoint; its reverse copy (opposite direction, same weight) is
+    visited right after it and appended to the other endpoint's list.
+    ``intra[v]`` holds v's visited arcs in visiting order.  Algorithms break
+    ties by list position, so their outputs and transfer counts are
+    reproducible only while this order holds.
+    """
+
     scheme: ClusterScheme
     ci: int
     cj: int
@@ -166,9 +191,7 @@ class InMemoryCluster:
     c0: int
     hgt: int
     wid: int
-    # intra-cluster adjacency per local cell lr*wid+lc: (dir, lr2, lc2, w)
     intra: list = field(default_factory=list)
-    # edges leaving the cluster: (lr, lc, dir, r2, c2, w), endpoints 0-based
     out_edges: list = field(default_factory=list)
     boundary: list = field(default_factory=list)   # 0-based coords, h order
 
@@ -180,33 +203,109 @@ class InMemoryCluster:
         return self.hgt * self.wid
 
 
+_DR = np.array([dr for dr, _ in gf.DIR_OFFSETS], dtype=np.int64)
+_DC = np.array([dc for _, dc in gf.DIR_OFFSETS], dtype=np.int64)
+_OPPOSITE = (np.arange(8, dtype=np.int64) + 4) % 8
+_OWNED = np.array(gf.OWNED_SLOTS, dtype=np.int64)
+
+
+class _Shape(NamedTuple):
+    """Geometry shared by every cluster of one (height, width)."""
+
+    local_of_t: np.ndarray   # local cell of each local Z rank
+    nbr: np.ndarray          # (n, 8): local cell of the neighbour of Z rank
+                             # t in direction d; -1 outside the cluster
+    boundary: tuple          # boundary local cells, clockwise
+    bpos: tuple              # clockwise boundary position per local cell, -1
+                             # for interior cells
+
+
+@lru_cache(maxsize=256)
+def _shape(hgt: int, wid: int) -> _Shape:
+    # an aligned cluster's cells keep their relative Z order, so the local
+    # order is the Z order of an hgt x wid grid, clipped clusters included
+    _, local_of_t = gf.z_tables(hgt, wid)
+    lr, lc = np.divmod(local_of_t, wid)
+    nr = lr[:, None] + _DR
+    nc = lc[:, None] + _DC
+    inside = (nr >= 0) & (nr < hgt) & (nc >= 0) & (nc < wid)
+    nbr = np.where(inside, nr * wid + nc, -1)
+    local_of_t = local_of_t.view()
+    for a in (local_of_t, nbr):
+        a.setflags(write=False)
+    boundary = tuple(r * wid + c for r, c in _clockwise(0, 0, hgt, wid))
+    bpos = [-1] * (hgt * wid)
+    for i, v in enumerate(boundary):
+        bpos[v] = i
+    return _Shape(local_of_t, nbr, boundary, tuple(bpos))
+
+
+def _stored_arcs(encoding: str, raw: bytes, cnt: int):
+    """(t, d, w) arrays of the arcs stored in cnt records, in (Z rank,
+    direction) order; unweighted arcs get w = 1."""
+    if encoding == "unweighted":
+        masks = np.frombuffer(raw, dtype=np.uint8).reshape(cnt, 1)
+        t, d = np.nonzero(np.unpackbits(masks, axis=1, bitorder="little"))
+        return t, d, np.ones(len(t), dtype=np.int64)
+    if encoding == "weighted_directed":
+        ws = np.frombuffer(raw, dtype="<u8").reshape(cnt, 8)
+        t, d = np.nonzero(ws != gf.ABSENT)
+        return t, d, ws[t, d]
+    if encoding == "weighted_undirected":
+        ws = np.frombuffer(raw, dtype="<u8").reshape(cnt, len(_OWNED))
+        t, slot = np.nonzero(ws != gf.ABSENT)
+        return t, _OWNED[slot], ws[t, slot]
+    raise gf.FormatError("not a vertex encoding: %r" % encoding)
+
+
+def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
+                 raw: bytes):
+    """Columns of a cluster's out_edges and intra arcs as lists, and the end
+    of each local cell's run of intra arcs, in InMemoryCluster's order.
+
+    The numpy temporaries die on return, before the caller builds tuples.
+    """
+    shape = _shape(hgt, wid)
+    t, d, w = _stored_arcs(g.encoding, raw, hgt * wid)
+    src = shape.local_of_t[t]
+    dst = shape.nbr[t, d]
+    inside = dst >= 0
+
+    out = ~inside
+    lr, lc = np.divmod(src[out], wid)
+    od = d[out]
+    nr = lr + (_DR[od] + r0)
+    nc = lc + (_DC[od] + c0)
+    off = (nr < 0) | (nr >= g.rows) | (nc < 0) | (nc >= g.cols)
+    if off.any():
+        k = int(np.argmax(off))
+        raise gf.FormatError("edge leaves the grid at (%d,%d)"
+                             % (r0 + lr[k], c0 + lc[k]))
+    out_cols = [a.tolist() for a in (lr, lc, od, nr, nc, w[out])]
+
+    owner, other, ed, iw = src[inside], dst[inside], d[inside], w[inside]
+    if g.encoding == "weighted_undirected":
+        # interleave each stored arc with its reverse copy
+        owner, other = (np.column_stack((owner, other)).ravel(),
+                        np.column_stack((other, owner)).ravel())
+        ed = np.column_stack((ed, _OPPOSITE[ed])).ravel()
+        iw = np.repeat(iw, 2)
+    order = np.argsort(owner, kind="stable")
+    lr2, lc2 = np.divmod(other[order], wid)
+    intra_cols = [a.tolist() for a in (ed[order], lr2, lc2, iw[order])]
+    ends = np.cumsum(np.bincount(owner, minlength=hgt * wid)).tolist()
+    return out_cols, intra_cols, ends
+
+
 def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int,
                     raw: bytes) -> InMemoryCluster:
     r0, c0, hgt, wid = scheme.extent(ci, cj)
     q = InMemoryCluster(scheme, ci, cj, r0, c0, hgt, wid)
     q.boundary = scheme.boundary_coords(ci, cj)
-    q.intra = [[] for _ in range(hgt * wid)]
-    rs = g.record_size
-    z0, cnt = scheme.z_interval(ci, cj)
-    _, cell_of_z = gf.z_tables(g.rows, g.cols)
-    undirected = g.encoding == "weighted_undirected"
-    for t in range(cnt):
-        cell = int(cell_of_z[z0 + t])
-        r, c = cell // g.cols, cell % g.cols
-        mask, weights = gf.decode_record(g.encoding, raw[t * rs:(t + 1) * rs])
-        for d in range(8):
-            if not (mask >> d & 1):
-                continue
-            dr, dc = gf.DIR_OFFSETS[d]
-            nr, nc = r + dr, c + dc
-            w = weights.get(d, 1)
-            if r0 <= nr < r0 + hgt and c0 <= nc < c0 + wid:
-                q.intra[q.local(r, c)].append((d, nr - r0, nc - c0, w))
-                if undirected:
-                    q.intra[q.local(nr, nc)].append(
-                        (gf.opposite(d), r - r0, c - c0, w))
-            else:
-                q.out_edges.append((r - r0, c - c0, d, nr, nc, w))
+    out_cols, intra_cols, ends = _arc_columns(g, r0, c0, hgt, wid, raw)
+    q.out_edges = list(zip(*out_cols))
+    arcs = list(zip(*intra_cols))
+    q.intra = [arcs[a:b] for a, b in zip([0] + ends[:-1], ends)]
     return q
 
 
@@ -309,7 +408,6 @@ def _cluster_topo_order(q: InMemoryCluster):
 
 def _local_dijkstra(q: InMemoryCluster, src_local: int, unit: bool):
     """Distances from one local cell to all local cells, intra edges only."""
-    INF = float("inf")
     dist = [INF] * q.n
     dist[src_local] = 0
     if unit:
@@ -362,11 +460,11 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
     # cross-cluster edges; widen the record so the slot budget still holds
     slots = 4 * (1 << h) if h > 0 else 8
     if mode == "weighted_distance":
-        sw, absent, shift = 8, gf.ABSENT, 60
-        rec_size = slots * sw
+        dtype, absent, shift = np.dtype("<u8"), gf.ABSENT, 60
+        rec_size = slots * dtype.itemsize
     elif mode == "unit_distance":
-        sw, absent, shift = 4, ABSENT32, 28
-        rec_size = slots * sw
+        dtype, absent, shift = np.dtype("<u4"), ABSENT32, 28
+        rec_size = slots * dtype.itemsize
     elif mode == "reachability":
         rec_size = -(-slots // 8) + 1
     else:
@@ -378,8 +476,9 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
              if mode == "reachability" else None)
 
     for q in iterate_clusters(g, scheme):
-        bpos = {rc: i for i, rc in enumerate(q.boundary)}
-        bsize = len(q.boundary)
+        shape = _shape(q.hgt, q.wid)
+        bpos, wid = shape.bpos, q.wid
+        bsize = len(shape.boundary)
         base = scheme.base(q.ci, q.cj)
         if mode == "reachability":
             order = _cluster_topo_order(q)
@@ -389,50 +488,45 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
             for v in reversed(order):
                 acc = 0
                 for _, lr, lc, w in q.intra[v]:
-                    u = lr * q.wid + lc
-                    rc = (lr + q.r0, lc + q.c0)
-                    if rc in bpos:
-                        acc |= 1 << bpos[rc]
+                    u = lr * wid + lc
+                    if bpos[u] >= 0:
+                        acc |= 1 << bpos[u]
                     acc |= reach[u]
                 reach[v] = acc
             out_masks = [0] * bsize
             for lr, lc, d, nr, nc, w in q.out_edges:
-                rc = (lr + q.r0, lc + q.c0)
-                out_masks[bpos[rc]] |= 1 << d
-                t = scheme.h_number(nr, nc)
-                indeg[t] += 1
-            for i, (r, c) in enumerate(q.boundary):
-                m = reach[q.local(r, c)]
-                for j in range(bsize):
-                    if m >> j & 1:
-                        indeg[base + j] += 1
-                out.write(m.to_bytes(rec_size - 1, "little")
-                          + bytes([out_masks[i]]))
+                out_masks[bpos[lr * wid + lc]] |= 1 << d
+                indeg[scheme.h_number(nr, nc)] += 1
+            recs = b"".join(reach[v].to_bytes(rec_size - 1, "little")
+                            + bytes([m])
+                            for v, m in zip(shape.boundary, out_masks))
+            masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
+            bits = np.unpackbits(masks[:, :-1], axis=1, bitorder="little")
+            indeg[base:base + bsize] += bits[:, :bsize].sum(axis=0,
+                                                            dtype=np.int64)
+            out.write(recs)
         else:
             unit = mode == "unit_distance"
-            ehs: list[list] = [[] for _ in range(bsize)]
+            recs = np.full((bsize, slots), absent, dtype=dtype)
+            # slots 0 .. bsize-2: distances to the other boundary vertices
+            dists = np.empty((bsize, bsize), dtype=dtype)
+            for i, li in enumerate(shape.boundary):
+                dist = _local_dijkstra(q, li, unit)
+                dists[i] = [absent if dist[v] == INF else dist[v]
+                            for v in shape.boundary]
+            recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
+                bsize, bsize - 1)
+            # then the vertex's edges into other clusters
+            fill = [bsize - 1] * bsize
             for lr, lc, d, nr, nc, w in q.out_edges:
-                rc = (lr + q.r0, lc + q.c0)
                 if w >> shift:
                     raise ClusterError("weight too large for slot encoding")
-                ehs[bpos[rc]].append((d << shift) | (1 if unit else w))
-            for i, (r, c) in enumerate(q.boundary):
-                dist = _local_dijkstra(q, q.local(r, c), unit)
-                rec = bytearray()
-                for j, (br, bc) in enumerate(q.boundary):
-                    if j == i:
-                        continue
-                    dv = dist[q.local(br, bc)]
-                    rec += (absent if dv == float("inf") else int(dv)
-                            ).to_bytes(sw, "little")
-                eh = ehs[i]
-                spare = slots - (bsize - 1)
-                if len(eh) > spare:
+                i = bpos[lr * wid + lc]
+                if fill[i] == slots:
                     raise ClusterError("cross-cluster slot overflow")
-                for v in eh:
-                    rec += v.to_bytes(sw, "little")
-                rec += absent.to_bytes(sw, "little") * (spare - len(eh))
-                out.write(bytes(rec))
+                recs[i, fill[i]] = (d << shift) | (1 if unit else w)
+                fill[i] += 1
+            out.write(recs.tobytes())
     out.close()
 
     gp = SeparatorGraph(scheme, mode, handle, rec_size, slots)
@@ -445,10 +539,9 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
         ds.close()
         z_handle = disk.open_file(name + ".zqueue")
         zs = disk.append_stream(z_handle)
-        zcount = 0
-        for v in np.flatnonzero(indeg == 0):
-            zs.write(int(v).to_bytes(8, "little"))
-            zcount += 1
+        zero = np.flatnonzero(indeg == 0)
+        zs.write(zero.astype("<u8").tobytes())
+        zcount = len(zero)
         zs.close()
         gp.d_handle, gp.z_handle, gp.z_count = d_handle, z_handle, zcount
     return gp

@@ -190,8 +190,12 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
         raise FormatError("bad magic")
     if order_c not in _ORDER_NAMES or enc_c not in _ENC_NAMES:
         raise FormatError("bad header codes")
-    return GridGraph(disk, handle, _ORDER_NAMES[order_c], _ENC_NAMES[enc_c],
-                     rows, cols, count)
+    g = GridGraph(disk, handle, _ORDER_NAMES[order_c], _ENC_NAMES[enc_c],
+                  rows, cols, count)
+    if g.record_offset(count) > disk.content_length(handle):
+        raise FormatError("file ends before its %d records of %d bytes"
+                          % (count, g.record_size))
+    return g
 
 
 # ---------------------------------------------------------------------------

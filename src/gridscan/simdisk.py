@@ -107,6 +107,8 @@ class SimDisk:
     def __init__(self, config: SimConfig):
         self.config = config
         self._data: list[bytearray] = []
+        # bytes written to or loaded into each file, before block padding
+        self._ends: list[int] = []
         self._names: dict[str, int] = {}
         self._stats: list[_FileStats] = []
         # cache maps (file_id, block_index) -> dirty flag, in LRU order
@@ -120,16 +122,20 @@ class SimDisk:
         fid = len(self._data)
         self._names[name] = fid
         self._data.append(bytearray())
+        self._ends.append(0)
         self._stats.append(_FileStats())
         return FileHandle(fid, name, self)
 
     def _ensure_length(self, fid: int, end: int):
-        """Grow (zero-pad) a file so it covers byte offset ``end - 1``."""
-        b = self.config.block_bytes
-        data = self._data[fid]
-        if end > len(data):
-            padded = -(-end // b) * b
-            data.extend(b"\0" * (padded - len(data)))
+        """Note ``end`` as the file's content length if it is past it, and grow
+        (zero-pad) the file so it covers byte offset ``end - 1``."""
+        if end > self._ends[fid]:
+            self._ends[fid] = end
+            b = self.config.block_bytes
+            data = self._data[fid]
+            if end > len(data):
+                padded = -(-end // b) * b
+                data.extend(b"\0" * (padded - len(data)))
 
     # -- counting helpers --------------------------------------------------
 
@@ -279,6 +285,11 @@ class SimDisk:
     def raw_bytes(self, handle: FileHandle) -> bytes:
         return bytes(self._data[handle.file_id])
 
+    def content_length(self, handle: FileHandle) -> int:
+        """Bytes written to or loaded into a file, not counting the zero
+        padding up to the next block boundary."""
+        return self._ends[handle.file_id]
+
     def load_raw(self, handle: FileHandle, data: bytes):
         """Preload file contents without counting (host import)."""
         b = self.config.block_bytes
@@ -286,6 +297,7 @@ class SimDisk:
         if len(buf) % b:
             buf.extend(b"\0" * (b - len(buf) % b))
         self._data[handle.file_id] = buf
+        self._ends[handle.file_id] = len(data)
 
 
 class ScanReader:

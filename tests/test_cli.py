@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -143,3 +144,39 @@ def test_counters_deterministic(capsys):
     _, rep1 = run_json(capsys, argv)
     _, rep2 = run_json(capsys, argv)
     assert rep1["counters"] == rep2["counters"]
+
+
+def _no_generate(*args, **kwargs):
+    raise AssertionError("instance generated before --h was checked")
+
+
+@pytest.mark.parametrize("h", ["-1", "40", "4"])
+def test_h_out_of_range_is_a_usage_error(capsys, monkeypatch, h):
+    monkeypatch.setattr(gf, "generate", _no_generate)
+    # on an 8x8 grid h = 3 is one cluster covering the grid, the largest h
+    assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", h]) == 1
+    assert "--h" in capsys.readouterr().err
+
+
+def test_h_at_the_range_ends_runs(capsys):
+    for h in ("0", "3"):
+        code, rep = run_json(capsys, [
+            "verify", "--alg", "sssp", "--rows", "8", "--cols", "8",
+            "--h", h])
+        assert code == 0
+        assert rep["verdict"] == "exact"
+        assert rep["h"] == int(h)
+
+
+def test_report_gives_h_and_times_only_the_algorithm(capsys, monkeypatch):
+    real_generate = gf.generate
+
+    def slow_generate(*args, **kwargs):
+        time.sleep(0.5)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(gf, "generate", slow_generate)
+    code, rep = run_json(capsys, ["toposort", "--rows", "8", "--cols", "8"])
+    assert code == 0
+    assert rep["h"] == 3             # --h auto, clipped to the 8x8 grid
+    assert rep["wall_time_s"] < 0.5

@@ -1,9 +1,11 @@
 import heapq
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridscan.simdisk import SimConfig, SimDisk
-from gridscan import gridfmt as gf, clusters as cl, oracle
+from gridscan import gridfmt as gf, clusters as cl, oracle, sssp
 
 from conftest import make_disk, make_graph, grid4_edges
 
@@ -247,3 +249,108 @@ def test_separator_mode_encoding_mismatch():
     g = gf.generate(d, 4, 4, "tree", seed=0)
     with pytest.raises(cl.ClusterError):
         cl.build_separator_graph(g, 1, "weighted_distance")
+
+
+ENCODINGS = ("unweighted", "weighted_directed", "weighted_undirected")
+
+
+def _random_graph(d, rows, cols, encoding, seed):
+    """A random graph with every arc inside the grid; weights include 0 and
+    the largest storable weight."""
+    rng = random.Random(seed)
+    dirs = gf.OWNED_SLOTS if encoding == "weighted_undirected" else range(8)
+    edges = {}
+    for r in range(rows):
+        for c in range(cols):
+            spec = {}
+            for dd in dirs:
+                dr, dc = gf.DIR_OFFSETS[dd]
+                if (0 <= r + dr < rows and 0 <= c + dc < cols
+                        and rng.random() < 0.5):
+                    spec[dd] = rng.choice((0, 1, rng.randrange(2 ** 20),
+                                           gf.ABSENT - 1))
+            edges[(r, c)] = spec
+    return make_graph(d, rows, cols, encoding, edges)
+
+
+def _expected_cluster(g, s, records, ci, cj):
+    """(intra, out_edges, boundary) of one cluster, built record by record in
+    the order the InMemoryCluster docstring documents."""
+    r0, c0, hgt, wid = s.extent(ci, cj)
+    inside = lambda r, c: r0 <= r < r0 + hgt and c0 <= c < c0 + wid
+    intra = [[] for _ in range(hgt * wid)]
+    out = []
+    z0, cnt = s.z_interval(ci, cj)
+    for z in range(z0, z0 + cnt):
+        row, col = gf.index_to_coord(gf.Z_ORDER, g.rows, g.cols, z)
+        r, c = row - 1, col - 1
+        mask, weights = records[z]
+        for dd in range(8):
+            if not mask >> dd & 1:
+                continue
+            dr, dc = gf.DIR_OFFSETS[dd]
+            nr, nc = r + dr, c + dc
+            w = weights.get(dd, 1)
+            if inside(nr, nc):
+                intra[(r - r0) * wid + c - c0].append((dd, nr - r0, nc - c0, w))
+                if g.encoding == "weighted_undirected":
+                    intra[(nr - r0) * wid + nc - c0].append(
+                        (gf.opposite(dd), r - r0, c - c0, w))
+            else:
+                out.append((r - r0, c - c0, dd, nr, nc, w))
+    ring = [(r, c) for r in range(r0, r0 + hgt) for c in range(c0, c0 + wid)
+            if r in (r0, r0 + hgt - 1) or c in (c0, c0 + wid - 1)]
+    boundary = sorted(ring, key=lambda rc: s.boundary_position(*rc))
+    return intra, out, boundary
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ENCODINGS),
+       st.sampled_from([(13, 7), (1, 9), (9, 1), (1, 1), (5, 6), (8, 8)])
+       | st.tuples(st.integers(1, 17), st.integers(1, 17)),
+       st.integers(0, 4), st.integers(0, 10 ** 9))
+def test_decode_matches_record_by_record_reference(encoding, shape, h, seed):
+    rows, cols = shape
+    d = make_disk()
+    g = _random_graph(d, rows, cols, encoding, seed)
+    s = cl.ClusterScheme(rows, cols, h)
+    records = gf.decode_all(g)
+    streamed = list(cl.iterate_clusters(g, s))
+    assert [(q.ci, q.cj) for q in streamed] == list(s.clusters_in_z_order())
+    for q in streamed:
+        direct = cl.load_cluster(g, s, q.ci, q.cj)
+        intra, out, boundary = _expected_cluster(g, s, records, q.ci, q.cj)
+        for got in (q, direct):
+            assert got.intra == intra
+            assert got.out_edges == out
+            assert got.boundary == boundary
+
+
+# one stored arc per encoding that points off the grid: (cell, direction)
+OFF_GRID = {
+    "unweighted": ((2, 0), gf.W),
+    "weighted_directed": ((0, 1), gf.N),
+    "weighted_undirected": ((1, 3), gf.E),
+}
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("h", [1, 2])
+def test_decode_rejects_arc_off_the_grid(encoding, h):
+    d = make_disk()
+    cell, dd = OFF_GRID[encoding]
+    g = make_graph(d, 4, 4, encoding, {cell: {dd: 5}})
+    s = cl.ClusterScheme(4, 4, h)
+    with pytest.raises(gf.FormatError):
+        list(cl.iterate_clusters(g, s))
+    with pytest.raises(gf.FormatError):
+        cl.load_cluster(g, s, *s.cluster_of(*cell))
+
+
+def test_sssp_rejects_arc_off_the_grid_like_the_oracle():
+    d = make_disk()
+    g = make_graph(d, 4, 4, "weighted_directed", {(0, 1): {gf.N: 5}})
+    with pytest.raises(gf.FormatError):
+        oracle.dijkstra(g, (0, 0))
+    with pytest.raises(gf.FormatError):
+        sssp.sssp_simple(g, (0, 0), 1)

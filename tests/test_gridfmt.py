@@ -113,6 +113,24 @@ def test_header_round_trip():
     assert (g2.order, g2.encoding, g2.rows, g2.cols) == (g.order, g.encoding, 6, 4)
 
 
+@pytest.mark.parametrize("short", [1, 100])
+def test_open_grid_rejects_truncated_payload(short):
+    # a shortfall below one block is hidden by the block padding
+    d = disk(256)
+    g = gf.generate(d, 32, 32, "planar_dag", seed=4)
+    raw = d.raw_bytes(g.handle)
+    assert short < d.config.block_bytes
+    d2 = disk(256)
+    h = d2.open_file("input")
+    d2.load_raw(h, raw[:-short])
+    with pytest.raises(gf.FormatError):
+        gf.open_grid(d2, h)
+    d3 = disk(256)
+    h3 = d3.open_file("input")
+    d3.load_raw(h3, raw)
+    assert gf.open_grid(d3, h3).count == 32 * 32
+
+
 def count_undirected_edges(g):
     adj = gf.adjacency(g)
     return sum(len(v) for v in adj.values()) // 2
