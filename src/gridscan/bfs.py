@@ -1,21 +1,20 @@
 """Breadth-first traversal order via bucketed cluster keys and chunk files.
 
-Pipeline: exact hop distances through the three-phase scheme (the phase-2
-queue is a bucket-of-lists structure that exploits the bounded key band),
-then per-cluster BFS forests cut into chunks of height < 2^h, an address
-list sorted by root distance, and emission through a rotating pool of
-distance-keyed stacks.
+Pipeline: exact hop distances through the three-phase scheme of ``sssp``
+(its key-order driver, with a bucket-of-lists phase-2 queue that exploits
+the bounded key band), then per-cluster BFS forests cut into chunks of
+height < 2^h, an address list sorted by root distance, and emission through
+a rotating pool of distance-keyed stacks.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gridfmt as gf
 from . import clusters as cl
-from .sssp import DistanceFile, INF_D, TENTATIVE, _min_tentative
+from . import sssp
 from .simdisk import SimDisk, FileStack
 
 CHUNK_HDR = struct.Struct("<QQI")      # root z-index, root distance, count
@@ -26,49 +25,35 @@ class BfsError(Exception):
 
 
 class BucketQueue:
-    """Min-queue over a sliding key band of width 4^h.
+    """Min-queue over a sliding key band [cur, cur + band - 1].
 
-    Keys up to the rounded boundary d' live in exact-key near lists; keys
-    beyond d' live in 2^h + 1 far lists of width 2^h each, redistributed when
-    the extraction point crosses d'.  Entries are (key, item); a decreased
-    key is reinserted and the stale copy discarded by the caller, unless
-    ``update_in_place`` removes the old copy immediately.
+    The band covers the largest separator-edge weight: a hop distance inside
+    a 2^h cluster stays below 4^h, and a hop between clusters weighs 1, the
+    only weight at h = 0.  Keys up to the rounded boundary d' live in
+    exact-key near lists; keys beyond d' live in 2^h + 1 far lists of width
+    2^h each, redistributed when the extraction point crosses d'.  Entries
+    are (key, item); a decreased key is reinserted and the stale copy
+    discarded by the caller.
     """
 
-    def __init__(self, h: int, update_in_place: bool = False):
+    def __init__(self, h: int):
         self.h = h
         self.span = 1 << h
-        self.band = 1 << (2 * h)
+        self.band = max(1 << (2 * h), 2)
         self.cur = 0
         self.dprime = 0            # cur rounded up to a multiple of 2^h
         self.near: dict[int, list] = {}
         self.far: list[list] = [[] for _ in range(self.span + 1)]
-        self.update_in_place = update_in_place
-        self.inserts = 0
-        self.stale_discards = 0
-        self.size = 0
 
     def insert(self, key: int, item):
         if key < self.cur or key > self.cur + self.band - 1:
             raise BfsError("key %d outside admissible band [%d, %d]"
                            % (key, self.cur, self.cur + self.band - 1))
-        if self.update_in_place:
-            self._remove(item)
-        self.inserts += 1
-        self.size += 1
         if key <= self.dprime:
             self.near.setdefault(key, []).append((key, item))
         else:
             i = (key - self.dprime - 1) >> self.h
             self.far[i].append((key, item))
-
-    def _remove(self, item):
-        for lst in list(self.near.values()) + self.far:
-            for j, (k, it) in enumerate(lst):
-                if it == item:
-                    lst.pop(j)
-                    self.size -= 1
-                    return
 
     def extract_min(self):
         """(key, item) with minimal key, or None when empty."""
@@ -77,7 +62,6 @@ class BucketQueue:
             if keys:
                 k = min(keys)
                 self.cur = max(self.cur, k)
-                self.size -= 1
                 return self.near[k].pop()
             if not any(self.far):
                 return None
@@ -93,7 +77,6 @@ class BucketQueue:
 @dataclass
 class BfsStats:
     chunk_count: int = 0
-    max_band: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -101,86 +84,13 @@ class BfsStats:
 
 
 def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
-                  out_name: str = "bfsdist.out",
-                  update_in_place: bool = False):
-    """Exact hop distances from s, written in Z-order (ABSENT unreachable)."""
-    if g.encoding != "unweighted":
-        raise BfsError("input must be unweighted")
-    if g.order != gf.Z_ORDER:
-        raise BfsError("input must be in z_order")
-    r, c = s_cell
-    if not (0 <= r < g.rows and 0 <= c < g.cols):
-        raise BfsError("source outside grid")
-    disk = g.disk
-    gp = cl.build_separator_graph(g, h, "unit_distance", name=out_name + ".gp")
-    scheme = gp.scheme
-    dfile = DistanceFile(disk, scheme, out_name + ".D")
+                  out_name: str = "bfsdist.out"):
+    """Exact hop distances from s, written in Z-order (ABSENT unreachable).
 
-    sci, scj = scheme.cluster_of(*s_cell)
-    q0 = cl.load_cluster(g, scheme, sci, scj)
-    dist0 = cl._local_dijkstra(q0, q0.local(*s_cell), unit=True)
-    vals = dfile.read_cluster(sci, scj)
-    for i, (br, bc) in enumerate(q0.boundary):
-        dv = dist0[q0.local(br, bc)]
-        if dv != float("inf"):
-            vals[i] = TENTATIVE | int(dv)
-    dfile.write_cluster(sci, scj, vals)
-
-    nclusters = scheme.crows * scheme.ccols
-    cur_min = [None] * nclusters
-    queue = BucketQueue(h, update_in_place=update_in_place)
-
-    def refresh(rank, vals):
-        cur_min[rank] = _min_tentative(vals)
-        if cur_min[rank] is not None:
-            queue.insert(cur_min[rank][0], rank)
-
-    refresh(scheme.rank(sci, scj), dfile.read_cluster(sci, scj))
-    while True:
-        entry = queue.extract_min()
-        if entry is None:
-            break
-        key, rank = entry
-        if cur_min[rank] is None or key != cur_min[rank][0]:
-            queue.stale_discards += 1
-            continue
-        ci, cj = scheme.cluster_at_rank(rank)
-        vals = dfile.read_cluster(ci, cj)
-        best = _min_tentative(vals)
-        if best is None or best[0] != key:
-            queue.stale_discards += 1
-            if best is not None:
-                cur_min[rank] = best
-                queue.insert(best[0], rank)
-            continue
-        dist_u, pos = best
-        vals[pos] &= ~TENTATIVE
-        dfile.write_cluster(ci, cj, vals)
-        u = scheme.base(ci, cj) + pos
-        targets = list(gp.decode_edges(u, gp.read_record(disk, u)))
-        by_cluster: dict[tuple[int, int], list] = {}
-        for t, w in targets:
-            by_cluster.setdefault(scheme.cluster_of_h_number(t), []).append((t, w))
-        touched = {rank}
-        for (tci, tcj), lst in by_cluster.items():
-            tvals = dfile.read_cluster(tci, tcj)
-            tbase = scheme.base(tci, tcj)
-            changed = False
-            for t, w in lst:
-                nd = dist_u + w
-                curv = tvals[t - tbase]
-                if curv & TENTATIVE and nd < (curv & INF_D):
-                    tvals[t - tbase] = TENTATIVE | nd
-                    changed = True
-            if changed:
-                dfile.write_cluster(tci, tcj, tvals)
-                touched.add(scheme.rank(tci, tcj))
-        for tr in touched:
-            refresh(tr, dfile.read_cluster(*scheme.cluster_at_rank(tr)))
-
-    from .sssp import _finalize_interiors
-    handle = _finalize_interiors(g, scheme, dfile, s_cell, out_name)
-    return handle, scheme
+    Returns (output handle, cluster scheme)."""
+    sssp.check_input(g, s_cell, "unweighted", BfsError)
+    return sssp.solve_in_key_order(g, s_cell, h, "unit_distance",
+                                   BucketQueue(h), sssp.SolveStats(), out_name)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +137,9 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
     (4 B), then one child-direction mask byte per vertex in preorder.
     The address list pairs each chunk's byte offset with its root distance.
     """
-    from .sssp import read_distances
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    dists = read_distances(disk, dist_handle)
+    dists = gf.read_u64_payload(disk, dist_handle)
     z_of, _ = gf.z_tables(g.rows, g.cols)
     span = 1 << h
 
@@ -295,25 +204,13 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
 # Address sorting
 
 
-def sort_addresses(disk: SimDisk, a_handle, count: int, method: str = "merge",
+def sort_addresses(disk: SimDisk, a_handle, count: int,
                    name: str = "bfs.A.sorted"):
-    """Stable ascending sort of (offset, distance) pairs by distance.
-
-    ``merge`` loads and sorts in memory; ``radix`` runs two stable counting
-    passes over the 16-bit halves of the distance.  Both write the same file.
-    """
+    """Stable ascending sort of (offset, distance) pairs by distance, in
+    memory."""
     raw = disk.read_direct(a_handle, 0, count * 16)
     pairs = [struct.unpack_from("<QQ", raw, i * 16) for i in range(count)]
-    if method == "merge":
-        pairs.sort(key=lambda p: p[1])
-    elif method == "radix":
-        for shift in (0, 16, 32, 48):
-            buckets: dict[int, list] = {}
-            for p in pairs:
-                buckets.setdefault((p[1] >> shift) & 0xFFFF, []).append(p)
-            pairs = [p for k in sorted(buckets) for p in buckets[k]]
-    else:
-        raise BfsError("unknown sort method %r" % method)
+    pairs.sort(key=lambda p: p[1])
     out = disk.open_file(name)
     stream = disk.append_stream(out)
     for off, dist in pairs:
@@ -387,32 +284,23 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
             max_dist = max(max_dist, dv)
     flush_to(max_dist)
     stream.close()
-    # count patched afterwards; header rewrite is one block
-    hdr = struct.Struct("<4sHBBIIQ").pack(
-        gf.MAGIC, gf.VERSION, 2, 5, g.rows, g.cols, emitted)
-    disk.write_direct(out, 0, hdr)
+    # count patched afterwards; the unpadded header rewrite touches only the
+    # blocks the header itself occupies
+    disk.write_direct(out, 0, gf.pack_header(gf.Z_ORDER, "vertex_seq",
+                                             g.rows, g.cols, emitted))
     return out, emitted
 
 
 def bfs_order(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
-              name: str = "bfs", sort_method: str = "merge",
-              update_in_place: bool = False,
-              stats: BfsStats | None = None):
+              name: str = "bfs", stats: BfsStats | None = None):
     """Full pipeline: distances, chunks, sorted addresses, emission."""
-    dist_handle, scheme = bfs_distances(g, s_cell, h, out_name=name + ".dist",
-                                        update_in_place=update_in_place)
+    dist_handle, _ = bfs_distances(g, s_cell, h, out_name=name + ".dist")
     c_handle, a_handle, count = build_chunks_bfs(g, dist_handle, h, name=name,
                                                  stats=stats)
-    a_sorted = sort_addresses(g.disk, a_handle, count, method=sort_method,
-                              name=name + ".A.sorted")
+    a_sorted = sort_addresses(g.disk, a_handle, count, name=name + ".A.sorted")
     out, emitted = emit_bfs_order(g, c_handle, a_sorted, count, h,
                                   out_name=name + ".order")
     return out, emitted, dist_handle
 
 
-def read_order(disk: SimDisk, handle) -> list[int]:
-    g = gf.open_grid(disk, handle)
-    raw = disk.raw_bytes(handle)
-    off = g.payload_offset
-    return [int.from_bytes(raw[off + 8 * i: off + 8 * (i + 1)], "little")
-            for i in range(g.count)]
+read_order = gf.read_u64_payload

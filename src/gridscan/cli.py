@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 instance or configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -29,22 +30,14 @@ ALG_ERRORS = (gf.FormatError, cl.ClusterError, sssp.SsspError, bfs.BfsError,
               mst.MstError, ts.ToposortError, tfp.TfpError, euler.EulerError,
               oracle.OracleError, cm.CostModelError, SimDiskError)
 
-# default instance model and cost-model tag per algorithm subcommand
-DEFAULT_MODEL = {
-    "sssp": "weighted_dag",
-    "bfs": "unit_directed",
-    "mst": "weighted_undirected",
-    "toposort": "planar_dag",
-    "tfp": "planar_dag",
-    "euler": "tree",
-}
-COST_ALG = {
-    "sssp": "sssp",
-    "bfs": "bfs",
-    "mst": "mst_cache_aware",
-    "toposort": "toposort",
-    "tfp": "tfp",
-    "euler": "euler",
+# algorithm subcommand -> (default instance model, cost-model algorithm)
+COMMANDS = {
+    "sssp": ("weighted_dag", "sssp"),
+    "bfs": ("unit_directed", "bfs"),
+    "mst": ("weighted_undirected", "mst_cache_aware"),
+    "toposort": ("planar_dag", "toposort"),
+    "tfp": ("planar_dag", "tfp"),
+    "euler": ("tree", "euler"),
 }
 
 
@@ -103,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--to", choices=(gf.ROW_MAJOR, gf.COL_MAJOR, gf.Z_ORDER),
                    default=gf.ROW_MAJOR)
 
-    for name in ("sssp", "bfs", "mst", "toposort", "tfp", "euler"):
+    for name in COMMANDS:
         a = sub.add_parser(name, help="run %s on a generated instance" % name)
         _add_common(a)
         if name in ("sssp", "bfs"):
@@ -121,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
             a.add_argument("--root", type=parse_cell)
 
     v = sub.add_parser("verify", help="run an algorithm and check the result")
-    v.add_argument("--alg", choices=sorted(DEFAULT_MODEL), required=True)
+    v.add_argument("--alg", choices=sorted(COMMANDS), required=True)
     _add_common(v)
     v.add_argument("--source", type=parse_cell, default=(0, 0))
     v.add_argument("--variant")
@@ -139,6 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_h(text: str) -> int | None:
+    """An explicit --h as a non-negative integer; None for 'auto'."""
+    if text == "auto":
+        return None
+    try:
+        h = int(text)
+    except ValueError:
+        raise UsageError("--h must be 'auto' or an integer")
+    if h < 0:
+        raise UsageError("--h must not be negative")
+    return h
+
+
 def _resolve_h(args, alg: str) -> int:
     """The cluster level for an algorithm run on an args.rows x args.cols grid.
 
@@ -146,17 +152,14 @@ def _resolve_h(args, alg: str) -> int:
     whose single cluster covers the whole grid (at least 1); a larger h only
     widens the separator records.
     """
-    if args.h != "auto":
-        try:
-            h = int(args.h)
-        except ValueError:
-            raise UsageError("--h must be 'auto' or an integer")
+    h = _parse_h(args.h)
+    if h is not None:
         h_max = max(1, (max(args.rows, args.cols) - 1).bit_length())
-        if not 0 <= h <= h_max:
+        if h > h_max:
             raise UsageError("--h must lie in [0, %d] for a %dx%d grid"
                              % (h_max, args.rows, args.cols))
         return h
-    h = cm.default_h(COST_ALG[alg], args.mem)
+    h = cm.default_h(COMMANDS[alg][1], args.mem)
     # clip to the grid: a cluster larger than the whole grid buys nothing
     while h > 0 and 2 ** h > max(args.rows, args.cols):
         h -= 1
@@ -166,7 +169,7 @@ def _resolve_h(args, alg: str) -> int:
 def _make_instance(args, alg=None):
     sim = SimConfig(block_bytes=args.block, memory_bytes=args.mem)
     disk = SimDisk(sim)
-    model = args.model or DEFAULT_MODEL.get(alg, "weighted_dag")
+    model = args.model or (COMMANDS[alg][0] if alg else "weighted_dag")
     g = gf.generate(disk, args.rows, args.cols, model, seed=args.seed,
                     density=args.density)
     return disk, g, model
@@ -267,16 +270,6 @@ def _verify(alg: str, args, disk, g, out) -> str:
     raise UsageError("unknown algorithm %r" % alg)
 
 
-def _counters_dict(snap) -> dict:
-    return {
-        "blocks_read": snap.blocks_read,
-        "blocks_written": snap.blocks_written,
-        "sequential_blocks": snap.sequential_blocks,
-        "random_blocks": snap.random_blocks,
-        "bytes_transferred": snap.bytes_transferred,
-    }
-
-
 def _print_report(report: dict, mode: str):
     if mode == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -303,8 +296,9 @@ def run(argv) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "costmodel":
-        h = (cm.default_h(args.alg, args.mem) if args.h == "auto"
-             else int(args.h))
+        h = _parse_h(args.h)
+        if h is None:
+            h = cm.default_h(args.alg, args.mem)
         rep = cm.volume_model(args.alg, args.n, args.mem, args.block, h)
         if args.report == "table":
             print(cm.format_table(rep))
@@ -315,7 +309,7 @@ def _dispatch(args) -> int:
     alg = None
     if args.command == "verify":
         alg = args.alg
-    elif args.command in DEFAULT_MODEL:
+    elif args.command in COMMANDS:
         alg = args.command
     h = _resolve_h(args, alg) if alg else None
     disk, g, model = _make_instance(args, alg)
@@ -342,7 +336,7 @@ def _dispatch(args) -> int:
         "instance": {"rows": args.rows, "cols": args.cols, "model": model,
                      "seed": args.seed},
         "config": {"memory_bytes": args.mem, "block_bytes": args.block},
-        "counters": _counters_dict(disk.counters_snapshot()),
+        "counters": dataclasses.asdict(disk.counters_snapshot()),
         "output_file": out.name,
         "wall_time_s": round(wall_time_s, 6),
     }

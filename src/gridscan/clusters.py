@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gridfmt as gf
-from .simdisk import SimDisk, SimConfig
+from .simdisk import SimDisk
 
 ABSENT32 = 2 ** 32 - 1
 INF = float("inf")
@@ -30,27 +30,6 @@ INF = float("inf")
 
 class ClusterError(Exception):
     pass
-
-
-# largest per-cluster working set, in bytes, that each algorithm keeps in
-# memory at once (decoded cluster + per-boundary state + queues); choose_h
-# picks the largest h that fits
-WORKING_SET = {
-    "sssp": lambda h: 128 * 4 ** h,
-    "bfs": lambda h: 96 * 4 ** h,
-    "mst": lambda h: 96 * 4 ** h,
-    "toposort": lambda h: 3 * 4 ** h,
-    "tfp": lambda h: 32 * 4 ** h,
-    "euler": lambda h: 2 * 4 ** h,
-}
-
-
-def choose_h(sim: SimConfig, alg: str) -> int:
-    ws = WORKING_SET[alg]
-    h = 0
-    while ws(h + 1) <= sim.memory_bytes:
-        h += 1
-    return h
 
 
 class ClusterScheme:

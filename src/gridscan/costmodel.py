@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import clusters as cl
 from .simdisk import SimConfig
 
 
@@ -63,14 +62,16 @@ class IoCostReport:
         }
 
 
-# working-set key used for admissibility checks, per model algorithm
-_WS_KEY = {
-    "sssp": "sssp",
-    "bfs": "bfs",
-    "mst_cache_aware": "mst",
-    "toposort": "toposort",
-    "tfp": "tfp",
-    "euler": "euler",
+# bytes per cluster vertex of the largest per-cluster working set each
+# cluster-based algorithm keeps in memory at once (decoded cluster +
+# per-boundary state + queues): a 2^h cluster needs WORKING_SET[alg] * 4^h
+WORKING_SET = {
+    "sssp": 128,
+    "bfs": 96,
+    "mst_cache_aware": 96,
+    "toposort": 3,
+    "tfp": 32,
+    "euler": 2,
 }
 
 ALGORITHMS = ("sssp", "bfs", "mst_cache_aware", "mst_cache_oblivious",
@@ -89,12 +90,9 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         raise CostModelError("unknown algorithm %r" % (alg,))
     if n < 1 or M < 1 or B < 1:
         raise CostModelError("n, M and B must be positive")
-    key = _WS_KEY.get(alg)
-    if key is not None:
-        if h < 0 or cl.WORKING_SET[key](h) > M:
-            raise CostModelError(
-                "h=%d inadmissible for %s with %d bytes of memory"
-                % (h, alg, M))
+    if h < 0 or WORKING_SET.get(alg, 0) * 4 ** h > M:
+        raise CostModelError("h=%d inadmissible for %s with %d bytes of memory"
+                             % (h, alg, M))
     F = Fraction
     ru = _random_unit(B, h)
 
@@ -198,12 +196,11 @@ def default_h(alg: str, memory_bytes: int) -> int:
     Takes the memory size directly: the model also covers machines that do
     not satisfy the simulator's tall-cache requirement.
     """
-    key = _WS_KEY.get(alg)
-    if key is None:
+    per_vertex = WORKING_SET.get(alg)
+    if per_vertex is None:
         return 0
-    ws = cl.WORKING_SET[key]
     h = 0
-    while ws(h + 1) <= memory_bytes:
+    while per_vertex * 4 ** (h + 1) <= memory_bytes:
         h += 1
     return h
 

@@ -157,33 +157,38 @@ class GridGraph:
 
     @property
     def payload_offset(self) -> int:
-        b = self.disk.config.block_bytes
-        return -(-HEADER_BYTES // b) * b
+        return _header_span(self.disk)
 
     def record_offset(self, index: int) -> int:
         return self.payload_offset + index * self.record_size
 
     def write_header(self):
-        hdr = _HEADER.pack(MAGIC, VERSION, _ORDER_CODES[self.order],
-                           _ENC_CODES[self.encoding], self.rows, self.cols,
-                           self.count)
+        hdr = pack_header(self.order, self.encoding, self.rows, self.cols,
+                          self.count)
         self.disk.write_direct(self.handle, 0, hdr.ljust(self.payload_offset, b"\0"))
+
+
+def pack_header(order, encoding, rows, cols, count) -> bytes:
+    """The unpadded header, ``_HEADER.size`` bytes long, for offset 0."""
+    return _HEADER.pack(MAGIC, VERSION, _ORDER_CODES[order],
+                        _ENC_CODES[encoding], rows, cols, count)
+
+
+def _header_span(disk: SimDisk) -> int:
+    """Bytes before the payload: the header padded to a block boundary."""
+    b = disk.config.block_bytes
+    return -(-HEADER_BYTES // b) * b
 
 
 def write_header_via(stream, disk, order, encoding, rows, cols, count):
     """Emit a header through an append stream (keeps output fully sequential)."""
-    b = disk.config.block_bytes
-    pad = -(-HEADER_BYTES // b) * b
-    hdr = _HEADER.pack(MAGIC, VERSION, _ORDER_CODES[order], _ENC_CODES[encoding],
-                       rows, cols, count)
-    stream.write(hdr.ljust(pad, b"\0"))
+    hdr = pack_header(order, encoding, rows, cols, count)
+    stream.write(hdr.ljust(_header_span(disk), b"\0"))
 
 
 def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
-    b = disk.config.block_bytes
-    pad = -(-HEADER_BYTES // b) * b
     raw = disk.raw_bytes(handle)
-    if len(raw) < pad:
+    if len(raw) < _header_span(disk):
         raise FormatError("file too short for header")
     magic, version, order_c, enc_c, rows, cols, count = _HEADER.unpack(raw[:_HEADER.size])
     if magic != MAGIC:
@@ -196,6 +201,14 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
         raise FormatError("file ends before its %d records of %d bytes"
                           % (count, g.record_size))
     return g
+
+
+def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
+    """The payload of an 8-byte-record file (distances, labels, vertex
+    sequences) as integers; uncounted.  ABSENT marks a missing value."""
+    g = open_grid(disk, handle)
+    return np.frombuffer(disk.raw_bytes(handle), "<u8", g.count,
+                         g.payload_offset).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ the product.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SimDiskError(Exception):
@@ -52,24 +52,7 @@ class IoCounters:
     blocks_written: int = 0
     sequential_blocks: int = 0
     random_blocks: int = 0
-
-    @property
-    def bytes_transferred(self) -> int:
-        # filled in by SimDisk.counters_snapshot; here for standalone use
-        return self._bytes
-
-    _bytes: int = field(default=0, repr=False)
-
-    def as_json(self, config: SimConfig) -> dict:
-        return {
-            "blocks_read": self.blocks_read,
-            "blocks_written": self.blocks_written,
-            "sequential_blocks": self.sequential_blocks,
-            "random_blocks": self.random_blocks,
-            "bytes_transferred": self.bytes_transferred,
-            "block_bytes": config.block_bytes,
-            "memory_bytes": config.memory_bytes,
-        }
+    bytes_transferred: int = 0         # (blocks read + written) * block size
 
 
 class FileHandle:
@@ -267,14 +250,14 @@ class SimDisk:
             c.blocks_written += st.writes
             c.sequential_blocks += st.sequential
             c.random_blocks += st.random
-        c._bytes = (c.blocks_read + c.blocks_written) * self.config.block_bytes
+        c.bytes_transferred = ((c.blocks_read + c.blocks_written)
+                               * self.config.block_bytes)
         return c
 
     def file_counters(self, handle: FileHandle) -> IoCounters:
         st = self._stats[handle.file_id]
-        c = IoCounters(st.reads, st.writes, st.sequential, st.random)
-        c._bytes = (st.reads + st.writes) * self.config.block_bytes
-        return c
+        return IoCounters(st.reads, st.writes, st.sequential, st.random,
+                          (st.reads + st.writes) * self.config.block_bytes)
 
     def reset_counters(self):
         for i in range(len(self._stats)):

@@ -7,11 +7,18 @@ Two solvers share the same three-phase skeleton:
    per-vertex distance estimates live in a file ``D``, 3. rescan the clusters
    and finalize interior vertices from the boundary distances.
 
-``sssp_simple`` processes phase 2 strictly in global key order.
-``sssp_hierarchical`` nests clusters into levels and spends a fixed budget of
-extractions per visit to a level, so queue keys touch only nearby state; a
-finalized vertex whose estimate later improves is reactivated, which keeps
-the result exact under the budgeted order.
+Phase 2 is one step, ``_settle``, repeated: finalize the least tentative
+estimate of a cluster and relax that vertex's separator edges.  Only the
+order of the steps differs.  ``solve_in_key_order`` takes the step in strict
+global key order from a min-queue: a binary heap for ``sssp_simple``, the
+bucket queue for ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests
+clusters into levels and spends a fixed budget of steps per visit to a
+level, so queue keys touch only nearby state; a finalized vertex whose
+estimate later improves is reactivated, which keeps the result exact under
+the budgeted order.
+
+An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
+beside the tentative flag cannot hold it.
 """
 
 from __future__ import annotations
@@ -55,14 +62,6 @@ class DistanceFile:
         self.disk.write_direct(self.handle, base * 8,
                                b"".join(v.to_bytes(8, "little") for v in vals))
 
-    @staticmethod
-    def dist(v: int) -> int:
-        return v & INF_D
-
-    @staticmethod
-    def is_tentative(v: int) -> bool:
-        return bool(v & TENTATIVE)
-
 
 def _min_tentative(vals: list[int]):
     """(distance, position) of the best tentative record, or None."""
@@ -83,26 +82,65 @@ class SolveStats:
     reactivations: int = 0
 
 
-def _seed_source(g, scheme, dfile: DistanceFile, s_cell):
-    """Tentative boundary estimates of the source's cluster, from a local
-    in-memory Dijkstra."""
+class HeapQueue:
+    """Binary-heap min-queue of (key, item) entries, ties broken by item.  A
+    decreased key is reinserted and the stale copy discarded by the caller."""
+
+    def __init__(self):
+        self.heap: list = []
+
+    def insert(self, key: int, item):
+        heapq.heappush(self.heap, (key, item))
+
+    def extract_min(self):
+        """(key, item) with minimal key, or None when empty."""
+        return heapq.heappop(self.heap) if self.heap else None
+
+
+def _too_long(d: int) -> SsspError:
+    return SsspError("distance %d does not fit below the 63-bit limit %d"
+                     % (d, INF_D))
+
+
+def check_input(g, s_cell, encoding: str, error=SsspError):
+    """Reject an input the solvers cannot take, with the caller's error."""
+    if g.encoding != encoding:
+        raise error("input must be %s" % encoding)
+    if g.order != gf.Z_ORDER:
+        raise error("input must be in z_order")
+    r, c = s_cell
+    if not (0 <= r < g.rows and 0 <= c < g.cols):
+        raise error("source outside grid")
+
+
+def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
+    """Phase 1: the separator graph, a fresh distance file, and tentative
+    boundary estimates of the source's cluster from a local in-memory
+    search.  Returns (separator graph, distance file, source cluster rank)."""
+    gp = cl.build_separator_graph(g, h, mode, name=out_name + ".gp")
+    scheme = gp.scheme
+    dfile = DistanceFile(g.disk, scheme, out_name + ".D")
     ci, cj = scheme.cluster_of(*s_cell)
     q = cl.load_cluster(g, scheme, ci, cj)
-    dist = cl._local_dijkstra(q, q.local(*s_cell), unit=False)
+    dist = cl._local_dijkstra(q, q.local(*s_cell),
+                              unit=mode == "unit_distance")
     vals = dfile.read_cluster(ci, cj)
     for i, (r, c) in enumerate(q.boundary):
         dv = dist[q.local(r, c)]
         if dv != float("inf"):
+            if dv >= INF_D:
+                raise _too_long(dv)
             vals[i] = TENTATIVE | int(dv)
     dfile.write_cluster(ci, cj, vals)
-    return ci, cj
+    return gp, dfile, scheme.rank(ci, cj)
 
 
-def _relax_targets(dfile, scheme, dist_u, targets, allow_reactivate, stats):
+def _relax_targets(dfile, scheme, dist_u, targets, reactivate, stats):
     """Apply dist_u + w relaxations grouped per target cluster.
 
     Returns the set of cluster ranks whose minimum tentative estimate may
-    have changed.
+    have changed.  A final estimate improves (and turns tentative again)
+    only when ``reactivate`` is set.
     """
     by_cluster: dict[tuple[int, int], list] = {}
     for t, w in targets:
@@ -115,17 +153,41 @@ def _relax_targets(dfile, scheme, dist_u, targets, allow_reactivate, stats):
         for t, w in lst:
             nd = dist_u + w
             cur = vals[t - base]
-            if cur & TENTATIVE:
-                if nd < (cur & INF_D):
-                    vals[t - base] = TENTATIVE | nd
-                    changed = True
-            elif allow_reactivate and nd < (cur & INF_D):
+            if nd < (cur & INF_D) and (cur & TENTATIVE or reactivate):
+                if not cur & TENTATIVE:
+                    stats.reactivations += 1
                 vals[t - base] = TENTATIVE | nd
-                stats.reactivations += 1
                 changed = True
+            elif nd >= INF_D and cur == TENTATIVE | INF_D:
+                raise _too_long(nd)
         if changed:
             dfile.write_cluster(ci, cj, vals)
             touched.add(scheme.rank(ci, cj))
+    return touched
+
+
+def _settle(gp, dfile, rank, stats, reactivate):
+    """The phase-2 step: finalize the least tentative estimate of one cluster
+    and relax that vertex's separator edges.
+
+    Returns the ranks of the clusters whose least tentative estimate may have
+    changed, or None when the cluster holds no tentative estimate.
+    """
+    scheme = gp.scheme
+    ci, cj = scheme.cluster_at_rank(rank)
+    vals = dfile.read_cluster(ci, cj)
+    best = _min_tentative(vals)
+    if best is None:
+        return None
+    dist_u, pos = best
+    vals[pos] &= ~TENTATIVE            # make final
+    dfile.write_cluster(ci, cj, vals)
+    u = scheme.base(ci, cj) + pos
+    stats.extractions.append((u, dist_u))
+    touched = _relax_targets(dfile, scheme, dist_u,
+                             gp.decode_edges(u, gp.read_record(dfile.disk, u)),
+                             reactivate, stats)
+    touched.add(rank)
     return touched
 
 
@@ -164,6 +226,8 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
             for _, lr, lc, w in q.intra[v]:
                 u = lr * q.wid + lc
                 if dv + w < dist[u]:
+                    if dv + w >= INF_D:
+                        raise _too_long(dv + w)
                     dist[u] = dv + w
                     heapq.heappush(pq, (dv + w, u))
         z0, cnt = scheme.z_interval(q.ci, q.cj)
@@ -179,60 +243,42 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     return handle
 
 
-def _check_input(g, s_cell):
-    if g.encoding != "weighted_directed":
-        raise SsspError("input must be weighted_directed")
-    if g.order != gf.Z_ORDER:
-        raise SsspError("input must be in z_order")
-    r, c = s_cell
-    if not (0 <= r < g.rows and 0 <= c < g.cols):
-        raise SsspError("source outside grid")
+def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
+                       out_name: str):
+    """The three phases with phase 2 in strict global key order.
+
+    ``queue`` is any min-queue with ``insert(key, rank)`` and
+    ``extract_min()``; ``mode`` is the separator-graph mode.  Returns (output
+    handle, cluster scheme).
+    """
+    gp, dfile, srank = _condense_and_seed(g, s_cell, h, mode, out_name)
+    scheme = gp.scheme
+    # least tentative (distance, position) per cluster, or None; it mirrors
+    # the distance file, so a queue entry whose key matches it is live
+    cur_min = [None] * (scheme.crows * scheme.ccols)
+
+    def refresh(rank):
+        cur_min[rank] = _min_tentative(
+            dfile.read_cluster(*scheme.cluster_at_rank(rank)))
+        if cur_min[rank] is not None:
+            queue.insert(cur_min[rank][0], rank)
+
+    refresh(srank)
+    while (entry := queue.extract_min()) is not None:
+        key, rank = entry
+        if cur_min[rank] is not None and key == cur_min[rank][0]:
+            for tr in _settle(gp, dfile, rank, stats, reactivate=False):
+                refresh(tr)
+    return _finalize_interiors(g, scheme, dfile, s_cell, out_name), scheme
 
 
 def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
                 out_name: str = "dist.out", stats: SolveStats | None = None):
     """Exact distances from s to every vertex; strict global key order."""
-    _check_input(g, s_cell)
+    check_input(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
-    disk = g.disk
-    gp = cl.build_separator_graph(g, h, "weighted_distance",
-                                  name=out_name + ".gp")
-    scheme = gp.scheme
-    dfile = DistanceFile(disk, scheme, out_name + ".D")
-    sci, scj = _seed_source(g, scheme, dfile, s_cell)
-
-    nclusters = scheme.crows * scheme.ccols
-    cur_min = [None] * nclusters          # (dist, pos) or None
-    heap: list[tuple[int, int]] = []
-
-    def refresh(rank, vals):
-        cur_min[rank] = _min_tentative(vals)
-        if cur_min[rank] is not None:
-            heapq.heappush(heap, (cur_min[rank][0], rank))
-
-    refresh(scheme.rank(sci, scj), dfile.read_cluster(sci, scj))
-    while heap:
-        key, rank = heapq.heappop(heap)
-        if cur_min[rank] is None or key != cur_min[rank][0]:
-            continue
-        ci, cj = scheme.cluster_at_rank(rank)
-        vals = dfile.read_cluster(ci, cj)
-        best = _min_tentative(vals)
-        if best is None or best[0] != key:
-            refresh(rank, vals)
-            continue
-        dist_u, pos = best
-        vals[pos] &= ~TENTATIVE            # make final
-        dfile.write_cluster(ci, cj, vals)
-        u = scheme.base(ci, cj) + pos
-        stats.extractions.append((u, dist_u))
-        targets = list(gp.decode_edges(u, gp.read_record(disk, u)))
-        touched = _relax_targets(dfile, scheme, dist_u, targets,
-                                 allow_reactivate=False, stats=stats)
-        touched.add(rank)
-        for tr in touched:
-            refresh(tr, dfile.read_cluster(*scheme.cluster_at_rank(tr)))
-    return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
+    return solve_in_key_order(g, s_cell, h, "weighted_distance", HeapQueue(),
+                              stats, out_name)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +304,12 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
                       levels: list[int], out_name: str = "dist.out",
                       stats: SolveStats | None = None):
     """Same output as sssp_simple, via budgeted nested cluster queues."""
-    _check_input(g, s_cell)
+    check_input(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
     h0 = levels[0]
-    disk = g.disk
-    gp = cl.build_separator_graph(g, h0, "weighted_distance",
-                                  name=out_name + ".gp")
+    gp, dfile, srank = _condense_and_seed(g, s_cell, h0, "weighted_distance",
+                                          out_name)
     scheme = gp.scheme
-    dfile = DistanceFile(disk, scheme, out_name + ".D")
-    _seed_source(g, scheme, dfile, s_cell)
 
     k = len(levels) - 1
     nclusters = scheme.crows * scheme.ccols
@@ -294,41 +337,29 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     # per (level, parent coord): lazy heap over level-1 children
     heaps: dict[tuple[int, tuple[int, int]], list] = {}
 
-    def push_chain(rank, key):
-        """Advertise a (possibly improved) h0-cluster key to every ancestor
-        queue on its chain."""
+    def refresh(rank):
+        """Re-read an h0 cluster's key and advertise it, if any, to every
+        ancestor queue on its chain."""
+        cur_min[rank] = _min_tentative(
+            dfile.read_cluster(*scheme.cluster_at_rank(rank)))
+        if cur_min[rank] is None:
+            return
         for lv in range(1, k + 1):
             child = ancestor(rank, lv - 1)
             parent = ancestor(rank, lv)
-            heapq.heappush(heaps.setdefault((lv, parent), []), (key, child))
-
-    def refresh_from_disk(rank):
-        ci, cj = scheme.cluster_at_rank(rank)
-        cur_min[rank] = _min_tentative(dfile.read_cluster(ci, cj))
+            heapq.heappush(heaps.setdefault((lv, parent), []),
+                           (cur_min[rank][0], child))
 
     def level0_step(rank) -> bool:
         """One extraction inside an h0 cluster; False when nothing tentative."""
         stats.level0_calls += 1
-        ci, cj = scheme.cluster_at_rank(rank)
-        vals = dfile.read_cluster(ci, cj)
-        best = _min_tentative(vals)
-        if best is None:
+        touched = _settle(gp, dfile, rank, stats, reactivate=True)
+        if touched is None:
             cur_min[rank] = None
             stats.wasted_calls += 1
             return False
-        dist_u, pos = best
-        vals[pos] &= ~TENTATIVE
-        dfile.write_cluster(ci, cj, vals)
-        u = scheme.base(ci, cj) + pos
-        stats.extractions.append((u, dist_u))
-        targets = list(gp.decode_edges(u, gp.read_record(disk, u)))
-        touched = _relax_targets(dfile, scheme, dist_u, targets,
-                                 allow_reactivate=True, stats=stats)
-        touched.add(rank)
         for tr in touched:
-            refresh_from_disk(tr)
-            if cur_min[tr] is not None:
-                push_chain(tr, cur_min[tr][0])
+            refresh(tr)
         return True
 
     def process(level, coord):
@@ -351,12 +382,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
             if nk < INF_D:
                 heapq.heappush(heap, (nk, entry[1]))
 
-    sci, scj = scheme.cluster_of(*s_cell)
-    srank = scheme.rank(sci, scj)
-    refresh_from_disk(srank)
-    if cur_min[srank] is not None:
-        push_chain(srank, cur_min[srank][0])
-
+    refresh(srank)
     if k == 0:
         while level0_step(0):
             pass
@@ -366,10 +392,4 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
 
 
-def read_distances(disk: SimDisk, handle) -> list[int]:
-    """Decode a Z-order distance file; gridfmt.ABSENT means unreachable."""
-    g = gf.open_grid(disk, handle)
-    raw = disk.raw_bytes(handle)
-    off = g.payload_offset
-    return [int.from_bytes(raw[off + 8 * i: off + 8 * (i + 1)], "little")
-            for i in range(g.count)]
+read_distances = gf.read_u64_payload

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from . import gridfmt as gf
 from . import clusters as cl
 from . import toposort as ts
-from .simdisk import SimDisk
 
 
 class TfpError(Exception):
@@ -338,9 +337,4 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     return out
 
 
-def read_labels(disk: SimDisk, handle) -> list:
-    g = gf.open_grid(disk, handle)
-    raw = disk.raw_bytes(handle)
-    off = g.payload_offset
-    return [int.from_bytes(raw[off + 8 * i: off + 8 * (i + 1)], "little")
-            for i in range(g.count)]
+read_labels = gf.read_u64_payload

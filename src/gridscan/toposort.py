@@ -289,9 +289,4 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     return out
 
 
-def read_order(disk: SimDisk, handle) -> list:
-    g = gf.open_grid(disk, handle)
-    raw = disk.raw_bytes(handle)
-    off = g.payload_offset
-    return [int.from_bytes(raw[off + 8 * i: off + 8 * (i + 1)], "little")
-            for i in range(g.count)]
+read_order = gf.read_u64_payload

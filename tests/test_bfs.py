@@ -40,6 +40,16 @@ def test_bucket_queue_far_redistribution():
     assert q.cur == 3
 
 
+def test_bucket_queue_band_at_h0():
+    q = bfs.BucketQueue(0)          # span 1; a cross-cluster hop weighs 1
+    q.insert(0, "s")
+    assert q.extract_min() == (0, "s")
+    q.insert(1, "t")
+    with pytest.raises(bfs.BfsError):
+        q.insert(2, "u")
+    assert q.extract_min() == (1, "t")
+
+
 def test_bucket_queue_band_error():
     q = bfs.BucketQueue(1)
     q.insert(1, "a")
@@ -68,7 +78,7 @@ def dist_map(d, handle, g):
     return out
 
 
-@pytest.mark.parametrize("seed,h", [(0, 1), (1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("seed,h", [(0, 1), (1, 2), (2, 2), (3, 3), (4, 0)])
 def test_bfs_distances_match_oracle(seed, h):
     d = make_disk()
     g = gf.generate(d, 32, 32, "unit_directed", seed=seed, density=0.55)
@@ -122,40 +132,37 @@ def test_tall_path_is_cut():
     assert count == 4              # 16-vertex path cut at depth multiples of 4
 
 
-def test_sort_methods_agree():
-    d = make_disk()
-    g = gf.generate(d, 32, 32, "unit_directed", seed=9, density=0.6)
-    handle, _ = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
-    c_handle, a_handle, count = bfs.build_chunks_bfs(g, handle, 2)
-    s1 = bfs.sort_addresses(d, a_handle, count, "merge", name="A1")
-    s2 = bfs.sort_addresses(d, a_handle, count, "radix", name="A2")
-    assert d.raw_bytes(s1) == d.raw_bytes(s2)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_full_pipeline_order_valid(seed):
-    d = make_disk()
-    g = gf.generate(d, 32, 32, "unit_directed", seed=seed + 20, density=0.55)
-    out, emitted, _ = bfs.bfs_order(g, (1, 1), 2)
-    order = bfs.read_order(d, out)
+def check_order(g, s, h, name="bfs"):
+    """bfs_order visits exactly the reachable cells, by oracle distance."""
+    out, emitted, _ = bfs.bfs_order(g, s, h, name=name)
+    order = bfs.read_order(g.disk, out)
     assert len(order) == emitted
-    expect = oracle.bfs_distances(g, (1, 1))
+    expect = oracle.bfs_distances(g, s)
     reach = {v for v in expect if expect[v] != float("inf")}
-    coords = [tuple(x - 1 for x in gf.index_to_coord(gf.Z_ORDER, 32, 32, z))
+    coords = [tuple(x - 1 for x in gf.index_to_coord(gf.Z_ORDER, g.rows,
+                                                       g.cols, z))
               for z in order]
     assert sorted(coords) == sorted(reach)
     dists = [expect[v] for v in coords]
     assert dists == sorted(dists)
 
 
-def test_update_in_place_same_output():
-    d1 = make_disk()
-    g1 = gf.generate(d1, 16, 16, "unit_directed", seed=7, density=0.6)
-    o1, _, _ = bfs.bfs_order(g1, (0, 0), 2)
-    d2 = make_disk()
-    g2 = gf.generate(d2, 16, 16, "unit_directed", seed=7, density=0.6)
-    o2, _, _ = bfs.bfs_order(g2, (0, 0), 2, update_in_place=True)
-    assert d1.raw_bytes(o1) == d2.raw_bytes(o2)
+@pytest.mark.parametrize("seed", range(4))
+def test_full_pipeline_order_valid(seed):
+    d = make_disk()
+    g = gf.generate(d, 32, 32, "unit_directed", seed=seed + 20, density=0.55)
+    check_order(g, (1, 1), 2)
+
+
+@pytest.mark.parametrize("rows,cols", [(13, 7), (16, 16), (32, 32), (20, 12)])
+def test_full_pipeline_at_h0(rows, cols):
+    # 1x1 clusters: every separator edge is a cross-cluster hop of weight 1,
+    # so the bucket queue's band must still admit cur + 1
+    for seed in (1, 2):
+        g = gf.generate(make_disk(), rows, cols, "unit_directed", seed=seed,
+                        density=0.6)
+        check_order(g, (0, 0), 0, name="corner")
+        check_order(g, (rows // 2, cols // 3), 0, name="inner")
 
 
 def test_chunk_count_linear():

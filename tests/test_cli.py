@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gridscan import cli, gridfmt as gf
+from gridscan import cli, costmodel as cm, gridfmt as gf
 
 
 def run_json(capsys, argv):
@@ -36,6 +36,19 @@ def test_costmodel_table(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "relative I/O volume" in out
+
+
+def test_costmodel_h_not_an_integer_is_a_usage_error(capsys):
+    assert cli.run(["costmodel", "--alg", "sssp", "--n", "2^20",
+                    "--mem", "2^16", "--block", "2^8", "--h", "foo"]) == 1
+    assert "--h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", cm.ALGORITHMS)
+def test_costmodel_negative_h_is_a_usage_error(capsys, alg):
+    assert cli.run(["costmodel", "--alg", alg, "--n", "2^20",
+                    "--mem", "2^16", "--block", "2^8", "--h", "-3"]) == 1
+    assert "--h" in capsys.readouterr().err
 
 
 def test_gen_and_export(tmp_path, capsys):
@@ -156,6 +169,21 @@ def test_h_out_of_range_is_a_usage_error(capsys, monkeypatch, h):
     # on an 8x8 grid h = 3 is one cluster covering the grid, the largest h
     assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", h]) == 1
     assert "--h" in capsys.readouterr().err
+
+
+def test_bfs_at_h0_runs(capsys):
+    code, rep = run_json(capsys, [
+        "verify", "--alg", "bfs", "--rows", "16", "--cols", "16",
+        "--seed", "1", "--h", "0"])
+    assert code == 0
+    assert rep["verdict"] == "valid"
+
+
+def test_report_counters_keys(capsys):
+    _, rep = run_json(capsys, ["bfs", "--rows", "8", "--cols", "8"])
+    assert sorted(rep["counters"]) == [
+        "blocks_read", "blocks_written", "bytes_transferred",
+        "random_blocks", "sequential_blocks"]
 
 
 def test_h_at_the_range_ends_runs(capsys):

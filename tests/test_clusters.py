@@ -4,28 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridscan.simdisk import SimConfig, SimDisk
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp
 
 from conftest import make_disk, make_graph, grid4_edges
-
-
-def test_choose_h_two_gigabyte_memory():
-    sim = SimConfig(block_bytes=256, memory_bytes=2 ** 31)
-    assert cl.choose_h(sim, "sssp") == 12
-    assert cl.choose_h(sim, "bfs") == 12
-    assert cl.choose_h(sim, "mst") == 12
-    assert cl.choose_h(sim, "toposort") == 14
-    assert cl.choose_h(sim, "tfp") == 13
-    assert cl.choose_h(sim, "euler") == 15
-
-
-def test_choose_h_desk_scale_bracketed():
-    sim = SimConfig(block_bytes=256, memory_bytes=2 ** 16)
-    for alg in cl.WORKING_SET:
-        h = cl.choose_h(sim, alg)
-        ws = cl.WORKING_SET[alg]
-        assert ws(h) <= sim.memory_bytes < ws(h + 1)
 
 
 def test_h1_numbering_clockwise():

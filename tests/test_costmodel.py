@@ -56,13 +56,21 @@ def test_default_h_at_reference_parameters():
     assert cm.default_h("euler", M) == 15
 
 
+def test_default_h_desk_scale_bracketed():
+    mem = 2 ** 16
+    for alg, per_vertex in cm.WORKING_SET.items():
+        h = cm.default_h(alg, mem)
+        assert per_vertex * 4 ** h <= mem < per_vertex * 4 ** (h + 1)
+
+
 def test_inadmissible_h_rejected():
     with pytest.raises(cm.CostModelError):
         cm.volume_model("sssp", N, M, B, 13)
     with pytest.raises(cm.CostModelError):
         cm.volume_model("euler", N, M, B, 16)
-    with pytest.raises(cm.CostModelError):
-        cm.volume_model("sssp", N, M, B, -1)
+    for alg in cm.ALGORITHMS:
+        with pytest.raises(cm.CostModelError):
+            cm.volume_model(alg, N, M, B, -1)
 
 
 def test_unknown_algorithm_rejected():

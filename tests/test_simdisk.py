@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,9 +104,12 @@ def test_counters_snapshot_identity_and_json():
     c = d.counters_snapshot()
     assert c.bytes_transferred == 16 * (c.blocks_read + c.blocks_written)
     assert c.sequential_blocks + c.random_blocks == c.blocks_read + c.blocks_written
-    j = c.as_json(d.config)
-    assert j["block_bytes"] == 16
-    assert j["bytes_transferred"] == c.bytes_transferred
+    # the CLI reports exactly these five fields
+    assert set(asdict(c)) == {"blocks_read", "blocks_written",
+                              "sequential_blocks", "random_blocks",
+                              "bytes_transferred"}
+    f = d.file_counters(h)
+    assert f.bytes_transferred == 16 * (f.blocks_read + f.blocks_written)
 
 
 def test_direct_write_counts_every_block():

@@ -112,3 +112,53 @@ def test_hierarchical_wasted_calls_bounded():
                                stats=stats)
         scheme = cl.ClusterScheme(n_side, n_side, 2)
         assert stats.level0_calls <= 6 * scheme.total_boundary
+
+
+BIG = 2 ** 60 - 1                   # the largest admissible weight
+
+
+def heavy_path(d):
+    """1x16 path of BIG eastward edges: vertex k lies at k * BIG, which
+    passes the 63-bit estimate limit from k = 9 on."""
+    return make_graph(d, 1, 16, "weighted_directed",
+                      {(0, c): {gf.E: BIG} for c in range(15)})
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", ["simple", "hier"])
+def test_distance_overflow_raises(variant, h):
+    # h = 1..3 overflow in the phase-2 relaxation; at h = 4 one cluster
+    # covers the path and the source seeding overflows
+    g = heavy_path(make_disk())
+    with pytest.raises(sssp.SsspError):
+        if variant == "simple":
+            sssp.sssp_simple(g, (0, 0), h)
+        else:
+            sssp.sssp_hierarchical(g, (0, 0), sssp.build_hierarchy(h, 1, 16))
+
+
+def test_distance_overflow_in_interior_raises():
+    # a 6x6 grid is one h = 3 cluster with a 4x4 interior; the only path
+    # leaves the source at a corner and snakes through the interior, so
+    # only the phase-3 interior search sees the overflowing sums
+    edges = {(0, 0): {gf.SE: BIG}}
+    cells = [(r, c) for r in range(1, 5)
+             for c in (range(1, 5) if r % 2 else range(4, 0, -1))]
+    for (r, c), (r2, c2) in zip(cells, cells[1:]):
+        d = gf.DIR_OFFSETS.index((r2 - r, c2 - c))
+        edges[(r, c)] = {d: BIG}
+    for solve in (lambda g: sssp.sssp_simple(g, (0, 0), 3),
+                  lambda g: sssp.sssp_hierarchical(g, (0, 0), [3])):
+        g = make_graph(make_disk(), 6, 6, "weighted_directed", edges)
+        with pytest.raises(sssp.SsspError):
+            solve(g)
+
+
+def test_large_distances_below_the_limit_are_exact():
+    # eight BIG hops stay just below the limit
+    d = make_disk()
+    g = make_graph(d, 1, 9, "weighted_directed",
+                   {(0, c): {gf.E: BIG} for c in range(8)})
+    got = sssp.read_distances(d, sssp.sssp_simple(g, (0, 0), 1))
+    z_of = gf.z_tables(1, 9)[0]
+    assert [got[int(z_of[c])] for c in range(9)] == [c * BIG for c in range(9)]
