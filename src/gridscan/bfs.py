@@ -88,7 +88,7 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
     """Exact hop distances from s, written in Z-order (ABSENT unreachable).
 
     Returns (output handle, cluster scheme)."""
-    sssp.check_input(g, s_cell, "unweighted", BfsError)
+    sssp.check_source(g, s_cell, "unweighted", BfsError)
     return sssp.solve_in_key_order(g, s_cell, h, "unit_distance",
                                    BucketQueue(h), sssp.SolveStats(), out_name)
 

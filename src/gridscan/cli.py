@@ -39,6 +39,8 @@ COMMANDS = {
     "tfp": ("planar_dag", "tfp"),
     "euler": ("tree", "euler"),
 }
+# --variant choices of the commands that have variants; the first is default
+VARIANTS = {"sssp": ("simple", "hierarchical"), "mst": ("aware", "oblivious")}
 
 
 class UsageError(Exception):
@@ -101,12 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(a)
         if name in ("sssp", "bfs"):
             a.add_argument("--source", type=parse_cell, default=(0, 0))
-        if name == "sssp":
-            a.add_argument("--variant", choices=("simple", "hierarchical"),
-                           default="simple")
-        if name == "mst":
-            a.add_argument("--variant", choices=("aware", "oblivious"),
-                           default="aware")
+        if name in VARIANTS:
+            a.add_argument("--variant", choices=VARIANTS[name],
+                           default=VARIANTS[name][0])
         if name == "tfp":
             a.add_argument("--oracle", choices=sorted(oracle.TFP_ORACLES),
                            default="indegree")
@@ -309,6 +308,9 @@ def _dispatch(args) -> int:
     alg = None
     if args.command == "verify":
         alg = args.alg
+        variant = args.variant
+        if variant is not None and variant not in VARIANTS.get(alg, ()):
+            raise UsageError("--alg %s has no variant %r" % (alg, variant))
     elif args.command in COMMANDS:
         alg = args.command
     h = _resolve_h(args, alg) if alg else None

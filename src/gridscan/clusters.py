@@ -127,6 +127,15 @@ class ClusterScheme:
         z0 = gf.coord_to_index(gf.Z_ORDER, self.rows, self.cols, r0 + 1, c0 + 1)
         return z0, hgt * wid
 
+    def cluster_at_z(self, z: int) -> tuple[int, int]:
+        """The cluster whose Z range holds z-index z."""
+        cell = int(gf.z_tables(self.rows, self.cols)[1][z])
+        return self.cluster_of(*divmod(cell, self.cols))
+
+    def shape(self, ci: int, cj: int) -> _Shape:
+        """Geometry tables of a cluster's (height, width)."""
+        return _shape(*self.extent(ci, cj)[2:])
+
 
 def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
     """Boundary cells of an hgt x wid block at (r0, c0), clockwise from its
@@ -192,6 +201,7 @@ class _Shape(NamedTuple):
     """Geometry shared by every cluster of one (height, width)."""
 
     local_of_t: np.ndarray   # local cell of each local Z rank
+    t_of_local: np.ndarray   # local Z rank of each local cell
     nbr: np.ndarray          # (n, 8): local cell of the neighbour of Z rank
                              # t in direction d; -1 outside the cluster
     boundary: tuple          # boundary local cells, clockwise
@@ -203,20 +213,20 @@ class _Shape(NamedTuple):
 def _shape(hgt: int, wid: int) -> _Shape:
     # an aligned cluster's cells keep their relative Z order, so the local
     # order is the Z order of an hgt x wid grid, clipped clusters included
-    _, local_of_t = gf.z_tables(hgt, wid)
+    t_of_local, local_of_t = gf.z_tables(hgt, wid)
     lr, lc = np.divmod(local_of_t, wid)
     nr = lr[:, None] + _DR
     nc = lc[:, None] + _DC
     inside = (nr >= 0) & (nr < hgt) & (nc >= 0) & (nc < wid)
     nbr = np.where(inside, nr * wid + nc, -1)
-    local_of_t = local_of_t.view()
-    for a in (local_of_t, nbr):
+    t_of_local, local_of_t = t_of_local.view(), local_of_t.view()
+    for a in (local_of_t, t_of_local, nbr):
         a.setflags(write=False)
     boundary = tuple(r * wid + c for r, c in _clockwise(0, 0, hgt, wid))
     bpos = [-1] * (hgt * wid)
     for i, v in enumerate(boundary):
         bpos[v] = i
-    return _Shape(local_of_t, nbr, boundary, tuple(bpos))
+    return _Shape(local_of_t, t_of_local, nbr, boundary, tuple(bpos))
 
 
 def _stored_arcs(encoding: str, raw: bytes, cnt: int):
@@ -365,52 +375,45 @@ class SeparatorGraph:
         return targets, raw[-1]
 
 
-def _cluster_topo_order(q: InMemoryCluster):
-    """Topological order of the intra-cluster subgraph; None if cyclic."""
-    n = q.n
-    indeg = [0] * n
-    for v in range(n):
-        for d, lr, lc, w in q.intra[v]:
-            indeg[lr * q.wid + lc] += 1
-    stack = [v for v in range(n) if indeg[v] == 0]
+def topo_order(q: InMemoryCluster) -> list | None:
+    """Topological order of the intra-cluster subgraph, or None if it has a
+    cycle.  Of the cells ready at each step the smallest row-major local id
+    comes first, so the order is deterministic."""
+    wid = q.wid
+    indeg = [0] * q.n
+    for arcs in q.intra:
+        for _, lr, lc, _ in arcs:
+            indeg[lr * wid + lc] += 1
+    heap = [v for v in range(q.n) if indeg[v] == 0]    # ascending: a heap
     order = []
-    while stack:
-        v = stack.pop()
+    while heap:
+        v = heapq.heappop(heap)
         order.append(v)
-        for d, lr, lc, w in q.intra[v]:
-            u = lr * q.wid + lc
+        for _, lr, lc, _ in q.intra[v]:
+            u = lr * wid + lc
             indeg[u] -= 1
             if indeg[u] == 0:
-                stack.append(u)
-    return order if len(order) == n else None
+                heapq.heappush(heap, u)
+    return order if len(order) == q.n else None
 
 
-def _local_dijkstra(q: InMemoryCluster, src_local: int, unit: bool):
-    """Distances from one local cell to all local cells, intra edges only."""
+def local_dijkstra(q: InMemoryCluster, seeds) -> list:
+    """Least distances over intra-cluster arcs from the (distance, local
+    cell) pairs in ``seeds`` to every local cell; INF where none reaches."""
     dist = [INF] * q.n
-    dist[src_local] = 0
-    if unit:
-        # plain BFS
-        frontier = [src_local]
-        d = 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for _, lr, lc, w in q.intra[v]:
-                    u = lr * q.wid + lc
-                    if dist[u] == INF:
-                        dist[u] = d + 1
-                        nxt.append(u)
-            frontier = nxt
-            d += 1
-        return dist
-    pq = [(0, src_local)]
+    pq = []
+    for d, v in seeds:
+        if d < dist[v]:
+            dist[v] = d
+            pq.append((d, v))
+    heapq.heapify(pq)
+    wid = q.wid
     while pq:
         dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
         for _, lr, lc, w in q.intra[v]:
-            u = lr * q.wid + lc
+            u = lr * wid + lc
             nd = dv + w
             if nd < dist[u]:
                 dist[u] = nd
@@ -460,7 +463,7 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
         bsize = len(shape.boundary)
         base = scheme.base(q.ci, q.cj)
         if mode == "reachability":
-            order = _cluster_topo_order(q)
+            order = topo_order(q)
             if order is None:
                 raise ClusterError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
             reach = [0] * q.n
@@ -485,14 +488,18 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
                                                             dtype=np.int64)
             out.write(recs)
         else:
-            unit = mode == "unit_distance"
             recs = np.full((bsize, slots), absent, dtype=dtype)
             # slots 0 .. bsize-2: distances to the other boundary vertices
             dists = np.empty((bsize, bsize), dtype=dtype)
             for i, li in enumerate(shape.boundary):
-                dist = _local_dijkstra(q, li, unit)
-                dists[i] = [absent if dist[v] == INF else dist[v]
-                            for v in shape.boundary]
+                dist = local_dijkstra(q, [(0, li)])
+                row = [dist[v] for v in shape.boundary]
+                top = max([d for d in row if d != INF])
+                if top >= absent:
+                    raise ClusterError(
+                        "boundary distance %d in cluster (%d,%d) does not "
+                        "fit below the no-path marker" % (top, q.ci, q.cj))
+                dists[i] = [absent if d == INF else d for d in row]
             recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
                 bsize, bsize - 1)
             # then the vertex's edges into other clusters
@@ -503,7 +510,7 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
                 i = bpos[lr * wid + lc]
                 if fill[i] == slots:
                     raise ClusterError("cross-cluster slot overflow")
-                recs[i, fill[i]] = (d << shift) | (1 if unit else w)
+                recs[i, fill[i]] = (d << shift) | w
                 fill[i] += 1
             out.write(recs.tobytes())
     out.close()

@@ -106,13 +106,6 @@ def _cluster_direction_masks(q: cl.InMemoryCluster, incoming) -> list:
     return dirs
 
 
-def _check_euler_input(g: gf.GridGraph):
-    if g.encoding not in ("weighted_undirected", "unweighted"):
-        raise EulerError("input must be an undirected encoding")
-    if g.order != gf.Z_ORDER:
-        raise EulerError("input must be in z_order")
-
-
 def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
     """Entry-to-exit maps per cluster: {(entry vertex, arrival direction):
     (exit vertex, exit direction) or None for the terminal entry}."""
@@ -125,7 +118,7 @@ def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
     """Simulate every possible cluster entry, one cluster in memory at a
     time; returns (segment list, root's first departure, resolved root)."""
-    _check_euler_input(g)
+    gf.check_input(g, ("weighted_undirected", "unweighted"), EulerError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     if root is None:
         cell = int(gf.z_tables(g.rows, g.cols)[1][0])

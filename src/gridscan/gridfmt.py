@@ -203,6 +203,15 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
     return g
 
 
+def check_input(g: GridGraph, encodings, error=FormatError):
+    """Reject, as the caller's ``error``, a graph whose encoding is not one of
+    ``encodings`` or that is not stored in Z-order."""
+    if g.encoding not in encodings:
+        raise error("input must use the %s encoding" % " or ".join(encodings))
+    if g.order != Z_ORDER:
+        raise error("input must be in z_order")
+
+
 def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
     """The payload of an 8-byte-record file (distances, labels, vertex
     sequences) as integers; uncounted.  ABSENT marks a missing value."""

@@ -202,20 +202,13 @@ def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
 _UEDGE = struct.Struct("<QQQB")     # coded endpoint, coded endpoint, w, flag
 
 
-def _check_mst_input(g: gf.GridGraph):
-    if g.encoding != "weighted_undirected":
-        raise MstError("input must be weighted_undirected")
-    if g.order != gf.Z_ORDER:
-        raise MstError("input must be in z_order")
-
-
 def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     """Cluster-contracted MST.
 
     Output records are (z, z, weight) in the order clusters are rescanned for
     re-expansion, with the chosen cross-cluster edges appended last.
     """
-    _check_mst_input(g)
+    gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     z_of, cell_of_z = gf.z_tables(g.rows, g.cols)
@@ -375,8 +368,7 @@ def _region_ring(r0, c0, size, rows, cols) -> set:
     return ring
 
 
-def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out",
-                        stack_prefix: str | None = None):
+def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     """Two-stack quadtree MST over the padded square.
 
     Bottom-up, each region pushes its contracted spanning forest plus its
@@ -386,17 +378,16 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out",
     connections stack, and the leaves append their owned edges to the output.
     The input is consumed by one sequential scan in leaf order.
     """
-    _check_mst_input(g)
+    gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
     rows, cols = g.rows, g.cols
     side = 1
     while side < max(rows, cols):
         side *= 2
-    prefix = stack_prefix or out_name
     cfg = disk.config
-    conn = FileStack(disk, disk.open_file(prefix + ".conn"),
+    conn = FileStack(disk, disk.open_file(out_name + ".conn"),
                      max(1, cfg.memory_bytes // (2 * cfg.block_bytes)))
-    expn = FileStack(disk, disk.open_file(prefix + ".expn"),
+    expn = FileStack(disk, disk.open_file(out_name + ".expn"),
                      max(1, cfg.memory_bytes // (4 * cfg.block_bytes)))
     reader = disk.scan_reader(g.handle, g.payload_offset)
     rs = g.record_size
@@ -552,7 +543,7 @@ def mst_edge_coords(disk: SimDisk, handle) -> list:
 def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     """True iff the union of all per-cluster minimum spanning forests and the
     cross-cluster edges still contains a minimum spanning tree of the grid."""
-    _check_mst_input(g)
+    gf.check_input(g, ("weighted_undirected",), MstError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     union = []
     for q in cl.iterate_clusters(g, scheme):

@@ -64,23 +64,6 @@ def bfs_distances(g: gf.GridGraph, s: tuple[int, int]) -> dict:
     return dist
 
 
-def bfs_order(g: gf.GridGraph, s: tuple[int, int]) -> list:
-    """Queue BFS visit order; neighbours explored clockwise from north."""
-    _check_size(g)
-    adj = gf.adjacency(g)
-    seen = {s}
-    order = [s]
-    dq = deque([s])
-    while dq:
-        v = dq.popleft()
-        for d, nr, nc, _ in sorted(adj[v]):
-            if (nr, nc) not in seen:
-                seen.add((nr, nc))
-                order.append((nr, nc))
-                dq.append((nr, nc))
-    return order
-
-
 def undirected_edges(g: gf.GridGraph) -> list:
     """Each undirected edge once as (w, (r1,c1), (r2,c2)), owner endpoint first."""
     _check_size(g)
@@ -250,20 +233,3 @@ def euler_tour(g: gf.GridGraph, root: tuple[int, int]) -> list:
             raise OracleError("tour closed early")
     return tour
 
-
-def reference_solve(problem: str, g: gf.GridGraph, **params):
-    if problem == "sssp":
-        return dijkstra(g, params["source"])
-    if problem == "bfs_order":
-        return bfs_order(g, params["source"])
-    if problem == "bfs":
-        return bfs_distances(g, params["source"])
-    if problem == "mst":
-        return mst(g)
-    if problem == "toposort":
-        return toposort(g)
-    if problem == "tfp":
-        return tfp_labels(g, TFP_ORACLES[params["oracle"]])
-    if problem == "euler":
-        return euler_tour(g, params["root"])
-    raise OracleError("unknown problem %r" % problem)

@@ -310,9 +310,6 @@ class ScanReader:
         self.pos += nbytes
         return out
 
-    def skip(self, nbytes: int):
-        self.read(nbytes)
-
 
 class AppendStream:
     """Sequential writer with an explicit one-block buffer.
@@ -399,7 +396,6 @@ class FileStack:
         data = disk._data[fid]
         length = int.from_bytes(data[self.top - 4:self.top], "little")
         start = self.top - 4 - length
-        first_block = start // b if length + 4 else self._lo
         if start // b < self._lo:
             for block in range(self._lo - 1, start // b - 1, -1):
                 disk._count(fid, block, write=False)

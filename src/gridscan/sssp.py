@@ -26,6 +26,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gridfmt as gf
 from . import clusters as cl
 from .simdisk import SimDisk
@@ -54,13 +56,12 @@ class DistanceFile:
         s = self.scheme
         base, size = s.base(ci, cj), s.boundary_size(ci, cj)
         raw = self.disk.read_direct(self.handle, base * 8, size * 8)
-        return [int.from_bytes(raw[i * 8:(i + 1) * 8], "little")
-                for i in range(size)]
+        return np.frombuffer(raw, "<u8").tolist()
 
     def write_cluster(self, ci: int, cj: int, vals: list[int]):
         base = self.scheme.base(ci, cj)
         self.disk.write_direct(self.handle, base * 8,
-                               b"".join(v.to_bytes(8, "little") for v in vals))
+                               np.array(vals, "<u8").tobytes())
 
 
 def _min_tentative(vals: list[int]):
@@ -102,12 +103,10 @@ def _too_long(d: int) -> SsspError:
                      % (d, INF_D))
 
 
-def check_input(g, s_cell, encoding: str, error=SsspError):
-    """Reject an input the solvers cannot take, with the caller's error."""
-    if g.encoding != encoding:
-        raise error("input must be %s" % encoding)
-    if g.order != gf.Z_ORDER:
-        raise error("input must be in z_order")
+def check_source(g, s_cell, encoding: str, error=SsspError):
+    """Reject, with the caller's error, an input the solvers cannot take: the
+    wrong encoding or order, or a source outside the grid."""
+    gf.check_input(g, (encoding,), error)
     r, c = s_cell
     if not (0 <= r < g.rows and 0 <= c < g.cols):
         raise error("source outside grid")
@@ -122,12 +121,11 @@ def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
     ci, cj = scheme.cluster_of(*s_cell)
     q = cl.load_cluster(g, scheme, ci, cj)
-    dist = cl._local_dijkstra(q, q.local(*s_cell),
-                              unit=mode == "unit_distance")
+    dist = cl.local_dijkstra(q, [(0, q.local(*s_cell))])
     vals = dfile.read_cluster(ci, cj)
     for i, (r, c) in enumerate(q.boundary):
         dv = dist[q.local(r, c)]
-        if dv != float("inf"):
+        if dv != cl.INF:
             if dv >= INF_D:
                 raise _too_long(dv)
             vals[i] = TENTATIVE | int(dv)
@@ -192,53 +190,27 @@ def _settle(gp, dfile, rank, stats, reactivate):
 
 
 def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
-    """Phase 3: per cluster, Dijkstra seeded from the final boundary
+    """Phase 3: per cluster, a search seeded from the final boundary
     estimates (and the source itself); distances written in Z-order."""
     disk = g.disk
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
     gf.write_header_via(stream, disk, gf.Z_ORDER, "distances",
                         g.rows, g.cols, g.n)
-    _, cell_of_z = gf.z_tables(g.rows, g.cols)
+    s_cluster = scheme.cluster_of(*s_cell)
     for q in cl.iterate_clusters(g, scheme):
         vals = dfile.read_cluster(q.ci, q.cj)
-        dist = [float("inf")] * q.n
-        pq = []
-        for i, (r, c) in enumerate(q.boundary):
-            d = vals[i] & INF_D
-            if d != INF_D:
-                li = q.local(r, c)
-                if d < dist[li]:
-                    dist[li] = d
-                    pq.append((d, li))
-        if s_cell is not None:
-            sci, scj = scheme.cluster_of(*s_cell)
-            if (sci, scj) == (q.ci, q.cj):
-                li = q.local(*s_cell)
-                if dist[li] > 0:
-                    dist[li] = 0
-                    pq.append((0, li))
-        heapq.heapify(pq)
-        while pq:
-            dv, v = heapq.heappop(pq)
-            if dv > dist[v]:
-                continue
-            for _, lr, lc, w in q.intra[v]:
-                u = lr * q.wid + lc
-                if dv + w < dist[u]:
-                    if dv + w >= INF_D:
-                        raise _too_long(dv + w)
-                    dist[u] = dv + w
-                    heapq.heappush(pq, (dv + w, u))
-        z0, cnt = scheme.z_interval(q.ci, q.cj)
-        buf = bytearray()
-        for t in range(cnt):
-            cell = int(cell_of_z[z0 + t])
-            li = q.local(cell // g.cols, cell % g.cols)
-            dv = dist[li]
-            buf += (gf.ABSENT if dv == float("inf") else int(dv)
-                    ).to_bytes(8, "little")
-        stream.write(bytes(buf))
+        seeds = [(v & INF_D, q.local(r, c))
+                 for v, (r, c) in zip(vals, q.boundary) if v & INF_D != INF_D]
+        if (q.ci, q.cj) == s_cluster:
+            seeds.append((0, q.local(*s_cell)))
+        dist = cl.local_dijkstra(q, seeds)
+        top = max([d for d in dist if d != cl.INF], default=0)
+        if top >= INF_D:
+            raise _too_long(top)
+        dist = [gf.ABSENT if d == cl.INF else d for d in dist]
+        local_of_t = scheme.shape(q.ci, q.cj).local_of_t
+        stream.write(np.array(dist, "<u8")[local_of_t].tobytes())
     stream.close()
     return handle
 
@@ -275,7 +247,7 @@ def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
 def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
                 out_name: str = "dist.out", stats: SolveStats | None = None):
     """Exact distances from s to every vertex; strict global key order."""
-    check_input(g, s_cell, "weighted_directed")
+    check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
     return solve_in_key_order(g, s_cell, h, "weighted_distance", HeapQueue(),
                               stats, out_name)[0]
@@ -304,7 +276,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
                       levels: list[int], out_name: str = "dist.out",
                       stats: SolveStats | None = None):
     """Same output as sssp_simple, via budgeted nested cluster queues."""
-    check_input(g, s_cell, "weighted_directed")
+    check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
     h0 = levels[0]
     gp, dfile, srank = _condense_and_seed(g, s_cell, h0, "weighted_distance",

@@ -18,6 +18,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gridfmt as gf
 from . import clusters as cl
 from . import toposort as ts
@@ -32,6 +34,7 @@ MASK64 = (1 << 64) - 1
 CHUNK_HDR = struct.Struct("<QQIQI")     # z0, rank, count, l_addr, region bytes
 VERTEX_HDR = struct.Struct("<IBBB")     # local id, in mask, out mask, n addr
 ADDR = struct.Struct("<II")             # receiving chunk ordinal, slot index
+LABEL = np.dtype([("v", "<u4"), ("label", "<u8")])   # label file record
 
 _DIAG_A = (gf.SE, gf.NW)                # top-left to bottom-right diagonal
 
@@ -48,14 +51,10 @@ class TfpStats:
 @dataclass
 class MessagePlan:
     scheme: cl.ClusterScheme
-    numbering: ts.TopoNumbering
     c_handle: object
     l_handle: object
-    inter_slots: int
     a_entries: list            # (rank, chunk offset, chunk+region bytes)
     region_offsets: dict       # (cluster rank, chunk ordinal) -> absolute offset
-    l_size: int
-    stats: TfpStats
 
 
 def _inter_slot(scheme: cl.ClusterScheme, u, v) -> int:
@@ -108,18 +107,9 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     outgoing intra-cluster cross-chunk messages), and the chunk's incoming
     intra-cluster message region.
     """
-    if g.encoding != "unweighted":
-        raise TfpError("input must use the unweighted encoding")
-    if g.order != gf.Z_ORDER:
-        raise TfpError("input must be in z_order")
     disk = g.disk
     stats = stats if stats is not None else TfpStats()
-    try:
-        gp = cl.build_separator_graph(g, h, "reachability", name=name + ".gp")
-    except cl.ClusterError as e:
-        raise TfpError(str(e)) from e
-    scheme = gp.scheme
-    numbering = ts.topo_number_separator(gp, disk, name=name)
+    scheme, numbering = ts.number_separator(g, h, name, TfpError)
     rtab = numbering.r
 
     # collect cross-cluster edges per receiving cluster; their volume is
@@ -216,7 +206,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 c_off + CHUNK_HDR.size + len(body)
             a_entries.append((rank, c_off, CHUNK_HDR.size + len(body) + region))
             c_off += CHUNK_HDR.size + len(body) + region
-            l_off += cnt * 12
+            l_off += cnt * LABEL.itemsize
             stats.chunk_count += 1
     c_stream.close()
 
@@ -224,8 +214,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     ls = disk.append_stream(l_handle)
     ls.write(b"\0" * l_off)
     ls.close()
-    return MessagePlan(scheme, numbering, c_handle, l_handle, inter_slots,
-                       sorted(a_entries), region_offsets, l_off, stats)
+    return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries),
+                       region_offsets)
 
 
 def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
@@ -236,16 +226,11 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     plan = plan_messages(g, h, name=out_name + ".plan", stats=stats)
     disk = g.disk
     scheme = plan.scheme
-    z_of, cell_of_z = gf.z_tables(g.rows, g.cols)
-    zcell = {}
-    for ci, cj in scheme.clusters_in_z_order():
-        z0, _ = scheme.z_interval(ci, cj)
-        zcell[z0] = (ci, cj)
 
     for rank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
         z0, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
-        ci, cj = zcell[z0]
+        ci, cj = scheme.cluster_at_z(z0)
         crank = scheme.rank(ci, cj)
         r0, c0, hgt, wid = scheme.extent(ci, cj)
         pos = CHUNK_HDR.size
@@ -309,9 +294,9 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                     stats.slot_writes[slot] = \
                         stats.slot_writes.get(slot, 0) + 1
 
-        lbytes = b"".join(struct.pack("<IQ", v, labels_mem[v])
-                          for v, _, _, _ in vertices)
-        disk.write_direct(plan.l_handle, l_addr, lbytes)
+        lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
+                         LABEL)
+        disk.write_direct(plan.l_handle, l_addr, lrecs.tobytes())
         for addr, lb in sorted(pending):      # grouped by destination
             disk.write_direct(plan.c_handle, addr, lb)
 
@@ -322,17 +307,11 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                         g.rows, g.cols, g.n)
     reader = disk.scan_reader(plan.l_handle, 0)
     for ci, cj in scheme.clusters_in_z_order():
-        z0, cnt = scheme.z_interval(ci, cj)
-        r0, c0, hgt, wid = scheme.extent(ci, cj)
-        raw = reader.read(cnt * 12)
-        by_id = {}
-        for i in range(cnt):
-            v, label = struct.unpack_from("<IQ", raw, i * 12)
-            by_id[v] = label
-        for z in range(z0, z0 + cnt):
-            cell = int(cell_of_z[z])
-            r, c = cell // g.cols, cell % g.cols
-            stream.write(by_id[(r - r0) * wid + (c - c0)].to_bytes(8, "little"))
+        _, cnt = scheme.z_interval(ci, cj)
+        recs = np.frombuffer(reader.read(cnt * LABEL.itemsize), LABEL)
+        labels = np.empty(cnt, "<u8")
+        labels[recs["v"]] = recs["label"]
+        stream.write(labels[scheme.shape(ci, cj).local_of_t].tobytes())
     stream.close()
     return out
 

@@ -11,7 +11,6 @@ topologically sorted.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass, field
 
@@ -104,28 +103,16 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
     return TopoNumbering(t_handle, r_handle, r, total)
 
 
-def _cluster_topo_local(q: cl.InMemoryCluster) -> list:
-    """Deterministic topological order of the intra subgraph, ties by z."""
-    indeg = [0] * q.n
-    succ = [[] for _ in range(q.n)]
-    for v in range(q.n):
-        for d, lr, lc, w in q.intra[v]:
-            u = lr * q.wid + lc
-            succ[v].append(u)
-            indeg[u] += 1
-    heap = [v for v in range(q.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, u)
-    if len(order) != q.n:
-        raise ToposortError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
-    return order
+def number_separator(g: gf.GridGraph, h: int, name: str, error):
+    """Check a DAG input, condense it to its reachability separator graph and
+    number that topologically; a ClusterError is raised as ``error``.
+    Returns (cluster scheme, numbering)."""
+    gf.check_input(g, ("unweighted",), error)
+    try:
+        gp = cl.build_separator_graph(g, h, "reachability", name=name + ".gp")
+    except cl.ClusterError as e:
+        raise error(str(e)) from e
+    return gp.scheme, topo_number_separator(gp, g.disk, name=name)
 
 
 def assign_chunk_numbers(q: cl.InMemoryCluster, rank_of) -> ChunkAssignment:
@@ -145,7 +132,9 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, rank_of) -> ChunkAssignment:
             u = lr * wid + lc
             succ[v].append(u)
             pred[u].append(v)
-    order = _cluster_topo_local(q)
+    order = cl.topo_order(q)
+    if order is None:
+        raise ToposortError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
     chunk = [None] * n
     for rc in q.boundary:
         chunk[q.local(*rc)] = rank_of(rc)
@@ -224,18 +213,8 @@ CHUNK_HDR = struct.Struct("<QQI")
 def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
              stats: TopoStats | None = None):
     """Full pipeline; returns the handle of the ordered vertex file."""
-    if g.encoding != "unweighted":
-        raise ToposortError("input must use the unweighted encoding")
-    if g.order != gf.Z_ORDER:
-        raise ToposortError("input must be in z_order")
     disk = g.disk
-    try:
-        gp = cl.build_separator_graph(g, h, "reachability",
-                                      name=out_name + ".gp")
-    except cl.ClusterError as e:
-        raise ToposortError(str(e)) from e
-    scheme = gp.scheme
-    numbering = topo_number_separator(gp, disk, name=out_name)
+    scheme, numbering = number_separator(g, h, out_name, ToposortError)
     rtab = numbering.r
 
     c_handle = disk.open_file(out_name + ".chunks")
@@ -253,7 +232,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
         for rank in sorted(asg.members):
             ids = asg.members[rank]
             rec = CHUNK_HDR.pack(z0, rank, len(ids))
-            rec += b"".join(struct.pack("<I", v) for v in ids)
+            rec += np.array(ids, "<u4").tobytes()
             c_stream.write(rec)
             a_entries.append((rank, c_off, len(rec)))
             c_off += len(rec)
@@ -262,9 +241,6 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     # sort the address table by rank; stand-in for an external merge sort
     a_entries.sort()
 
-    z_of = gf.z_tables(g.rows, g.cols)[0]
-    zcell = {int(z_of[r * g.cols + c]): (r, c)
-             for r in range(g.rows) for c in range(g.cols)}
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, gf.Z_ORDER, "vertex_seq",
@@ -273,15 +249,10 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     for rank, off, size in a_entries:
         rec = disk.read_direct(c_handle, off, size)
         z0, _, cnt = CHUNK_HDR.unpack_from(rec, 0)
-        r0, c0 = zcell[z0]
-        ci, cj = scheme.cluster_of(r0, c0)
-        _, _, hgt, wid = scheme.extent(ci, cj)
-        for i in range(cnt):
-            v, = struct.unpack_from("<I", rec, CHUNK_HDR.size + 4 * i)
-            lr, lc = divmod(v, wid)
-            z = int(z_of[(r0 + lr) * g.cols + (c0 + lc)])
-            stream.write(z.to_bytes(8, "little"))
-            emitted += 1
+        ids = np.frombuffer(rec, "<u4", cnt, CHUNK_HDR.size)
+        t_of_local = scheme.shape(*scheme.cluster_at_z(z0)).t_of_local
+        stream.write((z0 + t_of_local[ids]).astype("<u8").tobytes())
+        emitted += cnt
     stream.close()
     if emitted != g.n:
         raise ToposortError("internal: emitted %d of %d vertices"

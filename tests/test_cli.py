@@ -160,7 +160,7 @@ def test_counters_deterministic(capsys):
 
 
 def _no_generate(*args, **kwargs):
-    raise AssertionError("instance generated before --h was checked")
+    raise AssertionError("instance generated before its arguments were checked")
 
 
 @pytest.mark.parametrize("h", ["-1", "40", "4"])
@@ -169,6 +169,17 @@ def test_h_out_of_range_is_a_usage_error(capsys, monkeypatch, h):
     # on an 8x8 grid h = 3 is one cluster covering the grid, the largest h
     assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", h]) == 1
     assert "--h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg,variant", [
+    ("sssp", "bogus"), ("mst", "hierarchical"), ("bfs", "oblivious"),
+    ("toposort", "simple")])
+def test_verify_variant_the_algorithm_lacks_is_a_usage_error(
+        capsys, monkeypatch, alg, variant):
+    monkeypatch.setattr(gf, "generate", _no_generate)
+    assert cli.run(["verify", "--alg", alg, "--rows", "8", "--cols", "8",
+                    "--variant", variant]) == 1
+    assert "no variant" in capsys.readouterr().err
 
 
 def test_bfs_at_h0_runs(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridscan import gridfmt as gf, clusters as cl, oracle, sssp
+from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 
 from conftest import make_disk, make_graph, grid4_edges
 
@@ -335,3 +335,41 @@ def test_sssp_rejects_arc_off_the_grid_like_the_oracle():
         oracle.dijkstra(g, (0, 0))
     with pytest.raises(gf.FormatError):
         sssp.sssp_simple(g, (0, 0), 1)
+
+
+BIG = 2 ** 60 - 1                   # the largest admissible weight
+
+
+def snake_graph(d, rows, cols, weight_of):
+    """A directed path through every cell, east along even rows and west
+    along odd ones; arc k weighs weight_of(k)."""
+    cells = [(r, c) for r in range(rows)
+             for c in (range(cols) if r % 2 == 0 else range(cols - 1, -1, -1))]
+    edges = {}
+    for k, ((r, c), (r2, c2)) in enumerate(zip(cells, cells[1:])):
+        edges[(r, c)] = {gf.DIR_OFFSETS.index((r2 - r, c2 - c)): weight_of(k)}
+    return make_graph(d, rows, cols, "weighted_directed", edges)
+
+
+# on the 8x8 snake at h = 3 (one cluster), boundary cell (3,0) lies 31 arcs
+# after (0,0): 63 arcs of BIG pass 2^64 on the way, while 16 arcs of BIG, one
+# of 15 and the rest 0 put (3,0) at exactly 2^64 - 1, the no-path marker
+SNAKE_WEIGHTS = {
+    "past_64_bits": lambda k: BIG,
+    "equal_to_marker": lambda k: BIG if k < 16 else 15 if k == 16 else 0,
+}
+
+
+@pytest.mark.parametrize("weights", sorted(SNAKE_WEIGHTS))
+def test_separator_distance_overflow_raises(weights, monkeypatch, capsys):
+    weight_of = SNAKE_WEIGHTS[weights]
+    for build in (
+            lambda g: cl.build_separator_graph(g, 3, "weighted_distance"),
+            lambda g: sssp.sssp_simple(g, (0, 0), 3)):
+        g = snake_graph(make_disk(), 8, 8, weight_of)
+        with pytest.raises(cl.ClusterError):
+            build(g)
+    monkeypatch.setattr(gf, "generate", lambda disk, rows, cols, *a, **k:
+                        snake_graph(disk, rows, cols, weight_of))
+    assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", "3"]) == 2
+    assert "no-path marker" in capsys.readouterr().err

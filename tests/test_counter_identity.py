@@ -1,23 +1,31 @@
-"""Counter-identity guard for the phase-2 solvers.
+"""Counter-identity guard for the phase-2 solvers and the cluster emitters.
 
-Pins, for ``sssp_simple``, ``sssp_hierarchical`` and ``bfs_order``, the
-whole-disk transfer counters of the algorithm run and the sha256 of its
-output file.  The values were recorded from the code before the three
-solvers shared one phase-2 step, so a refactor of that step that moves a
-single block transfer, or one output byte, fails here.
+Pins the whole-disk transfer counters of an algorithm run and the sha256 of
+its output file, so a refactor that moves a single block transfer, or one
+output byte, fails here.
 
-Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.  SSSP
-runs on a weighted digraph with both arc directions of a generated
-``weighted_undirected`` instance, so that its source reaches every cell;
-BFS runs on ``unit_directed`` at density 0.6.  The source is
-(rows // 2, cols // 3).
+``RECORDED`` covers ``sssp_simple``, ``sssp_hierarchical`` and
+``bfs_order``; its values were recorded from the code before the three
+solvers shared one phase-2 step.  SSSP runs on a weighted digraph with both
+arc directions of a generated ``weighted_undirected`` instance, so that its
+source reaches every cell; BFS runs on ``unit_directed`` at density 0.6.
+The source is (rows // 2, cols // 3).
+
+``RECORDED_EMITTERS`` covers ``toposort``, ``tfp_run`` (path counts),
+``euler_tour``, ``mst_cache_aware`` and ``mst_cache_oblivious`` (no h, so
+once per grid and seed) on generated instances of their default models at
+density 0.6; its values were recorded from the code before the cluster-local
+topological order, interior search and Z-order emitters were shared.
+
+Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.
 """
 
 import hashlib
 
 import pytest
 
-from gridscan import gridfmt as gf, sssp, bfs
+from gridscan import gridfmt as gf, sssp, bfs, toposort as ts, tfp, euler
+from gridscan import mst, oracle
 
 from conftest import make_disk, make_graph
 
@@ -98,6 +106,132 @@ RECORDED = {
         "4aa6d2298d70246207b1dd543778da352ab78a0c54c51727f390fe761724af0c"),
 }
 
+# (algorithm, rows, cols, seed, h): (counters as above, output sha256)
+RECORDED_EMITTERS = {
+    ('toposort', 32, 32, 1, 1): ((2496, 962, 1493, 1965, 221312),
+        "99bb4a29cf75bedca72f266e434ec15aae3b2caaf41e349b23adce622bc793e9"),
+    ('toposort', 32, 32, 1, 2): ((1948, 782, 1178, 1552, 174720),
+        "61037f77e1988e2df3c51b08cd6311d4b79a521c2030da48eb3729278a279b4b"),
+    ('toposort', 32, 32, 1, 3): ((1198, 551, 845, 904, 111936),
+        "fbc66d1ca608b12a1c0ecc9e3d8745274d2b02a46b41e51417164a0aad7b1f71"),
+    ('toposort', 32, 32, 2, 1): ((2496, 962, 1491, 1967, 221312),
+        "a789b42cbeb2778cb647ee17b134bf806109f13b0b3964d2aedabeb73c2cb911"),
+    ('toposort', 32, 32, 2, 2): ((1941, 782, 1202, 1521, 174272),
+        "14b22f0bbb4b0bd0fb88944915ee27eff409ad91c83fcb2bbd6eeb0ac1803765"),
+    ('toposort', 32, 32, 2, 3): ((1201, 550, 850, 901, 112064),
+        "ec4c2d6d8e54e2a1ed9a71832a56e32e29601ebdc200fccc3a35c49dd1cc8b07"),
+    ('toposort', 13, 7, 1, 1): ((224, 91, 146, 169, 20160),
+        "58cec4501d63a03fbf444db57d7c7455d40b286181017051d08cced3d9dc62b1"),
+    ('toposort', 13, 7, 1, 2): ((186, 80, 127, 139, 17024),
+        "4924827acc00e8423d2c98bc0620e9501754d093b3f040b2be0d4805841a8e0f"),
+    ('toposort', 13, 7, 1, 3): ((125, 59, 94, 90, 11776),
+        "54ef4a8aab08261b008e52c3cafa53907fb0a030c522612007530e4ed8968712"),
+    ('toposort', 13, 7, 2, 1): ((224, 91, 146, 169, 20160),
+        "d83837a2a4d74e9cd72eba897debe3782279101cf92aff47ca6532b6883facf5"),
+    ('toposort', 13, 7, 2, 2): ((188, 80, 127, 141, 17152),
+        "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
+    ('toposort', 13, 7, 2, 3): ((126, 58, 98, 86, 11776),
+        "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
+    ('tfp_run', 32, 32, 1, 1): ((4444, 5050, 3629, 5865, 607616),
+        "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
+    ('tfp_run', 32, 32, 1, 2): ((3275, 4251, 3128, 4398, 481664),
+        "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
+    ('tfp_run', 32, 32, 1, 3): ((2079, 3168, 2479, 2768, 335808),
+        "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
+    ('tfp_run', 32, 32, 2, 1): ((4440, 5053, 3625, 5868, 607552),
+        "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
+    ('tfp_run', 32, 32, 2, 2): ((3281, 4283, 3175, 4389, 484096),
+        "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
+    ('tfp_run', 32, 32, 2, 3): ((2070, 3166, 2476, 2760, 335104),
+        "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
+    ('tfp_run', 13, 7, 1, 1): ((384, 439, 334, 489, 52672),
+        "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
+    ('tfp_run', 13, 7, 1, 2): ((297, 385, 313, 369, 43648),
+        "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
+    ('tfp_run', 13, 7, 1, 3): ((190, 287, 240, 237, 30528),
+        "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
+    ('tfp_run', 13, 7, 2, 1): ((385, 429, 332, 482, 52096),
+        "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
+    ('tfp_run', 13, 7, 2, 2): ((299, 384, 312, 371, 43712),
+        "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
+    ('tfp_run', 13, 7, 2, 3): ((192, 286, 250, 228, 30592),
+        "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
+    ('euler_tour', 32, 32, 1, 1): ((1518, 283, 729, 1072, 115264),
+        "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
+    ('euler_tour', 32, 32, 1, 2): ((811, 178, 372, 617, 63296),
+        "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
+    ('euler_tour', 32, 32, 1, 3): ((389, 115, 224, 280, 32256),
+        "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
+    ('euler_tour', 32, 32, 2, 1): ((1500, 281, 700, 1081, 113984),
+        "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
+    ('euler_tour', 32, 32, 2, 2): ((789, 174, 369, 594, 61632),
+        "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
+    ('euler_tour', 32, 32, 2, 3): ((395, 115, 227, 283, 32640),
+        "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
+    ('euler_tour', 13, 7, 1, 1): ((140, 27, 68, 99, 10688),
+        "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
+    ('euler_tour', 13, 7, 1, 2): ((67, 16, 35, 48, 5312),
+        "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
+    ('euler_tour', 13, 7, 1, 3): ((15, 9, 18, 6, 1536),
+        "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
+    ('euler_tour', 13, 7, 2, 1): ((128, 26, 59, 95, 9856),
+        "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
+    ('euler_tour', 13, 7, 2, 2): ((55, 15, 32, 38, 4480),
+        "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
+    ('euler_tour', 13, 7, 2, 3): ((22, 10, 19, 13, 2048),
+        "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
+    ('mst_cache_aware', 32, 32, 1, 1): ((1717, 1078, 2793, 2, 178880),
+        "71d6c5e70928694abf3edd27af9f2babee02fa96cbe767b257ca65c350d6c963"),
+    ('mst_cache_aware', 32, 32, 1, 2): ((1551, 912, 2461, 2, 157632),
+        "fd4ad9b9c9e05a32f3f42d1387cccbe0142a4e08f619c7db3311dc3fc5390212"),
+    ('mst_cache_aware', 32, 32, 1, 3): ((1340, 701, 2039, 2, 130624),
+        "c51a082333ae75bc576e7fd101e288f5ac093731ff124cda12b40999a41434cc"),
+    ('mst_cache_aware', 32, 32, 2, 1): ((1719, 1080, 2797, 2, 179136),
+        "c02f4d1c8a2459417cb26fc1a5b55eb9bc921efb52dafe52b19a099a19c1d4b8"),
+    ('mst_cache_aware', 32, 32, 2, 2): ((1547, 908, 2453, 2, 157120),
+        "de0eb326b0b58ccce6104f5ff15aede9d1d870e22533ca200275a03998377596"),
+    ('mst_cache_aware', 32, 32, 2, 3): ((1335, 696, 2029, 2, 129984),
+        "1f6207d5a2d7ca60225af9a7689a8e3290e8b011d8c397d95a76a8d37856da55"),
+    ('mst_cache_aware', 13, 7, 1, 1): ((150, 93, 241, 2, 15552),
+        "893858c74b32e9640f8350faaf4717ac5bc81a64e83e7ba2fb4521efc141c673"),
+    ('mst_cache_aware', 13, 7, 1, 2): ((139, 82, 219, 2, 14144),
+        "87b0f961d031421187656cedee87d3df272a2e68a746ced3be781f4e7d52aa89"),
+    ('mst_cache_aware', 13, 7, 1, 3): ((117, 60, 175, 2, 11328),
+        "e929de7d6721f7e1a7f5479a052b5ddfc991e08f70dd66dd061e8970cd0cf1eb"),
+    ('mst_cache_aware', 13, 7, 2, 1): ((148, 91, 237, 2, 15296),
+        "c9640e6d5ffaac1734de1435a286a84949a42d4f5d867ec2ae90f87b75427cb8"),
+    ('mst_cache_aware', 13, 7, 2, 2): ((133, 76, 207, 2, 13376),
+        "1d830d9ef00f521d7ae4522f59e5d58d09c69bfc52b6ab3650c7863d325d7518"),
+    ('mst_cache_aware', 13, 7, 2, 3): ((116, 59, 173, 2, 11200),
+        "1d51a4fff7fb108621f5d9c1c9c4f956eedd08d6bf13d73232daf0470fe5299a"),
+    ('mst_cache_oblivious', 32, 32, 1, None): ((1789, 1662, 2153, 1298, 220864),
+        "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2"),
+    ('mst_cache_oblivious', 32, 32, 2, None): ((1771, 1644, 2135, 1280, 218560),
+        "b7d08a0be4eb34fb62e715af71ca346ca64d81a81c3a3d25b2065b9e8e494ece"),
+    ('mst_cache_oblivious', 13, 7, 1, None): ((73, 62, 108, 27, 8640),
+        "73cb160a236ebcf19650297c3eaaaf64f8b5ce71bc16d9685d6bc1c70dac625e"),
+    ('mst_cache_oblivious', 13, 7, 2, None): ((76, 65, 111, 30, 9024),
+        "88831eaa98ca5f51c0f7b0d029858c2070f78f32dbd357e4bdbe70aec65a5ea5"),
+}
+
+EMITTER_RUNS = {
+    "toposort": ("planar_dag", lambda g, h: ts.toposort(g, h)),
+    "tfp_run": ("planar_dag",
+                lambda g, h: tfp.tfp_run(g, oracle.oracle_path_count, h)),
+    "euler_tour": ("tree", lambda g, h: euler.euler_tour(g, h)),
+    "mst_cache_aware": ("weighted_undirected",
+                        lambda g, h: mst.mst_cache_aware(g, h)),
+    "mst_cache_oblivious": ("weighted_undirected",
+                            lambda g, h: mst.mst_cache_oblivious(g)),
+}
+
+
+def counters_and_hash(d, out):
+    c = d.counters_snapshot()
+    return ((c.blocks_read, c.blocks_written, c.sequential_blocks,
+             c.random_blocks, c.bytes_transferred),
+            hashlib.sha256(d.raw_bytes(out)).hexdigest())
+
 
 def weighted_digraph(disk, rows, cols, seed):
     u = gf.generate(make_disk(), rows, cols, "weighted_undirected",
@@ -125,8 +259,15 @@ def test_counters_and_output_unchanged(case):
         else:
             out = sssp.sssp_hierarchical(g, s,
                                          sssp.build_hierarchy(h, rows, cols))
-    c = d.counters_snapshot()
-    counters = (c.blocks_read, c.blocks_written, c.sequential_blocks,
-                c.random_blocks, c.bytes_transferred)
-    assert (counters, hashlib.sha256(d.raw_bytes(out)).hexdigest()) \
-        == RECORDED[case]
+    assert counters_and_hash(d, out) == RECORDED[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_EMITTERS, key=str))
+def test_emitter_counters_and_output_unchanged(case):
+    alg, rows, cols, seed, h = case
+    model, run = EMITTER_RUNS[alg]
+    d = make_disk()
+    g = gf.generate(d, rows, cols, model, seed=seed, density=0.6)
+    d.reset_counters()
+    out = run(g, h)
+    assert counters_and_hash(d, out) == RECORDED_EMITTERS[case]

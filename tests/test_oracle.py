@@ -120,10 +120,3 @@ def test_euler_spanning_tree_tour_properties():
     for (r1, c1), (r2, c2) in steps:
         assert max(abs(r1 - r2), abs(c1 - c2)) == 1
 
-
-def test_reference_solve_dispatch():
-    d = make_disk()
-    g = gf.generate(d, 4, 4, "planar_dag", seed=1)
-    assert oracle.reference_solve("toposort", g) == oracle.toposort(g)
-    with pytest.raises(oracle.OracleError):
-        oracle.reference_solve("nope", g)
