@@ -30,9 +30,10 @@ class BucketQueue:
     The band covers the largest separator-edge weight: a hop distance inside
     a 2^h cluster stays below 4^h, and a hop between clusters weighs 1, the
     only weight at h = 0.  Keys up to the rounded boundary d' live in
-    exact-key near lists; keys beyond d' live in 2^h + 1 far lists of width
-    2^h each, redistributed when the extraction point crosses d'.  Entries
-    are (key, item); a decreased key is reinserted and the stale copy
+    exact-key near lists, a key's list dropped once it empties; keys beyond
+    d' live in 2^h + 1 far lists of width 2^h each, redistributed when the
+    extraction point crosses d'.  Entries are (key, item), the last inserted
+    of a key first; a decreased key is reinserted and the stale copy
     discarded by the caller.
     """
 
@@ -58,11 +59,13 @@ class BucketQueue:
     def extract_min(self):
         """(key, item) with minimal key, or None when empty."""
         while True:
-            keys = [k for k in self.near if self.near[k]]
-            if keys:
-                k = min(keys)
+            if self.near:
+                k = min(self.near)
                 self.cur = max(self.cur, k)
-                return self.near[k].pop()
+                entries = self.near[k]
+                if len(entries) == 1:
+                    del self.near[k]
+                return entries.pop()
             if not any(self.far):
                 return None
             # advance the boundary by one span and pull the first far list

@@ -15,8 +15,10 @@ Fixed record sizes make every record addressable by its number alone.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -40,16 +42,14 @@ class ClusterScheme:
         self.size = 1 << h
         self.crows = -(-rows // self.size)
         self.ccols = -(-cols // self.size)
-        self.cluster_z, self.cluster_cell = gf.z_tables(self.crows, self.ccols)
+        # plain lists: the phase-2 lookups index them one value at a time
+        self.cluster_z, self.cluster_cell = (
+            a.tolist() for a in gf.z_tables(self.crows, self.ccols))
         # boundary-size prefix sums in cluster-Z order -> h-number bases
-        sizes = np.zeros(self.crows * self.ccols, dtype=np.int64)
-        for ci in range(self.crows):
-            for cj in range(self.ccols):
-                rank = int(self.cluster_z[ci * self.ccols + cj])
-                sizes[rank] = self._boundary_count(*self.extent(ci, cj))
-        self.bases = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.bases[1:])
-        self.total_boundary = int(self.bases[-1])
+        self.bases = [0, *accumulate(
+            self.boundary_size(*self.cluster_at_rank(rank))
+            for rank in range(len(self.cluster_cell)))]
+        self.total_boundary = self.bases[-1]
 
     # -- geometry ----------------------------------------------------------
 
@@ -71,11 +71,10 @@ class ClusterScheme:
         return 2 * (hgt - 1) + 2 * (wid - 1)
 
     def rank(self, ci: int, cj: int) -> int:
-        return int(self.cluster_z[ci * self.ccols + cj])
+        return self.cluster_z[ci * self.ccols + cj]
 
     def cluster_at_rank(self, rank: int) -> tuple[int, int]:
-        cell = int(self.cluster_cell[rank])
-        return cell // self.ccols, cell % self.ccols
+        return divmod(self.cluster_cell[rank], self.ccols)
 
     def clusters_in_z_order(self):
         for rank in range(self.crows * self.ccols):
@@ -85,7 +84,7 @@ class ClusterScheme:
         return self._boundary_count(*self.extent(ci, cj))
 
     def base(self, ci: int, cj: int) -> int:
-        return int(self.bases[self.rank(ci, cj)])
+        return self.bases[self.rank(ci, cj)]
 
     def boundary_coords(self, ci: int, cj: int) -> list[tuple[int, int]]:
         """Boundary cells clockwise from the upper-left corner, 0-based."""
@@ -113,13 +112,14 @@ class ClusterScheme:
         return self.base(*self.cluster_of(r, c)) + pos
 
     def coord_of_h_number(self, hnum: int) -> tuple[int, int]:
-        rank = int(np.searchsorted(self.bases, hnum, side="right")) - 1
-        ci, cj = self.cluster_at_rank(rank)
-        return self.boundary_coords(ci, cj)[hnum - int(self.bases[rank])]
+        ci, cj = self.cluster_of_h_number(hnum)
+        r0, c0, hgt, wid = self.extent(ci, cj)
+        lr, lc = divmod(_shape(hgt, wid).boundary[hnum - self.base(ci, cj)],
+                        wid)
+        return r0 + lr, c0 + lc
 
     def cluster_of_h_number(self, hnum: int) -> tuple[int, int]:
-        rank = int(np.searchsorted(self.bases, hnum, side="right")) - 1
-        return self.cluster_at_rank(rank)
+        return self.cluster_at_rank(bisect_right(self.bases, hnum) - 1)
 
     def z_interval(self, ci: int, cj: int) -> tuple[int, int]:
         """(first z-index, vertex count) of a cluster's contiguous range."""
@@ -344,34 +344,34 @@ class SeparatorGraph:
         scheme = self.scheme
         ci, cj = scheme.cluster_of_h_number(hnum)
         base = scheme.base(ci, cj)
-        bsize = scheme.boundary_size(ci, cj)
+        r0, c0, hgt, wid = scheme.extent(ci, cj)
+        boundary = _shape(hgt, wid).boundary
         pos = hnum - base
-        sw = 8 if self.mode == "weighted_distance" else 4
-        absent = gf.ABSENT if sw == 8 else ABSENT32
-        shift = 60 if sw == 8 else 28
-        r, c = scheme.coord_of_h_number(hnum)
-        for slot in range(self.slots):
-            v = int.from_bytes(raw[slot * sw:(slot + 1) * sw], "little")
-            if v == absent:
-                continue
-            if slot < bsize - 1:
-                tpos = slot if slot < pos else slot + 1
-                yield base + tpos, v
-            else:
-                d = v >> shift
-                w = v & ((1 << shift) - 1)
-                dr, dc = gf.DIR_OFFSETS[d]
-                t = scheme.h_number(r + dr, c + dc)
-                yield t, w
+        lr, lc = divmod(boundary[pos], wid)
+        wide = self.mode == "weighted_distance"
+        absent, shift = (gf.ABSENT, 60) if wide else (ABSENT32, 28)
+        vals = np.frombuffer(raw, "<u8" if wide else "<u4").tolist()
+        # the first bsize - 1 slots: the other boundary vertices, in order
+        cut = len(boundary) - 1
+        for slot, v in enumerate(vals[:cut]):
+            if v != absent:
+                yield base + slot + (slot >= pos), v
+        # the rest: (direction << shift) | weight of an edge out of the cluster
+        for v in vals[cut:]:
+            if v != absent:
+                dr, dc = gf.DIR_OFFSETS[v >> shift]
+                yield (scheme.h_number(r0 + lr + dr, c0 + lc + dc),
+                       v & ((1 << shift) - 1))
 
     def decode_reach(self, hnum: int, raw: bytes):
         """(intra target h-numbers, outgoing direction mask) of one record."""
-        scheme = self.scheme
-        ci, cj = scheme.cluster_of_h_number(hnum)
-        base = scheme.base(ci, cj)
-        bsize = scheme.boundary_size(ci, cj)
+        base = self.scheme.base(*self.scheme.cluster_of_h_number(hnum))
         m = int.from_bytes(raw[:-1], "little")
-        targets = [base + j for j in range(bsize) if m >> j & 1]
+        targets = []
+        while m:                       # set bits, lowest first
+            low = m & -m
+            targets.append(base + low.bit_length() - 1)
+            m ^= low
         return targets, raw[-1]
 
 

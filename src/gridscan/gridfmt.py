@@ -52,6 +52,7 @@ ENCODINGS = {
     "tour": 1,
     "edges": 24,
 }
+VERTEX_ENCODINGS = ("unweighted", "weighted_directed", "weighted_undirected")
 _ENC_CODES = {name: i for i, name in enumerate(ENCODINGS)}
 _ENC_NAMES = {v: k for k, v in _ENC_CODES.items()}
 
@@ -197,6 +198,9 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
         raise FormatError("bad header codes")
     g = GridGraph(disk, handle, _ORDER_NAMES[order_c], _ENC_NAMES[enc_c],
                   rows, cols, count)
+    if g.encoding in VERTEX_ENCODINGS and count != g.n:
+        raise FormatError("header count %d is not rows x cols = %d"
+                          % (count, g.n))
     if g.record_offset(count) > disk.content_length(handle):
         raise FormatError("file ends before its %d records of %d bytes"
                           % (count, g.record_size))

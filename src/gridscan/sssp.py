@@ -13,9 +13,9 @@ order of the steps differs.  ``solve_in_key_order`` takes the step in strict
 global key order from a min-queue: a binary heap for ``sssp_simple``, the
 bucket queue for ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests
 clusters into levels and spends a fixed budget of steps per visit to a
-level, so queue keys touch only nearby state; a finalized vertex whose
-estimate later improves is reactivated, which keeps the result exact under
-the budgeted order.
+level; a level cluster's key is the minimum of its slice of one array of
+h0-cluster keys.  A finalized vertex whose estimate later improves is
+reactivated, which keeps the result exact under the budgeted order.
 
 An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
 beside the tentative flag cannot hold it.
@@ -284,27 +284,19 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     scheme = gp.scheme
 
     k = len(levels) - 1
-    nclusters = scheme.crows * scheme.ccols
-    cur_min = [None] * nclusters
+    # least tentative estimate per h0 cluster, INF_D when it holds none
+    keys = np.full((scheme.crows, scheme.ccols), INF_D, dtype=np.int64)
 
-    def h0_key(rank):
-        return cur_min[rank][0] if cur_min[rank] is not None else INF_D
-
-    def ancestor(rank, level):
+    def ancestor(coord, level):
         """Coords of the level-`level` cluster containing an h0 cluster."""
-        ci, cj = scheme.cluster_at_rank(rank)
         shift = levels[level] - h0
-        return ci >> shift, cj >> shift
+        return coord[0] >> shift, coord[1] >> shift
 
     def child_key(level, coord):
         """Exact key of a level-`level` cluster: min over its h0 clusters."""
-        ci0, cj0 = coord
-        shift = levels[level] - h0
-        best = INF_D
-        for ci in range(ci0 << shift, min((ci0 + 1) << shift, scheme.crows)):
-            for cj in range(cj0 << shift, min((cj0 + 1) << shift, scheme.ccols)):
-                best = min(best, h0_key(scheme.rank(ci, cj)))
-        return best
+        ci, cj = coord
+        s = levels[level] - h0
+        return int(keys[ci << s:(ci + 1) << s, cj << s:(cj + 1) << s].min())
 
     # per (level, parent coord): lazy heap over level-1 children
     heaps: dict[tuple[int, tuple[int, int]], list] = {}
@@ -312,22 +304,21 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     def refresh(rank):
         """Re-read an h0 cluster's key and advertise it, if any, to every
         ancestor queue on its chain."""
-        cur_min[rank] = _min_tentative(
-            dfile.read_cluster(*scheme.cluster_at_rank(rank)))
-        if cur_min[rank] is None:
+        coord = scheme.cluster_at_rank(rank)
+        best = _min_tentative(dfile.read_cluster(*coord))
+        keys[coord] = INF_D if best is None else best[0]
+        if best is None:
             return
         for lv in range(1, k + 1):
-            child = ancestor(rank, lv - 1)
-            parent = ancestor(rank, lv)
-            heapq.heappush(heaps.setdefault((lv, parent), []),
-                           (cur_min[rank][0], child))
+            heapq.heappush(heaps.setdefault((lv, ancestor(coord, lv)), []),
+                           (best[0], ancestor(coord, lv - 1)))
 
     def level0_step(rank) -> bool:
         """One extraction inside an h0 cluster; False when nothing tentative."""
         stats.level0_calls += 1
         touched = _settle(gp, dfile, rank, stats, reactivate=True)
         if touched is None:
-            cur_min[rank] = None
+            keys[scheme.cluster_at_rank(rank)] = INF_D
             stats.wasted_calls += 1
             return False
         for tr in touched:

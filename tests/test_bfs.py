@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, oracle, bfs, sssp
 
@@ -67,6 +68,43 @@ def test_bucket_queue_reinsert_fresh_first():
     k, it = q.extract_min()
     assert (k, it) == (3, "c")
     assert q.extract_min() == (5, "c")  # stale; caller discards
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(0, 3),
+       ops=st.lists(st.one_of(st.none(), st.floats(0, 1, exclude_max=True)),
+                    max_size=80))
+def test_bucket_queue_random_schedule(h, ops):
+    """Random in-band inserts (a float picks the key's place in the band)
+    interleaved with extractions (None): each entry comes out once, least
+    key first and the latest inserted of a key first, keys never decrease,
+    and no emptied key list stays behind."""
+    q = bfs.BucketQueue(h)
+    live, out = [], []
+
+    def extract():
+        got = q.extract_min()
+        if not live:
+            assert got is None
+            return
+        want = min(live, key=lambda e: (e[0], -e[1]))
+        assert got == want
+        live.remove(want)
+        assert not out or out[-1] <= got[0]
+        out.append(got[0])
+
+    for i, op in enumerate(ops):
+        if op is None:
+            extract()
+        else:
+            entry = (q.cur + int(op * q.band), i)
+            q.insert(*entry)
+            live.append(entry)
+        assert all(q.near.values())
+    while live:
+        extract()
+        assert all(q.near.values())
+    assert q.extract_min() is None
 
 
 def dist_map(d, handle, g):

@@ -49,6 +49,7 @@ def test_h_numbers_contiguous_and_distinct(rows, cols, h):
     for hn in seen:
         r, c = s.coord_of_h_number(hn)
         assert s.h_number(r, c) == hn
+        assert s.cluster_of_h_number(hn) == s.cluster_of(r, c)
 
 
 @pytest.mark.parametrize("rows,cols,h", [(8, 8, 1), (7, 5, 2), (13, 9, 2)])

@@ -17,6 +17,15 @@ once per grid and seed) on generated instances of their default models at
 density 0.6; its values were recorded from the code before the cluster-local
 topological order, interior search and Z-order emitters were shared.
 
+``RECORDED_STATS`` pins the phase-2 schedule of ``sssp_simple`` and
+``sssp_hierarchical`` on the ``RECORDED`` instances through their
+``SolveStats``: the extraction count, the sha256 of ``repr`` of the
+extraction list, ``level0_calls``, ``wasted_calls`` and ``reactivations``.
+At 32x32 the hierarchy has nested levels (``build_hierarchy(1, 32, 32)`` is
+``[1, 4, 8]``), so a change to the budgeted order fails here even when it
+keeps the counters and the output.  Its values were recorded from the code
+before the hierarchy keys became a numpy array.
+
 Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.
 """
 
@@ -214,6 +223,59 @@ RECORDED_EMITTERS = {
         "88831eaa98ca5f51c0f7b0d029858c2070f78f32dbd357e4bdbe70aec65a5ea5"),
 }
 
+# (solver, rows, cols, seed, h): (len(extractions), level0_calls,
+#     wasted_calls, reactivations, sha256 of repr(extractions))
+RECORDED_STATS = {
+    ('sssp_simple', 32, 32, 1, 1): (1024, 0, 0, 0,
+        "d57ac6fa348283ee1adb720144f55fc27483c1fc621c2a983ad80d5538143f75"),
+    ('sssp_simple', 32, 32, 1, 2): (768, 0, 0, 0,
+        "df72c5bf86b726dc9cc25fbbeb4d29610647e44b5665a4c451c59e871fcb7937"),
+    ('sssp_simple', 32, 32, 1, 3): (448, 0, 0, 0,
+        "16a0400fda7914c23647eec79c10e5432c88cb3f16c032573a0d0712577a5b1d"),
+    ('sssp_simple', 32, 32, 2, 1): (1024, 0, 0, 0,
+        "aed81b65c18002065d4718142fa3cbd10b766e3d63dac8457772eef0d8ad5f7c"),
+    ('sssp_simple', 32, 32, 2, 2): (768, 0, 0, 0,
+        "8b734906d1aab56f30a8a379d088203cd043c0c6c6fab9d6956ba308e184b50b"),
+    ('sssp_simple', 32, 32, 2, 3): (448, 0, 0, 0,
+        "c1614d6bec19cbc93be7f58753fdea73c7c4a44a7b27df309a8b9b66f9c4285f"),
+    ('sssp_simple', 13, 7, 1, 1): (91, 0, 0, 0,
+        "ce4c106be5fc8843a3ed95a19469a1f5a1d272d1db8f96de2dcf4b0f47b3d6ce"),
+    ('sssp_simple', 13, 7, 1, 2): (73, 0, 0, 0,
+        "779f70e7dad66e99fe5b4bef3f0cd55d7c4b62498b9a870c472a10e8eebfad2f"),
+    ('sssp_simple', 13, 7, 1, 3): (46, 0, 0, 0,
+        "fc0d763476e1081ef8b9ebf5decd2249d787ca2e2a91fade0285c5ebd135c0a8"),
+    ('sssp_simple', 13, 7, 2, 1): (91, 0, 0, 0,
+        "eb8dbbe6b72f29ec8829926525e3e80e55256b6917fe1d35246c28b3d1ff97c1"),
+    ('sssp_simple', 13, 7, 2, 2): (73, 0, 0, 0,
+        "0b93ec2e7cf3ce6d35b7d5d8d30fc9177574e3292990247e0025b204c5265941"),
+    ('sssp_simple', 13, 7, 2, 3): (46, 0, 0, 0,
+        "fca2772540b53e8bd1b6a1ed79dda6831fbfa2178651bf4d012ae0922851901b"),
+    ('sssp_hierarchical', 32, 32, 1, 1): (1026, 1026, 0, 2,
+        "ff9ed9736e6f428e10f107fad6470b1ae2da7851af7be0045121ca40d2f46428"),
+    ('sssp_hierarchical', 32, 32, 1, 2): (768, 768, 0, 0,
+        "df72c5bf86b726dc9cc25fbbeb4d29610647e44b5665a4c451c59e871fcb7937"),
+    ('sssp_hierarchical', 32, 32, 1, 3): (448, 448, 0, 0,
+        "16a0400fda7914c23647eec79c10e5432c88cb3f16c032573a0d0712577a5b1d"),
+    ('sssp_hierarchical', 32, 32, 2, 1): (1027, 1027, 0, 3,
+        "70f854a1f961656dcf71fc8f164a2703e4ec8dfb949db10a80558192377f43e1"),
+    ('sssp_hierarchical', 32, 32, 2, 2): (768, 768, 0, 0,
+        "8b734906d1aab56f30a8a379d088203cd043c0c6c6fab9d6956ba308e184b50b"),
+    ('sssp_hierarchical', 32, 32, 2, 3): (448, 448, 0, 0,
+        "c1614d6bec19cbc93be7f58753fdea73c7c4a44a7b27df309a8b9b66f9c4285f"),
+    ('sssp_hierarchical', 13, 7, 1, 1): (91, 91, 0, 0,
+        "ce4c106be5fc8843a3ed95a19469a1f5a1d272d1db8f96de2dcf4b0f47b3d6ce"),
+    ('sssp_hierarchical', 13, 7, 1, 2): (73, 73, 0, 0,
+        "779f70e7dad66e99fe5b4bef3f0cd55d7c4b62498b9a870c472a10e8eebfad2f"),
+    ('sssp_hierarchical', 13, 7, 1, 3): (46, 46, 0, 0,
+        "fc0d763476e1081ef8b9ebf5decd2249d787ca2e2a91fade0285c5ebd135c0a8"),
+    ('sssp_hierarchical', 13, 7, 2, 1): (91, 91, 0, 0,
+        "eb8dbbe6b72f29ec8829926525e3e80e55256b6917fe1d35246c28b3d1ff97c1"),
+    ('sssp_hierarchical', 13, 7, 2, 2): (73, 73, 0, 0,
+        "0b93ec2e7cf3ce6d35b7d5d8d30fc9177574e3292990247e0025b204c5265941"),
+    ('sssp_hierarchical', 13, 7, 2, 3): (46, 46, 0, 0,
+        "fca2772540b53e8bd1b6a1ed79dda6831fbfa2178651bf4d012ae0922851901b"),
+}
+
 EMITTER_RUNS = {
     "toposort": ("planar_dag", lambda g, h: ts.toposort(g, h)),
     "tfp_run": ("planar_dag",
@@ -241,25 +303,41 @@ def weighted_digraph(disk, rows, cols, seed):
     return make_graph(disk, rows, cols, "weighted_directed", edges)
 
 
+def run_sssp(solver, g, rows, cols, h, stats=None):
+    s = (rows // 2, cols // 3)
+    if solver == "sssp_simple":
+        return sssp.sssp_simple(g, s, h, stats=stats)
+    return sssp.sssp_hierarchical(g, s, sssp.build_hierarchy(h, rows, cols),
+                                  stats=stats)
+
+
 @pytest.mark.parametrize("case", sorted(RECORDED))
 def test_counters_and_output_unchanged(case):
     solver, rows, cols, seed, h = case
     d = make_disk()
-    s = (rows // 2, cols // 3)
     if solver == "bfs_order":
         g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
                         density=0.6)
         d.reset_counters()
-        out, _, _ = bfs.bfs_order(g, s, h)
+        out, _, _ = bfs.bfs_order(g, (rows // 2, cols // 3), h)
     else:
         g = weighted_digraph(d, rows, cols, seed)
         d.reset_counters()
-        if solver == "sssp_simple":
-            out = sssp.sssp_simple(g, s, h)
-        else:
-            out = sssp.sssp_hierarchical(g, s,
-                                         sssp.build_hierarchy(h, rows, cols))
+        out = run_sssp(solver, g, rows, cols, h)
     assert counters_and_hash(d, out) == RECORDED[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_STATS))
+def test_solver_schedule_unchanged(case):
+    solver, rows, cols, seed, h = case
+    d = make_disk()
+    g = weighted_digraph(d, rows, cols, seed)
+    st = sssp.SolveStats()
+    run_sssp(solver, g, rows, cols, h, st)
+    assert (len(st.extractions), st.level0_calls, st.wasted_calls,
+            st.reactivations,
+            hashlib.sha256(repr(st.extractions).encode()).hexdigest()
+            ) == RECORDED_STATS[case]
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_EMITTERS, key=str))

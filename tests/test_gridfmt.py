@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridscan.simdisk import SimConfig, SimDisk
-from gridscan import gridfmt as gf
+from gridscan import cli, gridfmt as gf
 
 
 def disk(block=64):
@@ -129,6 +129,50 @@ def test_open_grid_rejects_truncated_payload(short):
     h3 = d3.open_file("input")
     d3.load_raw(h3, raw)
     assert gf.open_grid(d3, h3).count == 32 * 32
+
+
+def recounted(g, count, records):
+    """A new disk holding g's file with the header's count set to ``count``
+    and the payload cut to its first ``records`` records."""
+    hdr = gf.pack_header(g.order, g.encoding, g.rows, g.cols, count)
+    raw = g.disk.raw_bytes(g.handle)[:g.record_offset(records)]
+    d = disk(g.disk.config.block_bytes)
+    h = d.open_file("input")
+    d.load_raw(h, hdr + raw[len(hdr):])
+    return d, h
+
+
+@pytest.mark.parametrize("model", ["planar_dag", "weighted_dag",
+                                   "weighted_undirected"])
+@pytest.mark.parametrize("records", [32, 64])
+def test_open_grid_rejects_vertex_count_other_than_n(model, records):
+    g = gf.generate(disk(), 8, 8, model, seed=3)
+    d, h = recounted(g, 32, records)
+    with pytest.raises(gf.FormatError, match="count 32"):
+        gf.open_grid(d, h)
+    d, h = recounted(g, 64, 64)
+    assert gf.open_grid(d, h).count == 64
+
+
+def test_payload_encodings_keep_a_free_count():
+    d = disk()
+    h = d.open_file("dist")
+    s = d.append_stream(h)
+    gf.write_header_via(s, d, gf.Z_ORDER, "distances", 8, 8, 3)
+    s.write(bytes(24))
+    s.close()
+    assert gf.read_u64_payload(d, h) == [0, 0, 0]
+
+
+def test_cli_vertex_count_other_than_n_exits_2(monkeypatch, capsys):
+    real_generate = gf.generate
+
+    def short_count(*args, **kwargs):
+        return gf.open_grid(*recounted(real_generate(*args, **kwargs), 32, 32))
+
+    monkeypatch.setattr(gf, "generate", short_count)
+    assert cli.run(["toposort", "--rows", "8", "--cols", "8", "--h", "2"]) == 2
+    assert "count 32" in capsys.readouterr().err
 
 
 def count_undirected_edges(g):
