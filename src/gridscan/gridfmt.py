@@ -194,6 +194,8 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
     magic, version, order_c, enc_c, rows, cols, count = _HEADER.unpack(raw[:_HEADER.size])
     if magic != MAGIC:
         raise FormatError("bad magic")
+    if version != VERSION:
+        raise FormatError("unsupported format version %d" % version)
     if order_c not in _ORDER_NAMES or enc_c not in _ENC_NAMES:
         raise FormatError("bad header codes")
     g = GridGraph(disk, handle, _ORDER_NAMES[order_c], _ENC_NAMES[enc_c],

@@ -16,6 +16,15 @@ representative edge carrying the chain's maximum weight, and strips branches
 representative that survives upstream selection expands to its whole chain, a
 representative that loses expands to the chain minus one heaviest edge, and
 dead ends are bridges, so they are reinstated unconditionally.
+
+Stack records of ``mst_cache_oblivious`` are little-endian and unpadded.  An
+edge is ``<IIIIQB``: r1, c1, r2, c2 (0-based), weight, and a flag that is 1
+for a representative.  A connections record is ``<II`` (tree edge count,
+outgoing edge count), then the tree edges, then the outgoing edges.  An
+expansions record is ``<II`` (dead-end count, chain count), then the dead
+ends, then per chain ``<II`` (length, index of its first heaviest edge) and
+its edges in walk order.  ``FileStack`` frames each record with a trailing
+u32 length.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import gridfmt as gf
 from . import clusters as cl
@@ -55,6 +65,9 @@ class ContractedTree:
     chains: list = field(default_factory=list)
 
 
+_BY_WEIGHT = itemgetter(2, 0, 1, 3)       # (w, u, v, flag)
+
+
 def _norm(u, v):
     return (u, v) if u <= v else (v, u)
 
@@ -66,70 +79,56 @@ def _flip(e):
 def prune_and_contract(edges: list, keep: set) -> ContractedTree:
     """Contract a forest onto ``keep``: strip keep-free branches, replace
     maximal paths of non-kept degree-2 vertices by one representative edge."""
+    if all(u in keep and v in keep for u, v, _, _ in edges):
+        return ContractedTree(list(edges))
     ct = ContractedTree()
-    adj: dict = {}
-    alive = [True] * len(edges)
-    for i, (u, v, w, f) in enumerate(edges):
-        adj.setdefault(u, set()).add(i)
-        adj.setdefault(v, set()).add(i)
-
-    def other(i, x):
-        u, v, _, _ = edges[i]
-        return v if x == u else u
+    nbrs: dict = {}                 # vertex -> {edge index: other endpoint}
+    for i, (u, v, _, _) in enumerate(edges):
+        nbrs.setdefault(u, {})[i] = v
+        nbrs.setdefault(v, {})[i] = u
+    alive = [True] * len(edges)     # neither stripped nor in a chain
 
     # peel non-kept leaves, smallest vertex first for determinism
-    heap = [v for v in adj if len(adj[v]) == 1 and v not in keep]
+    heap = [v for v, nb in nbrs.items() if len(nb) == 1 and v not in keep]
     heapq.heapify(heap)
     while heap:
         v = heapq.heappop(heap)
-        if v not in adj or len(adj[v]) != 1 or v in keep:
+        if v not in nbrs or len(nbrs[v]) != 1:
             continue
-        i = next(iter(adj[v]))
-        u = other(i, v)
+        (i, u), = nbrs.pop(v).items()
         ct.dead_ends.append(edges[i])
         alive[i] = False
-        del adj[v]
-        adj[u].discard(i)
-        if not adj[u]:
-            del adj[u]
-        elif len(adj[u]) == 1 and u not in keep:
+        nu = nbrs[u]
+        del nu[i]
+        if not nu:
+            del nbrs[u]
+        elif len(nu) == 1 and u not in keep:
             heapq.heappush(heap, u)
 
-    def interior(v):
-        return v in adj and len(adj[v]) == 2 and v not in keep
-
-    used = set()
-    for a in sorted(adj):
-        if interior(a):
-            continue
-        for i in sorted(adj[a]):
-            if i in used or not alive[i]:
-                continue
-            if not interior(other(i, a)):
+    interior = {v for v, nb in nbrs.items() if len(nb) == 2 and v not in keep}
+    anchors = {x for v in interior for x in nbrs[v].values()} - interior
+    for a in sorted(anchors):
+        for i in sorted(nbrs[a]):
+            cur = nbrs[a][i]
+            if not alive[i] or cur not in interior:
                 continue
             # walk the chain starting at anchor a; since anchors are visited
             # in sorted order the chain is oriented from its smaller anchor
             chain = [edges[i] if edges[i][0] == a else _flip(edges[i])]
-            used.add(i)
-            cur = other(i, a)
-            while interior(cur):
-                j = next(k for k in adj[cur] if k != i)
+            alive[i] = False
+            while cur in interior:
+                j, k = nbrs[cur]
+                if j == i:
+                    j = k
                 chain.append(edges[j] if edges[j][0] == cur else _flip(edges[j]))
-                used.add(j)
-                i, cur = j, other(j, cur)
+                alive[j] = False
+                i, cur = j, nbrs[cur][j]
             maxw = max(e[2] for e in chain)
             heavy = next(k for k, e in enumerate(chain) if e[2] == maxw)
             ct.chains.append(Chain(chain, heavy, (a, cur, maxw)))
 
-    in_chain = {(_norm(u, v), w, f)
-                for ch in ct.chains for (u, v, w, f) in ch.edges}
-    for i, e in enumerate(edges):
-        if not alive[i]:
-            continue
-        u, v, w, f = e
-        if (_norm(u, v), w, f) in in_chain:
-            continue
-        ct.kept_edges.append(e)
+    # a forest has no parallel edges, so an edge left alive is in no chain
+    ct.kept_edges = [e for e, live in zip(edges, alive) if live]
     for ch in ct.chains:
         a, b, maxw = ch.rep
         ct.kept_edges.append((a, b, maxw, True))
@@ -155,14 +154,31 @@ def expand(ct: ContractedTree) -> list:
     return out
 
 
+def _find(parent: dict, x):
+    """Root of ``x`` in a union-find forest kept as child -> parent links
+    (a root has no entry); compresses the path it walks."""
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent: dict, u, v) -> bool:
+    """Join the sets of ``u`` and ``v``; False if they were one set."""
+    a, b = _find(parent, u), _find(parent, v)
+    if a == b:
+        return False
+    parent[a] = b
+    return True
+
+
 def _forest(edge_iter) -> list:
     """Deterministic minimum spanning forest (Kruskal on sorted tuples)."""
-    uf = oracle.UnionFind()
-    out = []
-    for e in sorted(edge_iter, key=lambda e: (e[2], e[0], e[1], e[3])):
-        if uf.union(e[0], e[1]):
-            out.append(e)
-    return out
+    parent = {}
+    return [e for e in sorted(edge_iter, key=_BY_WEIGHT)
+            if _union(parent, e[0], e[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +205,18 @@ def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
     keep = set(q.boundary)
     # an intra-cluster component that misses the boundary ring has no edge to
     # the rest of the grid at all
-    uf = oracle.UnionFind()
+    parent = {}
     for u, v, w, f in forest:
-        uf.union(u, v)
-    with_keep = {uf.find(b) for b in keep if b in uf.p}
+        _union(parent, u, v)
+    with_keep = {_find(parent, b) for b in keep}
     for u, v, w, f in forest:
-        if uf.find(u) not in with_keep:
+        if _find(parent, u) not in with_keep:
             raise MstError("disconnected input (cluster-interior component)")
     return prune_and_contract(forest, keep)
 
 
 _UEDGE = struct.Struct("<QQQB")     # coded endpoint, coded endpoint, w, flag
+_OUT = struct.Struct("<QQQ")        # output record: z, z, weight
 
 
 def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
@@ -256,7 +273,7 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
 
     def emit(u, v, w):
         nonlocal count
-        stream.write(struct.pack("<QQQ", zi(u), zi(v), w))
+        stream.write(_OUT.pack(zi(u), zi(v), w))
         count += 1
 
     def zkey(u, v, w, f):
@@ -299,60 +316,61 @@ _EDGE = struct.Struct("<IIIIQB")    # r1, c1, r2, c2, w, flag
 _CNT2 = struct.Struct("<II")
 
 
-def _pack_edges(edges) -> bytes:
-    out = bytearray()
-    for u, v, w, f in edges:
-        out += _EDGE.pack(u[0], u[1], v[0], v[1], w, 1 if f else 0)
-    return bytes(out)
+def _pack_run(a: int, b: int, edges) -> bytes:
+    """Two u32 counts, then the edges."""
+    pack = _EDGE.pack
+    return _CNT2.pack(a, b) + b"".join(
+        [pack(r1, c1, r2, c2, w, f) for (r1, c1), (r2, c2), w, f in edges])
 
 
-def _unpack_edges(raw, offset, count):
-    out = []
-    for i in range(count):
-        r1, c1, r2, c2, w, f = _EDGE.unpack_from(raw, offset + i * _EDGE.size)
-        out.append(((r1, c1), (r2, c2), w, bool(f)))
-    return out, offset + count * _EDGE.size
+def _unpack_run(raw, offset: int, k: int):
+    """The ``k`` edges after the two counts at ``offset``, and the offset
+    past them."""
+    start = offset + _CNT2.size
+    end = start + k * _EDGE.size
+    return ([((r1, c1), (r2, c2), w, f != 0)
+             for r1, c1, r2, c2, w, f in _EDGE.iter_unpack(raw[start:end])],
+            end)
 
 
 def _pack_connections(tree, out_edges) -> bytes:
-    return _CNT2.pack(len(tree), len(out_edges)) + _pack_edges(tree) \
-        + _pack_edges(out_edges)
+    return _pack_run(len(tree), len(out_edges), tree + out_edges)
 
 
 def _unpack_connections(raw):
-    ntree, nout = _CNT2.unpack_from(raw, 0)
-    tree, off = _unpack_edges(raw, _CNT2.size, ntree)
-    out_edges, _ = _unpack_edges(raw, off, nout)
-    return tree, out_edges
+    # the edge count follows from the record's length
+    ntree = _CNT2.unpack_from(raw)[0]
+    edges, _ = _unpack_run(raw, 0, (len(raw) - _CNT2.size) // _EDGE.size)
+    return edges[:ntree], edges[ntree:]
 
 
 def _pack_expansions(ct: ContractedTree) -> bytes:
-    out = bytearray(_CNT2.pack(len(ct.dead_ends), len(ct.chains)))
-    out += _pack_edges(ct.dead_ends)
+    out = [_pack_run(len(ct.dead_ends), len(ct.chains), ct.dead_ends)]
     for ch in ct.chains:
-        out += _CNT2.pack(len(ch.edges), ch.heavy_idx)
-        out += _pack_edges(ch.edges)
-    return bytes(out)
+        out.append(_pack_run(len(ch.edges), ch.heavy_idx, ch.edges))
+    return b"".join(out)
 
 
 def _unpack_expansions(raw):
-    ndead, nchain = _CNT2.unpack_from(raw, 0)
-    dead, off = _unpack_edges(raw, _CNT2.size, ndead)
+    ndead, nchain = _CNT2.unpack_from(raw)
+    dead, off = _unpack_run(raw, 0, ndead)
     chains = []
     for _ in range(nchain):
         nedges, heavy = _CNT2.unpack_from(raw, off)
-        edges, off = _unpack_edges(raw, off + _CNT2.size, nedges)
+        edges, off = _unpack_run(raw, off, nedges)
         chains.append(Chain(edges, heavy, (edges[0][0], edges[-1][1],
                                            max(e[2] for e in edges))))
     return ContractedTree([], dead, chains)
 
 
-def _quadrants(r0, c0, size):
+def _quadrants(r0, c0, size, rows, cols):
+    """(index, row, col) of the child quadrants that meet the grid; index 0..3
+    is top left, top right, bottom left, bottom right."""
     half = size // 2
-    yield r0, c0, half                    # top left
-    yield r0, c0 + half, half             # top right
-    yield r0 + half, c0, half             # bottom left
-    yield r0 + half, c0 + half, half      # bottom right
+    return [(k, r, c) for k, (r, c) in enumerate(
+                ((r0, c0), (r0, c0 + half), (r0 + half, c0),
+                 (r0 + half, c0 + half)))
+            if r < rows and c < cols]
 
 
 def _region_ring(r0, c0, size, rows, cols) -> set:
@@ -366,6 +384,23 @@ def _region_ring(r0, c0, size, rows, cols) -> set:
             if c < cols:
                 ring.add((r, c))
     return ring
+
+
+def _split(part, r0, c0, size) -> list:
+    """Distribute a region's tree part among its four child quadrants.
+
+    An edge goes to the child that holds its owner: its lexicographically
+    smaller endpoint, or its other one if the smaller lies outside the region
+    (an edge that leaves the region)."""
+    half = size // 2
+    rm, cm, r1, c1 = r0 + half, c0 + half, r0 + size, c0 + size
+    parts = [[], [], [], []]
+    for e in part:
+        u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+        if not (r0 <= u[0] < r1 and c0 <= u[1] < c1):
+            u = v
+        parts[(2 if u[0] >= rm else 0) + (1 if u[1] >= cm else 0)].append(e)
+    return parts
 
 
 def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
@@ -391,33 +426,30 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                      max(1, cfg.memory_bytes // (4 * cfg.block_bytes)))
     reader = disk.scan_reader(g.handle, g.payload_offset)
     rs = g.record_size
-
-    def in_grid(r0, c0):
-        return r0 < rows and c0 < cols
+    owned = [(d, *gf.DIR_OFFSETS[d]) for d in gf.OWNED_SLOTS]
 
     def upward(r0, c0, size):
         if size == 1:
             mask, weights = gf.decode_record("weighted_undirected",
                                              reader.read(rs))
             out_edges = []
-            for d in gf.OWNED_SLOTS:
+            for d, dr, dc in owned:
                 if mask >> d & 1:
-                    dr, dc = gf.DIR_OFFSETS[d]
-                    out_edges.append(((r0, c0), (r0 + dr, c0 + dc),
-                                      weights[d], False))
+                    r, c = r0 + dr, c0 + dc
+                    if not (0 <= r < rows and 0 <= c < cols):
+                        raise gf.FormatError("edge leaves the grid at (%d,%d)"
+                                             % (r0, c0))
+                    out_edges.append(((r0, c0), (r, c), weights[d], False))
             conn.push(_pack_connections([], out_edges))
             return
-        for qr, qc, qs in _quadrants(r0, c0, size):
-            if in_grid(qr, qc):
-                upward(qr, qc, qs)
-        records = [_unpack_connections(conn.pop())
-                   for _ in range(sum(1 for qr, qc, _ in
-                                      _quadrants(r0, c0, size)
-                                      if in_grid(qr, qc)))]
+        quads = _quadrants(r0, c0, size, rows, cols)
+        for _, qr, qc in quads:
+            upward(qr, qc, size // 2)
         candidates = []
         out_edges = []
         r1, c1 = r0 + size, c0 + size
-        for tree, outs in records:
+        for _ in quads:
+            tree, outs = _unpack_connections(conn.pop())
             candidates.extend(tree)
             for e in outs:
                 vr, vc = e[1]
@@ -431,28 +463,8 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
         conn.push(_pack_connections(ct.kept_edges, out_edges))
         expn.push(_pack_expansions(ct))
 
-    def split(part, r0, c0, size):
-        """Distribute a region's tree part among its child quadrants."""
-        quads = list(_quadrants(r0, c0, size))
-
-        def quad_of(v):
-            for k, (qr, qc, qs) in enumerate(quads):
-                if qr <= v[0] < qr + qs and qc <= v[1] < qc + qs:
-                    return k
-            return None
-
-        parts = [[], [], [], []]
-        for e in part:
-            qu, qv = quad_of(e[0]), quad_of(e[1])
-            if qu is not None and qv is not None and qu != qv:
-                # a cross-child edge is a real grid edge; its owner is the
-                # lexicographically smaller endpoint
-                qu, qv = (qu, qv) if e[0] < e[1] else (qv, qu)
-            parts[qu if qu is not None else qv].append(e)
-        return quads, parts
-
     emitted = 0
-    z_of = gf.z_tables(rows, cols)[0]
+    z_of = gf.z_tables(rows, cols)[0].tolist()
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
     gf.write_header_via(stream, disk, gf.Z_ORDER, "edges",
@@ -461,11 +473,10 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     def downward(part, r0, c0, size):
         nonlocal emitted
         if size == 1:
-            for u, v, w, f in part:
-                stream.write(struct.pack(
-                    "<QQQ", int(z_of[u[0] * cols + u[1]]),
-                    int(z_of[v[0] * cols + v[1]]), w))
-                emitted += 1
+            stream.write(b"".join([_OUT.pack(z_of[u[0] * cols + u[1]],
+                                             z_of[v[0] * cols + v[1]], w)
+                                   for u, v, w, f in part]))
+            emitted += len(part)
             return
         ct = _unpack_expansions(expn.pop())
         reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]): ch
@@ -474,25 +485,25 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
         edges = list(ct.dead_ends)
         for e in part:
             u, v, w, f = e
-            key = (_norm(u, v), w)
-            if f and key in reps:
-                edges.extend(reps[key].edges)
-                won.add(key)
-                continue
+            if f:
+                key = (_norm(u, v), w)
+                if key in reps:
+                    edges.extend(reps[key].edges)
+                    won.add(key)
+                    continue
             edges.append(e)
         for key, ch in reps.items():
             if key in won:
                 continue
             edges.extend(e for k, e in enumerate(ch.edges)
                          if k != ch.heavy_idx)
-        quads, parts = split(edges, r0, c0, size)
-        for (qr, qc, qs), sub in zip(quads, parts):
-            if in_grid(qr, qc):
-                conn.push(_pack_connections(sub, []))
-        for (qr, qc, qs), _ in reversed(list(zip(quads, parts))):
-            if in_grid(qr, qc):
-                sub, _ = _unpack_connections(conn.pop())
-                downward(sub, qr, qc, qs)
+        parts = _split(edges, r0, c0, size)
+        quads = _quadrants(r0, c0, size, rows, cols)
+        for k, _, _ in quads:
+            conn.push(_pack_connections(parts[k], []))
+        for _, qr, qc in reversed(quads):
+            sub, _ = _unpack_connections(conn.pop())
+            downward(sub, qr, qc, size // 2)
 
     if side == 1:
         # single-cell grid: empty tree, header only
@@ -520,7 +531,7 @@ def read_mst(disk: SimDisk, handle) -> list:
     off = g.payload_offset
     out = []
     for i in range(g.count):
-        a, b, w = struct.unpack_from("<QQQ", raw, off + 24 * i)
+        a, b, w = _OUT.unpack_from(raw, off + _OUT.size * i)
         out.append((a, b, w))
     return out
 

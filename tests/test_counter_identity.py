@@ -26,6 +26,13 @@ At 32x32 the hierarchy has nested levels (``build_hierarchy(1, 32, 32)`` is
 keeps the counters and the output.  Its values were recorded from the code
 before the hierarchy keys became a numpy array.
 
+``RECORDED_STACKS`` pins the sha256 of the final contents of the two stack
+files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
+expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
+stack-record layout fails here even when the block counters stay the same.
+Its values were recorded from the code before the stack records were packed
+by one comprehension per edge run.
+
 Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.
 """
 
@@ -35,6 +42,7 @@ import pytest
 
 from gridscan import gridfmt as gf, sssp, bfs, toposort as ts, tfp, euler
 from gridscan import mst, oracle
+from gridscan.simdisk import FileHandle
 
 from conftest import make_disk, make_graph
 
@@ -276,6 +284,22 @@ RECORDED_STATS = {
         "fca2772540b53e8bd1b6a1ed79dda6831fbfa2178651bf4d012ae0922851901b"),
 }
 
+# (rows, cols, seed): (sha256 of .conn, sha256 of .expn)
+RECORDED_STACKS = {
+    (32, 32, 1): (
+        "705b56779c0c7fb2c095c9003db0a78b52f190a66e928f515c29d3d21d13adba",
+        "20fa3b2c6e3ff22c1375c03aa2b701234159bd2ad5bbefd56ca7ee42c0bcdec7"),
+    (32, 32, 2): (
+        "bde432141390994a9495a1fb0c15c4376b81dab0fdb268791fa00915d57e0d10",
+        "f2a2c3357c6045d99ed3f3dcca9c2d990b84887ace68c2212af5235f9fa4738c"),
+    (13, 7, 1): (
+        "b2e400790dc3bb2c689d676542b9959a81e520fcc32ab51108ca949e37dd5cf0",
+        "ed0a471ce1b8c2f6606fb2db7a425b97701ad3f8d162f6982ccd057e03ed9f57"),
+    (13, 7, 2): (
+        "58f197e60ca2ef0e9de8b71547f5306001fa74e59600702990e852ec10831d3d",
+        "f6c171aa0c03be5aee001bde90bcc01cd993bc93bcdc771609fd4f2e8b1f58e3"),
+}
+
 EMITTER_RUNS = {
     "toposort": ("planar_dag", lambda g, h: ts.toposort(g, h)),
     "tfp_run": ("planar_dag",
@@ -349,3 +373,16 @@ def test_emitter_counters_and_output_unchanged(case):
     d.reset_counters()
     out = run(g, h)
     assert counters_and_hash(d, out) == RECORDED_EMITTERS[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_STACKS))
+def test_stack_files_unchanged(case):
+    rows, cols, seed = case
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "weighted_undirected", seed=seed,
+                    density=0.6)
+    mst.mst_cache_oblivious(g)
+    assert tuple(
+        hashlib.sha256(d.raw_bytes(FileHandle(d._names[name], name, d)))
+        .hexdigest() for name in ("mst.out.conn", "mst.out.expn")
+    ) == RECORDED_STACKS[case]

@@ -175,6 +175,34 @@ def test_cli_vertex_count_other_than_n_exits_2(monkeypatch, capsys):
     assert "count 32" in capsys.readouterr().err
 
 
+def reversioned(g, version):
+    """A new disk holding g's file with the header's version field set."""
+    raw = bytearray(g.disk.raw_bytes(g.handle))
+    raw[4:6] = version.to_bytes(2, "little")
+    d = disk(g.disk.config.block_bytes)
+    h = d.open_file("input")
+    d.load_raw(h, bytes(raw))
+    return d, h
+
+
+def test_open_grid_rejects_other_versions():
+    g = gf.generate(disk(), 8, 8, "planar_dag", seed=3)
+    with pytest.raises(gf.FormatError, match="version 7"):
+        gf.open_grid(*reversioned(g, 7))
+    assert gf.open_grid(*reversioned(g, gf.VERSION)).count == 64
+
+
+def test_cli_other_version_exits_2(monkeypatch, capsys):
+    real_generate = gf.generate
+
+    def version_7(*args, **kwargs):
+        return gf.open_grid(*reversioned(real_generate(*args, **kwargs), 7))
+
+    monkeypatch.setattr(gf, "generate", version_7)
+    assert cli.run(["toposort", "--rows", "8", "--cols", "8", "--h", "2"]) == 2
+    assert "version 7" in capsys.readouterr().err
+
+
 def count_undirected_edges(g):
     adj = gf.adjacency(g)
     return sum(len(v) for v in adj.values()) // 2

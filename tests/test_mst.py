@@ -1,11 +1,12 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridscan import gridfmt as gf, oracle, mst
+from gridscan import cli, gridfmt as gf, oracle, mst
 
-from conftest import make_disk, make_graph
+from conftest import grid4_edges, make_disk, make_graph
 
 
 def random_tree(rng, n):
@@ -70,6 +71,67 @@ def test_contract_expand_round_trip_property(seed, n):
     t = random_tree(rng, n)
     keep = set(rng.sample(range(n), rng.randrange(1, n)))
     assert norm_set(mst.expand(mst.prune_and_contract(t, keep))) == norm_set(t)
+
+
+def random_forest(rng, n):
+    """A random tree on n vertices with about a third of its edges cut, and
+    random representative flags."""
+    return [(u, v, w, rng.random() < 0.3)
+            for u, v, w, _ in random_tree(rng, n) if rng.random() < 0.7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 40))
+def test_all_kept_forest_matches_general_path(seed, n):
+    rng = random.Random(seed)
+    forest = random_forest(rng, n)
+    keep = set(range(n))
+    fast = mst.prune_and_contract(forest, keep)
+    # an extra edge between two new, non-kept vertices forces the general
+    # path; it only adds that edge as a dead end
+    extra = (n, n + 1, 1, False)
+    general = mst.prune_and_contract(forest + [extra], keep)
+    assert general.dead_ends == [extra]
+    assert fast.kept_edges == general.kept_edges == forest
+    assert fast.chains == general.chains == []
+    assert fast.dead_ends == []
+
+
+EDGE_REF = struct.Struct("<IIIIQB")
+
+
+def ref_run(a, b, edges):
+    """Two u32 counts, then one ``<IIIIQB`` record per edge."""
+    return struct.pack("<II", a, b) + b"".join(
+        EDGE_REF.pack(u[0], u[1], v[0], v[1], w, 1 if f else 0)
+        for u, v, w, f in edges)
+
+
+coords = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+stack_edge = st.tuples(coords, coords, st.integers(0, 2 ** 64 - 2),
+                       st.booleans())
+stack_edges = st.lists(stack_edge, max_size=6)
+chains = st.lists(stack_edge, min_size=1, max_size=5).flatmap(
+    lambda es: st.builds(
+        lambda k: mst.Chain(es, k, (es[0][0], es[-1][1],
+                                    max(e[2] for e in es))),
+        st.integers(0, len(es) - 1)))
+
+
+@given(stack_edges, stack_edges)
+def test_connection_record_bytes(tree, outs):
+    raw = mst._pack_connections(tree, outs)
+    assert raw == ref_run(len(tree), len(outs), tree + outs)
+    assert mst._unpack_connections(raw) == (tree, outs)
+
+
+@given(stack_edges, st.lists(chains, max_size=4))
+def test_expansion_record_bytes(dead, chs):
+    raw = mst._pack_expansions(mst.ContractedTree([], dead, chs))
+    assert raw == ref_run(len(dead), len(chs), dead) + b"".join(
+        ref_run(len(ch.edges), ch.heavy_idx, ch.edges) for ch in chs)
+    back = mst._unpack_expansions(raw)
+    assert back.dead_ends == dead and back.chains == chs
 
 
 def two_by_two(weights):
@@ -198,3 +260,35 @@ def test_union_contains_mst_trivial_cover():
     d = make_disk()
     g = gf.generate(d, 8, 8, "weighted_undirected", seed=2)
     assert mst.union_contains_mst_check(g, 3)
+
+
+def with_off_grid_arc(disk, rows, cols, cell, d):
+    """A connected ``weighted_undirected`` grid (every E and S edge) whose
+    ``cell`` also stores an arc in direction ``d`` that leaves the grid."""
+    edges = grid4_edges(rows, cols, both_dirs=False)
+    edges[cell] = {**edges[cell], d: 5}
+    return make_graph(disk, rows, cols, "weighted_undirected", edges)
+
+
+@pytest.mark.parametrize("rows,cols,cell,d", [
+    (4, 4, (0, 0), gf.SW), (3, 3, (2, 0), gf.S), (3, 3, (2, 0), gf.SE),
+    (3, 3, (0, 2), gf.E), (4, 4, (0, 3), gf.E),
+])
+def test_off_grid_arc_rejected(rows, cols, cell, d):
+    message = r"edge leaves the grid at \(%d,%d\)" % cell
+    g = with_off_grid_arc(make_disk(), rows, cols, cell, d)
+    with pytest.raises(gf.FormatError, match=message):
+        mst.mst_cache_oblivious(g)
+    g = with_off_grid_arc(make_disk(), rows, cols, cell, d)
+    with pytest.raises(gf.FormatError, match=message):
+        mst.mst_cache_aware(g, 1)
+
+
+def test_cli_off_grid_arc_exits_2(monkeypatch, capsys):
+    def off_grid(disk, rows, cols, *args, **kwargs):
+        return with_off_grid_arc(disk, rows, cols, (0, 3), gf.E)
+
+    monkeypatch.setattr(gf, "generate", off_grid)
+    assert cli.run(["mst", "--variant", "oblivious",
+                    "--rows", "4", "--cols", "4"]) == 2
+    assert "edge leaves the grid at (0,3)" in capsys.readouterr().err
