@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gridfmt as gf
 from . import clusters as cl
 from . import sssp
@@ -100,33 +102,30 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
 # Chunk construction
 
 
-def _cluster_forest(g, q, dist_of):
+def _cluster_forest(q, dist):
     """Local BFS forest: parent = first in-cluster in-neighbour one hop
-    closer, scanning directions clockwise from north.  Returns (roots,
+    closer, scanning directions clockwise from north.  ``dist`` holds the
+    hop distance per local cell, None if unreachable.  Returns (roots,
     children) with children listed per vertex in clockwise direction order."""
     incoming = [[] for _ in range(q.n)]
     for v in range(q.n):
         for d, lr, lc, _ in q.intra[v]:
             incoming[lr * q.wid + lc].append((gf.opposite(d), v))
     roots, children = [], [[] for _ in range(q.n)]
-    for lr in range(q.hgt):
-        for lc in range(q.wid):
-            v = lr * q.wid + lc
-            dv = dist_of(lr + q.r0, lc + q.c0)
-            if dv is None:
-                continue
-            parent = None
-            if dv > 0:
-                for d, u in sorted(incoming[v]):
-                    ur, uc = divmod(u, q.wid)
-                    du = dist_of(ur + q.r0, uc + q.c0)
-                    if du == dv - 1:
-                        parent = (d, u)
-                        break
-            if parent is None:
-                roots.append(v)
-            else:
-                children[parent[1]].append((gf.opposite(parent[0]), v))
+    for v in range(q.n):
+        dv = dist[v]
+        if dv is None:
+            continue
+        parent = None
+        if dv > 0:
+            for d, u in sorted(incoming[v]):
+                if dist[u] == dv - 1:
+                    parent = (d, u)
+                    break
+        if parent is None:
+            roots.append(v)
+        else:
+            children[parent[1]].append((gf.opposite(parent[0]), v))
     for v in range(q.n):
         children[v].sort()
     return roots, children
@@ -136,14 +135,15 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
                      name: str = "bfs", stats: BfsStats | None = None):
     """Cut each cluster's BFS forest into chunks of height < 2^h.
 
-    Chunk record: root z-index (8 B), root distance (8 B), vertex count
-    (4 B), then one child-direction mask byte per vertex in preorder.
-    The address list pairs each chunk's byte offset with its root distance.
+    The Z-order distance file is scanned once, each cluster's range read
+    as the cluster is processed.  Chunk record: root z-index (8 B), root
+    distance (8 B), vertex count (4 B), then one child-direction mask byte
+    per vertex in preorder.  The address list pairs each chunk's byte offset
+    with its root distance.
     """
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    dists = gf.read_u64_payload(disk, dist_handle)
-    z_of, _ = gf.z_tables(g.rows, g.cols)
+    dist_reader = disk.scan_reader(dist_handle, g.payload_offset)
     span = 1 << h
 
     c_handle = disk.open_file(name + ".C")
@@ -153,12 +153,13 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
     offset = 0
     count = 0
 
-    def dist_of(r, c):
-        dv = dists[int(z_of[r * g.cols + c])]
-        return None if dv == gf.ABSENT else dv
-
     for q in cl.iterate_clusters(g, scheme):
-        roots, children = _cluster_forest(g, q, dist_of)
+        z0, _ = scheme.z_interval(q.ci, q.cj)
+        t_of_local = scheme.shape(q.ci, q.cj).t_of_local
+        zdist = np.frombuffer(dist_reader.read(8 * q.n), "<u8")
+        dist = [None if dv == gf.ABSENT else dv
+                for dv in zdist[t_of_local].tolist()]
+        roots, children = _cluster_forest(q, dist)
         # a child at chunk depth 2^h starts a fresh chunk
         owner = [None] * q.n              # vertex -> (chunk root, chunk depth)
         chunk_roots = []
@@ -188,9 +189,8 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
                            if owner[u][0] == croot)
                 masks.append(mask)
                 stack.extend(reversed(kids))
-            rr, rc = divmod(croot, q.wid)
-            rz = int(z_of[(rr + q.r0) * g.cols + (rc + q.c0)])
-            rdist = dist_of(rr + q.r0, rc + q.c0)
+            rz = z0 + int(t_of_local[croot])
+            rdist = dist[croot]
             rec = CHUNK_HDR.pack(rz, rdist, len(masks)) + bytes(masks)
             c_stream.write(rec)
             a_stream.write(struct.pack("<QQ", offset, rdist))

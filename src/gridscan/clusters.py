@@ -118,8 +118,11 @@ class ClusterScheme:
                         wid)
         return r0 + lr, c0 + lc
 
+    def rank_of_h_number(self, hnum: int) -> int:
+        return bisect_right(self.bases, hnum) - 1
+
     def cluster_of_h_number(self, hnum: int) -> tuple[int, int]:
-        return self.cluster_at_rank(bisect_right(self.bases, hnum) - 1)
+        return self.cluster_at_rank(self.rank_of_h_number(hnum))
 
     def z_interval(self, ci: int, cj: int) -> tuple[int, int]:
         """(first z-index, vertex count) of a cluster's contiguous range."""

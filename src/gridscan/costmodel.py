@@ -99,7 +99,16 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
     if alg == "sssp":
         # input 64n (8 weights of 8 bytes per vertex), output 8n distances,
         # condensed graph 128n; the distance table costs four block touches
-        # per condensed adjacency list (read+write, two blocks each)
+        # per condensed adjacency list (read+write, two blocks each).
+        # One assumption is not met at h = 4.  A settle reads and writes
+        # the distance range of its own cluster and of every other cluster
+        # its edges reach.  A range of 32 * (2^h - 1) bytes fits one block
+        # up to h = 3 at B = 2^8, so the own cluster and one neighbour fit
+        # the four touches.  At h = 4 the own range alone takes them, and
+        # each neighbour costs up to four more.  Measured on dense random
+        # digraphs from a source reaching half the grid, n = 2^10..2^14:
+        # 0.80-0.83x this model at h = 2 and 3, but 1.11-1.19x at h = 4,
+        # with 6.5 distance-table blocks per settle at n = 2^14.
         phases = [
             ("build condensed graph: read input, write lists", F(64 + 128)),
             ("relax: read lists once, update distance table", F(128) + 4 * ru),
@@ -109,7 +118,12 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
 
     elif alg == "bfs":
         # unit weights pack the input into n bytes and halve the condensed
-        # graph to 64n; the ordering pass pays one block per chunk start
+        # graph to 64n; the ordering pass pays one block per chunk start.
+        # The distance table's four touches per list hold as for sssp, up
+        # to h = 3.  Measured on unit_directed at density 0.6 from a source
+        # reaching half the grid, n = 2^10..2^14: 0.64-0.75x this model at
+        # h = 2 and 3, and 0.81-1.06x at h = 4, where relaxations into
+        # neighbour clusters cost more than the four touches.
         phases = [
             ("distances: build and relax condensed graph",
              F(1 + 64) + (F(64) + 4 * ru) + F(1)),

@@ -17,6 +17,15 @@ level; a level cluster's key is the minimum of its slice of one array of
 h0-cluster keys.  A finalized vertex whose estimate later improves is
 reactivated, which keeps the result exact under the budgeted order.
 
+A step reads the records of every cluster it touches once and writes each
+at most once: the settled cluster's records stay in memory from the
+finalization through the relaxations into the same cluster and are written
+last, and the queues are refreshed from the records in memory, never from
+``D``.  In ``D`` a cluster's records form one range that touches as few
+blocks as its length allows (see ``DistanceFile``).  While a range fits one
+block, a step that reaches one other cluster touches the four blocks the
+cost model prices per separator vertex.
+
 An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
 beside the tentative flag cannot hold it.
 """
@@ -42,25 +51,39 @@ class SsspError(Exception):
 
 class DistanceFile:
     """Per-separator-vertex 64-bit records: bit 63 tentative flag, rest the
-    distance estimate.  All-ones (tentative infinity) initially."""
+    distance estimate.  All-ones (tentative infinity) initially.
+
+    Each cluster's records form one range, the clusters in Z-rank order.  A
+    range of at most B bytes never crosses a block boundary and a longer one
+    starts on one, so a range of k bytes touches exactly ceil(k / B) blocks.
+    The gaps this leaves are written once, with the file, and never read.
+    H-numbers stay packed: only the offsets in ``D`` are padded.
+    """
 
     def __init__(self, disk: SimDisk, scheme: cl.ClusterScheme, name: str):
         self.disk = disk
-        self.scheme = scheme
+        self.bases = scheme.bases
+        b = disk.config.block_bytes
+        self.offsets = []
+        end = 0
+        for lo, hi in zip(self.bases, self.bases[1:]):
+            if end % b + 8 * (hi - lo) > b:
+                end = -(-end // b) * b
+            self.offsets.append(end)
+            end += 8 * (hi - lo)
         self.handle = disk.open_file(name)
         stream = disk.append_stream(self.handle)
-        stream.write(b"\xff" * (8 * scheme.total_boundary))
+        stream.write(b"\xff" * end)
         stream.close()
 
-    def read_cluster(self, ci: int, cj: int) -> list[int]:
-        s = self.scheme
-        base, size = s.base(ci, cj), s.boundary_size(ci, cj)
-        raw = self.disk.read_direct(self.handle, base * 8, size * 8)
+    def read(self, rank: int) -> list[int]:
+        """The records of the cluster of Z-rank ``rank``; one counted read."""
+        size = self.bases[rank + 1] - self.bases[rank]
+        raw = self.disk.read_direct(self.handle, self.offsets[rank], 8 * size)
         return np.frombuffer(raw, "<u8").tolist()
 
-    def write_cluster(self, ci: int, cj: int, vals: list[int]):
-        base = self.scheme.base(ci, cj)
-        self.disk.write_direct(self.handle, base * 8,
+    def write(self, rank: int, vals: list[int]):
+        self.disk.write_direct(self.handle, self.offsets[rank],
                                np.array(vals, "<u8").tobytes())
 
 
@@ -115,77 +138,88 @@ def check_source(g, s_cell, encoding: str, error=SsspError):
 def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     """Phase 1: the separator graph, a fresh distance file, and tentative
     boundary estimates of the source's cluster from a local in-memory
-    search.  Returns (separator graph, distance file, source cluster rank)."""
+    search.  Returns (separator graph, distance file, source cluster rank,
+    its records as written)."""
     gp = cl.build_separator_graph(g, h, mode, name=out_name + ".gp")
     scheme = gp.scheme
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
     ci, cj = scheme.cluster_of(*s_cell)
+    srank = scheme.rank(ci, cj)
     q = cl.load_cluster(g, scheme, ci, cj)
     dist = cl.local_dijkstra(q, [(0, q.local(*s_cell))])
-    vals = dfile.read_cluster(ci, cj)
+    vals = dfile.read(srank)
     for i, (r, c) in enumerate(q.boundary):
         dv = dist[q.local(r, c)]
         if dv != cl.INF:
             if dv >= INF_D:
                 raise _too_long(dv)
             vals[i] = TENTATIVE | int(dv)
-    dfile.write_cluster(ci, cj, vals)
-    return gp, dfile, scheme.rank(ci, cj)
+    dfile.write(srank, vals)
+    return gp, dfile, srank, vals
 
 
-def _relax_targets(dfile, scheme, dist_u, targets, reactivate, stats):
+def _relax_targets(dfile, scheme, rank, held, dist_u, targets, reactivate,
+                   stats):
     """Apply dist_u + w relaxations grouped per target cluster.
 
-    Returns the set of cluster ranks whose minimum tentative estimate may
-    have changed.  A final estimate improves (and turns tentative again)
-    only when ``reactivate`` is set.
+    Targets in cluster ``rank`` go to its records ``held``, which the caller
+    writes; every other target cluster is read once and, if changed, written
+    once.  Returns {rank: records} of the clusters whose least tentative
+    estimate may have changed, ``rank`` always among them.  A final estimate
+    improves (and turns tentative again) only when ``reactivate`` is set.
     """
-    by_cluster: dict[tuple[int, int], list] = {}
+    base, end = scheme.bases[rank], scheme.bases[rank + 1]
+    # rank -> [(position in the cluster, weight)]; a record lists the targets
+    # in its own cluster first, and those need no cluster lookup
+    by_cluster: dict[int, list] = {rank: []}
     for t, w in targets:
-        by_cluster.setdefault(scheme.cluster_of_h_number(t), []).append((t, w))
-    touched = set()
-    for (ci, cj), lst in by_cluster.items():
-        vals = dfile.read_cluster(ci, cj)
-        base = scheme.base(ci, cj)
+        r = rank if base <= t < end else scheme.rank_of_h_number(t)
+        by_cluster.setdefault(r, []).append((t - scheme.bases[r], w))
+    records, touched = {}, set()
+    for r, lst in by_cluster.items():
+        vals = records[r] = held if r == rank else dfile.read(r)
         changed = False
-        for t, w in lst:
+        for i, w in lst:
             nd = dist_u + w
-            cur = vals[t - base]
+            cur = vals[i]
             if nd < (cur & INF_D) and (cur & TENTATIVE or reactivate):
                 if not cur & TENTATIVE:
                     stats.reactivations += 1
-                vals[t - base] = TENTATIVE | nd
+                vals[i] = TENTATIVE | nd
                 changed = True
             elif nd >= INF_D and cur == TENTATIVE | INF_D:
                 raise _too_long(nd)
         if changed:
-            dfile.write_cluster(ci, cj, vals)
-            touched.add(scheme.rank(ci, cj))
-    return touched
+            if r != rank:
+                dfile.write(r, vals)
+            touched.add(r)
+    touched.add(rank)
+    # the queues are refreshed in the set's order; BFS's bucket queue breaks
+    # key ties by insertion, so this order is part of the schedule
+    return {r: records[r] for r in touched}
 
 
 def _settle(gp, dfile, rank, stats, reactivate):
     """The phase-2 step: finalize the least tentative estimate of one cluster
     and relax that vertex's separator edges.
 
-    Returns the ranks of the clusters whose least tentative estimate may have
-    changed, or None when the cluster holds no tentative estimate.
+    The settled cluster's records are read once, finalized and relaxed in
+    memory, and written once, last.  Returns {rank: records} of the clusters
+    whose least tentative estimate may have changed, or None when the
+    cluster holds no tentative estimate.
     """
-    scheme = gp.scheme
-    ci, cj = scheme.cluster_at_rank(rank)
-    vals = dfile.read_cluster(ci, cj)
+    vals = dfile.read(rank)
     best = _min_tentative(vals)
     if best is None:
         return None
     dist_u, pos = best
     vals[pos] &= ~TENTATIVE            # make final
-    dfile.write_cluster(ci, cj, vals)
-    u = scheme.base(ci, cj) + pos
+    u = gp.scheme.bases[rank] + pos
     stats.extractions.append((u, dist_u))
-    touched = _relax_targets(dfile, scheme, dist_u,
+    touched = _relax_targets(dfile, gp.scheme, rank, vals, dist_u,
                              gp.decode_edges(u, gp.read_record(dfile.disk, u)),
                              reactivate, stats)
-    touched.add(rank)
+    dfile.write(rank, vals)
     return touched
 
 
@@ -198,8 +232,8 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     gf.write_header_via(stream, disk, gf.Z_ORDER, "distances",
                         g.rows, g.cols, g.n)
     s_cluster = scheme.cluster_of(*s_cell)
-    for q in cl.iterate_clusters(g, scheme):
-        vals = dfile.read_cluster(q.ci, q.cj)
+    for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
+        vals = dfile.read(rank)
         seeds = [(v & INF_D, q.local(r, c))
                  for v, (r, c) in zip(vals, q.boundary) if v & INF_D != INF_D]
         if (q.ci, q.cj) == s_cluster:
@@ -223,24 +257,24 @@ def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
     ``extract_min()``; ``mode`` is the separator-graph mode.  Returns (output
     handle, cluster scheme).
     """
-    gp, dfile, srank = _condense_and_seed(g, s_cell, h, mode, out_name)
+    gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h, mode, out_name)
     scheme = gp.scheme
     # least tentative (distance, position) per cluster, or None; it mirrors
     # the distance file, so a queue entry whose key matches it is live
     cur_min = [None] * (scheme.crows * scheme.ccols)
 
-    def refresh(rank):
-        cur_min[rank] = _min_tentative(
-            dfile.read_cluster(*scheme.cluster_at_rank(rank)))
+    def refresh(rank, vals):
+        cur_min[rank] = _min_tentative(vals)
         if cur_min[rank] is not None:
             queue.insert(cur_min[rank][0], rank)
 
-    refresh(srank)
+    refresh(srank, svals)
     while (entry := queue.extract_min()) is not None:
         key, rank = entry
         if cur_min[rank] is not None and key == cur_min[rank][0]:
-            for tr in _settle(gp, dfile, rank, stats, reactivate=False):
-                refresh(tr)
+            for tr, vals in _settle(gp, dfile, rank, stats,
+                                    reactivate=False).items():
+                refresh(tr, vals)
     return _finalize_interiors(g, scheme, dfile, s_cell, out_name), scheme
 
 
@@ -279,8 +313,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
     h0 = levels[0]
-    gp, dfile, srank = _condense_and_seed(g, s_cell, h0, "weighted_distance",
-                                          out_name)
+    gp, dfile, srank, svals = _condense_and_seed(
+        g, s_cell, h0, "weighted_distance", out_name)
     scheme = gp.scheme
 
     k = len(levels) - 1
@@ -301,11 +335,11 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     # per (level, parent coord): lazy heap over level-1 children
     heaps: dict[tuple[int, tuple[int, int]], list] = {}
 
-    def refresh(rank):
-        """Re-read an h0 cluster's key and advertise it, if any, to every
-        ancestor queue on its chain."""
+    def refresh(rank, vals):
+        """Set an h0 cluster's key from its records and advertise it, if any,
+        to every ancestor queue on its chain."""
         coord = scheme.cluster_at_rank(rank)
-        best = _min_tentative(dfile.read_cluster(*coord))
+        best = _min_tentative(vals)
         keys[coord] = INF_D if best is None else best[0]
         if best is None:
             return
@@ -321,8 +355,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
             keys[scheme.cluster_at_rank(rank)] = INF_D
             stats.wasted_calls += 1
             return False
-        for tr in touched:
-            refresh(tr)
+        for tr, vals in touched.items():
+            refresh(tr, vals)
         return True
 
     def process(level, coord):
@@ -345,7 +379,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
             if nk < INF_D:
                 heapq.heappush(heap, (nk, entry[1]))
 
-    refresh(srank)
+    refresh(srank, svals)
     if k == 0:
         while level0_step(0):
             pass
