@@ -260,8 +260,7 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
               for i in range(window)]
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "vertex_seq",
-                        g.rows, g.cols, 0)
+    gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, 0)
     emitted = 0
     flushed = -1            # all distances <= flushed are already emitted
 
@@ -289,8 +288,8 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
     stream.close()
     # count patched afterwards; the unpadded header rewrite touches only the
     # blocks the header itself occupies
-    disk.write_direct(out, 0, gf.pack_header(gf.Z_ORDER, "vertex_seq",
-                                             g.rows, g.cols, emitted))
+    disk.write_direct(out, 0, gf.pack_header("vertex_seq", g.rows, g.cols,
+                                             emitted))
     return out, emitted
 
 

@@ -52,14 +52,27 @@ def parse_size(text: str) -> int:
     t = text.strip().upper()
     try:
         if "^" in t:
-            base, exp = t.split("^")
-            return int(base) ** int(exp)
+            base, exp = (int(x) for x in t.split("^"))
+            if exp < 0:
+                raise UsageError("size %r has a negative exponent" % text)
+            return base ** exp
         for suffix, mult in (("K", 2 ** 10), ("M", 2 ** 20), ("G", 2 ** 30)):
             if t.endswith(suffix):
                 return int(t[:-1]) * mult
         return int(t)
     except ValueError:
         raise UsageError("cannot parse size %r" % text)
+
+
+def parse_density(text: str) -> float:
+    """An edge density in [0, 1]; NaN is rejected too."""
+    try:
+        density = float(text)
+    except ValueError:
+        raise UsageError("cannot parse density %r" % text)
+    if not 0 <= density <= 1:
+        raise UsageError("--density must lie in [0, 1]")
+    return density
 
 
 def parse_cell(text: str) -> tuple[int, int]:
@@ -76,7 +89,7 @@ def _add_common(p: argparse.ArgumentParser, with_instance: bool = True):
         p.add_argument("--cols", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--model", choices=gf.GEN_MODELS)
-        p.add_argument("--density", type=float, default=0.5)
+        p.add_argument("--density", type=parse_density, default=0.5)
     p.add_argument("--mem", type=parse_size, default=str(2 ** 16))
     p.add_argument("--block", type=parse_size, default=str(2 ** 8))
     p.add_argument("--h", default="auto")
@@ -92,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance file")
     _add_common(g)
-
-    c = sub.add_parser("convert", help="generate and re-order an instance")
-    _add_common(c)
-    c.add_argument("--to", choices=(gf.ROW_MAJOR, gf.COL_MAJOR, gf.Z_ORDER),
-                   default=gf.ROW_MAJOR)
 
     for name in COMMANDS:
         a = sub.add_parser(name, help="run %s on a generated instance" % name)
@@ -280,11 +288,10 @@ def _print_report(report: dict, mode: str):
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the size and density parsers raise UsageError inside parse_args
+        return _dispatch(parser.parse_args(argv))
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    try:
-        return _dispatch(args)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
@@ -320,9 +327,6 @@ def _dispatch(args) -> int:
     t0 = time.perf_counter()
     if args.command == "gen":
         out = g.handle
-    elif args.command == "convert":
-        g2 = gf.convert_order(g, args.to, "converted")
-        out = g2.handle
     else:
         disk.reset_counters()
         out = _run_algorithm(alg, args, disk, g, h)

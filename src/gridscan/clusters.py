@@ -62,14 +62,6 @@ class ClusterScheme:
         return (r0, c0, min(self.size, self.rows - r0),
                 min(self.size, self.cols - c0))
 
-    @staticmethod
-    def _boundary_count(r0, c0, hgt, wid) -> int:
-        if hgt == 1:
-            return wid
-        if wid == 1:
-            return hgt
-        return 2 * (hgt - 1) + 2 * (wid - 1)
-
     def rank(self, ci: int, cj: int) -> int:
         return self.cluster_z[ci * self.ccols + cj]
 
@@ -81,7 +73,7 @@ class ClusterScheme:
             yield self.cluster_at_rank(rank)
 
     def boundary_size(self, ci: int, cj: int) -> int:
-        return self._boundary_count(*self.extent(ci, cj))
+        return len(self.shape(ci, cj).boundary)
 
     def base(self, ci: int, cj: int) -> int:
         return self.bases[self.rank(ci, cj)]
@@ -92,18 +84,9 @@ class ClusterScheme:
 
     def boundary_position(self, r: int, c: int) -> int | None:
         """Clockwise position of (r, c) on its cluster's boundary, or None."""
-        ci, cj = self.cluster_of(r, c)
-        r0, c0, hgt, wid = self.extent(ci, cj)
-        lr, lc = r - r0, c - c0
-        if lr == 0:
-            return lc
-        if lc == wid - 1:
-            return wid - 1 + lr
-        if lr == hgt - 1:
-            return wid + hgt - 2 + (wid - 1 - lc)
-        if lc == 0:
-            return 2 * (wid - 1) + (hgt - 1) + (hgt - 1 - lr)
-        return None
+        r0, c0, hgt, wid = self.extent(*self.cluster_of(r, c))
+        pos = _shape(hgt, wid).bpos[(r - r0) * wid + c - c0]
+        return None if pos < 0 else pos
 
     def h_number(self, r: int, c: int) -> int | None:
         pos = self.boundary_position(r, c)
@@ -127,7 +110,7 @@ class ClusterScheme:
     def z_interval(self, ci: int, cj: int) -> tuple[int, int]:
         """(first z-index, vertex count) of a cluster's contiguous range."""
         r0, c0, hgt, wid = self.extent(ci, cj)
-        z0 = gf.coord_to_index(gf.Z_ORDER, self.rows, self.cols, r0 + 1, c0 + 1)
+        z0 = gf.coord_to_index(self.rows, self.cols, r0 + 1, c0 + 1)
         return z0, hgt * wid
 
     def cluster_at_z(self, z: int) -> tuple[int, int]:
@@ -303,8 +286,6 @@ def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int,
 
 def load_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int) -> InMemoryCluster:
     """One cluster via a counted direct read of its contiguous byte range."""
-    if g.order != gf.Z_ORDER:
-        raise ClusterError("graph must be in z_order")
     z0, cnt = scheme.z_interval(ci, cj)
     rs = g.record_size
     raw = g.disk.read_direct(g.handle, g.payload_offset + z0 * rs, cnt * rs)
@@ -313,8 +294,6 @@ def load_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int) -> In
 
 def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
     """All clusters in Z-rank order through one sequential scan of the input."""
-    if g.order != gf.Z_ORDER:
-        raise ClusterError("graph must be in z_order")
     rs = g.record_size
     reader = g.disk.scan_reader(g.handle, g.payload_offset)
     for ci, cj in scheme.clusters_in_z_order():
@@ -432,8 +411,6 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
     in-degree file (16-bit per separator vertex) and a queue file of
     zero-in-degree vertices are produced as well.
     """
-    if g.order != gf.Z_ORDER:
-        raise ClusterError("graph must be in z_order")
     if mode == "weighted_distance" and g.encoding not in (
             "weighted_directed", "weighted_undirected"):
         raise ClusterError("weighted mode needs a weighted encoding")

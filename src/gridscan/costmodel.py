@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .simdisk import SimConfig
-
 
 class CostModelError(Exception):
     pass
@@ -217,14 +215,6 @@ def default_h(alg: str, memory_bytes: int) -> int:
     while per_vertex * 4 ** (h + 1) <= memory_bytes:
         h += 1
     return h
-
-
-def predict(alg: str, n: int, sim: SimConfig, h: int | None = None
-            ) -> IoCostReport:
-    """Model report at a simulator configuration, choosing h if not given."""
-    if h is None:
-        h = default_h(alg, sim.memory_bytes)
-    return volume_model(alg, n, sim.memory_bytes, sim.block_bytes, h)
 
 
 def format_table(report: IoCostReport) -> str:

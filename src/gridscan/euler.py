@@ -161,8 +161,7 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     total = 2 * (g.n - 1) + 1
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "tour",
-                        g.rows, g.cols, total)
+    gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
     stream.write(zi(root).to_bytes(8, "little"))
     if g.n == 1:
         stream.close()

@@ -1,8 +1,10 @@
-"""Grid-graph file formats, storage orders, and instance generators.
+"""Grid-graph file formats, the Z-order layout, and instance generators.
 
 A grid graph lives on an r x c lattice; every edge connects a vertex to one
-of its eight neighbours.  Three storage orders are supported (row-major,
-column-major, Z-order) and three on-disk encodings:
+of its eight neighbours.  Z-order is the one storage order: every aligned
+2^h x 2^h cluster is then one contiguous byte range, which every algorithm
+relies on.  ``GridGraph`` is the one place that checks the order and
+rejects any other.  There are three on-disk vertex encodings:
 
 * ``unweighted``          1 byte per vertex: a mask of outgoing directions.
 * ``weighted_directed``   64 bytes per vertex: eight 64-bit weights, one per
@@ -14,8 +16,8 @@ column-major, Z-order) and three on-disk encodings:
 Direction bits run clockwise from north: N, NE, E, SE, S, SW, W, NW.
 
 Every file starts with a fixed header (padded to a block boundary):
-magic ``GGIO``, version u16, order u8, encoding u8, rows u32, cols u32,
-count u64, all little-endian.
+magic ``GGIO``, version u16, order u8 (always 2, Z-order), encoding u8,
+rows u32, cols u32, count u64, all little-endian.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ OWNED_SLOTS = (E, SE, S, SW)       # weighted_undirected storage slots
 
 ABSENT = 2 ** 64 - 1               # reserved "no edge / infinity" weight
 
-ROW_MAJOR, COL_MAJOR, Z_ORDER = "row_major", "col_major", "z_order"
-_ORDER_CODES = {ROW_MAJOR: 0, COL_MAJOR: 1, Z_ORDER: 2}
-_ORDER_NAMES = {v: k for k, v in _ORDER_CODES.items()}
+Z_ORDER = "z_order"
+_Z_ORDER_CODE = 2                  # the header's order byte
 
 ENCODINGS = {
     "unweighted": 1,
@@ -107,31 +108,19 @@ def z_tables(rows: int, cols: int):
     return z_of_cell, cell_of_z
 
 
-def coord_to_index(order: str, rows: int, cols: int, row: int, col: int) -> int:
-    """Vertex index of 1-based (row, col) under a storage order."""
+def coord_to_index(rows: int, cols: int, row: int, col: int) -> int:
+    """Z-order vertex index of 1-based (row, col)."""
     if not (1 <= row <= rows and 1 <= col <= cols):
         raise FormatError("coordinate (%d,%d) outside %dx%d grid" % (row, col, rows, cols))
-    r, c = row - 1, col - 1
-    if order == ROW_MAJOR:
-        return r * cols + c
-    if order == COL_MAJOR:
-        return c * rows + r
-    if order == Z_ORDER:
-        return int(z_tables(rows, cols)[0][r * cols + c])
-    raise FormatError("unknown order %r" % order)
+    return int(z_tables(rows, cols)[0][(row - 1) * cols + col - 1])
 
 
-def index_to_coord(order: str, rows: int, cols: int, index: int) -> tuple[int, int]:
+def index_to_coord(rows: int, cols: int, index: int) -> tuple[int, int]:
+    """1-based (row, col) of a Z-order vertex index."""
     if not (0 <= index < rows * cols):
         raise FormatError("index %d outside grid" % index)
-    if order == ROW_MAJOR:
-        return index // cols + 1, index % cols + 1
-    if order == COL_MAJOR:
-        return index % rows + 1, index // rows + 1
-    if order == Z_ORDER:
-        cell = int(z_tables(rows, cols)[1][index])
-        return cell // cols + 1, cell % cols + 1
-    raise FormatError("unknown order %r" % order)
+    cell = int(z_tables(rows, cols)[1][index])
+    return cell // cols + 1, cell % cols + 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +136,11 @@ class GridGraph:
     rows: int
     cols: int
     count: int = 0            # payload record count (n for vertex encodings)
+
+    def __post_init__(self):
+        if self.order != Z_ORDER:
+            raise FormatError("storage order must be z_order, not %r"
+                              % (self.order,))
 
     @property
     def n(self) -> int:
@@ -164,15 +158,14 @@ class GridGraph:
         return self.payload_offset + index * self.record_size
 
     def write_header(self):
-        hdr = pack_header(self.order, self.encoding, self.rows, self.cols,
-                          self.count)
+        hdr = pack_header(self.encoding, self.rows, self.cols, self.count)
         self.disk.write_direct(self.handle, 0, hdr.ljust(self.payload_offset, b"\0"))
 
 
-def pack_header(order, encoding, rows, cols, count) -> bytes:
+def pack_header(encoding, rows, cols, count) -> bytes:
     """The unpadded header, ``_HEADER.size`` bytes long, for offset 0."""
-    return _HEADER.pack(MAGIC, VERSION, _ORDER_CODES[order],
-                        _ENC_CODES[encoding], rows, cols, count)
+    return _HEADER.pack(MAGIC, VERSION, _Z_ORDER_CODE, _ENC_CODES[encoding],
+                        rows, cols, count)
 
 
 def _header_span(disk: SimDisk) -> int:
@@ -181,9 +174,9 @@ def _header_span(disk: SimDisk) -> int:
     return -(-HEADER_BYTES // b) * b
 
 
-def write_header_via(stream, disk, order, encoding, rows, cols, count):
+def write_header_via(stream, disk, encoding, rows, cols, count):
     """Emit a header through an append stream (keeps output fully sequential)."""
-    hdr = pack_header(order, encoding, rows, cols, count)
+    hdr = pack_header(encoding, rows, cols, count)
     stream.write(hdr.ljust(_header_span(disk), b"\0"))
 
 
@@ -196,10 +189,9 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
         raise FormatError("bad magic")
     if version != VERSION:
         raise FormatError("unsupported format version %d" % version)
-    if order_c not in _ORDER_NAMES or enc_c not in _ENC_NAMES:
+    if order_c != _Z_ORDER_CODE or enc_c not in _ENC_NAMES:
         raise FormatError("bad header codes")
-    g = GridGraph(disk, handle, _ORDER_NAMES[order_c], _ENC_NAMES[enc_c],
-                  rows, cols, count)
+    g = GridGraph(disk, handle, Z_ORDER, _ENC_NAMES[enc_c], rows, cols, count)
     if g.encoding in VERTEX_ENCODINGS and count != g.n:
         raise FormatError("header count %d is not rows x cols = %d"
                           % (count, g.n))
@@ -211,11 +203,9 @@ def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:
 
 def check_input(g: GridGraph, encodings, error=FormatError):
     """Reject, as the caller's ``error``, a graph whose encoding is not one of
-    ``encodings`` or that is not stored in Z-order."""
+    ``encodings``."""
     if g.encoding not in encodings:
         raise error("input must use the %s encoding" % " or ".join(encodings))
-    if g.order != Z_ORDER:
-        raise error("input must be in z_order")
 
 
 def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
@@ -227,19 +217,7 @@ def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Record access
-
-
-def read_vertex(g: GridGraph, index: int):
-    """Decode one vertex record: (direction mask, {direction: weight}).
-
-    For weighted_undirected only the four owned slots appear; counted via the
-    block cache.
-    """
-    if not (0 <= index < g.n):
-        raise FormatError("vertex index out of range")
-    raw = g.disk.read(g.handle, g.record_offset(index), g.record_size)
-    return decode_record(g.encoding, raw)
+# Record encoding
 
 
 def decode_record(encoding: str, raw: bytes):
@@ -284,45 +262,12 @@ def encode_record(encoding: str, mask: int, weights: dict[int, int]) -> bytes:
     raise FormatError("not a vertex encoding: %r" % encoding)
 
 
-def convert_order(g: GridGraph, target_order: str, name: str) -> GridGraph:
-    """Permute a graph file into another storage order.
-
-    Walks the grid in Z-order so both the source and the target positions
-    have spatial locality under the block cache.
-    """
-    if target_order == g.order:
-        raise FormatError("source and target order coincide")
-    disk, rows, cols = g.disk, g.rows, g.cols
-    out_handle = disk.open_file(name)
-    out = GridGraph(disk, out_handle, target_order, g.encoding, rows, cols, g.count)
-    out.write_header()
-    rs = g.record_size
-    _, cell_of_z = z_tables(rows, cols)
-    for z in range(rows * cols):
-        cell = int(cell_of_z[z])
-        row, col = cell // cols + 1, cell % cols + 1
-        si = coord_to_index(g.order, rows, cols, row, col)
-        ti = coord_to_index(target_order, rows, cols, row, col)
-        rec = disk.read(g.handle, g.record_offset(si), rs)
-        disk.write(out_handle, out.record_offset(ti), rec)
-    disk.flush()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Uncounted whole-graph decoding (oracles and in-memory phases)
 
 
-def neighbors(rows: int, cols: int, r: int, c: int):
-    """Valid (direction, row, col) triples around 0-based (r, c)."""
-    for d, (dr, dc) in enumerate(DIR_OFFSETS):
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < rows and 0 <= nc < cols:
-            yield d, nr, nc
-
-
 def decode_all(g: GridGraph):
-    """All records decoded from raw bytes, indexed by storage index. Uncounted."""
+    """All records decoded from raw bytes, indexed by Z index. Uncounted."""
     raw = g.disk.raw_bytes(g.handle)
     rs, off = g.record_size, g.payload_offset
     return [decode_record(g.encoding, raw[off + i * rs: off + (i + 1) * rs])
@@ -337,12 +282,12 @@ def adjacency(g: GridGraph):
     """
     records = decode_all(g)
     rows, cols = g.rows, g.cols
+    z_of_cell = z_tables(rows, cols)[0]
     undirected = g.encoding == "weighted_undirected"
     adj: dict[tuple[int, int], list] = {(r, c): [] for r in range(rows) for c in range(cols)}
     for r in range(rows):
         for c in range(cols):
-            idx = coord_to_index(g.order, rows, cols, r + 1, c + 1)
-            mask, weights = records[idx]
+            mask, weights = records[z_of_cell[r * cols + c]]
             for d in range(8):
                 if not (mask >> d & 1):
                     continue
@@ -396,8 +341,8 @@ def _all_undirected_pairs(rows, cols):
 
 def generate(disk: SimDisk, rows: int, cols: int, model: str, seed: int,
              name: str = "input", max_weight: int = 2 ** 20,
-             distinct_weights: bool = False, density: float = 0.5,
-             order: str = Z_ORDER) -> GridGraph:
+             distinct_weights: bool = False, density: float = 0.5
+             ) -> GridGraph:
     """Deterministic random instance of the given model, written to a new file."""
     if rows <= 0 or cols <= 0:
         raise FormatError("rows and cols must be positive")
@@ -479,12 +424,10 @@ def generate(disk: SimDisk, rows: int, cols: int, model: str, seed: int,
         encoding = "weighted_directed" if model == "weighted_dag" else "unweighted"
 
     handle = disk.open_file(name)
-    g = GridGraph(disk, handle, order, encoding, rows, cols, n)
+    g = GridGraph(disk, handle, Z_ORDER, encoding, rows, cols, n)
     g.write_header()
     stream = disk.append_stream(handle, g.payload_offset)
-    for idx in range(n):
-        row, col = index_to_coord(order, rows, cols, idx)
-        i = cell(row - 1, col - 1)
+    for i in z_tables(rows, cols)[1]:
         stream.write(encode_record(encoding, masks[i], weights[i]))
     stream.close()
     return g

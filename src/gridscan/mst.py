@@ -267,8 +267,7 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     # phase 3: rescan, recompute each cluster's contraction, re-expand
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "edges",
-                        g.rows, g.cols, g.n - 1)
+    gf.write_header_via(stream, disk, "edges", g.rows, g.cols, g.n - 1)
     count = 0
 
     def emit(u, v, w):
@@ -467,8 +466,7 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     z_of = gf.z_tables(rows, cols)[0].tolist()
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "edges",
-                        rows, cols, g.n - 1)
+    gf.write_header_via(stream, disk, "edges", rows, cols, g.n - 1)
 
     def downward(part, r0, c0, size):
         nonlocal emitted

@@ -68,11 +68,11 @@ def undirected_edges(g: gf.GridGraph) -> list:
     """Each undirected edge once as (w, (r1,c1), (r2,c2)), owner endpoint first."""
     _check_size(g)
     records = gf.decode_all(g)
+    z_of_cell = gf.z_tables(g.rows, g.cols)[0]
     out = []
     for r in range(g.rows):
         for c in range(g.cols):
-            idx = gf.coord_to_index(g.order, g.rows, g.cols, r + 1, c + 1)
-            mask, weights = records[idx]
+            mask, weights = records[z_of_cell[r * g.cols + c]]
             for d in gf.OWNED_SLOTS:
                 if mask >> d & 1:
                     dr, dc = gf.DIR_OFFSETS[d]

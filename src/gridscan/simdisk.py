@@ -4,9 +4,11 @@ All algorithm modules move their bulk data through a :class:`SimDisk`.  The
 disk carves every file into blocks of ``block_bytes`` and counts block
 transfers, split into sequential and random ones.  Two access regimes exist:
 
-* ``access_block`` / ``read`` / ``write`` go through an LRU cache of
-  ``memory_bytes // block_bytes`` blocks.  This is the path for
-  cache-oblivious code and incidental accesses.
+* ``access_block`` / ``read`` / ``write`` / ``flush`` go through an LRU
+  cache of ``memory_bytes // block_bytes`` blocks, the ideal-cache stand-in
+  for cache-oblivious code.  No algorithm calls this path at present.  It
+  stays because the benchmark's per-layer timers wrap it by name, and it is
+  the planned route for the cache-oblivious MST's stacks (ROADMAP item 7).
 * ``read_direct`` / ``write_direct`` and the buffered stream/stack helpers
   model explicitly managed buffers: every block touched is counted, the LRU
   cache is bypassed.  Cache-aware algorithms use these.

@@ -229,8 +229,7 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     disk = g.disk
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "distances",
-                        g.rows, g.cols, g.n)
+    gf.write_header_via(stream, disk, "distances", g.rows, g.cols, g.n)
     s_cluster = scheme.cluster_of(*s_cell)
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         vals = dfile.read(rank)

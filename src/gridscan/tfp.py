@@ -303,8 +303,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     # final pass: cluster-ordered label file -> Z-order output
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "labels",
-                        g.rows, g.cols, g.n)
+    gf.write_header_via(stream, disk, "labels", g.rows, g.cols, g.n)
     reader = disk.scan_reader(plan.l_handle, 0)
     for ci, cj in scheme.clusters_in_z_order():
         _, cnt = scheme.z_interval(ci, cj)

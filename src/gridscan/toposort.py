@@ -243,8 +243,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
 
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, gf.Z_ORDER, "vertex_seq",
-                        g.rows, g.cols, g.n)
+    gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, g.n)
     emitted = 0
     for rank, off, size in a_entries:
         rec = disk.read_direct(c_handle, off, size)

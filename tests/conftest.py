@@ -12,15 +12,15 @@ def make_disk(block=64, mem_blocks=None):
     return SimDisk(SimConfig(block_bytes=block, memory_bytes=mem))
 
 
-def make_graph(disk, rows, cols, encoding, edges, order=gf.Z_ORDER,
-               name="input"):
+def make_graph(disk, rows, cols, encoding, edges, name="input"):
     """Build a graph file from {(r,c): {direction: weight}} (0-based cells)."""
     handle = disk.open_file(name)
-    g = gf.GridGraph(disk, handle, order, encoding, rows, cols, rows * cols)
+    g = gf.GridGraph(disk, handle, gf.Z_ORDER, encoding, rows, cols,
+                     rows * cols)
     g.write_header()
     stream = disk.append_stream(handle, g.payload_offset)
     for idx in range(rows * cols):
-        row, col = gf.index_to_coord(order, rows, cols, idx)
+        row, col = gf.index_to_coord(rows, cols, idx)
         spec = edges.get((row - 1, col - 1), {})
         mask = sum(1 << d for d in spec)
         stream.write(gf.encode_record(encoding, mask, dict(spec)))

@@ -175,7 +175,7 @@ def _full_unit_grid(d, side):
     g.write_header()
     stream = d.append_stream(handle, g.payload_offset)
     for idx in range(side * side):
-        r, c = gf.index_to_coord(gf.Z_ORDER, side, side, idx)
+        r, c = gf.index_to_coord(side, side, idx)
         r, c = r - 1, c - 1
         mask = (1 << gf.E if c + 1 < side else 0) \
             | (1 << gf.S if r + 1 < side else 0)
@@ -264,10 +264,9 @@ def test_criterion_6_format_and_geometry():
         z_of = gf.z_tables(rows, cols)[0]
         for r in range(rows):
             for c in range(cols):
-                z = gf.coord_to_index(gf.Z_ORDER, rows, cols, r + 1, c + 1)
+                z = gf.coord_to_index(rows, cols, r + 1, c + 1)
                 assert z == int(z_of[r * cols + c])
-                assert gf.index_to_coord(gf.Z_ORDER, rows, cols, z) == \
-                    (r + 1, c + 1)
+                assert gf.index_to_coord(rows, cols, z) == (r + 1, c + 1)
 
     for i in range(1000):
         rng = random.Random(i)

@@ -111,7 +111,7 @@ def dist_map(d, handle, g):
     vals = sssp.read_distances(d, handle)
     out = {}
     for z, v in enumerate(vals):
-        r, c = gf.index_to_coord(gf.Z_ORDER, g.rows, g.cols, z)
+        r, c = gf.index_to_coord(g.rows, g.cols, z)
         out[(r - 1, c - 1)] = None if v == gf.ABSENT else v
     return out
 
@@ -152,7 +152,7 @@ def test_chunks_partition_reachable():
         rec = raw[off:off + bfs.CHUNK_HDR.size + cnt]
         depths = set()
         for z, dv in bfs.decode_chunk(g, rec):
-            r, c = gf.index_to_coord(gf.Z_ORDER, 16, 16, z)
+            r, c = gf.index_to_coord(16, 16, z)
             seen.append((r - 1, c - 1))
             assert expect[(r - 1, c - 1)] == dv
             depths.add(dv)
@@ -177,8 +177,7 @@ def check_order(g, s, h, name="bfs"):
     assert len(order) == emitted
     expect = oracle.bfs_distances(g, s)
     reach = {v for v in expect if expect[v] != float("inf")}
-    coords = [tuple(x - 1 for x in gf.index_to_coord(gf.Z_ORDER, g.rows,
-                                                       g.cols, z))
+    coords = [tuple(x - 1 for x in gf.index_to_coord(g.rows, g.cols, z))
               for z in order]
     assert sorted(coords) == sorted(reach)
     dists = [expect[v] for v in coords]

@@ -19,6 +19,8 @@ def test_parse_size():
     assert cli.parse_size("1000") == 1000
     with pytest.raises(cli.UsageError):
         cli.parse_size("lots")
+    with pytest.raises(cli.UsageError):
+        cli.parse_size("2^-1")
 
 
 def test_costmodel_reference_ratio(capsys):
@@ -70,13 +72,6 @@ def test_gen_deterministic(capsys, tmp_path):
     cli.run(["gen", "--rows", "8", "--cols", "8", "--seed", "5",
              "--out", str(tmp_path / "b.bin")])
     assert (tmp_path / "b.bin").read_bytes() == first
-
-
-def test_convert(capsys):
-    code, rep = run_json(capsys, [
-        "convert", "--rows", "4", "--cols", "4", "--to", "row_major"])
-    assert code == 0
-    assert rep["output_file"] == "converted"
 
 
 def test_single_vertex_sssp(tmp_path, capsys):
@@ -169,6 +164,17 @@ def test_h_out_of_range_is_a_usage_error(capsys, monkeypatch, h):
     # on an 8x8 grid h = 3 is one cluster covering the grid, the largest h
     assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", h]) == 1
     assert "--h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--block", "2^-1"), ("--mem", "2^-3"), ("--mem", "lots"),
+    ("--density", "nan"), ("--density", "-0.1"), ("--density", "1.5")])
+def test_bad_size_or_density_is_a_usage_error(capsys, monkeypatch, option,
+                                              value):
+    monkeypatch.setattr(gf, "generate", _no_generate)
+    assert cli.run(["sssp", "--rows", "8", "--cols", "8",
+                    option, value]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alg,variant", [

@@ -68,10 +68,11 @@ def test_load_cluster_matches_read_vertex():
     g = gf.generate(d, 8, 8, "weighted_dag", seed=11)
     s = cl.ClusterScheme(8, 8, 2)
     q = cl.load_cluster(g, s, 1, 0)
+    records = gf.decode_all(g)
     for (r, c), edges in [((4 + lr, 0 + lc), q.intra[lr * q.wid + lc])
                           for lr in range(4) for lc in range(4)]:
-        idx = gf.coord_to_index(g.order, 8, 8, r + 1, c + 1)
-        mask, ws = gf.read_vertex(g, idx)
+        idx = gf.coord_to_index(8, 8, r + 1, c + 1)
+        mask, ws = records[idx]
         for dd, lr2, lc2, w in edges:
             assert mask >> dd & 1
             assert ws[dd] == w
@@ -219,13 +220,6 @@ def test_reachability_indegree_and_queue():
     assert zs == [i for i in range(s.total_boundary) if indeg[i] == 0]
 
 
-def test_separator_rejects_row_major():
-    d = make_disk()
-    g = gf.generate(d, 4, 4, "weighted_dag", seed=0, order="row_major")
-    with pytest.raises(cl.ClusterError):
-        cl.build_separator_graph(g, 1, "weighted_distance")
-
-
 def test_separator_mode_encoding_mismatch():
     d = make_disk()
     g = gf.generate(d, 4, 4, "tree", seed=0)
@@ -264,7 +258,7 @@ def _expected_cluster(g, s, records, ci, cj):
     out = []
     z0, cnt = s.z_interval(ci, cj)
     for z in range(z0, z0 + cnt):
-        row, col = gf.index_to_coord(gf.Z_ORDER, g.rows, g.cols, z)
+        row, col = gf.index_to_coord(g.rows, g.cols, z)
         r, c = row - 1, col - 1
         mask, weights = records[z]
         for dd in range(8):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from gridscan import costmodel as cm
-from gridscan.simdisk import SimConfig
 
 N = 2 ** 40
 M = 2 ** 31
@@ -79,8 +78,8 @@ def test_unknown_algorithm_rejected():
 
 
 def test_desk_scale_prediction():
-    sim = SimConfig(memory_bytes=2 ** 16, block_bytes=2 ** 8)
-    rep = cm.predict("sssp", 2 ** 12, sim)
+    h = cm.default_h("sssp", 2 ** 16)
+    rep = cm.volume_model("sssp", 2 ** 12, 2 ** 16, 2 ** 8, h)
     assert rep.h == 4
     assert rep.predicted_bytes == rep.total * 2 ** 12
     # random-access terms shrink with the block size

@@ -33,77 +33,44 @@ def z_order_oracle(rows, cols):
 
 
 def test_z_order_2x2():
-    assert [gf.coord_to_index("z_order", 2, 2, r, c)
+    assert [gf.coord_to_index(2, 2, r, c)
             for r in (1, 2) for c in (1, 2)] == [0, 1, 2, 3]
 
 
 def test_1x1_all_orders():
-    for order in ("row_major", "col_major", "z_order"):
-        assert gf.coord_to_index(order, 1, 1, 1, 1) == 0
+    assert gf.coord_to_index(1, 1, 1, 1) == 0
+    assert gf.index_to_coord(1, 1, 0) == (1, 1)
 
 
 def test_z_order_4x4_frozen():
-    assert gf.coord_to_index("z_order", 4, 4, 3, 2) == 9
+    assert gf.coord_to_index(4, 4, 3, 2) == 9
 
 
 def test_out_of_range_coord():
     with pytest.raises(gf.FormatError):
-        gf.coord_to_index("row_major", 4, 4, 5, 1)
+        gf.coord_to_index(4, 4, 5, 1)
     with pytest.raises(gf.FormatError):
-        gf.index_to_coord("z_order", 4, 4, 16)
+        gf.index_to_coord(4, 4, 16)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (5, 5), (7, 3), (8, 8),
                                        (6, 9), (13, 13), (16, 5), (1, 17)])
 def test_z_matches_recursive_oracle(rows, cols):
     expect = z_order_oracle(rows, cols)
-    got = [tuple(x - 1 for x in gf.index_to_coord("z_order", rows, cols, i))
+    got = [tuple(x - 1 for x in gf.index_to_coord(rows, cols, i))
            for i in range(rows * cols)]
     assert got == expect
 
 
-@pytest.mark.parametrize("order", ["row_major", "col_major", "z_order"])
 @pytest.mark.parametrize("rows,cols", [(3, 5), (8, 8), (6, 2)])
-def test_coord_index_bijection(order, rows, cols):
+def test_coord_index_bijection(rows, cols):
     seen = set()
     for r in range(1, rows + 1):
         for c in range(1, cols + 1):
-            i = gf.coord_to_index(order, rows, cols, r, c)
-            assert gf.index_to_coord(order, rows, cols, i) == (r, c)
+            i = gf.coord_to_index(rows, cols, r, c)
+            assert gf.index_to_coord(rows, cols, i) == (r, c)
             seen.add(i)
     assert seen == set(range(rows * cols))
-
-
-def test_convert_2x2_orders_coincide():
-    d = disk()
-    g = gf.generate(d, 2, 2, "unit_directed", seed=1, order="row_major")
-    z = gf.convert_order(g, "z_order", "z")
-    assert d.raw_bytes(g.handle)[g.payload_offset:g.payload_offset + 4] == \
-           d.raw_bytes(z.handle)[z.payload_offset:z.payload_offset + 4]
-
-
-def test_convert_round_trip():
-    d = disk()
-    g = gf.generate(d, 5, 7, "weighted_dag", seed=3, order="row_major")
-    z = gf.convert_order(g, "z_order", "z")
-    back = gf.convert_order(z, "row_major", "rm")
-    n, rs = g.n, g.record_size
-    a = d.raw_bytes(g.handle)[g.payload_offset:g.payload_offset + n * rs]
-    b = d.raw_bytes(back.handle)[back.payload_offset:back.payload_offset + n * rs]
-    assert a == b
-
-
-def test_convert_record_lands_at_z9():
-    d = disk()
-    g = gf.generate(d, 4, 4, "weighted_dag", seed=5, order="row_major")
-    z = gf.convert_order(g, "z_order", "z")
-    rs = g.record_size
-    src_i = gf.coord_to_index("row_major", 4, 4, 3, 2)
-    raw_src = d.raw_bytes(g.handle)[g.payload_offset + src_i * rs:
-                                    g.payload_offset + (src_i + 1) * rs]
-    raw_dst = d.raw_bytes(z.handle)[z.payload_offset + 9 * rs:
-                                    z.payload_offset + 10 * rs]
-    assert raw_src == raw_dst
 
 
 def test_header_round_trip():
@@ -134,7 +101,7 @@ def test_open_grid_rejects_truncated_payload(short):
 def recounted(g, count, records):
     """A new disk holding g's file with the header's count set to ``count``
     and the payload cut to its first ``records`` records."""
-    hdr = gf.pack_header(g.order, g.encoding, g.rows, g.cols, count)
+    hdr = gf.pack_header(g.encoding, g.rows, g.cols, count)
     raw = g.disk.raw_bytes(g.handle)[:g.record_offset(records)]
     d = disk(g.disk.config.block_bytes)
     h = d.open_file("input")
@@ -158,7 +125,7 @@ def test_payload_encodings_keep_a_free_count():
     d = disk()
     h = d.open_file("dist")
     s = d.append_stream(h)
-    gf.write_header_via(s, d, gf.Z_ORDER, "distances", 8, 8, 3)
+    gf.write_header_via(s, d, "distances", 8, 8, 3)
     s.write(bytes(24))
     s.close()
     assert gf.read_u64_payload(d, h) == [0, 0, 0]
@@ -175,14 +142,20 @@ def test_cli_vertex_count_other_than_n_exits_2(monkeypatch, capsys):
     assert "count 32" in capsys.readouterr().err
 
 
-def reversioned(g, version):
-    """A new disk holding g's file with the header's version field set."""
+def reheadered(g, at, value):
+    """A new disk holding g's file with header bytes ``at`` set to the
+    little-endian ``value``."""
     raw = bytearray(g.disk.raw_bytes(g.handle))
-    raw[4:6] = version.to_bytes(2, "little")
+    raw[at] = value.to_bytes(at.stop - at.start, "little")
     d = disk(g.disk.config.block_bytes)
     h = d.open_file("input")
     d.load_raw(h, bytes(raw))
     return d, h
+
+
+def reversioned(g, version):
+    """A new disk holding g's file with the header's version field set."""
+    return reheadered(g, slice(4, 6), version)
 
 
 def test_open_grid_rejects_other_versions():
@@ -190,6 +163,21 @@ def test_open_grid_rejects_other_versions():
     with pytest.raises(gf.FormatError, match="version 7"):
         gf.open_grid(*reversioned(g, 7))
     assert gf.open_grid(*reversioned(g, gf.VERSION)).count == 64
+
+
+def test_grid_graph_rejects_other_orders():
+    d = disk()
+    with pytest.raises(gf.FormatError, match="z_order"):
+        gf.GridGraph(d, d.open_file("input"), "row_major", "unweighted", 4, 4,
+                     16)
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_open_grid_rejects_other_order_codes(code):
+    g = gf.generate(disk(), 8, 8, "planar_dag", seed=3)
+    with pytest.raises(gf.FormatError, match="header codes"):
+        gf.open_grid(*reheadered(g, slice(6, 7), code))
+    assert gf.open_grid(*reheadered(g, slice(6, 7), 2)).order == gf.Z_ORDER
 
 
 def test_cli_other_version_exits_2(monkeypatch, capsys):
@@ -273,8 +261,9 @@ def test_generate_rejects_empty():
 def test_read_vertex_no_edges():
     d = disk()
     g = gf.generate(d, 3, 3, "unit_directed", seed=0, density=0.0)
+    records = gf.decode_all(g)
     for i in range(9):
-        mask, w = gf.read_vertex(g, i)
+        mask, w = records[i]
         assert mask == 0 and w == {}
 
 
@@ -282,17 +271,18 @@ def test_weighted_undirected_owner_storage():
     d = disk()
     g = gf.generate(d, 4, 4, "weighted_undirected", seed=2)
     adj = gf.adjacency(g)
+    records = gf.decode_all(g)
     # pick any horizontal edge; it must be decodable from the left endpoint
     # record only
     found = False
     for (r, c), edges in adj.items():
         for dd, nr, nc, w in edges:
             if dd == gf.E:
-                i = gf.coord_to_index(g.order, 4, 4, r + 1, c + 1)
-                mask, ws = gf.read_vertex(g, i)
+                i = gf.coord_to_index(4, 4, r + 1, c + 1)
+                mask, ws = records[i]
                 assert ws[gf.E] == w
-                j = gf.coord_to_index(g.order, 4, 4, nr + 1, nc + 1)
-                _, wsj = gf.read_vertex(g, j)
+                j = gf.coord_to_index(4, 4, nr + 1, nc + 1)
+                _, wsj = records[j]
                 assert gf.W not in wsj
                 found = True
     assert found

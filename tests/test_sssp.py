@@ -20,7 +20,7 @@ def solve_and_compare(rows, cols, seed, h, variant="simple", density=0.5):
     got = sssp.read_distances(d, out)
     expect = oracle.dijkstra(g, s)
     for z in range(rows * cols):
-        r, c = gf.index_to_coord(gf.Z_ORDER, rows, cols, z)
+        r, c = gf.index_to_coord(rows, cols, z)
         e = expect[(r - 1, c - 1)]
         e = gf.ABSENT if e == float("inf") else int(e)
         assert got[z] == e, (z, (r, c), got[z], e)
@@ -32,7 +32,7 @@ def test_distance_to_source_zero():
     g = gf.generate(d, 8, 8, "weighted_dag", seed=1)
     out = sssp.sssp_simple(g, (3, 3), 2)
     got = sssp.read_distances(d, out)
-    z = gf.coord_to_index(gf.Z_ORDER, 8, 8, 4, 4)
+    z = gf.coord_to_index(8, 8, 4, 4)
     assert got[z] == 0
 
 

@@ -14,7 +14,7 @@ def compare(d, g, name, h):
     got = tfp.read_labels(d, out)
     expect = oracle.tfp_labels(g, oracle.TFP_ORACLES[name])
     for (r, c), want in expect.items():
-        z = gf.coord_to_index(gf.Z_ORDER, g.rows, g.cols, r + 1, c + 1)
+        z = gf.coord_to_index(g.rows, g.cols, r + 1, c + 1)
         assert got[z] == want % MOD, (r, c)
     return stats
 
@@ -114,7 +114,7 @@ def test_path_count_diamond():
                     (0, 1): {gf.S: 1}, (1, 0): {gf.E: 1}})
     out = tfp.tfp_run(g, oracle.TFP_ORACLES["path_count"], 1)
     got = tfp.read_labels(d, out)
-    z = gf.coord_to_index(gf.Z_ORDER, 2, 2, 2, 2)
+    z = gf.coord_to_index(2, 2, 2, 2)
     assert got[z] == 2
 
 
@@ -129,7 +129,7 @@ def test_custom_callback():
     got = tfp.read_labels(d, out)
     expect = oracle.tfp_labels(g, fn)
     for (r, c), want in expect.items():
-        z = gf.coord_to_index(gf.Z_ORDER, 16, 16, r + 1, c + 1)
+        z = gf.coord_to_index(16, 16, r + 1, c + 1)
         assert got[z] == want % MOD
 
 
