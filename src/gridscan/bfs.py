@@ -109,8 +109,8 @@ def _cluster_forest(q, dist):
     children) with children listed per vertex in clockwise direction order."""
     incoming = [[] for _ in range(q.n)]
     for v in range(q.n):
-        for d, lr, lc, _ in q.intra[v]:
-            incoming[lr * q.wid + lc].append((gf.opposite(d), v))
+        for d, u, _ in q.intra[v]:
+            incoming[u].append((gf.opposite(d), v))
     roots, children = [], [[] for _ in range(q.n)]
     for v in range(q.n):
         dv = dist[v]

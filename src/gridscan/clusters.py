@@ -82,17 +82,17 @@ class ClusterScheme:
         """Boundary cells clockwise from the upper-left corner, 0-based."""
         return _clockwise(*self.extent(ci, cj))
 
-    def boundary_position(self, r: int, c: int) -> int | None:
-        """Clockwise position of (r, c) on its cluster's boundary, or None."""
-        r0, c0, hgt, wid = self.extent(*self.cluster_of(r, c))
+    def locate(self, r: int, c: int) -> tuple[int, int] | None:
+        """(cluster rank, clockwise boundary position) of the separator
+        vertex at (r, c), or None for an interior cell."""
+        ci, cj = r >> self.h, c >> self.h
+        r0, c0, hgt, wid = self.extent(ci, cj)
         pos = _shape(hgt, wid).bpos[(r - r0) * wid + c - c0]
-        return None if pos < 0 else pos
+        return None if pos < 0 else (self.rank(ci, cj), pos)
 
     def h_number(self, r: int, c: int) -> int | None:
-        pos = self.boundary_position(r, c)
-        if pos is None:
-            return None
-        return self.base(*self.cluster_of(r, c)) + pos
+        loc = self.locate(r, c)
+        return None if loc is None else self.bases[loc[0]] + loc[1]
 
     def coord_of_h_number(self, hnum: int) -> tuple[int, int]:
         ci, cj = self.cluster_of_h_number(hnum)
@@ -101,22 +101,14 @@ class ClusterScheme:
                         wid)
         return r0 + lr, c0 + lc
 
-    def rank_of_h_number(self, hnum: int) -> int:
-        return bisect_right(self.bases, hnum) - 1
-
     def cluster_of_h_number(self, hnum: int) -> tuple[int, int]:
-        return self.cluster_at_rank(self.rank_of_h_number(hnum))
+        return self.cluster_at_rank(bisect_right(self.bases, hnum) - 1)
 
     def z_interval(self, ci: int, cj: int) -> tuple[int, int]:
         """(first z-index, vertex count) of a cluster's contiguous range."""
         r0, c0, hgt, wid = self.extent(ci, cj)
         z0 = gf.coord_to_index(self.rows, self.cols, r0 + 1, c0 + 1)
         return z0, hgt * wid
-
-    def cluster_at_z(self, z: int) -> tuple[int, int]:
-        """The cluster whose Z range holds z-index z."""
-        cell = int(gf.z_tables(self.rows, self.cols)[1][z])
-        return self.cluster_of(*divmod(cell, self.cols))
 
     def shape(self, ci: int, cj: int) -> _Shape:
         """Geometry tables of a cluster's (height, width)."""
@@ -141,24 +133,28 @@ def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
 
 @dataclass
 class InMemoryCluster:
-    """One decoded cluster.
+    """One decoded cluster, its cells addressed by local id.
 
-    ``intra[v]`` lists the arcs leaving local cell v = lr*wid+lc that stay
-    inside the cluster, as (dir, lr2, lc2, w).  ``out_edges`` lists the arcs
-    that leave the cluster, as (lr, lc, dir, r2, c2, w) with (r2, c2) 0-based
-    global coordinates.  Unweighted arcs have w = 1.
+    The local id of the cell at (r0 + lr, c0 + lc) is lr * wid + lc.
+    ``intra[v]`` lists the arcs leaving local cell v that stay inside the
+    cluster, as (dir, u, w) with u the local id of the head.  ``out_edges``
+    lists the arcs that leave the cluster, as (v, dir, r2, c2, w) with v the
+    local id of the tail and (r2, c2) the 0-based global coordinates of the
+    head.  Unweighted arcs have w = 1.  ``boundary`` holds the local ids of
+    the boundary cells in h order (clockwise from the upper-left corner), so
+    the i-th is the separator vertex at position i of the cluster.
+    ``coord(v)`` maps a local id back to global coordinates.
 
-    Both lists follow the records in storage order: arcs are visited by the
-    cluster's local Z rank and, per vertex, by ascending direction.  In the
-    weighted_undirected encoding an intra-cluster arc is stored once, at its
-    owning endpoint; its reverse copy (opposite direction, same weight) is
-    visited right after it and appended to the other endpoint's list.
+    Both arc lists follow the records in storage order: arcs are visited by
+    the cluster's local Z rank and, per vertex, by ascending direction.  In
+    the weighted_undirected encoding an intra-cluster arc is stored once, at
+    its owning endpoint; its reverse copy (opposite direction, same weight)
+    is visited right after it and appended to the other endpoint's list.
     ``intra[v]`` holds v's visited arcs in visiting order.  Algorithms break
     ties by list position, so their outputs and transfer counts are
     reproducible only while this order holds.
     """
 
-    scheme: ClusterScheme
     ci: int
     cj: int
     r0: int
@@ -167,10 +163,14 @@ class InMemoryCluster:
     wid: int
     intra: list = field(default_factory=list)
     out_edges: list = field(default_factory=list)
-    boundary: list = field(default_factory=list)   # 0-based coords, h order
+    boundary: tuple = ()
 
     def local(self, r: int, c: int) -> int:
         return (r - self.r0) * self.wid + (c - self.c0)
+
+    def coord(self, v: int) -> tuple[int, int]:
+        lr, lc = divmod(v, self.wid)
+        return self.r0 + lr, self.c0 + lc
 
     @property
     def n(self) -> int:
@@ -256,7 +256,7 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
         k = int(np.argmax(off))
         raise gf.FormatError("edge leaves the grid at (%d,%d)"
                              % (r0 + lr[k], c0 + lc[k]))
-    out_cols = [a.tolist() for a in (lr, lc, od, nr, nc, w[out])]
+    out_cols = [a.tolist() for a in (src[out], od, nr, nc, w[out])]
 
     owner, other, ed, iw = src[inside], dst[inside], d[inside], w[inside]
     if g.encoding == "weighted_undirected":
@@ -266,8 +266,7 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
         ed = np.column_stack((ed, _OPPOSITE[ed])).ravel()
         iw = np.repeat(iw, 2)
     order = np.argsort(owner, kind="stable")
-    lr2, lc2 = np.divmod(other[order], wid)
-    intra_cols = [a.tolist() for a in (ed[order], lr2, lc2, iw[order])]
+    intra_cols = [a[order].tolist() for a in (ed, other, iw)]
     ends = np.cumsum(np.bincount(owner, minlength=hgt * wid)).tolist()
     return out_cols, intra_cols, ends
 
@@ -275,8 +274,8 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
 def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int,
                     raw: bytes) -> InMemoryCluster:
     r0, c0, hgt, wid = scheme.extent(ci, cj)
-    q = InMemoryCluster(scheme, ci, cj, r0, c0, hgt, wid)
-    q.boundary = scheme.boundary_coords(ci, cj)
+    q = InMemoryCluster(ci, cj, r0, c0, hgt, wid,
+                        boundary=_shape(hgt, wid).boundary)
     out_cols, intra_cols, ends = _arc_columns(g, r0, c0, hgt, wid, raw)
     q.out_edges = list(zip(*out_cols))
     arcs = list(zip(*intra_cols))
@@ -321,58 +320,74 @@ class SeparatorGraph:
         return disk.read_direct(self.handle, hnum * self.record_size,
                                 self.record_size)
 
-    def decode_edges(self, hnum: int, raw: bytes):
-        """Yield (target h-number, weight) for one record (distance modes)."""
+    def decode_edges(self, rank: int, pos: int, raw: bytes):
+        """Yield (cluster rank, boundary position, weight) of every edge of
+        ``raw``, the record of the separator vertex at position ``pos`` of
+        cluster ``rank`` (distance modes).
+
+        The first bsize - 1 slots of a record hold the distances to the
+        other boundary vertices of its cluster, in position order; the rest
+        hold (direction << shift) | weight of an edge out of the cluster.
+        Edges are yielded in slot order, so the targets in the record's own
+        cluster come first.
+        """
         scheme = self.scheme
-        ci, cj = scheme.cluster_of_h_number(hnum)
-        base = scheme.base(ci, cj)
-        r0, c0, hgt, wid = scheme.extent(ci, cj)
+        r0, c0, hgt, wid = scheme.extent(*scheme.cluster_at_rank(rank))
         boundary = _shape(hgt, wid).boundary
-        pos = hnum - base
-        lr, lc = divmod(boundary[pos], wid)
         wide = self.mode == "weighted_distance"
         absent, shift = (gf.ABSENT, 60) if wide else (ABSENT32, 28)
         vals = np.frombuffer(raw, "<u8" if wide else "<u4").tolist()
-        # the first bsize - 1 slots: the other boundary vertices, in order
         cut = len(boundary) - 1
         for slot, v in enumerate(vals[:cut]):
             if v != absent:
-                yield base + slot + (slot >= pos), v
-        # the rest: (direction << shift) | weight of an edge out of the cluster
+                yield rank, slot + (slot >= pos), v
+        lr, lc = divmod(boundary[pos], wid)
         for v in vals[cut:]:
             if v != absent:
                 dr, dc = gf.DIR_OFFSETS[v >> shift]
-                yield (scheme.h_number(r0 + lr + dr, c0 + lc + dc),
+                yield (*scheme.locate(r0 + lr + dr, c0 + lc + dc),
                        v & ((1 << shift) - 1))
 
-    def decode_reach(self, hnum: int, raw: bytes):
-        """(intra target h-numbers, outgoing direction mask) of one record."""
-        base = self.scheme.base(*self.scheme.cluster_of_h_number(hnum))
+    def decode_reach(self, hnum: int, raw: bytes) -> list[int]:
+        """H-numbers of every target of separator vertex ``hnum`` from its
+        record ``raw`` (reachability mode).
+
+        A record is a bit set over the boundary positions of its own cluster
+        (the boundary vertices it reaches inside the cluster) and one byte of
+        directions of its edges out of the cluster.  The targets inside the
+        cluster come first, by position, then those across, by direction.
+        """
+        scheme = self.scheme
+        base = scheme.base(*scheme.cluster_of_h_number(hnum))
         m = int.from_bytes(raw[:-1], "little")
         targets = []
         while m:                       # set bits, lowest first
             low = m & -m
             targets.append(base + low.bit_length() - 1)
             m ^= low
-        return targets, raw[-1]
+        out_mask = raw[-1]
+        if out_mask:
+            r, c = scheme.coord_of_h_number(hnum)
+            for d, (dr, dc) in enumerate(gf.DIR_OFFSETS):
+                if out_mask >> d & 1:
+                    targets.append(scheme.h_number(r + dr, c + dc))
+        return targets
 
 
 def topo_order(q: InMemoryCluster) -> list | None:
     """Topological order of the intra-cluster subgraph, or None if it has a
     cycle.  Of the cells ready at each step the smallest row-major local id
     comes first, so the order is deterministic."""
-    wid = q.wid
     indeg = [0] * q.n
     for arcs in q.intra:
-        for _, lr, lc, _ in arcs:
-            indeg[lr * wid + lc] += 1
+        for _, u, _ in arcs:
+            indeg[u] += 1
     heap = [v for v in range(q.n) if indeg[v] == 0]    # ascending: a heap
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for _, lr, lc, _ in q.intra[v]:
-            u = lr * wid + lc
+        for _, u, _ in q.intra[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 heapq.heappush(heap, u)
@@ -389,13 +404,11 @@ def local_dijkstra(q: InMemoryCluster, seeds) -> list:
             dist[v] = d
             pq.append((d, v))
     heapq.heapify(pq)
-    wid = q.wid
     while pq:
         dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
-        for _, lr, lc, w in q.intra[v]:
-            u = lr * wid + lc
+        for _, u, w in q.intra[v]:
             nd = dv + w
             if nd < dist[u]:
                 dist[u] = nd
@@ -438,9 +451,8 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
              if mode == "reachability" else None)
 
     for q in iterate_clusters(g, scheme):
-        shape = _shape(q.hgt, q.wid)
-        bpos, wid = shape.bpos, q.wid
-        bsize = len(shape.boundary)
+        bpos = _shape(q.hgt, q.wid).bpos
+        bsize = len(q.boundary)
         base = scheme.base(q.ci, q.cj)
         if mode == "reachability":
             order = topo_order(q)
@@ -449,19 +461,18 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
             reach = [0] * q.n
             for v in reversed(order):
                 acc = 0
-                for _, lr, lc, w in q.intra[v]:
-                    u = lr * wid + lc
+                for _, u, _ in q.intra[v]:
                     if bpos[u] >= 0:
                         acc |= 1 << bpos[u]
                     acc |= reach[u]
                 reach[v] = acc
             out_masks = [0] * bsize
-            for lr, lc, d, nr, nc, w in q.out_edges:
-                out_masks[bpos[lr * wid + lc]] |= 1 << d
+            for v, d, nr, nc, _ in q.out_edges:
+                out_masks[bpos[v]] |= 1 << d
                 indeg[scheme.h_number(nr, nc)] += 1
             recs = b"".join(reach[v].to_bytes(rec_size - 1, "little")
                             + bytes([m])
-                            for v, m in zip(shape.boundary, out_masks))
+                            for v, m in zip(q.boundary, out_masks))
             masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
             bits = np.unpackbits(masks[:, :-1], axis=1, bitorder="little")
             indeg[base:base + bsize] += bits[:, :bsize].sum(axis=0,
@@ -471,9 +482,9 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
             recs = np.full((bsize, slots), absent, dtype=dtype)
             # slots 0 .. bsize-2: distances to the other boundary vertices
             dists = np.empty((bsize, bsize), dtype=dtype)
-            for i, li in enumerate(shape.boundary):
+            for i, li in enumerate(q.boundary):
                 dist = local_dijkstra(q, [(0, li)])
-                row = [dist[v] for v in shape.boundary]
+                row = [dist[v] for v in q.boundary]
                 top = max([d for d in row if d != INF])
                 if top >= absent:
                     raise ClusterError(
@@ -484,10 +495,10 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
                 bsize, bsize - 1)
             # then the vertex's edges into other clusters
             fill = [bsize - 1] * bsize
-            for lr, lc, d, nr, nc, w in q.out_edges:
+            for v, d, _, _, w in q.out_edges:
                 if w >> shift:
                     raise ClusterError("weight too large for slot encoding")
-                i = bpos[lr * wid + lc]
+                i = bpos[v]
                 if fill[i] == slots:
                     raise ClusterError("cross-cluster slot overflow")
                 recs[i, fill[i]] = (d << shift) | w

@@ -45,64 +45,67 @@ def _successor(dirs: int, arrival: int) -> int:
 
 
 def _cross_edge_map(g: gf.GridGraph, scheme: cl.ClusterScheme):
-    """Cross-cluster tree edges grouped by receiving cluster; also the total
-    edge count, for the tree precondition."""
+    """Cross-cluster tree edges grouped by receiving cluster rank, as
+    (boundary position of the entry vertex, arrival direction); also the
+    total edge count, for the tree precondition."""
     incoming: dict = {}
     edge_count = 0
-    for q in cl.iterate_clusters(g, scheme):
+    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
         seen = set()
         for v in range(q.n):
-            for d, lr, lc, w in q.intra[v]:
-                key = frozenset((v, lr * q.wid + lc))
+            for d, u, w in q.intra[v]:
+                key = frozenset((v, u))
                 if key not in seen:
                     seen.add(key)
                     edge_count += 1
-        for lr, lc, d, nr, nc, w in q.out_edges:
-            u = (lr + q.r0, lc + q.c0)
+        bpos = scheme.shape(q.ci, q.cj).bpos
+        for v, d, nr, nc, w in q.out_edges:
             # register each undirected cross edge once, as an entry into
             # both incident clusters (symmetric unweighted storage lists it
             # on both sides; owner-side storage only on the smaller one)
-            if u < (nr, nc):
-                incoming.setdefault(scheme.cluster_of(nr, nc), []).append(
-                    (u, d, (nr, nc)))
-                incoming.setdefault(scheme.cluster_of(*u), []).append(
-                    ((nr, nc), gf.opposite(d), u))
+            if q.coord(v) < (nr, nc):
+                rank, pos = scheme.locate(nr, nc)
+                incoming.setdefault(rank, []).append((pos, d))
+                incoming.setdefault(crank, []).append(
+                    (bpos[v], gf.opposite(d)))
                 edge_count += 1
     return incoming, edge_count
 
 
-def _simulate(q: cl.InMemoryCluster, dirs: list, entry, arrival: int,
-              root, first_dir: int | None, fictitious: bool):
-    """Walk the tour inside one cluster from an entry point.
+def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
+              arrival: int, root: int | None, first_dir: int | None,
+              fictitious: bool):
+    """Walk the tour inside one cluster from local cell ``entry``.
 
-    Returns (steps, exit edge or None).  ``first_dir`` is the root's first
-    departure; reaching the root with that successor means the tour is over.
+    ``heads[v]`` maps each direction of an intra-cluster edge of v to its
+    other end.  Returns (steps, exit edge or None), the exit edge as (global
+    coordinates, direction).  ``first_dir`` is the departure of the local
+    cell ``root``; reaching the root with that successor means the tour is
+    over.
     """
     steps = []
     v, a = entry, arrival
     started = not fictitious
     while True:
-        d = _successor(dirs[q.local(*v)], a)
+        d = _successor(dirs[v], a)
         if first_dir is not None and v == root and started and d == first_dir:
             return steps, None
         started = True
-        dr, dc = gf.DIR_OFFSETS[d]
-        nr, nc = v[0] + dr, v[1] + dc
-        if not (q.r0 <= nr < q.r0 + q.hgt and q.c0 <= nc < q.c0 + q.wid):
-            return steps, (v, d)
+        if d not in heads[v]:
+            return steps, (q.coord(v), d)
         steps.append(d)
-        v, a = (nr, nc), d
+        v, a = heads[v][d], d
 
 
 def _cluster_direction_masks(q: cl.InMemoryCluster, incoming) -> list:
     dirs = [0] * q.n
     for v in range(q.n):
-        for d, lr, lc, w in q.intra[v]:
+        for d, u, w in q.intra[v]:
             dirs[v] |= 1 << d
-    for lr, lc, d, nr, nc, w in q.out_edges:
-        dirs[lr * q.wid + lc] |= 1 << d
-    for u, d, rc in incoming:
-        dirs[q.local(*rc)] |= 1 << gf.opposite(d)
+    for v, d, nr, nc, w in q.out_edges:
+        dirs[v] |= 1 << d
+    for pos, d in incoming:
+        dirs[q.boundary[pos]] |= 1 << gf.opposite(d)
     return dirs
 
 
@@ -132,19 +135,24 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
     root_cluster = scheme.cluster_of(*root)
     segments = []
     first_dir = None
-    for q in cl.iterate_clusters(g, scheme):
+    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
         ckey = (q.ci, q.cj)
-        inc = incoming.get(ckey, [])
+        inc = incoming.get(crank, [])
         dirs = _cluster_direction_masks(q, inc)
-        fd = None
+        heads = [{d: u for d, u, _ in arcs} for arcs in q.intra]
+        fd = lroot = None
         if ckey == root_cluster and g.n > 1:
-            fd = _successor(dirs[q.local(*root)], gf.NW)
+            lroot = q.local(*root)
+            fd = _successor(dirs[lroot], gf.NW)
             first_dir = fd
-            steps, exit_edge = _simulate(q, dirs, root, gf.NW, root, fd, True)
+            steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
+                                         fd, True)
             segments.append((ckey, root, None, steps, exit_edge))
-        for u, d, rc in inc:
-            steps, exit_edge = _simulate(q, dirs, rc, d, root, fd, False)
-            segments.append((ckey, rc, d, steps, exit_edge))
+        for pos, d in inc:
+            v = q.boundary[pos]
+            steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
+                                         False)
+            segments.append((ckey, q.coord(v), d, steps, exit_edge))
     return segments, first_dir, root
 
 

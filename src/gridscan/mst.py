@@ -186,23 +186,19 @@ def _forest(edge_iter) -> list:
 
 
 def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
-    """Intra-cluster edges once each, endpoints as 0-based global coords."""
-    seen = set()
-    out = []
-    for v in range(q.n):
-        vr, vc = divmod(v, q.wid)
-        for d, lr, lc, w in q.intra[v]:
-            a, b = _norm((vr + q.r0, vc + q.c0), (lr + q.r0, lc + q.c0))
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            out.append((a, b, w, False))
-    return out
+    """Intra-cluster edges once each, endpoints as 0-based global coords.
+
+    The weighted_undirected decode lists every edge at both ends, so an edge
+    is taken from the list of its smaller local id, which is also its
+    smaller coordinate pair.
+    """
+    return [(q.coord(v), q.coord(u), w, False)
+            for v in range(q.n) for _, u, w in q.intra[v] if v < u]
 
 
 def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
     forest = _forest(_cluster_undirected_edges(q))
-    keep = set(q.boundary)
+    keep = {q.coord(v) for v in q.boundary}
     # an intra-cluster component that misses the boundary ring has no edge to
     # the rest of the grid at all
     parent = {}
@@ -228,26 +224,26 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    z_of, cell_of_z = gf.z_tables(g.rows, g.cols)
+    z_of = gf.z_tables(g.rows, g.cols)[0]
 
     def zi(v):
         return int(z_of[v[0] * g.cols + v[1]])
 
     # phase 1: contract every cluster; stream trees plus the cross-cluster
-    # edges (owner side once) to the contracted-union file.  Flag bit 0 marks
-    # representative edges, bit 1 intra-cluster edges.
+    # edges (owner side once) to the contracted-union file, one write per
+    # cluster.  Flag bit 0 marks representative edges, bit 1 intra-cluster
+    # edges.
     u_handle = disk.open_file(out_name + ".union")
     u_stream = disk.append_stream(u_handle)
     u_count = 0
     for q in cl.iterate_clusters(g, scheme):
         ct = _contract_cluster(q)
-        for u, v, w, f in ct.kept_edges:
-            u_stream.write(_UEDGE.pack(zi(u), zi(v), w, 2 | (1 if f else 0)))
-            u_count += 1
-        for lr, lc, d, nr, nc, w in q.out_edges:
-            a = (lr + q.r0, lc + q.c0)
-            u_stream.write(_UEDGE.pack(zi(a), zi((nr, nc)), w, 0))
-            u_count += 1
+        recs = [_UEDGE.pack(zi(u), zi(v), w, 2 | (1 if f else 0))
+                for u, v, w, f in ct.kept_edges]
+        recs += [_UEDGE.pack(zi(q.coord(v)), zi((nr, nc)), w, 0)
+                 for v, d, nr, nc, w in q.out_edges]
+        u_stream.write(b"".join(recs))
+        u_count += len(recs)
     u_stream.close()
 
     # phase 2: minimum spanning forest of the contracted union, in memory
@@ -264,16 +260,12 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
         else:
             chosen_cross.append((a, b, w))
 
-    # phase 3: rescan, recompute each cluster's contraction, re-expand
+    # phase 3: rescan, recompute each cluster's contraction, re-expand; one
+    # output write per cluster, then one for the chosen cross edges
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
     gf.write_header_via(stream, disk, "edges", g.rows, g.cols, g.n - 1)
     count = 0
-
-    def emit(u, v, w):
-        nonlocal count
-        stream.write(_OUT.pack(zi(u), zi(v), w))
-        count += 1
 
     def zkey(u, v, w, f):
         a, b = zi(u), zi(v)
@@ -282,25 +274,24 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     for q in cl.iterate_clusters(g, scheme):
         ct = _contract_cluster(q)
         reps = _rep_keys(ct)
-        for u, v, w, f in ct.dead_ends:
-            emit(u, v, w)
+        edges = list(ct.dead_ends)
         for u, v, w, f in ct.kept_edges:
             if f and (_norm(u, v), w) in reps:
                 continue
             if zkey(u, v, w, f) in chosen_intra:
-                emit(u, v, w)
+                edges.append((u, v, w, f))
         for ch in ct.chains:
             a, b, maxw = ch.rep
             if zkey(a, b, maxw, True) in chosen_intra:
-                for u, v, w, f in ch.edges:
-                    emit(u, v, w)
+                edges += ch.edges
             else:
-                for k, (u, v, w, f) in enumerate(ch.edges):
-                    if k != ch.heavy_idx:
-                        emit(u, v, w)
-    for a, b, w in chosen_cross:
-        ca, cb = int(cell_of_z[a]), int(cell_of_z[b])
-        emit(divmod(ca, g.cols), divmod(cb, g.cols), w)
+                edges += [e for k, e in enumerate(ch.edges)
+                          if k != ch.heavy_idx]
+        stream.write(b"".join([_OUT.pack(zi(u), zi(v), w)
+                               for u, v, w, f in edges]))
+        count += len(edges)
+    stream.write(b"".join([_OUT.pack(a, b, w) for a, b, w in chosen_cross]))
+    count += len(chosen_cross)
     stream.close()
     if count != g.n - 1:
         raise MstError("disconnected input: %d tree edges for %d vertices"
@@ -558,8 +549,8 @@ def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     for q in cl.iterate_clusters(g, scheme):
         for u, v, w, f in _forest(_cluster_undirected_edges(q)):
             union.append((w, u, v))
-        for lr, lc, d, nr, nc, w in q.out_edges:
-            a = (lr + q.r0, lc + q.c0)
+        for v, d, nr, nc, w in q.out_edges:
+            a = q.coord(v)
             if a < (nr, nc):
                 union.append((w, a, (nr, nc)))
     cells = [(r, c) for r in range(g.rows) for c in range(g.cols)]

@@ -128,7 +128,7 @@ def _too_long(d: int) -> SsspError:
 
 def check_source(g, s_cell, encoding: str, error=SsspError):
     """Reject, with the caller's error, an input the solvers cannot take: the
-    wrong encoding or order, or a source outside the grid."""
+    wrong encoding, or a source outside the grid."""
     gf.check_input(g, (encoding,), error)
     r, c = s_cell
     if not (0 <= r < g.rows and 0 <= c < g.cols):
@@ -148,8 +148,8 @@ def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     q = cl.load_cluster(g, scheme, ci, cj)
     dist = cl.local_dijkstra(q, [(0, q.local(*s_cell))])
     vals = dfile.read(srank)
-    for i, (r, c) in enumerate(q.boundary):
-        dv = dist[q.local(r, c)]
+    for i, v in enumerate(q.boundary):
+        dv = dist[v]
         if dv != cl.INF:
             if dv >= INF_D:
                 raise _too_long(dv)
@@ -158,23 +158,20 @@ def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     return gp, dfile, srank, vals
 
 
-def _relax_targets(dfile, scheme, rank, held, dist_u, targets, reactivate,
-                   stats):
+def _relax_targets(dfile, rank, held, dist_u, targets, reactivate, stats):
     """Apply dist_u + w relaxations grouped per target cluster.
 
-    Targets in cluster ``rank`` go to its records ``held``, which the caller
-    writes; every other target cluster is read once and, if changed, written
-    once.  Returns {rank: records} of the clusters whose least tentative
-    estimate may have changed, ``rank`` always among them.  A final estimate
-    improves (and turns tentative again) only when ``reactivate`` is set.
+    ``targets`` yields (cluster rank, boundary position, weight).  Targets in
+    cluster ``rank`` go to its records ``held``, which the caller writes;
+    every other target cluster is read once and, if changed, written once.
+    Returns {rank: records} of the clusters whose least tentative estimate
+    may have changed, ``rank`` always among them.  A final estimate improves
+    (and turns tentative again) only when ``reactivate`` is set.
     """
-    base, end = scheme.bases[rank], scheme.bases[rank + 1]
-    # rank -> [(position in the cluster, weight)]; a record lists the targets
-    # in its own cluster first, and those need no cluster lookup
+    # rank -> [(position in the cluster, weight)]
     by_cluster: dict[int, list] = {rank: []}
-    for t, w in targets:
-        r = rank if base <= t < end else scheme.rank_of_h_number(t)
-        by_cluster.setdefault(r, []).append((t - scheme.bases[r], w))
+    for r, p, w in targets:
+        by_cluster.setdefault(r, []).append((p, w))
     records, touched = {}, set()
     for r, lst in by_cluster.items():
         vals = records[r] = held if r == rank else dfile.read(r)
@@ -216,9 +213,10 @@ def _settle(gp, dfile, rank, stats, reactivate):
     vals[pos] &= ~TENTATIVE            # make final
     u = gp.scheme.bases[rank] + pos
     stats.extractions.append((u, dist_u))
-    touched = _relax_targets(dfile, gp.scheme, rank, vals, dist_u,
-                             gp.decode_edges(u, gp.read_record(dfile.disk, u)),
-                             reactivate, stats)
+    touched = _relax_targets(
+        dfile, rank, vals, dist_u,
+        gp.decode_edges(rank, pos, gp.read_record(dfile.disk, u)),
+        reactivate, stats)
     dfile.write(rank, vals)
     return touched
 
@@ -233,8 +231,8 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     s_cluster = scheme.cluster_of(*s_cell)
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         vals = dfile.read(rank)
-        seeds = [(v & INF_D, q.local(r, c))
-                 for v, (r, c) in zip(vals, q.boundary) if v & INF_D != INF_D]
+        seeds = [(d & INF_D, v)
+                 for d, v in zip(vals, q.boundary) if d & INF_D != INF_D]
         if (q.ci, q.cj) == s_cluster:
             seeds.append((0, q.local(*s_cell)))
         dist = cl.local_dijkstra(q, seeds)

@@ -53,7 +53,8 @@ class MessagePlan:
     scheme: cl.ClusterScheme
     c_handle: object
     l_handle: object
-    a_entries: list            # (rank, chunk offset, chunk+region bytes)
+    a_entries: list            # (rank, cluster rank, chunk offset,
+                               # chunk+region bytes)
     region_offsets: dict       # (cluster rank, chunk ordinal) -> absolute offset
 
 
@@ -112,24 +113,22 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     scheme, numbering = ts.number_separator(g, h, name, TfpError)
     rtab = numbering.r
 
-    # collect cross-cluster edges per receiving cluster; their volume is
-    # bounded by the separator size, so the table stays memory resident
+    # collect cross-cluster edges per receiving cluster rank, as (boundary
+    # position of the head, direction); their volume is bounded by the
+    # separator size, so the table stays memory resident
     incoming: dict = {}
     cross_squares: dict = {}
     for q in cl.iterate_clusters(g, scheme):
-        for lr, lc, d, nr, nc, w in q.out_edges:
-            u = (lr + q.r0, lc + q.c0)
-            incoming.setdefault(scheme.cluster_of(nr, nc), []).append(
-                (u, d, (nr, nc)))
+        for v, d, nr, nc, w in q.out_edges:
+            u = q.coord(v)
+            rank, pos = scheme.locate(nr, nc)
+            incoming.setdefault(rank, []).append((pos, d))
+            stats.chunk_pairs.add((int(rtab[scheme.h_number(*u)]),
+                                   int(rtab[scheme.bases[rank] + pos])))
             if d not in (gf.N, gf.E, gf.S, gf.W):
                 _check_square(cross_squares,
                               (min(u[0], nr), min(u[1], nc)),
                               d in _DIAG_A)
-
-    for edges in incoming.values():
-        for u, d, rc in edges:
-            stats.chunk_pairs.add((int(rtab[scheme.h_number(*u)]),
-                                   int(rtab[scheme.h_number(*rc)])))
 
     inter_slots = _inter_slot_count(scheme)
     stats.inter_slots = inter_slots
@@ -141,28 +140,25 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     region_offsets = {}
     l_off = 0
 
-    for q in cl.iterate_clusters(g, scheme):
-        crank = scheme.rank(q.ci, q.cj)
+    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
         local_squares: dict = {}
         in_mask = [0] * q.n
         out_mask = [0] * q.n
         for v in range(q.n):
-            for d, lr, lc, w in q.intra[v]:
-                u = lr * q.wid + lc
+            for d, u, w in q.intra[v]:
                 out_mask[v] |= 1 << d
                 in_mask[u] |= 1 << gf.opposite(d)
                 if d not in (gf.N, gf.E, gf.S, gf.W):
-                    vr, vc = divmod(v, q.wid)
-                    _check_square(local_squares,
-                                  (min(vr, lr) + q.r0, min(vc, lc) + q.c0),
+                    (vr, vc), (ur, uc) = q.coord(v), q.coord(u)
+                    _check_square(local_squares, (min(vr, ur), min(vc, uc)),
                                   d in _DIAG_A)
-        for lr, lc, d, nr, nc, w in q.out_edges:
-            out_mask[lr * q.wid + lc] |= 1 << d
-        for u, d, rc in incoming.get((q.ci, q.cj), ()):
-            in_mask[q.local(*rc)] |= 1 << gf.opposite(d)
+        for v, d, nr, nc, w in q.out_edges:
+            out_mask[v] |= 1 << d
+        for pos, d in incoming.get(crank, ()):
+            in_mask[q.boundary[pos]] |= 1 << gf.opposite(d)
 
         asg = ts.assign_chunk_numbers(
-            q, lambda rc: int(rtab[scheme.h_number(*rc)]))
+            q, rtab[scheme.bases[crank]:scheme.bases[crank + 1]].tolist())
         ranks = sorted(asg.members)
         ordinal = {rank: i for i, rank in enumerate(ranks)}
         z0, _ = scheme.z_interval(q.ci, q.cj)
@@ -204,7 +200,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             c_stream.write(rec + bytes(body) + b"\0" * region)
             region_offsets[(crank, ordinal[rank])] = \
                 c_off + CHUNK_HDR.size + len(body)
-            a_entries.append((rank, c_off, CHUNK_HDR.size + len(body) + region))
+            a_entries.append((rank, crank, c_off,
+                              CHUNK_HDR.size + len(body) + region))
             c_off += CHUNK_HDR.size + len(body) + region
             l_off += cnt * LABEL.itemsize
             stats.chunk_count += 1
@@ -227,12 +224,10 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     disk = g.disk
     scheme = plan.scheme
 
-    for rank, off, size in plan.a_entries:
+    for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
-        z0, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
-        ci, cj = scheme.cluster_at_z(z0)
-        crank = scheme.rank(ci, cj)
-        r0, c0, hgt, wid = scheme.extent(ci, cj)
+        _, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
+        r0, c0, hgt, wid = scheme.extent(*scheme.cluster_at_rank(crank))
         pos = CHUNK_HDR.size
         vertices = []
         for _ in range(cnt):

@@ -57,8 +57,7 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
     """
     if gp.mode != "reachability":
         raise ToposortError("separator graph must be in reachability mode")
-    scheme = gp.scheme
-    total = scheme.total_boundary
+    total = gp.scheme.total_boundary
     indeg = np.frombuffer(
         disk.read_direct(gp.d_handle, 0, 2 * total), dtype="<u2").astype(
         np.int64).copy()
@@ -79,14 +78,7 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
         t_stream.write(u.to_bytes(8, "little"))
         r[u] = numbered
         numbered += 1
-        raw = gp.read_record(disk, u)
-        targets, out_mask = gp.decode_reach(u, raw)
-        ur, uc = scheme.coord_of_h_number(u)
-        for d in range(8):
-            if out_mask >> d & 1:
-                dr, dc = gf.DIR_OFFSETS[d]
-                targets.append(scheme.h_number(ur + dr, uc + dc))
-        for t in targets:
+        for t in gp.decode_reach(u, gp.read_record(disk, u)):
             indeg[t] -= 1
             if indeg[t] == 0:
                 z_stream.write(int(t).to_bytes(8, "little"))
@@ -115,29 +107,28 @@ def number_separator(g: gf.GridGraph, h: int, name: str, error):
     return gp.scheme, topo_number_separator(gp, g.disk, name=name)
 
 
-def assign_chunk_numbers(q: cl.InMemoryCluster, rank_of) -> ChunkAssignment:
+def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
     """Chunk every vertex of one cluster.
 
-    ``rank_of`` maps the cluster's boundary coordinates to separator ranks.
-    Boundary vertices seed their own rank; the interior is filled by
-    alternating rounds that take the maximum over numbered predecessors, then
-    the minimum over numbered successors, with same-round visibility in
-    (reverse) topological order.
+    ``ranks[i]`` is the separator rank of boundary cell ``q.boundary[i]``:
+    the cluster's slice of the rank table.  Boundary vertices seed their own
+    rank; the interior is filled by alternating rounds that take the maximum
+    over numbered predecessors, then the minimum over numbered successors,
+    with same-round visibility in (reverse) topological order.
     """
     n, wid = q.n, q.wid
     pred = [[] for _ in range(n)]
     succ = [[] for _ in range(n)]
     for v in range(n):
-        for d, lr, lc, w in q.intra[v]:
-            u = lr * wid + lc
+        for _, u, _ in q.intra[v]:
             succ[v].append(u)
             pred[u].append(v)
     order = cl.topo_order(q)
     if order is None:
         raise ToposortError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
     chunk = [None] * n
-    for rc in q.boundary:
-        chunk[q.local(*rc)] = rank_of(rc)
+    for v, rank in zip(q.boundary, ranks):
+        chunk[v] = rank
 
     rounds = 0
     remaining = sum(1 for x in chunk if x is None)
@@ -219,11 +210,11 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
 
     c_handle = disk.open_file(out_name + ".chunks")
     c_stream = disk.append_stream(c_handle)
-    a_entries = []                # (rank, byte offset in C, record bytes)
+    a_entries = []     # (rank, cluster rank, byte offset in C, record bytes)
     c_off = 0
-    for q in cl.iterate_clusters(g, scheme):
+    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
         asg = assign_chunk_numbers(
-            q, lambda rc: int(rtab[scheme.h_number(*rc)]))
+            q, rtab[scheme.bases[crank]:scheme.bases[crank + 1]].tolist())
         if stats is not None:
             stats.rounds_max = max(stats.rounds_max, asg.rounds)
             stats.leftover_vertices += asg.leftover
@@ -234,7 +225,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
             rec = CHUNK_HDR.pack(z0, rank, len(ids))
             rec += np.array(ids, "<u4").tobytes()
             c_stream.write(rec)
-            a_entries.append((rank, c_off, len(rec)))
+            a_entries.append((rank, crank, c_off, len(rec)))
             c_off += len(rec)
     c_stream.close()
 
@@ -245,11 +236,11 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, g.n)
     emitted = 0
-    for rank, off, size in a_entries:
+    for _, crank, off, size in a_entries:
         rec = disk.read_direct(c_handle, off, size)
         z0, _, cnt = CHUNK_HDR.unpack_from(rec, 0)
         ids = np.frombuffer(rec, "<u4", cnt, CHUNK_HDR.size)
-        t_of_local = scheme.shape(*scheme.cluster_at_z(z0)).t_of_local
+        t_of_local = scheme.shape(*scheme.cluster_at_rank(crank)).t_of_local
         stream.write((z0 + t_of_local[ids]).astype("<u8").tobytes())
         emitted += cnt
     stream.close()

@@ -52,6 +52,24 @@ def test_h_numbers_contiguous_and_distinct(rows, cols, h):
         assert s.cluster_of_h_number(hn) == s.cluster_of(r, c)
 
 
+@pytest.mark.parametrize("rows,cols", [(13, 7), (32, 32)])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_local_boundary_matches_scheme_numbering(rows, cols, h):
+    # a decoded cluster's local boundary ids, its coord/local pair and the
+    # scheme's (rank, position) numbering all name the same cells
+    g = make_graph(make_disk(), rows, cols, "unweighted", {})
+    s = cl.ClusterScheme(rows, cols, h)
+    for rank, q in enumerate(cl.iterate_clusters(g, s)):
+        assert [q.coord(v) for v in q.boundary] == s.boundary_coords(q.ci,
+                                                                     q.cj)
+        for v in range(q.n):
+            assert q.local(*q.coord(v)) == v
+        for i, v in enumerate(q.boundary):
+            r, c = q.coord(v)
+            assert s.locate(r, c) == (rank, i)
+            assert s.h_number(r, c) == s.bases[rank] + i
+
+
 @pytest.mark.parametrize("rows,cols,h", [(8, 8, 1), (7, 5, 2), (13, 9, 2)])
 def test_z_intervals_tile_the_grid(rows, cols, h):
     s = cl.ClusterScheme(rows, cols, h)
@@ -69,11 +87,11 @@ def test_load_cluster_matches_read_vertex():
     s = cl.ClusterScheme(8, 8, 2)
     q = cl.load_cluster(g, s, 1, 0)
     records = gf.decode_all(g)
-    for (r, c), edges in [((4 + lr, 0 + lc), q.intra[lr * q.wid + lc])
-                          for lr in range(4) for lc in range(4)]:
+    for v, edges in enumerate(q.intra):
+        r, c = q.coord(v)
         idx = gf.coord_to_index(8, 8, r + 1, c + 1)
         mask, ws = records[idx]
-        for dd, lr2, lc2, w in edges:
+        for dd, u, w in edges:
             assert mask >> dd & 1
             assert ws[dd] == w
 
@@ -93,11 +111,11 @@ def test_separator_weighted_2x2_corner_distance():
     g = make_graph(d, 2, 2, "weighted_directed", grid4_edges(2, 2))
     gp = cl.build_separator_graph(g, 1, "weighted_distance")
     raw = gp.read_record(d, 0)
-    edges = dict(gp.decode_edges(0, raw))
+    edges = {(r, p): w for r, p, w in gp.decode_edges(0, 0, raw)}
     s = gp.scheme
-    assert edges[s.h_number(1, 1)] == 2
-    assert edges[s.h_number(0, 1)] == 1
-    assert edges[s.h_number(1, 0)] == 1
+    assert edges[s.locate(1, 1)] == 2
+    assert edges[s.locate(0, 1)] == 1
+    assert edges[s.locate(1, 0)] == 1
 
 
 def test_separator_no_internal_edges_only_cross():
@@ -108,8 +126,9 @@ def test_separator_no_internal_edges_only_cross():
     s = gp.scheme
     all_edges = []
     for hn in range(s.total_boundary):
-        all_edges += [(hn, t, w) for t, w in
-                      gp.decode_edges(hn, gp.read_record(d, hn))]
+        rank, pos = s.locate(*s.coord_of_h_number(hn))
+        all_edges += [(hn, s.bases[r] + p, w) for r, p, w in
+                      gp.decode_edges(rank, pos, gp.read_record(d, hn))]
     assert all_edges == [(s.h_number(1, 0), s.h_number(2, 0), 7)]
 
 
@@ -146,14 +165,14 @@ def test_separator_distance_soundness(h):
     for ci in range(s.crows):
         for cj in range(s.ccols):
             local = _local_oracle_distances(g, s, ci, cj)
-            base = s.base(ci, cj)
+            rank, base = s.rank(ci, cj), s.base(ci, cj)
             bnd = s.boundary_coords(ci, cj)
             for i, src in enumerate(bnd):
                 raw = gp.read_record(d, base + i)
                 got = {}
-                for t, w in gp.decode_edges(base + i, raw):
-                    if s.cluster_of_h_number(t) == (ci, cj):
-                        got[t] = w
+                for r, p, w in gp.decode_edges(rank, i, raw):
+                    if r == rank:
+                        got[base + p] = w
                 expect = {base + j: local[src][v]
                           for j, v in enumerate(bnd)
                           if j != i and v in local[src]}
@@ -168,9 +187,11 @@ def test_separator_cross_edge_completeness(h):
     s = gp.scheme
     got = []
     for hn in range(s.total_boundary):
-        for t, w in gp.decode_edges(hn, gp.read_record(d, hn)):
-            if s.cluster_of_h_number(t) != s.cluster_of_h_number(hn):
-                got.append((s.coord_of_h_number(hn), s.coord_of_h_number(t), w))
+        rank, pos = s.locate(*s.coord_of_h_number(hn))
+        for r, p, w in gp.decode_edges(rank, pos, gp.read_record(d, hn)):
+            if r != rank:
+                got.append((s.coord_of_h_number(hn),
+                            s.coord_of_h_number(s.bases[r] + p), w))
     adj = gf.adjacency(g)
     expect = []
     for v in adj:
@@ -189,9 +210,7 @@ def test_reachability_through_interior():
     gp = cl.build_separator_graph(g, 2, "reachability")
     s = gp.scheme
     u = s.h_number(0, 0)
-    targets, outmask = gp.decode_reach(u, gp.read_record(d, u))
-    assert targets == [s.h_number(3, 3)]
-    assert outmask == 0
+    assert gp.decode_reach(u, gp.read_record(d, u)) == [s.h_number(3, 3)]
 
 
 def test_reachability_indegree_and_queue():
@@ -201,15 +220,8 @@ def test_reachability_indegree_and_queue():
     s = gp.scheme
     indeg = [0] * s.total_boundary
     for hn in range(s.total_boundary):
-        raw = gp.read_record(d, hn)
-        targets, outmask = gp.decode_reach(hn, raw)
-        for t in targets:
+        for t in gp.decode_reach(hn, gp.read_record(d, hn)):
             indeg[t] += 1
-        r, c = s.coord_of_h_number(hn)
-        for dd in range(8):
-            if outmask >> dd & 1:
-                dr, dc = gf.DIR_OFFSETS[dd]
-                indeg[s.h_number(r + dr, c + dc)] += 1
     draw = d.raw_bytes(gp.d_handle)
     stored = [int.from_bytes(draw[2 * i:2 * i + 2], "little")
               for i in range(s.total_boundary)]
@@ -218,6 +230,29 @@ def test_reachability_indegree_and_queue():
     zs = [int.from_bytes(zraw[8 * i:8 * i + 8], "little")
           for i in range(gp.z_count)]
     assert zs == [i for i in range(s.total_boundary) if indeg[i] == 0]
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(16, 16, 4), (13, 7, 9)])
+@pytest.mark.parametrize("h", [1, 2])
+def test_reach_and_distance_decoders_agree(rows, cols, seed, h):
+    # on a DAG a boundary vertex reaches exactly the separator vertices it
+    # has a finite unit distance to, inside its cluster and across
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "planar_dag", seed=seed, density=0.7)
+    dist = cl.build_separator_graph(g, h, "unit_distance", name="dist")
+    reach = cl.build_separator_graph(g, h, "reachability", name="reach")
+    s = dist.scheme
+    crossing = 0
+    for rank in range(len(s.bases) - 1):
+        for pos in range(s.bases[rank + 1] - s.bases[rank]):
+            hn = s.bases[rank] + pos
+            edges = list(dist.decode_edges(rank, pos,
+                                           dist.read_record(d, hn)))
+            targets = reach.decode_reach(hn, reach.read_record(d, hn))
+            assert len(targets) == len(set(targets))
+            assert set(targets) == {s.bases[r] + p for r, p, _ in edges}
+            crossing += sum(1 for r, _, _ in edges if r != rank)
+    assert crossing > 0
 
 
 def test_separator_mode_encoding_mismatch():
@@ -254,6 +289,7 @@ def _expected_cluster(g, s, records, ci, cj):
     the order the InMemoryCluster docstring documents."""
     r0, c0, hgt, wid = s.extent(ci, cj)
     inside = lambda r, c: r0 <= r < r0 + hgt and c0 <= c < c0 + wid
+    local = lambda r, c: (r - r0) * wid + c - c0
     intra = [[] for _ in range(hgt * wid)]
     out = []
     z0, cnt = s.z_interval(ci, cj)
@@ -268,15 +304,16 @@ def _expected_cluster(g, s, records, ci, cj):
             nr, nc = r + dr, c + dc
             w = weights.get(dd, 1)
             if inside(nr, nc):
-                intra[(r - r0) * wid + c - c0].append((dd, nr - r0, nc - c0, w))
+                intra[local(r, c)].append((dd, local(nr, nc), w))
                 if g.encoding == "weighted_undirected":
-                    intra[(nr - r0) * wid + nc - c0].append(
-                        (gf.opposite(dd), r - r0, c - c0, w))
+                    intra[local(nr, nc)].append(
+                        (gf.opposite(dd), local(r, c), w))
             else:
-                out.append((r - r0, c - c0, dd, nr, nc, w))
+                out.append((local(r, c), dd, nr, nc, w))
     ring = [(r, c) for r in range(r0, r0 + hgt) for c in range(c0, c0 + wid)
             if r in (r0, r0 + hgt - 1) or c in (c0, c0 + wid - 1)]
-    boundary = sorted(ring, key=lambda rc: s.boundary_position(*rc))
+    boundary = tuple(local(*rc) for rc in
+                     sorted(ring, key=lambda rc: s.locate(*rc)[1]))
     return intra, out, boundary
 
 

@@ -30,14 +30,7 @@ def test_separator_numbering_forward():
     scheme = gp.scheme
     assert sorted(numbering.r) == list(range(scheme.total_boundary))
     for u in range(scheme.total_boundary):
-        raw = gp.read_record(d, u)
-        targets, out_mask = gp.decode_reach(u, raw)
-        ur, uc = scheme.coord_of_h_number(u)
-        for dd in range(8):
-            if out_mask >> dd & 1:
-                dr, dc = gf.DIR_OFFSETS[dd]
-                targets.append(scheme.h_number(ur + dr, uc + dc))
-        for t in targets:
+        for t in gp.decode_reach(u, gp.read_record(d, u)):
             assert numbering.r[u] < numbering.r[t]
 
 
@@ -58,9 +51,8 @@ def test_chunk_rounds_examples():
                    {(1, 0): {gf.E: 1}, (1, 1): {gf.E: 1}})
     scheme = cl.ClusterScheme(4, 4, 2)
     q = next(cl.iterate_clusters(g, scheme))
-    ranks = {rc: i for i, rc in enumerate(q.boundary)}
-    asg = ts.assign_chunk_numbers(q, lambda rc: ranks[rc])
-    assert asg.chunk[q.local(1, 1)] == ranks[(1, 0)]
+    asg = ts.assign_chunk_numbers(q, list(range(len(q.boundary))))
+    assert asg.chunk[q.local(1, 1)] == q.boundary.index(q.local(1, 0))
 
 
 def test_chunk_successor_round():
@@ -69,9 +61,8 @@ def test_chunk_successor_round():
     g = make_graph(d, 4, 4, "unweighted", {(1, 1): {gf.N: 1}})
     scheme = cl.ClusterScheme(4, 4, 2)
     q = next(cl.iterate_clusters(g, scheme))
-    ranks = {rc: i for i, rc in enumerate(q.boundary)}
-    asg = ts.assign_chunk_numbers(q, lambda rc: ranks[rc])
-    assert asg.chunk[q.local(1, 1)] == ranks[(0, 1)]
+    asg = ts.assign_chunk_numbers(q, list(range(len(q.boundary))))
+    assert asg.chunk[q.local(1, 1)] == q.boundary.index(q.local(0, 1))
 
 
 def test_chunk_leftover_component():
@@ -81,10 +72,9 @@ def test_chunk_leftover_component():
     g = make_graph(d, 4, 4, "unweighted", {})
     scheme = cl.ClusterScheme(4, 4, 2)
     q = next(cl.iterate_clusters(g, scheme))
-    ranks = {rc: i for i, rc in enumerate(q.boundary)}
-    asg = ts.assign_chunk_numbers(q, lambda rc: ranks[rc])
+    asg = ts.assign_chunk_numbers(q, list(range(len(q.boundary))))
     assert asg.leftover == 4
-    assert asg.chunk[q.local(1, 1)] == ranks[(1, 0)]
+    assert asg.chunk[q.local(1, 1)] == q.boundary.index(q.local(1, 0))
 
 
 def test_chunk_monotone_along_edges():
@@ -93,12 +83,12 @@ def test_chunk_monotone_along_edges():
     gp = cl.build_separator_graph(g, 2, "reachability")
     numbering = ts.topo_number_separator(gp, d)
     scheme = gp.scheme
-    for q in cl.iterate_clusters(g, scheme):
+    for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         asg = ts.assign_chunk_numbers(
-            q, lambda rc: int(numbering.r[scheme.h_number(*rc)]))
+            q, numbering.r[scheme.bases[rank]:scheme.bases[rank + 1]].tolist())
         for v in range(q.n):
-            for _, lr, lc, _ in q.intra[v]:
-                assert asg.chunk[v] <= asg.chunk[lr * q.wid + lc]
+            for _, u, _ in q.intra[v]:
+                assert asg.chunk[v] <= asg.chunk[u]
 
 
 def test_row_path_left_to_right():
