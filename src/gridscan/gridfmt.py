@@ -220,28 +220,28 @@ def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
 # Record encoding
 
 
+_WEIGHT_SLOTS = {                  # one u64 per slot, in direction order
+    "weighted_directed": (struct.Struct("<8Q").unpack, tuple(range(8))),
+    "weighted_undirected": (struct.Struct("<4Q").unpack, OWNED_SLOTS),
+}
+
+
 def decode_record(encoding: str, raw: bytes):
+    """``(mask, {direction: weight})`` of one vertex record; a record that is
+    not the encoding's size is a ``FormatError``."""
+    if encoding not in VERTEX_ENCODINGS:
+        raise FormatError("not a vertex encoding: %r" % encoding)
+    if len(raw) != ENCODINGS[encoding]:
+        raise FormatError("%s record of %d bytes, not %d"
+                          % (encoding, len(raw), ENCODINGS[encoding]))
     if encoding == "unweighted":
         return raw[0], {}
-    if encoding == "weighted_directed":
-        weights = {}
-        mask = 0
-        for d in range(8):
-            w = int.from_bytes(raw[d * 8:(d + 1) * 8], "little")
-            if w != ABSENT:
-                mask |= 1 << d
-                weights[d] = w
-        return mask, weights
-    if encoding == "weighted_undirected":
-        weights = {}
-        mask = 0
-        for slot, d in enumerate(OWNED_SLOTS):
-            w = int.from_bytes(raw[slot * 8:(slot + 1) * 8], "little")
-            if w != ABSENT:
-                mask |= 1 << d
-                weights[d] = w
-        return mask, weights
-    raise FormatError("not a vertex encoding: %r" % encoding)
+    unpack, dirs = _WEIGHT_SLOTS[encoding]
+    weights = {d: w for d, w in zip(dirs, unpack(raw)) if w != ABSENT}
+    mask = 0
+    for d in weights:
+        mask |= 1 << d
+    return mask, weights
 
 
 def encode_record(encoding: str, mask: int, weights: dict[int, int]) -> bytes:

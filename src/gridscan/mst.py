@@ -18,13 +18,19 @@ representative that loses expands to the chain minus one heaviest edge, and
 dead ends are bridges, so they are reinstated unconditionally.
 
 Stack records of ``mst_cache_oblivious`` are little-endian and unpadded.  An
-edge is ``<IIIIQB``: r1, c1, r2, c2 (0-based), weight, and a flag that is 1
-for a representative.  A connections record is ``<II`` (tree edge count,
-outgoing edge count), then the tree edges, then the outgoing edges.  An
-expansions record is ``<II`` (dead-end count, chain count), then the dead
-ends, then per chain ``<II`` (length, index of its first heaviest edge) and
-its edges in walk order.  ``FileStack`` frames each record with a trailing
-u32 length.
+edge is ``<IIQ?``, 17 bytes: two row-major cell ids ``r * cols + c``, the
+weight, and a flag byte that is 1 for a representative.  Cell ids order
+exactly like ``(r, c)`` pairs, so weight ties, edge owners and chain
+orientation resolve as they would with coordinates.  A u32 id bounds the
+grid to rows * cols <= 2^32 cells; ``gf.open_grid`` wants the whole payload,
+32 bytes a cell, on the simulated disk, so no file it opens comes near.  A
+connections record is ``<II`` (tree edge count, outgoing edge count), then
+the tree edges, then the outgoing edges.  An expansions record is ``<II``
+(dead-end count, chain count), then the dead ends, then per chain ``<II``
+(length, index of its first heaviest edge) and its edges in walk order.
+``FileStack`` frames each record with a trailing u32 length.  Regions of
+side 2 are the base case and push no expansions record; single cells touch
+neither stack.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class MstError(Exception):
 # Pruning and contraction
 #
 # Edges everywhere below are (u, v, weight, rep_flag) with comparable,
-# hashable vertex ids ((row, col) pairs in the solvers).
+# hashable vertex ids: (row, col) pairs in the cache-aware solver, row-major
+# cell ids in the cache-oblivious one.
 
 
 @dataclass
@@ -302,15 +309,14 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
 # ---------------------------------------------------------------------------
 # Cache-oblivious variant
 
-_EDGE = struct.Struct("<IIIIQB")    # r1, c1, r2, c2, w, flag
+_EDGE = struct.Struct("<IIQ?")      # cell, cell, weight, representative
 _CNT2 = struct.Struct("<II")
 
 
 def _pack_run(a: int, b: int, edges) -> bytes:
     """Two u32 counts, then the edges."""
     pack = _EDGE.pack
-    return _CNT2.pack(a, b) + b"".join(
-        [pack(r1, c1, r2, c2, w, f) for (r1, c1), (r2, c2), w, f in edges])
+    return _CNT2.pack(a, b) + b"".join([pack(*e) for e in edges])
 
 
 def _unpack_run(raw, offset: int, k: int):
@@ -318,9 +324,7 @@ def _unpack_run(raw, offset: int, k: int):
     past them."""
     start = offset + _CNT2.size
     end = start + k * _EDGE.size
-    return ([((r1, c1), (r2, c2), w, f != 0)
-             for r1, c1, r2, c2, w, f in _EDGE.iter_unpack(raw[start:end])],
-            end)
+    return list(_EDGE.iter_unpack(raw[start:end])), end
 
 
 def _pack_connections(tree, out_edges) -> bytes:
@@ -364,32 +368,33 @@ def _quadrants(r0, c0, size, rows, cols):
 
 
 def _region_ring(r0, c0, size, rows, cols) -> set:
+    """Cell ids of the region's border cells that lie in the grid."""
+    r1, c1 = min(r0 + size, rows), min(c0 + size, cols)
     ring = set()
-    for c in range(c0, min(c0 + size, cols)):
-        for r in (r0, r0 + size - 1):
-            if r < rows:
-                ring.add((r, c))
-    for r in range(r0, min(r0 + size, rows)):
-        for c in (c0, c0 + size - 1):
-            if c < cols:
-                ring.add((r, c))
+    for r in (r0, r0 + size - 1):
+        if r < rows:
+            ring.update(range(r * cols + c0, r * cols + c1))
+    for c in (c0, c0 + size - 1):
+        if c < cols:
+            ring.update(range(r0 * cols + c, r1 * cols + c, cols))
     return ring
 
 
-def _split(part, r0, c0, size) -> list:
+def _split(part, r0, c0, size, cols) -> list:
     """Distribute a region's tree part among its four child quadrants.
 
-    An edge goes to the child that holds its owner: its lexicographically
-    smaller endpoint, or its other one if the smaller lies outside the region
-    (an edge that leaves the region)."""
+    An edge goes to the child that holds its owner: its smaller endpoint, or
+    its other one if the smaller lies outside the region (an edge that leaves
+    the region)."""
     half = size // 2
     rm, cm, r1, c1 = r0 + half, c0 + half, r0 + size, c0 + size
     parts = [[], [], [], []]
     for e in part:
         u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-        if not (r0 <= u[0] < r1 and c0 <= u[1] < c1):
-            u = v
-        parts[(2 if u[0] >= rm else 0) + (1 if u[1] >= cm else 0)].append(e)
+        r, c = divmod(u, cols)
+        if not (r0 <= r < r1 and c0 <= c < c1):
+            r, c = divmod(v, cols)
+        parts[(2 if r >= rm else 0) + (1 if c >= cm else 0)].append(e)
     return parts
 
 
@@ -399,9 +404,18 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     Bottom-up, each region pushes its contracted spanning forest plus its
     outgoing edges onto the connections stack and the pruned structure onto
     the expansions stack.  Top-down, each region pops its expansions record,
-    re-expands its part of the tree, splits it among its children via the
-    connections stack, and the leaves append their owned edges to the output.
-    The input is consumed by one sequential scan in leaf order.
+    re-expands its part of the tree, and splits it among its children via
+    the connections stack.  The input is consumed by one sequential scan in
+    leaf order.
+
+    A region of side 2 is the base case, held in memory: upward it decodes
+    its cells and pushes only its connections record, since every cell lies
+    on its ring and contraction would leave its forest as it is; downward it
+    pops no expansions record and appends the edges each cell owns to the
+    output, last cell first.  Vertices are row-major cell ids
+    ``r * cols + c``, which order like ``(r, c)`` pairs, so weight ties,
+    edge owners and chain orientation resolve as with coordinates; a stack
+    edge is ``<IIQ?`` and needs rows * cols <= 2^32.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
@@ -419,30 +433,34 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     owned = [(d, *gf.DIR_OFFSETS[d]) for d in gf.OWNED_SLOTS]
 
     def upward(r0, c0, size):
-        if size == 1:
-            mask, weights = gf.decode_record("weighted_undirected",
-                                             reader.read(rs))
-            out_edges = []
-            for d, dr, dc in owned:
-                if mask >> d & 1:
-                    r, c = r0 + dr, c0 + dc
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise gf.FormatError("edge leaves the grid at (%d,%d)"
-                                             % (r0, c0))
-                    out_edges.append(((r0, c0), (r, c), weights[d], False))
-            conn.push(_pack_connections([], out_edges))
-            return
         quads = _quadrants(r0, c0, size, rows, cols)
-        for _, qr, qc in quads:
-            upward(qr, qc, size // 2)
+        r1, c1 = r0 + size, c0 + size
         candidates = []
         out_edges = []
-        r1, c1 = r0 + size, c0 + size
+        if size == 2:
+            for _, r, c in quads:
+                mask, weights = gf.decode_record("weighted_undirected",
+                                                 reader.read(rs))
+                for d, dr, dc in owned:
+                    if mask >> d & 1:
+                        vr, vc = r + dr, c + dc
+                        if not (0 <= vr < rows and 0 <= vc < cols):
+                            raise gf.FormatError(
+                                "edge leaves the grid at (%d,%d)" % (r, c))
+                        e = (r * cols + c, vr * cols + vc, weights[d], False)
+                        if r0 <= vr < r1 and c0 <= vc < c1:
+                            candidates.append(e)
+                        else:
+                            out_edges.append(e)
+            conn.push(_pack_connections(_forest(candidates), out_edges))
+            return
+        for _, qr, qc in quads:
+            upward(qr, qc, size // 2)
         for _ in quads:
             tree, outs = _unpack_connections(conn.pop())
             candidates.extend(tree)
             for e in outs:
-                vr, vc = e[1]
+                vr, vc = divmod(e[1], cols)
                 if r0 <= vr < r1 and c0 <= vc < c1:
                     candidates.append(e)
                 else:
@@ -461,10 +479,11 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
 
     def downward(part, r0, c0, size):
         nonlocal emitted
-        if size == 1:
-            stream.write(b"".join([_OUT.pack(z_of[u[0] * cols + u[1]],
-                                             z_of[v[0] * cols + v[1]], w)
-                                   for u, v, w, f in part]))
+        if size == 2:
+            parts = _split(part, r0, c0, 2, cols)
+            stream.write(b"".join([_OUT.pack(z_of[u], z_of[v], w)
+                                   for k in (3, 2, 1, 0)
+                                   for u, v, w, _ in parts[k]]))
             emitted += len(part)
             return
         ct = _unpack_expansions(expn.pop())
@@ -486,7 +505,7 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                 continue
             edges.extend(e for k, e in enumerate(ch.edges)
                          if k != ch.heavy_idx)
-        parts = _split(edges, r0, c0, size)
+        parts = _split(edges, r0, c0, size, cols)
         quads = _quadrants(r0, c0, size, rows, cols)
         for k, _, _ in quads:
             conn.push(_pack_connections(parts[k], []))

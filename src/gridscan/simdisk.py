@@ -377,11 +377,12 @@ class FileStack:
     def push(self, record: bytes):
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
-        framed = record + len(record).to_bytes(4, "little")
-        end = self.top + len(framed)
-        disk._ensure_length(fid, end)
-        disk._data[fid][self.top:end] = framed
-        self.top = end
+        mid = self.top + len(record)
+        disk._ensure_length(fid, mid + 4)
+        data = disk._data[fid]
+        data[self.top:mid] = record
+        data[mid:mid + 4] = len(record).to_bytes(4, "little")
+        self.top = mid + 4
         self.count += 1
         top_block = (self.top - 1) // b
         if top_block > self._hi:

@@ -18,7 +18,10 @@ The source is (rows // 2, cols // 3).
 ``euler_tour``, ``mst_cache_aware`` and ``mst_cache_oblivious`` (no h, so
 once per grid and seed) on generated instances of their default models at
 density 0.6; its values were recorded from the code before the cluster-local
-topological order, interior search and Z-order emitters were shared.
+topological order, interior search and Z-order emitters were shared.  The
+``mst_cache_oblivious`` counters were re-recorded, with the hashes
+unchanged, when its stack edges became 17-byte cell-id records and regions
+of side 2 became its base case.
 
 ``RECORDED_STATS`` pins the phase-2 schedule of ``sssp_simple`` and
 ``sssp_hierarchical`` on the ``RECORDED`` instances through their
@@ -33,8 +36,7 @@ before the hierarchy keys became a numpy array.
 files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
 expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
 stack-record layout fails here even when the block counters stay the same.
-Its values were recorded from the code before the stack records were packed
-by one comprehension per edge run.
+Its values were re-recorded with that 17-byte edge and side-2 base case.
 
 Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.
 """
@@ -224,13 +226,13 @@ RECORDED_EMITTERS = {
         "1d830d9ef00f521d7ae4522f59e5d58d09c69bfc52b6ab3650c7863d325d7518"),
     ('mst_cache_aware', 13, 7, 2, 3): ((116, 59, 173, 2, 11200),
         "1d51a4fff7fb108621f5d9c1c9c4f956eedd08d6bf13d73232daf0470fe5299a"),
-    ('mst_cache_oblivious', 32, 32, 1, None): ((1789, 1662, 2153, 1298, 220864),
+    ('mst_cache_oblivious', 32, 32, 1, None): ((1204, 1077, 1581, 700, 145984),
         "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2"),
-    ('mst_cache_oblivious', 32, 32, 2, None): ((1771, 1644, 2135, 1280, 218560),
+    ('mst_cache_oblivious', 32, 32, 2, None): ((1210, 1083, 1587, 706, 146752),
         "b7d08a0be4eb34fb62e715af71ca346ca64d81a81c3a3d25b2065b9e8e494ece"),
-    ('mst_cache_oblivious', 13, 7, 1, None): ((73, 62, 108, 27, 8640),
+    ('mst_cache_oblivious', 13, 7, 1, None): ((57, 46, 92, 11, 6592),
         "73cb160a236ebcf19650297c3eaaaf64f8b5ce71bc16d9685d6bc1c70dac625e"),
-    ('mst_cache_oblivious', 13, 7, 2, None): ((76, 65, 111, 30, 9024),
+    ('mst_cache_oblivious', 13, 7, 2, None): ((59, 48, 94, 13, 6848),
         "88831eaa98ca5f51c0f7b0d029858c2070f78f32dbd357e4bdbe70aec65a5ea5"),
 }
 
@@ -290,17 +292,17 @@ RECORDED_STATS = {
 # (rows, cols, seed): (sha256 of .conn, sha256 of .expn)
 RECORDED_STACKS = {
     (32, 32, 1): (
-        "705b56779c0c7fb2c095c9003db0a78b52f190a66e928f515c29d3d21d13adba",
-        "20fa3b2c6e3ff22c1375c03aa2b701234159bd2ad5bbefd56ca7ee42c0bcdec7"),
+        "621e17a4451309f042093242f2e784410ad0abe9a4776bc341619d60abd6775e",
+        "60ed72d86df45add549a99a5dc990a46cc71e56edf88cb214b93b221db7d1822"),
     (32, 32, 2): (
-        "bde432141390994a9495a1fb0c15c4376b81dab0fdb268791fa00915d57e0d10",
-        "f2a2c3357c6045d99ed3f3dcca9c2d990b84887ace68c2212af5235f9fa4738c"),
+        "2570ac8796d98ea43cc374e300fb06b50a83c5b87c1315d77bcecb5c722f2731",
+        "bbcc2129972f74e3517bca5ae2938354a9a7265e16511fa98044e0f56b79d550"),
     (13, 7, 1): (
-        "b2e400790dc3bb2c689d676542b9959a81e520fcc32ab51108ca949e37dd5cf0",
-        "ed0a471ce1b8c2f6606fb2db7a425b97701ad3f8d162f6982ccd057e03ed9f57"),
+        "9c154f944400545df411e9d1018dd732e8339835e9714d8cc52c8e19d9a980fe",
+        "c1d41aec8591e0f8194ab2def7eb8baa7e63f951457a057f170dae179fd91e4f"),
     (13, 7, 2): (
-        "58f197e60ca2ef0e9de8b71547f5306001fa74e59600702990e852ec10831d3d",
-        "f6c171aa0c03be5aee001bde90bcc01cd993bc93bcdc771609fd4f2e8b1f58e3"),
+        "b4a4f002dda4a711314c6b8f23bcad1b3a44678d3913561d09ec5a84c3402a0b",
+        "00e37d07012fe2a1fa2331cdf411d078219bc95a86118708ab903e41e94a92b6"),
 }
 
 EMITTER_RUNS = {

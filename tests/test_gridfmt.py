@@ -297,3 +297,11 @@ def test_record_round_trip_weighted_directed(mask, weights):
     m2, w2 = gf.decode_record("weighted_directed", raw)
     assert m2 == mask
     assert w2 == {d: w for d, w in weights.items() if mask >> d & 1}
+
+
+@pytest.mark.parametrize("encoding", gf.VERTEX_ENCODINGS)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_decode_record_wrong_length(encoding, delta):
+    raw = bytes(gf.ENCODINGS[encoding] + delta)
+    with pytest.raises(gf.FormatError, match="record of %d bytes" % len(raw)):
+        gf.decode_record(encoding, raw)

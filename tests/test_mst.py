@@ -97,18 +97,17 @@ def test_all_kept_forest_matches_general_path(seed, n):
     assert fast.dead_ends == []
 
 
-EDGE_REF = struct.Struct("<IIIIQB")
+EDGE_REF = struct.Struct("<IIQB")
 
 
 def ref_run(a, b, edges):
-    """Two u32 counts, then one ``<IIIIQB`` record per edge."""
+    """Two u32 counts, then one ``<IIQ?`` record per edge."""
     return struct.pack("<II", a, b) + b"".join(
-        EDGE_REF.pack(u[0], u[1], v[0], v[1], w, 1 if f else 0)
-        for u, v, w, f in edges)
+        EDGE_REF.pack(u, v, w, 1 if f else 0) for u, v, w, f in edges)
 
 
-coords = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
-stack_edge = st.tuples(coords, coords, st.integers(0, 2 ** 64 - 2),
+cells = st.integers(0, 2 ** 32 - 1)
+stack_edge = st.tuples(cells, cells, st.integers(0, 2 ** 64 - 2),
                        st.booleans())
 stack_edges = st.lists(stack_edge, max_size=6)
 chains = st.lists(stack_edge, min_size=1, max_size=5).flatmap(
@@ -132,6 +131,55 @@ def test_expansion_record_bytes(dead, chs):
         ref_run(len(ch.edges), ch.heavy_idx, ch.edges) for ch in chs)
     back = mst._unpack_expansions(raw)
     assert back.dead_ends == dead and back.chains == chs
+
+
+def regions_by_side(rows, cols):
+    """Side of every quadtree region of the padded square that meets the
+    grid, the whole square included."""
+    sides = []
+
+    def visit(r0, c0, size):
+        if r0 < rows and c0 < cols:
+            sides.append(size)
+            if size > 1:
+                half = size // 2
+                for r, c in ((r0, c0), (r0, c0 + half), (r0 + half, c0),
+                             (r0 + half, c0 + half)):
+                    visit(r, c, half)
+
+    side = 1
+    while side < max(rows, cols):
+        side *= 2
+    visit(0, 0, side)
+    return sides
+
+
+@pytest.mark.parametrize("rows,cols", [(16, 16), (13, 7)])
+def test_stack_pushes_per_region(monkeypatch, rows, cols):
+    events = []
+    push, pop = mst.FileStack.push, mst.FileStack.pop
+
+    def spy_push(self, record):
+        events.append((self.handle.name, "push"))
+        return push(self, record)
+
+    def spy_pop(self):
+        events.append((self.handle.name, "pop"))
+        return pop(self)
+
+    monkeypatch.setattr(mst.FileStack, "push", spy_push)
+    monkeypatch.setattr(mst.FileStack, "pop", spy_pop)
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "weighted_undirected", seed=3,
+                    density=0.6)
+    mst.mst_cache_oblivious(g)
+    # the top-down pass pops the root's expansions record before any push
+    upward = events[:events.index(("mst.out.expn", "pop"))]
+    sides = regions_by_side(rows, cols)
+    assert events.count(("mst.out.expn", "push")) == sum(
+        s >= 4 for s in sides)
+    assert upward.count(("mst.out.conn", "push")) == sum(
+        s >= 2 for s in sides)
 
 
 def two_by_two(weights):
