@@ -154,8 +154,8 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
     count = 0
 
     for q in cl.iterate_clusters(g, scheme):
-        z0, _ = scheme.z_interval(q.ci, q.cj)
-        t_of_local = scheme.shape(q.ci, q.cj).t_of_local
+        z0 = scheme.starts[q.rank]
+        t_of_local = scheme.shape(q.rank).t_of_local
         zdist = np.frombuffer(dist_reader.read(8 * q.n), "<u8")
         dist = [None if dv == gf.ABSENT else dv
                 for dv in zdist[t_of_local].tolist()]

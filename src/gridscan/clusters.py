@@ -1,9 +1,11 @@
 """Canonical square clusters, boundary numbering, and the separator graph.
 
 The grid is tiled by aligned 2^h x 2^h clusters (clipped at the grid edge).
-Boundary vertices of each cluster get consecutive numbers, clockwise from the
-upper-left corner; clusters are ordered by the Z-rank of the cluster grid, so
-the numbering is global and arithmetic.
+In Z-order each cluster is one contiguous range of the file, and the clusters
+follow one another in the Z order of the cluster grid, so a cluster has one
+address: its rank in that order.  Boundary vertices of each cluster get
+consecutive numbers, clockwise from the upper-left corner, cluster after
+cluster in rank order, so the numbering is global and arithmetic.
 
 ``build_separator_graph`` condenses each cluster to its boundary: per
 boundary vertex one fixed-size record holding intra-cluster
@@ -35,84 +37,64 @@ class ClusterError(Exception):
 
 
 class ClusterScheme:
-    """Geometry of the 2^h tiling of an r x c grid."""
+    """Geometry of the 2^h tiling of an r x c grid.
+
+    A cluster's one address is its rank: its place in the Z order of the
+    cluster grid.  Three tables are indexed by it.  ``extents[rank]`` is
+    (r0, c0, height, width), clipped to the grid.  A cell's Morton code is
+    its cluster's code followed by its local code, so the in-grid clusters
+    fill the Z-ordered file in rank order and cluster ``rank`` holds the
+    records at Z indices ``starts[rank]`` up to ``starts[rank + 1]``.
+    ``bases`` are the prefix sums of the boundary sizes: the separator
+    vertex at boundary position p of cluster ``rank`` has h-number
+    ``bases[rank] + p``.
+    """
 
     def __init__(self, rows: int, cols: int, h: int):
         self.rows, self.cols, self.h = rows, cols, h
-        self.size = 1 << h
-        self.crows = -(-rows // self.size)
-        self.ccols = -(-cols // self.size)
+        size = self.size = 1 << h
+        self.crows = -(-rows // size)
+        self.ccols = -(-cols // size)
         # plain lists: the phase-2 lookups index them one value at a time
-        self.cluster_z, self.cluster_cell = (
-            a.tolist() for a in gf.z_tables(self.crows, self.ccols))
-        # boundary-size prefix sums in cluster-Z order -> h-number bases
-        self.bases = [0, *accumulate(
-            self.boundary_size(*self.cluster_at_rank(rank))
-            for rank in range(len(self.cluster_cell)))]
+        rank_of_cluster, cluster_of_rank = gf.z_tables(self.crows, self.ccols)
+        self._rank = rank_of_cluster.tolist()
+        self.extents = []
+        for cell in cluster_of_rank.tolist():
+            r0, c0 = (cell // self.ccols) * size, (cell % self.ccols) * size
+            self.extents.append((r0, c0, min(size, rows - r0),
+                                 min(size, cols - c0)))
+        self.starts = [0, *accumulate(hgt * wid
+                                      for _, _, hgt, wid in self.extents)]
+        self.bases = [0, *accumulate(len(_shape(hgt, wid).boundary)
+                                     for _, _, hgt, wid in self.extents)]
         self.total_boundary = self.bases[-1]
 
-    # -- geometry ----------------------------------------------------------
+    def rank_of(self, r: int, c: int) -> int:
+        """Rank of the cluster holding the cell (r, c)."""
+        return self._rank[(r >> self.h) * self.ccols + (c >> self.h)]
 
-    def cluster_of(self, r: int, c: int) -> tuple[int, int]:
-        return r >> self.h, c >> self.h
-
-    def extent(self, ci: int, cj: int) -> tuple[int, int, int, int]:
-        """(r0, c0, height, width) of a cluster, clipped to the grid."""
-        r0, c0 = ci * self.size, cj * self.size
-        return (r0, c0, min(self.size, self.rows - r0),
-                min(self.size, self.cols - c0))
-
-    def rank(self, ci: int, cj: int) -> int:
-        return self.cluster_z[ci * self.ccols + cj]
-
-    def cluster_at_rank(self, rank: int) -> tuple[int, int]:
-        return divmod(self.cluster_cell[rank], self.ccols)
-
-    def clusters_in_z_order(self):
-        for rank in range(self.crows * self.ccols):
-            yield self.cluster_at_rank(rank)
-
-    def boundary_size(self, ci: int, cj: int) -> int:
-        return len(self.shape(ci, cj).boundary)
-
-    def base(self, ci: int, cj: int) -> int:
-        return self.bases[self.rank(ci, cj)]
-
-    def boundary_coords(self, ci: int, cj: int) -> list[tuple[int, int]]:
-        """Boundary cells clockwise from the upper-left corner, 0-based."""
-        return _clockwise(*self.extent(ci, cj))
+    def shape(self, rank: int) -> _Shape:
+        """Geometry tables of a cluster's (height, width)."""
+        return _shape(*self.extents[rank][2:])
 
     def locate(self, r: int, c: int) -> tuple[int, int] | None:
         """(cluster rank, clockwise boundary position) of the separator
         vertex at (r, c), or None for an interior cell."""
-        ci, cj = r >> self.h, c >> self.h
-        r0, c0, hgt, wid = self.extent(ci, cj)
+        rank = self.rank_of(r, c)
+        r0, c0, hgt, wid = self.extents[rank]
         pos = _shape(hgt, wid).bpos[(r - r0) * wid + c - c0]
-        return None if pos < 0 else (self.rank(ci, cj), pos)
+        return None if pos < 0 else (rank, pos)
 
     def h_number(self, r: int, c: int) -> int | None:
         loc = self.locate(r, c)
         return None if loc is None else self.bases[loc[0]] + loc[1]
 
     def coord_of_h_number(self, hnum: int) -> tuple[int, int]:
-        ci, cj = self.cluster_of_h_number(hnum)
-        r0, c0, hgt, wid = self.extent(ci, cj)
-        lr, lc = divmod(_shape(hgt, wid).boundary[hnum - self.base(ci, cj)],
+        rank = bisect_right(self.bases, hnum) - 1
+        r0, c0, hgt, wid = self.extents[rank]
+        lr, lc = divmod(_shape(hgt, wid).boundary[hnum - self.bases[rank]],
                         wid)
         return r0 + lr, c0 + lc
-
-    def cluster_of_h_number(self, hnum: int) -> tuple[int, int]:
-        return self.cluster_at_rank(bisect_right(self.bases, hnum) - 1)
-
-    def z_interval(self, ci: int, cj: int) -> tuple[int, int]:
-        """(first z-index, vertex count) of a cluster's contiguous range."""
-        r0, c0, hgt, wid = self.extent(ci, cj)
-        z0 = gf.coord_to_index(self.rows, self.cols, r0 + 1, c0 + 1)
-        return z0, hgt * wid
-
-    def shape(self, ci: int, cj: int) -> _Shape:
-        """Geometry tables of a cluster's (height, width)."""
-        return _shape(*self.extent(ci, cj)[2:])
 
 
 def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
@@ -133,7 +115,8 @@ def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
 
 @dataclass
 class InMemoryCluster:
-    """One decoded cluster, its cells addressed by local id.
+    """One decoded cluster, the cluster of Z rank ``rank``, its cells
+    addressed by local id.
 
     The local id of the cell at (r0 + lr, c0 + lc) is lr * wid + lc.
     ``intra[v]`` lists the arcs leaving local cell v that stay inside the
@@ -155,8 +138,7 @@ class InMemoryCluster:
     reproducible only while this order holds.
     """
 
-    ci: int
-    cj: int
+    rank: int
     r0: int
     c0: int
     hgt: int
@@ -271,10 +253,10 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
     return out_cols, intra_cols, ends
 
 
-def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int,
+def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, rank: int,
                     raw: bytes) -> InMemoryCluster:
-    r0, c0, hgt, wid = scheme.extent(ci, cj)
-    q = InMemoryCluster(ci, cj, r0, c0, hgt, wid,
+    r0, c0, hgt, wid = scheme.extents[rank]
+    q = InMemoryCluster(rank, r0, c0, hgt, wid,
                         boundary=_shape(hgt, wid).boundary)
     out_cols, intra_cols, ends = _arc_columns(g, r0, c0, hgt, wid, raw)
     q.out_edges = list(zip(*out_cols))
@@ -283,22 +265,24 @@ def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int,
     return q
 
 
-def load_cluster(g: gf.GridGraph, scheme: ClusterScheme, ci: int, cj: int) -> InMemoryCluster:
+def load_cluster(g: gf.GridGraph, scheme: ClusterScheme,
+                 rank: int) -> InMemoryCluster:
     """One cluster via a counted direct read of its contiguous byte range."""
-    z0, cnt = scheme.z_interval(ci, cj)
+    lo, hi = scheme.starts[rank], scheme.starts[rank + 1]
     rs = g.record_size
-    raw = g.disk.read_direct(g.handle, g.payload_offset + z0 * rs, cnt * rs)
-    return _decode_cluster(g, scheme, ci, cj, raw)
+    raw = g.disk.read_direct(g.handle, g.payload_offset + lo * rs,
+                             (hi - lo) * rs)
+    return _decode_cluster(g, scheme, rank, raw)
 
 
 def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
     """All clusters in Z-rank order through one sequential scan of the input."""
     rs = g.record_size
     reader = g.disk.scan_reader(g.handle, g.payload_offset)
-    for ci, cj in scheme.clusters_in_z_order():
-        _, cnt = scheme.z_interval(ci, cj)
-        raw = reader.read(cnt * rs)
-        yield _decode_cluster(g, scheme, ci, cj, raw)
+    starts = scheme.starts
+    for rank in range(len(starts) - 1):
+        raw = reader.read((starts[rank + 1] - starts[rank]) * rs)
+        yield _decode_cluster(g, scheme, rank, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +316,7 @@ class SeparatorGraph:
         cluster come first.
         """
         scheme = self.scheme
-        r0, c0, hgt, wid = scheme.extent(*scheme.cluster_at_rank(rank))
+        r0, c0, hgt, wid = scheme.extents[rank]
         boundary = _shape(hgt, wid).boundary
         wide = self.mode == "weighted_distance"
         absent, shift = (gf.ABSENT, 60) if wide else (ABSENT32, 28)
@@ -358,7 +342,7 @@ class SeparatorGraph:
         cluster come first, by position, then those across, by direction.
         """
         scheme = self.scheme
-        base = scheme.base(*scheme.cluster_of_h_number(hnum))
+        base = scheme.bases[bisect_right(scheme.bases, hnum) - 1]
         m = int.from_bytes(raw[:-1], "little")
         targets = []
         while m:                       # set bits, lowest first
@@ -453,11 +437,12 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
     for q in iterate_clusters(g, scheme):
         bpos = _shape(q.hgt, q.wid).bpos
         bsize = len(q.boundary)
-        base = scheme.base(q.ci, q.cj)
+        base = scheme.bases[q.rank]
         if mode == "reachability":
             order = topo_order(q)
             if order is None:
-                raise ClusterError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
+                raise ClusterError("cycle inside the cluster at (%d,%d)"
+                                   % (q.r0, q.c0))
             reach = [0] * q.n
             for v in reversed(order):
                 acc = 0
@@ -488,8 +473,8 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
                 top = max([d for d in row if d != INF])
                 if top >= absent:
                     raise ClusterError(
-                        "boundary distance %d in cluster (%d,%d) does not "
-                        "fit below the no-path marker" % (top, q.ci, q.cj))
+                        "boundary distance %d in the cluster at (%d,%d) does "
+                        "not fit below the no-path marker" % (top, q.r0, q.c0))
                 dists[i] = [absent if d == INF else d for d in row]
             recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
                 bsize, bsize - 1)

@@ -50,7 +50,7 @@ def _cross_edge_map(g: gf.GridGraph, scheme: cl.ClusterScheme):
     total edge count, for the tree precondition."""
     incoming: dict = {}
     edge_count = 0
-    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
+    for q in cl.iterate_clusters(g, scheme):
         seen = set()
         for v in range(q.n):
             for d, u, w in q.intra[v]:
@@ -58,7 +58,7 @@ def _cross_edge_map(g: gf.GridGraph, scheme: cl.ClusterScheme):
                 if key not in seen:
                     seen.add(key)
                     edge_count += 1
-        bpos = scheme.shape(q.ci, q.cj).bpos
+        bpos = scheme.shape(q.rank).bpos
         for v, d, nr, nc, w in q.out_edges:
             # register each undirected cross edge once, as an entry into
             # both incident clusters (symmetric unweighted storage lists it
@@ -66,7 +66,7 @@ def _cross_edge_map(g: gf.GridGraph, scheme: cl.ClusterScheme):
             if q.coord(v) < (nr, nc):
                 rank, pos = scheme.locate(nr, nc)
                 incoming.setdefault(rank, []).append((pos, d))
-                incoming.setdefault(crank, []).append(
+                incoming.setdefault(q.rank, []).append(
                     (bpos[v], gf.opposite(d)))
                 edge_count += 1
     return incoming, edge_count
@@ -110,11 +110,12 @@ def _cluster_direction_masks(q: cl.InMemoryCluster, incoming) -> list:
 
 
 def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
-    """Entry-to-exit maps per cluster: {(entry vertex, arrival direction):
-    (exit vertex, exit direction) or None for the terminal entry}."""
+    """Entry-to-exit maps by cluster rank: {(entry vertex, arrival
+    direction): (exit vertex, exit direction) or None for the terminal
+    entry}."""
     maps = {}
-    for ckey, entry, arrival, steps, exit_edge in _scan_segments(g, h, root)[0]:
-        maps.setdefault(ckey, {})[(entry, arrival)] = exit_edge
+    for rank, entry, arrival, steps, exit_edge in _scan_segments(g, h, root)[0]:
+        maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
     return maps
 
 
@@ -132,27 +133,26 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
     if edge_count != g.n - 1:
         raise EulerError("input is not a tree: %d edges for %d vertices"
                          % (edge_count, g.n))
-    root_cluster = scheme.cluster_of(*root)
+    root_rank = scheme.rank_of(*root)
     segments = []
     first_dir = None
-    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
-        ckey = (q.ci, q.cj)
-        inc = incoming.get(crank, [])
+    for q in cl.iterate_clusters(g, scheme):
+        inc = incoming.get(q.rank, [])
         dirs = _cluster_direction_masks(q, inc)
         heads = [{d: u for d, u, _ in arcs} for arcs in q.intra]
         fd = lroot = None
-        if ckey == root_cluster and g.n > 1:
+        if q.rank == root_rank and g.n > 1:
             lroot = q.local(*root)
             fd = _successor(dirs[lroot], gf.NW)
             first_dir = fd
             steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
                                          fd, True)
-            segments.append((ckey, root, None, steps, exit_edge))
+            segments.append((q.rank, root, None, steps, exit_edge))
         for pos, d in inc:
             v = q.boundary[pos]
             steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
                                          False)
-            segments.append((ckey, q.coord(v), d, steps, exit_edge))
+            segments.append((q.rank, q.coord(v), d, steps, exit_edge))
     return segments, first_dir, root
 
 
@@ -181,11 +181,11 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     index = {}
     per_cluster: dict = {}
     off = 0
-    for ckey, entry, arrival, steps, exit_edge in segments:
+    for rank, entry, arrival, steps, exit_edge in segments:
         rec = SEG_HDR.pack(zi(entry), len(steps)) + bytes(steps)
         c_stream.write(rec)
         index[(entry, arrival)] = (off, len(steps), exit_edge)
-        per_cluster[ckey] = per_cluster.get(ckey, 0) + 1
+        per_cluster[rank] = per_cluster.get(rank, 0) + 1
         off += len(rec)
     c_stream.close()
     if stats is not None:

@@ -143,9 +143,8 @@ def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     gp = cl.build_separator_graph(g, h, mode, name=out_name + ".gp")
     scheme = gp.scheme
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
-    ci, cj = scheme.cluster_of(*s_cell)
-    srank = scheme.rank(ci, cj)
-    q = cl.load_cluster(g, scheme, ci, cj)
+    srank = scheme.rank_of(*s_cell)
+    q = cl.load_cluster(g, scheme, srank)
     dist = cl.local_dijkstra(q, [(0, q.local(*s_cell))])
     vals = dfile.read(srank)
     for i, v in enumerate(q.boundary):
@@ -228,19 +227,19 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
     gf.write_header_via(stream, disk, "distances", g.rows, g.cols, g.n)
-    s_cluster = scheme.cluster_of(*s_cell)
-    for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
-        vals = dfile.read(rank)
+    srank = scheme.rank_of(*s_cell)
+    for q in cl.iterate_clusters(g, scheme):
+        vals = dfile.read(q.rank)
         seeds = [(d & INF_D, v)
                  for d, v in zip(vals, q.boundary) if d & INF_D != INF_D]
-        if (q.ci, q.cj) == s_cluster:
+        if q.rank == srank:
             seeds.append((0, q.local(*s_cell)))
         dist = cl.local_dijkstra(q, seeds)
         top = max([d for d in dist if d != cl.INF], default=0)
         if top >= INF_D:
             raise _too_long(top)
         dist = [gf.ABSENT if d == cl.INF else d for d in dist]
-        local_of_t = scheme.shape(q.ci, q.cj).local_of_t
+        local_of_t = scheme.shape(q.rank).local_of_t
         stream.write(np.array(dist, "<u8")[local_of_t].tobytes())
     stream.close()
     return handle
@@ -258,7 +257,7 @@ def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
     scheme = gp.scheme
     # least tentative (distance, position) per cluster, or None; it mirrors
     # the distance file, so a queue entry whose key matches it is live
-    cur_min = [None] * (scheme.crows * scheme.ccols)
+    cur_min = [None] * len(scheme.extents)
 
     def refresh(rank, vals):
         cur_min[rank] = _min_tentative(vals)
@@ -315,6 +314,9 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     scheme = gp.scheme
 
     k = len(levels) - 1
+    # level slicing and heap ties are 2-D: (row, column) of each h0 cluster
+    # in the cluster grid, by rank
+    coords = [(r0 >> h0, c0 >> h0) for r0, c0, _, _ in scheme.extents]
     # least tentative estimate per h0 cluster, INF_D when it holds none
     keys = np.full((scheme.crows, scheme.ccols), INF_D, dtype=np.int64)
 
@@ -335,7 +337,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     def refresh(rank, vals):
         """Set an h0 cluster's key from its records and advertise it, if any,
         to every ancestor queue on its chain."""
-        coord = scheme.cluster_at_rank(rank)
+        coord = coords[rank]
         best = _min_tentative(vals)
         keys[coord] = INF_D if best is None else best[0]
         if best is None:
@@ -349,7 +351,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
         stats.level0_calls += 1
         touched = _settle(gp, dfile, rank, stats, reactivate=True)
         if touched is None:
-            keys[scheme.cluster_at_rank(rank)] = INF_D
+            keys[coords[rank]] = INF_D
             stats.wasted_calls += 1
             return False
         for tr, vals in touched.items():
@@ -358,7 +360,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
 
     def process(level, coord):
         if level == 0:
-            level0_step(scheme.rank(*coord))
+            level0_step(scheme.rank_of(coord[0] << h0, coord[1] << h0))
             return
         budget = 1 << (levels[level] - levels[level - 1] - 1)
         heap = heaps.setdefault((level, coord), [])

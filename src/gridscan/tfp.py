@@ -140,7 +140,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     region_offsets = {}
     l_off = 0
 
-    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
+    for q in cl.iterate_clusters(g, scheme):
         local_squares: dict = {}
         in_mask = [0] * q.n
         out_mask = [0] * q.n
@@ -154,14 +154,14 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                                   d in _DIAG_A)
         for v, d, nr, nc, w in q.out_edges:
             out_mask[v] |= 1 << d
-        for pos, d in incoming.get(crank, ()):
+        for pos, d in incoming.get(q.rank, ()):
             in_mask[q.boundary[pos]] |= 1 << gf.opposite(d)
 
         asg = ts.assign_chunk_numbers(
-            q, rtab[scheme.bases[crank]:scheme.bases[crank + 1]].tolist())
+            q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
         ranks = sorted(asg.members)
         ordinal = {rank: i for i, rank in enumerate(ranks)}
-        z0, _ = scheme.z_interval(q.ci, q.cj)
+        z0 = scheme.starts[q.rank]
 
         # receive-side slot assignment: vertices in record order, incoming
         # directions clockwise from north, cross-chunk intra edges only
@@ -198,9 +198,9 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             region = region_slots[ordinal[rank]] * 8
             rec = CHUNK_HDR.pack(z0, rank, cnt, l_off, region)
             c_stream.write(rec + bytes(body) + b"\0" * region)
-            region_offsets[(crank, ordinal[rank])] = \
+            region_offsets[(q.rank, ordinal[rank])] = \
                 c_off + CHUNK_HDR.size + len(body)
-            a_entries.append((rank, crank, c_off,
+            a_entries.append((rank, q.rank, c_off,
                               CHUNK_HDR.size + len(body) + region))
             c_off += CHUNK_HDR.size + len(body) + region
             l_off += cnt * LABEL.itemsize
@@ -227,7 +227,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
         _, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
-        r0, c0, hgt, wid = scheme.extent(*scheme.cluster_at_rank(crank))
+        r0, c0, hgt, wid = scheme.extents[crank]
         pos = CHUNK_HDR.size
         vertices = []
         for _ in range(cnt):
@@ -300,12 +300,11 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, "labels", g.rows, g.cols, g.n)
     reader = disk.scan_reader(plan.l_handle, 0)
-    for ci, cj in scheme.clusters_in_z_order():
-        _, cnt = scheme.z_interval(ci, cj)
-        recs = np.frombuffer(reader.read(cnt * LABEL.itemsize), LABEL)
-        labels = np.empty(cnt, "<u8")
+    for rank, (lo, hi) in enumerate(zip(scheme.starts, scheme.starts[1:])):
+        recs = np.frombuffer(reader.read((hi - lo) * LABEL.itemsize), LABEL)
+        labels = np.empty(hi - lo, "<u8")
         labels[recs["v"]] = recs["label"]
-        stream.write(labels[scheme.shape(ci, cj).local_of_t].tobytes())
+        stream.write(labels[scheme.shape(rank).local_of_t].tobytes())
     stream.close()
     return out
 

@@ -125,7 +125,8 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
             pred[u].append(v)
     order = cl.topo_order(q)
     if order is None:
-        raise ToposortError("cycle inside cluster (%d,%d)" % (q.ci, q.cj))
+        raise ToposortError("cycle inside the cluster at (%d,%d)"
+                            % (q.r0, q.c0))
     chunk = [None] * n
     for v, rank in zip(q.boundary, ranks):
         chunk[v] = rank
@@ -212,20 +213,20 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     c_stream = disk.append_stream(c_handle)
     a_entries = []     # (rank, cluster rank, byte offset in C, record bytes)
     c_off = 0
-    for crank, q in enumerate(cl.iterate_clusters(g, scheme)):
+    for q in cl.iterate_clusters(g, scheme):
         asg = assign_chunk_numbers(
-            q, rtab[scheme.bases[crank]:scheme.bases[crank + 1]].tolist())
+            q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
         if stats is not None:
             stats.rounds_max = max(stats.rounds_max, asg.rounds)
             stats.leftover_vertices += asg.leftover
             stats.chunk_count += len(asg.members)
-        z0, _ = scheme.z_interval(q.ci, q.cj)
+        z0 = scheme.starts[q.rank]
         for rank in sorted(asg.members):
             ids = asg.members[rank]
             rec = CHUNK_HDR.pack(z0, rank, len(ids))
             rec += np.array(ids, "<u4").tobytes()
             c_stream.write(rec)
-            a_entries.append((rank, crank, c_off, len(rec)))
+            a_entries.append((rank, q.rank, c_off, len(rec)))
             c_off += len(rec)
     c_stream.close()
 
@@ -240,7 +241,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
         rec = disk.read_direct(c_handle, off, size)
         z0, _, cnt = CHUNK_HDR.unpack_from(rec, 0)
         ids = np.frombuffer(rec, "<u4", cnt, CHUNK_HDR.size)
-        t_of_local = scheme.shape(*scheme.cluster_at_rank(crank)).t_of_local
+        t_of_local = scheme.shape(crank).t_of_local
         stream.write((z0 + t_of_local[ids]).astype("<u8").tobytes())
         emitted += cnt
     stream.close()

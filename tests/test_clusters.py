@@ -1,5 +1,6 @@
 import heapq
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,12 @@ from hypothesis import given, settings, strategies as st
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 
 from conftest import make_disk, make_graph, grid4_edges
+
+
+def boundary_coords(s, rank):
+    """Boundary cells of cluster ``rank``, clockwise from the upper-left."""
+    r0, c0, _, wid = s.extents[rank]
+    return [(r0 + v // wid, c0 + v % wid) for v in s.shape(rank).boundary]
 
 
 def test_h1_numbering_clockwise():
@@ -21,16 +28,19 @@ def test_h2_interior_has_no_number():
 
 
 def test_boundary_sizes():
-    assert len(cl.ClusterScheme(2, 2, 1).boundary_coords(0, 0)) == 4
-    assert len(cl.ClusterScheme(4, 4, 2).boundary_coords(0, 0)) == 12
+    assert len(boundary_coords(cl.ClusterScheme(2, 2, 1), 0)) == 4
+    assert len(boundary_coords(cl.ClusterScheme(4, 4, 2), 0)) == 12
 
 
 def test_clipped_cluster_boundary_clockwise():
-    # 5x6 grid, h=2: cluster (1,1) covers rows 4, cols 4-5 -> a 1x2 strip
+    # 5x6 grid, h=2: the cluster at (4,4) covers row 4, cols 4-5 -> a 1x2
+    # strip
     s = cl.ClusterScheme(5, 6, 2)
-    assert s.boundary_coords(1, 1) == [(4, 4), (4, 5)]
-    # cluster (1,0) covers row 4, cols 0-3
-    assert s.boundary_coords(1, 0) == [(4, 0), (4, 1), (4, 2), (4, 3)]
+    assert s.extents[s.rank_of(4, 4)] == (4, 4, 1, 2)
+    assert boundary_coords(s, s.rank_of(4, 4)) == [(4, 4), (4, 5)]
+    # the cluster at (4,0) covers row 4, cols 0-3
+    assert boundary_coords(s, s.rank_of(4, 0)) == [(4, 0), (4, 1), (4, 2),
+                                                   (4, 3)]
 
 
 @pytest.mark.parametrize("rows,cols,h", [(8, 8, 1), (8, 8, 2), (7, 5, 1),
@@ -38,18 +48,41 @@ def test_clipped_cluster_boundary_clockwise():
 def test_h_numbers_contiguous_and_distinct(rows, cols, h):
     s = cl.ClusterScheme(rows, cols, h)
     seen = set()
-    for ci in range(s.crows):
-        for cj in range(s.ccols):
-            nums = [s.h_number(r, c) for r, c in s.boundary_coords(ci, cj)]
-            base = s.base(ci, cj)
-            assert nums == list(range(base, base + len(nums)))
-            assert not (set(nums) & seen)
-            seen |= set(nums)
+    for rank in range(len(s.extents)):
+        nums = [s.h_number(r, c) for r, c in boundary_coords(s, rank)]
+        base = s.bases[rank]
+        assert nums == list(range(base, base + len(nums)))
+        assert not (set(nums) & seen)
+        seen |= set(nums)
     assert seen == set(range(s.total_boundary))
     for hn in seen:
         r, c = s.coord_of_h_number(hn)
         assert s.h_number(r, c) == hn
-        assert s.cluster_of_h_number(hn) == s.cluster_of(r, c)
+        assert bisect_right(s.bases, hn) - 1 == s.rank_of(r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 4))
+def test_rank_tables_match_z_order(rows, cols, h):
+    # each cluster starts at the Z index of its top-left cell, the extents
+    # tile the grid, rank_of names the extent that holds a cell, and every
+    # boundary cell's h-number leads back to it
+    s = cl.ClusterScheme(rows, cols, h)
+    z_of = gf.z_tables(rows, cols)[0]
+    owner = {}
+    for rank, (r0, c0, hgt, wid) in enumerate(s.extents):
+        assert s.starts[rank] == z_of[r0 * cols + c0]
+        for r in range(r0, r0 + hgt):
+            for c in range(c0, c0 + wid):
+                assert (r, c) not in owner
+                owner[(r, c)] = rank
+    assert len(owner) == rows * cols
+    assert s.starts[-1] == rows * cols
+    for (r, c), rank in owner.items():
+        assert s.rank_of(r, c) == rank
+        hn = s.h_number(r, c)
+        if hn is not None:
+            assert s.coord_of_h_number(hn) == (r, c)
 
 
 @pytest.mark.parametrize("rows,cols", [(13, 7), (32, 32)])
@@ -60,8 +93,8 @@ def test_local_boundary_matches_scheme_numbering(rows, cols, h):
     g = make_graph(make_disk(), rows, cols, "unweighted", {})
     s = cl.ClusterScheme(rows, cols, h)
     for rank, q in enumerate(cl.iterate_clusters(g, s)):
-        assert [q.coord(v) for v in q.boundary] == s.boundary_coords(q.ci,
-                                                                     q.cj)
+        assert q.rank == rank
+        assert [q.coord(v) for v in q.boundary] == boundary_coords(s, rank)
         for v in range(q.n):
             assert q.local(*q.coord(v)) == v
         for i, v in enumerate(q.boundary):
@@ -72,12 +105,17 @@ def test_local_boundary_matches_scheme_numbering(rows, cols, h):
 
 @pytest.mark.parametrize("rows,cols,h", [(8, 8, 1), (7, 5, 2), (13, 9, 2)])
 def test_z_intervals_tile_the_grid(rows, cols, h):
+    # cluster rank's Z indices starts[rank] .. starts[rank + 1] are exactly
+    # the cells of its extent, and the ranges follow one another
     s = cl.ClusterScheme(rows, cols, h)
     pos = 0
-    for ci, cj in s.clusters_in_z_order():
-        z0, cnt = s.z_interval(ci, cj)
-        assert z0 == pos
-        pos += cnt
+    for rank, (r0, c0, hgt, wid) in enumerate(s.extents):
+        lo, hi = s.starts[rank], s.starts[rank + 1]
+        assert lo == pos
+        assert sorted(gf.coord_to_index(rows, cols, r + 1, c + 1)
+                      for r in range(r0, r0 + hgt)
+                      for c in range(c0, c0 + wid)) == list(range(lo, hi))
+        pos = hi
     assert pos == rows * cols
 
 
@@ -85,7 +123,7 @@ def test_load_cluster_matches_read_vertex():
     d = make_disk()
     g = gf.generate(d, 8, 8, "weighted_dag", seed=11)
     s = cl.ClusterScheme(8, 8, 2)
-    q = cl.load_cluster(g, s, 1, 0)
+    q = cl.load_cluster(g, s, s.rank_of(4, 0))
     records = gf.decode_all(g)
     for v, edges in enumerate(q.intra):
         r, c = q.coord(v)
@@ -132,13 +170,13 @@ def test_separator_no_internal_edges_only_cross():
     assert all_edges == [(s.h_number(1, 0), s.h_number(2, 0), 7)]
 
 
-def _local_oracle_distances(g, s, ci, cj):
+def _local_oracle_distances(g, s, rank):
     """Per-cluster boundary-to-boundary Dijkstra straight off adjacency."""
     adj = gf.adjacency(g)
-    r0, c0, hgt, wid = s.extent(ci, cj)
+    r0, c0, hgt, wid = s.extents[rank]
     inside = lambda v: r0 <= v[0] < r0 + hgt and c0 <= v[1] < c0 + wid
     out = {}
-    for src in s.boundary_coords(ci, cj):
+    for src in boundary_coords(s, rank):
         dist = {src: 0}
         pq = [(0, src)]
         while pq:
@@ -162,21 +200,20 @@ def test_separator_distance_soundness(h):
     g = gf.generate(d, 16, 16, "weighted_dag", seed=h)
     gp = cl.build_separator_graph(g, h, "weighted_distance")
     s = gp.scheme
-    for ci in range(s.crows):
-        for cj in range(s.ccols):
-            local = _local_oracle_distances(g, s, ci, cj)
-            rank, base = s.rank(ci, cj), s.base(ci, cj)
-            bnd = s.boundary_coords(ci, cj)
-            for i, src in enumerate(bnd):
-                raw = gp.read_record(d, base + i)
-                got = {}
-                for r, p, w in gp.decode_edges(rank, i, raw):
-                    if r == rank:
-                        got[base + p] = w
-                expect = {base + j: local[src][v]
-                          for j, v in enumerate(bnd)
-                          if j != i and v in local[src]}
-                assert got == expect
+    for rank in range(len(s.extents)):
+        local = _local_oracle_distances(g, s, rank)
+        base = s.bases[rank]
+        bnd = boundary_coords(s, rank)
+        for i, src in enumerate(bnd):
+            raw = gp.read_record(d, base + i)
+            got = {}
+            for r, p, w in gp.decode_edges(rank, i, raw):
+                if r == rank:
+                    got[base + p] = w
+            expect = {base + j: local[src][v]
+                      for j, v in enumerate(bnd)
+                      if j != i and v in local[src]}
+            assert got == expect
 
 
 @pytest.mark.parametrize("h", [1, 2])
@@ -196,7 +233,7 @@ def test_separator_cross_edge_completeness(h):
     expect = []
     for v in adj:
         for _, nr, nc, w in adj[v]:
-            if s.cluster_of(*v) != s.cluster_of(nr, nc):
+            if s.rank_of(*v) != s.rank_of(nr, nc):
                 expect.append((v, (nr, nc), w))
     assert sorted(got) == sorted(expect)
 
@@ -284,16 +321,17 @@ def _random_graph(d, rows, cols, encoding, seed):
     return make_graph(d, rows, cols, encoding, edges)
 
 
-def _expected_cluster(g, s, records, ci, cj):
+def _expected_cluster(g, s, records, rank):
     """(intra, out_edges, boundary) of one cluster, built record by record in
     the order the InMemoryCluster docstring documents."""
-    r0, c0, hgt, wid = s.extent(ci, cj)
+    r0, c0, hgt, wid = s.extents[rank]
     inside = lambda r, c: r0 <= r < r0 + hgt and c0 <= c < c0 + wid
     local = lambda r, c: (r - r0) * wid + c - c0
     intra = [[] for _ in range(hgt * wid)]
     out = []
-    z0, cnt = s.z_interval(ci, cj)
-    for z in range(z0, z0 + cnt):
+    for z in sorted(gf.coord_to_index(g.rows, g.cols, r + 1, c + 1)
+                    for r in range(r0, r0 + hgt)
+                    for c in range(c0, c0 + wid)):
         row, col = gf.index_to_coord(g.rows, g.cols, z)
         r, c = row - 1, col - 1
         mask, weights = records[z]
@@ -329,10 +367,10 @@ def test_decode_matches_record_by_record_reference(encoding, shape, h, seed):
     s = cl.ClusterScheme(rows, cols, h)
     records = gf.decode_all(g)
     streamed = list(cl.iterate_clusters(g, s))
-    assert [(q.ci, q.cj) for q in streamed] == list(s.clusters_in_z_order())
+    assert [q.rank for q in streamed] == list(range(len(s.extents)))
     for q in streamed:
-        direct = cl.load_cluster(g, s, q.ci, q.cj)
-        intra, out, boundary = _expected_cluster(g, s, records, q.ci, q.cj)
+        direct = cl.load_cluster(g, s, q.rank)
+        intra, out, boundary = _expected_cluster(g, s, records, q.rank)
         for got in (q, direct):
             assert got.intra == intra
             assert got.out_edges == out
@@ -357,7 +395,7 @@ def test_decode_rejects_arc_off_the_grid(encoding, h):
     with pytest.raises(gf.FormatError):
         list(cl.iterate_clusters(g, s))
     with pytest.raises(gf.FormatError):
-        cl.load_cluster(g, s, *s.cluster_of(*cell))
+        cl.load_cluster(g, s, s.rank_of(*cell))
 
 
 def test_sssp_rejects_arc_off_the_grid_like_the_oracle():

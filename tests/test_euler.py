@@ -1,6 +1,6 @@
 import pytest
 
-from gridscan import gridfmt as gf, oracle, euler
+from gridscan import gridfmt as gf, clusters as cl, oracle, euler
 
 from conftest import make_disk, make_graph
 
@@ -98,7 +98,7 @@ def test_leaf_bounce():
     g = make_graph(d, 1, 4, "weighted_undirected",
                    {(0, c): {gf.E: 1} for c in range(3)})
     maps = euler.build_entry_exit(g, 1, root=(0, 0))
-    m = maps[(0, 1)]
+    m = maps[cl.ClusterScheme(1, 4, 1).rank_of(0, 2)]
     assert m[((0, 2), gf.E)] == ((0, 2), gf.W)
 
 
@@ -110,7 +110,7 @@ def test_terminal_only_in_root_cluster():
     terminals = [(ckey, k) for ckey, m in maps.items()
                  for k, v in m.items() if v is None]
     assert len(terminals) == 1
-    assert terminals[0][0] == (7 >> 2, 7 >> 2)
+    assert terminals[0][0] == cl.ClusterScheme(16, 16, 2).rank_of(*root)
 
 
 def test_non_tree_rejected():

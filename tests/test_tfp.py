@@ -76,7 +76,7 @@ def test_inter_slots_unique_per_edge():
                 nr, nc = r + dr, c + dc
                 if not (0 <= nr < 16 and 0 <= nc < 16):
                     continue
-                if scheme.cluster_of(r, c) == scheme.cluster_of(nr, nc):
+                if scheme.rank_of(r, c) == scheme.rank_of(nr, nc):
                     continue
                 slot = tfp._inter_slot(scheme, (r, c), (nr, nc))
                 assert 0 <= slot < tfp._inter_slot_count(scheme)
