@@ -114,7 +114,7 @@ def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
     direction): (exit vertex, exit direction) or None for the terminal
     entry}."""
     maps = {}
-    for rank, entry, arrival, steps, exit_edge in _scan_segments(g, h, root)[0]:
+    for rank, entry, arrival, _, exit_edge in _scan_segments(g, h, root)[0]:
         maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
     return maps
 

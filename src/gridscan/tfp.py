@@ -110,8 +110,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     """
     disk = g.disk
     stats = stats if stats is not None else TfpStats()
-    scheme, numbering = ts.number_separator(g, h, name, TfpError)
-    rtab = numbering.r
+    scheme, rtab = ts.number_separator(g, h, name, TfpError)
 
     # collect cross-cluster edges per receiving cluster rank, as (boundary
     # position of the head, direction); their volume is bounded by the
@@ -207,10 +206,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             stats.chunk_count += 1
     c_stream.close()
 
+    # no fill pass: tfp_run writes every label record once, growing the file
     l_handle = disk.open_file(name + ".labels")
-    ls = disk.append_stream(l_handle)
-    ls.write(b"\0" * l_off)
-    ls.close()
     return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries),
                        region_offsets)
 

@@ -26,14 +26,6 @@ class ToposortError(Exception):
 
 
 @dataclass
-class TopoNumbering:
-    t_handle: object            # separator vertices (h-numbers) in topo order
-    r_handle: object            # rank indexed by h-number
-    r: np.ndarray               # in-memory copy of the rank table
-    count: int
-
-
-@dataclass
 class ChunkAssignment:
     chunk: list                 # per local vertex id, the chunk rank
     members: dict               # rank -> topologically sorted local ids
@@ -48,12 +40,13 @@ class TopoStats:
     chunk_count: int = 0
 
 
-def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
-                          name: str = "topo") -> TopoNumbering:
-    """Kahn's algorithm over the reachability separator graph.
+def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk) -> np.ndarray:
+    """Kahn's algorithm over the reachability separator graph; returns the
+    topological rank of every separator vertex, indexed by h-number.
 
-    The in-degree table lives in memory (2 bytes per separator vertex); the
-    zero-in-degree queue is consumed as a FIFO file and extended in place.
+    The in-degree table and the rank table live in memory (2 and 8 bytes
+    per separator vertex); the zero-in-degree queue is consumed as a FIFO
+    file and extended in place.
     """
     if gp.mode != "reachability":
         raise ToposortError("separator graph must be in reachability mode")
@@ -62,8 +55,6 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
         disk.read_direct(gp.d_handle, 0, 2 * total), dtype="<u2").astype(
         np.int64).copy()
 
-    t_handle = disk.open_file(name + ".tprime")
-    t_stream = disk.append_stream(t_handle)
     z_reader = disk.scan_reader(gp.z_handle, 0)
     # continue the queue at its logical end (the file itself is block padded)
     z_stream = disk.append_stream(gp.z_handle, 8 * gp.z_count)
@@ -75,7 +66,6 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
     while z_read < z_avail:
         u = int.from_bytes(z_reader.read(8), "little")
         z_read += 1
-        t_stream.write(u.to_bytes(8, "little"))
         r[u] = numbered
         numbered += 1
         for t in gp.decode_reach(u, gp.read_record(disk, u)):
@@ -83,28 +73,22 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk,
             if indeg[t] == 0:
                 z_stream.write(int(t).to_bytes(8, "little"))
                 z_avail += 1
-    t_stream.close()
     z_stream.close()
     if numbered != total:
         raise ToposortError("separator graph cyclic")
-
-    r_handle = disk.open_file(name + ".rank")
-    rs = disk.append_stream(r_handle)
-    rs.write(r.astype("<u8").tobytes())
-    rs.close()
-    return TopoNumbering(t_handle, r_handle, r, total)
+    return r
 
 
 def number_separator(g: gf.GridGraph, h: int, name: str, error):
     """Check a DAG input, condense it to its reachability separator graph and
     number that topologically; a ClusterError is raised as ``error``.
-    Returns (cluster scheme, numbering)."""
+    Returns (cluster scheme, rank table)."""
     gf.check_input(g, ("unweighted",), error)
     try:
         gp = cl.build_separator_graph(g, h, "reachability", name=name + ".gp")
     except cl.ClusterError as e:
         raise error(str(e)) from e
-    return gp.scheme, topo_number_separator(gp, g.disk, name=name)
+    return gp.scheme, topo_number_separator(gp, g.disk)
 
 
 def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
@@ -206,8 +190,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
              stats: TopoStats | None = None):
     """Full pipeline; returns the handle of the ordered vertex file."""
     disk = g.disk
-    scheme, numbering = number_separator(g, h, out_name, ToposortError)
-    rtab = numbering.r
+    scheme, rtab = number_separator(g, h, out_name, ToposortError)
 
     c_handle = disk.open_file(out_name + ".chunks")
     c_stream = disk.append_stream(c_handle)

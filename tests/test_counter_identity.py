@@ -21,7 +21,14 @@ density 0.6; its values were recorded from the code before the cluster-local
 topological order, interior search and Z-order emitters were shared.  The
 ``mst_cache_oblivious`` counters were re-recorded, with the hashes
 unchanged, when its stack edges became 17-byte cell-id records and regions
-of side 2 became its base case.
+of side 2 became its base case.  The ``toposort`` and ``tfp_run`` counters
+were re-recorded, with the hashes and ``blocks_read`` unchanged, when the
+separator numbering stopped writing its never-read ``.tprime`` and
+``.rank`` files and ``plan_messages`` stopped zero-filling the label file.
+
+``test_no_write_only_files`` runs the ``RECORDED`` and
+``RECORDED_EMITTERS`` instances once more and asserts that every file with
+counted writes, other than the output, also has counted reads.
 
 ``RECORDED_STATS`` pins the phase-2 schedule of ``sssp_simple`` and
 ``sssp_hierarchical`` on the ``RECORDED`` instances through their
@@ -130,53 +137,53 @@ RECORDED = {
 
 # (algorithm, rows, cols, seed, h): (counters as above, output sha256)
 RECORDED_EMITTERS = {
-    ('toposort', 32, 32, 1, 1): ((2496, 962, 1493, 1965, 221312),
+    ('toposort', 32, 32, 1, 1): ((2496, 706, 1237, 1965, 204928),
         "99bb4a29cf75bedca72f266e434ec15aae3b2caaf41e349b23adce622bc793e9"),
-    ('toposort', 32, 32, 1, 2): ((1948, 782, 1178, 1552, 174720),
+    ('toposort', 32, 32, 1, 2): ((1948, 590, 986, 1552, 162432),
         "61037f77e1988e2df3c51b08cd6311d4b79a521c2030da48eb3729278a279b4b"),
-    ('toposort', 32, 32, 1, 3): ((1198, 551, 845, 904, 111936),
+    ('toposort', 32, 32, 1, 3): ((1198, 439, 733, 904, 104768),
         "fbc66d1ca608b12a1c0ecc9e3d8745274d2b02a46b41e51417164a0aad7b1f71"),
-    ('toposort', 32, 32, 2, 1): ((2496, 962, 1491, 1967, 221312),
+    ('toposort', 32, 32, 2, 1): ((2496, 706, 1235, 1967, 204928),
         "a789b42cbeb2778cb647ee17b134bf806109f13b0b3964d2aedabeb73c2cb911"),
-    ('toposort', 32, 32, 2, 2): ((1941, 782, 1202, 1521, 174272),
+    ('toposort', 32, 32, 2, 2): ((1941, 590, 1010, 1521, 161984),
         "14b22f0bbb4b0bd0fb88944915ee27eff409ad91c83fcb2bbd6eeb0ac1803765"),
-    ('toposort', 32, 32, 2, 3): ((1201, 550, 850, 901, 112064),
+    ('toposort', 32, 32, 2, 3): ((1201, 438, 738, 901, 104896),
         "ec4c2d6d8e54e2a1ed9a71832a56e32e29601ebdc200fccc3a35c49dd1cc8b07"),
-    ('toposort', 13, 7, 1, 1): ((224, 91, 146, 169, 20160),
+    ('toposort', 13, 7, 1, 1): ((224, 67, 122, 169, 18624),
         "58cec4501d63a03fbf444db57d7c7455d40b286181017051d08cced3d9dc62b1"),
-    ('toposort', 13, 7, 1, 2): ((186, 80, 127, 139, 17024),
+    ('toposort', 13, 7, 1, 2): ((186, 60, 107, 139, 15744),
         "4924827acc00e8423d2c98bc0620e9501754d093b3f040b2be0d4805841a8e0f"),
-    ('toposort', 13, 7, 1, 3): ((125, 59, 94, 90, 11776),
+    ('toposort', 13, 7, 1, 3): ((125, 47, 82, 90, 11008),
         "54ef4a8aab08261b008e52c3cafa53907fb0a030c522612007530e4ed8968712"),
-    ('toposort', 13, 7, 2, 1): ((224, 91, 146, 169, 20160),
+    ('toposort', 13, 7, 2, 1): ((224, 67, 122, 169, 18624),
         "d83837a2a4d74e9cd72eba897debe3782279101cf92aff47ca6532b6883facf5"),
-    ('toposort', 13, 7, 2, 2): ((188, 80, 127, 141, 17152),
+    ('toposort', 13, 7, 2, 2): ((188, 60, 107, 141, 15872),
         "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
-    ('toposort', 13, 7, 2, 3): ((126, 58, 98, 86, 11776),
+    ('toposort', 13, 7, 2, 3): ((126, 46, 86, 86, 11008),
         "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
-    ('tfp_run', 32, 32, 1, 1): ((4444, 5050, 3629, 5865, 607616),
+    ('tfp_run', 32, 32, 1, 1): ((4444, 4602, 3182, 5864, 578944),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 2): ((3275, 4251, 3128, 4398, 481664),
+    ('tfp_run', 32, 32, 1, 2): ((3275, 3867, 2745, 4397, 457088),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 3): ((2079, 3168, 2479, 2768, 335808),
+    ('tfp_run', 32, 32, 1, 3): ((2079, 2864, 2176, 2767, 316352),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 2, 1): ((4440, 5053, 3625, 5868, 607552),
+    ('tfp_run', 32, 32, 2, 1): ((4440, 4605, 3178, 5867, 578880),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 2): ((3281, 4283, 3175, 4389, 484096),
+    ('tfp_run', 32, 32, 2, 2): ((3281, 3899, 2792, 4388, 459520),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 3): ((2070, 3166, 2476, 2760, 335104),
+    ('tfp_run', 32, 32, 2, 3): ((2070, 2862, 2173, 2759, 315648),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 13, 7, 1, 1): ((384, 439, 334, 489, 52672),
+    ('tfp_run', 13, 7, 1, 1): ((384, 397, 293, 488, 49984),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 2): ((297, 385, 313, 369, 43648),
+    ('tfp_run', 13, 7, 1, 2): ((297, 347, 276, 368, 41216),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 3): ((190, 287, 240, 237, 30528),
+    ('tfp_run', 13, 7, 1, 3): ((190, 257, 211, 236, 28608),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 2, 1): ((385, 429, 332, 482, 52096),
+    ('tfp_run', 13, 7, 2, 1): ((385, 387, 291, 481, 49408),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 2): ((299, 384, 312, 371, 43712),
+    ('tfp_run', 13, 7, 2, 2): ((299, 346, 275, 370, 41280),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 3): ((192, 286, 250, 228, 30592),
+    ('tfp_run', 13, 7, 2, 3): ((192, 256, 221, 227, 28672),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('euler_tour', 32, 32, 1, 1): ((1518, 283, 729, 1072, 115264),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
@@ -391,3 +398,37 @@ def test_stack_files_unchanged(case):
         hashlib.sha256(d.raw_bytes(FileHandle(d._names[name], name, d)))
         .hexdigest() for name in ("mst.out.conn", "mst.out.expn")
     ) == RECORDED_STACKS[case]
+
+
+def run_case(case):
+    """Run one RECORDED or RECORDED_EMITTERS case on a fresh disk whose
+    counters start after the input is written; returns (disk, output)."""
+    alg, rows, cols, seed, h = case
+    d = make_disk()
+    if alg == "bfs_order":
+        g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
+                        density=0.6)
+        d.reset_counters()
+        return d, bfs.bfs_order(g, (rows // 2, cols // 3), h)[0]
+    if alg in EMITTER_RUNS:
+        model, run = EMITTER_RUNS[alg]
+        g = gf.generate(d, rows, cols, model, seed=seed, density=0.6)
+        d.reset_counters()
+        return d, run(g, h)
+    g = weighted_digraph(d, rows, cols, seed)
+    d.reset_counters()
+    return d, run_sssp(alg, g, rows, cols, h)
+
+
+@pytest.mark.parametrize(
+    "case", sorted([*RECORDED, *RECORDED_EMITTERS], key=str))
+def test_no_write_only_files(case):
+    # a file an algorithm writes (counted) but never reads is transfer
+    # volume that serves nothing; only the output may be write-only
+    d, out = run_case(case)
+    write_only = []
+    for name, fid in d._names.items():
+        c = d.file_counters(FileHandle(fid, name, d))
+        if fid != out.file_id and c.blocks_written and not c.blocks_read:
+            write_only.append(name)
+    assert write_only == []

@@ -1,6 +1,8 @@
 import pytest
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp
+from gridscan import costmodel as cm
+from gridscan.simdisk import SimConfig, SimDisk
 
 from conftest import make_disk, make_graph
 
@@ -143,3 +145,15 @@ def test_io_volume_per_vertex_bounded():
         snap = d.counters_snapshot()
         ratios.append(snap.bytes_transferred / (side * side))
     assert max(ratios) <= 3 * min(ratios)
+
+
+def test_volume_within_model_on_desk_machine():
+    # 256x256 at h = 5 with B = 2^8 and M = 2^16: every byte tfp_run moves,
+    # input scan to final rewrite, stays within the cost model's volume
+    disk = SimDisk(SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16))
+    g = gf.generate(disk, 256, 256, "planar_dag", seed=1, density=0.6)
+    disk.reset_counters()
+    tfp.tfp_run(g, oracle.oracle_indegree, 5)
+    moved = disk.counters_snapshot().bytes_transferred
+    model = cm.volume_model("tfp", g.n, 2 ** 16, 2 ** 8, 5)
+    assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))

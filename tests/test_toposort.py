@@ -26,22 +26,22 @@ def test_separator_numbering_forward():
     d = make_disk()
     g = gf.generate(d, 32, 32, "planar_dag", seed=0, density=0.6)
     gp = cl.build_separator_graph(g, 2, "reachability")
-    numbering = ts.topo_number_separator(gp, d)
+    rtab = ts.topo_number_separator(gp, d)
     scheme = gp.scheme
-    assert sorted(numbering.r) == list(range(scheme.total_boundary))
+    assert sorted(rtab) == list(range(scheme.total_boundary))
     for u in range(scheme.total_boundary):
         for t in gp.decode_reach(u, gp.read_record(d, u)):
-            assert numbering.r[u] < numbering.r[t]
+            assert rtab[u] < rtab[t]
 
 
 def test_numbering_single_edge():
     d = make_disk()
     g = make_graph(d, 1, 2, "unweighted", {(0, 0): {gf.E: 1}})
     gp = cl.build_separator_graph(g, 0, "reachability")
-    numbering = ts.topo_number_separator(gp, d)
+    rtab = ts.topo_number_separator(gp, d)
     scheme = gp.scheme
-    assert numbering.r[scheme.h_number(0, 0)] == 0
-    assert numbering.r[scheme.h_number(0, 1)] == 1
+    assert rtab[scheme.h_number(0, 0)] == 0
+    assert rtab[scheme.h_number(0, 1)] == 1
 
 
 def test_chunk_rounds_examples():
@@ -81,11 +81,11 @@ def test_chunk_monotone_along_edges():
     d = make_disk()
     g = gf.generate(d, 16, 16, "planar_dag", seed=3, density=0.7)
     gp = cl.build_separator_graph(g, 2, "reachability")
-    numbering = ts.topo_number_separator(gp, d)
+    rtab = ts.topo_number_separator(gp, d)
     scheme = gp.scheme
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         asg = ts.assign_chunk_numbers(
-            q, numbering.r[scheme.bases[rank]:scheme.bases[rank + 1]].tolist())
+            q, rtab[scheme.bases[rank]:scheme.bases[rank + 1]].tolist())
         for v in range(q.n):
             for _, u, _ in q.intra[v]:
                 assert asg.chunk[v] <= asg.chunk[u]
