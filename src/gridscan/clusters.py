@@ -52,7 +52,7 @@ class ClusterScheme:
 
     def __init__(self, rows: int, cols: int, h: int):
         self.rows, self.cols, self.h = rows, cols, h
-        size = self.size = 1 << h
+        size = 1 << h
         self.crows = -(-rows // size)
         self.ccols = -(-cols // size)
         # plain lists: the phase-2 lookups index them one value at a time
@@ -97,16 +97,16 @@ class ClusterScheme:
         return r0 + lr, c0 + lc
 
 
-def _clockwise(r0: int, c0: int, hgt: int, wid: int) -> list[tuple[int, int]]:
-    """Boundary cells of an hgt x wid block at (r0, c0), clockwise from its
-    upper-left corner."""
-    out = [(r0, c0 + lc) for lc in range(wid)]
-    out += [(r0 + lr, c0 + wid - 1) for lr in range(1, hgt)]
+def _clockwise(hgt: int, wid: int) -> tuple:
+    """Local ids of the boundary cells of an hgt x wid block, clockwise from
+    its upper-left corner."""
+    out = list(range(wid))
+    out += [lr * wid + wid - 1 for lr in range(1, hgt)]
     if hgt > 1:
-        out += [(r0 + hgt - 1, c0 + lc) for lc in range(wid - 2, -1, -1)]
+        out += [(hgt - 1) * wid + lc for lc in range(wid - 2, -1, -1)]
     if wid > 1:
-        out += [(r0 + lr, c0) for lr in range(hgt - 2, 0, -1)]
-    return out
+        out += [lr * wid for lr in range(hgt - 2, 0, -1)]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def _shape(hgt: int, wid: int) -> _Shape:
     t_of_local, local_of_t = t_of_local.view(), local_of_t.view()
     for a in (local_of_t, t_of_local, nbr):
         a.setflags(write=False)
-    boundary = tuple(r * wid + c for r, c in _clockwise(0, 0, hgt, wid))
+    boundary = _clockwise(hgt, wid)
     bpos = [-1] * (hgt * wid)
     for i, v in enumerate(boundary):
         bpos[v] = i

@@ -206,7 +206,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             stats.chunk_count += 1
     c_stream.close()
 
-    # no fill pass: tfp_run writes every label record once, growing the file
+    # tfp_run writes every label record once; its direct writes grow the file
     l_handle = disk.open_file(name + ".labels")
     return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries),
                        region_offsets)
