@@ -298,6 +298,9 @@ def run(argv) -> int:
     except ALG_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: instance does not fit in host memory", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

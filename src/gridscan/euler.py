@@ -201,12 +201,12 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
         used.add(key)
         soff, nsteps, exit_edge = index[key]
         rec = disk.read_direct(c_handle, soff, SEG_HDR.size + nsteps)
-        stream.write(rec[SEG_HDR.size:])
         written += nsteps
         if exit_edge is None:
+            stream.write(rec[SEG_HDR.size:])
             break
         (w, d) = exit_edge
-        stream.write(bytes([d]))
+        stream.write(rec[SEG_HDR.size:] + bytes([d]))
         written += 1
         dr, dc = gf.DIR_OFFSETS[d]
         key = ((w[0] + dr, w[1] + dc), d)

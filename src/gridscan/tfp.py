@@ -9,12 +9,15 @@ cross-chunk edges inside a cluster get slots in a message region stored right
 after the receiving chunk's record.  Chunks are then evaluated in rank order;
 each reads its record plus intra region sequentially, fetches inter-cluster
 slots arithmetically, asks the label callback for each vertex in turn, and
-writes its labels and outgoing messages grouped by destination.  A final scan
+writes its labels and outgoing messages grouped by destination.  Each
+contiguous run of bytes is one counted sequential write, so a block shared by
+adjacent message slots or label ranges is written once.  A final scan
 rewrites the cluster-ordered label file into Z-order.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -185,6 +188,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                     slots += 1
             region_slots.append(slots)
 
+        recs = bytearray()
         for rank in ranks:
             body = bytearray()
             cnt = len(asg.members[rank])
@@ -195,8 +199,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 for pair in addrs:
                     body += ADDR.pack(*pair)
             region = region_slots[ordinal[rank]] * 8
-            rec = CHUNK_HDR.pack(z0, rank, cnt, l_off, region)
-            c_stream.write(rec + bytes(body) + b"\0" * region)
+            recs += CHUNK_HDR.pack(z0, rank, cnt, l_off, region)
+            recs += body + bytes(region)
             region_offsets[(q.rank, ordinal[rank])] = \
                 c_off + CHUNK_HDR.size + len(body)
             a_entries.append((rank, q.rank, c_off,
@@ -204,9 +208,10 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             c_off += CHUNK_HDR.size + len(body) + region
             l_off += cnt * LABEL.itemsize
             stats.chunk_count += 1
+        c_stream.write(recs)
     c_stream.close()
 
-    # tfp_run writes every label record once; its direct writes grow the file
+    # tfp_run writes every label record once; its label stream grows the file
     l_handle = disk.open_file(name + ".labels")
     return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries),
                        region_offsets)
@@ -215,12 +220,20 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
 def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             stats: TfpStats | None = None):
     """Evaluate ``fn(cell, in-labels clockwise from north)`` for every vertex
-    and return the handle of the Z-ordered 64-bit label file."""
+    and return the handle of the Z-ordered 64-bit label file.
+
+    A chunk's messages, sorted by address, go out as one sequential write per
+    run of adjacent slots, closed before the next chunk reads its record.
+    The label records go through one stream, reopened only where a chunk's
+    label range does not start at the stream's position, and closed before
+    the final pass reads them back.
+    """
     stats = stats if stats is not None else TfpStats()
     plan = plan_messages(g, h, name=out_name + ".plan", stats=stats)
     disk = g.disk
     scheme = plan.scheme
 
+    l_stream = disk.append_stream(plan.l_handle, 0)
     for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
         _, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
@@ -288,9 +301,19 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
 
         lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
                          LABEL)
-        disk.write_direct(plan.l_handle, l_addr, lrecs.tobytes())
-        for addr, lb in sorted(pending):      # grouped by destination
-            disk.write_direct(plan.c_handle, addr, lb)
+        if l_stream.pos != l_addr:
+            l_stream.close()
+            l_stream = disk.append_stream(plan.l_handle, l_addr)
+        l_stream.write(lrecs.tobytes())
+        # grouped by destination; along a run of adjacent 8-byte slots,
+        # address - 8 * index stays constant
+        for _, run in itertools.groupby(enumerate(sorted(pending)),
+                                        lambda e: e[1][0] - 8 * e[0]):
+            run = [msg for _, msg in run]
+            c_stream = disk.append_stream(plan.c_handle, run[0][0])
+            c_stream.write(b"".join(lb for _, lb in run))
+            c_stream.close()
+    l_stream.close()
 
     # final pass: cluster-ordered label file -> Z-order output
     out = disk.open_file(out_name)

@@ -204,13 +204,15 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
             stats.leftover_vertices += asg.leftover
             stats.chunk_count += len(asg.members)
         z0 = scheme.starts[q.rank]
+        recs = bytearray()
         for rank in sorted(asg.members):
             ids = asg.members[rank]
             rec = CHUNK_HDR.pack(z0, rank, len(ids))
             rec += np.array(ids, "<u4").tobytes()
-            c_stream.write(rec)
+            recs += rec
             a_entries.append((rank, q.rank, c_off, len(rec)))
             c_off += len(rec)
+        c_stream.write(recs)
     c_stream.close()
 
     # sort the address table by rank; stand-in for an external merge sort

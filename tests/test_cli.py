@@ -188,6 +188,20 @@ def test_verify_variant_the_algorithm_lacks_is_a_usage_error(
     assert "no variant" in capsys.readouterr().err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["gen", "tfp"])
+def test_instance_too_large_for_host_memory_exits_2(capsys, monkeypatch,
+                                                    command):
+    # stands in for a grid whose generation exhausts host memory
+    monkeypatch.setattr(gf, "generate", _out_of_memory)
+    assert cli.run([command, "--rows", "70000", "--cols", "70000"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: instance does not fit in host memory"
+
+
 def test_bfs_at_h0_runs(capsys):
     code, rep = run_json(capsys, [
         "verify", "--alg", "bfs", "--rows", "16", "--cols", "16",

@@ -25,6 +25,10 @@ of side 2 became its base case.  The ``toposort`` and ``tfp_run`` counters
 were re-recorded, with the hashes and ``blocks_read`` unchanged, when the
 separator numbering stopped writing its never-read ``.tprime`` and
 ``.rank`` files and ``plan_messages`` stopped zero-filling the label file.
+The ``tfp_run`` counters were re-recorded once more, with the hashes,
+``blocks_read`` and ``sequential_blocks`` unchanged, when ``tfp_run`` came to
+write each run of adjacent message slots, and its label records, as one
+sequential write.
 
 ``test_no_write_only_files`` runs the ``RECORDED`` and
 ``RECORDED_EMITTERS`` instances once more and asserts that every file with
@@ -161,29 +165,29 @@ RECORDED_EMITTERS = {
         "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
     ('toposort', 13, 7, 2, 3): ((126, 46, 86, 86, 11008),
         "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
-    ('tfp_run', 32, 32, 1, 1): ((4444, 4602, 3182, 5864, 578944),
+    ('tfp_run', 32, 32, 1, 1): ((4444, 4468, 3182, 5730, 570368),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 2): ((3275, 3867, 2745, 4397, 457088),
+    ('tfp_run', 32, 32, 1, 2): ((3275, 3485, 2745, 4015, 432640),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 3): ((2079, 2864, 2176, 2767, 316352),
+    ('tfp_run', 32, 32, 1, 3): ((2079, 2393, 2176, 2296, 286208),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 2, 1): ((4440, 4605, 3178, 5867, 578880),
+    ('tfp_run', 32, 32, 2, 1): ((4440, 4471, 3178, 5733, 570304),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 2): ((3281, 3899, 2792, 4388, 459520),
+    ('tfp_run', 32, 32, 2, 2): ((3281, 3508, 2792, 3997, 434496),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 3): ((2070, 2862, 2173, 2759, 315648),
+    ('tfp_run', 32, 32, 2, 3): ((2070, 2378, 2173, 2275, 284672),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 13, 7, 1, 1): ((384, 397, 293, 488, 49984),
+    ('tfp_run', 13, 7, 1, 1): ((384, 387, 293, 478, 49344),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 2): ((297, 347, 276, 368, 41216),
+    ('tfp_run', 13, 7, 1, 2): ((297, 311, 276, 332, 38912),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 3): ((190, 257, 211, 236, 28608),
+    ('tfp_run', 13, 7, 1, 3): ((190, 204, 211, 183, 25216),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 2, 1): ((385, 387, 291, 481, 49408),
+    ('tfp_run', 13, 7, 2, 1): ((385, 371, 291, 465, 48384),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 2): ((299, 346, 275, 370, 41280),
+    ('tfp_run', 13, 7, 2, 2): ((299, 312, 275, 336, 39104),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 3): ((192, 256, 221, 227, 28672),
+    ('tfp_run', 13, 7, 2, 3): ((192, 203, 221, 174, 25280),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('euler_tour', 32, 32, 1, 1): ((1518, 283, 729, 1072, 115264),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),

@@ -2,7 +2,7 @@ import pytest
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp
 from gridscan import costmodel as cm
-from gridscan.simdisk import SimConfig, SimDisk
+from gridscan.simdisk import AppendStream, SimConfig, SimDisk
 
 from conftest import make_disk, make_graph
 
@@ -157,3 +157,87 @@ def test_volume_within_model_on_desk_machine():
     moved = disk.counters_snapshot().bytes_transferred
     model = cm.volume_model("tfp", g.n, 2 ** 16, 2 ** 8, 5)
     assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
+
+
+# 32x32 and 13x7, seeds 1 and 2, h = 1..3, at B = 64 and at B = 16, where
+# 12-byte label records and 8-byte slots straddle block boundaries
+RUN_CASES = [(rows, cols, seed, h, block)
+             for rows, cols in ((32, 32), (13, 7)) for seed in (1, 2)
+             for h in (1, 2, 3) for block in (64, 16)]
+
+
+def run_with_plan(monkeypatch, rows, cols, seed, h, block):
+    """Run path counts (checked against the oracle) and return the disk and
+    the message plan that ``tfp_run`` used."""
+    d = make_disk(block=block)
+    g = gf.generate(d, rows, cols, "planar_dag", seed=seed, density=0.6)
+    plans = []
+    real_plan = tfp.plan_messages
+
+    def capture(*args, **kwargs):
+        plans.append(real_plan(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(tfp, "plan_messages", capture)
+    d.reset_counters()
+    compare(d, g, "path_count", h)
+    return d, plans[0]
+
+
+@pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
+def test_label_writes_merge_adjacent_ranges(monkeypatch, rows, cols, seed, h,
+                                            block):
+    d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
+    # replay the chunks' label ranges in evaluation order, merge adjacent
+    # ones, and count the blocks each merged range covers
+    raw = d.raw_bytes(plan.c_handle)
+    runs = []
+    for _, _, off, _ in plan.a_entries:
+        _, _, cnt, l_addr, _ = tfp.CHUNK_HDR.unpack_from(raw, off)
+        end = l_addr + cnt * tfp.LABEL.itemsize
+        if runs and runs[-1][1] == l_addr:
+            runs[-1][1] = end
+        else:
+            runs.append([l_addr, end])
+    expect = sum((end - 1) // block - start // block + 1
+                 for start, end in runs)
+    assert d.file_counters(plan.l_handle).blocks_written == expect
+
+
+@pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
+def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
+    # every write to the chunk file after planning, split into chunks at the
+    # reads of chunk records; 8-byte reads are inter-cluster slots
+    events = []
+    real_read, real_write = SimDisk.read_direct, SimDisk.write_direct
+    real_append = AppendStream.write
+
+    def is_chunks(handle):
+        return handle.name.endswith(".plan.chunks")
+
+    def read_direct(self, handle, offset, nbytes):
+        if is_chunks(handle) and nbytes > 8:
+            events.append(None)
+        return real_read(self, handle, offset, nbytes)
+
+    def write_direct(self, handle, offset, data):
+        if is_chunks(handle) and events:
+            events.append((offset, offset + len(data)))
+        return real_write(self, handle, offset, data)
+
+    def append_write(self, data):
+        if is_chunks(self.handle) and events:
+            events.append((self.pos, self.pos + len(data)))
+        return real_append(self, data)
+
+    monkeypatch.setattr(SimDisk, "read_direct", read_direct)
+    monkeypatch.setattr(SimDisk, "write_direct", write_direct)
+    monkeypatch.setattr(AppendStream, "write", append_write)
+    d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
+
+    assert events.count(None) == len(plan.a_entries)
+    writes = [e for e in events if e is not None]
+    assert writes
+    for prev, cur in zip(events, events[1:]):
+        if prev is not None and cur is not None:
+            assert cur[0] != prev[1], (prev, cur)
