@@ -11,7 +11,11 @@ transfers, split into sequential and random ones.  Two access regimes exist:
   the planned route for the cache-oblivious MST's stacks (ROADMAP item 7).
 * ``read_direct`` / ``write_direct`` and the buffered stream/stack helpers
   model explicitly managed buffers: every block touched is counted, the LRU
-  cache is bypassed.  Cache-aware algorithms use these.
+  cache is bypassed.  Cache-aware algorithms use these.  The one exception
+  is the held block, one resident block per file: the block the file's last
+  ``read_direct`` ended in.  A ``read_direct`` that starts in it does not
+  count it again, and any write of bytes into it drops it (in Aggarwal &
+  Vitter's I/O model a block already in memory costs nothing).
 
 No real I/O happens; file contents live in bytearrays and the counters are
 the product.
@@ -76,7 +80,8 @@ class FileHandle:
 
 
 class _FileStats:
-    __slots__ = ("reads", "writes", "sequential", "random", "last_block")
+    __slots__ = ("reads", "writes", "sequential", "random", "last_block",
+                 "held")
 
     def __init__(self):
         self.reads = 0
@@ -84,6 +89,7 @@ class _FileStats:
         self.sequential = 0
         self.random = 0
         self.last_block = None  # block index of the previous counted transfer
+        self.held = None        # block the last read_direct ended in
 
 
 class SimDisk:
@@ -111,12 +117,15 @@ class SimDisk:
         self._stats.append(_FileStats())
         return FileHandle(fid, name, self)
 
-    def _ensure_length(self, fid: int, end: int):
-        """Note ``end`` as the file's content length if it is past it, and grow
-        (zero-pad) the file so it covers byte offset ``end - 1``."""
+    def _prepare_write(self, fid: int, start: int, end: int):
+        """Prepare a write of bytes [start, end): drop the held block if the
+        write lands in it, note ``end`` as the file's content length if it is
+        past it, and grow (zero-pad) the file so it covers byte ``end - 1``."""
+        st, b = self._stats[fid], self.config.block_bytes
+        if st.held is not None and start // b <= st.held <= (end - 1) // b:
+            st.held = None
         if end > self._ends[fid]:
             self._ends[fid] = end
-            b = self.config.block_bytes
             data = self._data[fid]
             if end > len(data):
                 padded = -(-end // b) * b
@@ -173,7 +182,7 @@ class SimDisk:
             payload = payload if payload is not None else b"\0" * b
             if len(payload) > b:
                 raise SimDiskError("payload exceeds block size")
-            self._ensure_length(fid, (block_index + 1) * b)
+            self._prepare_write(fid, block_index * b, (block_index + 1) * b)
             self._touch(fid, block_index, write=True)
             off = block_index * b
             self._data[fid][off:off + len(payload)] = payload
@@ -194,7 +203,7 @@ class SimDisk:
         """Byte-range write through the LRU cache."""
         b = self.config.block_bytes
         fid = handle.file_id
-        self._ensure_length(fid, offset + len(data))
+        self._prepare_write(fid, offset, offset + len(data))
         if data:
             for block in range(offset // b, -(-(offset + len(data)) // b)):
                 self._touch(fid, block, write=True)
@@ -214,21 +223,29 @@ class SimDisk:
             self._cache.pop((fid, block), None)
 
     def read_direct(self, handle: FileHandle, offset: int, nbytes: int) -> bytes:
-        """Counted read bypassing the cache: every touched block is a transfer."""
+        """Counted read bypassing the cache: every touched block is a
+        transfer, except a first block that is the file's held block.
+
+        The block a read ends in stays held, one resident block per file,
+        until a later read ends elsewhere or a write lands in it.
+        """
         b = self.config.block_bytes
         fid = handle.file_id
         if offset + nbytes > len(self._data[fid]):
             raise SimDiskError("read past end of %r" % handle.name)
         if nbytes:
-            for block in range(offset // b, -(-(offset + nbytes) // b)):
+            st = self._stats[fid]
+            first, last = offset // b, (offset + nbytes - 1) // b
+            for block in range(first + (first == st.held), last + 1):
                 self._count(fid, block, write=False)
+            st.held = last
         return bytes(self._data[fid][offset:offset + nbytes])
 
     def write_direct(self, handle: FileHandle, offset: int, data: bytes):
         """Counted write bypassing the cache."""
         b = self.config.block_bytes
         fid = handle.file_id
-        self._ensure_length(fid, offset + len(data))
+        self._prepare_write(fid, offset, offset + len(data))
         if data:
             first = offset // b
             last = (offset + len(data) - 1) // b
@@ -283,6 +300,7 @@ class SimDisk:
             buf.extend(b"\0" * (b - len(buf) % b))
         self._data[handle.file_id] = buf
         self._ends[handle.file_id] = len(data)
+        self._stats[handle.file_id].held = None
 
 
 class ScanReader:
@@ -330,7 +348,7 @@ class AppendStream:
     def write(self, data: bytes):
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
-        disk._ensure_length(fid, self.pos + len(data))
+        disk._prepare_write(fid, self.pos, self.pos + len(data))
         disk._data[fid][self.pos:self.pos + len(data)] = data
         self.pos += len(data)
         # count all blocks that are now completely behind the write position
@@ -378,7 +396,7 @@ class FileStack:
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
         mid = self.top + len(record)
-        disk._ensure_length(fid, mid + 4)
+        disk._prepare_write(fid, self.top, mid + 4)
         data = disk._data[fid]
         data[self.top:mid] = record
         data[mid:mid + 4] = len(record).to_bytes(4, "little")

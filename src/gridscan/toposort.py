@@ -68,11 +68,14 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk) -> np.ndarray:
         z_read += 1
         r[u] = numbered
         numbered += 1
+        ready = bytearray()
         for t in gp.decode_reach(u, gp.read_record(disk, u)):
             indeg[t] -= 1
             if indeg[t] == 0:
-                z_stream.write(int(t).to_bytes(8, "little"))
-                z_avail += 1
+                ready += int(t).to_bytes(8, "little")
+        if ready:
+            z_stream.write(ready)
+            z_avail += len(ready) // 8
     z_stream.close()
     if numbered != total:
         raise ToposortError("separator graph cyclic")

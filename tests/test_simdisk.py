@@ -210,3 +210,93 @@ def test_counter_identity_property(blocks):
     c = d.counters_snapshot()
     assert c.bytes_transferred == 16 * (c.blocks_read + c.blocks_written)
     assert c.sequential_blocks + c.random_blocks == c.blocks_read + c.blocks_written
+
+
+def held_disk():
+    """A 16-byte-block disk with a 64-byte file ``f`` whose counters start
+    after one direct read that ended in block 1."""
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(range(64)))
+    d.reset_counters()
+    d.read_direct(h, 0, 20)
+    return d, h
+
+
+def test_adjacent_direct_reads_count_shared_block_once():
+    d, h = held_disk()
+    assert d.read_direct(h, 20, 20) == bytes(range(20, 40))
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.sequential_blocks, c.random_blocks) == (3, 3, 0)
+    d.read_direct(h, 40, 2)                 # starts and ends in block 2
+    d.read_direct(h, 42, 2)
+    assert d.counters_snapshot().blocks_read == 3
+
+
+@pytest.mark.parametrize("write", [
+    lambda d, h: d.write_direct(h, 18, b"x"),
+    lambda d, h: d.append_stream(h, 30).write(b"x"),   # not yet counted
+    lambda d, h: d.write(h, 16, b"x"),
+    lambda d, h: d.access_block(h, 1, "write", b"x"),
+    lambda d, h: d.load_raw(h, bytes(64)),
+])
+def test_write_into_held_block_counts_it_again(write):
+    d, h = held_disk()
+    write(d, h)
+    before = d.counters_snapshot().blocks_read
+    d.read_direct(h, 20, 4)
+    assert d.counters_snapshot().blocks_read == before + 1
+
+
+def test_stack_push_into_held_block_counts_it_again():
+    d = small_disk(block=16)
+    h = d.open_file("stack")
+    s = FileStack(d, h)
+    s.push(bytes(2))
+    d.reset_counters()
+    d.read_direct(h, 0, 6)
+    d.read_direct(h, 0, 6)
+    assert d.counters_snapshot().blocks_read == 1
+    s.push(b"z")                            # lands in block 0, uncounted
+    assert d.counters_snapshot().blocks_written == 0
+    d.read_direct(h, 0, 6)
+    assert d.counters_snapshot().blocks_read == 2
+
+
+def test_write_elsewhere_keeps_held_block():
+    d, h = held_disk()
+    other = d.open_file("g")
+    d.write_direct(h, 0, bytes(16))         # block 0 of the same file
+    d.write_direct(h, 32, bytes(8))         # block 2
+    d.write_direct(other, 16, bytes(16))    # block 1 of another file
+    s = d.append_stream(other, 16)
+    s.write(bytes(40))
+    s.close()
+    before = d.counters_snapshot().blocks_read
+    d.read_direct(h, 20, 4)
+    assert d.counters_snapshot().blocks_read == before
+
+
+def test_reset_counters_clears_held_block():
+    d, h = held_disk()
+    d.reset_counters()
+    d.read_direct(h, 20, 4)
+    assert d.counters_snapshot().blocks_read == 1
+
+
+def test_zero_byte_read_keeps_held_block():
+    d, h = held_disk()
+    assert d.read_direct(h, 48, 0) == b""
+    d.read_direct(h, 20, 4)
+    assert d.counters_snapshot().blocks_read == 2
+
+
+def test_scan_reader_counts_unchanged_by_held_block():
+    d, h = held_disk()
+    r = d.scan_reader(h, 16)
+    assert r.read(20) == bytes(range(16, 36))
+    r.read(8)
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.sequential_blocks, c.random_blocks) == (4, 3, 1)
+    d.read_direct(h, 20, 4)                 # still held: not counted
+    assert d.counters_snapshot().blocks_read == 4
