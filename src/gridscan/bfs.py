@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import sssp
 from .simdisk import SimDisk, FileStack
 
 CHUNK_HDR = struct.Struct("<QQI")      # root z-index, root distance, count
+_ADDR = struct.Struct("<QQ")           # chunk byte offset, root distance
 
 
 class BfsError(Exception):
@@ -178,6 +180,7 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
                         owner[u] = (croot, cd + 1)
                     stack.append(u)
 
+        recs, addrs = [], []
         for croot in chunk_roots:
             # iterative preorder restricted to this chunk, clockwise children
             masks = []
@@ -192,10 +195,12 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
             rz = z0 + int(t_of_local[croot])
             rdist = dist[croot]
             rec = CHUNK_HDR.pack(rz, rdist, len(masks)) + bytes(masks)
-            c_stream.write(rec)
-            a_stream.write(struct.pack("<QQ", offset, rdist))
+            recs.append(rec)
+            addrs.append(_ADDR.pack(offset, rdist))
             offset += len(rec)
-            count += 1
+        c_stream.write(b"".join(recs))
+        a_stream.write(b"".join(addrs))
+        count += len(recs)
     c_stream.close()
     a_stream.close()
     if stats is not None:
@@ -211,13 +216,11 @@ def sort_addresses(disk: SimDisk, a_handle, count: int,
                    name: str = "bfs.A.sorted"):
     """Stable ascending sort of (offset, distance) pairs by distance, in
     memory."""
-    raw = disk.read_direct(a_handle, 0, count * 16)
-    pairs = [struct.unpack_from("<QQ", raw, i * 16) for i in range(count)]
-    pairs.sort(key=lambda p: p[1])
+    raw = disk.read_direct(a_handle, 0, count * _ADDR.size)
+    pairs = sorted(_ADDR.iter_unpack(raw), key=itemgetter(1))
     out = disk.open_file(name)
     stream = disk.append_stream(out)
-    for off, dist in pairs:
-        stream.write(struct.pack("<QQ", off, dist))
+    stream.write(b"".join([_ADDR.pack(*p) for p in pairs]))
     stream.close()
     return out
 
@@ -268,15 +271,15 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
         nonlocal flushed, emitted
         for dd in range(flushed + 1, d + 1):
             st = stacks[dd % window]
-            while len(st):
-                stream.write(st.pop())
-                emitted += 1
+            recs = [st.pop() for _ in range(len(st))]
+            stream.write(b"".join(recs))
+            emitted += len(recs)
         flushed = max(flushed, d)
 
     reader = disk.scan_reader(a_sorted)
     max_dist = -1
     for _ in range(count):
-        off, rdist = struct.unpack("<QQ", reader.read(16))
+        off, rdist = _ADDR.unpack(reader.read(_ADDR.size))
         flush_to(rdist - 1)
         hdr = disk.read_direct(c_handle, off, CHUNK_HDR.size)
         _, _, cnt = CHUNK_HDR.unpack(hdr)

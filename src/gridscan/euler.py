@@ -125,8 +125,7 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
     gf.check_input(g, ("weighted_undirected", "unweighted"), EulerError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     if root is None:
-        cell = int(gf.z_tables(g.rows, g.cols)[1][0])
-        root = (cell // g.cols, cell % g.cols)
+        root = (0, 0)               # Morton code 0, the smallest Z index
     if not (0 <= root[0] < g.rows and 0 <= root[1] < g.cols):
         raise EulerError("root outside grid")
     incoming, edge_count = _cross_edge_map(g, scheme)

@@ -53,9 +53,11 @@ class MstError(Exception):
 # ---------------------------------------------------------------------------
 # Pruning and contraction
 #
-# Edges everywhere below are (u, v, weight, rep_flag) with comparable,
-# hashable vertex ids: (row, col) pairs in the cache-aware solver, row-major
-# cell ids in the cache-oblivious one.
+# Edges everywhere below are (u, v, weight, rep_flag) with integer vertex
+# ids that order like (row, col) pairs: cluster-local ids lr * wid + lc in the
+# cache-aware solver, row-major cell ids r * cols + c in the cache-oblivious
+# one.  Weight ties, leaf peeling and chain orientation so resolve as they
+# would with coordinates.
 
 
 @dataclass
@@ -142,13 +144,9 @@ def prune_and_contract(edges: list, keep: set) -> ContractedTree:
     return ct
 
 
-def _rep_keys(ct: ContractedTree) -> set:
-    return {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]) for ch in ct.chains}
-
-
 def expand(ct: ContractedTree) -> list:
     """Inverse of prune_and_contract: the original edge multiset."""
-    reps = _rep_keys(ct)
+    reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]) for ch in ct.chains}
     out = []
     for e in ct.kept_edges:
         u, v, w, f = e
@@ -193,32 +191,32 @@ def _forest(edge_iter) -> list:
 
 
 def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
-    """Intra-cluster edges once each, endpoints as 0-based global coords.
+    """Intra-cluster edges once each, endpoints as cluster-local ids.
 
     The weighted_undirected decode lists every edge at both ends, so an edge
-    is taken from the list of its smaller local id, which is also its
-    smaller coordinate pair.
+    is taken from the list of its smaller local id.  Inside a cluster local
+    ids order like global (row, col) pairs.
     """
-    return [(q.coord(v), q.coord(u), w, False)
+    return [(v, u, w, False)
             for v in range(q.n) for _, u, w in q.intra[v] if v < u]
 
 
 def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
-    forest = _forest(_cluster_undirected_edges(q))
-    keep = {q.coord(v) for v in q.boundary}
-    # an intra-cluster component that misses the boundary ring has no edge to
-    # the rest of the grid at all
+    """The cluster's minimum spanning forest contracted onto its boundary.
+
+    Kruskal's union-find map also shows an intra-cluster component that
+    misses the boundary ring: it has no edge to the rest of the grid at all.
+    """
     parent = {}
-    for u, v, w, f in forest:
-        _union(parent, u, v)
-    with_keep = {_find(parent, b) for b in keep}
-    for u, v, w, f in forest:
-        if _find(parent, u) not in with_keep:
-            raise MstError("disconnected input (cluster-interior component)")
-    return prune_and_contract(forest, keep)
+    forest = [e for e in sorted(_cluster_undirected_edges(q), key=_BY_WEIGHT)
+              if _union(parent, e[0], e[1])]
+    with_keep = {_find(parent, b) for b in q.boundary}
+    if any(_find(parent, u) not in with_keep for u, _, _, _ in forest):
+        raise MstError("disconnected input (cluster-interior component)")
+    return prune_and_contract(forest, set(q.boundary))
 
 
-_UEDGE = struct.Struct("<QQQB")     # coded endpoint, coded endpoint, w, flag
+_UEDGE = struct.Struct("<QQQB")     # union record: z, z, weight, flag
 _OUT = struct.Struct("<QQQ")        # output record: z, z, weight
 
 
@@ -226,76 +224,75 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     """Cluster-contracted MST.
 
     Output records are (z, z, weight) in the order clusters are rescanned for
-    re-expansion, with the chosen cross-cluster edges appended last.
+    re-expansion, with the chosen cross-cluster edges appended last.  Each
+    cluster is contracted on its local ids; a local id becomes a Z index
+    only when a record is packed.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     z_of = gf.z_tables(g.rows, g.cols)[0]
 
-    def zi(v):
-        return int(z_of[v[0] * g.cols + v[1]])
+    def z_of_local(q):
+        # a cluster's records start at Z index starts[rank], in the local
+        # Z order of its shape
+        return (scheme.starts[q.rank]
+                + scheme.shape(q.rank).t_of_local).tolist()
 
-    # phase 1: contract every cluster; stream trees plus the cross-cluster
-    # edges (owner side once) to the contracted-union file, one write per
-    # cluster.  Flag bit 0 marks representative edges, bit 1 intra-cluster
-    # edges.
+    # phase 1: contract every cluster; stream its surviving forest edges,
+    # then one representative per chain, then its cross-cluster edges (owner
+    # side once) to the contracted-union file, one write per cluster.  Flag
+    # bit 0 marks representative edges, bit 1 intra-cluster edges.
     u_handle = disk.open_file(out_name + ".union")
     u_stream = disk.append_stream(u_handle)
     u_count = 0
     for q in cl.iterate_clusters(g, scheme):
-        ct = _contract_cluster(q)
-        recs = [_UEDGE.pack(zi(u), zi(v), w, 2 | (1 if f else 0))
-                for u, v, w, f in ct.kept_edges]
-        recs += [_UEDGE.pack(zi(q.coord(v)), zi((nr, nc)), w, 0)
-                 for v, d, nr, nc, w in q.out_edges]
+        zl = z_of_local(q)
+        recs = [_UEDGE.pack(zl[u], zl[v], w, 2 | f)
+                for u, v, w, f in _contract_cluster(q).kept_edges]
+        recs += [_UEDGE.pack(zl[v], int(z_of[nr * g.cols + nc]), w, 0)
+                 for v, _, nr, nc, w in q.out_edges]
         u_stream.write(b"".join(recs))
         u_count += len(recs)
     u_stream.close()
 
-    # phase 2: minimum spanning forest of the contracted union, in memory
+    # phase 2: minimum spanning forest of the contracted union, in memory;
+    # a chosen intra-cluster edge is remembered by its union record index
     raw = disk.read_direct(u_handle, 0, u_count * _UEDGE.size)
-    uedges = []
-    for i in range(u_count):
-        a, b, w, f = _UEDGE.unpack_from(raw, i * _UEDGE.size)
-        uedges.append((min(a, b), max(a, b), w, f))
+    uedges = [(min(a, b), max(a, b), w, f, i)
+              for i, (a, b, w, f) in enumerate(_UEDGE.iter_unpack(raw))]
     chosen_intra = set()
     chosen_cross = []
-    for a, b, w, f in _forest(uedges):
+    for a, b, w, f, i in _forest(uedges):
         if f & 2:
-            chosen_intra.add((a, b, w, bool(f & 1)))
+            chosen_intra.add(i)
         else:
             chosen_cross.append((a, b, w))
 
-    # phase 3: rescan, recompute each cluster's contraction, re-expand; one
-    # output write per cluster, then one for the chosen cross edges
+    # phase 3: rescan and recompute each cluster's contraction, whose kept
+    # edges come in the order phase 1 wrote them, so record ``rec + k`` is
+    # kept edge k; re-expand, one output write per cluster, then one for
+    # the chosen cross edges
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)
     gf.write_header_via(stream, disk, "edges", g.rows, g.cols, g.n - 1)
     count = 0
-
-    def zkey(u, v, w, f):
-        a, b = zi(u), zi(v)
-        return (min(a, b), max(a, b), w, f)
-
+    rec = 0
     for q in cl.iterate_clusters(g, scheme):
         ct = _contract_cluster(q)
-        reps = _rep_keys(ct)
-        edges = list(ct.dead_ends)
-        for u, v, w, f in ct.kept_edges:
-            if f and (_norm(u, v), w) in reps:
-                continue
-            if zkey(u, v, w, f) in chosen_intra:
-                edges.append((u, v, w, f))
-        for ch in ct.chains:
-            a, b, maxw = ch.rep
-            if zkey(a, b, maxw, True) in chosen_intra:
+        nforest = len(ct.kept_edges) - len(ct.chains)
+        kept = enumerate(ct.kept_edges[:nforest], rec)
+        edges = ct.dead_ends + [e for k, e in kept if k in chosen_intra]
+        for k, ch in enumerate(ct.chains, rec + nforest):
+            if k in chosen_intra:
                 edges += ch.edges
             else:
-                edges += [e for k, e in enumerate(ch.edges)
-                          if k != ch.heavy_idx]
-        stream.write(b"".join([_OUT.pack(zi(u), zi(v), w)
-                               for u, v, w, f in edges]))
+                edges += [e for j, e in enumerate(ch.edges)
+                          if j != ch.heavy_idx]
+        rec += len(ct.kept_edges) + len(q.out_edges)
+        zl = z_of_local(q)
+        stream.write(b"".join([_OUT.pack(zl[u], zl[v], w)
+                               for u, v, w, _ in edges]))
         count += len(edges)
     stream.write(b"".join([_OUT.pack(a, b, w) for a, b, w in chosen_cross]))
     count += len(chosen_cross)
@@ -535,13 +532,9 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
 
 def read_mst(disk: SimDisk, handle) -> list:
     g = gf.open_grid(disk, handle)
-    raw = disk.raw_bytes(handle)
     off = g.payload_offset
-    out = []
-    for i in range(g.count):
-        a, b, w = _OUT.unpack_from(raw, off + _OUT.size * i)
-        out.append((a, b, w))
-    return out
+    raw = disk.raw_bytes(handle)[off:off + g.count * _OUT.size]
+    return list(_OUT.iter_unpack(raw))
 
 
 def mst_edge_coords(disk: SimDisk, handle) -> list:
@@ -567,7 +560,7 @@ def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     union = []
     for q in cl.iterate_clusters(g, scheme):
         for u, v, w, f in _forest(_cluster_undirected_edges(q)):
-            union.append((w, u, v))
+            union.append((w, q.coord(u), q.coord(v)))
         for v, d, nr, nc, w in q.out_edges:
             a = q.coord(v)
             if a < (nr, nc):

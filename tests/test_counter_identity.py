@@ -57,7 +57,12 @@ expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
 stack-record layout fails here even when the block counters stay the same.
 Its values were re-recorded with that 17-byte edge and side-2 base case.
 
-Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64.
+The ``mst_cache_aware`` rows at h = 4, the level ``scan`` runs it at, were
+recorded from the code before its contraction came to name vertices by
+cluster-local ids and mark chosen edges by union record index.
+
+Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64, and
+``mst_cache_aware`` at 32x32 also at h = 4.
 """
 
 import hashlib
@@ -245,6 +250,10 @@ RECORDED_EMITTERS = {
         "1d830d9ef00f521d7ae4522f59e5d58d09c69bfc52b6ab3650c7863d325d7518"),
     ('mst_cache_aware', 13, 7, 2, 3): ((116, 59, 173, 2, 11200),
         "1d51a4fff7fb108621f5d9c1c9c4f956eedd08d6bf13d73232daf0470fe5299a"),
+    ('mst_cache_aware', 32, 32, 1, 4): ((1183, 544, 1725, 2, 110528),
+        "5445f9944a757ee497ef6feebe156532f1520077f3b8f5029763d4cf78358288"),
+    ('mst_cache_aware', 32, 32, 2, 4): ((1183, 544, 1725, 2, 110528),
+        "39f92a0b126069a5d1919bcb2822e35cca2d8d5de6e53939cd0d2010e74a1d87"),
     ('mst_cache_oblivious', 32, 32, 1, None): ((1204, 1077, 1581, 700, 145984),
         "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2"),
     ('mst_cache_oblivious', 32, 32, 2, None): ((1210, 1083, 1587, 706, 146752),

@@ -290,6 +290,23 @@ def test_disconnected_rejected():
         mst.mst_cache_oblivious(g2)
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_cluster_interior_component_rejected(h):
+    # a 4x4 grid is one cluster at h = 2 and at h = 3: a connected ring and a
+    # connected 2x2 interior with no edge between them
+    ring = {(0, c): {gf.E: 1 + c} for c in range(3)}
+    ring.update({(3, c): {gf.E: 4 + c} for c in range(3)})
+    for r in range(3):
+        ring.setdefault((r, 0), {})[gf.S] = 7 + r
+        ring.setdefault((r, 3), {})[gf.S] = 10 + r
+    inner = {(1, 1): {gf.E: 13, gf.S: 14}, (1, 2): {gf.S: 15},
+             (2, 1): {gf.E: 16}}
+    d = make_disk()
+    g = make_graph(d, 4, 4, "weighted_undirected", {**ring, **inner})
+    with pytest.raises(mst.MstError, match="interior component"):
+        mst.mst_cache_aware(g, h)
+
+
 def test_single_vertex():
     d = make_disk()
     g = make_graph(d, 1, 1, "weighted_undirected", {})
