@@ -94,10 +94,10 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
                   out_name: str = "bfsdist.out"):
     """Exact hop distances from s, written in Z-order (ABSENT unreachable).
 
-    Returns (output handle, cluster scheme)."""
+    Returns the output handle."""
     sssp.check_source(g, s_cell, "unweighted", BfsError)
-    return sssp.solve_in_key_order(g, s_cell, h, "unit_distance",
-                                   BucketQueue(h), sssp.SolveStats(), out_name)
+    return sssp.solve_in_key_order(g, s_cell, h, BucketQueue(h),
+                                   sssp.SolveStats(), out_name)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
 def bfs_order(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
               name: str = "bfs", stats: BfsStats | None = None):
     """Full pipeline: distances, chunks, sorted addresses, emission."""
-    dist_handle, _ = bfs_distances(g, s_cell, h, out_name=name + ".dist")
+    dist_handle = bfs_distances(g, s_cell, h, out_name=name + ".dist")
     c_handle, a_handle, count = build_chunks_bfs(g, dist_handle, h, name=name,
                                                  stats=stats)
     a_sorted = sort_addresses(g.disk, a_handle, count, name=name + ".A.sorted")

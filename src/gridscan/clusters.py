@@ -26,10 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gridfmt as gf
-from .simdisk import SimDisk
 
 ABSENT32 = 2 ** 32 - 1
 INF = float("inf")
+# a distance graph's slot: (dtype, no-path marker, direction shift), by
+# SeparatorGraph.wide
+_SLOT_FORMATS = {True: (np.dtype("<u8"), gf.ABSENT, 60),
+                 False: (np.dtype("<u4"), ABSENT32, 28)}
 
 
 class ClusterError(Exception):
@@ -291,23 +294,29 @@ def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
 
 @dataclass
 class SeparatorGraph:
+    """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
+    ``hnum * record_size`` of ``handle``.  A distance graph's slots are u64
+    when ``wide`` (weighted encodings) and u32 hop counts otherwise.  A
+    reachability graph also has a 16-bit in-degree per separator vertex in
+    ``d_handle`` and ``z_count`` u64 zero-in-degree h-numbers in
+    ``z_handle``."""
+
     scheme: ClusterScheme
-    mode: str                     # weighted_distance | unit_distance | reachability
     handle: object                # G' record file
     record_size: int
-    slots: int                    # per-record slot count (distance modes)
-    d_handle: object = None       # 16-bit in-degree file (reachability)
-    z_handle: object = None       # zero-in-degree queue file (reachability)
+    wide: bool
+    d_handle: object = None
+    z_handle: object = None
     z_count: int = 0
 
-    def read_record(self, disk: SimDisk, hnum: int) -> bytes:
-        return disk.read_direct(self.handle, hnum * self.record_size,
-                                self.record_size)
+    def read_record(self, hnum: int) -> bytes:
+        return self.handle.disk.read_direct(
+            self.handle, hnum * self.record_size, self.record_size)
 
     def decode_edges(self, rank: int, pos: int, raw: bytes):
         """Yield (cluster rank, boundary position, weight) of every edge of
         ``raw``, the record of the separator vertex at position ``pos`` of
-        cluster ``rank`` (distance modes).
+        cluster ``rank`` (distance graphs).
 
         The first bsize - 1 slots of a record hold the distances to the
         other boundary vertices of its cluster, in position order; the rest
@@ -318,9 +327,8 @@ class SeparatorGraph:
         scheme = self.scheme
         r0, c0, hgt, wid = scheme.extents[rank]
         boundary = _shape(hgt, wid).boundary
-        wide = self.mode == "weighted_distance"
-        absent, shift = (gf.ABSENT, 60) if wide else (ABSENT32, 28)
-        vals = np.frombuffer(raw, "<u8" if wide else "<u4").tolist()
+        dtype, absent, shift = _SLOT_FORMATS[self.wide]
+        vals = np.frombuffer(raw, dtype).tolist()
         cut = len(boundary) - 1
         for slot, v in enumerate(vals[:cut]):
             if v != absent:
@@ -334,7 +342,7 @@ class SeparatorGraph:
 
     def decode_reach(self, hnum: int, raw: bytes) -> list[int]:
         """H-numbers of every target of separator vertex ``hnum`` from its
-        record ``raw`` (reachability mode).
+        record ``raw`` (reachability graphs).
 
         A record is a bit set over the boundary positions of its own cluster
         (the boundary vertices it reaches inside the cluster) and one byte of
@@ -400,62 +408,51 @@ def local_dijkstra(q: InMemoryCluster, seeds) -> list:
     return dist
 
 
-def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
-                          name: str = "gprime") -> SeparatorGraph:
+def build_separator_graph(g: gf.GridGraph, h: int, name: str = "gprime",
+                          reach: bool = False) -> SeparatorGraph:
     """Condense every cluster to boundary-to-boundary payload plus cross edges.
 
-    Written sequentially in h-number order.  In reachability mode an
-    in-degree file (16-bit per separator vertex) and a queue file of
-    zero-in-degree vertices are produced as well.
+    Written sequentially in h-number order.  A distance graph's slots are
+    u64 distances for the weighted encodings and u32 hop counts for the
+    unweighted one.  With ``reach`` the payload is a reachability bit set
+    instead, and an in-degree file (16-bit per separator vertex) and a queue
+    file of zero-in-degree vertices are produced as well.
     """
-    if mode == "weighted_distance" and g.encoding not in (
-            "weighted_directed", "weighted_undirected"):
-        raise ClusterError("weighted mode needs a weighted encoding")
-    if mode in ("unit_distance", "reachability") and g.encoding != "unweighted":
-        raise ClusterError("%s mode needs the unweighted encoding" % mode)
     disk = g.disk
     scheme = ClusterScheme(g.rows, g.cols, h)
     # h = 0 degenerates to 1x1 clusters whose single vertex can have up to 8
     # cross-cluster edges; widen the record so the slot budget still holds
     slots = 4 * (1 << h) if h > 0 else 8
-    if mode == "weighted_distance":
-        dtype, absent, shift = np.dtype("<u8"), gf.ABSENT, 60
-        rec_size = slots * dtype.itemsize
-    elif mode == "unit_distance":
-        dtype, absent, shift = np.dtype("<u4"), ABSENT32, 28
-        rec_size = slots * dtype.itemsize
-    elif mode == "reachability":
-        rec_size = -(-slots // 8) + 1
-    else:
-        raise ClusterError("unknown mode %r" % mode)
+    wide = g.encoding != "unweighted"
+    dtype, absent, shift = _SLOT_FORMATS[wide]
+    rec_size = -(-slots // 8) + 1 if reach else slots * dtype.itemsize
 
     handle = disk.open_file(name)
     out = disk.append_stream(handle)
-    indeg = (np.zeros(scheme.total_boundary, dtype=np.int64)
-             if mode == "reachability" else None)
+    indeg = np.zeros(scheme.total_boundary, dtype=np.int64) if reach else None
 
     for q in iterate_clusters(g, scheme):
         bpos = _shape(q.hgt, q.wid).bpos
         bsize = len(q.boundary)
         base = scheme.bases[q.rank]
-        if mode == "reachability":
+        if reach:
             order = topo_order(q)
             if order is None:
                 raise ClusterError("cycle inside the cluster at (%d,%d)"
                                    % (q.r0, q.c0))
-            reach = [0] * q.n
+            reached = [0] * q.n
             for v in reversed(order):
                 acc = 0
                 for _, u, _ in q.intra[v]:
                     if bpos[u] >= 0:
                         acc |= 1 << bpos[u]
-                    acc |= reach[u]
-                reach[v] = acc
+                    acc |= reached[u]
+                reached[v] = acc
             out_masks = [0] * bsize
             for v, d, nr, nc, _ in q.out_edges:
                 out_masks[bpos[v]] |= 1 << d
                 indeg[scheme.h_number(nr, nc)] += 1
-            recs = b"".join(reach[v].to_bytes(rec_size - 1, "little")
+            recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
                             + bytes([m])
                             for v, m in zip(q.boundary, out_masks))
             masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
@@ -491,8 +488,8 @@ def build_separator_graph(g: gf.GridGraph, h: int, mode: str,
             out.write(recs.tobytes())
     out.close()
 
-    gp = SeparatorGraph(scheme, mode, handle, rec_size, slots)
-    if mode == "reachability":
+    gp = SeparatorGraph(scheme, handle, rec_size, wide)
+    if reach:
         if indeg.max(initial=0) >= 2 ** 16:
             raise ClusterError("in-degree exceeds 16 bits")
         d_handle = disk.open_file(name + ".indeg")

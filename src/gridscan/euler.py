@@ -121,7 +121,7 @@ def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
 
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
     """Simulate every possible cluster entry, one cluster in memory at a
-    time; returns (segment list, root's first departure, resolved root)."""
+    time; returns (segment list, resolved root)."""
     gf.check_input(g, ("weighted_undirected", "unweighted"), EulerError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     if root is None:
@@ -134,7 +134,6 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
                          % (edge_count, g.n))
     root_rank = scheme.rank_of(*root)
     segments = []
-    first_dir = None
     for q in cl.iterate_clusters(g, scheme):
         inc = incoming.get(q.rank, [])
         dirs = _cluster_direction_masks(q, inc)
@@ -143,7 +142,6 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
         if q.rank == root_rank and g.n > 1:
             lroot = q.local(*root)
             fd = _successor(dirs[lroot], gf.NW)
-            first_dir = fd
             steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
                                          fd, True)
             segments.append((q.rank, root, None, steps, exit_edge))
@@ -152,14 +150,14 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
             steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
                                          False)
             segments.append((q.rank, q.coord(v), d, steps, exit_edge))
-    return segments, first_dir, root
+    return segments, root
 
 
 def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
                stats: EulerStats | None = None):
     """Write the tour as one 8-byte root id plus one direction byte per step."""
     disk = g.disk
-    segments, first_dir, root = _scan_segments(g, h, root)
+    segments, root = _scan_segments(g, h, root)
     z_of = gf.z_tables(g.rows, g.cols)[0]
 
     def zi(v):

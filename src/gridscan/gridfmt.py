@@ -247,19 +247,13 @@ def decode_record(encoding: str, raw: bytes):
 def encode_record(encoding: str, mask: int, weights: dict[int, int]) -> bytes:
     if encoding == "unweighted":
         return bytes([mask])
-    if encoding == "weighted_directed":
-        out = bytearray()
-        for d in range(8):
-            w = weights[d] if mask >> d & 1 else ABSENT
-            out += w.to_bytes(8, "little")
-        return bytes(out)
-    if encoding == "weighted_undirected":
-        out = bytearray()
-        for d in OWNED_SLOTS:
-            w = weights[d] if mask >> d & 1 else ABSENT
-            out += w.to_bytes(8, "little")
-        return bytes(out)
-    raise FormatError("not a vertex encoding: %r" % encoding)
+    if encoding not in _WEIGHT_SLOTS:
+        raise FormatError("not a vertex encoding: %r" % encoding)
+    out = bytearray()
+    for d in _WEIGHT_SLOTS[encoding][1]:
+        w = weights[d] if mask >> d & 1 else ABSENT
+        out += w.to_bytes(8, "little")
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ global key order from a min-queue: a binary heap for ``sssp_simple``, the
 bucket queue for ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests
 clusters into levels and spends a fixed budget of steps per visit to a
 level; a level cluster's key is the minimum of its slice of one array of
-h0-cluster keys.  A finalized vertex whose estimate later improves is
-reactivated, which keeps the result exact under the budgeted order.
+h0-cluster keys.  A finalized vertex whose estimate later improves turns
+tentative again (it is reactivated), which keeps the result exact under the
+budgeted order.  Strict key order never reactivates: every relaxation adds
+a non-negative weight to the estimate just finalized, which is at least
+every estimate finalized before it.
 
 A step reads the records of every cluster it touches once and writes each
 at most once: the settled cluster's records stay in memory from the
@@ -135,12 +138,12 @@ def check_source(g, s_cell, encoding: str, error=SsspError):
         raise error("source outside grid")
 
 
-def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
+def _condense_and_seed(g, s_cell, h: int, out_name: str):
     """Phase 1: the separator graph, a fresh distance file, and tentative
     boundary estimates of the source's cluster from a local in-memory
     search.  Returns (separator graph, distance file, source cluster rank,
     its records as written)."""
-    gp = cl.build_separator_graph(g, h, mode, name=out_name + ".gp")
+    gp = cl.build_separator_graph(g, h, name=out_name + ".gp")
     scheme = gp.scheme
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
     srank = scheme.rank_of(*s_cell)
@@ -157,15 +160,15 @@ def _condense_and_seed(g, s_cell, h: int, mode: str, out_name: str):
     return gp, dfile, srank, vals
 
 
-def _relax_targets(dfile, rank, held, dist_u, targets, reactivate, stats):
+def _relax_targets(dfile, rank, held, dist_u, targets, stats):
     """Apply dist_u + w relaxations grouped per target cluster.
 
     ``targets`` yields (cluster rank, boundary position, weight).  Targets in
     cluster ``rank`` go to its records ``held``, which the caller writes;
     every other target cluster is read once and, if changed, written once.
     Returns {rank: records} of the clusters whose least tentative estimate
-    may have changed, ``rank`` always among them.  A final estimate improves
-    (and turns tentative again) only when ``reactivate`` is set.
+    may have changed, ``rank`` always among them.  An improved final
+    estimate turns tentative again.
     """
     # rank -> [(position in the cluster, weight)]
     by_cluster: dict[int, list] = {rank: []}
@@ -178,7 +181,7 @@ def _relax_targets(dfile, rank, held, dist_u, targets, reactivate, stats):
         for i, w in lst:
             nd = dist_u + w
             cur = vals[i]
-            if nd < (cur & INF_D) and (cur & TENTATIVE or reactivate):
+            if nd < (cur & INF_D):
                 if not cur & TENTATIVE:
                     stats.reactivations += 1
                 vals[i] = TENTATIVE | nd
@@ -195,7 +198,7 @@ def _relax_targets(dfile, rank, held, dist_u, targets, reactivate, stats):
     return {r: records[r] for r in touched}
 
 
-def _settle(gp, dfile, rank, stats, reactivate):
+def _settle(gp, dfile, rank, stats):
     """The phase-2 step: finalize the least tentative estimate of one cluster
     and relax that vertex's separator edges.
 
@@ -214,8 +217,7 @@ def _settle(gp, dfile, rank, stats, reactivate):
     stats.extractions.append((u, dist_u))
     touched = _relax_targets(
         dfile, rank, vals, dist_u,
-        gp.decode_edges(rank, pos, gp.read_record(dfile.disk, u)),
-        reactivate, stats)
+        gp.decode_edges(rank, pos, gp.read_record(u)), stats)
     dfile.write(rank, vals)
     return touched
 
@@ -245,15 +247,14 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     return handle
 
 
-def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
+def solve_in_key_order(g, s_cell, h: int, queue, stats: SolveStats,
                        out_name: str):
     """The three phases with phase 2 in strict global key order.
 
     ``queue`` is any min-queue with ``insert(key, rank)`` and
-    ``extract_min()``; ``mode`` is the separator-graph mode.  Returns (output
-    handle, cluster scheme).
+    ``extract_min()``.  Returns the output handle.
     """
-    gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h, mode, out_name)
+    gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h, out_name)
     scheme = gp.scheme
     # least tentative (distance, position) per cluster, or None; it mirrors
     # the distance file, so a queue entry whose key matches it is live
@@ -268,10 +269,9 @@ def solve_in_key_order(g, s_cell, h: int, mode: str, queue, stats: SolveStats,
     while (entry := queue.extract_min()) is not None:
         key, rank = entry
         if cur_min[rank] is not None and key == cur_min[rank][0]:
-            for tr, vals in _settle(gp, dfile, rank, stats,
-                                    reactivate=False).items():
+            for tr, vals in _settle(gp, dfile, rank, stats).items():
                 refresh(tr, vals)
-    return _finalize_interiors(g, scheme, dfile, s_cell, out_name), scheme
+    return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
 
 
 def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
@@ -279,8 +279,7 @@ def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
     """Exact distances from s to every vertex; strict global key order."""
     check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
-    return solve_in_key_order(g, s_cell, h, "weighted_distance", HeapQueue(),
-                              stats, out_name)[0]
+    return solve_in_key_order(g, s_cell, h, HeapQueue(), stats, out_name)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
     h0 = levels[0]
-    gp, dfile, srank, svals = _condense_and_seed(
-        g, s_cell, h0, "weighted_distance", out_name)
+    gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h0, out_name)
     scheme = gp.scheme
 
     k = len(levels) - 1
@@ -349,7 +347,7 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     def level0_step(rank) -> bool:
         """One extraction inside an h0 cluster; False when nothing tentative."""
         stats.level0_calls += 1
-        touched = _settle(gp, dfile, rank, stats, reactivate=True)
+        touched = _settle(gp, dfile, rank, stats)
         if touched is None:
             keys[coords[rank]] = INF_D
             stats.wasted_calls += 1

@@ -1,6 +1,6 @@
 """Topological sorting of DAG grid graphs with cluster-sized memory.
 
-Pipeline: condense the grid to its separator graph in reachability mode, run
+Pipeline: condense the grid to its reachability separator graph, run
 Kahn's algorithm over it with the in-degree table resident in memory, then
 number the interior of each cluster into chunks keyed by separator ranks.
 Alternating predecessor/successor rounds assign most interior vertices; the
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import gridfmt as gf
 from . import clusters as cl
-from .simdisk import SimDisk
 
 
 class ToposortError(Exception):
@@ -40,7 +39,7 @@ class TopoStats:
     chunk_count: int = 0
 
 
-def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk) -> np.ndarray:
+def topo_number_separator(gp: cl.SeparatorGraph) -> np.ndarray:
     """Kahn's algorithm over the reachability separator graph; returns the
     topological rank of every separator vertex, indexed by h-number.
 
@@ -48,8 +47,9 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk) -> np.ndarray:
     per separator vertex); the zero-in-degree queue is consumed as a FIFO
     file and extended in place.
     """
-    if gp.mode != "reachability":
-        raise ToposortError("separator graph must be in reachability mode")
+    if gp.d_handle is None:
+        raise ToposortError("separator graph must be a reachability graph")
+    disk = gp.handle.disk
     total = gp.scheme.total_boundary
     indeg = np.frombuffer(
         disk.read_direct(gp.d_handle, 0, 2 * total), dtype="<u2").astype(
@@ -69,7 +69,7 @@ def topo_number_separator(gp: cl.SeparatorGraph, disk: SimDisk) -> np.ndarray:
         r[u] = numbered
         numbered += 1
         ready = bytearray()
-        for t in gp.decode_reach(u, gp.read_record(disk, u)):
+        for t in gp.decode_reach(u, gp.read_record(u)):
             indeg[t] -= 1
             if indeg[t] == 0:
                 ready += int(t).to_bytes(8, "little")
@@ -88,10 +88,10 @@ def number_separator(g: gf.GridGraph, h: int, name: str, error):
     Returns (cluster scheme, rank table)."""
     gf.check_input(g, ("unweighted",), error)
     try:
-        gp = cl.build_separator_graph(g, h, "reachability", name=name + ".gp")
+        gp = cl.build_separator_graph(g, h, name=name + ".gp", reach=True)
     except cl.ClusterError as e:
         raise error(str(e)) from e
-    return gp.scheme, topo_number_separator(gp, g.disk)
+    return gp.scheme, topo_number_separator(gp)
 
 
 def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:

@@ -120,7 +120,7 @@ def dist_map(d, handle, g):
 def test_bfs_distances_match_oracle(seed, h):
     d = make_disk()
     g = gf.generate(d, 32, 32, "unit_directed", seed=seed, density=0.55)
-    handle, _ = bfs.bfs_distances(g, (3, 4), h)
+    handle = bfs.bfs_distances(g, (3, 4), h)
     got = dist_map(d, handle, g)
     expect = oracle.bfs_distances(g, (3, 4))
     for v in expect:
@@ -132,7 +132,7 @@ def test_bfs_distance_row_path():
     d = make_disk()
     g = make_graph(d, 1, 6, "unweighted",
                    {(0, c): {gf.E: 1} for c in range(5)})
-    handle, _ = bfs.bfs_distances(g, (0, 0), 1)
+    handle = bfs.bfs_distances(g, (0, 0), 1)
     got = dist_map(d, handle, g)
     assert got == {(0, c): c for c in range(6)}
 
@@ -140,7 +140,7 @@ def test_bfs_distance_row_path():
 def test_chunks_partition_reachable():
     d = make_disk()
     g = gf.generate(d, 16, 16, "unit_directed", seed=4, density=0.6)
-    handle, _ = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
+    handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
     c_handle, a_handle, count = bfs.build_chunks_bfs(g, handle, 2)
     expect = oracle.bfs_distances(g, (0, 0))
     reach = {v for v in expect if expect[v] != float("inf")}
@@ -165,7 +165,7 @@ def test_chunks_partition_reachable():
 def test_tall_path_is_cut():
     d = make_disk()
     g = make_graph(d, 4, 4, "unweighted", snake_edges(4, 4))
-    handle, _ = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
+    handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
     _, _, count = bfs.build_chunks_bfs(g, handle, 2)
     assert count == 4              # 16-vertex path cut at depth multiples of 4
 
@@ -206,7 +206,7 @@ def test_chunk_count_linear():
     for side in (16, 32):
         d = make_disk()
         g = gf.generate(d, side, side, "unit_directed", seed=1, density=0.6)
-        handle, _ = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
+        handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
         stats = bfs.BfsStats()
         bfs.build_chunks_bfs(g, handle, 2, stats=stats)
         assert stats.chunk_count <= 4 * side * side / 4

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridscan import gridfmt as gf, clusters as cl, oracle, sssp
+from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, bfs
 
 from conftest import make_disk, make_graph, grid4_edges
 
@@ -162,3 +163,40 @@ def test_large_distances_below_the_limit_are_exact():
     got = sssp.read_distances(d, sssp.sssp_simple(g, (0, 0), 1))
     z_of = gf.z_tables(1, 9)[0]
     assert [got[int(z_of[c])] for c in range(9)] == [c * BIG for c in range(9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(8, 16), cols=st.integers(8, 16), h=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), unit=st.booleans())
+def test_key_order_never_reactivates(rows, cols, h, seed, unit):
+    # every relaxation adds a non-negative weight to the estimate just
+    # finalized, which is at least every estimate finalized before it
+    d = make_disk()
+    rng = random.Random(seed)
+    s = (rng.randrange(rows), rng.randrange(cols))
+    if unit:
+        g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
+                        density=0.6)
+        expect = oracle.bfs_distances(g, s)
+        queues = (sssp.HeapQueue, lambda: bfs.BucketQueue(h))
+    else:
+        edges = {}
+        for r in range(rows):
+            for c in range(cols):
+                edges[(r, c)] = {
+                    dd: rng.choice((0, 0, 1, 2, 7, 40))
+                    for dd, (dr, dc) in enumerate(gf.DIR_OFFSETS)
+                    if 0 <= r + dr < rows and 0 <= c + dc < cols
+                    and rng.random() < 0.5}
+        g = make_graph(d, rows, cols, "weighted_directed", edges)
+        expect = oracle.dijkstra(g, s)
+        queues = (sssp.HeapQueue,)
+    for i, queue in enumerate(queues):
+        stats = sssp.SolveStats()
+        out = sssp.solve_in_key_order(g, s, h, queue(), stats, "dist%d" % i)
+        assert stats.reactivations == 0
+        got = sssp.read_distances(d, out)
+        for z in range(rows * cols):
+            r, c = gf.index_to_coord(rows, cols, z)
+            e = expect[(r - 1, c - 1)]
+            assert got[z] == (gf.ABSENT if e == float("inf") else e)

@@ -25,23 +25,30 @@ def assert_valid(d, out, g):
 def test_separator_numbering_forward():
     d = make_disk()
     g = gf.generate(d, 32, 32, "planar_dag", seed=0, density=0.6)
-    gp = cl.build_separator_graph(g, 2, "reachability")
-    rtab = ts.topo_number_separator(gp, d)
+    gp = cl.build_separator_graph(g, 2, reach=True)
+    rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     assert sorted(rtab) == list(range(scheme.total_boundary))
     for u in range(scheme.total_boundary):
-        for t in gp.decode_reach(u, gp.read_record(d, u)):
+        for t in gp.decode_reach(u, gp.read_record(u)):
             assert rtab[u] < rtab[t]
 
 
 def test_numbering_single_edge():
     d = make_disk()
     g = make_graph(d, 1, 2, "unweighted", {(0, 0): {gf.E: 1}})
-    gp = cl.build_separator_graph(g, 0, "reachability")
-    rtab = ts.topo_number_separator(gp, d)
+    gp = cl.build_separator_graph(g, 0, reach=True)
+    rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     assert rtab[scheme.h_number(0, 0)] == 0
     assert rtab[scheme.h_number(0, 1)] == 1
+
+
+def test_numbering_rejects_a_distance_graph():
+    d = make_disk()
+    g = gf.generate(d, 8, 8, "planar_dag", seed=0, density=0.6)
+    with pytest.raises(ts.ToposortError):
+        ts.topo_number_separator(cl.build_separator_graph(g, 1))
 
 
 def test_chunk_rounds_examples():
@@ -80,8 +87,8 @@ def test_chunk_leftover_component():
 def test_chunk_monotone_along_edges():
     d = make_disk()
     g = gf.generate(d, 16, 16, "planar_dag", seed=3, density=0.7)
-    gp = cl.build_separator_graph(g, 2, "reachability")
-    rtab = ts.topo_number_separator(gp, d)
+    gp = cl.build_separator_graph(g, 2, reach=True)
+    rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         asg = ts.assign_chunk_numbers(
