@@ -30,7 +30,7 @@ from . import gridfmt as gf
 ABSENT32 = 2 ** 32 - 1
 INF = float("inf")
 # a distance graph's slot: (dtype, no-path marker, direction shift), by
-# SeparatorGraph.wide
+# SeparatorGraph.wide: u64 for weighted_directed, u32 for unweighted
 _SLOT_FORMATS = {True: (np.dtype("<u8"), gf.ABSENT, 60),
                  False: (np.dtype("<u4"), ABSENT32, 28)}
 
@@ -131,14 +131,12 @@ class InMemoryCluster:
     the i-th is the separator vertex at position i of the cluster.
     ``coord(v)`` maps a local id back to global coordinates.
 
-    Both arc lists follow the records in storage order: arcs are visited by
-    the cluster's local Z rank and, per vertex, by ascending direction.  In
-    the weighted_undirected encoding an intra-cluster arc is stored once, at
-    its owning endpoint; its reverse copy (opposite direction, same weight)
-    is visited right after it and appended to the other endpoint's list.
-    ``intra[v]`` holds v's visited arcs in visiting order.  Algorithms break
-    ties by list position, so their outputs and transfer counts are
-    reproducible only while this order holds.
+    Both arc lists hold exactly the stored arcs, in storage order: by the
+    cluster's local Z rank and, per vertex, by ascending direction.  A
+    weighted_undirected edge is stored once, at its owning endpoint, so it
+    appears once, in that endpoint's list.  Algorithms break ties by list
+    position, so their outputs and transfer counts are reproducible only
+    while this order holds.
     """
 
     rank: int
@@ -164,7 +162,6 @@ class InMemoryCluster:
 
 _DR = np.array([dr for dr, _ in gf.DIR_OFFSETS], dtype=np.int64)
 _DC = np.array([dc for _, dc in gf.DIR_OFFSETS], dtype=np.int64)
-_OPPOSITE = (np.arange(8, dtype=np.int64) + 4) % 8
 _OWNED = np.array(gf.OWNED_SLOTS, dtype=np.int64)
 
 
@@ -243,15 +240,9 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
                              % (r0 + lr[k], c0 + lc[k]))
     out_cols = [a.tolist() for a in (src[out], od, nr, nc, w[out])]
 
-    owner, other, ed, iw = src[inside], dst[inside], d[inside], w[inside]
-    if g.encoding == "weighted_undirected":
-        # interleave each stored arc with its reverse copy
-        owner, other = (np.column_stack((owner, other)).ravel(),
-                        np.column_stack((other, owner)).ravel())
-        ed = np.column_stack((ed, _OPPOSITE[ed])).ravel()
-        iw = np.repeat(iw, 2)
+    owner = src[inside]
     order = np.argsort(owner, kind="stable")
-    intra_cols = [a[order].tolist() for a in (ed, other, iw)]
+    intra_cols = [a[inside][order].tolist() for a in (d, dst, w)]
     ends = np.cumsum(np.bincount(owner, minlength=hgt * wid)).tolist()
     return out_cols, intra_cols, ends
 
@@ -296,7 +287,7 @@ def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
 class SeparatorGraph:
     """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
     ``hnum * record_size`` of ``handle``.  A distance graph's slots are u64
-    when ``wide`` (weighted encodings) and u32 hop counts otherwise.  A
+    when ``wide`` (weighted_directed) and u32 hop counts otherwise.  A
     reachability graph also has a 16-bit in-degree per separator vertex in
     ``d_handle`` and ``z_count`` u64 zero-in-degree h-numbers in
     ``z_handle``."""
@@ -413,11 +404,12 @@ def build_separator_graph(g: gf.GridGraph, h: int, name: str = "gprime",
     """Condense every cluster to boundary-to-boundary payload plus cross edges.
 
     Written sequentially in h-number order.  A distance graph's slots are
-    u64 distances for the weighted encodings and u32 hop counts for the
-    unweighted one.  With ``reach`` the payload is a reachability bit set
+    u64 distances for the weighted_directed encoding and u32 hop counts for
+    the unweighted one.  With ``reach`` the payload is a reachability bit set
     instead, and an in-degree file (16-bit per separator vertex) and a queue
     file of zero-in-degree vertices are produced as well.
     """
+    gf.check_input(g, ("weighted_directed", "unweighted"), ClusterError)
     disk = g.disk
     scheme = ClusterScheme(g.rows, g.cols, h)
     # h = 0 degenerates to 1x1 clusters whose single vertex can have up to 8

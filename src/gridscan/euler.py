@@ -97,16 +97,23 @@ def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
         v, a = heads[v][d], d
 
 
-def _cluster_direction_masks(q: cl.InMemoryCluster, incoming) -> list:
-    dirs = [0] * q.n
+def _walk_tables(q: cl.InMemoryCluster, incoming, encoding: str):
+    """Per local cell, its tree directions as a bit mask and the other end
+    of each intra-cluster edge by direction.  weighted_undirected stores an
+    edge at one end only, so its reverse is added; unweighted masks hold
+    both directions already, and a one-way mask must still be rejected."""
+    heads = [{} for _ in range(q.n)]
     for v in range(q.n):
         for d, u, w in q.intra[v]:
-            dirs[v] |= 1 << d
+            heads[v][d] = u
+            if encoding == "weighted_undirected":
+                heads[u][gf.opposite(d)] = v
+    dirs = [sum(1 << d for d in hv) for hv in heads]
     for v, d, nr, nc, w in q.out_edges:
         dirs[v] |= 1 << d
     for pos, d in incoming:
         dirs[q.boundary[pos]] |= 1 << gf.opposite(d)
-    return dirs
+    return dirs, heads
 
 
 def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
@@ -114,14 +121,17 @@ def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
     direction): (exit vertex, exit direction) or None for the terminal
     entry}."""
     maps = {}
-    for rank, entry, arrival, _, exit_edge in _scan_segments(g, h, root)[0]:
+    _, segments = _scan_segments(g, h, root)
+    for rank, entry, arrival, _, exit_edge in segments:
         maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
     return maps
 
 
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
-    """Simulate every possible cluster entry, one cluster in memory at a
-    time; returns (segment list, resolved root)."""
+    """Check that the input is a tree; returns the resolved root and a
+    generator that simulates every possible cluster entry, one cluster in
+    memory at a time, and yields each (rank, entry, arrival, steps, exit
+    edge) segment as soon as it is simulated."""
     gf.check_input(g, ("weighted_undirected", "unweighted"), EulerError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     if root is None:
@@ -132,32 +142,34 @@ def _scan_segments(g: gf.GridGraph, h: int, root=None):
     if edge_count != g.n - 1:
         raise EulerError("input is not a tree: %d edges for %d vertices"
                          % (edge_count, g.n))
+    return root, _cluster_segments(g, scheme, incoming, root)
+
+
+def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, incoming,
+                      root):
     root_rank = scheme.rank_of(*root)
-    segments = []
     for q in cl.iterate_clusters(g, scheme):
         inc = incoming.get(q.rank, [])
-        dirs = _cluster_direction_masks(q, inc)
-        heads = [{d: u for d, u, _ in arcs} for arcs in q.intra]
+        dirs, heads = _walk_tables(q, inc, g.encoding)
         fd = lroot = None
         if q.rank == root_rank and g.n > 1:
             lroot = q.local(*root)
             fd = _successor(dirs[lroot], gf.NW)
             steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
                                          fd, True)
-            segments.append((q.rank, root, None, steps, exit_edge))
+            yield q.rank, root, None, steps, exit_edge
         for pos, d in inc:
             v = q.boundary[pos]
             steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
                                          False)
-            segments.append((q.rank, q.coord(v), d, steps, exit_edge))
-    return segments, root
+            yield q.rank, q.coord(v), d, steps, exit_edge
 
 
 def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
                stats: EulerStats | None = None):
     """Write the tour as one 8-byte root id plus one direction byte per step."""
     disk = g.disk
-    segments, root = _scan_segments(g, h, root)
+    root, segments = _scan_segments(g, h, root)
     z_of = gf.z_tables(g.rows, g.cols)[0]
 
     def zi(v):
@@ -169,10 +181,12 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
     stream.write(zi(root).to_bytes(8, "little"))
     if g.n == 1:
+        list(segments)          # none, but the input is scanned as for n > 1
         stream.close()
         return out
 
-    # segment store: sequential C file plus an in-memory address map
+    # segment store: sequential C file, written as simulated, plus an
+    # in-memory address map
     c_handle = disk.open_file(out_name + ".segs")
     c_stream = disk.append_stream(c_handle)
     index = {}

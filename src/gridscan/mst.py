@@ -191,14 +191,9 @@ def _forest(edge_iter) -> list:
 
 
 def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
-    """Intra-cluster edges once each, endpoints as cluster-local ids.
-
-    The weighted_undirected decode lists every edge at both ends, so an edge
-    is taken from the list of its smaller local id.  Inside a cluster local
-    ids order like global (row, col) pairs.
-    """
-    return [(v, u, w, False)
-            for v in range(q.n) for _, u, w in q.intra[v] if v < u]
+    """Intra-cluster edges once each, as stored at their owners, endpoints
+    as cluster-local ids."""
+    return [(v, u, w, False) for v in range(q.n) for _, u, w in q.intra[v]]
 
 
 def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
@@ -561,10 +556,8 @@ def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     for q in cl.iterate_clusters(g, scheme):
         for u, v, w, f in _forest(_cluster_undirected_edges(q)):
             union.append((w, q.coord(u), q.coord(v)))
-        for v, d, nr, nc, w in q.out_edges:
-            a = q.coord(v)
-            if a < (nr, nc):
-                union.append((w, a, (nr, nc)))
+        union += [(w, q.coord(v), (nr, nc))
+                  for v, _, nr, nc, w in q.out_edges]
     cells = [(r, c) for r in range(g.rows) for c in range(g.cols)]
     total_u, _ = oracle.kruskal(union, vertices=cells)
     total_g, _ = oracle.mst(g)

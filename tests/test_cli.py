@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -130,6 +131,27 @@ def test_instance_error_exit_code(capsys):
     code = cli.run(["euler", "--rows", "8", "--cols", "8",
                     "--model", "weighted_dag"])
     assert code == 2
+
+
+WRONG_ENCODING = [
+    ("sssp", "weighted_undirected"), ("sssp", "unit_directed"),
+    ("bfs", "weighted_dag"), ("mst", "weighted_dag"), ("tfp", "weighted_dag"),
+    ("euler", "weighted_dag"), ("mst", "tree"),
+    ("toposort", "weighted_undirected"),
+]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("alg,model", WRONG_ENCODING)
+def test_model_of_the_wrong_encoding_exits_2(capsys, alg, model, verify):
+    argv = [alg, "--rows", "8", "--cols", "8", "--model", model]
+    if verify:
+        argv = ["verify", "--alg"] + argv
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: input must use the \w+( or \w+)* encoding\n",
+                        captured.err)
 
 
 def test_tall_cache_rejected(capsys):

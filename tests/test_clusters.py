@@ -292,55 +292,38 @@ def test_reach_and_distance_decoders_agree(rows, cols, seed, h):
     assert crossing > 0
 
 
-def _decoded_edges(gp):
-    """Every separator vertex's decoded (rank, position, weight) list."""
-    s = gp.scheme
-    out = []
-    for hn in range(s.total_boundary):
-        rank, pos = s.locate(*s.coord_of_h_number(hn))
-        out.append(list(gp.decode_edges(rank, pos, gp.read_record(hn))))
-    return out
-
-
-def _directed_twin(g):
-    """A weighted_directed graph with every arc of ``g``, on g's disk."""
-    edges = {v: {dd: w for dd, _, _, w in arcs}
-             for v, arcs in gf.adjacency(g).items()}
-    return make_graph(g.disk, g.rows, g.cols, "weighted_directed", edges,
-                      name="twin")
-
-
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_separator_width_follows_encoding(h):
     slots = 4 * (1 << h) if h > 0 else 8
-    for encoding, width in (("weighted_directed", 8),
-                            ("weighted_undirected", 8), ("unweighted", 4)):
+    for encoding, width in (("weighted_directed", 8), ("unweighted", 4)):
         g = make_graph(make_disk(), 8, 8, encoding, {})
         assert cl.build_separator_graph(g, h).record_size == slots * width
         reach = cl.build_separator_graph(g, h, name="reach", reach=True)
         assert reach.record_size == -(-slots // 8) + 1
-    # u64 slots hold the undirected graph's distances as they hold the
-    # directed graph's: the same targets and weights inside each cluster
-    g = gf.generate(make_disk(), 8, 8, "weighted_undirected", seed=h,
-                    density=0.8)
-    undirected = _decoded_edges(cl.build_separator_graph(g, h))
-    directed = _decoded_edges(cl.build_separator_graph(_directed_twin(g), h,
-                                                       name="twin.gp"))
-    s = cl.ClusterScheme(8, 8, h)
-    for hn, (got, want) in enumerate(zip(undirected, directed)):
-        rank = s.locate(*s.coord_of_h_number(hn))[0]
-        assert [e for e in got if e[0] == rank] == \
-            [e for e in want if e[0] == rank]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a cluster of a weighted_undirected "
-                   "graph sees only the cross edges it stores itself (E, SE, "
-                   "S, SW); the N, NE, W and NW ones are stored next door")
-def test_undirected_distance_graph_has_every_cross_edge():
+@pytest.mark.parametrize("reach", [False, True])
+def test_separator_graph_rejects_weighted_undirected(reach):
+    # a cluster stores only the cross edges it owns (E, SE, S, SW), so its
+    # separator records would miss the N, NE, W and NW ones
     g = gf.generate(make_disk(), 8, 8, "weighted_undirected", seed=1,
                     density=0.8)
-    assert _decoded_edges(cl.build_separator_graph(g, 1)) == _decoded_edges(
-        cl.build_separator_graph(_directed_twin(g), 1, name="twin.gp"))
+    with pytest.raises(cl.ClusterError, match="weighted_directed"):
+        cl.build_separator_graph(g, 1, reach=reach)
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(8, 8, 1), (13, 7, 2),
+                                            (16, 16, 3)])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_undirected_decode_lists_each_stored_edge_once(rows, cols, seed, h):
+    g = gf.generate(make_disk(), rows, cols, "weighted_undirected", seed=seed,
+                    density=0.8)
+    got = []
+    for q in cl.iterate_clusters(g, cl.ClusterScheme(rows, cols, h)):
+        got += [(w, q.coord(v), q.coord(u))
+                for v in range(q.n) for _, u, w in q.intra[v]]
+        got += [(w, q.coord(v), (nr, nc)) for v, _, nr, nc, w in q.out_edges]
+    assert sorted(got) == sorted(oracle.undirected_edges(g))
 
 
 ENCODINGS = ("unweighted", "weighted_directed", "weighted_undirected")
@@ -387,9 +370,6 @@ def _expected_cluster(g, s, records, rank):
             w = weights.get(dd, 1)
             if inside(nr, nc):
                 intra[local(r, c)].append((dd, local(nr, nc), w))
-                if g.encoding == "weighted_undirected":
-                    intra[local(nr, nc)].append(
-                        (gf.opposite(dd), local(r, c), w))
             else:
                 out.append((local(r, c), dd, nr, nc, w))
     ring = [(r, c) for r in range(r0, r0 + hgt) for c in range(c0, c0 + wid)

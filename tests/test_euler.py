@@ -58,20 +58,36 @@ def test_single_vertex():
     g = make_graph(d, 1, 1, "weighted_undirected", {})
     out = euler.euler_tour(g, 1)
     assert tour_coords(d, out, g) == [(0, 0)]
+    assert "euler.out.segs" not in d._names
 
 
-@pytest.mark.parametrize("rows,cols,seed,h", [
+TOUR_CASES = [
     (8, 8, 0, 1), (16, 16, 1, 2), (32, 32, 2, 2), (32, 32, 3, 3),
     (64, 64, 4, 2), (13, 21, 5, 2), (1, 16, 6, 1), (7, 3, 7, 3),
-])
-def test_matches_oracle_tour(rows, cols, seed, h):
-    d = make_disk()
-    g = gf.generate(d, rows, cols, "tree", seed=seed)
+]
+
+
+def check_oracle_tour(g, h):
+    d, rows, cols = g.disk, g.rows, g.cols
     root = (rows // 2, cols // 3)
     out = euler.euler_tour(g, h, root=root)
     got = tour_coords(d, out, g)
     assert got == oracle.euler_tour(g, root)
     check_closure(got, root, g.n)
+
+
+@pytest.mark.parametrize("rows,cols,seed,h", TOUR_CASES)
+def test_matches_oracle_tour(rows, cols, seed, h):
+    check_oracle_tour(gf.generate(make_disk(), rows, cols, "tree", seed=seed),
+                      h)
+
+
+@pytest.mark.parametrize("rows,cols,seed,h", TOUR_CASES)
+def test_weighted_undirected_tree_matches_oracle_tour(rows, cols, seed, h):
+    # each edge is stored once, at its owner, so the walk adds the reverses
+    check_oracle_tour(gf.generate(make_disk(), rows, cols,
+                                  "weighted_undirected", seed=seed,
+                                  density=0), h)
 
 
 def test_default_root_is_smallest_z():
