@@ -181,7 +181,7 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
     stream.write(zi(root).to_bytes(8, "little"))
     if g.n == 1:
-        list(segments)          # none, but the input is scanned as for n > 1
+        # no segment: _cross_edge_map has read the input and checked it
         stream.close()
         return out
 

@@ -17,20 +17,25 @@ representative that survives upstream selection expands to its whole chain, a
 representative that loses expands to the chain minus one heaviest edge, and
 dead ends are bridges, so they are reinstated unconditionally.
 
-Stack records of ``mst_cache_oblivious`` are little-endian and unpadded.  An
-edge is ``<IIQ?``, 17 bytes: two row-major cell ids ``r * cols + c``, the
-weight, and a flag byte that is 1 for a representative.  Cell ids order
-exactly like ``(r, c)`` pairs, so weight ties, edge owners and chain
-orientation resolve as they would with coordinates.  A u32 id bounds the
-grid to rows * cols <= 2^32 cells; ``gf.open_grid`` wants the whole payload,
-32 bytes a cell, on the simulated disk, so no file it opens comes near.  A
-connections record is ``<II`` (tree edge count, outgoing edge count), then
-the tree edges, then the outgoing edges.  An expansions record is ``<II``
-(dead-end count, chain count), then the dead ends, then per chain ``<II``
-(length, index of its first heaviest edge) and its edges in walk order.
-``FileStack`` frames each record with a trailing u32 length.  Regions of
-side 2 are the base case and push no expansions record; single cells touch
-neither stack.
+Stack records of ``mst_cache_oblivious`` are little-endian and unpadded.
+Vertices are row-major cell ids ``r * cols + c``, which order exactly like
+``(r, c)`` pairs, so weight ties, edge owners and chain orientation resolve
+as they would with coordinates.  A u32 id bounds the grid to rows * cols <=
+2^32 cells; ``gf.open_grid`` wants the whole payload, 32 bytes a cell, on
+the simulated disk, so no file it opens comes near.  A connections record
+is ``<II`` (tree edge count, outgoing edge count), then the tree edges,
+then the outgoing edges, each edge ``<IIQ?``, 17 bytes: two cell ids, the
+weight, and a flag byte that is 1 for a representative.  An expansions
+record stores its edges as grid walks, in arrays: the header ``<IIB``
+(dead-end count, chain count, ``wb``, the byte width of the record's
+largest weight, 1..8); a u32 first end per dead end; ``<III`` per chain
+(length, index of its first heaviest edge, first end); one step code byte
+per edge, dead ends first, then the chains' edges in walk order, where
+0..7 indexes ``gf.DIR_OFFSETS`` and 8 marks a representative; each weight
+in ``wb`` bytes, in the same order; and a u32 far end per representative.
+A chain edge starts where the one before it ends.  ``FileStack`` frames
+each record with a trailing u32 length.  Regions of side 2 are the base
+case and push no expansions record; single cells touch neither stack.
 """
 
 from __future__ import annotations
@@ -159,31 +164,30 @@ def expand(ct: ContractedTree) -> list:
     return out
 
 
-def _find(parent: dict, x):
-    """Root of ``x`` in a union-find forest kept as child -> parent links
-    (a root has no entry); compresses the path it walks."""
-    root = x
-    while root in parent:
-        root = parent[root]
-    while x != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent: dict, u, v) -> bool:
-    """Join the sets of ``u`` and ``v``; False if they were one set."""
-    a, b = _find(parent, u), _find(parent, v)
-    if a == b:
-        return False
-    parent[a] = b
-    return True
-
-
 def _forest(edge_iter) -> list:
-    """Deterministic minimum spanning forest (Kruskal on sorted tuples)."""
+    """Deterministic minimum spanning forest (Kruskal on sorted tuples).
+
+    The union-find forest is a dict of child -> parent links, a root having
+    no entry; each find points the path it walked at the root.  Which edges
+    Kruskal keeps depends only on the sort order."""
     parent = {}
-    return [e for e in sorted(edge_iter, key=_BY_WEIGHT)
-            if _union(parent, e[0], e[1])]
+    forest = []
+    for e in sorted(edge_iter, key=_BY_WEIGHT):
+        u, v = e[0], e[1]
+        a = u
+        while a in parent:
+            a = parent[a]
+        while u != a:
+            parent[u], u = a, parent[u]
+        b = v
+        while b in parent:
+            b = parent[b]
+        while v != b:
+            parent[v], v = b, parent[v]
+        if a != b:
+            parent[a] = b
+            forest.append(e)
+    return forest
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +203,28 @@ def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
 def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
     """The cluster's minimum spanning forest contracted onto its boundary.
 
-    Kruskal's union-find map also shows an intra-cluster component that
+    Kruskal runs on a list union-find over the dense local ids, a root being
+    its own parent; that forest also shows an intra-cluster component that
     misses the boundary ring: it has no edge to the rest of the grid at all.
     """
-    parent = {}
-    forest = [e for e in sorted(_cluster_undirected_edges(q), key=_BY_WEIGHT)
-              if _union(parent, e[0], e[1])]
-    with_keep = {_find(parent, b) for b in q.boundary}
-    if any(_find(parent, u) not in with_keep for u, _, _, _ in forest):
+    parent = list(range(q.n))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    forest = []
+    for e in sorted(_cluster_undirected_edges(q), key=_BY_WEIGHT):
+        a, b = find(e[0]), find(e[1])
+        if a != b:
+            parent[a] = b
+            forest.append(e)
+    with_keep = {find(b) for b in q.boundary}
+    if any(find(u) not in with_keep for u, _, _, _ in forest):
         raise MstError("disconnected input (cluster-interior component)")
     return prune_and_contract(forest, set(q.boundary))
 
@@ -305,47 +323,75 @@ _EDGE = struct.Struct("<IIQ?")      # cell, cell, weight, representative
 _CNT2 = struct.Struct("<II")
 
 
-def _pack_run(a: int, b: int, edges) -> bytes:
-    """Two u32 counts, then the edges."""
-    pack = _EDGE.pack
-    return _CNT2.pack(a, b) + b"".join([pack(*e) for e in edges])
-
-
-def _unpack_run(raw, offset: int, k: int):
-    """The ``k`` edges after the two counts at ``offset``, and the offset
-    past them."""
-    start = offset + _CNT2.size
-    end = start + k * _EDGE.size
-    return list(_EDGE.iter_unpack(raw[start:end])), end
-
-
 def _pack_connections(tree, out_edges) -> bytes:
-    return _pack_run(len(tree), len(out_edges), tree + out_edges)
+    pack = _EDGE.pack
+    return _CNT2.pack(len(tree), len(out_edges)) + b"".join(
+        [pack(*e) for e in tree + out_edges])
 
 
 def _unpack_connections(raw):
     # the edge count follows from the record's length
     ntree = _CNT2.unpack_from(raw)[0]
-    edges, _ = _unpack_run(raw, 0, (len(raw) - _CNT2.size) // _EDGE.size)
+    edges = list(_EDGE.iter_unpack(raw[_CNT2.size:]))
     return edges[:ntree], edges[ntree:]
 
 
-def _pack_expansions(ct: ContractedTree) -> bytes:
-    out = [_pack_run(len(ct.dead_ends), len(ct.chains), ct.dead_ends)]
+_EXPN_HEAD = struct.Struct("<IIB")  # dead ends, chains, weight width
+_REP = 8                            # step code of a representative edge
+# step code of a move by (dr, dc), at index 3 * dr + dc + 4; taken from rows
+# and columns, since at two columns E and SW both add 1 to the cell id
+_STEP_CODE = [gf.DIR_OFFSETS.index((k // 3 - 1, k % 3 - 1)) if k != 4
+              else _REP for k in range(9)]
+
+
+def _pack_expansions(ct: ContractedTree, cols: int) -> bytes:
+    edges = list(ct.dead_ends)
+    ints = [u for u, _, _, _ in edges]
     for ch in ct.chains:
-        out.append(_pack_run(len(ch.edges), ch.heavy_idx, ch.edges))
-    return b"".join(out)
+        ints += (len(ch.edges), ch.heavy_idx, ch.edges[0][0])
+        edges += ch.edges
+    # a representative's ends need not be neighbours, and neighbours may
+    # be joined by a representative, so its flag decides its code
+    codes = bytes([_REP if f else _STEP_CODE[
+        3 * (v // cols - u // cols) + v % cols - u % cols + 4]
+        for u, v, _, f in edges])
+    ws = [e[2] for e in edges]
+    wb = max(1, (max(ws, default=0).bit_length() + 7) // 8)
+    fars = [v for _, v, _, f in edges if f]
+    return b"".join([
+        _EXPN_HEAD.pack(len(ct.dead_ends), len(ct.chains), wb),
+        struct.pack("<%dI" % len(ints), *ints), codes,
+        b"".join([w.to_bytes(wb, "little") for w in ws]),
+        struct.pack("<%dI" % len(fars), *fars)])
 
 
-def _unpack_expansions(raw):
-    ndead, nchain = _CNT2.unpack_from(raw)
-    dead, off = _unpack_run(raw, 0, ndead)
+def _unpack_expansions(raw, cols: int) -> ContractedTree:
+    ndead, nchain, wb = _EXPN_HEAD.unpack_from(raw)
+    nints = ndead + 3 * nchain
+    ints = struct.unpack_from("<%dI" % nints, raw, _EXPN_HEAD.size)
+    at = _EXPN_HEAD.size + 4 * nints
+    nedges = ndead + sum(ints[ndead::3])
+    codes = raw[at:at + nedges]
+    at += nedges
+    ws = [int.from_bytes(raw[k:k + wb], "little")
+          for k in range(at, at + nedges * wb, wb)]
+    at += nedges * wb
+    fars = iter(struct.unpack_from("<%dI" % codes.count(_REP), raw, at))
+    step = [dr * cols + dc for dr, dc in gf.DIR_OFFSETS]
+    dead = [(u, next(fars) if c == _REP else u + step[c], w, c == _REP)
+            for u, c, w in zip(ints[:ndead], codes, ws)]
     chains = []
-    for _ in range(nchain):
-        nedges, heavy = _CNT2.unpack_from(raw, off)
-        edges, off = _unpack_run(raw, off, nedges)
-        chains.append(Chain(edges, heavy, (edges[0][0], edges[-1][1],
-                                           max(e[2] for e in edges))))
+    k = ndead
+    for j in range(ndead, nints, 3):
+        length, heavy, u = ints[j:j + 3]
+        start, end = u, k + length
+        edges = []
+        for c, w in zip(codes[k:end], ws[k:end]):
+            v = next(fars) if c == _REP else u + step[c]
+            edges.append((u, v, w, c == _REP))
+            u = v
+        chains.append(Chain(edges, heavy, (start, u, edges[heavy][2])))
+        k = end
     return ContractedTree([], dead, chains)
 
 
@@ -406,8 +452,10 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     pops no expansions record and appends the edges each cell owns to the
     output, last cell first.  Vertices are row-major cell ids
     ``r * cols + c``, which order like ``(r, c)`` pairs, so weight ties,
-    edge owners and chain orientation resolve as with coordinates; a stack
-    edge is ``<IIQ?`` and needs rows * cols <= 2^32.
+    edge owners and chain orientation resolve as with coordinates; a u32
+    id needs rows * cols <= 2^32.  An expansions record stores each edge as
+    a one-byte grid step (or a representative's far end) and its weight in
+    as few bytes as the record's largest weight needs.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
@@ -461,7 +509,7 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
         ct = prune_and_contract(forest,
                                 _region_ring(r0, c0, size, rows, cols))
         conn.push(_pack_connections(ct.kept_edges, out_edges))
-        expn.push(_pack_expansions(ct))
+        expn.push(_pack_expansions(ct, cols))
 
     emitted = 0
     z_of = gf.z_tables(rows, cols)[0].tolist()
@@ -478,7 +526,7 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                                    for u, v, w, _ in parts[k]]))
             emitted += len(part)
             return
-        ct = _unpack_expansions(expn.pop())
+        ct = _unpack_expansions(expn.pop(), cols)
         reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]): ch
                 for ch in ct.chains}
         won = set()

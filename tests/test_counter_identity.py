@@ -21,7 +21,9 @@ density 0.6; its values were recorded from the code before the cluster-local
 topological order, interior search and Z-order emitters were shared.  The
 ``mst_cache_oblivious`` counters were re-recorded, with the hashes
 unchanged, when its stack edges became 17-byte cell-id records and regions
-of side 2 became its base case.  The ``toposort`` and ``tfp_run`` counters
+of side 2 became its base case, and again when its expansions records
+became grid walks (one step-code byte per edge, weights at the record's
+byte width); the ``.conn`` hashes did not move then.  The ``toposort`` and ``tfp_run`` counters
 were re-recorded, with the hashes and ``blocks_read`` unchanged, when the
 separator numbering stopped writing its never-read ``.tprime`` and
 ``.rank`` files and ``plan_messages`` stopped zero-filling the label file.
@@ -55,7 +57,8 @@ before the hierarchy keys became a numpy array.
 files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
 expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
 stack-record layout fails here even when the block counters stay the same.
-Its values were re-recorded with that 17-byte edge and side-2 base case.
+Its values were re-recorded with that 17-byte edge and side-2 base case, and
+its ``.expn`` hashes once more with the grid-walk expansions record.
 
 The ``mst_cache_aware`` rows at h = 4, the level ``scan`` runs it at, were
 recorded from the code before its contraction came to name vertices by
@@ -254,13 +257,13 @@ RECORDED_EMITTERS = {
         "5445f9944a757ee497ef6feebe156532f1520077f3b8f5029763d4cf78358288"),
     ('mst_cache_aware', 32, 32, 2, 4): ((1183, 544, 1725, 2, 110528),
         "39f92a0b126069a5d1919bcb2822e35cca2d8d5de6e53939cd0d2010e74a1d87"),
-    ('mst_cache_oblivious', 32, 32, 1, None): ((1204, 1077, 1581, 700, 145984),
+    ('mst_cache_oblivious', 32, 32, 1, None): ((1035, 908, 1412, 531, 124352),
         "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2"),
-    ('mst_cache_oblivious', 32, 32, 2, None): ((1210, 1083, 1587, 706, 146752),
+    ('mst_cache_oblivious', 32, 32, 2, None): ((1037, 910, 1414, 533, 124608),
         "b7d08a0be4eb34fb62e715af71ca346ca64d81a81c3a3d25b2065b9e8e494ece"),
-    ('mst_cache_oblivious', 13, 7, 1, None): ((57, 46, 92, 11, 6592),
+    ('mst_cache_oblivious', 13, 7, 1, None): ((46, 35, 81, 0, 5184),
         "73cb160a236ebcf19650297c3eaaaf64f8b5ce71bc16d9685d6bc1c70dac625e"),
-    ('mst_cache_oblivious', 13, 7, 2, None): ((59, 48, 94, 13, 6848),
+    ('mst_cache_oblivious', 13, 7, 2, None): ((46, 35, 81, 0, 5184),
         "88831eaa98ca5f51c0f7b0d029858c2070f78f32dbd357e4bdbe70aec65a5ea5"),
 }
 
@@ -321,16 +324,16 @@ RECORDED_STATS = {
 RECORDED_STACKS = {
     (32, 32, 1): (
         "621e17a4451309f042093242f2e784410ad0abe9a4776bc341619d60abd6775e",
-        "60ed72d86df45add549a99a5dc990a46cc71e56edf88cb214b93b221db7d1822"),
+        "6a3d8c73af276fd15b700b8206681b6612c7e7dbec507634721ac022ac42c20f"),
     (32, 32, 2): (
         "2570ac8796d98ea43cc374e300fb06b50a83c5b87c1315d77bcecb5c722f2731",
-        "bbcc2129972f74e3517bca5ae2938354a9a7265e16511fa98044e0f56b79d550"),
+        "6afb19694dd6042fbf0a516fdd7e3390e01b27e0c95b8cc8ce71a9d0400968e5"),
     (13, 7, 1): (
         "9c154f944400545df411e9d1018dd732e8339835e9714d8cc52c8e19d9a980fe",
-        "c1d41aec8591e0f8194ab2def7eb8baa7e63f951457a057f170dae179fd91e4f"),
+        "cb2c49b4157a2383f6be3e74ae093175e2dbab4a5461cd4f97af277a36db4313"),
     (13, 7, 2): (
         "b4a4f002dda4a711314c6b8f23bcad1b3a44678d3913561d09ec5a84c3402a0b",
-        "00e37d07012fe2a1fa2331cdf411d078219bc95a86118708ab903e41e94a92b6"),
+        "f5c10a1d69fa3ae4ceaf5708ccb163f1d47a74c7165c0b19233c977e7b3705ac"),
 }
 
 EMITTER_RUNS = {

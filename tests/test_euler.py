@@ -56,9 +56,13 @@ def test_star_tour():
 def test_single_vertex():
     d = make_disk()
     g = make_graph(d, 1, 1, "weighted_undirected", {})
+    d.reset_counters()
     out = euler.euler_tour(g, 1)
     assert tour_coords(d, out, g) == [(0, 0)]
     assert "euler.out.segs" not in d._names
+    # one scan of the input, which checks the edge count; no second scan
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.random_blocks) == (1, 0)
 
 
 TOUR_CASES = [

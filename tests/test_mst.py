@@ -2,9 +2,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridscan import cli, gridfmt as gf, oracle, mst
+from gridscan import costmodel as cm
 
 from conftest import grid4_edges, make_disk, make_graph
 
@@ -110,11 +111,6 @@ cells = st.integers(0, 2 ** 32 - 1)
 stack_edge = st.tuples(cells, cells, st.integers(0, 2 ** 64 - 2),
                        st.booleans())
 stack_edges = st.lists(stack_edge, max_size=6)
-chains = st.lists(stack_edge, min_size=1, max_size=5).flatmap(
-    lambda es: st.builds(
-        lambda k: mst.Chain(es, k, (es[0][0], es[-1][1],
-                                    max(e[2] for e in es))),
-        st.integers(0, len(es) - 1)))
 
 
 @given(stack_edges, stack_edges)
@@ -124,13 +120,63 @@ def test_connection_record_bytes(tree, outs):
     assert mst._unpack_connections(raw) == (tree, outs)
 
 
-@given(stack_edges, st.lists(chains, max_size=4))
-def test_expansion_record_bytes(dead, chs):
-    raw = mst._pack_expansions(mst.ContractedTree([], dead, chs))
-    assert raw == ref_run(len(dead), len(chs), dead) + b"".join(
-        ref_run(len(ch.edges), ch.heavy_idx, ch.edges) for ch in chs)
-    back = mst._unpack_expansions(raw)
+@st.composite
+def walk_records(draw):
+    """(cols, dead ends, chains) on a rows x cols grid: every edge a step to
+    a grid neighbour or a representative to any cell, each chain a walk of
+    at least two edges, as contraction makes them."""
+    cols = draw(st.sampled_from([1, 2, 3, 7, 256]))
+    rows = draw(st.integers(1, 9))
+    cell = st.integers(0, rows * cols - 1)
+    weight = st.integers(0, 2 ** draw(st.integers(0, 64)) - 1)
+
+    def edge(u):
+        r, c = divmod(u, cols)
+        nbrs = [(r + dr) * cols + c + dc for dr, dc in gf.DIR_OFFSETS
+                if 0 <= r + dr < rows and 0 <= c + dc < cols]
+        if not nbrs or draw(st.booleans()):
+            return (u, draw(cell), draw(weight), True)
+        return (u, draw(st.sampled_from(nbrs)), draw(weight), False)
+
+    dead = [edge(draw(cell)) for _ in range(draw(st.integers(0, 5)))]
+    chs = []
+    for _ in range(draw(st.integers(0, 4))):
+        walk = [edge(draw(cell))]
+        for _ in range(draw(st.integers(1, 5))):
+            walk.append(edge(walk[-1][1]))
+        maxw = max(e[2] for e in walk)
+        heavy = next(k for k, e in enumerate(walk) if e[2] == maxw)
+        chs.append(mst.Chain(walk, heavy, (walk[0][0], walk[-1][1], maxw)))
+    return cols, dead, chs
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_records())
+# at two columns the id differences of E and SW are both +1, and a
+# representative may join two neighbours
+@example((2, [(0, 1, 5, False), (1, 2, 6, False), (2, 3, 7, True)], []))
+def test_expansion_record_bytes(record):
+    cols, dead, chs = record
+    raw = mst._pack_expansions(mst.ContractedTree([], dead, chs), cols)
+    back = mst._unpack_expansions(raw, cols)
     assert back.dead_ends == dead and back.chains == chs
+    edges = dead + [e for ch in chs for e in ch.edges]
+    wb = max(1, (max([e[2] for e in edges], default=0).bit_length() + 7) // 8)
+    assert raw[8] == wb
+    at = 9 + 4 * len(dead) + 12 * len(chs)
+    assert raw[at:at + len(edges)] == bytes(
+        [8 if f else gf.DIR_OFFSETS.index((v // cols - u // cols,
+                                           v % cols - u % cols))
+         for u, v, _, f in edges])
+    assert len(raw) == (at + (1 + wb) * len(edges)
+                        + 4 * sum(e[3] for e in edges))
+    # never longer than the 17-byte edge layout, but for the header's
+    # width byte when no edge saves one: no chain, and no dead end or only
+    # representatives with an 8-byte weight
+    ref = len(ref_run(len(dead), len(chs), dead)) + sum(
+        len(ref_run(len(ch.edges), ch.heavy_idx, ch.edges)) for ch in chs)
+    saves_none = not chs and all(f and wb == 8 for _, _, _, f in dead)
+    assert len(raw) == ref + 1 if saves_none else len(raw) <= ref
 
 
 def regions_by_side(rows, cols):
@@ -205,6 +251,24 @@ def test_two_by_two_oblivious():
     got = mst.read_mst(d, out)
     assert len(got) == 3
     assert sum(w for _, _, w in got) == 6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("side", [32, 64, 128])
+def test_oblivious_within_model_at_m_equal_b_squared(side, seed):
+    # make_disk's machine, B = 2^6 and M = 2^12, is the paper's proviso
+    # M = B^2 at its smallest
+    disk = make_disk()
+    cfg = disk.config
+    assert cfg.memory_bytes == cfg.block_bytes ** 2
+    g = gf.generate(disk, side, side, "weighted_undirected", seed=seed,
+                    density=0.6)
+    disk.reset_counters()
+    mst.mst_cache_oblivious(g)
+    moved = disk.counters_snapshot().bytes_transferred
+    model = cm.volume_model("mst_cache_oblivious", g.n, cfg.memory_bytes,
+                            cfg.block_bytes, 0)
+    assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
 
 
 def oracle_edge_set(g):
