@@ -98,15 +98,17 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         # input 64n (8 weights of 8 bytes per vertex), output 8n distances,
         # condensed graph 128n; the distance table costs four block touches
         # per condensed adjacency list (read+write, two blocks each).
-        # One assumption is not met at h = 4.  A settle reads and writes
-        # the distance range of its own cluster and of every other cluster
-        # its edges reach.  A range of 32 * (2^h - 1) bytes fits one block
-        # up to h = 3 at B = 2^8, so the own cluster and one neighbour fit
-        # the four touches.  At h = 4 the own range alone takes them, and
-        # each neighbour costs up to four more.  Measured on dense random
-        # digraphs from a source reaching half the grid, n = 2^10..2^14:
-        # 0.80-0.83x this model at h = 2 and 3, but 1.11-1.19x at h = 4,
-        # with 6.5 distance-table blocks per settle at n = 2^14.
+        # One assumption is not met at h = 4.  A settle loads the distance
+        # range of its own cluster and of every other cluster its edges
+        # reach, and its dirty blocks are written back when the next step
+        # no longer touches them.  A range of 32 * (2^h - 1) bytes fits one
+        # block up to h = 3 at B = 2^8, so the own cluster and one
+        # neighbour fit the four touches.  At h = 4 the own range alone
+        # takes them, and each neighbour costs up to four more, fewer when
+        # consecutive steps share blocks.  Measured on dense random digraphs
+        # from a source reaching half the grid, n = 2^10..2^14: 0.67-0.80x
+        # this model at h = 2 and 3, and 0.81-0.99x at h = 4, rising with
+        # n, with 4.4 distance-table blocks per settle at n = 2^14.
         phases = [
             ("build condensed graph: read input, write lists", F(64 + 128)),
             ("relax: read lists once, update distance table", F(128) + 4 * ru),
@@ -119,8 +121,8 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         # graph to 64n; the ordering pass pays one block per chunk start.
         # The distance table's four touches per list hold as for sssp, up
         # to h = 3.  Measured on unit_directed at density 0.6 from a source
-        # reaching half the grid, n = 2^10..2^14: 0.64-0.75x this model at
-        # h = 2 and 3, and 0.81-1.06x at h = 4, where relaxations into
+        # reaching half the grid, n = 2^10..2^14: 0.35-0.49x this model at
+        # h = 2 and 3, and 0.43-0.61x at h = 4, where relaxations into
         # neighbour clusters cost more than the four touches.
         phases = [
             ("distances: build and relax condensed graph",

@@ -20,14 +20,16 @@ budgeted order.  Strict key order never reactivates: every relaxation adds
 a non-negative weight to the estimate just finalized, which is at least
 every estimate finalized before it.
 
-A step reads the records of every cluster it touches once and writes each
-at most once: the settled cluster's records stay in memory from the
-finalization through the relaxations into the same cluster and are written
-last, and the queues are refreshed from the records in memory, never from
-``D``.  In ``D`` a cluster's records form one range that touches as few
-blocks as its length allows (see ``DistanceFile``).  While a range fits one
-block, a step that reaches one other cluster touches the four blocks the
-cost model prices per separator vertex.
+A step touches its own cluster and the clusters the settled vertex's edges
+reach, at most the cluster and its 8 grid neighbours.  Their blocks of ``D``
+stay in memory until the next step ends (see ``DistanceFile``): a step reads
+only the blocks it touches that are not resident, after it the resident set
+is exactly its clusters' blocks, at most 9 * ceil(32 (2^h - 1) / B), and a
+dirty block is written back when it leaves.  The queues are refreshed from
+the records in memory, never from ``D``.  In ``D`` a cluster's records form
+one range that touches as few blocks as its length allows.  While a range
+fits one block, a step that reaches one other cluster touches at most the
+four blocks the cost model prices per separator vertex.
 
 An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
 beside the tentative flag cannot hold it.
@@ -36,6 +38,7 @@ beside the tentative flag cannot hold it.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,25 +62,149 @@ class DistanceFile:
     Each cluster's records form one range, the clusters in Z-rank order.  A
     range of at most B bytes never crosses a block boundary and a longer one
     starts on one, so a range of k bytes touches exactly ceil(k / B) blocks.
-    The gaps this leaves are written once, with the file, and never read.
-    H-numbers stay packed: only the offsets in ``D`` are padded.
+    The gaps this leaves keep their initial bytes: whole-block transfers
+    carry them, and nothing decodes them.  H-numbers stay packed: only the
+    offsets in ``D`` are padded.
+
+    Phase 2 goes through a step-scoped block buffer.  ``records`` loads the
+    blocks of a cluster's range, reading only those not resident, each
+    maximal run of missing blocks as one direct read, and returns the
+    cluster's records for the caller to change and ``mark``.  ``end_step``
+    makes the resident set exactly the blocks of the clusters loaded since
+    the previous step, and writes back each maximal run of dirty blocks
+    that leave as one whole-block write; ``flush`` writes back the rest and
+    empties the buffer.  A step loads its own cluster and the clusters its
+    edges reach, at most 9, so the buffer holds at most
+    9 * ceil(32 (2^h - 1) / B) blocks.  Residency is per block, as a long
+    range's last block can hold the next short range.  A cluster's records
+    stay decoded while all of its blocks are resident, and are encoded into
+    them when one leaves; only a block whose bytes change turns dirty.
+    ``read`` is phase 3's counted read of one range.
     """
 
     def __init__(self, disk: SimDisk, scheme: cl.ClusterScheme, name: str):
         self.disk = disk
         self.bases = scheme.bases
-        b = disk.config.block_bytes
-        self.offsets = []
+        b = self.block = disk.config.block_bytes
+        # per rank: byte offset, blocks and record codec
+        self.offsets, self.spans, self.codecs = [], [], []
+        codecs: dict[int, struct.Struct] = {}
         end = 0
         for lo, hi in zip(self.bases, self.bases[1:]):
             if end % b + 8 * (hi - lo) > b:
                 end = -(-end // b) * b
             self.offsets.append(end)
+            self.spans.append(range(end // b, (end + 8 * (hi - lo) - 1) // b
+                                    + 1))
+            self.codecs.append(codecs.setdefault(
+                hi - lo, struct.Struct("<%dQ" % (hi - lo))))
             end += 8 * (hi - lo)
+        # per rank, its block if its range fits one
+        self.single = [span[0] if len(span) == 1 else None
+                       for span in self.spans]
+        # per block, the ranks whose range touches it
+        self.ranks_of: list[list[int]] = [[] for _ in range(-(-end // b))]
+        for rank, span in enumerate(self.spans):
+            for k in span:
+                self.ranks_of[k].append(rank)
         self.handle = disk.open_file(name)
         stream = disk.append_stream(self.handle)
         stream.write(b"\xff" * end)
         stream.close()
+        self.resident: dict[int, bytearray] = {}   # block -> bytes
+        self._decoded: dict[int, list] = {}        # rank -> records
+        self._dirty_ranks: set[int] = set()        # decoded, not yet encoded
+        self._dirty_blocks: set[int] = set()       # resident, not yet written
+        self._step: set[int] = set()               # blocks loaded this step
+
+    def records(self, rank: int) -> list[int]:
+        """The records of the cluster of Z-rank ``rank``, its blocks loaded
+        into the buffer for this step."""
+        vals = self._decoded.get(rank)
+        k = self.single[rank]
+        if k is not None:
+            self._step.add(k)
+            if vals is not None:
+                return vals
+            raw = self.resident.get(k)
+            if raw is None:
+                raw = self.resident[k] = bytearray(self.disk.read_direct(
+                    self.handle, k * self.block, self.block))
+        else:
+            span = self.spans[rank]
+            self._step.update(span)
+            if vals is not None:
+                return vals
+            self._load(span)
+            raw = b"".join([self.resident[k] for k in span])
+        vals = self._decoded[rank] = list(self.codecs[rank].unpack_from(
+            raw, self.offsets[rank] % self.block))
+        return vals
+
+    def mark(self, rank: int):
+        """The records ``records`` returned for ``rank`` have changed."""
+        self._dirty_ranks.add(rank)
+
+    def _load(self, span: range):
+        """Read the blocks of ``span`` not resident, one read per run."""
+        b, resident = self.block, self.resident
+        for first, last in _runs([k for k in span if k not in resident]):
+            raw = self.disk.read_direct(self.handle, first * b,
+                                        (last - first + 1) * b)
+            for k in range(first, last + 1):
+                resident[k] = bytearray(raw[(k - first) * b:
+                                            (k - first + 1) * b])
+
+    def _encode(self, rank: int, vals: list[int]):
+        """Copy a dirty cluster's records into its resident blocks; a block
+        turns dirty only if its bytes change."""
+        raw = self.codecs[rank].pack(*vals)
+        k, resident = self.single[rank], self.resident
+        if k is not None:
+            i = self.offsets[rank] % self.block
+            resident[k][i:i + len(raw)] = raw
+            self._dirty_blocks.add(k)
+        else:
+            b, pos = self.block, self.offsets[rank]
+            for k in self.spans[rank]:
+                lo = max(pos, k * b) - k * b
+                hi = min(pos + len(raw), (k + 1) * b) - k * b
+                new = raw[k * b + lo - pos:k * b + hi - pos]
+                if resident[k][lo:hi] != new:
+                    resident[k][lo:hi] = new
+                    self._dirty_blocks.add(k)
+        self._dirty_ranks.discard(rank)
+
+    def _evict(self, gone: set[int]):
+        """Write back the dirty blocks of ``gone``, one whole-block write
+        per run, and drop them and the clusters they held."""
+        decoded, dirty_ranks = self._decoded, self._dirty_ranks
+        for k in gone:
+            for rank in self.ranks_of[k]:
+                if rank in dirty_ranks:
+                    self._encode(rank, decoded.pop(rank))
+                else:
+                    decoded.pop(rank, None)
+        dirty, resident = gone & self._dirty_blocks, self.resident
+        if dirty:
+            self._dirty_blocks -= dirty
+            b = self.block
+            for first, last in _runs(sorted(dirty)):
+                self.disk.write_direct(self.handle, first * b, b"".join(
+                    [resident[k] for k in range(first, last + 1)]))
+        for k in gone:
+            del resident[k]
+
+    def end_step(self):
+        """Keep exactly the blocks of the clusters loaded in this step."""
+        step, self._step = self._step, set()
+        gone = self.resident.keys() - step
+        if gone:
+            self._evict(gone)
+
+    def flush(self):
+        """Write back every dirty block and empty the buffer."""
+        self._evict(set(self.resident))
 
     def read(self, rank: int) -> list[int]:
         """The records of the cluster of Z-rank ``rank``; one counted read."""
@@ -85,9 +212,17 @@ class DistanceFile:
         raw = self.disk.read_direct(self.handle, self.offsets[rank], 8 * size)
         return np.frombuffer(raw, "<u8").tolist()
 
-    def write(self, rank: int, vals: list[int]):
-        self.disk.write_direct(self.handle, self.offsets[rank],
-                               np.array(vals, "<u8").tobytes())
+
+def _runs(blocks):
+    """Maximal runs of consecutive block indices, as (first, last) pairs,
+    of an ascending sequence."""
+    runs = []
+    for k in blocks:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return runs
 
 
 def _min_tentative(vals: list[int]):
@@ -141,22 +276,23 @@ def check_source(g, s_cell, encoding: str, error=SsspError):
 def _condense_and_seed(g, s_cell, h: int, out_name: str):
     """Phase 1: the separator graph, a fresh distance file, and tentative
     boundary estimates of the source's cluster from a local in-memory
-    search.  Returns (separator graph, distance file, source cluster rank,
-    its records as written)."""
+    search, set in the distance file's buffer as one step.  Returns
+    (separator graph, distance file, source cluster rank, its records)."""
     gp = cl.build_separator_graph(g, h, name=out_name + ".gp")
     scheme = gp.scheme
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
     srank = scheme.rank_of(*s_cell)
     q = cl.load_cluster(g, scheme, srank)
     dist = cl.local_dijkstra(q, [(0, q.local(*s_cell))])
-    vals = dfile.read(srank)
+    vals = dfile.records(srank)
     for i, v in enumerate(q.boundary):
         dv = dist[v]
         if dv != cl.INF:
             if dv >= INF_D:
                 raise _too_long(dv)
             vals[i] = TENTATIVE | int(dv)
-    dfile.write(srank, vals)
+            dfile.mark(srank)
+    dfile.end_step()
     return gp, dfile, srank, vals
 
 
@@ -164,11 +300,11 @@ def _relax_targets(dfile, rank, held, dist_u, targets, stats):
     """Apply dist_u + w relaxations grouped per target cluster.
 
     ``targets`` yields (cluster rank, boundary position, weight).  Targets in
-    cluster ``rank`` go to its records ``held``, which the caller writes;
-    every other target cluster is read once and, if changed, written once.
-    Returns {rank: records} of the clusters whose least tentative estimate
-    may have changed, ``rank`` always among them.  An improved final
-    estimate turns tentative again.
+    cluster ``rank`` go to its records ``held``, which the caller marks;
+    every other target cluster is loaded into the step and marked if
+    changed.  Returns {rank: records} of the clusters whose least tentative
+    estimate may have changed, ``rank`` always among them.  An improved
+    final estimate turns tentative again.
     """
     # rank -> [(position in the cluster, weight)]
     by_cluster: dict[int, list] = {rank: []}
@@ -176,7 +312,7 @@ def _relax_targets(dfile, rank, held, dist_u, targets, stats):
         by_cluster.setdefault(r, []).append((p, w))
     records, touched = {}, set()
     for r, lst in by_cluster.items():
-        vals = records[r] = held if r == rank else dfile.read(r)
+        vals = records[r] = held if r == rank else dfile.records(r)
         changed = False
         for i, w in lst:
             nd = dist_u + w
@@ -189,8 +325,7 @@ def _relax_targets(dfile, rank, held, dist_u, targets, stats):
             elif nd >= INF_D and cur == TENTATIVE | INF_D:
                 raise _too_long(nd)
         if changed:
-            if r != rank:
-                dfile.write(r, vals)
+            dfile.mark(r)
             touched.add(r)
     touched.add(rank)
     # the queues are refreshed in the set's order; BFS's bucket queue breaks
@@ -202,29 +337,32 @@ def _settle(gp, dfile, rank, stats):
     """The phase-2 step: finalize the least tentative estimate of one cluster
     and relax that vertex's separator edges.
 
-    The settled cluster's records are read once, finalized and relaxed in
-    memory, and written once, last.  Returns {rank: records} of the clusters
-    whose least tentative estimate may have changed, or None when the
-    cluster holds no tentative estimate.
+    Every cluster the step touches is loaded into ``dfile``'s block buffer,
+    which keeps exactly their blocks once the step ends.  Returns {rank:
+    records} of the clusters whose least tentative estimate may have
+    changed, or None when the cluster holds no tentative estimate.
     """
-    vals = dfile.read(rank)
+    vals = dfile.records(rank)
     best = _min_tentative(vals)
     if best is None:
+        dfile.end_step()
         return None
     dist_u, pos = best
     vals[pos] &= ~TENTATIVE            # make final
+    dfile.mark(rank)
     u = gp.scheme.bases[rank] + pos
     stats.extractions.append((u, dist_u))
     touched = _relax_targets(
         dfile, rank, vals, dist_u,
         gp.decode_edges(rank, pos, gp.read_record(u)), stats)
-    dfile.write(rank, vals)
+    dfile.end_step()
     return touched
 
 
 def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
     """Phase 3: per cluster, a search seeded from the final boundary
     estimates (and the source itself); distances written in Z-order."""
+    dfile.flush()
     disk = g.disk
     handle = disk.open_file(out_name)
     stream = disk.append_stream(handle)

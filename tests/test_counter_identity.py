@@ -40,6 +40,13 @@ longer counts it again, as nothing has written to it since.
 ``test_held_block_is_never_stale`` checks that last clause on every
 ``RECORDED`` and ``RECORDED_EMITTERS`` instance.
 
+The ``RECORDED`` counters were re-recorded once more, with the hashes
+unchanged and no row reading or writing more blocks, when phase 2 came to
+keep each step's blocks of the distance file in memory until the next step
+ends: a step reads only the blocks it lacks, and a dirty block is written
+back, in one whole-block write per run, only when it leaves or before
+phase 3.
+
 ``test_no_write_only_files`` runs the ``RECORDED`` and
 ``RECORDED_EMITTERS`` instances once more and asserts that every file with
 counted writes, other than the output, also has counted reads.
@@ -81,77 +88,77 @@ from conftest import make_disk, make_graph
 # (solver, rows, cols, seed, h): ((blocks_read, blocks_written,
 #     sequential_blocks, random_blocks, bytes_transferred), output sha256)
 RECORDED = {
-    ("sssp_simple", 32, 32, 1, 1): ((5822, 3001, 3907, 4916, 564672),
+    ("sssp_simple", 32, 32, 1, 1): ((5319, 2711, 3891, 4139, 513920),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_simple", 32, 32, 1, 2): ((6884, 3961, 7644, 3201, 694080),
+    ("sssp_simple", 32, 32, 1, 2): ((6496, 2915, 6392, 3019, 602304),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_simple", 32, 32, 1, 3): ((7084, 4305, 9711, 1678, 728896),
+    ("sssp_simple", 32, 32, 1, 3): ((6308, 2604, 7439, 1473, 570368),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_simple", 32, 32, 2, 1): ((5802, 2984, 3879, 4907, 562304),
+    ("sssp_simple", 32, 32, 2, 1): ((5356, 2738, 3897, 4197, 518016),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_simple", 32, 32, 2, 2): ((6898, 3939, 7637, 3200, 693568),
+    ("sssp_simple", 32, 32, 2, 2): ((6570, 2936, 6443, 3063, 608384),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_simple", 32, 32, 2, 3): ((7128, 4325, 9762, 1691, 732992),
+    ("sssp_simple", 32, 32, 2, 3): ((6428, 2601, 7513, 1516, 577856),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_simple", 13, 7, 1, 1): ((497, 274, 361, 410, 49344),
+    ("sssp_simple", 13, 7, 1, 1): ((439, 230, 359, 310, 42816),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_simple", 13, 7, 1, 2): ((612, 358, 695, 275, 62080),
+    ("sssp_simple", 13, 7, 1, 2): ((527, 260, 568, 219, 50368),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_simple", 13, 7, 1, 3): ((628, 381, 878, 131, 64576),
+    ("sssp_simple", 13, 7, 1, 3): ((492, 234, 649, 77, 46464),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_simple", 13, 7, 2, 1): ((492, 259, 358, 393, 48064),
+    ("sssp_simple", 13, 7, 2, 1): ((433, 223, 357, 299, 41984),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("sssp_simple", 13, 7, 2, 2): ((596, 352, 680, 268, 60672),
+    ("sssp_simple", 13, 7, 2, 2): ((520, 262, 571, 211, 50048),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("sssp_simple", 13, 7, 2, 3): ((632, 384, 882, 134, 65024),
+    ("sssp_simple", 13, 7, 2, 3): ((508, 241, 659, 90, 47936),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("sssp_hierarchical", 32, 32, 1, 1): ((5818, 3005, 3941, 4882, 564672),
+    ("sssp_hierarchical", 32, 32, 1, 1): ((5183, 2638, 3878, 3943, 500544),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_hierarchical", 32, 32, 1, 2): ((6884, 3961, 7644, 3201, 694080),
+    ("sssp_hierarchical", 32, 32, 1, 2): ((6496, 2915, 6392, 3019, 602304),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_hierarchical", 32, 32, 1, 3): ((7084, 4305, 9711, 1678, 728896),
+    ("sssp_hierarchical", 32, 32, 1, 3): ((6308, 2604, 7439, 1473, 570368),
         "e6553ed8682cd7d2e5245f39f845714c0ca51f64bb67fecb24d33144e7694021"),
-    ("sssp_hierarchical", 32, 32, 2, 1): ((5797, 2987, 3909, 4875, 562176),
+    ("sssp_hierarchical", 32, 32, 2, 1): ((5164, 2638, 3884, 3918, 499328),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_hierarchical", 32, 32, 2, 2): ((6898, 3939, 7637, 3200, 693568),
+    ("sssp_hierarchical", 32, 32, 2, 2): ((6570, 2936, 6443, 3063, 608384),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_hierarchical", 32, 32, 2, 3): ((7128, 4325, 9762, 1691, 732992),
+    ("sssp_hierarchical", 32, 32, 2, 3): ((6428, 2601, 7513, 1516, 577856),
         "90b6df5e83db78deaa840ed9a31823783235aad723de0a80b9aedf905f65730b"),
-    ("sssp_hierarchical", 13, 7, 1, 1): ((497, 274, 361, 410, 49344),
+    ("sssp_hierarchical", 13, 7, 1, 1): ((439, 230, 359, 310, 42816),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_hierarchical", 13, 7, 1, 2): ((612, 358, 695, 275, 62080),
+    ("sssp_hierarchical", 13, 7, 1, 2): ((527, 260, 568, 219, 50368),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_hierarchical", 13, 7, 1, 3): ((628, 381, 878, 131, 64576),
+    ("sssp_hierarchical", 13, 7, 1, 3): ((492, 234, 649, 77, 46464),
         "4831eb6e9393e1b3d8b8ee87d95f2215a5ad2f1aeddb4db69a23e58abc380c8d"),
-    ("sssp_hierarchical", 13, 7, 2, 1): ((492, 259, 358, 393, 48064),
+    ("sssp_hierarchical", 13, 7, 2, 1): ((433, 223, 357, 299, 41984),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("sssp_hierarchical", 13, 7, 2, 2): ((596, 352, 680, 268, 60672),
+    ("sssp_hierarchical", 13, 7, 2, 2): ((520, 262, 571, 211, 50048),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("sssp_hierarchical", 13, 7, 2, 3): ((632, 384, 882, 134, 65024),
+    ("sssp_hierarchical", 13, 7, 2, 3): ((508, 241, 659, 90, 47936),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("bfs_order", 32, 32, 1, 1): ((3849, 2839, 2747, 3941, 428032),
+    ("bfs_order", 32, 32, 1, 1): ((3239, 2349, 2701, 2887, 357632),
         "c0b9c5caf15108f8a7866ab847215640e93d20d3cb69d8af33104eff15badb1c"),
-    ("bfs_order", 32, 32, 1, 2): ((3857, 3278, 4407, 2728, 456640),
+    ("bfs_order", 32, 32, 1, 2): ((2931, 2218, 3137, 2012, 329536),
         "e2101224b1e738797ae1e71724d39bd0ddbf8c635d118d9a6efc340764c4f4a4"),
-    ("bfs_order", 32, 32, 1, 3): ((3632, 3320, 5457, 1495, 444928),
+    ("bfs_order", 32, 32, 1, 3): ((2484, 1864, 3261, 1087, 278272),
         "4a0c263d5d4b6f27cb9957286b68021dc4c7d3dc7ab35991b930d417eeff98cd"),
-    ("bfs_order", 32, 32, 2, 1): ((3699, 2772, 2676, 3795, 414144),
+    ("bfs_order", 32, 32, 2, 1): ((3065, 2274, 2620, 2719, 341696),
         "f6395fc97c0de01357c048ada6b3a94dcc8a07481a4afd0fd4d973e49ed294fd"),
-    ("bfs_order", 32, 32, 2, 2): ((3737, 3220, 4331, 2626, 445248),
+    ("bfs_order", 32, 32, 2, 2): ((2819, 2185, 3095, 1909, 320256),
         "7e317b802e1345c6530ee0beb9bca17d5cb204188b1dd62d7c058a2f4067069b"),
-    ("bfs_order", 32, 32, 2, 3): ((3448, 3222, 5256, 1414, 426880),
+    ("bfs_order", 32, 32, 2, 3): ((2316, 1820, 3141, 995, 264704),
         "056059c939f98fed5fe9626d2172e979b887d4f9ef1f11b27801d9315cb9062e"),
-    ("bfs_order", 13, 7, 1, 1): ((232, 200, 199, 233, 27648),
+    ("bfs_order", 13, 7, 1, 1): ((193, 165, 194, 164, 22912),
         "eaae01e38ceac1441f3630d43f9fe90a602367c10a863d3ffe665cdf3e8d9688"),
-    ("bfs_order", 13, 7, 1, 2): ((244, 240, 326, 158, 30976),
+    ("bfs_order", 13, 7, 1, 2): ((182, 174, 250, 106, 22784),
         "a7c391c545492ce0c4c754ee95fdaa1bfb0d7a580b202a6cee5453b91a3e4bc5"),
-    ("bfs_order", 13, 7, 1, 3): ((204, 237, 357, 84, 28224),
+    ("bfs_order", 13, 7, 1, 3): ((127, 152, 229, 50, 17856),
         "3fe4594c93012055436cb3d408addfbe826516a7af9e3444d51ebec6e75fd241"),
-    ("bfs_order", 13, 7, 2, 1): ((266, 221, 229, 258, 31168),
+    ("bfs_order", 13, 7, 2, 1): ((210, 171, 218, 163, 24384),
         "382c9d415fda759fbac756db3c97d459302da55b1c06e6f9820a96b79a0145a8"),
-    ("bfs_order", 13, 7, 2, 2): ((275, 254, 335, 194, 33856),
+    ("bfs_order", 13, 7, 2, 2): ((187, 175, 246, 116, 23168),
         "50cc87e64b3388b416bbdd397d2befd46e0852bafcc75c477ef744a5c6116583"),
-    ("bfs_order", 13, 7, 2, 3): ((233, 248, 381, 100, 30784),
+    ("bfs_order", 13, 7, 2, 3): ((129, 151, 228, 52, 17920),
         "4aa6d2298d70246207b1dd543778da352ab78a0c54c51727f390fe761724af0c"),
 }
 

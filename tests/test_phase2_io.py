@@ -2,13 +2,16 @@
 
 * Layout: every cluster's range in ``D`` touches exactly ceil(8 * size / B)
   blocks, and no two ranges overlap.
-* Per settle: ``sssp._settle`` reads each touched cluster's records at most
-  once and writes them at most once, and outside the settles ``D`` is read
-  only to seed the source's cluster and once per cluster by phase 3.
+* Per step: phase 2 reads a block of ``D`` only when it is not resident
+  and belongs to a cluster the step touches; after the step the resident
+  set is within those clusters' blocks; every write is a whole-block run
+  of dirty blocks leaving the buffer, or the final write-back.  Outside
+  phase 2, ``D`` is read only by phase 3, once per cluster.
 * Model bound: from a source that reaches at least half of the grid, SSSP
   and BFS move at most the bytes per vertex that ``costmodel.volume_model``
   predicts, on the desk machine at n = 2^10, 2^12 and 2^14, h = 2 and 3;
-  BFS also at h = 4.
+  BFS also at h = 4, and at the paper's proviso M = B^2 (B = 2^6) at its
+  default h = 2.
 """
 
 import random
@@ -25,6 +28,8 @@ from gridscan.simdisk import SimConfig, SimDisk
 from conftest import make_disk, make_graph
 
 DESK = SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16)
+# the paper's proviso M = B^2 at the smallest block the simulator takes
+PROVISO = SimConfig(block_bytes=2 ** 6, memory_bytes=2 ** 12)
 
 
 @pytest.mark.parametrize("block", [64, 256])
@@ -76,63 +81,125 @@ def reaching_source(g, reach_fn, seed):
     raise AssertionError("no source reaches half of the grid")
 
 
-def spy_settles(monkeypatch, disk):
-    """Record the D offsets read and written inside and outside each
-    ``_settle``; returns (per-settle [(reads, writes)], reads outside)."""
-    settles, outside = [], Counter()
-    current = []
+def blocks_of(dfile, rank, block):
+    """The blocks of a cluster's range in ``D``."""
+    off = dfile.offsets[rank]
+    size = 8 * (dfile.bases[rank + 1] - dfile.bases[rank])
+    return set(range(off // block, (off + size - 1) // block + 1))
+
+
+def spy_distance_file(monkeypatch, disk, h):
+    """Check every transfer of ``D`` against the step buffer's rule while a
+    solver runs: phase 2 reads a block only when it is not resident and
+    belongs to a cluster of the current step, and writes only whole-block
+    runs of dirty blocks that leave the buffer at the end of a step or at
+    the final write-back.  Returns the spy's state: "steps" counts the
+    steps, "phase3" the offsets phase 3 reads."""
+    b = disk.config.block_bytes
+    bound = 9 * -(-32 * ((1 << h) - 1) // b)
+    state = {"resident": set(), "step": set(), "ranks": set(),
+             "writing": None, "flushed": False, "steps": 0,
+             "phase3": Counter()}
     read_direct, write_direct = disk.read_direct, disk.write_direct
-    settle = sssp._settle
+    records = sssp.DistanceFile.records
+    end_step, flush = sssp.DistanceFile.end_step, sssp.DistanceFile.flush
+
+    def blocks(offset, nbytes):
+        assert offset % b == 0 and nbytes % b == 0, (offset, nbytes)
+        return set(range(offset // b, (offset + nbytes) // b))
 
     def spy_read(handle, offset, nbytes):
         if handle.name.endswith(".D"):
-            (current[-1][0] if current else outside)[offset] += 1
+            if state["flushed"]:
+                state["phase3"][offset] += 1
+            else:
+                got = blocks(offset, nbytes)
+                assert got <= state["step"], "read outside the step"
+                assert not got & state["resident"], "resident block read"
+                state["resident"] |= got
         return read_direct(handle, offset, nbytes)
 
     def spy_write(handle, offset, data):
-        if handle.name.endswith(".D") and current:
-            current[-1][1][offset] += 1
+        if handle.name.endswith(".D"):
+            assert state["writing"] is not None, "write outside write-back"
+            got = blocks(offset, len(data))
+            assert got <= state["resident"]
+            if state["writing"] == "step":
+                assert not got & state["step"], "write of a staying block"
+            for k in got:
+                new = data[(k - offset // b) * b:(k - offset // b + 1) * b]
+                assert new != disk._data[handle.file_id][k * b:(k + 1) * b], \
+                    ("clean block written", k)
         return write_direct(handle, offset, data)
 
-    def spy_settle(*args, **kwargs):
-        current.append((Counter(), Counter()))
-        try:
-            return settle(*args, **kwargs)
-        finally:
-            settles.append(current.pop())
+    def spy_records(self, rank):
+        assert not state["flushed"]
+        state["ranks"].add(rank)
+        state["step"] |= blocks_of(self, rank, b)
+        out = records(self, rank)
+        assert blocks_of(self, rank, b) <= state["resident"]
+        return out
+
+    def spy_end_step(self):
+        state["writing"] = "step"
+        end_step(self)
+        state["writing"] = None
+        state["resident"] &= state["step"]
+        assert set(self.resident) == state["resident"]
+        assert len(state["ranks"]) <= 9 and len(state["resident"]) <= bound
+        state["step"], state["ranks"] = set(), set()
+        state["steps"] += 1
+
+    def spy_flush(self):
+        assert not state["flushed"] and not state["step"]
+        state["writing"] = "flush"
+        flush(self)
+        state["writing"], state["flushed"] = None, True
+        state["resident"] = set()
+        assert not self.resident
 
     monkeypatch.setattr(disk, "read_direct", spy_read)
     monkeypatch.setattr(disk, "write_direct", spy_write)
-    monkeypatch.setattr(sssp, "_settle", spy_settle)
-    return settles, outside
+    monkeypatch.setattr(sssp.DistanceFile, "records", spy_records)
+    monkeypatch.setattr(sssp.DistanceFile, "end_step", spy_end_step)
+    monkeypatch.setattr(sssp.DistanceFile, "flush", spy_flush)
+    return state
 
 
 @pytest.mark.parametrize("solver", ["sssp_simple", "sssp_hierarchical",
                                     "bfs_distances"])
-def test_settle_reads_and_writes_each_cluster_once(monkeypatch, solver):
-    side, h = 32, 2
-    disk = make_disk()
+@pytest.mark.parametrize("block", [64, 256])
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_phase2_steps_keep_only_their_blocks(monkeypatch, h, block, solver):
+    side = 32
+    disk = make_disk(block=block)
     if solver == "bfs_distances":
         g = gf.generate(disk, side, side, "unit_directed", seed=3,
                         density=0.6)
     else:
         g = dense_digraph(disk, side, 3)
-    settles, outside = spy_settles(monkeypatch, disk)
+    state = spy_distance_file(monkeypatch, disk, h)
     s = (side // 2, side // 3)
     if solver == "sssp_simple":
-        sssp.sssp_simple(g, s, h)
+        out = sssp.sssp_simple(g, s, h)
+        want = oracle.dijkstra(g, s)
     elif solver == "sssp_hierarchical":
-        sssp.sssp_hierarchical(g, s, sssp.build_hierarchy(h, side, side))
+        out = sssp.sssp_hierarchical(g, s, sssp.build_hierarchy(h, side,
+                                                                side))
+        want = oracle.dijkstra(g, s)
     else:
-        bfs.bfs_distances(g, s, h)
-    assert len(settles) > 100
-    for reads, writes in settles:
-        assert max(reads.values()) == 1
-        assert not writes or max(writes.values()) == 1
-        assert set(writes) <= set(reads)
-    # the seed read of the source's cluster, then phase 3 once per cluster
-    clusters = cl.ClusterScheme(side, side, h).crows ** 2
-    assert sum(outside.values()) == 1 + clusters
+        out = bfs.bfs_distances(g, s, h)
+        want = oracle.bfs_distances(g, s)
+    assert state["steps"] > 50 and state["flushed"]
+    # phase 3 reads every cluster's range once, and D is read nowhere else
+    scheme = cl.ClusterScheme(side, side, h)
+    dfile = sssp.DistanceFile(make_disk(block=block), scheme, "D")
+    assert state["phase3"] == Counter(dfile.offsets)
+    got = sssp.read_distances(disk, out)
+    for z in range(side * side):
+        r, c = gf.index_to_coord(side, side, z)
+        e = want[(r - 1, c - 1)]
+        assert got[z] == (gf.ABSENT if e == oracle.INF else e), z
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -156,15 +223,16 @@ def test_phase2_within_model(side, h):
     assert_bfs_within_model(side, h)
 
 
-def assert_bfs_within_model(side, h):
+def assert_bfs_within_model(side, h, config=DESK):
     n = side * side
-    disk = SimDisk(DESK)
+    disk = SimDisk(config)
     g = gf.generate(disk, side, side, "unit_directed", seed=1, density=0.6)
     s = reaching_source(g, oracle.bfs_distances, 2)
     disk.reset_counters()
     bfs.bfs_order(g, s, h)
     moved = disk.counters_snapshot().bytes_transferred
-    model = cm.volume_model("bfs", n, DESK.memory_bytes, DESK.block_bytes, h)
+    model = cm.volume_model("bfs", n, config.memory_bytes,
+                            config.block_bytes, h)
     assert moved <= model.predicted_bytes, (moved / n, float(model.total))
 
 
@@ -172,3 +240,12 @@ def assert_bfs_within_model(side, h):
 def test_bfs_within_model_at_h4(side):
     # SSSP at h = 4 is still above its model (ROADMAP item 10)
     assert_bfs_within_model(side, 4)
+
+
+@pytest.mark.parametrize("side", [32, 64, 128])
+def test_bfs_within_model_at_m_equal_b_squared(side):
+    # at the default h; SSSP on this machine is still above its model
+    # (ROADMAP item 10)
+    h = cm.default_h("bfs", PROVISO.memory_bytes)
+    assert h == 2
+    assert_bfs_within_model(side, h, PROVISO)
