@@ -21,15 +21,17 @@ a non-negative weight to the estimate just finalized, which is at least
 every estimate finalized before it.
 
 A step touches its own cluster and the clusters the settled vertex's edges
-reach, at most the cluster and its 8 grid neighbours.  Their blocks of ``D``
-stay in memory until the next step ends (see ``DistanceFile``): a step reads
-only the blocks it touches that are not resident, after it the resident set
-is exactly its clusters' blocks, at most 9 * ceil(32 (2^h - 1) / B), and a
-dirty block is written back when it leaves.  The queues are refreshed from
-the records in memory, never from ``D``.  In ``D`` a cluster's records form
-one range that touches as few blocks as its length allows.  While a range
-fits one block, a step that reaches one other cluster touches at most the
-four blocks the cost model prices per separator vertex.
+reach, at most the cluster and its 8 grid neighbours.  Between steps the
+buffer of ``DistanceFile`` holds one state, block bytes: the blocks of ``D``
+of the previous step's clusters, at most 9 * ceil(32 (2^h - 1) / B).  A step
+reads only the blocks it touches that are not resident and changes its
+clusters' records in place; when it ends they are encoded into their blocks,
+the resident set becomes exactly the step's blocks, and a dirty block is
+written back when it leaves.  The queues are refreshed from the step's
+records, never from ``D``.  In ``D`` a cluster's records form one range that
+touches as few blocks as its length allows.  While a range fits one block, a
+step that reaches one other cluster touches at most the four blocks the cost
+model prices per separator vertex.
 
 An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
 beside the tentative flag cannot hold it.
@@ -66,20 +68,19 @@ class DistanceFile:
     carry them, and nothing decodes them.  H-numbers stay packed: only the
     offsets in ``D`` are padded.
 
-    Phase 2 goes through a step-scoped block buffer.  ``records`` loads the
-    blocks of a cluster's range, reading only those not resident, each
-    maximal run of missing blocks as one direct read, and returns the
-    cluster's records for the caller to change and ``mark``.  ``end_step``
-    makes the resident set exactly the blocks of the clusters loaded since
-    the previous step, and writes back each maximal run of dirty blocks
-    that leave as one whole-block write; ``flush`` writes back the rest and
-    empties the buffer.  A step loads its own cluster and the clusters its
-    edges reach, at most 9, so the buffer holds at most
-    9 * ceil(32 (2^h - 1) / B) blocks.  Residency is per block, as a long
-    range's last block can hold the next short range.  A cluster's records
-    stay decoded while all of its blocks are resident, and are encoded into
-    them when one leaves; only a block whose bytes change turns dirty.
-    ``read`` is phase 3's counted read of one range.
+    Phase 2 goes through a step-scoped block buffer.  Between steps it
+    holds only block bytes: the resident blocks and which of them are
+    dirty.  ``records`` reads a cluster's blocks that are not resident,
+    each maximal run as one direct read, and decodes the cluster once per
+    step; the caller changes the returned list in place.  ``end_step``
+    encodes every cluster the step loaded back into its blocks (a block
+    turns dirty only if its bytes change), keeps exactly the step's blocks,
+    and writes back each maximal run of dirty blocks that leave as one
+    whole-block write; ``flush`` writes back the rest and empties the
+    buffer.  A step loads its own cluster and the clusters its edges reach,
+    at most 9, so the buffer holds at most 9 * ceil(32 (2^h - 1) / B)
+    blocks.  Residency is per block, as a long range's last block can hold
+    the next short range.  ``read`` is phase 3's counted read of one range.
     """
 
     def __init__(self, disk: SimDisk, scheme: cl.ClusterScheme, name: str):
@@ -99,112 +100,65 @@ class DistanceFile:
             self.codecs.append(codecs.setdefault(
                 hi - lo, struct.Struct("<%dQ" % (hi - lo))))
             end += 8 * (hi - lo)
-        # per rank, its block if its range fits one
-        self.single = [span[0] if len(span) == 1 else None
-                       for span in self.spans]
-        # per block, the ranks whose range touches it
-        self.ranks_of: list[list[int]] = [[] for _ in range(-(-end // b))]
-        for rank, span in enumerate(self.spans):
-            for k in span:
-                self.ranks_of[k].append(rank)
         self.handle = disk.open_file(name)
         stream = disk.append_stream(self.handle)
         stream.write(b"\xff" * end)
         stream.close()
         self.resident: dict[int, bytearray] = {}   # block -> bytes
-        self._decoded: dict[int, list] = {}        # rank -> records
-        self._dirty_ranks: set[int] = set()        # decoded, not yet encoded
-        self._dirty_blocks: set[int] = set()       # resident, not yet written
-        self._step: set[int] = set()               # blocks loaded this step
+        self._dirty: set[int] = set()              # resident, not yet written
+        self._step: dict[int, list] = {}           # rank -> records this step
 
     def records(self, rank: int) -> list[int]:
         """The records of the cluster of Z-rank ``rank``, its blocks loaded
-        into the buffer for this step."""
-        vals = self._decoded.get(rank)
-        k = self.single[rank]
-        if k is not None:
-            self._step.add(k)
-            if vals is not None:
-                return vals
-            raw = self.resident.get(k)
-            if raw is None:
-                raw = self.resident[k] = bytearray(self.disk.read_direct(
-                    self.handle, k * self.block, self.block))
-        else:
-            span = self.spans[rank]
-            self._step.update(span)
-            if vals is not None:
-                return vals
-            self._load(span)
-            raw = b"".join([self.resident[k] for k in span])
-        vals = self._decoded[rank] = list(self.codecs[rank].unpack_from(
-            raw, self.offsets[rank] % self.block))
+        into the buffer for this step; the same list until the step ends."""
+        vals = self._step.get(rank)
+        if vals is None:
+            b, span, resident = self.block, self.spans[rank], self.resident
+            for first, last in _runs([k for k in span if k not in resident]):
+                raw = self.disk.read_direct(self.handle, first * b,
+                                            (last - first + 1) * b)
+                for k in range(first, last + 1):
+                    resident[k] = bytearray(raw[(k - first) * b:
+                                                (k - first + 1) * b])
+            raw = b"".join([resident[k] for k in span])
+            vals = self._step[rank] = list(self.codecs[rank].unpack_from(
+                raw, self.offsets[rank] % b))
         return vals
 
-    def mark(self, rank: int):
-        """The records ``records`` returned for ``rank`` have changed."""
-        self._dirty_ranks.add(rank)
-
-    def _load(self, span: range):
-        """Read the blocks of ``span`` not resident, one read per run."""
+    def end_step(self):
+        """Encode the step's clusters into their blocks and keep exactly
+        those blocks."""
         b, resident = self.block, self.resident
-        for first, last in _runs([k for k in span if k not in resident]):
-            raw = self.disk.read_direct(self.handle, first * b,
-                                        (last - first + 1) * b)
-            for k in range(first, last + 1):
-                resident[k] = bytearray(raw[(k - first) * b:
-                                            (k - first + 1) * b])
-
-    def _encode(self, rank: int, vals: list[int]):
-        """Copy a dirty cluster's records into its resident blocks; a block
-        turns dirty only if its bytes change."""
-        raw = self.codecs[rank].pack(*vals)
-        k, resident = self.single[rank], self.resident
-        if k is not None:
-            i = self.offsets[rank] % self.block
-            resident[k][i:i + len(raw)] = raw
-            self._dirty_blocks.add(k)
-        else:
-            b, pos = self.block, self.offsets[rank]
+        step, self._step = self._step, {}
+        keep = set()
+        for rank, vals in step.items():
+            raw, pos = self.codecs[rank].pack(*vals), self.offsets[rank]
             for k in self.spans[rank]:
-                lo = max(pos, k * b) - k * b
-                hi = min(pos + len(raw), (k + 1) * b) - k * b
-                new = raw[k * b + lo - pos:k * b + hi - pos]
-                if resident[k][lo:hi] != new:
-                    resident[k][lo:hi] = new
-                    self._dirty_blocks.add(k)
-        self._dirty_ranks.discard(rank)
+                keep.add(k)
+                start = max(k * b - pos, 0)         # in raw
+                new = raw[start:(k + 1) * b - pos]
+                lo = pos + start - k * b            # in block k
+                if resident[k][lo:lo + len(new)] != new:
+                    resident[k][lo:lo + len(new)] = new
+                    self._dirty.add(k)
+        self._write_back(resident.keys() - keep)
 
-    def _evict(self, gone: set[int]):
+    def flush(self):
+        """Write back every dirty block and empty the buffer."""
+        self._write_back(set(self.resident))
+
+    def _write_back(self, gone: set[int]):
         """Write back the dirty blocks of ``gone``, one whole-block write
-        per run, and drop them and the clusters they held."""
-        decoded, dirty_ranks = self._decoded, self._dirty_ranks
-        for k in gone:
-            for rank in self.ranks_of[k]:
-                if rank in dirty_ranks:
-                    self._encode(rank, decoded.pop(rank))
-                else:
-                    decoded.pop(rank, None)
-        dirty, resident = gone & self._dirty_blocks, self.resident
+        per run, and drop them."""
+        dirty, resident = gone & self._dirty, self.resident
         if dirty:
-            self._dirty_blocks -= dirty
+            self._dirty -= dirty
             b = self.block
             for first, last in _runs(sorted(dirty)):
                 self.disk.write_direct(self.handle, first * b, b"".join(
                     [resident[k] for k in range(first, last + 1)]))
         for k in gone:
             del resident[k]
-
-    def end_step(self):
-        """Keep exactly the blocks of the clusters loaded in this step."""
-        step, self._step = self._step, set()
-        gone = self.resident.keys() - step
-        if gone:
-            self._evict(gone)
-
-    def flush(self):
-        """Write back every dirty block and empty the buffer."""
-        self._evict(set(self.resident))
 
     def read(self, rank: int) -> list[int]:
         """The records of the cluster of Z-rank ``rank``; one counted read."""
@@ -276,8 +230,9 @@ def check_source(g, s_cell, encoding: str, error=SsspError):
 def _condense_and_seed(g, s_cell, h: int, out_name: str):
     """Phase 1: the separator graph, a fresh distance file, and tentative
     boundary estimates of the source's cluster from a local in-memory
-    search, set in the distance file's buffer as one step.  Returns
-    (separator graph, distance file, source cluster rank, its records)."""
+    search, set in the source cluster's records as one step of the distance
+    file's buffer.  Returns (separator graph, distance file, source cluster
+    rank, its records)."""
     gp = cl.build_separator_graph(g, h, name=out_name + ".gp")
     scheme = gp.scheme
     dfile = DistanceFile(g.disk, scheme, out_name + ".D")
@@ -291,45 +246,39 @@ def _condense_and_seed(g, s_cell, h: int, out_name: str):
             if dv >= INF_D:
                 raise _too_long(dv)
             vals[i] = TENTATIVE | int(dv)
-            dfile.mark(srank)
     dfile.end_step()
     return gp, dfile, srank, vals
 
 
-def _relax_targets(dfile, rank, held, dist_u, targets, stats):
-    """Apply dist_u + w relaxations grouped per target cluster.
+def _relax_targets(dfile, rank, dist_u, targets, stats):
+    """Apply dist_u + w relaxations to the records of the target clusters.
 
-    ``targets`` yields (cluster rank, boundary position, weight).  Targets in
-    cluster ``rank`` go to its records ``held``, which the caller marks;
-    every other target cluster is loaded into the step and marked if
-    changed.  Returns {rank: records} of the clusters whose least tentative
-    estimate may have changed, ``rank`` always among them.  An improved
-    final estimate turns tentative again.
+    ``targets`` yields (cluster rank, boundary position, weight); each is
+    applied to its cluster's ``dfile.records``, which loads the cluster into
+    the step at its first target.  Returns {rank: records} of the clusters
+    whose least tentative estimate may have changed, ``rank`` always among
+    them.  An improved final estimate turns tentative again.
     """
-    # rank -> [(position in the cluster, weight)]
-    by_cluster: dict[int, list] = {rank: []}
-    for r, p, w in targets:
-        by_cluster.setdefault(r, []).append((p, w))
-    records, touched = {}, set()
-    for r, lst in by_cluster.items():
-        vals = records[r] = held if r == rank else dfile.records(r)
-        changed = False
-        for i, w in lst:
-            nd = dist_u + w
-            cur = vals[i]
-            if nd < (cur & INF_D):
-                if not cur & TENTATIVE:
-                    stats.reactivations += 1
-                vals[i] = TENTATIVE | nd
-                changed = True
-            elif nd >= INF_D and cur == TENTATIVE | INF_D:
-                raise _too_long(nd)
-        if changed:
-            dfile.mark(r)
-            touched.add(r)
+    # rank -> records, clusters in order of first appearance
+    records, changed = {rank: dfile.records(rank)}, set()
+    for r, i, w in targets:
+        vals = records.get(r)
+        if vals is None:
+            vals = records[r] = dfile.records(r)
+        nd = dist_u + w
+        cur = vals[i]
+        if nd < (cur & INF_D):
+            if not cur & TENTATIVE:
+                stats.reactivations += 1
+            vals[i] = TENTATIVE | nd
+            changed.add(r)
+        elif nd >= INF_D and cur == TENTATIVE | INF_D:
+            raise _too_long(nd)
+    # the queues are refreshed in the set's order, and BFS's bucket queue
+    # breaks key ties by insertion, so the set is filled in the clusters'
+    # order of first appearance, then ``rank``
+    touched = {r for r in records if r in changed}
     touched.add(rank)
-    # the queues are refreshed in the set's order; BFS's bucket queue breaks
-    # key ties by insertion, so this order is part of the schedule
     return {r: records[r] for r in touched}
 
 
@@ -337,10 +286,11 @@ def _settle(gp, dfile, rank, stats):
     """The phase-2 step: finalize the least tentative estimate of one cluster
     and relax that vertex's separator edges.
 
-    Every cluster the step touches is loaded into ``dfile``'s block buffer,
-    which keeps exactly their blocks once the step ends.  Returns {rank:
-    records} of the clusters whose least tentative estimate may have
-    changed, or None when the cluster holds no tentative estimate.
+    Every cluster the step touches is changed in its records from
+    ``dfile``, which encodes them and keeps exactly their blocks when the
+    step ends.  Returns {rank: records} of the clusters whose least
+    tentative estimate may have changed, or None when the cluster holds no
+    tentative estimate.
     """
     vals = dfile.records(rank)
     best = _min_tentative(vals)
@@ -349,12 +299,11 @@ def _settle(gp, dfile, rank, stats):
         return None
     dist_u, pos = best
     vals[pos] &= ~TENTATIVE            # make final
-    dfile.mark(rank)
     u = gp.scheme.bases[rank] + pos
     stats.extractions.append((u, dist_u))
     touched = _relax_targets(
-        dfile, rank, vals, dist_u,
-        gp.decode_edges(rank, pos, gp.read_record(u)), stats)
+        dfile, rank, dist_u, gp.decode_edges(rank, pos, gp.read_record(u)),
+        stats)
     dfile.end_step()
     return touched
 

@@ -47,6 +47,13 @@ ends: a step reads only the blocks it lacks, and a dirty block is written
 back, in one whole-block write per run, only when it leaves or before
 phase 3.
 
+``RECORDED_D_TRACE`` pins, per ``RECORDED`` row, the sequence of direct
+reads and writes of the distance file ``D``: operation, offset, length
+and the sha256 of the bytes written.  Counter totals do not pin the
+order of the calls, nor which blocks a step keeps.  Its values were
+recorded from the code before the step buffer came to hold only block
+bytes between steps.
+
 ``test_no_write_only_files`` runs the ``RECORDED`` and
 ``RECORDED_EMITTERS`` instances once more and asserts that every file with
 counted writes, other than the output, also has counted reads.
@@ -343,6 +350,84 @@ RECORDED_STACKS = {
         "f5c10a1d69fa3ae4ceaf5708ccb163f1d47a74c7165c0b19233c977e7b3705ac"),
 }
 
+# (solver, rows, cols, seed, h): sha256 of repr of the list of the
+#     ".D" direct calls, each (operation, offset, length, sha256 of
+#     the bytes written or None)
+RECORDED_D_TRACE = {
+    ('bfs_order', 13, 7, 1, 1):
+        "353e3a7313f21d38d669b3aef3010804f11a0b574d894ba731195bf44c505132",
+    ('bfs_order', 13, 7, 1, 2):
+        "baf8cc7ea3014993b58a671e1e4cd0967676bdbb8b87e3034fb8306133a70629",
+    ('bfs_order', 13, 7, 1, 3):
+        "83038d50caac159a263cd28edfdee98d6e22dc5d9da998e25564e5940f05379c",
+    ('bfs_order', 13, 7, 2, 1):
+        "89b0ecb273f85f51205e38d1047888cf4d92f5e07d21ac325ff71e0b9627fb6a",
+    ('bfs_order', 13, 7, 2, 2):
+        "88187df0f3b8e47d208c9d6577a82dad4af68f9070e06b423f909f724abe5106",
+    ('bfs_order', 13, 7, 2, 3):
+        "cd87c5930760f079b4dea2a5cdbea892adcfbd3354cc48ae215913ac8a5713a8",
+    ('bfs_order', 32, 32, 1, 1):
+        "959bf687b43b62dec35561f0497f4e66232ea61c573799c290fff11dafebff69",
+    ('bfs_order', 32, 32, 1, 2):
+        "36bc98b11b798842e32230ac07ef4310b0b284e60cb2d55c710b2f58563afe65",
+    ('bfs_order', 32, 32, 1, 3):
+        "ba7f866f0e6406d3b6a91808b77438bb0afd643f1666107d54a366a1f4f5ff15",
+    ('bfs_order', 32, 32, 2, 1):
+        "e9f4071be635949acec677f5dd8d19bdd73f07e13d603029fb3176bdd23abcad",
+    ('bfs_order', 32, 32, 2, 2):
+        "636903a9cd376df81500461c96cb729a0706d39b896312d9808374ceff481b34",
+    ('bfs_order', 32, 32, 2, 3):
+        "1b1be85f569837d4eb7dd28d04fba8a62e33d7263f4a0e6e074fd733597f4c37",
+    ('sssp_hierarchical', 13, 7, 1, 1):
+        "e48a8631b4f816a4abcfaa64a953ad764bc9c08861d992f2e93416b7d901a7b8",
+    ('sssp_hierarchical', 13, 7, 1, 2):
+        "70862f3332547da4583ed93f83c3ddf50a9953287016a6f21ca744d515c179ce",
+    ('sssp_hierarchical', 13, 7, 1, 3):
+        "dfb113b68ec801a9c0c777377445fbdd2fdde1f377966795f5625068050202c0",
+    ('sssp_hierarchical', 13, 7, 2, 1):
+        "d1941be75f869e0513b404ec034b1cf173fd4f60bf259d11c8de89073e186bda",
+    ('sssp_hierarchical', 13, 7, 2, 2):
+        "93c087bdf16daee52a70ccab9b055a2b1823023cd474fd45e83408906ea5c024",
+    ('sssp_hierarchical', 13, 7, 2, 3):
+        "a14f7ed406d0549b5d53de99583f8e0761cea7f7ddac07d8709ad376b8734697",
+    ('sssp_hierarchical', 32, 32, 1, 1):
+        "7c1a7c80e515ba813ddb6becb74c4d0b3ab0339ea14fb7a15daf76e77098f1da",
+    ('sssp_hierarchical', 32, 32, 1, 2):
+        "cb248f8419512c085f798d7abf4618ecbb9385180f84d88920e7b9b280e223a2",
+    ('sssp_hierarchical', 32, 32, 1, 3):
+        "ec290047eef937d14a2dce384e1e29cdb1c5d2341e45e3312830dc20c5349c3c",
+    ('sssp_hierarchical', 32, 32, 2, 1):
+        "43a124af10204641c258bb37296358cde7154451513bedacb1d34e92c8ff1667",
+    ('sssp_hierarchical', 32, 32, 2, 2):
+        "b6e3cdcf6e5e2ab85b293162fcae4938697bb19c23dfab059f11d68caa7f839f",
+    ('sssp_hierarchical', 32, 32, 2, 3):
+        "e82a177f029dc1bc66786ae419d41c97b8ff843a3c6478a11f36cbf1f561dc93",
+    ('sssp_simple', 13, 7, 1, 1):
+        "e48a8631b4f816a4abcfaa64a953ad764bc9c08861d992f2e93416b7d901a7b8",
+    ('sssp_simple', 13, 7, 1, 2):
+        "70862f3332547da4583ed93f83c3ddf50a9953287016a6f21ca744d515c179ce",
+    ('sssp_simple', 13, 7, 1, 3):
+        "dfb113b68ec801a9c0c777377445fbdd2fdde1f377966795f5625068050202c0",
+    ('sssp_simple', 13, 7, 2, 1):
+        "d1941be75f869e0513b404ec034b1cf173fd4f60bf259d11c8de89073e186bda",
+    ('sssp_simple', 13, 7, 2, 2):
+        "93c087bdf16daee52a70ccab9b055a2b1823023cd474fd45e83408906ea5c024",
+    ('sssp_simple', 13, 7, 2, 3):
+        "a14f7ed406d0549b5d53de99583f8e0761cea7f7ddac07d8709ad376b8734697",
+    ('sssp_simple', 32, 32, 1, 1):
+        "53b0a71bd979a1b2029d579b2b0aff7fb5eec5bab6dc0a52a221a8a5ce0f7aed",
+    ('sssp_simple', 32, 32, 1, 2):
+        "cb248f8419512c085f798d7abf4618ecbb9385180f84d88920e7b9b280e223a2",
+    ('sssp_simple', 32, 32, 1, 3):
+        "ec290047eef937d14a2dce384e1e29cdb1c5d2341e45e3312830dc20c5349c3c",
+    ('sssp_simple', 32, 32, 2, 1):
+        "acf38b11499b785336b837ede864a0d0502ff6e763ff7e0f665789ee43653be5",
+    ('sssp_simple', 32, 32, 2, 2):
+        "b6e3cdcf6e5e2ab85b293162fcae4938697bb19c23dfab059f11d68caa7f839f",
+    ('sssp_simple', 32, 32, 2, 3):
+        "e82a177f029dc1bc66786ae419d41c97b8ff843a3c6478a11f36cbf1f561dc93",
+}
+
 EMITTER_RUNS = {
     "toposort": ("planar_dag", lambda g, h: ts.toposort(g, h)),
     "tfp_run": ("planar_dag",
@@ -492,3 +577,31 @@ def test_held_block_is_never_stale(monkeypatch, case):
 
     monkeypatch.setattr(SimDisk, "read_direct", read_direct)
     run_case(case)
+
+
+def d_trace(monkeypatch, case):
+    """sha256 of the ``.D`` direct calls of one ``RECORDED`` case: per call
+    (operation, offset, length, sha256 of the bytes written or None)."""
+    calls = []
+    real_read, real_write = SimDisk.read_direct, SimDisk.write_direct
+
+    def read_direct(self, handle, offset, nbytes):
+        if handle.name.endswith(".D"):
+            calls.append(("read", offset, nbytes, None))
+        return real_read(self, handle, offset, nbytes)
+
+    def write_direct(self, handle, offset, data):
+        if handle.name.endswith(".D"):
+            calls.append(("write", offset, len(data),
+                          hashlib.sha256(data).hexdigest()))
+        return real_write(self, handle, offset, data)
+
+    monkeypatch.setattr(SimDisk, "read_direct", read_direct)
+    monkeypatch.setattr(SimDisk, "write_direct", write_direct)
+    run_case(case)
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED))
+def test_distance_file_requests_unchanged(monkeypatch, case):
+    assert d_trace(monkeypatch, case) == RECORDED_D_TRACE[case]

@@ -7,6 +7,9 @@
   set is within those clusters' blocks; every write is a whole-block run
   of dirty blocks leaving the buffer, or the final write-back.  Outside
   phase 2, ``D`` is read only by phase 3, once per cluster.
+* Buffer contract: within a step ``records`` returns one list per cluster,
+  and what the caller sets in it reaches ``D`` through ``end_step`` and
+  ``flush`` alone; only blocks whose bytes changed are written.
 * Model bound: from a source that reaches at least half of the grid, SSSP
   and BFS move at most the bytes per vertex that ``costmodel.volume_model``
   predicts, on the desk machine at n = 2^10, 2^12 and 2^14, h = 2 and 3;
@@ -51,6 +54,71 @@ def test_cluster_ranges_touch_fewest_blocks(rows, cols, h, block):
     assert ranges[-1][1] <= disk.content_length(dfile.handle)
     assert dfile.read(0) == [sssp.INF_D | sssp.TENTATIVE] * (
         scheme.bases[1] - scheme.bases[0])
+
+
+def spy_writes(monkeypatch, disk):
+    """The (offset, length) of every direct write, in order."""
+    writes, write_direct = [], disk.write_direct
+
+    def spy(handle, offset, data):
+        writes.append((offset, len(data)))
+        return write_direct(handle, offset, data)
+
+    monkeypatch.setattr(disk, "write_direct", spy)
+    return writes
+
+
+def test_step_records_reach_d_without_other_calls():
+    # the list ``records`` returns is the step's only copy: a value set in
+    # it is encoded when the step ends and written back by ``flush``
+    scheme = cl.ClusterScheme(13, 7, 1)
+    dfile = sssp.DistanceFile(make_disk(), scheme, "D")
+    dfile.records(3)[1] = 42
+    dfile.end_step()
+    dfile.flush()
+    assert dfile.read(3)[1] == 42
+
+
+def test_step_records_are_one_list_per_step():
+    scheme = cl.ClusterScheme(13, 7, 1)
+    dfile = sssp.DistanceFile(make_disk(), scheme, "D")
+    vals = dfile.records(2)
+    assert dfile.records(2) is vals
+    dfile.end_step()
+    assert dfile.records(2) is not vals
+
+
+def test_unchanged_step_writes_nothing(monkeypatch):
+    disk = make_disk()
+    scheme = cl.ClusterScheme(32, 32, 2)
+    dfile = sssp.DistanceFile(disk, scheme, "D")
+    writes = spy_writes(monkeypatch, disk)
+    for rank in range(6):
+        dfile.records(rank)
+        dfile.records(rank + 1)
+        dfile.end_step()
+    dfile.flush()
+    assert writes == []
+
+
+def test_change_in_one_block_writes_only_that_block(monkeypatch):
+    block = 64
+    disk = make_disk(block=block)
+    scheme = cl.ClusterScheme(32, 32, 4)
+    dfile = sssp.DistanceFile(disk, scheme, "D")
+    span = dfile.spans[0]
+    assert len(span) > 2
+    writes = spy_writes(monkeypatch, disk)
+    # the first record that lies in the range's second block
+    i = (span[1] * block - dfile.offsets[0]) // 8
+    dfile.records(0)[i] = 7
+    dfile.end_step()
+    dfile.records(1)
+    dfile.end_step()
+    assert writes == [(span[1] * block, block)]
+    dfile.flush()
+    assert writes == [(span[1] * block, block)]
+    assert dfile.read(0)[i] == 7
 
 
 def dense_digraph(disk, side, seed):
