@@ -1,14 +1,15 @@
-"""Breadth-first traversal order via bucketed cluster keys and chunk files.
+"""Breadth-first traversal order via cluster keys and chunk files.
 
 Pipeline: exact hop distances through the three-phase scheme of ``sssp``
-(its key-order driver, with a bucket-of-lists phase-2 queue that exploits
-the bounded key band), then per-cluster BFS forests cut into chunks of
-height < 2^h, an address list sorted by root distance, and emission through
-a rotating pool of distance-keyed stacks.
+(its key-order driver, with a binary-heap phase-2 queue that returns equal
+keys the latest inserted first), then per-cluster BFS forests cut into
+chunks of height < 2^h, an address list sorted by root distance, and
+emission through a rotating pool of distance-keyed stacks.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
@@ -28,57 +29,13 @@ class BfsError(Exception):
     pass
 
 
-class BucketQueue:
-    """Min-queue over a sliding key band [cur, cur + band - 1].
+class LatestFirstQueue(sssp.HeapQueue):
+    """Binary-heap min-queue whose ties count down, so equal keys come out
+    the latest inserted first."""
 
-    The band covers the largest separator-edge weight: a hop distance inside
-    a 2^h cluster stays below 4^h, and a hop between clusters weighs 1, the
-    only weight at h = 0.  Keys up to the rounded boundary d' live in
-    exact-key near lists, a key's list dropped once it empties; keys beyond
-    d' live in 2^h + 1 far lists of width 2^h each, redistributed when the
-    extraction point crosses d'.  Entries are (key, item), the last inserted
-    of a key first; a decreased key is reinserted and the stale copy
-    discarded by the caller.
-    """
-
-    def __init__(self, h: int):
-        self.h = h
-        self.span = 1 << h
-        self.band = max(1 << (2 * h), 2)
-        self.cur = 0
-        self.dprime = 0            # cur rounded up to a multiple of 2^h
-        self.near: dict[int, list] = {}
-        self.far: list[list] = [[] for _ in range(self.span + 1)]
-
-    def insert(self, key: int, item):
-        if key < self.cur or key > self.cur + self.band - 1:
-            raise BfsError("key %d outside admissible band [%d, %d]"
-                           % (key, self.cur, self.cur + self.band - 1))
-        if key <= self.dprime:
-            self.near.setdefault(key, []).append((key, item))
-        else:
-            i = (key - self.dprime - 1) >> self.h
-            self.far[i].append((key, item))
-
-    def extract_min(self):
-        """(key, item) with minimal key, or None when empty."""
-        while True:
-            if self.near:
-                k = min(self.near)
-                self.cur = max(self.cur, k)
-                entries = self.near[k]
-                if len(entries) == 1:
-                    del self.near[k]
-                return entries.pop()
-            if not any(self.far):
-                return None
-            # advance the boundary by one span and pull the first far list
-            batch = self.far.pop(0)
-            self.far.append([])
-            self.cur = max(self.cur, self.dprime + 1)
-            self.dprime += self.span
-            for k, item in batch:
-                self.near.setdefault(k, []).append((k, item))
+    def __init__(self):
+        super().__init__()
+        self.ties = itertools.count(0, -1)
 
 
 @dataclass
@@ -96,7 +53,7 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
 
     Returns the output handle."""
     sssp.check_source(g, s_cell, "unweighted", BfsError)
-    return sssp.solve_in_key_order(g, s_cell, h, BucketQueue(h),
+    return sssp.solve_in_key_order(g, s_cell, h, LatestFirstQueue(),
                                    sssp.SolveStats(), out_name)
 
 

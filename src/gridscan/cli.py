@@ -316,13 +316,14 @@ def _dispatch(args) -> int:
         return 0
 
     alg = None
+    variant = getattr(args, "variant", None)
     if args.command == "verify":
         alg = args.alg
-        variant = args.variant
         if variant is not None and variant not in VARIANTS.get(alg, ()):
             raise UsageError("--alg %s has no variant %r" % (alg, variant))
     elif args.command in COMMANDS:
         alg = args.command
+    variant = variant or VARIANTS.get(alg, (None,))[0]
     h = _resolve_h(args, alg) if alg else None
     disk, g, model = _make_instance(args, alg)
 
@@ -349,7 +350,10 @@ def _dispatch(args) -> int:
         "output_file": out.name,
         "wall_time_s": round(wall_time_s, 6),
     }
-    if h is not None:
+    if variant is not None:
+        report["variant"] = variant
+    # the cache-oblivious MST takes no cluster level
+    if h is not None and variant != "oblivious":
         report["h"] = h
     if verdict is not None:
         report["verdict"] = verdict

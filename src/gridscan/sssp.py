@@ -10,15 +10,16 @@ Two solvers share the same three-phase skeleton:
 Phase 2 is one step, ``_settle``, repeated: finalize the least tentative
 estimate of a cluster and relax that vertex's separator edges.  Only the
 order of the steps differs.  ``solve_in_key_order`` takes the step in strict
-global key order from a min-queue: a binary heap for ``sssp_simple``, the
-bucket queue for ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests
-clusters into levels and spends a fixed budget of steps per visit to a
-level; a level cluster's key is the minimum of its slice of one array of
-h0-cluster keys.  A finalized vertex whose estimate later improves turns
-tentative again (it is reactivated), which keeps the result exact under the
-budgeted order.  Strict key order never reactivates: every relaxation adds
-a non-negative weight to the estimate just finalized, which is at least
-every estimate finalized before it.
+global key order from a binary-heap min-queue, which breaks key ties by
+least cluster for ``sssp_simple`` and latest inserted first for
+``bfs.bfs_distances``.  ``sssp_hierarchical`` nests clusters into levels and
+spends a fixed budget of steps per visit to a level; a level cluster's key
+is the minimum of its slice of one array of h0-cluster keys.  A finalized
+vertex whose estimate later improves turns tentative again (it is
+reactivated), which keeps the result exact under the budgeted order.
+Strict key order never reactivates: every relaxation adds a non-negative
+weight to the estimate just finalized, which is at least every estimate
+finalized before it.
 
 A step touches its own cluster and the clusters the settled vertex's edges
 reach, at most the cluster and its 8 grid neighbours.  Between steps the
@@ -40,6 +41,7 @@ beside the tentative flag cannot hold it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -199,18 +201,23 @@ class SolveStats:
 
 
 class HeapQueue:
-    """Binary-heap min-queue of (key, item) entries, ties broken by item.  A
+    """Binary-heap min-queue of (key, item) entries, stored as (key, tie,
+    item) with every tie 0, so equal keys come out least item first.  A
     decreased key is reinserted and the stale copy discarded by the caller."""
 
     def __init__(self):
         self.heap: list = []
+        self.ties = itertools.repeat(0)
 
     def insert(self, key: int, item):
-        heapq.heappush(self.heap, (key, item))
+        heapq.heappush(self.heap, (key, next(self.ties), item))
 
     def extract_min(self):
         """(key, item) with minimal key, or None when empty."""
-        return heapq.heappop(self.heap) if self.heap else None
+        if not self.heap:
+            return None
+        key, _, item = heapq.heappop(self.heap)
+        return key, item
 
 
 def _too_long(d: int) -> SsspError:
@@ -274,9 +281,9 @@ def _relax_targets(dfile, rank, dist_u, targets, stats):
             changed.add(r)
         elif nd >= INF_D and cur == TENTATIVE | INF_D:
             raise _too_long(nd)
-    # the queues are refreshed in the set's order, and BFS's bucket queue
-    # breaks key ties by insertion, so the set is filled in the clusters'
-    # order of first appearance, then ``rank``
+    # the queues are refreshed in the set's order, and BFS's queue breaks
+    # key ties by insertion, so the set is filled in the clusters' order of
+    # first appearance, then ``rank``
     touched = {r for r in records if r in changed}
     touched.add(rank)
     return {r: records[r] for r in touched}

@@ -27,42 +27,14 @@ def snake_edges(rows, cols):
 
 
 def test_bucket_queue_min():
-    q = bfs.BucketQueue(2)
+    q = bfs.LatestFirstQueue()
     for k in (3, 1, 2):
         q.insert(k, "x%d" % k)
     assert q.extract_min() == (1, "x1")
 
 
-def test_bucket_queue_far_redistribution():
-    q = bfs.BucketQueue(1)          # span 2, band 4
-    q.insert(3, "far")              # dprime = 0, lands in a far list
-    assert q.far[1] == [(3, "far")]
-    assert q.extract_min() == (3, "far")
-    assert q.cur == 3
-
-
-def test_bucket_queue_band_at_h0():
-    q = bfs.BucketQueue(0)          # span 1; a cross-cluster hop weighs 1
-    q.insert(0, "s")
-    assert q.extract_min() == (0, "s")
-    q.insert(1, "t")
-    with pytest.raises(bfs.BfsError):
-        q.insert(2, "u")
-    assert q.extract_min() == (1, "t")
-
-
-def test_bucket_queue_band_error():
-    q = bfs.BucketQueue(1)
-    q.insert(1, "a")
-    q.extract_min()
-    with pytest.raises(bfs.BfsError):
-        q.insert(0, "late")
-    with pytest.raises(bfs.BfsError):
-        q.insert(1 + 4, "early")
-
-
 def test_bucket_queue_reinsert_fresh_first():
-    q = bfs.BucketQueue(2)
+    q = bfs.LatestFirstQueue()
     q.insert(5, "c")
     q.insert(3, "c")                # decreased key, stale copy remains
     k, it = q.extract_min()
@@ -71,15 +43,13 @@ def test_bucket_queue_reinsert_fresh_first():
 
 
 @settings(max_examples=200, deadline=None)
-@given(h=st.integers(0, 3),
-       ops=st.lists(st.one_of(st.none(), st.floats(0, 1, exclude_max=True)),
-                    max_size=80))
-def test_bucket_queue_random_schedule(h, ops):
-    """Random in-band inserts (a float picks the key's place in the band)
-    interleaved with extractions (None): each entry comes out once, least
-    key first and the latest inserted of a key first, keys never decrease,
-    and no emptied key list stays behind."""
-    q = bfs.BucketQueue(h)
+@given(ops=st.lists(st.one_of(st.none(), st.integers(0, 20)), max_size=80))
+def test_bucket_queue_random_schedule(ops):
+    """Random inserts at or above the last extracted key (an integer is the
+    key's offset from it) interleaved with extractions (None): each entry
+    comes out once, least key first and the latest inserted of a key first,
+    and keys never decrease."""
+    q = bfs.LatestFirstQueue()
     live, out = [], []
 
     def extract():
@@ -97,13 +67,11 @@ def test_bucket_queue_random_schedule(h, ops):
         if op is None:
             extract()
         else:
-            entry = (q.cur + int(op * q.band), i)
+            entry = ((out[-1] if out else 0) + op, i)
             q.insert(*entry)
             live.append(entry)
-        assert all(q.near.values())
     while live:
         extract()
-        assert all(q.near.values())
     assert q.extract_min() is None
 
 
@@ -193,8 +161,7 @@ def test_full_pipeline_order_valid(seed):
 
 @pytest.mark.parametrize("rows,cols", [(13, 7), (16, 16), (32, 32), (20, 12)])
 def test_full_pipeline_at_h0(rows, cols):
-    # 1x1 clusters: every separator edge is a cross-cluster hop of weight 1,
-    # so the bucket queue's band must still admit cur + 1
+    # 1x1 clusters: every separator edge is a cross-cluster hop of weight 1
     for seed in (1, 2):
         g = gf.generate(make_disk(), rows, cols, "unit_directed", seed=seed,
                         density=0.6)

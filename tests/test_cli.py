@@ -249,6 +249,24 @@ def test_h_at_the_range_ends_runs(capsys):
         assert rep["h"] == int(h)
 
 
+@pytest.mark.parametrize("argv,variant,h", [
+    (["sssp"], "simple", 2),
+    (["sssp", "--variant", "hierarchical"], "hierarchical", 2),
+    (["mst", "--variant", "oblivious"], "oblivious", None),
+    (["verify", "--alg", "mst"], "aware", 2),
+    (["verify", "--alg", "sssp", "--variant", "hierarchical"],
+     "hierarchical", 2),
+    (["bfs"], None, 2),
+])
+def test_report_names_the_variant(capsys, argv, variant, h):
+    code, rep = run_json(capsys, argv + ["--rows", "8", "--cols", "8",
+                                         "--h", "2"])
+    assert code == 0
+    assert rep.get("variant") == variant
+    # the cache-oblivious MST takes no h, so the report gives none
+    assert rep.get("h") == h
+
+
 def test_report_gives_h_and_times_only_the_algorithm(capsys, monkeypatch):
     real_generate = gf.generate
 

@@ -165,6 +165,20 @@ def test_large_distances_below_the_limit_are_exact():
     assert [got[int(z_of[c])] for c in range(9)] == [c * BIG for c in range(9)]
 
 
+@given(entries=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)),
+                       max_size=30))
+def test_heap_queue_ties_least_item_first(entries):
+    # sssp_simple's schedule: equal keys come out least item first, whatever
+    # the insertion order
+    q = sssp.HeapQueue()
+    for key, item in entries:
+        q.insert(key, item)
+    got = []
+    while (entry := q.extract_min()) is not None:
+        got.append(entry)
+    assert got == sorted(entries)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(8, 16), cols=st.integers(8, 16), h=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1), unit=st.booleans())
@@ -178,7 +192,7 @@ def test_key_order_never_reactivates(rows, cols, h, seed, unit):
         g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
                         density=0.6)
         expect = oracle.bfs_distances(g, s)
-        queues = (sssp.HeapQueue, lambda: bfs.BucketQueue(h))
+        queues = (sssp.HeapQueue, bfs.LatestFirstQueue)
     else:
         edges = {}
         for r in range(rows):
