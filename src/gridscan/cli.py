@@ -249,9 +249,18 @@ def _verify(alg: str, args, disk, g, out) -> str:
         ds = [dist[v] for v in got]
         return "valid" if ds == sorted(ds) else "mismatch"
     if alg == "mst":
-        got = sum(w for _, _, w in mst.read_mst(disk, out))
+        # n - 1 input edges at their stored weights, no cycle among them
+        # (so they span the grid), and the least total weight
+        got = mst.mst_edge_coords(disk, out)
+        weight_of = {frozenset((u, v)): w
+                     for w, u, v in oracle.undirected_edges(g)}
+        uf = oracle.UnionFind()
+        if len(got) != g.n - 1 or any(
+                weight_of.get(frozenset((u, v))) != w or not uf.union(u, v)
+                for u, v, w in got):
+            return "mismatch"
         want, _ = oracle.mst(g)
-        return "exact" if got == want else "mismatch"
+        return "exact" if sum(w for _, _, w in got) == want else "mismatch"
     if alg == "toposort":
         got = [coord(z) for z in ts.read_order(disk, out)]
         pos = {v: i for i, v in enumerate(got)}
@@ -324,7 +333,9 @@ def _dispatch(args) -> int:
     elif args.command in COMMANDS:
         alg = args.command
     variant = variant or VARIANTS.get(alg, (None,))[0]
-    h = _resolve_h(args, alg) if alg else None
+    # the cache-oblivious MST takes no cluster level, so --h goes unread
+    takes_h = alg is not None and (alg, variant) != ("mst", "oblivious")
+    h = _resolve_h(args, alg) if takes_h else None
     disk, g, model = _make_instance(args, alg)
 
     # the clock covers the command's own work, never instance generation
@@ -352,8 +363,7 @@ def _dispatch(args) -> int:
     }
     if variant is not None:
         report["variant"] = variant
-    # the cache-oblivious MST takes no cluster level
-    if h is not None and variant != "oblivious":
+    if h is not None:
         report["h"] = h
     if verdict is not None:
         report["verdict"] = verdict

@@ -7,8 +7,8 @@ Two variants share the pruning/contraction toolkit:
   cross-cluster edges globally, and re-expands cluster by cluster.
 * ``mst_cache_oblivious`` runs the same idea over the quadtree of the padded
   square, bottom-up then top-down, touching only a sequential input scan, a
-  sequential output stream, and two stacks; it never inspects the block or
-  memory size.
+  sequential output stream, and two stacks, which the disk's LRU cache
+  holds; it never inspects the block or memory size.
 
 Contraction replaces every maximal chain of non-kept degree-2 vertices by a
 representative edge carrying the chain's maximum weight, and strips branches
@@ -450,12 +450,8 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     its cells and pushes only its connections record, since every cell lies
     on its ring and contraction would leave its forest as it is; downward it
     pops no expansions record and appends the edges each cell owns to the
-    output, last cell first.  Vertices are row-major cell ids
-    ``r * cols + c``, which order like ``(r, c)`` pairs, so weight ties,
-    edge owners and chain orientation resolve as with coordinates; a u32
-    id needs rows * cols <= 2^32.  An expansions record stores each edge as
-    a one-byte grid step (or a representative's far end) and its weight in
-    as few bytes as the record's largest weight needs.
+    output, last cell first.  The module docstring gives the stack record
+    layouts.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
@@ -463,11 +459,8 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     side = 1
     while side < max(rows, cols):
         side *= 2
-    cfg = disk.config
-    conn = FileStack(disk, disk.open_file(out_name + ".conn"),
-                     max(1, cfg.memory_bytes // (2 * cfg.block_bytes)))
-    expn = FileStack(disk, disk.open_file(out_name + ".expn"),
-                     max(1, cfg.memory_bytes // (4 * cfg.block_bytes)))
+    conn = FileStack(disk, disk.open_file(out_name + ".conn"))
+    expn = FileStack(disk, disk.open_file(out_name + ".expn"))
     reader = disk.scan_reader(g.handle, g.payload_offset)
     rs = g.record_size
     owned = [(d, *gf.DIR_OFFSETS[d]) for d in gf.OWNED_SLOTS]

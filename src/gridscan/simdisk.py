@@ -4,15 +4,21 @@ All algorithm modules move their bulk data through a :class:`SimDisk`.  The
 disk carves every file into blocks of ``block_bytes`` and counts block
 transfers, split into sequential and random ones.  Two access regimes exist:
 
-* ``access_block`` / ``read`` / ``write`` / ``flush`` go through an LRU
-  cache of ``memory_bytes // block_bytes`` blocks, the ideal-cache stand-in
-  for cache-oblivious code.  No algorithm calls this path at present.  It
-  stays because the benchmark's per-layer timers wrap it by name, and it is
-  the planned route for the cache-oblivious MST's stacks (ROADMAP item 7).
-* ``read_direct`` / ``write_direct`` and the buffered stream/stack helpers
-  model explicitly managed buffers: every block touched is counted, the LRU
-  cache is bypassed.  Cache-aware algorithms use these.  The one exception
-  is the held block, one resident block per file: the block the file's last
+* ``FileStack`` and ``access_block`` / ``read`` / ``write`` / ``flush`` go
+  through an LRU cache of ``memory_bytes // block_bytes`` blocks, the
+  ideal-cache stand-in for cache-oblivious code.  One miss rule holds for
+  all of them: a miss counts a read only when the block holds live bytes
+  that the access does not overwrite (a file's live bytes are those below
+  its content length, a stack's those below its top); a written block turns
+  dirty; a dirty block counts one write when it is evicted or flushed.  A
+  stack block that a pop leaves wholly above the top is dead: it leaves the
+  cache, or never enters it, without a write.  Stacks call the private
+  ``_touch``; no algorithm calls the four public methods, which stay for
+  tests and because the benchmark's per-layer timers wrap them by name.
+* ``read_direct`` / ``write_direct`` and the stream helpers model explicitly
+  managed buffers: every block touched is counted, the LRU cache is
+  bypassed.  Cache-aware algorithms use these.  The one exception is the
+  held block, one resident block per file: the block the file's last
   ``read_direct`` ended in.  A ``read_direct`` that starts in it does not
   count it again, and any write of bytes into it drops it (in Aggarwal &
   Vitter's I/O model a block already in memory costs nothing).
@@ -147,23 +153,22 @@ class SimDisk:
 
     # -- cached (LRU) access ----------------------------------------------
 
-    def _evict_if_full(self):
-        while len(self._cache) > self.config.cache_blocks:
-            (fid, block), dirty = self._cache.popitem(last=False)
-            if dirty:
-                self._count(fid, block, write=True)
-
-    def _touch(self, fid: int, block: int, write: bool):
-        key = (fid, block)
-        if key in self._cache:
-            self._cache.move_to_end(key)
+    def _touch(self, fid: int, block: int, write: bool, fetch: bool):
+        """One block access under the miss rule; ``fetch`` says whether the
+        block holds live bytes the access does not overwrite."""
+        key, cache = (fid, block), self._cache
+        if key in cache:
+            cache.move_to_end(key)
             if write:
-                self._cache[key] = True
+                cache[key] = True
             return
-        self._count(fid, block, write=write)
-        # a counted write-miss is modelled as written through: clean in cache
-        self._cache[key] = False
-        self._evict_if_full()
+        if fetch:
+            self._count(fid, block, write=False)
+        cache[key] = write
+        if len(cache) > self.config.cache_blocks:
+            old, dirty = cache.popitem(last=False)
+            if dirty:
+                self._count(*old, write=True)
 
     def access_block(self, handle: FileHandle, block_index: int, mode: str,
                      payload: bytes | None = None) -> bytes:
@@ -175,7 +180,7 @@ class SimDisk:
         if mode == "read":
             if (block_index + 1) * b > len(self._data[fid]):
                 raise SimDiskError("read past end of %r" % handle.name)
-            self._touch(fid, block_index, write=False)
+            self._touch(fid, block_index, False, True)
             off = block_index * b
             return bytes(self._data[fid][off:off + b])
         elif mode == "write":
@@ -183,7 +188,7 @@ class SimDisk:
             if len(payload) > b:
                 raise SimDiskError("payload exceeds block size")
             self._prepare_write(fid, block_index * b, (block_index + 1) * b)
-            self._touch(fid, block_index, write=True)
+            self._touch(fid, block_index, True, False)
             off = block_index * b
             self._data[fid][off:off + len(payload)] = payload
             return b""
@@ -196,18 +201,22 @@ class SimDisk:
         if offset + nbytes > len(self._data[fid]):
             raise SimDiskError("read past end of %r" % handle.name)
         for block in range(offset // b, -(-(offset + nbytes) // b) if nbytes else offset // b):
-            self._touch(fid, block, write=False)
+            self._touch(fid, block, False, True)
         return bytes(self._data[fid][offset:offset + nbytes])
 
     def write(self, handle: FileHandle, offset: int, data: bytes):
-        """Byte-range write through the LRU cache."""
+        """Byte-range write through the LRU cache; a missed block is fetched
+        only if some of its live bytes lie outside the write."""
         b = self.config.block_bytes
         fid = handle.file_id
-        self._prepare_write(fid, offset, offset + len(data))
+        end, live = offset + len(data), self._ends[fid]
+        self._prepare_write(fid, offset, end)
         if data:
-            for block in range(offset // b, -(-(offset + len(data)) // b)):
-                self._touch(fid, block, write=True)
-        self._data[fid][offset:offset + len(data)] = data
+            for block in range(offset // b, -(-end // b)):
+                lo, hi = block * b, min((block + 1) * b, live)
+                self._touch(fid, block, True,
+                            lo < min(offset, hi) or max(end, lo) < hi)
+        self._data[fid][offset:end] = data
 
     def flush(self):
         """Write back all dirty cached blocks (counted), keep them cached clean."""
@@ -217,10 +226,6 @@ class SimDisk:
                 self._cache[key] = False
 
     # -- explicitly buffered access ---------------------------------------
-
-    def _drop_cached(self, fid: int, first_block: int, last_block: int):
-        for block in range(first_block, last_block + 1):
-            self._cache.pop((fid, block), None)
 
     def read_direct(self, handle: FileHandle, offset: int, nbytes: int) -> bytes:
         """Counted read bypassing the cache: every touched block is a
@@ -251,7 +256,7 @@ class SimDisk:
             last = (offset + len(data) - 1) // b
             for block in range(first, last + 1):
                 self._count(fid, block, write=True)
-            self._drop_cached(fid, first, last)
+                self._cache.pop((fid, block), None)
         self._data[fid][offset:offset + len(data)] = data
 
     def scan_reader(self, handle: FileHandle, offset: int = 0) -> "ScanReader":
@@ -373,41 +378,31 @@ class AppendStream:
 
 
 class FileStack:
-    """LIFO of byte records on a simulated file.
-
-    Keeps an interval of ``buffer_blocks`` blocks around the top resident in
-    (uncounted) memory; transfers are counted only when blocks leave or enter
-    that window.  Records are framed as ``payload || length:u32`` so the most
-    recent record can be popped without an index.
+    """LIFO of byte records on a simulated file, held in the disk's LRU
+    cache under the module's miss rule: a push fetches only a first block
+    with live bytes below the top, and a pop reads from the top down.
+    Records are framed as ``payload || length:u32`` so the most recent
+    record can be popped without an index.
     """
 
-    def __init__(self, disk: SimDisk, handle: FileHandle, buffer_blocks: int = 1):
-        if buffer_blocks < 1:
-            raise SimDiskError("buffer_blocks must be >= 1")
+    def __init__(self, disk: SimDisk, handle: FileHandle):
         self.disk = disk
         self.handle = handle
-        self.cap = buffer_blocks
         self.top = 0          # one past the last stacked byte
         self.count = 0
-        self._lo = 0          # resident block interval [lo, hi]
-        self._hi = 0
 
     def push(self, record: bytes):
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
-        mid = self.top + len(record)
-        disk._prepare_write(fid, self.top, mid + 4)
+        top, end = self.top, self.top + len(record) + 4
+        disk._prepare_write(fid, top, end)
         data = disk._data[fid]
-        data[self.top:mid] = record
-        data[mid:mid + 4] = len(record).to_bytes(4, "little")
-        self.top = mid + 4
+        data[top:end - 4] = record
+        data[end - 4:end] = len(record).to_bytes(4, "little")
+        for block in range(top // b, (end - 1) // b + 1):
+            disk._touch(fid, block, True, block * b < top)
+        self.top = end
         self.count += 1
-        top_block = (self.top - 1) // b
-        if top_block > self._hi:
-            self._hi = top_block          # fresh blocks, no transfer
-        while self._hi - self._lo + 1 > self.cap:
-            disk._count(fid, self._lo, write=True)
-            self._lo += 1
 
     def pop(self) -> bytes:
         if self.count == 0:
@@ -415,18 +410,19 @@ class FileStack:
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
         data = disk._data[fid]
-        length = int.from_bytes(data[self.top - 4:self.top], "little")
-        start = self.top - 4 - length
-        if start // b < self._lo:
-            for block in range(self._lo - 1, start // b - 1, -1):
+        top = self.top
+        length = int.from_bytes(data[top - 4:top], "little")
+        start = top - 4 - length
+        dead = -(-start // b)       # first block wholly above the new top
+        cache = disk._cache
+        for block in range((top - 1) // b, dead - 1, -1):
+            if cache.pop((fid, block), None) is None:
                 disk._count(fid, block, write=False)
-            self._lo = start // b
+        if dead > start // b:
+            disk._touch(fid, start // b, False, True)
         record = bytes(data[start:start + length])
         self.top = start
         self.count -= 1
-        top_block = (self.top - 1) // b if self.top else 0
-        if top_block < self._hi:
-            self._hi = max(top_block, self._lo)
         return record
 
     def __len__(self):

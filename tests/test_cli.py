@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from gridscan import cli, costmodel as cm, gridfmt as gf
+from gridscan import cli, costmodel as cm, gridfmt as gf, mst
 
 
 def run_json(capsys, argv):
@@ -117,6 +117,56 @@ def test_verify(capsys, alg, extra, verdict):
         "--seed", "2"] + extra)
     assert code == 0
     assert rep["verdict"] == verdict
+
+
+def _duplicate_an_edge(edges):
+    # a second copy of one tree edge in place of another of equal weight
+    first = {}
+    for j, (_, _, w) in enumerate(edges):
+        if w in first:
+            edges[j] = edges[first[w]]
+            return
+        first[w] = j
+    raise AssertionError("no two tree edges share a weight")
+
+
+def _swap_two_weights(edges):
+    (a, b, w), (c, d, x) = edges[0], edges[1]
+    assert w != x
+    edges[0], edges[1] = (a, b, x), (c, d, w)
+
+
+@pytest.mark.parametrize("corrupt", [_duplicate_an_edge, _swap_two_weights])
+def test_verify_mst_checks_the_tree_not_only_its_weight(capsys, monkeypatch,
+                                                        corrupt):
+    real_read_mst = mst.read_mst
+
+    def read_mst(disk, handle):
+        edges = real_read_mst(disk, handle)
+        total = sum(w for _, _, w in edges)
+        corrupt(edges)
+        assert sum(w for _, _, w in edges) == total
+        return edges
+
+    monkeypatch.setattr(mst, "read_mst", read_mst)
+    code, rep = run_json(capsys, [
+        "verify", "--alg", "mst", "--rows", "64", "--cols", "64",
+        "--seed", "2"])
+    assert code == 3
+    assert rep["verdict"] == "mismatch"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mst", "--variant", "oblivious"],
+    ["verify", "--alg", "mst", "--variant", "oblivious"],
+])
+def test_oblivious_mst_leaves_h_unread(capsys, argv):
+    # 9 is past this grid's largest level, but this variant takes no h
+    code, rep = run_json(capsys, argv + ["--rows", "8", "--cols", "8",
+                                         "--h", "9"])
+    assert code == 0
+    assert "h" not in rep
+    assert rep.get("verdict", "exact") == "exact"
 
 
 def test_usage_error_exit_code(capsys):

@@ -271,6 +271,60 @@ def test_oblivious_within_model_at_m_equal_b_squared(side, seed):
     assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
 
 
+def oblivious_moved_and_model(disk, side, max_weight):
+    """Bytes a seed-1 ``mst_cache_oblivious`` run moves on ``disk``, and the
+    bytes its model predicts there."""
+    g = gf.generate(disk, side, side, "weighted_undirected", seed=1,
+                    density=0.6, max_weight=max_weight)
+    disk.reset_counters()
+    mst.mst_cache_oblivious(g)
+    cfg = disk.config
+    model = cm.volume_model("mst_cache_oblivious", g.n, cfg.memory_bytes,
+                            cfg.block_bytes, 0)
+    return disk.counters_snapshot().bytes_transferred, model.predicted_bytes
+
+
+def test_oblivious_within_model_with_full_width_weights():
+    # weights up to 2^62 take 8 bytes each in every expansions record; on
+    # make_disk's machine, M = B^2, this is the heaviest stack traffic
+    moved, model = oblivious_moved_and_model(make_disk(), 256, 2 ** 62)
+    assert moved <= model, moved / 256 ** 2
+
+
+@pytest.mark.parametrize("c", [1, 4, 16])
+def test_oblivious_within_model_across_tall_caches(c):
+    # M = c * B^2 at B = 2^6; the stacks take whatever the LRU cache holds
+    moved, model = oblivious_moved_and_model(make_disk(64, c * 64), 128,
+                                             2 ** 62)
+    assert moved <= model, moved / model
+
+
+def test_oblivious_stack_requests_do_not_depend_on_m_or_b(monkeypatch):
+    events = []
+    push, pop = mst.FileStack.push, mst.FileStack.pop
+
+    def spy_push(self, record):
+        events.append((self.handle.name, "push", len(record)))
+        return push(self, record)
+
+    def spy_pop(self):
+        record = pop(self)
+        events.append((self.handle.name, "pop", len(record)))
+        return record
+
+    monkeypatch.setattr(mst.FileStack, "push", spy_push)
+    monkeypatch.setattr(mst.FileStack, "pop", spy_pop)
+    runs = []
+    for block in (2 ** 6, 2 ** 8):          # M = B^2: 2^12, then 2^16
+        events.clear()
+        d = make_disk(block)
+        g = gf.generate(d, 64, 64, "weighted_undirected", seed=1,
+                        density=0.6)
+        mst.mst_cache_oblivious(g)
+        runs.append(list(events))
+    assert runs[0] and runs[0] == runs[1]
+
+
 def oracle_edge_set(g):
     _, chosen = oracle.mst(g)
     return {(min(u, v), max(u, v), w) for w, u, v in chosen}

@@ -312,8 +312,8 @@ def test_bfs_within_model_at_h4(side):
 
 @pytest.mark.parametrize("side", [32, 64, 128])
 def test_bfs_within_model_at_m_equal_b_squared(side):
-    # at the default h; SSSP on this machine is still above its model
-    # (ROADMAP item 10)
+    # at the default h; SSSP on this machine measures 0.92-0.98 of its
+    # model at these sides, and is not gated here (ROADMAP item 10)
     h = cm.default_h("bfs", PROVISO.memory_bytes)
     assert h == 2
     assert_bfs_within_model(side, h, PROVISO)

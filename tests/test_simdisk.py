@@ -166,13 +166,77 @@ def test_stack_block_transfer_bound():
 
 def test_stack_buffer_keeps_small_stack_free():
     d = small_disk(block=16)
-    st_ = FileStack(d, d.open_file("stack"), buffer_blocks=8)
+    st_ = FileStack(d, d.open_file("stack"))
     for i in range(20):
         st_.push(bytes([i]))
     for _ in range(20):
         st_.pop()
     c = d.counters_snapshot()
     assert c.blocks_read == 0 and c.blocks_written == 0
+
+
+def test_fresh_push_is_not_fetched():
+    d = small_disk(block=16)
+    st_ = FileStack(d, d.open_file("stack"))
+    st_.push(bytes(40))                     # blocks 0..2, nothing live yet
+    st_.push(b"x")                          # into cached block 2
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.blocks_written) == (0, 0)
+
+
+def test_stack_block_popped_dead_is_never_written():
+    d = small_disk(block=16)
+    st_ = FileStack(d, d.open_file("stack"))
+    st_.push(bytes(12))                     # block 0
+    st_.push(bytes(60))                     # blocks 1..4
+    assert st_.pop() == bytes(60)           # blocks 1..4 now wholly dead
+    d.flush()
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.blocks_written) == (0, 1)
+
+
+def test_stack_record_longer_than_the_cache():
+    # a 2-block cache: pushing blocks 0..3 evicts blocks 0 and 1 dirty
+    d = SimDisk(SimConfig(block_bytes=2, memory_bytes=4))
+    st_ = FileStack(d, d.open_file("stack"))
+    st_.push(bytes(4))                      # bytes 0..7, blocks 0..3
+    assert d.counters_snapshot().blocks_written == 2
+    # the pop fetches blocks 0 and 1 back; blocks 2 and 3 die unwritten
+    assert st_.pop() == bytes(4)
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.blocks_written) == (2, 2)
+    assert d._cache == {}
+
+
+def test_partial_write_miss_fetches_and_whole_block_write_does_not():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(48))         # three live blocks, uncached
+    d.reset_counters()
+    d.write(h, 4, b"abcd")                  # block 0 keeps 12 live bytes
+    assert d.counters_snapshot().blocks_read == 1
+    d.write(h, 16, bytes(16))               # block 1 wholly overwritten
+    d.access_block(h, 2, "write", b"x")     # a whole-block write
+    d.write(h, 48, b"tail")                 # past the live bytes
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.blocks_written) == (1, 0)
+
+
+def test_dirty_block_counts_one_write_on_eviction_and_one_on_flush():
+    d = SimDisk(SimConfig(block_bytes=2, memory_bytes=4))   # 2-block cache
+    h = d.open_file("f")
+    d.write(h, 0, b"ab")
+    d.write(h, 0, b"cd")                    # a hit: still one dirty block
+    d.flush()
+    d.flush()                               # clean now, nothing to write
+    assert d.counters_snapshot().blocks_written == 1
+    d.write(h, 0, b"ef")                    # block 0 dirty again
+    d.write(h, 2, b"gh")
+    d.write(h, 4, b"ij")                    # evicts block 0
+    c = d.counters_snapshot()
+    assert (c.blocks_read, c.blocks_written) == (0, 2)
+    d.flush()                               # blocks 1 and 2
+    assert d.counters_snapshot().blocks_written == 4
 
 
 def test_determinism_replay():
