@@ -471,9 +471,10 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
         candidates = []
         out_edges = []
         if size == 2:
-            for _, r, c in quads:
+            raw = reader.read(len(quads) * rs)
+            for i, (_, r, c) in enumerate(quads):
                 mask, weights = gf.decode_record("weighted_undirected",
-                                                 reader.read(rs))
+                                                 raw[i * rs:(i + 1) * rs])
                 for d, dr, dc in owned:
                     if mask >> d & 1:
                         vr, vc = r + dr, c + dc

@@ -12,7 +12,10 @@ transfers, split into sequential and random ones.  Two access regimes exist:
   its content length, a stack's those below its top); a written block turns
   dirty; a dirty block counts one write when it is evicted or flushed.  A
   stack block that a pop leaves wholly above the top is dead: it leaves the
-  cache, or never enters it, without a write.  Stacks call the private
+  cache, or never enters it, without a write.  A pop counts its record's
+  top block first, since it holds the length, and then the record's other
+  missed blocks bottom up, so they form one sequential run, as a ranged
+  read of the record would on a real device.  Stacks call the private
   ``_touch``; no algorithm calls the four public methods, which stay for
   tests and because the benchmark's per-layer timers wrap them by name.
 * ``read_direct`` / ``write_direct`` and the stream helpers model explicitly
@@ -379,8 +382,8 @@ class AppendStream:
 
 class FileStack:
     """LIFO of byte records on a simulated file, held in the disk's LRU
-    cache under the module's miss rule: a push fetches only a first block
-    with live bytes below the top, and a pop reads from the top down.
+    cache under the module's miss rule and pop order: a push fetches only a
+    first block with live bytes below the top.
     Records are framed as ``payload || length:u32`` so the most recent
     record can be popped without an index.
     """
@@ -414,12 +417,20 @@ class FileStack:
         length = int.from_bytes(data[top - 4:top], "little")
         start = top - 4 - length
         dead = -(-start // b)       # first block wholly above the new top
+        last = (top - 1) // b       # the top block, counted first
         cache = disk._cache
-        for block in range((top - 1) // b, dead - 1, -1):
+        if last >= dead and cache.pop((fid, last), None) is None:
+            disk._count(fid, last, write=False)
+        # dead blocks leave the cache before the new top's block is touched,
+        # which may evict, and are counted after it, bottom up
+        missing = []
+        for block in range(dead, last):
             if cache.pop((fid, block), None) is None:
-                disk._count(fid, block, write=False)
+                missing.append(block)
         if dead > start // b:
             disk._touch(fid, start // b, False, True)
+        for block in missing:
+            disk._count(fid, block, write=False)
         record = bytes(data[start:start + length])
         self.top = start
         self.count -= 1

@@ -291,6 +291,22 @@ def test_oblivious_within_model_with_full_width_weights():
     assert moved <= model, moved / 256 ** 2
 
 
+@pytest.mark.parametrize("block, max_weight, bound", [
+    (2 ** 6, 2 ** 20, 6000),            # M = B^2
+    (2 ** 6, 2 ** 62, 6700),            # M = B^2, full-width weights
+    (2 ** 8, 2 ** 20, 2100),            # the desk machine
+])
+def test_oblivious_stack_pops_read_records_as_runs(block, max_weight, bound):
+    # a pop reads its top block, then the rest of the record bottom up, so a
+    # multi-block record costs at most two random blocks, not one per block
+    disk = make_disk(block)
+    g = gf.generate(disk, 256, 256, "weighted_undirected", seed=1,
+                    density=0.6, max_weight=max_weight)
+    disk.reset_counters()
+    mst.mst_cache_oblivious(g)
+    assert disk.counters_snapshot().random_blocks <= bound
+
+
 @pytest.mark.parametrize("c", [1, 4, 16])
 def test_oblivious_within_model_across_tall_caches(c):
     # M = c * B^2 at B = 2^6; the stacks take whatever the LRU cache holds

@@ -1,7 +1,7 @@
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridscan.simdisk import (
     SimConfig, SimDisk, SimDiskError, FileStack,
@@ -206,6 +206,79 @@ def test_stack_record_longer_than_the_cache():
     c = d.counters_snapshot()
     assert (c.blocks_read, c.blocks_written) == (2, 2)
     assert d._cache == {}
+
+
+def counted_reads(d, fid):
+    """Spy on ``d._count``: the list of blocks of file ``fid`` counted as
+    reads from now on."""
+    order, count = [], d._count
+
+    def spy(f, block, write):
+        if f == fid and not write:
+            order.append(block)
+        count(f, block, write)
+
+    d._count = spy
+    return order
+
+
+def test_pop_with_cached_top_reads_the_rest_as_one_run():
+    d = SimDisk(SimConfig(block_bytes=4, memory_bytes=16))  # 4-block cache
+    h = d.open_file("stack")
+    st_ = FileStack(d, h)
+    st_.push(bytes(16))                     # bytes 0..19: a 5-block record
+    d.read(h, 16, 4)                        # the top block turns most recent
+    d.write(d.open_file("f"), 0, bytes(12))   # evicts blocks 1..3 dirty
+    before = d.file_counters(h)
+    order = counted_reads(d, h.file_id)
+    assert st_.pop() == bytes(16)
+    after = d.file_counters(h)
+    assert order == [0, 1, 2, 3]            # k - 1 reads, bottom up
+    assert after.random_blocks - before.random_blocks == 1
+    assert after.sequential_blocks - before.sequential_blocks == 3
+
+
+def test_pop_with_evicted_top_reads_it_first_then_bottom_up():
+    d = SimDisk(SimConfig(block_bytes=4, memory_bytes=16))
+    h = d.open_file("stack")
+    st_ = FileStack(d, h)
+    st_.push(b"xy")                         # bytes 0..5, blocks 0 and 1
+    st_.push(bytes(18))                     # bytes 6..27, blocks 1..6
+    d.write(d.open_file("f"), 0, bytes(16))   # evicts every stack block
+    before = d.file_counters(h)
+    order = counted_reads(d, h.file_id)
+    assert st_.pop() == bytes(18)
+    after = d.file_counters(h)
+    # the top block, then the new top's block and the dead blocks above it
+    assert order == [6, 1, 2, 3, 4, 5]
+    assert after.random_blocks - before.random_blocks == 2
+    assert st_.pop() == b"xy"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=0, max_value=30),
+                          st.just("pop"), st.just("evict")),
+                max_size=40))
+def test_pop_reads_its_uncached_blocks_with_at_most_two_random(ops):
+    d = SimDisk(SimConfig(block_bytes=4, memory_bytes=16))
+    h, f = d.open_file("stack"), d.open_file("f")
+    st_, b = FileStack(d, h), 4
+    for i, op in enumerate(ops):
+        if op == "evict":                   # two blocks of another file
+            d.write(f, 8 * i, bytes(8))
+        elif isinstance(op, int):
+            st_.push(bytes(op))
+        elif len(st_):
+            top = st_.top
+            start = top - 4 - int.from_bytes(d._data[h.file_id][top - 4:top],
+                                             "little")
+            uncached = sum((h.file_id, block) not in d._cache
+                           for block in range(start // b, (top - 1) // b + 1))
+            before = d.file_counters(h)
+            st_.pop()
+            after = d.file_counters(h)
+            assert after.blocks_read - before.blocks_read == uncached
+            assert after.random_blocks - before.random_blocks <= 2
 
 
 def test_partial_write_miss_fetches_and_whole_block_write_does_not():
