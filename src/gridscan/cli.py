@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 instance or configuration error,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -29,18 +31,6 @@ from .simdisk import SimConfig, SimDisk, SimDiskError
 ALG_ERRORS = (gf.FormatError, cl.ClusterError, sssp.SsspError, bfs.BfsError,
               mst.MstError, ts.ToposortError, tfp.TfpError, euler.EulerError,
               oracle.OracleError, cm.CostModelError, SimDiskError)
-
-# algorithm subcommand -> (default instance model, cost-model algorithm)
-COMMANDS = {
-    "sssp": ("weighted_dag", "sssp"),
-    "bfs": ("unit_directed", "bfs"),
-    "mst": ("weighted_undirected", "mst_cache_aware"),
-    "toposort": ("planar_dag", "toposort"),
-    "tfp": ("planar_dag", "tfp"),
-    "euler": ("tree", "euler"),
-}
-# --variant choices of the commands that have variants; the first is default
-VARIANTS = {"sssp": ("simple", "hierarchical"), "mst": ("aware", "oblivious")}
 
 
 class UsageError(Exception):
@@ -83,13 +73,21 @@ def parse_cell(text: str) -> tuple[int, int]:
         raise UsageError("cell must be given as row,col")
 
 
-def _add_common(p: argparse.ArgumentParser, with_instance: bool = True):
-    if with_instance:
-        p.add_argument("--rows", type=int, required=True)
-        p.add_argument("--cols", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--model", choices=gf.GEN_MODELS)
-        p.add_argument("--density", type=parse_density, default=0.5)
+# option -> (the commands that read it, its argparse keywords); verify: all
+OPTIONS = {
+    "--source": (("sssp", "bfs"), {"type": parse_cell, "default": (0, 0)}),
+    "--oracle": (("tfp",), {"choices": sorted(oracle.TFP_ORACLES),
+                            "default": "indegree"}),
+    "--root": (("euler",), {"type": parse_cell}),
+}
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--cols", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", choices=gf.GEN_MODELS)
+    p.add_argument("--density", type=parse_density, default=0.5)
     p.add_argument("--mem", type=parse_size, default=str(2 ** 16))
     p.add_argument("--block", type=parse_size, default=str(2 ** 8))
     p.add_argument("--h", default="auto")
@@ -106,28 +104,23 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance file")
     _add_common(g)
 
-    for name in COMMANDS:
+    for name in dict.fromkeys(c for c, _ in ALGORITHMS):
         a = sub.add_parser(name, help="run %s on a generated instance" % name)
         _add_common(a)
-        if name in ("sssp", "bfs"):
-            a.add_argument("--source", type=parse_cell, default=(0, 0))
-        if name in VARIANTS:
-            a.add_argument("--variant", choices=VARIANTS[name],
-                           default=VARIANTS[name][0])
-        if name == "tfp":
-            a.add_argument("--oracle", choices=sorted(oracle.TFP_ORACLES),
-                           default="indegree")
-        if name == "euler":
-            a.add_argument("--root", type=parse_cell)
+        variants = _variants(name)
+        if variants != [None]:
+            a.add_argument("--variant", choices=variants, default=variants[0])
+        for flag, (commands, kwargs) in OPTIONS.items():
+            if name in commands:
+                a.add_argument(flag, **kwargs)
 
     v = sub.add_parser("verify", help="run an algorithm and check the result")
-    v.add_argument("--alg", choices=sorted(COMMANDS), required=True)
+    v.add_argument("--alg", choices=sorted({c for c, _ in ALGORITHMS}),
+                   required=True)
     _add_common(v)
-    v.add_argument("--source", type=parse_cell, default=(0, 0))
     v.add_argument("--variant")
-    v.add_argument("--oracle", choices=sorted(oracle.TFP_ORACLES),
-                   default="indegree")
-    v.add_argument("--root", type=parse_cell)
+    for flag, (_, kwargs) in OPTIONS.items():
+        v.add_argument(flag, **kwargs)
 
     m = sub.add_parser("costmodel", help="analytic I/O-volume walkthrough")
     m.add_argument("--alg", choices=cm.ALGORITHMS, required=True)
@@ -166,124 +159,128 @@ def _resolve_h(args, alg: str) -> int:
             raise UsageError("--h must lie in [0, %d] for a %dx%d grid"
                              % (h_max, args.rows, args.cols))
         return h
-    h = cm.default_h(COMMANDS[alg][1], args.mem)
+    h = cm.default_h(ALGORITHMS[alg, _variants(alg)[0]].cost, args.mem)
     # clip to the grid: a cluster larger than the whole grid buys nothing
     while h > 0 and 2 ** h > max(args.rows, args.cols):
         h -= 1
     return max(h, 1)
 
 
-def _make_instance(args, alg=None):
-    sim = SimConfig(block_bytes=args.block, memory_bytes=args.mem)
-    disk = SimDisk(sim)
-    model = args.model or (COMMANDS[alg][0] if alg else "weighted_dag")
-    g = gf.generate(disk, args.rows, args.cols, model, seed=args.seed,
-                    density=args.density)
-    return disk, g, model
-
-
-def _export(disk: SimDisk, handle, path: str):
-    with open(path, "wb") as f:
-        f.write(disk.raw_bytes(handle))
-
-
 def _dump_workspace(disk: SimDisk, directory: str):
-    import os
     os.makedirs(directory, exist_ok=True)
     for name, fid in sorted(disk._names.items()):
-        safe = name.replace("/", "_")
-        with open(os.path.join(directory, safe), "wb") as f:
+        with open(os.path.join(directory, name.replace("/", "_")), "wb") as f:
             f.write(bytes(disk._data[fid]))
 
 
-def _run_algorithm(alg: str, args, disk, g, h: int):
-    """Dispatch one algorithm; returns the output handle."""
-    if alg == "sssp":
-        if getattr(args, "variant", None) == "hierarchical":
-            levels = sssp.build_hierarchy(h, g.rows, g.cols)
-            return sssp.sssp_hierarchical(g, args.source, levels)
-        return sssp.sssp_simple(g, args.source, h)
-    if alg == "bfs":
-        out, _, _ = bfs.bfs_order(g, args.source, h)
-        return out
-    if alg == "mst":
-        if getattr(args, "variant", None) == "oblivious":
-            return mst.mst_cache_oblivious(g)
-        return mst.mst_cache_aware(g, h)
-    if alg == "toposort":
-        return ts.toposort(g, h)
-    if alg == "tfp":
-        return tfp.tfp_run(g, oracle.TFP_ORACLES[args.oracle], h)
-    if alg == "euler":
-        return euler.euler_tour(g, h, root=getattr(args, "root", None))
-    raise UsageError("unknown algorithm %r" % alg)
+def _cells(g, zs):
+    """The (row, col) of each Z-order id; None if one is outside [0, n)."""
+    if not all(0 <= z < g.n for z in zs):
+        return None
+    cell_of_z = gf.z_tables(g.rows, g.cols)[1]
+    return [divmod(int(cell_of_z[z]), g.cols) for z in zs]
 
 
-def _verify(alg: str, args, disk, g, out) -> str:
-    """Compare an artifact against the reference solver.
+def _per_cell(g, got, want: dict) -> str:
+    # n values in Z-order, each the one want gives its cell
+    z_of = gf.z_tables(g.rows, g.cols)[0]
+    ok = len(got) == g.n and all(got[int(z_of[r * g.cols + c])] == v
+                                 for (r, c), v in want.items())
+    return "exact" if ok else "mismatch"
 
-    Returns "exact" for element-for-element equality, "valid" where the
-    output is one of several correct answers and passes its validity check,
-    or "mismatch".
-    """
-    z_of, cell_of_z = gf.z_tables(g.rows, g.cols)
 
-    def coord(z):
-        cell = int(cell_of_z[z])
-        return cell // g.cols, cell % g.cols
+def _check_sssp(g, out, args) -> str:
+    return _per_cell(g, sssp.read_distances(g.disk, out), {
+        v: gf.ABSENT if d == oracle.INF else d
+        for v, d in oracle.dijkstra(g, args.source).items()})
 
-    if alg == "sssp":
-        got = sssp.read_distances(disk, out)
-        want = oracle.dijkstra(g, args.source)
-        for (r, c), dv in want.items():
-            dv = gf.ABSENT if dv == float("inf") else int(dv)
-            if got[int(z_of[r * g.cols + c])] != dv:
-                return "mismatch"
-        return "exact"
-    if alg == "bfs":
-        got = [coord(z) for z in bfs.read_order(disk, out)]
-        dist = oracle.bfs_distances(g, args.source)
-        reachable = [v for v, dv in dist.items() if dv != float("inf")]
-        if sorted(got) != sorted(reachable):
-            return "mismatch"
-        ds = [dist[v] for v in got]
-        return "valid" if ds == sorted(ds) else "mismatch"
-    if alg == "mst":
-        # n - 1 input edges at their stored weights, no cycle among them
-        # (so they span the grid), and the least total weight
-        got = mst.mst_edge_coords(disk, out)
-        weight_of = {frozenset((u, v)): w
-                     for w, u, v in oracle.undirected_edges(g)}
-        uf = oracle.UnionFind()
-        if len(got) != g.n - 1 or any(
-                weight_of.get(frozenset((u, v))) != w or not uf.union(u, v)
-                for u, v, w in got):
-            return "mismatch"
-        want, _ = oracle.mst(g)
-        return "exact" if sum(w for _, _, w in got) == want else "mismatch"
-    if alg == "toposort":
-        got = [coord(z) for z in ts.read_order(disk, out)]
-        pos = {v: i for i, v in enumerate(got)}
-        if sorted(got) != sorted((r, c)
-                                 for r in range(g.rows) for c in range(g.cols)):
-            return "mismatch"
-        for (r, c), targets in gf.adjacency(g).items():
-            for _, nr, nc, _ in targets:
-                if pos[(r, c)] >= pos[(nr, nc)]:
-                    return "mismatch"
-        return "valid"
-    if alg == "tfp":
-        got = tfp.read_labels(disk, out)
-        want = oracle.tfp_labels(g, oracle.TFP_ORACLES[args.oracle])
-        for (r, c), lv in want.items():
-            if got[int(z_of[r * g.cols + c])] != lv % (1 << 64):
-                return "mismatch"
-        return "exact"
-    if alg == "euler":
-        root = args.root or coord(euler.read_tour(disk, out)[0])
-        got = [coord(z) for z in euler.read_tour(disk, out)]
-        return "exact" if got == oracle.euler_tour(g, root) else "mismatch"
-    raise UsageError("unknown algorithm %r" % alg)
+
+def _check_tfp(g, out, args) -> str:
+    fn = oracle.TFP_ORACLES[args.oracle]
+    return _per_cell(g, tfp.read_labels(g.disk, out), {
+        v: label % (1 << 64) for v, label in oracle.tfp_labels(g, fn).items()})
+
+
+def _check_bfs(g, out, args) -> str:
+    # the reachable cells, each once, in nondecreasing distance
+    got = _cells(g, bfs.read_order(g.disk, out))
+    dist = oracle.bfs_distances(g, args.source)
+    reachable = sorted(v for v, d in dist.items() if d != oracle.INF)
+    ds = [dist[v] for v in got or ()]
+    ok = got is not None and sorted(got) == reachable and ds == sorted(ds)
+    return "valid" if ok else "mismatch"
+
+
+def _check_mst(g, out, args) -> str:
+    # n - 1 input edges at their stored weights, no cycle among them
+    # (so they span the grid), and the least total weight
+    got = mst.read_mst(g.disk, out)
+    ends = _cells(g, [z for a, b, _ in got for z in (a, b)])
+    weight_of = {frozenset(e): w for w, *e in oracle.undirected_edges(g)}
+    uf = oracle.UnionFind()
+    ok = ends is not None and len(got) == g.n - 1 and all(
+        weight_of.get(frozenset((u, v))) == w and uf.union(u, v)
+        for u, v, (_, _, w) in zip(ends[::2], ends[1::2], got))
+    total = sum(w for _, _, w in got)
+    return "exact" if ok and total == oracle.mst(g)[0] else "mismatch"
+
+
+def _check_toposort(g, out, args) -> str:
+    # every cell once, each arc's tail before its head
+    got = _cells(g, ts.read_order(g.disk, out))
+    pos = {v: i for i, v in enumerate(got or ())}
+    ok = got is not None and len(pos) == g.n == len(got) and all(
+        pos[v] < pos[(nr, nc)]
+        for v, arcs in gf.adjacency(g).items() for _, nr, nc, _ in arcs)
+    return "valid" if ok else "mismatch"
+
+
+def _check_euler(g, out, args) -> str:
+    # the tour from the root the run was given, or euler_tour's (0, 0)
+    got = _cells(g, euler.read_tour(g.disk, out))
+    want = oracle.euler_tour(g, args.root or (0, 0))
+    return "exact" if got == want else "mismatch"
+
+
+# (command, variant) -> the default instance model, the cost-model name (h
+# is taken exactly when it has a cm.WORKING_SET entry), run(g, h, args) ->
+# output handle, check(g, out, args) -> "exact", "valid" (one of several
+# correct answers, and it passes its validity check) or "mismatch"; variant
+# None for a command of one variant, and a command's first row its default
+Algorithm = collections.namedtuple("Algorithm", "model cost run check")
+ALGORITHMS = {
+    ("sssp", "simple"): Algorithm(
+        "weighted_dag", "sssp",
+        lambda g, h, a: sssp.sssp_simple(g, a.source, h), _check_sssp),
+    ("sssp", "hierarchical"): Algorithm(
+        "weighted_dag", "sssp", lambda g, h, a: sssp.sssp_hierarchical(
+            g, a.source, sssp.build_hierarchy(h, g.rows, g.cols)),
+        _check_sssp),
+    ("bfs", None): Algorithm(
+        "unit_directed", "bfs",
+        lambda g, h, a: bfs.bfs_order(g, a.source, h)[0], _check_bfs),
+    ("mst", "aware"): Algorithm(
+        "weighted_undirected", "mst_cache_aware",
+        lambda g, h, a: mst.mst_cache_aware(g, h), _check_mst),
+    ("mst", "oblivious"): Algorithm(
+        "weighted_undirected", "mst_cache_oblivious",
+        lambda g, h, a: mst.mst_cache_oblivious(g), _check_mst),
+    ("toposort", None): Algorithm(
+        "planar_dag", "toposort", lambda g, h, a: ts.toposort(g, h),
+        _check_toposort),
+    ("tfp", None): Algorithm(
+        "planar_dag", "tfp",
+        lambda g, h, a: tfp.tfp_run(g, oracle.TFP_ORACLES[a.oracle], h),
+        _check_tfp),
+    ("euler", None): Algorithm(
+        "tree", "euler", lambda g, h, a: euler.euler_tour(g, h, root=a.root),
+        _check_euler),
+}
+
+
+def _variants(command: str) -> list:
+    """A command's variants in table order, its default first."""
+    return [v for c, v in ALGORITHMS if c == command]
 
 
 def _print_report(report: dict, mode: str):
@@ -324,32 +321,32 @@ def _dispatch(args) -> int:
             print(json.dumps(rep.as_dict(), indent=2))
         return 0
 
-    alg = None
-    variant = getattr(args, "variant", None)
-    if args.command == "verify":
-        alg = args.alg
-        if variant is not None and variant not in VARIANTS.get(alg, ()):
+    alg = variant = row = h = None
+    if args.command != "gen":
+        alg = args.alg if args.command == "verify" else args.command
+        variant = getattr(args, "variant", None)
+        variant = _variants(alg)[0] if variant is None else variant
+        row = ALGORITHMS.get((alg, variant))
+        if row is None:
             raise UsageError("--alg %s has no variant %r" % (alg, variant))
-    elif args.command in COMMANDS:
-        alg = args.command
-    variant = variant or VARIANTS.get(alg, (None,))[0]
-    # the cache-oblivious MST takes no cluster level, so --h goes unread
-    takes_h = alg is not None and (alg, variant) != ("mst", "oblivious")
-    h = _resolve_h(args, alg) if takes_h else None
-    disk, g, model = _make_instance(args, alg)
+        # a variant whose cost model keeps no cluster working set (the
+        # cache-oblivious MST) takes no cluster level, so --h goes unread
+        if row.cost in cm.WORKING_SET:
+            h = _resolve_h(args, alg)
+    model = args.model or (row.model if row else "weighted_dag")
+    disk = SimDisk(SimConfig(block_bytes=args.block, memory_bytes=args.mem))
+    g = gf.generate(disk, args.rows, args.cols, model, seed=args.seed,
+                    density=args.density)
 
     # the clock covers the command's own work, never instance generation
     t0 = time.perf_counter()
-    if args.command == "gen":
-        out = g.handle
-    else:
+    out = g.handle
+    if row is not None:
         disk.reset_counters()
-        out = _run_algorithm(alg, args, disk, g, h)
+        out = row.run(g, h, args)
     wall_time_s = time.perf_counter() - t0
 
-    verdict = None
-    if args.command == "verify":
-        verdict = _verify(alg, args, disk, g, out)
+    verdict = row.check(g, out, args) if args.command == "verify" else None
 
     report = {
         "command": args.command,
@@ -361,14 +358,12 @@ def _dispatch(args) -> int:
         "output_file": out.name,
         "wall_time_s": round(wall_time_s, 6),
     }
-    if variant is not None:
-        report["variant"] = variant
-    if h is not None:
-        report["h"] = h
-    if verdict is not None:
-        report["verdict"] = verdict
+    for key, value in (("variant", variant), ("h", h), ("verdict", verdict)):
+        if value is not None:
+            report[key] = value
     if args.out:
-        _export(disk, out, args.out)
+        with open(args.out, "wb") as f:
+            f.write(disk.raw_bytes(out))
         report["exported_to"] = args.out
     if args.workspace:
         _dump_workspace(disk, args.workspace)
@@ -378,3 +373,7 @@ def _dispatch(args) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

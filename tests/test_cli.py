@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from gridscan import cli, costmodel as cm, gridfmt as gf, mst
+from gridscan import cli, costmodel as cm, gridfmt as gf
+from gridscan import bfs, euler, mst, sssp, tfp, toposort as ts
 
 
 def run_json(capsys, argv):
@@ -85,16 +90,14 @@ def test_single_vertex_sssp(tmp_path, capsys):
     assert int.from_bytes(raw[off:off + 8], "little") == 0
 
 
+def _variant_argv(variant):
+    return [] if variant is None else ["--variant", variant]
+
+
+# one case per row of the CLI's table, tfp with its non-default oracle
 @pytest.mark.parametrize("alg,extra", [
-    ("sssp", []),
-    ("sssp", ["--variant", "hierarchical"]),
-    ("bfs", []),
-    ("mst", []),
-    ("mst", ["--variant", "oblivious"]),
-    ("toposort", []),
-    ("tfp", ["--oracle", "longest_path"]),
-    ("euler", []),
-])
+    (c, _variant_argv(v) + {"tfp": ["--oracle", "longest_path"]}.get(c, []))
+    for c, v in cli.ALGORITHMS])
 def test_algorithms_run(capsys, alg, extra):
     code, rep = run_json(capsys, [
         alg, "--rows", "16", "--cols", "16", "--seed", "1"] + extra)
@@ -102,15 +105,11 @@ def test_algorithms_run(capsys, alg, extra):
     assert rep["counters"]["bytes_transferred"] > 0
 
 
+# one case per row of the CLI's table; a BFS or topological order is one of
+# several correct answers
 @pytest.mark.parametrize("alg,extra,verdict", [
-    ("sssp", ["--variant", "hierarchical"], "exact"),
-    ("bfs", [], "valid"),
-    ("mst", [], "exact"),
-    ("mst", ["--variant", "oblivious"], "exact"),
-    ("toposort", [], "valid"),
-    ("tfp", [], "exact"),
-    ("euler", [], "exact"),
-])
+    (c, _variant_argv(v), "valid" if c in ("bfs", "toposort") else "exact")
+    for c, v in cli.ALGORITHMS])
 def test_verify(capsys, alg, extra, verdict):
     code, rep = run_json(capsys, [
         "verify", "--alg", alg, "--rows", "64", "--cols", "64",
@@ -154,6 +153,106 @@ def test_verify_mst_checks_the_tree_not_only_its_weight(capsys, monkeypatch,
         "--seed", "2"])
     assert code == 3
     assert rep["verdict"] == "mismatch"
+
+
+def _one_short(values):
+    return values[:-1]
+
+
+def _one_long(values):
+    return values + [0]
+
+
+def _an_id_outside_the_grid(ids):
+    return ids + [10 ** 6]
+
+
+def _an_end_outside_the_grid(edges):
+    (_, b, w), *rest = edges
+    return [(10 ** 6, b, w)] + rest
+
+
+READERS = {"sssp": (sssp, "read_distances"), "tfp": (tfp, "read_labels"),
+           "bfs": (bfs, "read_order"), "toposort": (ts, "read_order"),
+           "mst": (mst, "read_mst")}
+
+
+@pytest.mark.parametrize("alg,corrupt", [
+    ("sssp", _one_short), ("tfp", _one_long),
+    ("bfs", _an_id_outside_the_grid), ("toposort", _an_id_outside_the_grid),
+    ("mst", _an_end_outside_the_grid)])
+def test_verify_malformed_output_is_a_mismatch(capsys, monkeypatch, alg,
+                                               corrupt):
+    module, name = READERS[alg]
+    real_read = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda disk, handle: corrupt(real_read(disk, handle)))
+    code, rep = run_json(capsys, [
+        "verify", "--alg", alg, "--rows", "8", "--cols", "8"])
+    assert code == 3
+    assert rep["verdict"] == "mismatch"
+
+
+@pytest.mark.parametrize("root,verdict", [(None, "mismatch"),
+                                          ("7,7", "exact")])
+def test_verify_euler_checks_the_root_it_was_asked_for(capsys, monkeypatch,
+                                                       root, verdict):
+    # the run roots its tour at (7, 7) whatever it is asked for
+    real_tour = euler.euler_tour
+    monkeypatch.setattr(euler, "euler_tour", lambda g, h, root=None:
+                        real_tour(g, h, root=(7, 7)))
+    argv = ["verify", "--alg", "euler", "--rows", "8", "--cols", "8"]
+    code, rep = run_json(capsys, argv + (["--root", root] if root else []))
+    assert code == (3 if verdict == "mismatch" else 0)
+    assert rep["verdict"] == verdict
+
+
+def test_python_m_runs_the_command():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gridscan.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    done = run("verify", "--alg", "bfs", "--rows", "4", "--cols", "4")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["verdict"] == "valid"
+    assert run("verify", "--alg", "bfs", "--rows", "x", "--cols", "4"
+               ).returncode == 1
+
+
+def _variant_option(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if "--variant" in a.option_strings]
+
+
+@pytest.mark.parametrize("command", sorted({c for c, _ in cli.ALGORITHMS}))
+def test_variant_choices_are_the_table_rows(command):
+    variants = [v for c, v in cli.ALGORITHMS if c == command]
+    options = _variant_option(command)
+    if variants == [None]:
+        assert options == []
+    else:
+        (option,) = options
+        assert list(option.choices) == variants
+        assert option.default == variants[0]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("command,variant", list(cli.ALGORITHMS))
+def test_report_gives_h_exactly_for_rows_with_a_working_set(
+        capsys, command, variant, verify):
+    argv = [command, "--rows", "8", "--cols", "8"] + _variant_argv(variant)
+    if verify:
+        argv = ["verify", "--alg"] + argv
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert ("h" in rep) == (cli.ALGORITHMS[command, variant].cost
+                            in cm.WORKING_SET)
 
 
 @pytest.mark.parametrize("argv", [

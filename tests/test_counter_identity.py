@@ -91,14 +91,18 @@ cluster-local ids and mark chosen edges by union record index.
 
 Instances: 32x32 and 13x7 grids, seeds 1 and 2, h = 1..3, block 64, and
 ``mst_cache_aware`` at 32x32 also at h = 4.
+
+Every case runs through its row of the CLI's algorithm table
+(``cli.ALGORITHMS``, named in ``ROWS``), so these rows also pin the calls
+the CLI makes and their arguments.
 """
 
 import hashlib
+from argparse import Namespace
 
 import pytest
 
-from gridscan import gridfmt as gf, sssp, bfs, toposort as ts, tfp, euler
-from gridscan import mst, oracle
+from gridscan import cli, gridfmt as gf, sssp, mst
 from gridscan.simdisk import FileHandle, SimDisk
 
 from conftest import make_disk, make_graph
@@ -439,15 +443,16 @@ RECORDED_D_TRACE = {
         "e82a177f029dc1bc66786ae419d41c97b8ff843a3c6478a11f36cbf1f561dc93",
 }
 
-EMITTER_RUNS = {
-    "toposort": ("planar_dag", lambda g, h: ts.toposort(g, h)),
-    "tfp_run": ("planar_dag",
-                lambda g, h: tfp.tfp_run(g, oracle.oracle_path_count, h)),
-    "euler_tour": ("tree", lambda g, h: euler.euler_tour(g, h)),
-    "mst_cache_aware": ("weighted_undirected",
-                        lambda g, h: mst.mst_cache_aware(g, h)),
-    "mst_cache_oblivious": ("weighted_undirected",
-                            lambda g, h: mst.mst_cache_oblivious(g)),
+# RECORDED* algorithm name -> its key in the CLI's table
+ROWS = {
+    "sssp_simple": ("sssp", "simple"),
+    "sssp_hierarchical": ("sssp", "hierarchical"),
+    "bfs_order": ("bfs", None),
+    "toposort": ("toposort", None),
+    "tfp_run": ("tfp", None),
+    "euler_tour": ("euler", None),
+    "mst_cache_aware": ("mst", "aware"),
+    "mst_cache_oblivious": ("mst", "oblivious"),
 }
 
 
@@ -466,37 +471,40 @@ def weighted_digraph(disk, rows, cols, seed):
     return make_graph(disk, rows, cols, "weighted_directed", edges)
 
 
-def run_sssp(solver, g, rows, cols, h, stats=None):
-    s = (rows // 2, cols // 3)
-    if solver == "sssp_simple":
-        return sssp.sssp_simple(g, s, h, stats=stats)
-    return sssp.sssp_hierarchical(g, s, sssp.build_hierarchy(h, rows, cols),
-                                  stats=stats)
+def run_case(case):
+    """Run one RECORDED or RECORDED_EMITTERS case through its row of the
+    CLI's table on a fresh disk whose counters start after the input is
+    written; returns (disk, output)."""
+    alg, rows, cols, seed, h = case
+    row = cli.ALGORITHMS[ROWS[alg]]
+    d = make_disk()
+    if row.cost == "sssp":
+        g = weighted_digraph(d, rows, cols, seed)
+    else:
+        g = gf.generate(d, rows, cols, row.model, seed=seed, density=0.6)
+    d.reset_counters()
+    args = Namespace(source=(rows // 2, cols // 3), oracle="path_count",
+                     root=None)
+    return d, row.run(g, h, args)
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED))
 def test_counters_and_output_unchanged(case):
-    solver, rows, cols, seed, h = case
-    d = make_disk()
-    if solver == "bfs_order":
-        g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
-                        density=0.6)
-        d.reset_counters()
-        out, _, _ = bfs.bfs_order(g, (rows // 2, cols // 3), h)
-    else:
-        g = weighted_digraph(d, rows, cols, seed)
-        d.reset_counters()
-        out = run_sssp(solver, g, rows, cols, h)
-    assert counters_and_hash(d, out) == RECORDED[case]
+    assert counters_and_hash(*run_case(case)) == RECORDED[case]
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_STATS))
-def test_solver_schedule_unchanged(case):
-    solver, rows, cols, seed, h = case
-    d = make_disk()
-    g = weighted_digraph(d, rows, cols, seed)
-    st = sssp.SolveStats()
-    run_sssp(solver, g, rows, cols, h, st)
+def test_solver_schedule_unchanged(monkeypatch, case):
+    # the table's run passes no stats, so keep the one the solver makes
+    made, real = [], sssp.SolveStats
+
+    def solve_stats():
+        made.append(real())
+        return made[-1]
+
+    monkeypatch.setattr(sssp, "SolveStats", solve_stats)
+    run_case(case)
+    (st,) = made
     assert (len(st.extractions), st.level0_calls, st.wasted_calls,
             st.reactivations,
             hashlib.sha256(repr(st.extractions).encode()).hexdigest()
@@ -505,13 +513,7 @@ def test_solver_schedule_unchanged(case):
 
 @pytest.mark.parametrize("case", sorted(RECORDED_EMITTERS, key=str))
 def test_emitter_counters_and_output_unchanged(case):
-    alg, rows, cols, seed, h = case
-    model, run = EMITTER_RUNS[alg]
-    d = make_disk()
-    g = gf.generate(d, rows, cols, model, seed=seed, density=0.6)
-    d.reset_counters()
-    out = run(g, h)
-    assert counters_and_hash(d, out) == RECORDED_EMITTERS[case]
+    assert counters_and_hash(*run_case(case)) == RECORDED_EMITTERS[case]
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_STACKS))
@@ -525,26 +527,6 @@ def test_stack_files_unchanged(case):
         hashlib.sha256(d.raw_bytes(FileHandle(d._names[name], name, d)))
         .hexdigest() for name in ("mst.out.conn", "mst.out.expn")
     ) == RECORDED_STACKS[case]
-
-
-def run_case(case):
-    """Run one RECORDED or RECORDED_EMITTERS case on a fresh disk whose
-    counters start after the input is written; returns (disk, output)."""
-    alg, rows, cols, seed, h = case
-    d = make_disk()
-    if alg == "bfs_order":
-        g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
-                        density=0.6)
-        d.reset_counters()
-        return d, bfs.bfs_order(g, (rows // 2, cols // 3), h)[0]
-    if alg in EMITTER_RUNS:
-        model, run = EMITTER_RUNS[alg]
-        g = gf.generate(d, rows, cols, model, seed=seed, density=0.6)
-        d.reset_counters()
-        return d, run(g, h)
-    g = weighted_digraph(d, rows, cols, seed)
-    d.reset_counters()
-    return d, run_sssp(alg, g, rows, cols, h)
 
 
 @pytest.mark.parametrize(
