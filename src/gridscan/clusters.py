@@ -7,11 +7,13 @@ address: its rank in that order.  Boundary vertices of each cluster get
 consecutive numbers, clockwise from the upper-left corner, cluster after
 cluster in rank order, so the numbering is global and arithmetic.
 
-``build_separator_graph`` condenses each cluster to its boundary: per
-boundary vertex one fixed-size record holding intra-cluster
-boundary-to-boundary payload (shortest distances, hop distances, or a
-reachability bit set) plus that vertex's edges into neighbouring clusters.
-Fixed record sizes make every record addressable by its number alone.
+``build_separator_graph`` condenses each cluster to its boundary for SSSP
+and BFS: per boundary vertex one fixed-size record holding the shortest
+distances (or hop distances) to the other boundary vertices of its cluster
+plus that vertex's edges into neighbouring clusters.  Fixed record sizes
+make every record addressable by its number alone.  This module owns that
+record file; ``toposort`` owns the reachability graph, its records and its
+zero-in-degree queue.
 """
 
 from __future__ import annotations
@@ -286,19 +288,13 @@ def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
 @dataclass
 class SeparatorGraph:
     """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
-    ``hnum * record_size`` of ``handle``.  A distance graph's slots are u64
-    when ``wide`` (weighted_directed) and u32 hop counts otherwise.  A
-    reachability graph also has a 16-bit in-degree per separator vertex in
-    ``d_handle`` and ``z_count`` u64 zero-in-degree h-numbers in
-    ``z_handle``."""
+    ``hnum * record_size`` of ``handle``.  Its slots are u64 distances when
+    ``wide`` (weighted_directed) and u32 hop counts otherwise."""
 
     scheme: ClusterScheme
     handle: object                # G' record file
     record_size: int
     wide: bool
-    d_handle: object = None
-    z_handle: object = None
-    z_count: int = 0
 
     def read_record(self, hnum: int) -> bytes:
         return self.handle.disk.read_direct(
@@ -307,7 +303,7 @@ class SeparatorGraph:
     def decode_edges(self, rank: int, pos: int, raw: bytes):
         """Yield (cluster rank, boundary position, weight) of every edge of
         ``raw``, the record of the separator vertex at position ``pos`` of
-        cluster ``rank`` (distance graphs).
+        cluster ``rank``.
 
         The first bsize - 1 slots of a record hold the distances to the
         other boundary vertices of its cluster, in position order; the rest
@@ -330,51 +326,6 @@ class SeparatorGraph:
                 dr, dc = gf.DIR_OFFSETS[v >> shift]
                 yield (*scheme.locate(r0 + lr + dr, c0 + lc + dc),
                        v & ((1 << shift) - 1))
-
-    def decode_reach(self, hnum: int, raw: bytes) -> list[int]:
-        """H-numbers of every target of separator vertex ``hnum`` from its
-        record ``raw`` (reachability graphs).
-
-        A record is a bit set over the boundary positions of its own cluster
-        (the boundary vertices it reaches inside the cluster) and one byte of
-        directions of its edges out of the cluster.  The targets inside the
-        cluster come first, by position, then those across, by direction.
-        """
-        scheme = self.scheme
-        base = scheme.bases[bisect_right(scheme.bases, hnum) - 1]
-        m = int.from_bytes(raw[:-1], "little")
-        targets = []
-        while m:                       # set bits, lowest first
-            low = m & -m
-            targets.append(base + low.bit_length() - 1)
-            m ^= low
-        out_mask = raw[-1]
-        if out_mask:
-            r, c = scheme.coord_of_h_number(hnum)
-            for d, (dr, dc) in enumerate(gf.DIR_OFFSETS):
-                if out_mask >> d & 1:
-                    targets.append(scheme.h_number(r + dr, c + dc))
-        return targets
-
-
-def topo_order(q: InMemoryCluster) -> list | None:
-    """Topological order of the intra-cluster subgraph, or None if it has a
-    cycle.  Of the cells ready at each step the smallest row-major local id
-    comes first, so the order is deterministic."""
-    indeg = [0] * q.n
-    for arcs in q.intra:
-        for _, u, _ in arcs:
-            indeg[u] += 1
-    heap = [v for v in range(q.n) if indeg[v] == 0]    # ascending: a heap
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for _, u, _ in q.intra[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, u)
-    return order if len(order) == q.n else None
 
 
 def local_dijkstra(q: InMemoryCluster, seeds) -> list:
@@ -399,100 +350,51 @@ def local_dijkstra(q: InMemoryCluster, seeds) -> list:
     return dist
 
 
-def build_separator_graph(g: gf.GridGraph, h: int, name: str = "gprime",
-                          reach: bool = False) -> SeparatorGraph:
-    """Condense every cluster to boundary-to-boundary payload plus cross edges.
+def build_separator_graph(g: gf.GridGraph, h: int,
+                          name: str = "gprime") -> SeparatorGraph:
+    """Condense every cluster to boundary-to-boundary distances plus cross
+    edges.
 
-    Written sequentially in h-number order.  A distance graph's slots are
-    u64 distances for the weighted_directed encoding and u32 hop counts for
-    the unweighted one.  With ``reach`` the payload is a reachability bit set
-    instead, and an in-degree file (16-bit per separator vertex) and a queue
-    file of zero-in-degree vertices are produced as well.
+    Written sequentially in h-number order.  The slots are u64 distances for
+    the weighted_directed encoding and u32 hop counts for the unweighted one.
     """
     gf.check_input(g, ("weighted_directed", "unweighted"), ClusterError)
-    disk = g.disk
     scheme = ClusterScheme(g.rows, g.cols, h)
     # h = 0 degenerates to 1x1 clusters whose single vertex can have up to 8
     # cross-cluster edges; widen the record so the slot budget still holds
     slots = 4 * (1 << h) if h > 0 else 8
     wide = g.encoding != "unweighted"
     dtype, absent, shift = _SLOT_FORMATS[wide]
-    rec_size = -(-slots // 8) + 1 if reach else slots * dtype.itemsize
 
-    handle = disk.open_file(name)
-    out = disk.append_stream(handle)
-    indeg = np.zeros(scheme.total_boundary, dtype=np.int64) if reach else None
-
+    handle = g.disk.open_file(name)
+    out = g.disk.append_stream(handle)
     for q in iterate_clusters(g, scheme):
         bpos = _shape(q.hgt, q.wid).bpos
         bsize = len(q.boundary)
-        base = scheme.bases[q.rank]
-        if reach:
-            order = topo_order(q)
-            if order is None:
-                raise ClusterError("cycle inside the cluster at (%d,%d)"
-                                   % (q.r0, q.c0))
-            reached = [0] * q.n
-            for v in reversed(order):
-                acc = 0
-                for _, u, _ in q.intra[v]:
-                    if bpos[u] >= 0:
-                        acc |= 1 << bpos[u]
-                    acc |= reached[u]
-                reached[v] = acc
-            out_masks = [0] * bsize
-            for v, d, nr, nc, _ in q.out_edges:
-                out_masks[bpos[v]] |= 1 << d
-                indeg[scheme.h_number(nr, nc)] += 1
-            recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
-                            + bytes([m])
-                            for v, m in zip(q.boundary, out_masks))
-            masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
-            bits = np.unpackbits(masks[:, :-1], axis=1, bitorder="little")
-            indeg[base:base + bsize] += bits[:, :bsize].sum(axis=0,
-                                                            dtype=np.int64)
-            out.write(recs)
-        else:
-            recs = np.full((bsize, slots), absent, dtype=dtype)
-            # slots 0 .. bsize-2: distances to the other boundary vertices
-            dists = np.empty((bsize, bsize), dtype=dtype)
-            for i, li in enumerate(q.boundary):
-                dist = local_dijkstra(q, [(0, li)])
-                row = [dist[v] for v in q.boundary]
-                top = max([d for d in row if d != INF])
-                if top >= absent:
-                    raise ClusterError(
-                        "boundary distance %d in the cluster at (%d,%d) does "
-                        "not fit below the no-path marker" % (top, q.r0, q.c0))
-                dists[i] = [absent if d == INF else d for d in row]
-            recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
-                bsize, bsize - 1)
-            # then the vertex's edges into other clusters
-            fill = [bsize - 1] * bsize
-            for v, d, _, _, w in q.out_edges:
-                if w >> shift:
-                    raise ClusterError("weight too large for slot encoding")
-                i = bpos[v]
-                if fill[i] == slots:
-                    raise ClusterError("cross-cluster slot overflow")
-                recs[i, fill[i]] = (d << shift) | w
-                fill[i] += 1
-            out.write(recs.tobytes())
+        recs = np.full((bsize, slots), absent, dtype=dtype)
+        # slots 0 .. bsize-2: distances to the other boundary vertices
+        dists = np.empty((bsize, bsize), dtype=dtype)
+        for i, li in enumerate(q.boundary):
+            dist = local_dijkstra(q, [(0, li)])
+            row = [dist[v] for v in q.boundary]
+            top = max([d for d in row if d != INF])
+            if top >= absent:
+                raise ClusterError(
+                    "boundary distance %d in the cluster at (%d,%d) does "
+                    "not fit below the no-path marker" % (top, q.r0, q.c0))
+            dists[i] = [absent if d == INF else d for d in row]
+        recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
+            bsize, bsize - 1)
+        # then the vertex's edges into other clusters
+        fill = [bsize - 1] * bsize
+        for v, d, _, _, w in q.out_edges:
+            if w >> shift:
+                raise ClusterError("weight too large for slot encoding")
+            i = bpos[v]
+            if fill[i] == slots:
+                raise ClusterError("cross-cluster slot overflow")
+            recs[i, fill[i]] = (d << shift) | w
+            fill[i] += 1
+        out.write(recs.tobytes())
     out.close()
-
-    gp = SeparatorGraph(scheme, handle, rec_size, wide)
-    if reach:
-        if indeg.max(initial=0) >= 2 ** 16:
-            raise ClusterError("in-degree exceeds 16 bits")
-        d_handle = disk.open_file(name + ".indeg")
-        ds = disk.append_stream(d_handle)
-        ds.write(indeg.astype("<u2").tobytes())
-        ds.close()
-        z_handle = disk.open_file(name + ".zqueue")
-        zs = disk.append_stream(z_handle)
-        zero = np.flatnonzero(indeg == 0)
-        zs.write(zero.astype("<u8").tobytes())
-        zcount = len(zero)
-        zs.close()
-        gp.d_handle, gp.z_handle, gp.z_count = d_handle, z_handle, zcount
-    return gp
+    return SeparatorGraph(scheme, handle, slots * dtype.itemsize, wide)

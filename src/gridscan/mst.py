@@ -93,8 +93,6 @@ def _flip(e):
 def prune_and_contract(edges: list, keep: set) -> ContractedTree:
     """Contract a forest onto ``keep``: strip keep-free branches, replace
     maximal paths of non-kept degree-2 vertices by one representative edge."""
-    if all(u in keep and v in keep for u, v, _, _ in edges):
-        return ContractedTree(list(edges))
     ct = ContractedTree()
     nbrs: dict = {}                 # vertex -> {edge index: other endpoint}
     for i, (u, v, _, _) in enumerate(edges):

@@ -383,8 +383,6 @@ def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
 def build_hierarchy(h0: int, rows: int, cols: int) -> list[int]:
     """Level sequence h_0 < h_1 < ... truncated once one cluster covers the
     grid: h_1 = h_0 + 3, then h_i = 2^(h_{i-1} - h_{i-2} - 2) * h_{i-1}."""
-    if h0 < 1:
-        raise SsspError("h0 must be at least 1")
     side = max(rows, cols)
     levels = [h0]
     while (1 << levels[-1]) < side:
@@ -438,17 +436,17 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
             heapq.heappush(heaps.setdefault((lv, ancestor(coord, lv)), []),
                            (best[0], ancestor(coord, lv - 1)))
 
-    def level0_step(rank) -> bool:
-        """One extraction inside an h0 cluster; False when nothing tentative."""
+    def level0_step(rank):
+        """One extraction inside an h0 cluster; wasted when nothing is
+        tentative there."""
         stats.level0_calls += 1
         touched = _settle(gp, dfile, rank, stats)
         if touched is None:
             keys[coords[rank]] = INF_D
             stats.wasted_calls += 1
-            return False
+            return
         for tr, vals in touched.items():
             refresh(tr, vals)
-        return True
 
     def process(level, coord):
         if level == 0:
@@ -471,12 +469,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
                 heapq.heappush(heap, (nk, entry[1]))
 
     refresh(srank, svals)
-    if k == 0:
-        while level0_step(0):
-            pass
-    else:
-        while child_key(k, (0, 0)) < INF_D:
-            process(k, (0, 0))
+    while child_key(k, (0, 0)) < INF_D:
+        process(k, (0, 0))
     return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
 
 

@@ -113,7 +113,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     """
     disk = g.disk
     stats = stats if stats is not None else TfpStats()
-    scheme, rtab = ts.number_separator(g, h, name, TfpError)
+    gp = ts.build_reach_graph(g, h, name + ".gp", TfpError)
+    scheme, rtab = gp.scheme, ts.topo_number_separator(gp)
 
     # collect cross-cluster edges per receiving cluster rank, as (boundary
     # position of the head, direction); their volume is bounded by the

@@ -7,12 +7,20 @@ Alternating predecessor/successor rounds assign most interior vertices; the
 rest form weakly-connected left-over components that inherit the chunk of a
 numbered left neighbour.  Chunks are emitted in rank order, each internally
 topologically sorted.
+
+This module owns the reachability graph, which ``tfp`` numbers too:
+``build_reach_graph`` writes its record file ``*.gp`` and keeps the
+in-degree table in memory, and ``topo_number_separator`` writes and
+consumes the zero-in-degree queue ``*.gp.zqueue``.  ``clusters`` supplies
+the cluster scheme and decode.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +47,135 @@ class TopoStats:
     chunk_count: int = 0
 
 
-def topo_number_separator(gp: cl.SeparatorGraph) -> np.ndarray:
+def _topo_order(q: cl.InMemoryCluster, error=ToposortError) -> list:
+    """Topological order of the intra-cluster subgraph; a cycle is raised as
+    ``error``.  Of the cells ready at each step the smallest row-major local
+    id comes first, so the order is deterministic."""
+    indeg = [0] * q.n
+    for arcs in q.intra:
+        for _, u, _ in arcs:
+            indeg[u] += 1
+    heap = [v for v in range(q.n) if indeg[v] == 0]    # ascending: a heap
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for _, u, _ in q.intra[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heapq.heappush(heap, u)
+    if len(order) != q.n:
+        raise error("cycle inside the cluster at (%d,%d)" % (q.r0, q.c0))
+    return order
+
+
+@dataclass
+class ReachGraph:
+    """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
+    ``hnum * record_size`` of ``handle``.  ``indeg`` holds the in-degree of
+    every separator vertex, in memory from the build to the numbering."""
+
+    scheme: cl.ClusterScheme
+    handle: object
+    record_size: int
+    indeg: np.ndarray
+
+    def read_record(self, hnum: int) -> bytes:
+        return self.handle.disk.read_direct(
+            self.handle, hnum * self.record_size, self.record_size)
+
+    def decode_reach(self, hnum: int, raw: bytes) -> list[int]:
+        """H-numbers of every target of separator vertex ``hnum`` from its
+        record ``raw``.
+
+        A record is a bit set over the boundary positions of its own cluster
+        (the boundary vertices it reaches inside the cluster) and one byte of
+        directions of its edges out of the cluster.  The targets inside the
+        cluster come first, by position, then those across, by direction.
+        """
+        scheme = self.scheme
+        base = scheme.bases[bisect_right(scheme.bases, hnum) - 1]
+        m = int.from_bytes(raw[:-1], "little")
+        targets = []
+        while m:                       # set bits, lowest first
+            low = m & -m
+            targets.append(base + low.bit_length() - 1)
+            m ^= low
+        out_mask = raw[-1]
+        if out_mask:
+            r, c = scheme.coord_of_h_number(hnum)
+            for d, (dr, dc) in enumerate(gf.DIR_OFFSETS):
+                if out_mask >> d & 1:
+                    targets.append(scheme.h_number(r + dr, c + dc))
+        return targets
+
+
+def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
+                      error=ToposortError) -> ReachGraph:
+    """Condense every cluster of an unweighted DAG to the reachability
+    records of its boundary, written sequentially in h-number order, and
+    count each separator vertex's in-degree.  Another encoding, or a cycle
+    inside a cluster, is raised as ``error``."""
+    gf.check_input(g, ("unweighted",), error)
+    scheme = cl.ClusterScheme(g.rows, g.cols, h)
+    # one bit per boundary position, fewer than 4 * 2^h of them, then the
+    # byte of out-directions
+    rec_size = -(-(4 << h) // 8) + 1
+    handle = g.disk.open_file(name)
+    out = g.disk.append_stream(handle)
+    indeg = np.zeros(scheme.total_boundary, dtype=np.int64)
+    for q in cl.iterate_clusters(g, scheme):
+        bpos = scheme.shape(q.rank).bpos
+        bsize = len(q.boundary)
+        base = scheme.bases[q.rank]
+        reached = [0] * q.n
+        for v in reversed(_topo_order(q, error)):
+            acc = 0
+            for _, u, _ in q.intra[v]:
+                if bpos[u] >= 0:
+                    acc |= 1 << bpos[u]
+                acc |= reached[u]
+            reached[v] = acc
+        out_masks = [0] * bsize
+        for v, d, nr, nc, _ in q.out_edges:
+            out_masks[bpos[v]] |= 1 << d
+            indeg[scheme.h_number(nr, nc)] += 1
+        recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
+                        + bytes([m])
+                        for v, m in zip(q.boundary, out_masks))
+        masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
+        bits = np.unpackbits(masks[:, :-1], axis=1, bitorder="little")
+        indeg[base:base + bsize] += bits[:, :bsize].sum(axis=0,
+                                                        dtype=np.int64)
+        out.write(recs)
+    out.close()
+    return ReachGraph(scheme, handle, rec_size, indeg)
+
+
+def topo_number_separator(gp: ReachGraph) -> np.ndarray:
     """Kahn's algorithm over the reachability separator graph; returns the
     topological rank of every separator vertex, indexed by h-number.
 
-    The in-degree table and the rank table live in memory (2 and 8 bytes
-    per separator vertex); the zero-in-degree queue is consumed as a FIFO
-    file and extended in place.
+    It counts ``gp.indeg`` down in place; that table and the rank table
+    live in memory (8 bytes per separator vertex each).  The zero-in-degree
+    queue is written to ``<record file>.zqueue``, consumed as a FIFO file
+    and extended in place.
     """
-    if gp.d_handle is None:
-        raise ToposortError("separator graph must be a reachability graph")
     disk = gp.handle.disk
-    total = gp.scheme.total_boundary
-    indeg = np.frombuffer(
-        disk.read_direct(gp.d_handle, 0, 2 * total), dtype="<u2").astype(
-        np.int64).copy()
+    indeg = gp.indeg
+    zero = np.flatnonzero(indeg == 0)
+    z_handle = disk.open_file(gp.handle.name + ".zqueue")
+    zs = disk.append_stream(z_handle)
+    zs.write(zero.astype("<u8").tobytes())
+    zs.close()
 
-    z_reader = disk.scan_reader(gp.z_handle, 0)
+    z_reader = disk.scan_reader(z_handle, 0)
     # continue the queue at its logical end (the file itself is block padded)
-    z_stream = disk.append_stream(gp.z_handle, 8 * gp.z_count)
-    z_avail = gp.z_count
+    z_stream = disk.append_stream(z_handle, 8 * len(zero))
+    z_avail = len(zero)
     z_read = 0
 
-    r = np.full(total, -1, dtype=np.int64)
+    r = np.full(len(indeg), -1, dtype=np.int64)
     numbered = 0
     while z_read < z_avail:
         u = int.from_bytes(z_reader.read(8), "little")
@@ -77,21 +191,9 @@ def topo_number_separator(gp: cl.SeparatorGraph) -> np.ndarray:
             z_stream.write(ready)
             z_avail += len(ready) // 8
     z_stream.close()
-    if numbered != total:
+    if numbered != len(indeg):
         raise ToposortError("separator graph cyclic")
     return r
-
-
-def number_separator(g: gf.GridGraph, h: int, name: str, error):
-    """Check a DAG input, condense it to its reachability separator graph and
-    number that topologically; a ClusterError is raised as ``error``.
-    Returns (cluster scheme, rank table)."""
-    gf.check_input(g, ("unweighted",), error)
-    try:
-        gp = cl.build_separator_graph(g, h, name=name + ".gp", reach=True)
-    except cl.ClusterError as e:
-        raise error(str(e)) from e
-    return gp.scheme, topo_number_separator(gp)
 
 
 def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
@@ -110,10 +212,7 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
         for _, u, _ in q.intra[v]:
             succ[v].append(u)
             pred[u].append(v)
-    order = cl.topo_order(q)
-    if order is None:
-        raise ToposortError("cycle inside the cluster at (%d,%d)"
-                            % (q.r0, q.c0))
+    order = _topo_order(q)
     chunk = [None] * n
     for v, rank in zip(q.boundary, ranks):
         chunk[v] = rank
@@ -193,7 +292,8 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
              stats: TopoStats | None = None):
     """Full pipeline; returns the handle of the ordered vertex file."""
     disk = g.disk
-    scheme, rtab = number_separator(g, h, out_name, ToposortError)
+    gp = build_reach_graph(g, h, out_name + ".gp")
+    scheme, rtab = gp.scheme, topo_number_separator(gp)
 
     c_handle = disk.open_file(out_name + ".chunks")
     c_stream = disk.append_stream(c_handle)

@@ -389,6 +389,14 @@ def test_report_counters_keys(capsys):
         "random_blocks", "sequential_blocks"]
 
 
+def test_hierarchical_sssp_at_h0_runs(capsys):
+    code, rep = run_json(capsys, [
+        "verify", "--alg", "sssp", "--variant", "hierarchical",
+        "--rows", "8", "--cols", "8", "--h", "0"])
+    assert code == 0
+    assert rep["verdict"] == "exact"
+
+
 def test_h_at_the_range_ends_runs(capsys):
     for h in ("0", "3"):
         code, rep = run_json(capsys, [

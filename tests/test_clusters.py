@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
+from gridscan import toposort as ts
+from gridscan.simdisk import FileHandle
 
 from conftest import make_disk, make_graph, grid4_edges
 
@@ -244,7 +246,7 @@ def test_reachability_through_interior():
     # interior hops; only the endpoints are boundary vertices
     g = make_graph(d, 4, 4, "unweighted",
                    {(0, 0): {gf.SE: 1}, (1, 1): {gf.SE: 1}, (2, 2): {gf.SE: 1}})
-    gp = cl.build_separator_graph(g, 2, reach=True)
+    gp = ts.build_reach_graph(g, 2)
     s = gp.scheme
     u = s.h_number(0, 0)
     assert gp.decode_reach(u, gp.read_record(u)) == [s.h_number(3, 3)]
@@ -253,20 +255,21 @@ def test_reachability_through_interior():
 def test_reachability_indegree_and_queue():
     d = make_disk()
     g = gf.generate(d, 8, 8, "planar_dag", seed=3, density=0.7)
-    gp = cl.build_separator_graph(g, 1, reach=True)
+    gp = ts.build_reach_graph(g, 1, name="reach")
     s = gp.scheme
     indeg = [0] * s.total_boundary
     for hn in range(s.total_boundary):
         for t in gp.decode_reach(hn, gp.read_record(hn)):
             indeg[t] += 1
-    draw = d.raw_bytes(gp.d_handle)
-    stored = [int.from_bytes(draw[2 * i:2 * i + 2], "little")
-              for i in range(s.total_boundary)]
-    assert stored == indeg
-    zraw = d.raw_bytes(gp.z_handle)
+    assert gp.indeg.tolist() == indeg
+    zero = [i for i in range(s.total_boundary) if indeg[i] == 0]
+    # the numbering writes the queue, then extends it as vertices get ready
+    ts.topo_number_separator(gp)
+    name = "reach.zqueue"
+    zraw = d.raw_bytes(FileHandle(d._names[name], name, d))
     zs = [int.from_bytes(zraw[8 * i:8 * i + 8], "little")
-          for i in range(gp.z_count)]
-    assert zs == [i for i in range(s.total_boundary) if indeg[i] == 0]
+          for i in range(len(zero))]
+    assert zs == zero
 
 
 @pytest.mark.parametrize("rows,cols,seed", [(16, 16, 4), (13, 7, 9)])
@@ -277,7 +280,7 @@ def test_reach_and_distance_decoders_agree(rows, cols, seed, h):
     d = make_disk()
     g = gf.generate(d, rows, cols, "planar_dag", seed=seed, density=0.7)
     dist = cl.build_separator_graph(g, h, name="dist")
-    reach = cl.build_separator_graph(g, h, name="reach", reach=True)
+    reach = ts.build_reach_graph(g, h)
     s = dist.scheme
     crossing = 0
     for rank in range(len(s.bases) - 1):
@@ -298,8 +301,8 @@ def test_separator_width_follows_encoding(h):
     for encoding, width in (("weighted_directed", 8), ("unweighted", 4)):
         g = make_graph(make_disk(), 8, 8, encoding, {})
         assert cl.build_separator_graph(g, h).record_size == slots * width
-        reach = cl.build_separator_graph(g, h, name="reach", reach=True)
-        assert reach.record_size == -(-slots // 8) + 1
+    # reachability records take only the unweighted encoding, the last one
+    assert ts.build_reach_graph(g, h).record_size == -(-slots // 8) + 1
 
 
 @pytest.mark.parametrize("reach", [False, True])
@@ -308,8 +311,10 @@ def test_separator_graph_rejects_weighted_undirected(reach):
     # separator records would miss the N, NE, W and NW ones
     g = gf.generate(make_disk(), 8, 8, "weighted_undirected", seed=1,
                     density=0.8)
-    with pytest.raises(cl.ClusterError, match="weighted_directed"):
-        cl.build_separator_graph(g, 1, reach=reach)
+    build, error = ((ts.build_reach_graph, ts.ToposortError) if reach
+                    else (cl.build_separator_graph, cl.ClusterError))
+    with pytest.raises(error, match="unweighted encoding"):
+        build(g, 1)
 
 
 @pytest.mark.parametrize("rows,cols,seed", [(8, 8, 1), (13, 7, 2),

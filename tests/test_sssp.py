@@ -89,6 +89,8 @@ def test_hierarchical_random(seed):
 
 def test_hierarchical_64x64():
     solve_and_compare(64, 64, 13, 2, variant="hier")
+    # h0 = 0: 1x1 clusters under levels [0, 3, 6]
+    solve_and_compare(64, 64, 13, 0, variant="hier")
 
 
 def test_hierarchical_degenerate_k0():

@@ -1,6 +1,6 @@
 import pytest
 
-from gridscan import gridfmt as gf, clusters as cl, oracle, toposort as ts
+from gridscan import gridfmt as gf, clusters as cl, oracle, tfp, toposort as ts
 
 from conftest import make_disk, make_graph
 
@@ -25,7 +25,7 @@ def assert_valid(d, out, g):
 def test_separator_numbering_forward():
     d = make_disk()
     g = gf.generate(d, 32, 32, "planar_dag", seed=0, density=0.6)
-    gp = cl.build_separator_graph(g, 2, reach=True)
+    gp = ts.build_reach_graph(g, 2)
     rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     assert sorted(rtab) == list(range(scheme.total_boundary))
@@ -37,18 +37,22 @@ def test_separator_numbering_forward():
 def test_numbering_single_edge():
     d = make_disk()
     g = make_graph(d, 1, 2, "unweighted", {(0, 0): {gf.E: 1}})
-    gp = cl.build_separator_graph(g, 0, reach=True)
+    gp = ts.build_reach_graph(g, 0)
     rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     assert rtab[scheme.h_number(0, 0)] == 0
     assert rtab[scheme.h_number(0, 1)] == 1
 
 
-def test_numbering_rejects_a_distance_graph():
+@pytest.mark.parametrize("run", [
+    lambda g: ts.toposort(g, 2),
+    lambda g: tfp.tfp_run(g, oracle.oracle_indegree, 2),
+], ids=["toposort", "tfp_run"])
+def test_in_degrees_stay_in_memory(run):
+    # the numbering counts down the table the build counted; no file holds it
     d = make_disk()
-    g = gf.generate(d, 8, 8, "planar_dag", seed=0, density=0.6)
-    with pytest.raises(ts.ToposortError):
-        ts.topo_number_separator(cl.build_separator_graph(g, 1))
+    run(gf.generate(d, 16, 16, "planar_dag", seed=1, density=0.6))
+    assert [n for n in d._names if n.endswith(".indeg")] == []
 
 
 def test_chunk_rounds_examples():
@@ -87,7 +91,7 @@ def test_chunk_leftover_component():
 def test_chunk_monotone_along_edges():
     d = make_disk()
     g = gf.generate(d, 16, 16, "planar_dag", seed=3, density=0.7)
-    gp = cl.build_separator_graph(g, 2, reach=True)
+    gp = ts.build_reach_graph(g, 2)
     rtab = ts.topo_number_separator(gp)
     scheme = gp.scheme
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
