@@ -12,8 +12,8 @@ and BFS: per boundary vertex one fixed-size record holding the shortest
 distances (or hop distances) to the other boundary vertices of its cluster
 plus that vertex's edges into neighbouring clusters.  Fixed record sizes
 make every record addressable by its number alone.  This module owns that
-record file; ``toposort`` owns the reachability graph, its records and its
-zero-in-degree queue.
+record file; ``toposort`` owns the reachability graph and its record file,
+and numbers it with its Kahn queue in memory.
 """
 
 from __future__ import annotations

@@ -6,19 +6,21 @@ arithmetic address table at the head of the chunk file (one per horizontal
 grid edge on a cluster boundary, one per vertical, one per diagonal square,
 since a planar instance uses at most one diagonal per square), while
 cross-chunk edges inside a cluster get slots in a message region stored right
-after the receiving chunk's record.  Chunks are then evaluated in rank order;
-each reads its record plus intra region sequentially, fetches inter-cluster
-slots arithmetically, asks the label callback for each vertex in turn, and
-writes its labels and outgoing messages grouped by destination.  Each
-contiguous run of bytes is one counted sequential write, so a block shared by
-adjacent message slots or label ranges is written once.  A final scan
-rewrites the cluster-ordered label file into Z-order.
+after the receiving chunk's record, addressed by absolute offset.  Chunks
+are then evaluated in rank order; each reads its record plus intra region
+sequentially, fetches inter-cluster slots arithmetically, asks the label
+callback for each vertex in turn, and writes its labels and outgoing messages
+grouped by destination.  Each contiguous run of bytes is one counted
+sequential write, so a block shared by adjacent message slots or label ranges
+is written once.  A final scan rewrites the cluster-ordered label file into
+Z-order.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +38,7 @@ MASK64 = (1 << 64) - 1
 
 CHUNK_HDR = struct.Struct("<QQIQI")     # z0, rank, count, l_addr, region bytes
 VERTEX_HDR = struct.Struct("<IBBB")     # local id, in mask, out mask, n addr
-ADDR = struct.Struct("<II")             # receiving chunk ordinal, slot index
+ADDR = struct.Struct("<Q")              # absolute offset of the slot in C
 LABEL = np.dtype([("v", "<u4"), ("label", "<u8")])   # label file record
 
 _DIAG_A = (gf.SE, gf.NW)                # top-left to bottom-right diagonal
@@ -58,7 +60,6 @@ class MessagePlan:
     l_handle: object
     a_entries: list            # (rank, cluster rank, chunk offset,
                                # chunk+region bytes)
-    region_offsets: dict       # (cluster rank, chunk ordinal) -> absolute offset
 
 
 def _inter_slot(scheme: cl.ClusterScheme, u, v) -> int:
@@ -107,9 +108,9 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     """Build the chunk file with message addressing annotations.
 
     Layout of the chunk file: the inter-cluster slot table, then per chunk a
-    header, per-vertex records (id, in mask, out mask, and the addresses of
-    outgoing intra-cluster cross-chunk messages), and the chunk's incoming
-    intra-cluster message region.
+    header, per-vertex records (id, in mask, out mask, and the absolute
+    addresses of outgoing intra-cluster cross-chunk messages), and the
+    chunk's incoming intra-cluster message region.
     """
     disk = g.disk
     stats = stats if stats is not None else TfpStats()
@@ -140,7 +141,6 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     c_stream.write(b"\0" * (inter_slots * 8))
     c_off = inter_slots * 8
     a_entries = []
-    region_offsets = {}
     l_off = 0
 
     for q in cl.iterate_clusters(g, scheme):
@@ -163,13 +163,12 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
         asg = ts.assign_chunk_numbers(
             q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
         ranks = sorted(asg.members)
-        ordinal = {rank: i for i, rank in enumerate(ranks)}
         z0 = scheme.starts[q.rank]
 
         # receive-side slot assignment: vertices in record order, incoming
         # directions clockwise from north, cross-chunk intra edges only
-        send_addr: dict = {}
-        region_slots = []
+        send_addr: dict = {}            # (sender, direction) -> (rank, slot)
+        region_slots = {}
         for rank in ranks:
             slots = 0
             for v in asg.members[rank]:
@@ -184,10 +183,21 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                     u = ur * q.wid + uc
                     if asg.chunk[u] == rank:
                         continue
-                    send_addr[(u, gf.opposite(d))] = (ordinal[rank], slots)
+                    send_addr[(u, gf.opposite(d))] = (rank, slots)
                     stats.chunk_pairs.add((asg.chunk[u], rank))
                     slots += 1
-            region_slots.append(slots)
+            region_slots[rank] = slots
+
+        # each chunk's region offset in C, from its record's size: a header,
+        # the vertex records, and one address per message it sends
+        sent = Counter(asg.chunk[u] for u, _ in send_addr)
+        region_offset = {}
+        off = c_off
+        for rank in ranks:
+            off += (CHUNK_HDR.size + VERTEX_HDR.size * len(asg.members[rank])
+                    + ADDR.size * sent[rank])
+            region_offset[rank] = off
+            off += region_slots[rank] * 8
 
         recs = bytearray()
         for rank in ranks:
@@ -197,13 +207,11 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 addrs = [send_addr[(v, d)] for d in range(8)
                          if out_mask[v] >> d & 1 and (v, d) in send_addr]
                 body += VERTEX_HDR.pack(v, in_mask[v], out_mask[v], len(addrs))
-                for pair in addrs:
-                    body += ADDR.pack(*pair)
-            region = region_slots[ordinal[rank]] * 8
+                for to, slot in addrs:
+                    body += ADDR.pack(region_offset[to] + slot * 8)
+            region = region_slots[rank] * 8
             recs += CHUNK_HDR.pack(z0, rank, cnt, l_off, region)
             recs += body + bytes(region)
-            region_offsets[(q.rank, ordinal[rank])] = \
-                c_off + CHUNK_HDR.size + len(body)
             a_entries.append((rank, q.rank, c_off,
                               CHUNK_HDR.size + len(body) + region))
             c_off += CHUNK_HDR.size + len(body) + region
@@ -214,8 +222,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
 
     # tfp_run writes every label record once; its label stream grows the file
     l_handle = disk.open_file(name + ".labels")
-    return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries),
-                       region_offsets)
+    return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries))
 
 
 def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
@@ -244,7 +251,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         for _ in range(cnt):
             v, im, om, na = VERTEX_HDR.unpack_from(raw, pos)
             pos += VERTEX_HDR.size
-            addrs = [ADDR.unpack_from(raw, pos + ADDR.size * i)
+            addrs = [ADDR.unpack_from(raw, pos + ADDR.size * i)[0]
                      for i in range(na)]
             pos += ADDR.size * na
             vertices.append((v, im, om, addrs))
@@ -290,9 +297,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                 if 0 <= ur < hgt and 0 <= uc < wid:
                     if ur * wid + uc in member:
                         continue
-                    ordv, slot = addrs.pop(0)
-                    addr = plan.region_offsets[(crank, ordv)] + slot * 8
-                    pending.append((addr, lb))
+                    pending.append((addrs.pop(0), lb))
                 else:
                     slot = _inter_slot(scheme, (r0 + vr, c0 + vc),
                                        (r0 + ur, c0 + uc))

@@ -1,18 +1,19 @@
 """Topological sorting of DAG grid graphs with cluster-sized memory.
 
 Pipeline: condense the grid to its reachability separator graph, run
-Kahn's algorithm over it with the in-degree table resident in memory, then
-number the interior of each cluster into chunks keyed by separator ranks.
-Alternating predecessor/successor rounds assign most interior vertices; the
-rest form weakly-connected left-over components that inherit the chunk of a
-numbered left neighbour.  Chunks are emitted in rank order, each internally
-topologically sorted.
+Kahn's algorithm over it with the in-degree table and the queue in memory,
+then number the interior of each cluster into chunks keyed by separator
+ranks.  Alternating predecessor/successor rounds assign most interior
+vertices; the rest form weakly-connected left-over components that inherit
+the chunk of a numbered left neighbour.  Chunks are emitted in rank order,
+each internally topologically sorted.
 
 This module owns the reachability graph, which ``tfp`` numbers too:
 ``build_reach_graph`` writes its record file ``*.gp`` and keeps the
-in-degree table in memory, and ``topo_number_separator`` writes and
-consumes the zero-in-degree queue ``*.gp.zqueue``.  ``clusters`` supplies
-the cluster scheme and decode.
+in-degree table in memory, and ``topo_number_separator`` keeps Kahn's
+queue in memory as the rank order, so ``*.gp`` is the numbering's only
+file.  ``toposort`` writes ``*.chunks`` and the output.  ``clusters``
+supplies the cluster scheme and decode.
 """
 
 from __future__ import annotations
@@ -73,12 +74,14 @@ def _topo_order(q: cl.InMemoryCluster, error=ToposortError) -> list:
 class ReachGraph:
     """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
     ``hnum * record_size`` of ``handle``.  ``indeg`` holds the in-degree of
-    every separator vertex, in memory from the build to the numbering."""
+    every separator vertex, in memory from the build to the numbering.
+    ``error`` is the exception the build raises, and the numbering too."""
 
     scheme: cl.ClusterScheme
     handle: object
     record_size: int
     indeg: np.ndarray
+    error: type
 
     def read_record(self, hnum: int) -> bytes:
         return self.handle.disk.read_direct(
@@ -149,50 +152,31 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
                                                         dtype=np.int64)
         out.write(recs)
     out.close()
-    return ReachGraph(scheme, handle, rec_size, indeg)
+    return ReachGraph(scheme, handle, rec_size, indeg, error)
 
 
 def topo_number_separator(gp: ReachGraph) -> np.ndarray:
     """Kahn's algorithm over the reachability separator graph; returns the
     topological rank of every separator vertex, indexed by h-number.
 
-    It counts ``gp.indeg`` down in place; that table and the rank table
-    live in memory (8 bytes per separator vertex each).  The zero-in-degree
-    queue is written to ``<record file>.zqueue``, consumed as a FIFO file
-    and extended in place.
+    It counts ``gp.indeg`` down in place.  The FIFO of ready vertices is
+    the h-numbers in rank order: the zero-in-degree vertices, ascending,
+    then each vertex as it becomes ready.  That list and ``indeg`` live in
+    memory, one entry per separator vertex each, and the rank table is the
+    list's inverse.  A cycle is raised as the error the graph was built
+    with.
     """
-    disk = gp.handle.disk
     indeg = gp.indeg
-    zero = np.flatnonzero(indeg == 0)
-    z_handle = disk.open_file(gp.handle.name + ".zqueue")
-    zs = disk.append_stream(z_handle)
-    zs.write(zero.astype("<u8").tobytes())
-    zs.close()
-
-    z_reader = disk.scan_reader(z_handle, 0)
-    # continue the queue at its logical end (the file itself is block padded)
-    z_stream = disk.append_stream(z_handle, 8 * len(zero))
-    z_avail = len(zero)
-    z_read = 0
-
-    r = np.full(len(indeg), -1, dtype=np.int64)
-    numbered = 0
-    while z_read < z_avail:
-        u = int.from_bytes(z_reader.read(8), "little")
-        z_read += 1
-        r[u] = numbered
-        numbered += 1
-        ready = bytearray()
+    order = np.flatnonzero(indeg == 0).tolist()
+    for u in order:                    # the list grows as vertices get ready
         for t in gp.decode_reach(u, gp.read_record(u)):
             indeg[t] -= 1
             if indeg[t] == 0:
-                ready += int(t).to_bytes(8, "little")
-        if ready:
-            z_stream.write(ready)
-            z_avail += len(ready) // 8
-    z_stream.close()
-    if numbered != len(indeg):
-        raise ToposortError("separator graph cyclic")
+                order.append(t)
+    if len(order) != len(indeg):
+        raise gp.error("separator graph cyclic")
+    r = np.empty(len(order), dtype=np.int64)
+    r[order] = np.arange(len(order))
     return r
 
 

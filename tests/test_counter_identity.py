@@ -34,7 +34,10 @@ sequential write.  The ``toposort`` and ``tfp_run`` counters were
 re-recorded, with the hashes unchanged, when the separator numbering came
 to keep the in-degree table it was built with in memory instead of writing
 it to ``.gp.indeg`` and reading it back: each row lost exactly that file's
-blocks, once read and once written, one of them random.
+blocks, once read and once written, one of them random.  They were
+re-recorded again, with the hashes unchanged, when Kahn's queue of the
+numbering came to stay in memory as the rank order instead of going
+through ``.gp.zqueue``: each row lost exactly that file's counters.
 
 The ``bfs_order``, ``sssp_simple``, ``sssp_hierarchical``, ``toposort``,
 ``tfp_run`` and ``euler_tour`` counters were re-recorded, with the hashes
@@ -190,53 +193,53 @@ RECORDED = {
 
 # (algorithm, rows, cols, seed, h): (counters as above, output sha256)
 RECORDED_EMITTERS = {
-    ('toposort', 32, 32, 1, 1): ((1832, 674, 1174, 1332, 160384),
+    ('toposort', 32, 32, 1, 1): ((1704, 545, 1107, 1142, 143936),
         "99bb4a29cf75bedca72f266e434ec15aae3b2caaf41e349b23adce622bc793e9"),
-    ('toposort', 32, 32, 1, 2): ((1384, 566, 939, 1011, 124800),
+    ('toposort', 32, 32, 1, 2): ((1288, 469, 882, 875, 112448),
         "61037f77e1988e2df3c51b08cd6311d4b79a521c2030da48eb3729278a279b4b"),
-    ('toposort', 32, 32, 1, 3): ((800, 425, 706, 519, 78400),
+    ('toposort', 32, 32, 1, 3): ((744, 368, 669, 443, 71168),
         "fbc66d1ca608b12a1c0ecc9e3d8745274d2b02a46b41e51417164a0aad7b1f71"),
-    ('toposort', 32, 32, 2, 1): ((1819, 674, 1172, 1321, 159552),
+    ('toposort', 32, 32, 2, 1): ((1691, 545, 1105, 1131, 143104),
         "a789b42cbeb2778cb647ee17b134bf806109f13b0b3964d2aedabeb73c2cb911"),
-    ('toposort', 32, 32, 2, 2): ((1351, 566, 963, 954, 122688),
+    ('toposort', 32, 32, 2, 2): ((1255, 469, 907, 817, 110336),
         "14b22f0bbb4b0bd0fb88944915ee27eff409ad91c83fcb2bbd6eeb0ac1803765"),
-    ('toposort', 32, 32, 2, 3): ((774, 424, 711, 487, 76672),
+    ('toposort', 32, 32, 2, 3): ((718, 368, 673, 413, 69504),
         "ec4c2d6d8e54e2a1ed9a71832a56e32e29601ebdc200fccc3a35c49dd1cc8b07"),
-    ('toposort', 13, 7, 1, 1): ((150, 64, 117, 97, 13696),
+    ('toposort', 13, 7, 1, 1): ((138, 51, 107, 82, 12096),
         "58cec4501d63a03fbf444db57d7c7455d40b286181017051d08cced3d9dc62b1"),
-    ('toposort', 13, 7, 1, 2): ((114, 57, 102, 69, 10944),
+    ('toposort', 13, 7, 1, 2): ((104, 46, 91, 59, 9600),
         "4924827acc00e8423d2c98bc0620e9501754d093b3f040b2be0d4805841a8e0f"),
-    ('toposort', 13, 7, 1, 3): ((62, 45, 79, 28, 6848),
+    ('toposort', 13, 7, 1, 3): ((56, 38, 73, 21, 6016),
         "54ef4a8aab08261b008e52c3cafa53907fb0a030c522612007530e4ed8968712"),
-    ('toposort', 13, 7, 2, 1): ((152, 64, 117, 99, 13824),
+    ('toposort', 13, 7, 2, 1): ((140, 51, 105, 86, 12224),
         "d83837a2a4d74e9cd72eba897debe3782279101cf92aff47ca6532b6883facf5"),
-    ('toposort', 13, 7, 2, 2): ((118, 57, 102, 73, 11200),
+    ('toposort', 13, 7, 2, 2): ((108, 46, 92, 62, 9856),
         "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
-    ('toposort', 13, 7, 2, 3): ((67, 44, 83, 28, 7104),
+    ('toposort', 13, 7, 2, 3): ((61, 38, 76, 23, 6336),
         "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
-    ('tfp_run', 32, 32, 1, 1): ((3812, 4436, 3081, 5167, 527872),
+    ('tfp_run', 32, 32, 1, 1): ((3684, 4307, 3014, 4977, 511424),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 2): ((2746, 3461, 2555, 3652, 397248),
+    ('tfp_run', 32, 32, 1, 2): ((2650, 3364, 2498, 3516, 384896),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 3): ((1700, 2379, 2009, 2070, 261056),
+    ('tfp_run', 32, 32, 1, 3): ((1644, 2322, 1972, 1994, 253824),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 2, 1): ((3800, 4439, 3072, 5167, 527296),
+    ('tfp_run', 32, 32, 2, 1): ((3672, 4310, 3005, 4977, 510848),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 2): ((2715, 3484, 2589, 3610, 396736),
+    ('tfp_run', 32, 32, 2, 2): ((2619, 3387, 2533, 3473, 384384),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 3): ((1677, 2364, 2009, 2032, 258624),
+    ('tfp_run', 32, 32, 2, 3): ((1621, 2308, 1971, 1958, 251456),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 13, 7, 1, 1): ((313, 384, 282, 415, 44608),
+    ('tfp_run', 13, 7, 1, 1): ((301, 371, 272, 400, 43008),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 2): ((226, 308, 251, 283, 34176),
+    ('tfp_run', 13, 7, 1, 2): ((216, 297, 240, 273, 32832),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 3): ((126, 202, 187, 141, 20992),
+    ('tfp_run', 13, 7, 1, 3): ((120, 195, 181, 134, 20160),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 2, 1): ((321, 368, 284, 405, 44096),
+    ('tfp_run', 13, 7, 2, 1): ((309, 355, 272, 392, 42496),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 2): ((234, 309, 255, 288, 34752),
+    ('tfp_run', 13, 7, 2, 2): ((224, 298, 245, 277, 33408),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 3): ((134, 201, 197, 138, 21440),
+    ('tfp_run', 13, 7, 2, 3): ((128, 195, 190, 133, 20672),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('euler_tour', 32, 32, 1, 1): ((1432, 283, 729, 986, 109760),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),

@@ -109,6 +109,42 @@ def test_nonplanar_cross_cluster_rejected():
         tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], 1)
 
 
+def test_cross_cluster_cycle_rejected():
+    d = make_disk()
+    g = make_graph(d, 2, 4, "unweighted",
+                   {(0, 1): {gf.E: 1}, (0, 2): {gf.W: 1}})
+    with pytest.raises(tfp.TfpError):
+        tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], 1)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_message_addresses_point_into_own_cluster_regions(h):
+    # an intra-cluster message address is an absolute offset in the chunk
+    # file: an 8-byte slot of the region of a chunk of the sender's cluster
+    d = make_disk()
+    g = gf.generate(d, 32, 32, "planar_dag", seed=1, density=0.6)
+    plan = tfp.plan_messages(g, h)
+    raw = d.raw_bytes(plan.c_handle)
+    regions, addrs = {}, []
+    for _, crank, off, size in plan.a_entries:
+        _, _, cnt, _, region = tfp.CHUNK_HDR.unpack_from(raw, off)
+        regions.setdefault(crank, []).append((off + size - region,
+                                              off + size))
+        pos = off + tfp.CHUNK_HDR.size
+        for _ in range(cnt):
+            _, _, _, na = tfp.VERTEX_HDR.unpack_from(raw, pos)
+            pos += tfp.VERTEX_HDR.size
+            for _ in range(na):
+                (addr,) = tfp.ADDR.unpack_from(raw, pos)
+                addrs.append((crank, addr))
+                pos += tfp.ADDR.size
+        assert pos == off + size - region
+    assert addrs
+    for crank, addr in addrs:
+        assert any(lo <= addr < hi and (addr - lo) % 8 == 0
+                   for lo, hi in regions[crank]), (crank, addr)
+
+
 def test_path_count_diamond():
     d = make_disk()
     g = make_graph(d, 2, 2, "unweighted",

@@ -1,6 +1,7 @@
 import pytest
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp, toposort as ts
+from gridscan import costmodel as cm
 
 from conftest import make_disk, make_graph
 
@@ -44,15 +45,44 @@ def test_numbering_single_edge():
     assert rtab[scheme.h_number(0, 1)] == 1
 
 
-@pytest.mark.parametrize("run", [
+NUMBERING_RUNS = pytest.mark.parametrize("run", [
     lambda g: ts.toposort(g, 2),
     lambda g: tfp.tfp_run(g, oracle.oracle_indegree, 2),
 ], ids=["toposort", "tfp_run"])
+
+
+@NUMBERING_RUNS
 def test_in_degrees_stay_in_memory(run):
     # the numbering counts down the table the build counted; no file holds it
     d = make_disk()
     run(gf.generate(d, 16, 16, "planar_dag", seed=1, density=0.6))
     assert [n for n in d._names if n.endswith(".indeg")] == []
+
+
+@NUMBERING_RUNS
+def test_kahn_queue_stays_in_memory(run):
+    # the queue is the rank order the numbering returns; no file holds it
+    d = make_disk()
+    run(gf.generate(d, 16, 16, "planar_dag", seed=1, density=0.6))
+    assert [n for n in d._names if n.endswith(".zqueue")] == []
+
+
+@pytest.mark.parametrize("side", [64, 128, 256])
+def test_toposort_within_model_at_m_equal_b_squared(side):
+    # make_disk's machine, B = 2^6 and M = 2^12, is the paper's proviso
+    # M = B^2 at its smallest; h is the CLI's default there
+    disk = make_disk()
+    cfg = disk.config
+    assert cfg.memory_bytes == cfg.block_bytes ** 2
+    h = cm.default_h("toposort", cfg.memory_bytes)
+    assert h == 5
+    g = gf.generate(disk, side, side, "planar_dag", seed=1, density=0.6)
+    disk.reset_counters()
+    ts.toposort(g, h)
+    moved = disk.counters_snapshot().bytes_transferred
+    model = cm.volume_model("toposort", g.n, cfg.memory_bytes,
+                            cfg.block_bytes, h)
+    assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
 
 
 def test_chunk_rounds_examples():
