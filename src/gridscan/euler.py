@@ -99,20 +99,27 @@ def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
 
 def _walk_tables(q: cl.InMemoryCluster, incoming, encoding: str):
     """Per local cell, its tree directions as a bit mask and the other end
-    of each intra-cluster edge by direction.  weighted_undirected stores an
-    edge at one end only, so its reverse is added; unweighted masks hold
-    both directions already, and a one-way mask must still be rejected."""
+    of each intra-cluster edge by direction: the symmetric closure of the
+    stored intra arcs plus the cross edges of ``incoming``.
+    weighted_undirected stores an edge at one end only, so the closure adds
+    its reverse; unweighted masks must hold both directions already, so a
+    one-way arc is rejected, and every walk in the cluster ends."""
     heads = [{} for _ in range(q.n)]
     for v in range(q.n):
         for d, u, w in q.intra[v]:
             heads[v][d] = u
-            if encoding == "weighted_undirected":
-                heads[u][gf.opposite(d)] = v
+            heads[u][gf.opposite(d)] = v
     dirs = [sum(1 << d for d in hv) for hv in heads]
-    for v, d, nr, nc, w in q.out_edges:
-        dirs[v] |= 1 << d
     for pos, d in incoming:
         dirs[q.boundary[pos]] |= 1 << gf.opposite(d)
+    if encoding == "unweighted":
+        stored = [sum(1 << d for d, _, _ in arcs) for arcs in q.intra]
+        for v, d, nr, nc, w in q.out_edges:
+            stored[v] |= 1 << d
+        for v in range(q.n):
+            if stored[v] != dirs[v]:
+                raise EulerError("input is not a tree: one-way arc at "
+                                 "(%d,%d)" % q.coord(v))
     return dirs, heads
 
 

@@ -147,18 +147,22 @@ def prune_and_contract(edges: list, keep: set) -> ContractedTree:
     return ct
 
 
-def expand(ct: ContractedTree) -> list:
-    """Inverse of prune_and_contract: the original edge multiset."""
-    reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]) for ch in ct.chains}
-    out = []
-    for e in ct.kept_edges:
+def expand(ct: ContractedTree, part=None) -> list:
+    """Inverse of prune_and_contract on ``part``, a subset of the kept edges
+    (all of them by default, which gives back the original edge multiset).
+
+    Dead ends come first, then ``part`` with each chosen representative
+    replaced by its whole chain, in its place, then every chain whose
+    representative was not chosen, without its first heaviest edge.
+    """
+    reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]): ch for ch in ct.chains}
+    out = list(ct.dead_ends)
+    for e in ct.kept_edges if part is None else part:
         u, v, w, f = e
-        if f and (_norm(u, v), w) in reps:
-            continue
-        out.append(e)
-    for ch in ct.chains:
-        out.extend(ch.edges)
-    out.extend(ct.dead_ends)
+        ch = reps.pop((_norm(u, v), w), None) if f else None
+        out.extend(ch.edges if ch else [e])
+    for ch in reps.values():
+        out.extend(e for k, e in enumerate(ch.edges) if k != ch.heavy_idx)
     return out
 
 
@@ -518,26 +522,8 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                                    for u, v, w, _ in parts[k]]))
             emitted += len(part)
             return
-        ct = _unpack_expansions(expn.pop(), cols)
-        reps = {(_norm(ch.rep[0], ch.rep[1]), ch.rep[2]): ch
-                for ch in ct.chains}
-        won = set()
-        edges = list(ct.dead_ends)
-        for e in part:
-            u, v, w, f = e
-            if f:
-                key = (_norm(u, v), w)
-                if key in reps:
-                    edges.extend(reps[key].edges)
-                    won.add(key)
-                    continue
-            edges.append(e)
-        for key, ch in reps.items():
-            if key in won:
-                continue
-            edges.extend(e for k, e in enumerate(ch.edges)
-                         if k != ch.heavy_idx)
-        parts = _split(edges, r0, c0, size, cols)
+        parts = _split(expand(_unpack_expansions(expn.pop(), cols), part),
+                       r0, c0, size, cols)
         quads = _quadrants(r0, c0, size, rows, cols)
         for k, _, _ in quads:
             conn.push(_pack_connections(parts[k], []))

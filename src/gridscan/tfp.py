@@ -1,13 +1,15 @@
 """Planar time-forward processing with chunked message passing.
 
-The DAG is cut into chunks exactly as for topological sorting.  Labels travel
-between chunks as 8-byte messages: cross-cluster edges get slots in an
-arithmetic address table at the head of the chunk file (one per horizontal
-grid edge on a cluster boundary, one per vertical, one per diagonal square,
-since a planar instance uses at most one diagonal per square), while
+The DAG is cut into chunks exactly as for topological sorting.  The input is
+read twice: by the reachability build, which also collects each separator
+vertex's cross-cluster in-directions, and by the message plan's one pass.
+Labels travel between chunks as 8-byte messages: cross-cluster edges get slots
+in an arithmetic address table at the head of the chunk file (one per
+horizontal grid edge on a cluster boundary, one per vertical, one per diagonal
+square, since a planar instance uses at most one diagonal per square), while
 cross-chunk edges inside a cluster get slots in a message region stored right
-after the receiving chunk's record, addressed by absolute offset.  Chunks
-are then evaluated in rank order; each reads its record plus intra region
+after the receiving chunk's record, addressed by absolute offset.  Chunks are
+then evaluated in rank order; each reads its record plus intra region
 sequentially, fetches inter-cluster slots arithmetically, asks the label
 callback for each vertex in turn, and writes its labels and outgoing messages
 grouped by destination.  Each contiguous run of bytes is one counted
@@ -111,29 +113,19 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     header, per-vertex records (id, in mask, out mask, and the absolute
     addresses of outgoing intra-cluster cross-chunk messages), and the
     chunk's incoming intra-cluster message region.
+
+    One pass over the clusters: a cell's in-arcs from other clusters come
+    from the reachability graph's ``cross_in``, so the plan reads the input
+    once, after the build's own read.
     """
     disk = g.disk
     stats = stats if stats is not None else TfpStats()
     gp = ts.build_reach_graph(g, h, name + ".gp", TfpError)
     scheme, rtab = gp.scheme, ts.topo_number_separator(gp)
 
-    # collect cross-cluster edges per receiving cluster rank, as (boundary
-    # position of the head, direction); their volume is bounded by the
-    # separator size, so the table stays memory resident
-    incoming: dict = {}
+    # one global table: a square's two cells may sit in different clusters,
+    # and at most one diagonal crosses it
     cross_squares: dict = {}
-    for q in cl.iterate_clusters(g, scheme):
-        for v, d, nr, nc, w in q.out_edges:
-            u = q.coord(v)
-            rank, pos = scheme.locate(nr, nc)
-            incoming.setdefault(rank, []).append((pos, d))
-            stats.chunk_pairs.add((int(rtab[scheme.h_number(*u)]),
-                                   int(rtab[scheme.bases[rank] + pos])))
-            if d not in (gf.N, gf.E, gf.S, gf.W):
-                _check_square(cross_squares,
-                              (min(u[0], nr), min(u[1], nc)),
-                              d in _DIAG_A)
-
     inter_slots = _inter_slot_count(scheme)
     stats.inter_slots = inter_slots
     c_handle = disk.open_file(name + ".chunks")
@@ -155,13 +147,19 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                     (vr, vc), (ur, uc) = q.coord(v), q.coord(u)
                     _check_square(local_squares, (min(vr, ur), min(vc, uc)),
                                   d in _DIAG_A)
+        sep = slice(scheme.bases[q.rank], scheme.bases[q.rank + 1])
+        for v, m in zip(q.boundary, gp.cross_in[sep].tolist()):
+            in_mask[v] |= m
         for v, d, nr, nc, w in q.out_edges:
             out_mask[v] |= 1 << d
-        for pos, d in incoming.get(q.rank, ()):
-            in_mask[q.boundary[pos]] |= 1 << gf.opposite(d)
+            u = q.coord(v)
+            stats.chunk_pairs.add((int(rtab[scheme.h_number(*u)]),
+                                   int(rtab[scheme.h_number(nr, nc)])))
+            if d not in (gf.N, gf.E, gf.S, gf.W):
+                _check_square(cross_squares, (min(u[0], nr), min(u[1], nc)),
+                              d in _DIAG_A)
 
-        asg = ts.assign_chunk_numbers(
-            q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
+        asg = ts.assign_chunk_numbers(q, rtab[sep].tolist())
         ranks = sorted(asg.members)
         z0 = scheme.starts[q.rank]
 
@@ -244,23 +242,21 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     l_stream = disk.append_stream(plan.l_handle, 0)
     for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
-        _, _, cnt, l_addr, region = CHUNK_HDR.unpack_from(raw, 0)
+        _, _, cnt, l_addr, _ = CHUNK_HDR.unpack_from(raw, 0)
         r0, c0, hgt, wid = scheme.extents[crank]
         pos = CHUNK_HDR.size
         vertices = []
         for _ in range(cnt):
             v, im, om, na = VERTEX_HDR.unpack_from(raw, pos)
             pos += VERTEX_HDR.size
-            addrs = [ADDR.unpack_from(raw, pos + ADDR.size * i)[0]
-                     for i in range(na)]
+            vertices.append((v, im, om,
+                             np.frombuffer(raw, "<u8", na, pos).tolist()))
             pos += ADDR.size * na
-            vertices.append((v, im, om, addrs))
-        region_base = pos
-        member = {v for v, _, _, _ in vertices}
+        # the region's messages, in the order the chunk's vertices read them
+        region = iter(np.frombuffer(raw, "<u8", offset=pos).tolist())
 
-        labels_mem = {}
+        labels_mem = {}         # this chunk's labels so far
         pending = []            # (absolute address in C, label bytes)
-        region_pos = 0
         for v, im, om, addrs in vertices:
             vr, vc = divmod(v, wid)
             ins = []
@@ -270,15 +266,11 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                 dr, dc = gf.DIR_OFFSETS[d]
                 ur, uc = vr + dr, vc + dc
                 if 0 <= ur < hgt and 0 <= uc < wid:
+                    # members are in topological order: a tail in this
+                    # chunk is labelled already, any other sent a message
                     u = ur * wid + uc
-                    if u in member:
-                        ins.append(labels_mem[u])
-                    else:
-                        slot = int.from_bytes(
-                            raw[region_base + region_pos * 8:
-                                region_base + region_pos * 8 + 8], "little")
-                        region_pos += 1
-                        ins.append(slot)
+                    ins.append(labels_mem[u] if u in labels_mem
+                               else next(region))
                 else:
                     sender = (r0 + vr + dr, c0 + vc + dc)
                     slot = _inter_slot(scheme, sender, (r0 + vr, c0 + vc))
@@ -289,21 +281,18 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             labels_mem[v] = label
 
             lb = label.to_bytes(8, "little")
+            pending.extend((addr, lb) for addr in addrs)
             for d in range(8):
                 if not (om >> d & 1):
                     continue
                 dr, dc = gf.DIR_OFFSETS[d]
                 ur, uc = vr + dr, vc + dc
                 if 0 <= ur < hgt and 0 <= uc < wid:
-                    if ur * wid + uc in member:
-                        continue
-                    pending.append((addrs.pop(0), lb))
-                else:
-                    slot = _inter_slot(scheme, (r0 + vr, c0 + vc),
-                                       (r0 + ur, c0 + uc))
-                    pending.append((slot * 8, lb))
-                    stats.slot_writes[slot] = \
-                        stats.slot_writes.get(slot, 0) + 1
+                    continue
+                slot = _inter_slot(scheme, (r0 + vr, c0 + vc),
+                                   (r0 + ur, c0 + uc))
+                pending.append((slot * 8, lb))
+                stats.slot_writes[slot] = stats.slot_writes.get(slot, 0) + 1
 
         lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
                          LABEL)

@@ -12,8 +12,10 @@ This module owns the reachability graph, which ``tfp`` numbers too:
 ``build_reach_graph`` writes its record file ``*.gp`` and keeps the
 in-degree table in memory, and ``topo_number_separator`` keeps Kahn's
 queue in memory as the rank order, so ``*.gp`` is the numbering's only
-file.  ``toposort`` writes ``*.chunks`` and the output.  ``clusters``
-supplies the cluster scheme and decode.
+file.  The build also keeps each separator vertex's directions in from
+other clusters, ``cross_in``, for ``tfp``'s message plan.  ``toposort``
+writes ``*.chunks`` and the output.  ``clusters`` supplies the cluster
+scheme and decode.
 """
 
 from __future__ import annotations
@@ -75,12 +77,16 @@ class ReachGraph:
     """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
     ``hnum * record_size`` of ``handle``.  ``indeg`` holds the in-degree of
     every separator vertex, in memory from the build to the numbering.
+    ``cross_in`` holds, one byte per separator vertex, the in-mask bits of
+    its arcs from other clusters, as TFP's vertex record stores them; only
+    ``tfp.plan_messages`` reads it, toposort does not.
     ``error`` is the exception the build raises, and the numbering too."""
 
     scheme: cl.ClusterScheme
     handle: object
     record_size: int
     indeg: np.ndarray
+    cross_in: np.ndarray
     error: type
 
     def read_record(self, hnum: int) -> bytes:
@@ -117,8 +123,9 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
                       error=ToposortError) -> ReachGraph:
     """Condense every cluster of an unweighted DAG to the reachability
     records of its boundary, written sequentially in h-number order, and
-    count each separator vertex's in-degree.  Another encoding, or a cycle
-    inside a cluster, is raised as ``error``."""
+    count each separator vertex's in-degree and the directions of its
+    cross-cluster in-arcs.  Another encoding, or a cycle inside a cluster,
+    is raised as ``error``."""
     gf.check_input(g, ("unweighted",), error)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     # one bit per boundary position, fewer than 4 * 2^h of them, then the
@@ -127,6 +134,7 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
     handle = g.disk.open_file(name)
     out = g.disk.append_stream(handle)
     indeg = np.zeros(scheme.total_boundary, dtype=np.int64)
+    cross_in = np.zeros(scheme.total_boundary, dtype=np.uint8)
     for q in cl.iterate_clusters(g, scheme):
         bpos = scheme.shape(q.rank).bpos
         bsize = len(q.boundary)
@@ -142,7 +150,9 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
         out_masks = [0] * bsize
         for v, d, nr, nc, _ in q.out_edges:
             out_masks[bpos[v]] |= 1 << d
-            indeg[scheme.h_number(nr, nc)] += 1
+            t = scheme.h_number(nr, nc)
+            indeg[t] += 1
+            cross_in[t] |= 1 << gf.opposite(d)
         recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
                         + bytes([m])
                         for v, m in zip(q.boundary, out_masks))
@@ -152,7 +162,7 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
                                                         dtype=np.int64)
         out.write(recs)
     out.close()
-    return ReachGraph(scheme, handle, rec_size, indeg, error)
+    return ReachGraph(scheme, handle, rec_size, indeg, cross_in, error)
 
 
 def topo_number_separator(gp: ReachGraph) -> np.ndarray:

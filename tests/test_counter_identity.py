@@ -37,7 +37,11 @@ it to ``.gp.indeg`` and reading it back: each row lost exactly that file's
 blocks, once read and once written, one of them random.  They were
 re-recorded again, with the hashes unchanged, when Kahn's queue of the
 numbering came to stay in memory as the rank order instead of going
-through ``.gp.zqueue``: each row lost exactly that file's counters.
+through ``.gp.zqueue``: each row lost exactly that file's counters.  The
+``tfp_run`` counters were re-recorded, with the hashes unchanged, when the
+reachability build came to hand the message plan each separator vertex's
+cross-cluster in-directions, so the plan no longer scans the input an extra
+time to collect them: each row lost exactly one scan of ``input``.
 
 The ``bfs_order``, ``sssp_simple``, ``sssp_hierarchical``, ``toposort``,
 ``tfp_run`` and ``euler_tour`` counters were re-recorded, with the hashes
@@ -217,29 +221,29 @@ RECORDED_EMITTERS = {
         "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
     ('toposort', 13, 7, 2, 3): ((61, 38, 76, 23, 6336),
         "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
-    ('tfp_run', 32, 32, 1, 1): ((3684, 4307, 3014, 4977, 511424),
+    ('tfp_run', 32, 32, 1, 1): ((3668, 4307, 2999, 4976, 510400),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 2): ((2650, 3364, 2498, 3516, 384896),
+    ('tfp_run', 32, 32, 1, 2): ((2634, 3364, 2483, 3515, 383872),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 3): ((1644, 2322, 1972, 1994, 253824),
+    ('tfp_run', 32, 32, 1, 3): ((1628, 2322, 1957, 1993, 252800),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 2, 1): ((3672, 4310, 3005, 4977, 510848),
+    ('tfp_run', 32, 32, 2, 1): ((3656, 4310, 2990, 4976, 509824),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 2): ((2619, 3387, 2533, 3473, 384384),
+    ('tfp_run', 32, 32, 2, 2): ((2603, 3387, 2518, 3472, 383360),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 3): ((1621, 2308, 1971, 1958, 251456),
+    ('tfp_run', 32, 32, 2, 3): ((1605, 2308, 1956, 1957, 250432),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 13, 7, 1, 1): ((301, 371, 272, 400, 43008),
+    ('tfp_run', 13, 7, 1, 1): ((299, 371, 271, 399, 42880),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 2): ((216, 297, 240, 273, 32832),
+    ('tfp_run', 13, 7, 1, 2): ((214, 297, 239, 272, 32704),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 3): ((120, 195, 181, 134, 20160),
+    ('tfp_run', 13, 7, 1, 3): ((118, 195, 180, 133, 20032),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 2, 1): ((309, 355, 272, 392, 42496),
+    ('tfp_run', 13, 7, 2, 1): ((307, 355, 271, 391, 42368),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 2): ((224, 298, 245, 277, 33408),
+    ('tfp_run', 13, 7, 2, 2): ((222, 298, 244, 276, 33280),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 3): ((128, 195, 190, 133, 20672),
+    ('tfp_run', 13, 7, 2, 3): ((126, 195, 189, 132, 20544),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('euler_tour', 32, 32, 1, 1): ((1432, 283, 729, 986, 109760),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),

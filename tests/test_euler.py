@@ -1,4 +1,8 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, euler
 
@@ -158,3 +162,57 @@ def test_encoding_round_trip():
     tour = tour_coords(d, out, g)
     check_closure(tour, (0, 0), g.n)
     assert stats.segments >= 1
+
+
+@contextmanager
+def time_limit(seconds=10):
+    # a walk that never returns fails the test instead of stalling the suite
+    def expire(signum, frame):
+        raise TimeoutError("no result within %d s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def without_arc(t, drop):
+    """The unweighted tree ``t`` rebuilt without the arc ``drop``, so its
+    reverse is stored one way only."""
+    edges = {v: {d: 1 for d, nr, nc, _ in arcs if (v, (nr, nc)) != drop}
+             for v, arcs in gf.adjacency(t).items()}
+    return make_graph(make_disk(), t.rows, t.cols, "unweighted", edges)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_one_way_arc_rejected(h):
+    # (0,1) -> (0,2) stored without its reverse: at h = 1 it crosses a
+    # cluster boundary, at h = 2 and 3 it lies inside one cluster
+    t = gf.generate(make_disk(), 4, 4, "tree", seed=3)
+    g = without_arc(t, ((0, 2), (0, 1)))
+    assert (0, 2) in [(nr, nc) for _, nr, nc, _ in gf.adjacency(g)[(0, 1)]]
+    with time_limit(), pytest.raises(euler.EulerError, match="one-way arc"):
+        euler.euler_tour(g, h)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_one_way_pair_rejected(h):
+    g = make_graph(make_disk(), 1, 2, "unweighted", {(0, 0): {gf.E: 1}})
+    with time_limit(), pytest.raises(euler.EulerError, match="one-way arc"):
+        euler.euler_tour(g, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.integers(4, 12), st.integers(0, 2 ** 16),
+       st.integers(0, 3), st.data())
+def test_tree_missing_one_reverse_arc_rejected(rows, cols, seed, h, data):
+    t = gf.generate(make_disk(), rows, cols, "tree", seed=seed)
+    arcs = sorted((v, (nr, nc)) for v, nbrs in gf.adjacency(t).items()
+                  for _, nr, nc, _ in nbrs)
+    # a one-way arc across clusters whose tail is the larger cell also
+    # fails the edge count; either way the input is refused
+    g = without_arc(t, data.draw(st.sampled_from(arcs)))
+    with time_limit(), pytest.raises(euler.EulerError):
+        euler.euler_tour(g, h)

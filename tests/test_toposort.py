@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp, toposort as ts
@@ -65,6 +66,43 @@ def test_kahn_queue_stays_in_memory(run):
     d = make_disk()
     run(gf.generate(d, 16, 16, "planar_dag", seed=1, density=0.6))
     assert [n for n in d._names if n.endswith(".zqueue")] == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, h: ts.toposort(g, h),
+    lambda g, h: tfp.tfp_run(g, oracle.oracle_indegree, h),
+], ids=["toposort", "tfp_run"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("rows,cols", [(13, 7), (32, 32)])
+def test_reach_pipelines_read_input_twice(run, h, rows, cols):
+    # the reachability build reads the input once and the chunk pass once;
+    # the cross-cluster in-arcs come from the build, not from a third scan
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "planar_dag", seed=1, density=0.6)
+    d.reset_counters()
+    run(g, h)
+    blk = d.config.block_bytes
+    end = g.payload_offset + g.n * g.record_size
+    k = (end - 1) // blk - g.payload_offset // blk + 1
+    assert d.file_counters(g.handle).blocks_read == 2 * k
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("rows,cols,seed", [(13, 7, 1), (32, 32, 2),
+                                            (20, 37, 3)])
+def test_cross_in_masks(h, rows, cols, seed):
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "planar_dag", seed=seed, density=0.6)
+    gp = ts.build_reach_graph(g, h)
+    scheme = gp.scheme
+    want = [0] * scheme.total_boundary
+    for (r, c), arcs in gf.adjacency(g).items():
+        for d_, nr, nc, _ in arcs:
+            if scheme.rank_of(r, c) != scheme.rank_of(nr, nc):
+                want[scheme.h_number(nr, nc)] |= 1 << gf.opposite(d_)
+    assert gp.cross_in.dtype == np.uint8
+    assert gp.cross_in.tolist() == want
+    assert any(want)
 
 
 @pytest.mark.parametrize("side", [64, 128, 256])
