@@ -181,7 +181,8 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         io = F(1 + 8)
 
     elif alg == "euler":
-        # direction bytes make the tour output 2n; entry/exit maps are tiny
+        # direction bytes make the tour output 2n; entry/exit maps are tiny;
+        # one scan reads the input, builds the maps and checks the tree
         phases = [
             ("build entry/exit maps: read input", F(1)),
             ("number segments (one block each)", ru),

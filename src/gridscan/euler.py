@@ -1,13 +1,19 @@
 """Euler tour of a tree grid graph via per-cluster entry-to-exit maps.
 
-The canonical tour leaves every vertex by the next existing edge clockwise
-strictly after the reverse of the arrival direction, with the root entered
-fictitiously from the northwest.  Each cluster is loaded once; for every way
-the tour can enter it, the walk inside the cluster is simulated in memory and
-stored as a segment (a run of 1-byte direction steps) together with the edge
-by which the tour leaves, or a terminal mark in the root's cluster.  The tour
-is then emitted by composing the maps from the root outward, which touches
-one segment record per entry.
+The input uses the symmetric unweighted encoding, which stores every edge at
+both ends.  The canonical tour leaves every vertex by the next existing edge
+clockwise strictly after the reverse of the arrival direction, with the root
+entered fictitiously from the northwest.  One scan of the input loads each
+cluster once.  The tour can enter a cluster by the reverse of each of its own
+cross-cluster arcs; these entries are taken in order of the Z index of the
+edge's smaller end by (r, c), then of the direction from that end, after the
+root's start in the root's cluster.  For every entry the walk inside the
+cluster is simulated in memory and stored as a segment (a run of 1-byte
+direction steps) together with the edge by which the tour leaves, or a
+terminal mark in the root's cluster.  The same scan checks that the input is
+a tree: every arc has its reverse, and there are 2(n - 1) arcs.  The tour is
+then emitted by composing the maps from the root outward, which touches one
+segment record per entry.
 """
 
 from __future__ import annotations
@@ -41,35 +47,7 @@ def _successor(dirs: int, arrival: int) -> int:
         d = (back + k) % 8
         if dirs >> d & 1:
             return d
-    raise EulerError("isolated vertex on tour")
-
-
-def _cross_edge_map(g: gf.GridGraph, scheme: cl.ClusterScheme):
-    """Cross-cluster tree edges grouped by receiving cluster rank, as
-    (boundary position of the entry vertex, arrival direction); also the
-    total edge count, for the tree precondition."""
-    incoming: dict = {}
-    edge_count = 0
-    for q in cl.iterate_clusters(g, scheme):
-        seen = set()
-        for v in range(q.n):
-            for d, u, w in q.intra[v]:
-                key = frozenset((v, u))
-                if key not in seen:
-                    seen.add(key)
-                    edge_count += 1
-        bpos = scheme.shape(q.rank).bpos
-        for v, d, nr, nc, w in q.out_edges:
-            # register each undirected cross edge once, as an entry into
-            # both incident clusters (symmetric unweighted storage lists it
-            # on both sides; owner-side storage only on the smaller one)
-            if q.coord(v) < (nr, nc):
-                rank, pos = scheme.locate(nr, nc)
-                incoming.setdefault(rank, []).append((pos, d))
-                incoming.setdefault(q.rank, []).append(
-                    (bpos[v], gf.opposite(d)))
-                edge_count += 1
-    return incoming, edge_count
+    raise EulerError("input is not a tree: isolated vertex on tour")
 
 
 def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
@@ -97,29 +75,23 @@ def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
         v, a = heads[v][d], d
 
 
-def _walk_tables(q: cl.InMemoryCluster, incoming, encoding: str):
-    """Per local cell, its tree directions as a bit mask and the other end
-    of each intra-cluster edge by direction: the symmetric closure of the
-    stored intra arcs plus the cross edges of ``incoming``.
-    weighted_undirected stores an edge at one end only, so the closure adds
-    its reverse; unweighted masks must hold both directions already, so a
-    one-way arc is rejected, and every walk in the cluster ends."""
+def _walk_tables(q: cl.InMemoryCluster):
+    """Per local cell, its tree directions as a bit mask (its stored arcs)
+    and the other end of each intra-cluster edge by direction.  Symmetric
+    storage lists every intra edge at both ends, so an arc stored one way
+    only is rejected, and every walk in the cluster ends."""
     heads = [{} for _ in range(q.n)]
     for v in range(q.n):
         for d, u, w in q.intra[v]:
             heads[v][d] = u
             heads[u][gf.opposite(d)] = v
+    for v in range(q.n):
+        if len(heads[v]) != len(q.intra[v]):
+            raise EulerError("input is not a tree: one-way arc at (%d,%d)"
+                             % q.coord(v))
     dirs = [sum(1 << d for d in hv) for hv in heads]
-    for pos, d in incoming:
-        dirs[q.boundary[pos]] |= 1 << gf.opposite(d)
-    if encoding == "unweighted":
-        stored = [sum(1 << d for d, _, _ in arcs) for arcs in q.intra]
-        for v, d, nr, nc, w in q.out_edges:
-            stored[v] |= 1 << d
-        for v in range(q.n):
-            if stored[v] != dirs[v]:
-                raise EulerError("input is not a tree: one-way arc at "
-                                 "(%d,%d)" % q.coord(v))
+    for v, d, nr, nc, w in q.out_edges:
+        dirs[v] |= 1 << d
     return dirs, heads
 
 
@@ -135,29 +107,40 @@ def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
 
 
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
-    """Check that the input is a tree; returns the resolved root and a
+    """Check the encoding and the root; returns the resolved root and a
     generator that simulates every possible cluster entry, one cluster in
     memory at a time, and yields each (rank, entry, arrival, steps, exit
-    edge) segment as soon as it is simulated."""
-    gf.check_input(g, ("weighted_undirected", "unweighted"), EulerError)
+    edge) segment as soon as it is simulated.  The generator checks that
+    the input is a tree as it goes, and raises after its last segment if
+    it is not."""
+    gf.check_input(g, ("unweighted",), EulerError)
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     if root is None:
         root = (0, 0)               # Morton code 0, the smallest Z index
     if not (0 <= root[0] < g.rows and 0 <= root[1] < g.cols):
         raise EulerError("root outside grid")
-    incoming, edge_count = _cross_edge_map(g, scheme)
-    if edge_count != g.n - 1:
-        raise EulerError("input is not a tree: %d edges for %d vertices"
-                         % (edge_count, g.n))
-    return root, _cluster_segments(g, scheme, incoming, root)
+    return root, _cluster_segments(g, scheme, root)
 
 
-def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, incoming,
-                      root):
+def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, root):
+    z_of = gf.z_tables(g.rows, g.cols)[0]
     root_rank = scheme.rank_of(*root)
+    # cross edges seen at one end only, keyed by (smaller end, direction
+    # from it), each mapped to the end whose arc is still missing
+    unpaired = {}
+    arcs = 0
     for q in cl.iterate_clusters(g, scheme):
-        inc = incoming.get(q.rank, [])
-        dirs, heads = _walk_tables(q, inc, g.encoding)
+        dirs, heads = _walk_tables(q)
+        arcs += sum(map(len, q.intra)) + len(q.out_edges)
+        entries = []
+        for v, d, nr, nc, w in q.out_edges:
+            a, b = q.coord(v), (nr, nc)
+            key = (a, d) if a < b else (b, gf.opposite(d))
+            if unpaired.pop(key, None) is None:
+                unpaired[key] = b
+            (sr, sc), sd = key
+            entries.append((z_of[sr * g.cols + sc], sd, v, gf.opposite(d)))
+        entries.sort()
         fd = lroot = None
         if q.rank == root_rank and g.n > 1:
             lroot = q.local(*root)
@@ -165,11 +148,16 @@ def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, incoming,
             steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
                                          fd, True)
             yield q.rank, root, None, steps, exit_edge
-        for pos, d in inc:
-            v = q.boundary[pos]
+        for _, _, v, d in entries:
             steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
                                          False)
             yield q.rank, q.coord(v), d, steps, exit_edge
+    if unpaired:
+        raise EulerError("input is not a tree: one-way arc at (%d,%d)"
+                         % next(iter(unpaired.values())))
+    if arcs != 2 * (g.n - 1):
+        raise EulerError("input is not a tree: %d edges for %d vertices"
+                         % (arcs // 2, g.n))
 
 
 def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
@@ -188,7 +176,9 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
     stream.write(zi(root).to_bytes(8, "little"))
     if g.n == 1:
-        # no segment: _cross_edge_map has read the input and checked it
+        # no segment, but the scan still reads the input and checks it
+        for _ in segments:
+            pass
         stream.close()
         return out
 

@@ -286,7 +286,8 @@ def test_instance_error_exit_code(capsys):
 WRONG_ENCODING = [
     ("sssp", "weighted_undirected"), ("sssp", "unit_directed"),
     ("bfs", "weighted_dag"), ("mst", "weighted_dag"), ("tfp", "weighted_dag"),
-    ("euler", "weighted_dag"), ("mst", "tree"),
+    ("euler", "weighted_dag"), ("euler", "weighted_undirected"),
+    ("mst", "tree"),
     ("toposort", "weighted_undirected"),
 ]
 

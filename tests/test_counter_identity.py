@@ -41,7 +41,11 @@ through ``.gp.zqueue``: each row lost exactly that file's counters.  The
 ``tfp_run`` counters were re-recorded, with the hashes unchanged, when the
 reachability build came to hand the message plan each separator vertex's
 cross-cluster in-directions, so the plan no longer scans the input an extra
-time to collect them: each row lost exactly one scan of ``input``.
+time to collect them: each row lost exactly one scan of ``input``.  The
+``euler_tour`` counters were re-recorded, with the hashes unchanged, when
+each cluster's tour entries came to be read from its own cross-cluster arcs
+instead of a pre-pass over the input: each row lost exactly one scan of
+``input``.
 
 The ``bfs_order``, ``sssp_simple``, ``sssp_hierarchical``, ``toposort``,
 ``tfp_run`` and ``euler_tour`` counters were re-recorded, with the hashes
@@ -245,29 +249,29 @@ RECORDED_EMITTERS = {
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('tfp_run', 13, 7, 2, 3): ((126, 195, 189, 132, 20544),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('euler_tour', 32, 32, 1, 1): ((1432, 283, 729, 986, 109760),
+    ('euler_tour', 32, 32, 1, 1): ((1416, 283, 714, 985, 108736),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
-    ('euler_tour', 32, 32, 1, 2): ((803, 178, 372, 609, 62784),
+    ('euler_tour', 32, 32, 1, 2): ((787, 178, 357, 608, 61760),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
-    ('euler_tour', 32, 32, 1, 3): ((389, 115, 224, 280, 32256),
+    ('euler_tour', 32, 32, 1, 3): ((373, 115, 209, 279, 31232),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),
-    ('euler_tour', 32, 32, 2, 1): ((1418, 281, 700, 999, 108736),
+    ('euler_tour', 32, 32, 2, 1): ((1402, 281, 685, 998, 107712),
         "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
-    ('euler_tour', 32, 32, 2, 2): ((784, 174, 369, 589, 61312),
+    ('euler_tour', 32, 32, 2, 2): ((768, 174, 354, 588, 60288),
         "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
-    ('euler_tour', 32, 32, 2, 3): ((395, 115, 227, 283, 32640),
+    ('euler_tour', 32, 32, 2, 3): ((379, 115, 212, 282, 31616),
         "e5054416505c7dd29bdc3f150f72abdc0a9040b321be668fee4d6a165b6a931d"),
-    ('euler_tour', 13, 7, 1, 1): ((129, 27, 68, 88, 9984),
+    ('euler_tour', 13, 7, 1, 1): ((127, 27, 67, 87, 9856),
         "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
-    ('euler_tour', 13, 7, 1, 2): ((67, 16, 35, 48, 5312),
+    ('euler_tour', 13, 7, 1, 2): ((65, 16, 34, 47, 5184),
         "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
-    ('euler_tour', 13, 7, 1, 3): ((14, 9, 18, 5, 1472),
+    ('euler_tour', 13, 7, 1, 3): ((12, 9, 17, 4, 1344),
         "55ee1c9d486073b037e16a563880ebb4bebea04ce25d5278cceb3d7fb746f78e"),
-    ('euler_tour', 13, 7, 2, 1): ((110, 26, 59, 77, 8704),
+    ('euler_tour', 13, 7, 2, 1): ((108, 26, 58, 76, 8576),
         "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
-    ('euler_tour', 13, 7, 2, 2): ((55, 15, 32, 38, 4480),
+    ('euler_tour', 13, 7, 2, 2): ((53, 15, 31, 37, 4352),
         "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
-    ('euler_tour', 13, 7, 2, 3): ((21, 10, 19, 12, 1984),
+    ('euler_tour', 13, 7, 2, 3): ((19, 10, 18, 11, 1856),
         "bb093a547279eccbbd7cfb02600d10cbb42a443899ee4521aea4d7e0e07c1b91"),
     ('mst_cache_aware', 32, 32, 1, 1): ((1717, 1078, 2793, 2, 178880),
         "71d6c5e70928694abf3edd27af9f2babee02fa96cbe767b257ca65c350d6c963"),

@@ -29,20 +29,28 @@ def check_closure(tour, root, n):
     assert all((b, a) in counts for a, b in counts)
 
 
+def tree_graph(d, rows, cols, edges):
+    """An unweighted graph with each edge ((r, c), direction) of ``edges``
+    stored at both ends, as symmetric storage requires."""
+    spec = {}
+    for (r, c), dir_ in edges:
+        dr, dc = gf.DIR_OFFSETS[dir_]
+        spec.setdefault((r, c), {})[dir_] = 1
+        spec.setdefault((r + dr, c + dc), {})[gf.opposite(dir_)] = 1
+    return make_graph(d, rows, cols, "unweighted", spec)
+
+
 def test_two_vertex_tree():
     d = make_disk()
-    g = make_graph(d, 1, 2, "weighted_undirected", {(0, 0): {gf.E: 1}})
+    g = tree_graph(d, 1, 2, [((0, 0), gf.E)])
     out = euler.euler_tour(g, 1, root=(0, 0))
     assert tour_coords(d, out, g) == [(0, 0), (0, 1), (0, 0)]
 
 
 def test_star_tour():
     d = make_disk()
-    # center (1,1) joined to all 8 neighbours, each edge stored owner-side
-    g = make_graph(d, 3, 3, "weighted_undirected",
-                   {(1, 1): {gf.E: 1, gf.SE: 1, gf.S: 1, gf.SW: 1},
-                    (0, 0): {gf.SE: 1}, (0, 1): {gf.S: 1},
-                    (0, 2): {gf.SW: 1}, (1, 0): {gf.E: 1}})
+    # center (1,1) joined to all 8 neighbours
+    g = tree_graph(d, 3, 3, [((1, 1), dir_) for dir_ in range(8)])
     out = euler.euler_tour(g, 2, root=(1, 1))
     tour = tour_coords(d, out, g)
     assert len(tour) == 17
@@ -59,12 +67,12 @@ def test_star_tour():
 
 def test_single_vertex():
     d = make_disk()
-    g = make_graph(d, 1, 1, "weighted_undirected", {})
+    g = tree_graph(d, 1, 1, [])
     d.reset_counters()
     out = euler.euler_tour(g, 1)
     assert tour_coords(d, out, g) == [(0, 0)]
     assert "euler.out.segs" not in d._names
-    # one scan of the input, which checks the edge count; no second scan
+    # no segment, but still the one scan of the input, which checks it
     c = d.counters_snapshot()
     assert (c.blocks_read, c.random_blocks) == (1, 0)
 
@@ -90,14 +98,6 @@ def test_matches_oracle_tour(rows, cols, seed, h):
                       h)
 
 
-@pytest.mark.parametrize("rows,cols,seed,h", TOUR_CASES)
-def test_weighted_undirected_tree_matches_oracle_tour(rows, cols, seed, h):
-    # each edge is stored once, at its owner, so the walk adds the reverses
-    check_oracle_tour(gf.generate(make_disk(), rows, cols,
-                                  "weighted_undirected", seed=seed,
-                                  density=0), h)
-
-
 def test_default_root_is_smallest_z():
     d = make_disk()
     g = gf.generate(d, 8, 8, "tree", seed=9)
@@ -119,8 +119,7 @@ def test_leaf_bounce():
     # entering the far cluster, the walk sweeps its whole subtree (out to the
     # leaf and back) before exiting by the reverse of the entry edge
     d = make_disk()
-    g = make_graph(d, 1, 4, "weighted_undirected",
-                   {(0, c): {gf.E: 1} for c in range(3)})
+    g = tree_graph(d, 1, 4, [((0, c), gf.E) for c in range(3)])
     maps = euler.build_entry_exit(g, 1, root=(0, 0))
     m = maps[cl.ClusterScheme(1, 4, 1).rank_of(0, 2)]
     assert m[((0, 2), gf.E)] == ((0, 2), gf.W)
@@ -139,18 +138,16 @@ def test_terminal_only_in_root_cluster():
 
 def test_non_tree_rejected():
     d = make_disk()
-    g = make_graph(d, 2, 2, "weighted_undirected",
-                   {(0, 0): {gf.E: 1, gf.S: 1},
-                    (0, 1): {gf.S: 1}, (1, 0): {gf.E: 1}})
-    with pytest.raises(euler.EulerError):
+    g = tree_graph(d, 2, 2, [((0, 0), gf.E), ((0, 0), gf.S),
+                             ((0, 1), gf.S), ((1, 0), gf.E)])
+    with pytest.raises(euler.EulerError, match="4 edges for 4 vertices"):
         euler.euler_tour(g, 1)
 
 
 def test_disconnected_rejected():
     d = make_disk()
-    g = make_graph(d, 1, 4, "weighted_undirected",
-                   {(0, 0): {gf.E: 1}, (0, 2): {gf.E: 1}})
-    with pytest.raises(euler.EulerError):
+    g = tree_graph(d, 1, 4, [((0, 0), gf.E), ((0, 2), gf.E)])
+    with pytest.raises(euler.EulerError, match="2 edges for 4 vertices"):
         euler.euler_tour(g, 1)
 
 
@@ -211,8 +208,23 @@ def test_tree_missing_one_reverse_arc_rejected(rows, cols, seed, h, data):
     t = gf.generate(make_disk(), rows, cols, "tree", seed=seed)
     arcs = sorted((v, (nr, nc)) for v, nbrs in gf.adjacency(t).items()
                   for _, nr, nc, _ in nbrs)
-    # a one-way arc across clusters whose tail is the larger cell also
-    # fails the edge count; either way the input is refused
     g = without_arc(t, data.draw(st.sampled_from(arcs)))
-    with time_limit(), pytest.raises(euler.EulerError):
+    with time_limit(), pytest.raises(euler.EulerError,
+                                     match="input is not a tree"):
         euler.euler_tour(g, h)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("rows,cols", [(13, 7), (32, 32)])
+def test_euler_reads_input_once(rows, cols, seed, h):
+    # one scan builds every cluster's entries and checks the tree, as the
+    # cost model prices it: no pre-pass collects the cross-cluster edges
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "tree", seed=seed, density=0.6)
+    d.reset_counters()
+    euler.euler_tour(g, h)
+    blk = d.config.block_bytes
+    end = g.payload_offset + g.n * g.record_size
+    k = (end - 1) // blk - g.payload_offset // blk + 1
+    assert d.file_counters(g.handle).blocks_read == k
