@@ -2,9 +2,11 @@
 
 Pipeline: exact hop distances through the three-phase scheme of ``sssp``
 (its key-order driver, with a binary-heap phase-2 queue that returns equal
-keys the latest inserted first), then per-cluster BFS forests cut into
-chunks of height < 2^h, an address list sorted by root distance, and
-emission through a rotating pool of distance-keyed stacks.
+keys the latest inserted first); per-cluster BFS forests cut into chunks of
+height < 2^h as phase 3 hands over each cluster's distances; an address list
+sorted by root distance; and emission through a rotating pool of
+distance-keyed stacks.  No file of final hop distances is written, and the
+input is read twice: once to build the separator graph and once in phase 3.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import itertools
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-
-import numpy as np
 
 from . import gridfmt as gf
 from . import clusters as cl
@@ -49,9 +49,10 @@ class BfsStats:
 
 def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
                   out_name: str = "bfsdist.out"):
-    """Exact hop distances from s, written in Z-order (ABSENT unreachable).
-
-    Returns the output handle."""
+    """Exact hop distances from s.  Runs phases 1 and 2 and returns phase
+    3's stream: per cluster in rank order, (cluster, hop distance per local
+    cell, ``clusters.INF`` if unreachable).  ``out_name`` prefixes the
+    separator graph and distance file; nothing else is written."""
     sssp.check_source(g, s_cell, "unweighted", BfsError)
     return sssp.solve_in_key_order(g, s_cell, h, LatestFirstQueue(),
                                    sssp.SolveStats(), out_name)
@@ -64,8 +65,9 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
 def _cluster_forest(q, dist):
     """Local BFS forest: parent = first in-cluster in-neighbour one hop
     closer, scanning directions clockwise from north.  ``dist`` holds the
-    hop distance per local cell, None if unreachable.  Returns (roots,
-    children) with children listed per vertex in clockwise direction order."""
+    hop distance per local cell, ``clusters.INF`` if unreachable.  Returns
+    (roots, children) with children listed per vertex in clockwise direction
+    order."""
     incoming = [[] for _ in range(q.n)]
     for v in range(q.n):
         for d, u, _ in q.intra[v]:
@@ -73,7 +75,7 @@ def _cluster_forest(q, dist):
     roots, children = [], [[] for _ in range(q.n)]
     for v in range(q.n):
         dv = dist[v]
-        if dv is None:
+        if dv == cl.INF:
             continue
         parent = None
         if dv > 0:
@@ -90,19 +92,17 @@ def _cluster_forest(q, dist):
     return roots, children
 
 
-def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
+def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
                      name: str = "bfs", stats: BfsStats | None = None):
     """Cut each cluster's BFS forest into chunks of height < 2^h.
 
-    The Z-order distance file is scanned once, each cluster's range read
-    as the cluster is processed.  Chunk record: root z-index (8 B), root
-    distance (8 B), vertex count (4 B), then one child-direction mask byte
-    per vertex in preorder.  The address list pairs each chunk's byte offset
-    with its root distance.
+    ``distances`` is ``bfs_distances``'s stream; each cluster is cut as it
+    arrives.  Chunk record: root z-index (8 B), root distance (8 B), vertex
+    count (4 B), then one child-direction mask byte per vertex in preorder.
+    The address list pairs each chunk's byte offset with its root distance.
     """
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    dist_reader = disk.scan_reader(dist_handle, g.payload_offset)
     span = 1 << h
 
     c_handle = disk.open_file(name + ".C")
@@ -112,12 +112,9 @@ def build_chunks_bfs(g: gf.GridGraph, dist_handle, h: int,
     offset = 0
     count = 0
 
-    for q in cl.iterate_clusters(g, scheme):
+    for q, dist in distances:
         z0 = scheme.starts[q.rank]
         t_of_local = scheme.shape(q.rank).t_of_local
-        zdist = np.frombuffer(dist_reader.read(8 * q.n), "<u8")
-        dist = [None if dv == gf.ABSENT else dv
-                for dv in zdist[t_of_local].tolist()]
         roots, children = _cluster_forest(q, dist)
         # a child at chunk depth 2^h starts a fresh chunk
         owner = [None] * q.n              # vertex -> (chunk root, chunk depth)
@@ -255,14 +252,15 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
 
 def bfs_order(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
               name: str = "bfs", stats: BfsStats | None = None):
-    """Full pipeline: distances, chunks, sorted addresses, emission."""
-    dist_handle = bfs_distances(g, s_cell, h, out_name=name + ".dist")
-    c_handle, a_handle, count = build_chunks_bfs(g, dist_handle, h, name=name,
-                                                 stats=stats)
+    """Full pipeline: distances, chunks, sorted addresses, emission.
+    Returns (output handle, vertices emitted, chunk count)."""
+    c_handle, a_handle, count = build_chunks_bfs(
+        g, bfs_distances(g, s_cell, h, out_name=name), h, name=name,
+        stats=stats)
     a_sorted = sort_addresses(g.disk, a_handle, count, name=name + ".A.sorted")
     out, emitted = emit_bfs_order(g, c_handle, a_sorted, count, h,
                                   out_name=name + ".order")
-    return out, emitted, dist_handle
+    return out, emitted, count
 
 
 read_order = gf.read_u64_payload

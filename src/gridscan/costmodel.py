@@ -118,12 +118,15 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
 
     elif alg == "bfs":
         # unit weights pack the input into n bytes and halve the condensed
-        # graph to 64n; the ordering pass pays one block per chunk start.
-        # The distance table's four touches per list hold as for sssp, up
-        # to h = 3.  Measured on unit_directed at density 0.6 from a source
-        # reaching half the grid, n = 2^10..2^14: 0.35-0.49x this model at
-        # h = 2 and 3, and 0.43-0.61x at h = 4, where relaxations into
-        # neighbour clusters cost more than the four touches.
+        # graph to 64n; the build and the expansion each read the input
+        # once, and the expansion hands its distances to the chunk cut, so
+        # no file of final distances is written.  The ordering pass pays one
+        # block per chunk start.  The distance table's four touches per list
+        # hold as for sssp, up to h = 3.  Measured on unit_directed at
+        # density 0.6 from a source reaching half the grid, n = 2^10..2^14:
+        # 0.33-0.45x this model at h = 2 and 3, and 0.38-0.53x at h = 4,
+        # where relaxations into neighbour clusters cost more than the four
+        # touches.
         phases = [
             ("distances: build and relax condensed graph",
              F(1 + 64) + (F(64) + 4 * ru) + F(1)),

@@ -5,7 +5,9 @@ Two solvers share the same three-phase skeleton:
 1. condense every cluster to boundary-to-boundary distances (the separator
    graph), 2. run a cluster-keyed Dijkstra over the condensed graph while the
    per-vertex distance estimates live in a file ``D``, 3. rescan the clusters
-   and finalize interior vertices from the boundary distances.
+   and finalize interior vertices from the boundary distances: a stream of
+   clusters with their distances, which both solvers write in Z-order and
+   ``bfs`` cuts into chunks as they arrive, writing no final distances.
 
 Phase 2 is one step, ``_settle``, repeated: finalize the least tentative
 estimate of a cluster and relax that vertex's separator edges.  Only the
@@ -315,14 +317,11 @@ def _settle(gp, dfile, rank, stats):
     return touched
 
 
-def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
-    """Phase 3: per cluster, a search seeded from the final boundary
-    estimates (and the source itself); distances written in Z-order."""
+def _finalize_interiors(g, scheme, dfile, s_cell):
+    """Phase 3, a stream: per cluster in rank order, the cluster and its
+    distances from a search seeded from the final boundary estimates (and
+    the source itself), INF where none reaches."""
     dfile.flush()
-    disk = g.disk
-    handle = disk.open_file(out_name)
-    stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, "distances", g.rows, g.cols, g.n)
     srank = scheme.rank_of(*s_cell)
     for q in cl.iterate_clusters(g, scheme):
         vals = dfile.read(q.rank)
@@ -334,6 +333,17 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
         top = max([d for d in dist if d != cl.INF], default=0)
         if top >= INF_D:
             raise _too_long(top)
+        yield q, dist
+
+
+def _write_distances(g, scheme, phase3, out_name):
+    """Write phase 3's distances in Z-order (ABSENT unreachable); returns
+    the output handle."""
+    disk = g.disk
+    handle = disk.open_file(out_name)
+    stream = disk.append_stream(handle)
+    gf.write_header_via(stream, disk, "distances", g.rows, g.cols, g.n)
+    for q, dist in phase3:
         dist = [gf.ABSENT if d == cl.INF else d for d in dist]
         local_of_t = scheme.shape(q.rank).local_of_t
         stream.write(np.array(dist, "<u8")[local_of_t].tobytes())
@@ -343,10 +353,11 @@ def _finalize_interiors(g, scheme, dfile, s_cell, out_name):
 
 def solve_in_key_order(g, s_cell, h: int, queue, stats: SolveStats,
                        out_name: str):
-    """The three phases with phase 2 in strict global key order.
+    """Phases 1 and 2 with phase 2 in strict global key order.
 
     ``queue`` is any min-queue with ``insert(key, rank)`` and
-    ``extract_min()``.  Returns the output handle.
+    ``extract_min()``.  ``out_name`` prefixes the separator graph and
+    distance file.  Returns phase 3's stream of (cluster, distances).
     """
     gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h, out_name)
     scheme = gp.scheme
@@ -365,7 +376,7 @@ def solve_in_key_order(g, s_cell, h: int, queue, stats: SolveStats,
         if cur_min[rank] is not None and key == cur_min[rank][0]:
             for tr, vals in _settle(gp, dfile, rank, stats).items():
                 refresh(tr, vals)
-    return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
+    return _finalize_interiors(g, scheme, dfile, s_cell)
 
 
 def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
@@ -373,7 +384,9 @@ def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
     """Exact distances from s to every vertex; strict global key order."""
     check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
-    return solve_in_key_order(g, s_cell, h, HeapQueue(), stats, out_name)
+    phase3 = solve_in_key_order(g, s_cell, h, HeapQueue(), stats, out_name)
+    return _write_distances(g, cl.ClusterScheme(g.rows, g.cols, h), phase3,
+                            out_name)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +484,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     refresh(srank, svals)
     while child_key(k, (0, 0)) < INF_D:
         process(k, (0, 0))
-    return _finalize_interiors(g, scheme, dfile, s_cell, out_name)
+    phase3 = _finalize_interiors(g, scheme, dfile, s_cell)
+    return _write_distances(g, scheme, phase3, out_name)
 
 
 read_distances = gf.read_u64_payload

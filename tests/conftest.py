@@ -5,6 +5,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gridscan.simdisk import SimConfig, SimDisk
 from gridscan import gridfmt as gf
+from gridscan import clusters as cl
 
 
 def make_disk(block=64, mem_blocks=None):
@@ -26,6 +27,18 @@ def make_graph(disk, rows, cols, encoding, edges, name="input"):
         stream.write(gf.encode_record(encoding, mask, dict(spec)))
     stream.close()
     return g
+
+
+def phase3_by_z(g, distances):
+    """Phase 3's stream of (cluster, distances) as one list in Z-order,
+    ABSENT where unreachable."""
+    z_of = gf.z_tables(g.rows, g.cols)[0]
+    out = [None] * g.n
+    for q, dist in distances:
+        for v, dv in enumerate(dist):
+            r, c = q.coord(v)
+            out[z_of[r * g.cols + c]] = gf.ABSENT if dv == cl.INF else dv
+    return out
 
 
 def grid4_edges(rows, cols, weight=1, both_dirs=True):

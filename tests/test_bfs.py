@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridscan import gridfmt as gf, oracle, bfs, sssp
+from gridscan import gridfmt as gf, clusters as cl, oracle, bfs
 
 from conftest import make_disk, make_graph
 
@@ -75,21 +75,17 @@ def test_bucket_queue_random_schedule(ops):
     assert q.extract_min() is None
 
 
-def dist_map(d, handle, g):
-    vals = sssp.read_distances(d, handle)
-    out = {}
-    for z, v in enumerate(vals):
-        r, c = gf.index_to_coord(g.rows, g.cols, z)
-        out[(r - 1, c - 1)] = None if v == gf.ABSENT else v
-    return out
+def dist_map(distances):
+    """{(row, col): hop distance, None if unreachable} of phase 3's stream."""
+    return {q.coord(v): None if dv == cl.INF else dv
+            for q, dist in distances for v, dv in enumerate(dist)}
 
 
 @pytest.mark.parametrize("seed,h", [(0, 1), (1, 2), (2, 2), (3, 3), (4, 0)])
 def test_bfs_distances_match_oracle(seed, h):
     d = make_disk()
     g = gf.generate(d, 32, 32, "unit_directed", seed=seed, density=0.55)
-    handle = bfs.bfs_distances(g, (3, 4), h)
-    got = dist_map(d, handle, g)
+    got = dist_map(bfs.bfs_distances(g, (3, 4), h))
     expect = oracle.bfs_distances(g, (3, 4))
     for v in expect:
         e = None if expect[v] == float("inf") else expect[v]
@@ -100,16 +96,15 @@ def test_bfs_distance_row_path():
     d = make_disk()
     g = make_graph(d, 1, 6, "unweighted",
                    {(0, c): {gf.E: 1} for c in range(5)})
-    handle = bfs.bfs_distances(g, (0, 0), 1)
-    got = dist_map(d, handle, g)
+    got = dist_map(bfs.bfs_distances(g, (0, 0), 1))
     assert got == {(0, c): c for c in range(6)}
 
 
 def test_chunks_partition_reachable():
     d = make_disk()
     g = gf.generate(d, 16, 16, "unit_directed", seed=4, density=0.6)
-    handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
-    c_handle, a_handle, count = bfs.build_chunks_bfs(g, handle, 2)
+    c_handle, a_handle, count = bfs.build_chunks_bfs(
+        g, bfs.bfs_distances(g, (0, 0), 2), 2)
     expect = oracle.bfs_distances(g, (0, 0))
     reach = {v for v in expect if expect[v] != float("inf")}
     seen = []
@@ -133,8 +128,8 @@ def test_chunks_partition_reachable():
 def test_tall_path_is_cut():
     d = make_disk()
     g = make_graph(d, 4, 4, "unweighted", snake_edges(4, 4))
-    handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
-    _, _, count = bfs.build_chunks_bfs(g, handle, 2)
+    _, _, count = bfs.build_chunks_bfs(g, bfs.bfs_distances(g, (0, 0), 2),
+                                       2)
     assert count == 4              # 16-vertex path cut at depth multiples of 4
 
 
@@ -173,7 +168,7 @@ def test_chunk_count_linear():
     for side in (16, 32):
         d = make_disk()
         g = gf.generate(d, side, side, "unit_directed", seed=1, density=0.6)
-        handle = bfs.bfs_distances(g, (0, 0), 2, out_name="x.dist")
         stats = bfs.BfsStats()
-        bfs.build_chunks_bfs(g, handle, 2, stats=stats)
+        bfs.build_chunks_bfs(g, bfs.bfs_distances(g, (0, 0), 2), 2,
+                             stats=stats)
         assert stats.chunk_count <= 4 * side * side / 4

@@ -45,7 +45,11 @@ time to collect them: each row lost exactly one scan of ``input``.  The
 ``euler_tour`` counters were re-recorded, with the hashes unchanged, when
 each cluster's tour entries came to be read from its own cross-cluster arcs
 instead of a pre-pass over the input: each row lost exactly one scan of
-``input``.
+``input``.  The ``bfs_order`` counters were re-recorded, with the hashes
+unchanged, when phase 3 came to hand each cluster's hop distances straight
+to the chunk cut instead of writing them to a ``.dist`` file that the cut
+read back during a scan of its own: each row lost exactly that file's
+counters and one scan of ``input``.
 
 The ``bfs_order``, ``sssp_simple``, ``sssp_hierarchical``, ``toposort``,
 ``tfp_run`` and ``euler_tour`` counters were re-recorded, with the hashes
@@ -54,6 +58,11 @@ last ``read_direct`` ended in: a direct read that starts in that block no
 longer counts it again, as nothing has written to it since.
 ``test_held_block_is_never_stale`` checks that last clause on every
 ``RECORDED`` and ``RECORDED_EMITTERS`` instance.
+
+``test_input_read_as_priced`` checks, on the same instances, that each
+algorithm reads its input as many times as its cost model prices a scan of
+it, plus, for the phase-2 solvers, the one direct read of the source's
+cluster.
 
 The ``RECORDED`` counters were re-recorded once more, with the hashes
 unchanged and no row reading or writing more blocks, when phase 2 came to
@@ -118,6 +127,7 @@ from argparse import Namespace
 import pytest
 
 from gridscan import cli, gridfmt as gf, sssp, mst
+from gridscan import clusters as cl
 from gridscan.simdisk import FileHandle, SimDisk
 
 from conftest import make_disk, make_graph
@@ -173,29 +183,29 @@ RECORDED = {
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
     ("sssp_hierarchical", 13, 7, 2, 3): ((508, 241, 659, 90, 47936),
         "c6db112a01b95b6bca7e62c0286c21200371b310c0c89aa6fd9fe190990a21c1"),
-    ("bfs_order", 32, 32, 1, 1): ((3096, 2206, 2583, 2719, 339328),
+    ("bfs_order", 32, 32, 1, 1): ((2952, 2077, 2312, 2717, 321856),
         "c0b9c5caf15108f8a7866ab847215640e93d20d3cb69d8af33104eff15badb1c"),
-    ("bfs_order", 32, 32, 1, 2): ((2788, 2075, 3015, 1848, 311232),
+    ("bfs_order", 32, 32, 1, 2): ((2644, 1946, 2744, 1846, 293760),
         "e2101224b1e738797ae1e71724d39bd0ddbf8c635d118d9a6efc340764c4f4a4"),
-    ("bfs_order", 32, 32, 1, 3): ((2341, 1721, 3131, 931, 259968),
+    ("bfs_order", 32, 32, 1, 3): ((2197, 1592, 2860, 929, 242496),
         "4a0c263d5d4b6f27cb9957286b68021dc4c7d3dc7ab35991b930d417eeff98cd"),
-    ("bfs_order", 32, 32, 2, 1): ((2929, 2138, 2506, 2561, 324288),
+    ("bfs_order", 32, 32, 2, 1): ((2785, 2009, 2235, 2559, 306816),
         "f6395fc97c0de01357c048ada6b3a94dcc8a07481a4afd0fd4d973e49ed294fd"),
-    ("bfs_order", 32, 32, 2, 2): ((2683, 2049, 2977, 1755, 302848),
+    ("bfs_order", 32, 32, 2, 2): ((2539, 1920, 2706, 1753, 285376),
         "7e317b802e1345c6530ee0beb9bca17d5cb204188b1dd62d7c058a2f4067069b"),
-    ("bfs_order", 32, 32, 2, 3): ((2180, 1684, 3015, 849, 247296),
+    ("bfs_order", 32, 32, 2, 3): ((2036, 1555, 2744, 847, 229824),
         "056059c939f98fed5fe9626d2172e979b887d4f9ef1f11b27801d9315cb9062e"),
-    ("bfs_order", 13, 7, 1, 1): ((187, 159, 188, 158, 22144),
+    ("bfs_order", 13, 7, 1, 1): ((173, 146, 163, 156, 20416),
         "eaae01e38ceac1441f3630d43f9fe90a602367c10a863d3ffe665cdf3e8d9688"),
-    ("bfs_order", 13, 7, 1, 2): ((176, 168, 244, 100, 22016),
+    ("bfs_order", 13, 7, 1, 2): ((162, 155, 219, 98, 20288),
         "a7c391c545492ce0c4c754ee95fdaa1bfb0d7a580b202a6cee5453b91a3e4bc5"),
-    ("bfs_order", 13, 7, 1, 3): ((121, 146, 223, 44, 17088),
+    ("bfs_order", 13, 7, 1, 3): ((107, 133, 198, 42, 15360),
         "3fe4594c93012055436cb3d408addfbe826516a7af9e3444d51ebec6e75fd241"),
-    ("bfs_order", 13, 7, 2, 1): ((202, 163, 210, 155, 23360),
+    ("bfs_order", 13, 7, 2, 1): ((188, 150, 185, 153, 21632),
         "382c9d415fda759fbac756db3c97d459302da55b1c06e6f9820a96b79a0145a8"),
-    ("bfs_order", 13, 7, 2, 2): ((179, 167, 238, 108, 22144),
+    ("bfs_order", 13, 7, 2, 2): ((165, 154, 213, 106, 20416),
         "50cc87e64b3388b416bbdd397d2befd46e0852bafcc75c477ef744a5c6116583"),
-    ("bfs_order", 13, 7, 2, 3): ((121, 143, 220, 44, 16896),
+    ("bfs_order", 13, 7, 2, 3): ((107, 130, 195, 42, 15168),
         "4aa6d2298d70246207b1dd543778da352ab78a0c54c51727f390fe761724af0c"),
 }
 
@@ -585,6 +595,38 @@ def test_held_block_is_never_stale(monkeypatch, case):
 
     monkeypatch.setattr(SimDisk, "read_direct", read_direct)
     run_case(case)
+
+
+# cost-model name -> the scans of the input its model prices
+PRICED_SCANS = {"sssp": 2, "bfs": 2, "mst_cache_aware": 2, "toposort": 2,
+                "tfp": 2, "mst_cache_oblivious": 1, "euler": 1}
+
+
+def input_blocks(g, lo, hi):
+    """Blocks of the input file that hold the records of Z indices lo to
+    hi - 1."""
+    b, rs = g.disk.config.block_bytes, g.record_size
+    return ((g.payload_offset + hi * rs - 1) // b
+            - (g.payload_offset + lo * rs) // b + 1)
+
+
+@pytest.mark.parametrize(
+    "case", sorted([*RECORDED, *RECORDED_EMITTERS], key=str))
+def test_input_read_as_priced(case):
+    # k blocks per priced scan of the payload, and the phase-2 solvers' one
+    # direct read of the source's cluster
+    d, _ = run_case(case)
+    handle = FileHandle(d._names["input"], "input", d)
+    read = d.file_counters(handle).blocks_read
+    g = gf.open_grid(d, handle)
+    alg, rows, cols, _, h = case
+    cost = cli.ALGORITHMS[ROWS[alg]].cost
+    want = PRICED_SCANS[cost] * input_blocks(g, 0, g.n)
+    if cost in ("sssp", "bfs"):
+        scheme = cl.ClusterScheme(rows, cols, h)
+        rank = scheme.rank_of(rows // 2, cols // 3)
+        want += input_blocks(g, scheme.starts[rank], scheme.starts[rank + 1])
+    assert read == want
 
 
 def d_trace(monkeypatch, case):

@@ -28,7 +28,7 @@ from gridscan import costmodel as cm
 from gridscan import gridfmt as gf
 from gridscan.simdisk import SimConfig, SimDisk
 
-from conftest import make_disk, make_graph
+from conftest import make_disk, make_graph, phase3_by_z
 
 DESK = SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16)
 # the paper's proviso M = B^2 at the smallest block the simulator takes
@@ -249,21 +249,20 @@ def test_phase2_steps_keep_only_their_blocks(monkeypatch, h, block, solver):
     state = spy_distance_file(monkeypatch, disk, h)
     s = (side // 2, side // 3)
     if solver == "sssp_simple":
-        out = sssp.sssp_simple(g, s, h)
+        got = sssp.read_distances(disk, sssp.sssp_simple(g, s, h))
         want = oracle.dijkstra(g, s)
     elif solver == "sssp_hierarchical":
-        out = sssp.sssp_hierarchical(g, s, sssp.build_hierarchy(h, side,
-                                                                side))
+        got = sssp.read_distances(disk, sssp.sssp_hierarchical(
+            g, s, sssp.build_hierarchy(h, side, side)))
         want = oracle.dijkstra(g, s)
     else:
-        out = bfs.bfs_distances(g, s, h)
+        got = phase3_by_z(g, bfs.bfs_distances(g, s, h))
         want = oracle.bfs_distances(g, s)
     assert state["steps"] > 50 and state["flushed"]
     # phase 3 reads every cluster's range once, and D is read nowhere else
     scheme = cl.ClusterScheme(side, side, h)
     dfile = sssp.DistanceFile(make_disk(block=block), scheme, "D")
     assert state["phase3"] == Counter(dfile.offsets)
-    got = sssp.read_distances(disk, out)
     for z in range(side * side):
         r, c = gf.index_to_coord(side, side, z)
         e = want[(r - 1, c - 1)]
