@@ -7,6 +7,9 @@ height < 2^h as phase 3 hands over each cluster's distances; an address list
 sorted by root distance; and emission through a rotating pool of
 distance-keyed stacks.  No file of final hop distances is written, and the
 input is read twice: once to build the separator graph and once in phase 3.
+A chunk record is its root's Z index (8 B), its vertex count (4 B) and one
+child-direction mask byte per vertex in preorder; the root's distance is in
+the chunk's address entry only, beside the record's byte offset.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import clusters as cl
 from . import sssp
 from .simdisk import SimDisk, FileStack
 
-CHUNK_HDR = struct.Struct("<QQI")      # root z-index, root distance, count
+CHUNK_HDR = struct.Struct("<QI")       # root z-index, count
 _ADDR = struct.Struct("<QQ")           # chunk byte offset, root distance
 
 
@@ -97,9 +100,7 @@ def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
     """Cut each cluster's BFS forest into chunks of height < 2^h.
 
     ``distances`` is ``bfs_distances``'s stream; each cluster is cut as it
-    arrives.  Chunk record: root z-index (8 B), root distance (8 B), vertex
-    count (4 B), then one child-direction mask byte per vertex in preorder.
-    The address list pairs each chunk's byte offset with its root distance.
+    arrives.  Returns the chunk file, the address list and the chunk count.
     """
     disk = g.disk
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
@@ -148,7 +149,7 @@ def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
                 stack.extend(reversed(kids))
             rz = z0 + int(t_of_local[croot])
             rdist = dist[croot]
-            rec = CHUNK_HDR.pack(rz, rdist, len(masks)) + bytes(masks)
+            rec = CHUNK_HDR.pack(rz, len(masks)) + bytes(masks)
             recs.append(rec)
             addrs.append(_ADDR.pack(offset, rdist))
             offset += len(rec)
@@ -183,9 +184,10 @@ def sort_addresses(disk: SimDisk, a_handle, count: int,
 # Chunk decoding and emission
 
 
-def decode_chunk(g: gf.GridGraph, raw: bytes):
-    """Preorder (z-index, distance) pairs of one chunk record."""
-    rz, rdist, cnt = CHUNK_HDR.unpack_from(raw)
+def decode_chunk(g: gf.GridGraph, raw: bytes, rdist: int):
+    """Preorder (z-index, distance) pairs of one chunk record whose root is
+    at distance ``rdist``."""
+    rz, cnt = CHUNK_HDR.unpack_from(raw)
     masks = raw[CHUNK_HDR.size:CHUNK_HDR.size + cnt]
     z_of, cell_of_z = gf.z_tables(g.rows, g.cols)
     cell = int(cell_of_z[rz])
@@ -236,9 +238,9 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
         off, rdist = _ADDR.unpack(reader.read(_ADDR.size))
         flush_to(rdist - 1)
         hdr = disk.read_direct(c_handle, off, CHUNK_HDR.size)
-        _, _, cnt = CHUNK_HDR.unpack(hdr)
+        _, cnt = CHUNK_HDR.unpack(hdr)
         raw = hdr + disk.read_direct(c_handle, off + CHUNK_HDR.size, cnt)
-        for z, dv in decode_chunk(g, raw):
+        for z, dv in decode_chunk(g, raw, rdist):
             stacks[dv % window].push(z.to_bytes(8, "little"))
             max_dist = max(max_dist, dv)
     flush_to(max_dist)

@@ -164,6 +164,7 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         io = F(32 + 32)
 
     elif alg == "toposort":
+        # the chunk file is exactly 4n bytes: one 32-bit id per vertex
         phases = [
             ("build separator reachability graph", F(1 + 2)),
             ("number separator vertices (one block each)", ru),
@@ -185,7 +186,8 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
 
     elif alg == "euler":
         # direction bytes make the tour output 2n; entry/exit maps are tiny;
-        # one scan reads the input, builds the maps and checks the tree
+        # one scan reads the input, builds the maps and checks the tree; the
+        # segment file is one byte per tour step inside a cluster, no header
         phases = [
             ("build entry/exit maps: read input", F(1)),
             ("number segments (one block each)", ru),

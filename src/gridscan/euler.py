@@ -8,17 +8,19 @@ cluster once.  The tour can enter a cluster by the reverse of each of its own
 cross-cluster arcs; these entries are taken in order of the Z index of the
 edge's smaller end by (r, c), then of the direction from that end, after the
 root's start in the root's cluster.  For every entry the walk inside the
-cluster is simulated in memory and stored as a segment (a run of 1-byte
-direction steps) together with the edge by which the tour leaves, or a
-terminal mark in the root's cluster.  The same scan checks that the input is
-a tree: every arc has its reverse, and there are 2(n - 1) arcs.  The tour is
-then emitted by composing the maps from the root outward, which touches one
-segment record per entry.
+cluster is simulated in memory and stored as a segment, a run of 1-byte
+direction steps and nothing else: the in-memory index holds its offset, its
+step count and the edge by which the tour leaves, or a terminal mark in the
+root's cluster.  The segment file of a tree is thus one byte per tour step
+inside a cluster, 2(n - 1) less one per cross-cluster arc.  The same scan
+checks that the input is a tree: every arc has its reverse, and there are
+2(n - 1) arcs.  The tour is then emitted by composing the maps from the root
+outward, which touches one segment record per entry, and none for a segment
+of no steps.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from . import gridfmt as gf
@@ -28,9 +30,6 @@ from .simdisk import SimDisk
 
 class EulerError(Exception):
     pass
-
-
-SEG_HDR = struct.Struct("<QI")      # start vertex z, step count
 
 
 @dataclass
@@ -165,16 +164,13 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     """Write the tour as one 8-byte root id plus one direction byte per step."""
     disk = g.disk
     root, segments = _scan_segments(g, h, root)
-    z_of = gf.z_tables(g.rows, g.cols)[0]
-
-    def zi(v):
-        return int(z_of[v[0] * g.cols + v[1]])
+    z_root = int(gf.z_tables(g.rows, g.cols)[0][root[0] * g.cols + root[1]])
 
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     total = 2 * (g.n - 1) + 1
     gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
-    stream.write(zi(root).to_bytes(8, "little"))
+    stream.write(z_root.to_bytes(8, "little"))
     if g.n == 1:
         # no segment, but the scan still reads the input and checks it
         for _ in segments:
@@ -190,11 +186,10 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     per_cluster: dict = {}
     off = 0
     for rank, entry, arrival, steps, exit_edge in segments:
-        rec = SEG_HDR.pack(zi(entry), len(steps)) + bytes(steps)
-        c_stream.write(rec)
+        c_stream.write(bytes(steps))
         index[(entry, arrival)] = (off, len(steps), exit_edge)
         per_cluster[rank] = per_cluster.get(rank, 0) + 1
-        off += len(rec)
+        off += len(steps)
     c_stream.close()
     if stats is not None:
         stats.segments = len(index)
@@ -208,13 +203,13 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
             raise EulerError("input is not a tree: broken tour at %r" % (key,))
         used.add(key)
         soff, nsteps, exit_edge = index[key]
-        rec = disk.read_direct(c_handle, soff, SEG_HDR.size + nsteps)
+        rec = disk.read_direct(c_handle, soff, nsteps)
         written += nsteps
         if exit_edge is None:
-            stream.write(rec[SEG_HDR.size:])
+            stream.write(rec)
             break
         (w, d) = exit_edge
-        stream.write(rec[SEG_HDR.size:] + bytes([d]))
+        stream.write(rec + bytes([d]))
         written += 1
         dr, dc = gf.DIR_OFFSETS[d]
         key = ((w[0] + dr, w[1] + dc), d)

@@ -8,14 +8,15 @@ in an arithmetic address table at the head of the chunk file (one per
 horizontal grid edge on a cluster boundary, one per vertical, one per diagonal
 square, since a planar instance uses at most one diagonal per square), while
 cross-chunk edges inside a cluster get slots in a message region stored right
-after the receiving chunk's record, addressed by absolute offset.  Chunks are
-then evaluated in rank order; each reads its record plus intra region
-sequentially, fetches inter-cluster slots arithmetically, asks the label
-callback for each vertex in turn, and writes its labels and outgoing messages
-grouped by destination.  Each contiguous run of bytes is one counted
-sequential write, so a block shared by adjacent message slots or label ranges
-is written once.  A final scan rewrites the cluster-ordered label file into
-Z-order.
+after the receiving chunk's record, addressed by absolute offset.  A chunk's
+header is its vertex count and label file offset; its address entry gives the
+rest.  Chunks are then evaluated in rank order; each reads its record plus
+intra region sequentially, fetches inter-cluster slots arithmetically, asks
+the label callback for each vertex in turn, and writes its labels and
+outgoing messages grouped by destination.  Each contiguous run of bytes is
+one counted sequential write, so a block shared by adjacent message slots or
+label ranges is written once.  A final scan rewrites the cluster-ordered
+label file into Z-order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class TfpError(Exception):
 
 MASK64 = (1 << 64) - 1
 
-CHUNK_HDR = struct.Struct("<QQIQI")     # z0, rank, count, l_addr, region bytes
+CHUNK_HDR = struct.Struct("<IQ")        # vertex count, label file offset
 VERTEX_HDR = struct.Struct("<IBBB")     # local id, in mask, out mask, n addr
 ADDR = struct.Struct("<Q")              # absolute offset of the slot in C
 LABEL = np.dtype([("v", "<u4"), ("label", "<u8")])   # label file record
@@ -110,9 +111,10 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     """Build the chunk file with message addressing annotations.
 
     Layout of the chunk file: the inter-cluster slot table, then per chunk a
-    header, per-vertex records (id, in mask, out mask, and the absolute
-    addresses of outgoing intra-cluster cross-chunk messages), and the
-    chunk's incoming intra-cluster message region.
+    header (vertex count and label file offset), per-vertex records (id, in
+    mask, out mask, and the absolute addresses of outgoing intra-cluster
+    cross-chunk messages), and the chunk's incoming intra-cluster message
+    region, which runs to the end of the record its address entry sizes.
 
     One pass over the clusters: a cell's in-arcs from other clusters come
     from the reachability graph's ``cross_in``, so the plan reads the input
@@ -161,7 +163,6 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
 
         asg = ts.assign_chunk_numbers(q, rtab[sep].tolist())
         ranks = sorted(asg.members)
-        z0 = scheme.starts[q.rank]
 
         # receive-side slot assignment: vertices in record order, incoming
         # directions clockwise from north, cross-chunk intra edges only
@@ -208,7 +209,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 for to, slot in addrs:
                     body += ADDR.pack(region_offset[to] + slot * 8)
             region = region_slots[rank] * 8
-            recs += CHUNK_HDR.pack(z0, rank, cnt, l_off, region)
+            recs += CHUNK_HDR.pack(cnt, l_off)
             recs += body + bytes(region)
             a_entries.append((rank, q.rank, c_off,
                               CHUNK_HDR.size + len(body) + region))
@@ -242,7 +243,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     l_stream = disk.append_stream(plan.l_handle, 0)
     for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
-        _, _, cnt, l_addr, _ = CHUNK_HDR.unpack_from(raw, 0)
+        cnt, l_addr = CHUNK_HDR.unpack_from(raw, 0)
         r0, c0, hgt, wid = scheme.extents[crank]
         pos = CHUNK_HDR.size
         vertices = []

@@ -14,14 +14,16 @@ in-degree table in memory, and ``topo_number_separator`` keeps Kahn's
 queue in memory as the rank order, so ``*.gp`` is the numbering's only
 file.  The build also keeps each separator vertex's directions in from
 other clusters, ``cross_in``, for ``tfp``'s message plan.  ``toposort``
-writes ``*.chunks`` and the output.  ``clusters`` supplies the cluster
+writes ``*.chunks`` and the output.  A ``*.chunks`` record is only its
+chunk's topologically sorted 32-bit local ids: the emitter's address entry
+already holds the chunk's rank, cluster rank, offset and size, so the
+file is exactly 4 bytes per vertex.  ``clusters`` supplies the cluster
 scheme and decode.
 """
 
 from __future__ import annotations
 
 import heapq
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -278,10 +280,6 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
     return ChunkAssignment(chunk, members, rounds, leftover)
 
 
-# chunk record: cluster first-z, chunk rank, vertex count, then 32-bit local ids
-CHUNK_HDR = struct.Struct("<QQI")
-
-
 def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
              stats: TopoStats | None = None):
     """Full pipeline; returns the handle of the ordered vertex file."""
@@ -300,12 +298,9 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
             stats.rounds_max = max(stats.rounds_max, asg.rounds)
             stats.leftover_vertices += asg.leftover
             stats.chunk_count += len(asg.members)
-        z0 = scheme.starts[q.rank]
         recs = bytearray()
         for rank in sorted(asg.members):
-            ids = asg.members[rank]
-            rec = CHUNK_HDR.pack(z0, rank, len(ids))
-            rec += np.array(ids, "<u4").tobytes()
+            rec = np.array(asg.members[rank], "<u4").tobytes()
             recs += rec
             a_entries.append((rank, q.rank, c_off, len(rec)))
             c_off += len(rec)
@@ -320,12 +315,11 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, g.n)
     emitted = 0
     for _, crank, off, size in a_entries:
-        rec = disk.read_direct(c_handle, off, size)
-        z0, _, cnt = CHUNK_HDR.unpack_from(rec, 0)
-        ids = np.frombuffer(rec, "<u4", cnt, CHUNK_HDR.size)
+        ids = np.frombuffer(disk.read_direct(c_handle, off, size), "<u4")
         t_of_local = scheme.shape(crank).t_of_local
-        stream.write((z0 + t_of_local[ids]).astype("<u8").tobytes())
-        emitted += cnt
+        stream.write((scheme.starts[crank] + t_of_local[ids])
+                     .astype("<u8").tobytes())
+        emitted += len(ids)
     stream.close()
     if emitted != g.n:
         raise ToposortError("internal: emitted %d of %d vertices"

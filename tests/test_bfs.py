@@ -109,12 +109,16 @@ def test_chunks_partition_reachable():
     reach = {v for v in expect if expect[v] != float("inf")}
     seen = []
     raw = d.raw_bytes(c_handle)
+    # the address entries are in chunk order and hold the root distances
+    entries = list(bfs._ADDR.iter_unpack(
+        d.raw_bytes(a_handle)[:count * bfs._ADDR.size]))
     off = 0
-    for _ in range(count):
-        _, rdist, cnt = bfs.CHUNK_HDR.unpack_from(raw, off)
+    for a_off, rdist in entries:
+        assert a_off == off
+        _, cnt = bfs.CHUNK_HDR.unpack_from(raw, off)
         rec = raw[off:off + bfs.CHUNK_HDR.size + cnt]
         depths = set()
-        for z, dv in bfs.decode_chunk(g, rec):
+        for z, dv in bfs.decode_chunk(g, rec, rdist):
             r, c = gf.index_to_coord(16, 16, z)
             seen.append((r - 1, c - 1))
             assert expect[(r - 1, c - 1)] == dv

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp
@@ -127,9 +129,7 @@ def test_message_addresses_point_into_own_cluster_regions(h):
     raw = d.raw_bytes(plan.c_handle)
     regions, addrs = {}, []
     for _, crank, off, size in plan.a_entries:
-        _, _, cnt, _, region = tfp.CHUNK_HDR.unpack_from(raw, off)
-        regions.setdefault(crank, []).append((off + size - region,
-                                              off + size))
+        cnt, _ = tfp.CHUNK_HDR.unpack_from(raw, off)
         pos = off + tfp.CHUNK_HDR.size
         for _ in range(cnt):
             _, _, _, na = tfp.VERTEX_HDR.unpack_from(raw, pos)
@@ -138,11 +138,16 @@ def test_message_addresses_point_into_own_cluster_regions(h):
                 (addr,) = tfp.ADDR.unpack_from(raw, pos)
                 addrs.append((crank, addr))
                 pos += tfp.ADDR.size
-        assert pos == off + size - region
+        # the region follows the vertex records and ends the record
+        regions.setdefault(crank, []).append((pos, off + size))
     assert addrs
     for crank, addr in addrs:
         assert any(lo <= addr < hi and (addr - lo) % 8 == 0
                    for lo, hi in regions[crank]), (crank, addr)
+    # a region holds one slot per message addressed into it
+    for lo, hi in itertools.chain(*regions.values()):
+        region = 8 * sum(lo <= addr < hi for _, addr in addrs)
+        assert lo == hi - region
 
 
 def test_path_count_diamond():
@@ -229,7 +234,7 @@ def test_label_writes_merge_adjacent_ranges(monkeypatch, rows, cols, seed, h,
     raw = d.raw_bytes(plan.c_handle)
     runs = []
     for _, _, off, _ in plan.a_entries:
-        _, _, cnt, l_addr, _ = tfp.CHUNK_HDR.unpack_from(raw, off)
+        cnt, l_addr = tfp.CHUNK_HDR.unpack_from(raw, off)
         end = l_addr + cnt * tfp.LABEL.itemsize
         if runs and runs[-1][1] == l_addr:
             runs[-1][1] = end

@@ -123,6 +123,25 @@ def test_toposort_within_model_at_m_equal_b_squared(side):
     assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
 
 
+@pytest.mark.parametrize("side", [64, 128, 256])
+@pytest.mark.parametrize("mem_blocks,density", [(2 ** 6, 1.0), (2 ** 8, 0.6),
+                                                (2 ** 8, 1.0)])
+def test_toposort_within_model_on_small_machines(mem_blocks, density, side):
+    # B = 2^6 with M = 2^12 (h = 5) or M = 2^14 (h = 6), the CLI's default
+    # h; the records in the chunk file are priced at their ids alone
+    disk = make_disk(mem_blocks=mem_blocks)
+    cfg = disk.config
+    h = cm.default_h("toposort", cfg.memory_bytes)
+    assert h == {2 ** 6: 5, 2 ** 8: 6}[mem_blocks]
+    g = gf.generate(disk, side, side, "planar_dag", seed=1, density=density)
+    disk.reset_counters()
+    ts.toposort(g, h)
+    moved = disk.counters_snapshot().bytes_transferred
+    model = cm.volume_model("toposort", g.n, cfg.memory_bytes,
+                            cfg.block_bytes, h)
+    assert moved <= model.predicted_bytes, (moved / g.n, float(model.total))
+
+
 def test_chunk_rounds_examples():
     # boundary u -> interior m -> boundary v gives m the P-round value r(u)
     d = make_disk()
