@@ -168,9 +168,21 @@ def _resolve_h(args, alg: str) -> int:
 
 def _dump_workspace(disk: SimDisk, directory: str):
     os.makedirs(directory, exist_ok=True)
-    for name, fid in sorted(disk._names.items()):
-        with open(os.path.join(directory, name.replace("/", "_")), "wb") as f:
-            f.write(bytes(disk._data[fid]))
+    for handle in disk.files():
+        path = os.path.join(directory, handle.name.replace("/", "_"))
+        with open(path, "wb") as f:
+            f.write(disk.raw_bytes(handle))
+
+
+def _file_report(disk: SimDisk, n: int) -> dict:
+    """Each file with counted transfers: its counters and B/vertex."""
+    files = {}
+    for handle in disk.files():
+        c = dataclasses.asdict(disk.file_counters(handle))
+        if c["bytes_transferred"]:
+            c["bytes_per_vertex"] = c["bytes_transferred"] / n
+            files[handle.name] = c
+    return files
 
 
 def _cells(g, zs):
@@ -348,16 +360,30 @@ def _dispatch(args) -> int:
 
     verdict = row.check(g, out, args) if args.command == "verify" else None
 
+    counters = disk.counters_snapshot()
     report = {
         "command": args.command,
         "algorithm": alg,
         "instance": {"rows": args.rows, "cols": args.cols, "model": model,
                      "seed": args.seed},
         "config": {"memory_bytes": args.mem, "block_bytes": args.block},
-        "counters": dataclasses.asdict(disk.counters_snapshot()),
+        "counters": dataclasses.asdict(counters),
+        "files": _file_report(disk, g.n),
         "output_file": out.name,
         "wall_time_s": round(wall_time_s, 6),
     }
+    if row is not None:
+        # the cost model's price of this run; null where an explicit --h
+        # is beyond the model's working-set bound at --mem
+        try:
+            price = cm.volume_model(row.cost, g.n, args.mem, args.block,
+                                    h or 0)
+        except cm.CostModelError:
+            report["model"] = report["measured_over_model"] = None
+        else:
+            report["model"] = price.as_dict()
+            report["measured_over_model"] = float(
+                counters.bytes_transferred / price.predicted_bytes)
     for key, value in (("variant", variant), ("h", h), ("verdict", verdict)):
         if value is not None:
             report[key] = value

@@ -18,13 +18,17 @@ transfers, split into sequential and random ones.  Two access regimes exist:
   read of the record would on a real device.  Stacks call the private
   ``_touch``; no algorithm calls the four public methods, which stay for
   tests and because the benchmark's per-layer timers wrap them by name.
-* ``read_direct`` / ``write_direct`` and the stream helpers model explicitly
-  managed buffers: every block touched is counted, the LRU cache is
-  bypassed.  Cache-aware algorithms use these.  The one exception is the
-  held block, one resident block per file: the block the file's last
-  ``read_direct`` ended in.  A ``read_direct`` that starts in it does not
-  count it again, and any write of bytes into it drops it (in Aggarwal &
-  Vitter's I/O model a block already in memory costs nothing).
+* ``read_direct`` / ``write_direct`` / ``write_pieces`` and the stream
+  helpers model explicitly managed buffers: every block touched is counted,
+  the LRU cache is bypassed.  Cache-aware algorithms use these.  A direct
+  write counts each block it touches once per call, as a write, and fetches
+  none; ``write_pieces`` extends this to scattered pieces within one call,
+  as if one buffer held every block they touch and wrote each out once.
+  The one exception is the held block, one resident block per file: the
+  block the file's last ``read_direct`` ended in.  A ``read_direct`` that
+  starts in it does not count it again, and any write of bytes into it
+  drops it (in Aggarwal & Vitter's I/O model a block already in memory
+  costs nothing).
 
 No real I/O happens; file contents live in bytearrays and the counters are
 the product.
@@ -250,7 +254,9 @@ class SimDisk:
         return bytes(self._data[fid][offset:offset + nbytes])
 
     def write_direct(self, handle: FileHandle, offset: int, data: bytes):
-        """Counted write bypassing the cache."""
+        """Counted write bypassing the cache: what ``write_pieces`` counts for
+        one piece, without its loop, which phase 2's many small writes
+        would pay for in host time."""
         b = self.config.block_bytes
         fid = handle.file_id
         self._prepare_write(fid, offset, offset + len(data))
@@ -262,11 +268,38 @@ class SimDisk:
                 self._cache.pop((fid, block), None)
         self._data[fid][offset:offset + len(data)] = data
 
+    def write_pieces(self, handle: FileHandle, pieces):
+        """Counted gathered write bypassing the cache.
+
+        ``pieces`` are ``(offset, bytes)`` pairs sorted by offset.  Every
+        block they touch is counted once, in ascending order, however many
+        pieces share it; a piece that lands in the held block drops it.
+        """
+        b, fid = self.config.block_bytes, handle.file_id
+        data, start, done = self._data[fid], 0, -1  # done: last block counted
+        for offset, piece in pieces:
+            if offset < start:
+                raise SimDiskError("pieces not sorted by offset")
+            start, end = offset, offset + len(piece)
+            self._prepare_write(fid, offset, end)
+            if piece:
+                last = (end - 1) // b
+                for block in range(max(offset // b, done + 1), last + 1):
+                    self._count(fid, block, write=True)
+                    self._cache.pop((fid, block), None)
+                done = max(done, last)
+            data[offset:end] = piece
+
     def scan_reader(self, handle: FileHandle, offset: int = 0) -> "ScanReader":
         return ScanReader(self, handle, offset)
 
     def append_stream(self, handle: FileHandle, offset: int | None = None) -> "AppendStream":
         return AppendStream(self, handle, len(self._data[handle.file_id]) if offset is None else offset)
+
+    def files(self) -> list[FileHandle]:
+        """A handle to every file, in name order."""
+        return [FileHandle(fid, name, self)
+                for name, fid in sorted(self._names.items())]
 
     # -- counters ----------------------------------------------------------
 

@@ -12,16 +12,15 @@ after the receiving chunk's record, addressed by absolute offset.  A chunk's
 header is its vertex count and label file offset; its address entry gives the
 rest.  Chunks are then evaluated in rank order; each reads its record plus
 intra region sequentially, fetches inter-cluster slots arithmetically, asks
-the label callback for each vertex in turn, and writes its labels and
-outgoing messages grouped by destination.  Each contiguous run of bytes is
-one counted sequential write, so a block shared by adjacent message slots or
-label ranges is written once.  A final scan rewrites the cluster-ordered
-label file into Z-order.
+the label callback for each vertex in turn, and writes its outgoing messages
+as one gathered write, so each block of the chunk file they touch is written
+once per chunk, in ascending order.  Its labels go through one stream, so a
+block shared by adjacent label ranges is written once.  A final scan rewrites
+the cluster-ordered label file into Z-order.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -229,8 +228,9 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     """Evaluate ``fn(cell, in-labels clockwise from north)`` for every vertex
     and return the handle of the Z-ordered 64-bit label file.
 
-    A chunk's messages, sorted by address, go out as one sequential write per
-    run of adjacent slots, closed before the next chunk reads its record.
+    A chunk's messages, sorted by address, go out as one ``write_pieces``
+    call before the next chunk reads its record: each block they touch is
+    written once per chunk, as the chunk holds all of them in memory.
     The label records go through one stream, reopened only where a chunk's
     label range does not start at the stream's position, and closed before
     the final pass reads them back.
@@ -301,14 +301,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             l_stream.close()
             l_stream = disk.append_stream(plan.l_handle, l_addr)
         l_stream.write(lrecs.tobytes())
-        # grouped by destination; along a run of adjacent 8-byte slots,
-        # address - 8 * index stays constant
-        for _, run in itertools.groupby(enumerate(sorted(pending)),
-                                        lambda e: e[1][0] - 8 * e[0]):
-            run = [msg for _, msg in run]
-            c_stream = disk.append_stream(plan.c_handle, run[0][0])
-            c_stream.write(b"".join(lb for _, lb in run))
-            c_stream.close()
+        disk.write_pieces(plan.c_handle, sorted(pending))
     l_stream.close()
 
     # final pass: cluster-ordered label file -> Z-order output

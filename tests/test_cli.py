@@ -105,6 +105,38 @@ def test_algorithms_run(capsys, alg, extra):
     assert rep["counters"]["bytes_transferred"] > 0
 
 
+# one case per row of the CLI's table, at the default h and machine
+@pytest.mark.parametrize("alg,extra", [
+    (c, _variant_argv(v)) for c, v in cli.ALGORITHMS])
+def test_report_prices_itself(capsys, alg, extra):
+    code, rep = run_json(capsys, [
+        alg, "--rows", "32", "--cols", "32", "--seed", "1"] + extra)
+    assert code == 0
+    n, counters, files = 32 * 32, rep["counters"], rep["files"]
+    assert files
+    for key, total in counters.items():
+        assert sum(f[key] for f in files.values()) == total, key
+    for f in files.values():
+        assert f["bytes_transferred"] > 0
+        assert f["bytes_per_vertex"] == f["bytes_transferred"] / n
+    row = cli.ALGORITHMS[alg, rep.get("variant")]
+    model = cm.volume_model(row.cost, n, 2 ** 16, 2 ** 8, rep.get("h", 0))
+    assert rep["model"] == model.as_dict()
+    assert rep["measured_over_model"] == float(
+        counters["bytes_transferred"] / model.predicted_bytes)
+
+
+def test_report_model_is_null_beyond_the_working_set_bound(capsys):
+    # 128 * 4^5 bytes of working set do not fit in M = 2^16
+    code, rep = run_json(capsys, ["sssp", "--rows", "32", "--cols", "32",
+                                  "--h", "5"])
+    assert code == 0
+    assert rep["h"] == 5
+    assert rep["model"] is None and rep["measured_over_model"] is None
+    assert sum(f["blocks_read"] for f in rep["files"].values()) == \
+        rep["counters"]["blocks_read"]
+
+
 # one case per row of the CLI's table; a BFS or topological order is one of
 # several correct answers. The sssp simple row goes last so every other case
 # keeps the position, and so the test id, it had before that row was checked.

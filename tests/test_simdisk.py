@@ -121,6 +121,84 @@ def test_direct_write_counts_every_block():
     assert c.blocks_written == 3
 
 
+def write_trace(d, h, pieces):
+    """The blocks of file ``h`` that one ``write_pieces`` call counts, in
+    order, each with True when it is sequential."""
+    before = d.file_counters(h)
+    trace = []
+    real_count = d._count
+
+    def count(fid, block, write):
+        st = d._stats[fid]
+        trace.append((block, st.last_block is None
+                      or block == st.last_block + 1))
+        return real_count(fid, block, write)
+
+    d._count = count
+    try:
+        d.write_pieces(h, pieces)
+    finally:
+        del d._count
+    after = d.file_counters(h)
+    assert after.blocks_written - before.blocks_written == len(trace)
+    assert after.blocks_read == before.blocks_read
+    return trace
+
+
+def test_write_pieces_in_one_block_count_one_write():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    assert write_trace(d, h, [(0, b"ab"), (4, b"cd"), (14, b"ef")]) == [
+        (0, True)]
+    assert d.raw_bytes(h)[:16] == b"ab\0\0cd" + bytes(8) + b"ef"
+
+
+def test_write_piece_straddling_a_boundary_counts_two_ascending_writes():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    assert write_trace(d, h, [(2, b"x"), (12, bytes(8))]) == [
+        (0, True), (1, True)]
+    c = d.file_counters(h)
+    assert (c.sequential_blocks, c.random_blocks) == (2, 0)
+
+
+def test_write_pieces_in_non_adjacent_blocks_jump_at_random():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    assert write_trace(d, h, [(0, b"a"), (5, b"b"), (40, b"c")]) == [
+        (0, True), (2, False)]
+
+
+def test_write_piece_into_held_block_drops_it():
+    d, h = held_disk()
+    write_trace(d, h, [(2, b"x"), (18, b"y")])
+    before = d.counters_snapshot().blocks_read
+    d.read_direct(h, 20, 4)
+    assert d.counters_snapshot().blocks_read == before + 1
+
+
+def test_write_pieces_of_no_piece_count_nothing():
+    d, h = held_disk()
+    before = d.counters_snapshot()
+    assert write_trace(d, h, []) == []
+    assert d.counters_snapshot() == before
+
+
+def test_second_write_pieces_call_counts_its_block_again():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    assert write_trace(d, h, [(0, b"a")]) == [(0, True)]
+    assert write_trace(d, h, [(8, b"b")]) == [(0, False)]
+    assert d.file_counters(h).blocks_written == 2
+
+
+def test_write_pieces_out_of_order_is_an_error():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    with pytest.raises(SimDiskError):
+        d.write_pieces(h, [(20, b"a"), (0, b"b")])
+
+
 def test_append_stream_one_write_per_block():
     d = small_disk(block=16)
     h = d.open_file("f")

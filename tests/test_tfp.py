@@ -248,10 +248,11 @@ def test_label_writes_merge_adjacent_ranges(monkeypatch, rows, cols, seed, h,
 @pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
 def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
     # every write to the chunk file after planning, split into chunks at the
-    # reads of chunk records; 8-byte reads are inter-cluster slots
+    # reads of chunk records; 8-byte reads are inter-cluster slots.  A
+    # gathered write is recorded as its runs of abutting pieces
     events = []
     real_read, real_write = SimDisk.read_direct, SimDisk.write_direct
-    real_append = AppendStream.write
+    real_pieces, real_append = SimDisk.write_pieces, AppendStream.write
 
     def is_chunks(handle):
         return handle.name.endswith(".plan.chunks")
@@ -266,6 +267,18 @@ def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
             events.append((offset, offset + len(data)))
         return real_write(self, handle, offset, data)
 
+    def write_pieces(self, handle, pieces):
+        pieces = list(pieces)
+        if is_chunks(handle) and events:
+            runs = []
+            for offset, piece in pieces:
+                if runs and runs[-1][1] == offset:
+                    runs[-1][1] += len(piece)
+                else:
+                    runs.append([offset, offset + len(piece)])
+            events.extend(tuple(run) for run in runs)
+        return real_pieces(self, handle, pieces)
+
     def append_write(self, data):
         if is_chunks(self.handle) and events:
             events.append((self.pos, self.pos + len(data)))
@@ -273,6 +286,7 @@ def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
 
     monkeypatch.setattr(SimDisk, "read_direct", read_direct)
     monkeypatch.setattr(SimDisk, "write_direct", write_direct)
+    monkeypatch.setattr(SimDisk, "write_pieces", write_pieces)
     monkeypatch.setattr(AppendStream, "write", append_write)
     d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
 
@@ -282,3 +296,32 @@ def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
     for prev, cur in zip(events, events[1:]):
         if prev is not None and cur is not None:
             assert cur[0] != prev[1], (prev, cur)
+
+
+@pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
+def test_message_blocks_written_once_per_chunk(monkeypatch, rows, cols, seed,
+                                               h, block):
+    # the counted writes of chunk-file blocks between two chunk-record reads
+    # (and after the last one), once planning is done
+    chunks, started = [], []
+    real_read, real_count = SimDisk.read_direct, SimDisk._count
+
+    def read_direct(self, handle, offset, nbytes):
+        if handle.name.endswith(".plan.chunks") and nbytes > 8:
+            started.append(handle.file_id)
+            chunks.append([])
+        return real_read(self, handle, offset, nbytes)
+
+    def count(self, fid, block, write):
+        if write and started and fid == started[0]:
+            chunks[-1].append(block)
+        return real_count(self, fid, block, write)
+
+    monkeypatch.setattr(SimDisk, "read_direct", read_direct)
+    monkeypatch.setattr(SimDisk, "_count", count)
+    d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
+
+    assert len(chunks) == len(plan.a_entries)
+    assert any(chunks)
+    for blocks in chunks:
+        assert blocks == sorted(set(blocks)), blocks
