@@ -94,17 +94,6 @@ def _walk_tables(q: cl.InMemoryCluster):
     return dirs, heads
 
 
-def build_entry_exit(g: gf.GridGraph, h: int, root=None) -> dict:
-    """Entry-to-exit maps by cluster rank: {(entry vertex, arrival
-    direction): (exit vertex, exit direction) or None for the terminal
-    entry}."""
-    maps = {}
-    _, segments = _scan_segments(g, h, root)
-    for rank, entry, arrival, _, exit_edge in segments:
-        maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
-    return maps
-
-
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
     """Check the encoding and the root; returns the resolved root and a
     generator that simulates every possible cluster entry, one cluster in

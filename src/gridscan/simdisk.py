@@ -18,12 +18,12 @@ transfers, split into sequential and random ones.  Two access regimes exist:
   read of the record would on a real device.  Stacks call the private
   ``_touch``; no algorithm calls the four public methods, which stay for
   tests and because the benchmark's per-layer timers wrap them by name.
-* ``read_direct`` / ``write_direct`` / ``write_pieces`` and the stream
-  helpers model explicitly managed buffers: every block touched is counted,
-  the LRU cache is bypassed.  Cache-aware algorithms use these.  A direct
-  write counts each block it touches once per call, as a write, and fetches
-  none; ``write_pieces`` extends this to scattered pieces within one call,
-  as if one buffer held every block they touch and wrote each out once.
+* ``read_direct`` / ``write_direct``, the stream helpers and
+  ``BlockBuffer`` model explicitly managed buffers: every block touched is
+  counted, the LRU cache is bypassed.  Cache-aware algorithms use these.  A
+  direct write counts each block it touches once per call, as a write, and
+  fetches none.  A ``BlockBuffer`` holds blocks of one file: it loads them
+  by direct reads and writes each dirty one back by a direct write.
   The one exception is the held block, one resident block per file: the
   block the file's last ``read_direct`` ended in.  A ``read_direct`` that
   starts in it does not count it again, and any write of bytes into it
@@ -254,9 +254,7 @@ class SimDisk:
         return bytes(self._data[fid][offset:offset + nbytes])
 
     def write_direct(self, handle: FileHandle, offset: int, data: bytes):
-        """Counted write bypassing the cache: what ``write_pieces`` counts for
-        one piece, without its loop, which phase 2's many small writes
-        would pay for in host time."""
+        """Counted write bypassing the cache: every touched block is one."""
         b = self.config.block_bytes
         fid = handle.file_id
         self._prepare_write(fid, offset, offset + len(data))
@@ -268,27 +266,8 @@ class SimDisk:
                 self._cache.pop((fid, block), None)
         self._data[fid][offset:offset + len(data)] = data
 
-    def write_pieces(self, handle: FileHandle, pieces):
-        """Counted gathered write bypassing the cache.
-
-        ``pieces`` are ``(offset, bytes)`` pairs sorted by offset.  Every
-        block they touch is counted once, in ascending order, however many
-        pieces share it; a piece that lands in the held block drops it.
-        """
-        b, fid = self.config.block_bytes, handle.file_id
-        data, start, done = self._data[fid], 0, -1  # done: last block counted
-        for offset, piece in pieces:
-            if offset < start:
-                raise SimDiskError("pieces not sorted by offset")
-            start, end = offset, offset + len(piece)
-            self._prepare_write(fid, offset, end)
-            if piece:
-                last = (end - 1) // b
-                for block in range(max(offset // b, done + 1), last + 1):
-                    self._count(fid, block, write=True)
-                    self._cache.pop((fid, block), None)
-                done = max(done, last)
-            data[offset:end] = piece
+    def buffer(self, handle: FileHandle) -> "BlockBuffer":
+        return BlockBuffer(self, handle)
 
     def scan_reader(self, handle: FileHandle, offset: int = 0) -> "ScanReader":
         return ScanReader(self, handle, offset)
@@ -411,6 +390,79 @@ class AppendStream:
                 disk._cache.pop((fid, block), None)
                 self._counted_until = block
         self._open = False
+
+
+def _runs(blocks):
+    """Maximal runs of consecutive block indices, as (first, last) pairs,
+    of an ascending sequence."""
+    runs = []
+    for k in blocks:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return runs
+
+
+class BlockBuffer:
+    """Blocks of one file held in memory, moved by counted direct access.
+
+    ``load`` reads the blocks it lacks, one ``read_direct`` per maximal run.
+    ``write`` puts bytes into their blocks; a block it lacks joins without
+    a counted fetch, with the file's current bytes (zeros past its end).  A
+    written block turns dirty unless it was resident and its bytes did not
+    change.  ``keep`` and ``flush`` drop the blocks that leave, and write
+    the dirty ones back, one whole-block ``write_direct`` per maximal run.
+    """
+
+    def __init__(self, disk: SimDisk, handle: FileHandle):
+        self.disk = disk
+        self.handle = handle
+        self.block = disk.config.block_bytes
+        self.resident: dict[int, bytearray] = {}   # block -> bytes
+        self.dirty: set[int] = set()               # resident, not written
+
+    def load(self, blocks):
+        """Make the ascending ``blocks`` resident."""
+        b, resident = self.block, self.resident
+        for first, last in _runs([k for k in blocks if k not in resident]):
+            raw = self.disk.read_direct(self.handle, first * b,
+                                        (last - first + 1) * b)
+            for i, k in enumerate(range(first, last + 1)):
+                resident[k] = bytearray(raw[i * b:(i + 1) * b])
+
+    def write(self, offset: int, data: bytes):
+        b, resident, pos = self.block, self.resident, 0
+        while pos < len(data):
+            k, lo = divmod(offset + pos, b)
+            new = data[pos:pos + b - lo]
+            pos += len(new)
+            block = resident.get(k)
+            if block is None:
+                # the file is block-padded: a block past its end is empty
+                block = resident[k] = (self.disk._data[self.handle.file_id]
+                                       [k * b:(k + 1) * b] or bytearray(b))
+            elif block[lo:lo + len(new)] == new:
+                continue
+            block[lo:lo + len(new)] = new
+            self.dirty.add(k)
+
+    def keep(self, blocks: set[int]):
+        """Drop every resident block not in ``blocks``."""
+        gone = self.resident.keys() - blocks
+        dirty, resident = gone & self.dirty, self.resident
+        if dirty:
+            self.dirty -= dirty
+            b = self.block
+            for first, last in _runs(sorted(dirty)):
+                self.disk.write_direct(self.handle, first * b, b"".join(
+                    [resident[k] for k in range(first, last + 1)]))
+        for k in gone:
+            del resident[k]
+
+    def flush(self):
+        """Drop every resident block."""
+        self.keep(set())
 
 
 class FileStack:

@@ -24,17 +24,13 @@ weight to the estimate just finalized, which is at least every estimate
 finalized before it.
 
 A step touches its own cluster and the clusters the settled vertex's edges
-reach, at most the cluster and its 8 grid neighbours.  Between steps the
-buffer of ``DistanceFile`` holds one state, block bytes: the blocks of ``D``
-of the previous step's clusters, at most 9 * ceil(32 (2^h - 1) / B).  A step
-reads only the blocks it touches that are not resident and changes its
-clusters' records in place; when it ends they are encoded into their blocks,
-the resident set becomes exactly the step's blocks, and a dirty block is
-written back when it leaves.  The queues are refreshed from the step's
-records, never from ``D``.  In ``D`` a cluster's records form one range that
-touches as few blocks as its length allows.  While a range fits one block, a
-step that reaches one other cluster touches at most the four blocks the cost
-model prices per separator vertex.
+reach, at most the cluster and its 8 grid neighbours.  It changes their
+records through the block buffer of ``DistanceFile``, which between steps
+holds only the blocks of ``D`` of the previous step's clusters.  The queues
+are refreshed from the step's records, never from ``D``.  In ``D`` a
+cluster's records form one range that touches as few blocks as its length
+allows.  While a range fits one block, a step that reaches one other cluster
+touches at most the four blocks the cost model prices per separator vertex.
 
 An estimate that would reach ``INF_D`` raises ``SsspError``: the 63 bits
 beside the tentative flag cannot hold it.
@@ -72,25 +68,22 @@ class DistanceFile:
     carry them, and nothing decodes them.  H-numbers stay packed: only the
     offsets in ``D`` are padded.
 
-    Phase 2 goes through a step-scoped block buffer.  Between steps it
-    holds only block bytes: the resident blocks and which of them are
-    dirty.  ``records`` reads a cluster's blocks that are not resident,
-    each maximal run as one direct read, and decodes the cluster once per
-    step; the caller changes the returned list in place.  ``end_step``
-    encodes every cluster the step loaded back into its blocks (a block
-    turns dirty only if its bytes change), keeps exactly the step's blocks,
-    and writes back each maximal run of dirty blocks that leave as one
-    whole-block write; ``flush`` writes back the rest and empties the
-    buffer.  A step loads its own cluster and the clusters its edges reach,
-    at most 9, so the buffer holds at most 9 * ceil(32 (2^h - 1) / B)
-    blocks.  Residency is per block, as a long range's last block can hold
-    the next short range.  ``read`` is phase 3's counted read of one range.
+    Phase 2 changes records through a ``simdisk.BlockBuffer`` of ``D``,
+    whose rule decides what is read and written back.  ``records`` loads a
+    cluster's blocks and decodes the cluster once per step; the caller
+    changes the returned list in place.  ``end_step`` writes every cluster
+    the step loaded back into the buffer and keeps exactly the step's
+    blocks; ``flush`` empties it.  A step loads its own cluster and the
+    clusters its edges reach, at most 9, so the buffer holds at most
+    9 * ceil(32 (2^h - 1) / B) blocks.  Residency is per block, as a long
+    range's last block can hold the next short range.  ``read`` is phase
+    3's counted read of one range.
     """
 
     def __init__(self, disk: SimDisk, scheme: cl.ClusterScheme, name: str):
         self.disk = disk
         self.bases = scheme.bases
-        b = self.block = disk.config.block_bytes
+        b = disk.config.block_bytes
         # per rank: byte offset, blocks and record codec
         self.offsets, self.spans, self.codecs = [], [], []
         codecs: dict[int, struct.Struct] = {}
@@ -108,8 +101,7 @@ class DistanceFile:
         stream = disk.append_stream(self.handle)
         stream.write(b"\xff" * end)
         stream.close()
-        self.resident: dict[int, bytearray] = {}   # block -> bytes
-        self._dirty: set[int] = set()              # resident, not yet written
+        self.buffer = disk.buffer(self.handle)
         self._step: dict[int, list] = {}           # rank -> records this step
 
     def records(self, rank: int) -> list[int]:
@@ -117,70 +109,33 @@ class DistanceFile:
         into the buffer for this step; the same list until the step ends."""
         vals = self._step.get(rank)
         if vals is None:
-            b, span, resident = self.block, self.spans[rank], self.resident
-            for first, last in _runs([k for k in span if k not in resident]):
-                raw = self.disk.read_direct(self.handle, first * b,
-                                            (last - first + 1) * b)
-                for k in range(first, last + 1):
-                    resident[k] = bytearray(raw[(k - first) * b:
-                                                (k - first + 1) * b])
-            raw = b"".join([resident[k] for k in span])
+            span, buf = self.spans[rank], self.buffer
+            buf.load(span)
+            raw = b"".join([buf.resident[k] for k in span])
             vals = self._step[rank] = list(self.codecs[rank].unpack_from(
-                raw, self.offsets[rank] % b))
+                raw, self.offsets[rank] % buf.block))
         return vals
 
     def end_step(self):
-        """Encode the step's clusters into their blocks and keep exactly
-        those blocks."""
-        b, resident = self.block, self.resident
+        """Encode the step's clusters into the buffer and keep exactly
+        their blocks."""
         step, self._step = self._step, {}
         keep = set()
         for rank, vals in step.items():
-            raw, pos = self.codecs[rank].pack(*vals), self.offsets[rank]
-            for k in self.spans[rank]:
-                keep.add(k)
-                start = max(k * b - pos, 0)         # in raw
-                new = raw[start:(k + 1) * b - pos]
-                lo = pos + start - k * b            # in block k
-                if resident[k][lo:lo + len(new)] != new:
-                    resident[k][lo:lo + len(new)] = new
-                    self._dirty.add(k)
-        self._write_back(resident.keys() - keep)
+            keep.update(self.spans[rank])
+            self.buffer.write(self.offsets[rank],
+                              self.codecs[rank].pack(*vals))
+        self.buffer.keep(keep)
 
     def flush(self):
         """Write back every dirty block and empty the buffer."""
-        self._write_back(set(self.resident))
-
-    def _write_back(self, gone: set[int]):
-        """Write back the dirty blocks of ``gone``, one whole-block write
-        per run, and drop them."""
-        dirty, resident = gone & self._dirty, self.resident
-        if dirty:
-            self._dirty -= dirty
-            b = self.block
-            for first, last in _runs(sorted(dirty)):
-                self.disk.write_direct(self.handle, first * b, b"".join(
-                    [resident[k] for k in range(first, last + 1)]))
-        for k in gone:
-            del resident[k]
+        self.buffer.flush()
 
     def read(self, rank: int) -> list[int]:
         """The records of the cluster of Z-rank ``rank``; one counted read."""
         size = self.bases[rank + 1] - self.bases[rank]
         raw = self.disk.read_direct(self.handle, self.offsets[rank], 8 * size)
         return np.frombuffer(raw, "<u8").tolist()
-
-
-def _runs(blocks):
-    """Maximal runs of consecutive block indices, as (first, last) pairs,
-    of an ascending sequence."""
-    runs = []
-    for k in blocks:
-        if runs and runs[-1][1] == k - 1:
-            runs[-1][1] = k
-        else:
-            runs.append([k, k])
-    return runs
 
 
 def _min_tentative(vals: list[int]):

@@ -13,10 +13,10 @@ header is its vertex count and label file offset; its address entry gives the
 rest.  Chunks are then evaluated in rank order; each reads its record plus
 intra region sequentially, fetches inter-cluster slots arithmetically, asks
 the label callback for each vertex in turn, and writes its outgoing messages
-as one gathered write, so each block of the chunk file they touch is written
-once per chunk, in ascending order.  Its labels go through one stream, so a
-block shared by adjacent label ranges is written once.  A final scan rewrites
-the cluster-ordered label file into Z-order.
+into a block buffer of the chunk file that it flushes when the chunk ends.
+Its labels go through one stream, so a block shared by adjacent label ranges
+is written once.  A final scan rewrites the cluster-ordered label file into
+Z-order.
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     """Evaluate ``fn(cell, in-labels clockwise from north)`` for every vertex
     and return the handle of the Z-ordered 64-bit label file.
 
-    A chunk's messages, sorted by address, go out as one ``write_pieces``
-    call before the next chunk reads its record: each block they touch is
-    written once per chunk, as the chunk holds all of them in memory.
+    A chunk's messages go into a fresh ``simdisk.BlockBuffer``, flushed
+    before the next chunk reads its record, so each block they touch is
+    written once per chunk.
     The label records go through one stream, reopened only where a chunk's
     label range does not start at the stream's position, and closed before
     the final pass reads them back.
@@ -257,7 +257,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         region = iter(np.frombuffer(raw, "<u8", offset=pos).tolist())
 
         labels_mem = {}         # this chunk's labels so far
-        pending = []            # (absolute address in C, label bytes)
+        messages = disk.buffer(plan.c_handle)   # slots this chunk never reads
         for v, im, om, addrs in vertices:
             vr, vc = divmod(v, wid)
             ins = []
@@ -282,7 +282,8 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             labels_mem[v] = label
 
             lb = label.to_bytes(8, "little")
-            pending.extend((addr, lb) for addr in addrs)
+            for addr in addrs:
+                messages.write(addr, lb)
             for d in range(8):
                 if not (om >> d & 1):
                     continue
@@ -292,7 +293,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                     continue
                 slot = _inter_slot(scheme, (r0 + vr, c0 + vc),
                                    (r0 + ur, c0 + uc))
-                pending.append((slot * 8, lb))
+                messages.write(slot * 8, lb)
                 stats.slot_writes[slot] = stats.slot_writes.get(slot, 0) + 1
 
         lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
@@ -301,7 +302,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             l_stream.close()
             l_stream = disk.append_stream(plan.l_handle, l_addr)
         l_stream.write(lrecs.tobytes())
-        disk.write_pieces(plan.c_handle, sorted(pending))
+        messages.flush()
     l_stream.close()
 
     # final pass: cluster-ordered label file -> Z-order output

@@ -98,6 +98,17 @@ def test_matches_oracle_tour(rows, cols, seed, h):
                       h)
 
 
+def entry_exit(g, h, root):
+    """Entry-to-exit maps by cluster rank: {(entry vertex, arrival
+    direction): (exit vertex, exit direction) or None for the terminal
+    entry}, from Euler's segment scan."""
+    maps = {}
+    _, segments = euler._scan_segments(g, h, root)
+    for rank, entry, arrival, _, exit_edge in segments:
+        maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
+    return maps
+
+
 def test_default_root_is_smallest_z():
     d = make_disk()
     g = gf.generate(d, 8, 8, "tree", seed=9)
@@ -108,7 +119,7 @@ def test_default_root_is_smallest_z():
 def test_entry_exit_injective():
     d = make_disk()
     g = gf.generate(d, 16, 16, "tree", seed=3)
-    maps = euler.build_entry_exit(g, 2, root=(0, 0))
+    maps = entry_exit(g, 2, root=(0, 0))
     for ckey, m in maps.items():
         exits = [e for e in m.values() if e is not None]
         assert len(exits) == len(set(exits)), ckey
@@ -120,7 +131,7 @@ def test_leaf_bounce():
     # leaf and back) before exiting by the reverse of the entry edge
     d = make_disk()
     g = tree_graph(d, 1, 4, [((0, c), gf.E) for c in range(3)])
-    maps = euler.build_entry_exit(g, 1, root=(0, 0))
+    maps = entry_exit(g, 1, root=(0, 0))
     m = maps[cl.ClusterScheme(1, 4, 1).rank_of(0, 2)]
     assert m[((0, 2), gf.E)] == ((0, 2), gf.W)
 
@@ -129,7 +140,7 @@ def test_terminal_only_in_root_cluster():
     d = make_disk()
     g = gf.generate(d, 16, 16, "tree", seed=5)
     root = (7, 7)
-    maps = euler.build_entry_exit(g, 2, root=root)
+    maps = entry_exit(g, 2, root=root)
     terminals = [(ckey, k) for ckey, m in maps.items()
                  for k, v in m.items() if v is None]
     assert len(terminals) == 1

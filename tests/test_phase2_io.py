@@ -213,7 +213,7 @@ def spy_distance_file(monkeypatch, disk, h):
         end_step(self)
         state["writing"] = None
         state["resident"] &= state["step"]
-        assert set(self.resident) == state["resident"]
+        assert set(self.buffer.resident) == state["resident"]
         assert len(state["ranks"]) <= 9 and len(state["resident"]) <= bound
         state["step"], state["ranks"] = set(), set()
         state["steps"] += 1
@@ -224,7 +224,7 @@ def spy_distance_file(monkeypatch, disk, h):
         flush(self)
         state["writing"], state["flushed"] = None, True
         state["resident"] = set()
-        assert not self.resident
+        assert not self.buffer.resident
 
     monkeypatch.setattr(disk, "read_direct", spy_read)
     monkeypatch.setattr(disk, "write_direct", spy_write)

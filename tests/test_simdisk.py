@@ -122,8 +122,9 @@ def test_direct_write_counts_every_block():
 
 
 def write_trace(d, h, pieces):
-    """The blocks of file ``h`` that one ``write_pieces`` call counts, in
-    order, each with True when it is sequential."""
+    """The blocks of file ``h`` that writing ``pieces``, (offset, bytes)
+    pairs, into a fresh block buffer and flushing it counts, in order, each
+    with True when it is sequential."""
     before = d.file_counters(h)
     trace = []
     real_count = d._count
@@ -136,13 +137,36 @@ def write_trace(d, h, pieces):
 
     d._count = count
     try:
-        d.write_pieces(h, pieces)
+        buf = d.buffer(h)
+        for offset, piece in pieces:
+            buf.write(offset, piece)
+        buf.flush()
     finally:
         del d._count
     after = d.file_counters(h)
     assert after.blocks_written - before.blocks_written == len(trace)
     assert after.blocks_read == before.blocks_read
+    assert not buf.resident and not buf.dirty
     return trace
+
+
+def direct_calls(monkeypatch, d):
+    """Every ``read_direct`` and ``write_direct`` call on ``d``, as
+    (operation, offset, length)."""
+    calls = []
+    real_read, real_write = d.read_direct, d.write_direct
+
+    def read_direct(handle, offset, nbytes):
+        calls.append(("read", offset, nbytes))
+        return real_read(handle, offset, nbytes)
+
+    def write_direct(handle, offset, data):
+        calls.append(("write", offset, len(data)))
+        return real_write(handle, offset, data)
+
+    monkeypatch.setattr(d, "read_direct", read_direct)
+    monkeypatch.setattr(d, "write_direct", write_direct)
+    return calls
 
 
 def test_write_pieces_in_one_block_count_one_write():
@@ -169,6 +193,17 @@ def test_write_pieces_in_non_adjacent_blocks_jump_at_random():
         (0, True), (2, False)]
 
 
+def test_buffer_writes_back_in_ascending_order(monkeypatch):
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    calls = direct_calls(monkeypatch, d)
+    assert write_trace(d, h, [(40, b"c"), (18, b"b"), (3, b"a")]) == [
+        (0, True), (1, True), (2, True)]
+    assert calls == [("write", 0, 48)]
+    assert d.raw_bytes(h)[:48] == (bytes(3) + b"a" + bytes(14) + b"b"
+                                   + bytes(21) + b"c" + bytes(7))
+
+
 def test_write_piece_into_held_block_drops_it():
     d, h = held_disk()
     write_trace(d, h, [(2, b"x"), (18, b"y")])
@@ -192,11 +227,85 @@ def test_second_write_pieces_call_counts_its_block_again():
     assert d.file_counters(h).blocks_written == 2
 
 
-def test_write_pieces_out_of_order_is_an_error():
+def test_buffer_zero_length_write_dirties_no_block():
+    d, h = held_disk()
+    before = d.counters_snapshot()
+    buf = d.buffer(h)
+    buf.write(5, b"")
+    buf.write(16, b"")
+    assert not buf.resident and not buf.dirty
+    buf.flush()
+    assert d.counters_snapshot() == before
+    # the held block stays held
+    d.read_direct(h, 16, 4)
+    assert d.counters_snapshot() == before
+
+
+def test_buffer_write_past_end_of_empty_file_lands_in_place():
     d = small_disk(block=16)
     h = d.open_file("f")
-    with pytest.raises(SimDiskError):
-        d.write_pieces(h, [(20, b"a"), (0, b"b")])
+    assert write_trace(d, h, [(37, b"xyz")]) == [(2, True)]
+    assert d.raw_bytes(h) == bytes(37) + b"xyz" + bytes(8)
+
+
+def test_buffer_resident_block_rewritten_unchanged_stays_clean(monkeypatch):
+    d, h = held_disk()
+    calls = direct_calls(monkeypatch, d)
+    buf = d.buffer(h)
+    buf.load(range(2, 4))
+    buf.write(36, bytes(range(36, 52)))     # blocks 2 and 3, unchanged
+    buf.write(54, b"!")                     # block 3, changed
+    assert buf.dirty == {3}
+    buf.flush()
+    assert calls == [("read", 32, 32), ("write", 48, 16)]
+    assert d.raw_bytes(h) == bytes(range(54)) + b"!" + bytes(range(55, 64))
+
+
+def test_buffer_joins_a_missing_block_dirty_without_a_read():
+    d, h = held_disk()
+    before = d.counters_snapshot()
+    buf = d.buffer(h)
+    buf.write(50, b"yz")
+    assert set(buf.resident) == buf.dirty == {3}
+    assert d.counters_snapshot() == before
+    buf.flush()
+    after = d.counters_snapshot()
+    assert (after.blocks_read, after.blocks_written) == (
+        before.blocks_read, before.blocks_written + 1)
+    # the block keeps the file's other bytes
+    assert d.raw_bytes(h) == bytes(range(50)) + b"yz" + bytes(range(52, 64))
+
+
+def test_buffer_load_reads_only_missing_blocks_as_runs(monkeypatch):
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(range(128)))
+    calls = direct_calls(monkeypatch, d)
+    buf = d.buffer(h)
+    buf.load([2])
+    d.reset_counters()
+    buf.load(range(0, 6))
+    assert calls == [("read", 32, 16), ("read", 0, 32), ("read", 48, 48)]
+    assert d.counters_snapshot().blocks_read == 5
+    assert set(buf.resident) == set(range(6)) and not buf.dirty
+    assert bytes(buf.resident[4]) == bytes(range(64, 80))
+
+
+def test_buffer_keep_writes_back_the_dirty_blocks_that_leave(monkeypatch):
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(96))
+    calls = direct_calls(monkeypatch, d)
+    buf = d.buffer(h)
+    buf.load(range(6))
+    for k in (0, 1, 3, 4):
+        buf.write(16 * k, b"x")
+    buf.keep({1, 2})
+    assert calls[1:] == [("write", 0, 16), ("write", 48, 32)]
+    assert set(buf.resident) == {1, 2} and buf.dirty == {1}
+    buf.flush()
+    assert calls[3:] == [("write", 16, 16)]
+    assert not buf.resident
 
 
 def test_append_stream_one_write_per_block():

@@ -248,54 +248,42 @@ def test_label_writes_merge_adjacent_ranges(monkeypatch, rows, cols, seed, h,
 @pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
 def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
     # every write to the chunk file after planning, split into chunks at the
-    # reads of chunk records; 8-byte reads are inter-cluster slots.  A
-    # gathered write is recorded as its runs of abutting pieces
-    events = []
+    # reads of chunk records (8-byte reads are inter-cluster slots): each
+    # chunk's writes are whole-block runs, ascending and apart, so no block
+    # is written twice within one chunk
+    chunks = []
     real_read, real_write = SimDisk.read_direct, SimDisk.write_direct
-    real_pieces, real_append = SimDisk.write_pieces, AppendStream.write
+    real_append = AppendStream.write
 
     def is_chunks(handle):
         return handle.name.endswith(".plan.chunks")
 
     def read_direct(self, handle, offset, nbytes):
         if is_chunks(handle) and nbytes > 8:
-            events.append(None)
+            chunks.append([])
         return real_read(self, handle, offset, nbytes)
 
     def write_direct(self, handle, offset, data):
-        if is_chunks(handle) and events:
-            events.append((offset, offset + len(data)))
+        if is_chunks(handle) and chunks:
+            chunks[-1].append((offset, offset + len(data)))
         return real_write(self, handle, offset, data)
 
-    def write_pieces(self, handle, pieces):
-        pieces = list(pieces)
-        if is_chunks(handle) and events:
-            runs = []
-            for offset, piece in pieces:
-                if runs and runs[-1][1] == offset:
-                    runs[-1][1] += len(piece)
-                else:
-                    runs.append([offset, offset + len(piece)])
-            events.extend(tuple(run) for run in runs)
-        return real_pieces(self, handle, pieces)
-
     def append_write(self, data):
-        if is_chunks(self.handle) and events:
-            events.append((self.pos, self.pos + len(data)))
+        if is_chunks(self.handle) and chunks:
+            chunks[-1].append((self.pos, self.pos + len(data)))
         return real_append(self, data)
 
     monkeypatch.setattr(SimDisk, "read_direct", read_direct)
     monkeypatch.setattr(SimDisk, "write_direct", write_direct)
-    monkeypatch.setattr(SimDisk, "write_pieces", write_pieces)
     monkeypatch.setattr(AppendStream, "write", append_write)
     d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
 
-    assert events.count(None) == len(plan.a_entries)
-    writes = [e for e in events if e is not None]
-    assert writes
-    for prev, cur in zip(events, events[1:]):
-        if prev is not None and cur is not None:
-            assert cur[0] != prev[1], (prev, cur)
+    assert len(chunks) == len(plan.a_entries)
+    assert any(chunks)
+    for writes in chunks:
+        assert all(lo % block == 0 and hi % block == 0 for lo, hi in writes)
+        for (_, prev_hi), (lo, _) in zip(writes, writes[1:]):
+            assert prev_hi < lo, writes
 
 
 @pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
