@@ -174,6 +174,10 @@ def volume_model(alg: str, n: int, M: int, B: int, h: int) -> IoCostReport:
         io = F(1 + 8)
 
     elif alg == "tfp":
+        # the label file is written once, 12n, in evaluation order while
+        # chunks are processed; the rewrite gathers each cluster's labels
+        # with one read per chunk, whose at most one extra block falls under
+        # the processing phase's per-chunk random unit
         phases = [
             ("build separator reachability graph", F(1 + 2)),
             ("number separator vertices (one block each)", ru),

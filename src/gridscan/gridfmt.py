@@ -108,21 +108,6 @@ def z_tables(rows: int, cols: int):
     return z_of_cell, cell_of_z
 
 
-def coord_to_index(rows: int, cols: int, row: int, col: int) -> int:
-    """Z-order vertex index of 1-based (row, col)."""
-    if not (1 <= row <= rows and 1 <= col <= cols):
-        raise FormatError("coordinate (%d,%d) outside %dx%d grid" % (row, col, rows, cols))
-    return int(z_tables(rows, cols)[0][(row - 1) * cols + col - 1])
-
-
-def index_to_coord(rows: int, cols: int, index: int) -> tuple[int, int]:
-    """1-based (row, col) of a Z-order vertex index."""
-    if not (0 <= index < rows * cols):
-        raise FormatError("index %d outside grid" % index)
-    cell = int(z_tables(rows, cols)[1][index])
-    return cell // cols + 1, cell % cols + 1
-
-
 # ---------------------------------------------------------------------------
 # GridGraph container
 

@@ -9,14 +9,14 @@ horizontal grid edge on a cluster boundary, one per vertical, one per diagonal
 square, since a planar instance uses at most one diagonal per square), while
 cross-chunk edges inside a cluster get slots in a message region stored right
 after the receiving chunk's record, addressed by absolute offset.  A chunk's
-header is its vertex count and label file offset; its address entry gives the
-rest.  Chunks are then evaluated in rank order; each reads its record plus
-intra region sequentially, fetches inter-cluster slots arithmetically, asks
-the label callback for each vertex in turn, and writes its outgoing messages
-into a block buffer of the chunk file that it flushes when the chunk ends.
-Its labels go through one stream, so a block shared by adjacent label ranges
-is written once.  A final scan rewrites the cluster-ordered label file into
-Z-order.
+header is its vertex count; its address entry gives the rest.  Chunks are
+then evaluated in rank order; each reads its record plus intra region
+sequentially, fetches inter-cluster slots arithmetically, asks the label
+callback for each vertex in turn, and writes its outgoing messages into a
+block buffer of the chunk file that it flushes when the chunk ends.  Its
+labels are appended to one stream, in evaluation order, so each label block
+is written once.  A final pass gathers each cluster's labels, one direct
+read per chunk in ascending order, and rewrites them into Z-order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class TfpError(Exception):
 
 MASK64 = (1 << 64) - 1
 
-CHUNK_HDR = struct.Struct("<IQ")        # vertex count, label file offset
+CHUNK_HDR = struct.Struct("<I")         # vertex count
 VERTEX_HDR = struct.Struct("<IBBB")     # local id, in mask, out mask, n addr
 ADDR = struct.Struct("<Q")              # absolute offset of the slot in C
 LABEL = np.dtype([("v", "<u4"), ("label", "<u8")])   # label file record
@@ -110,10 +110,10 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     """Build the chunk file with message addressing annotations.
 
     Layout of the chunk file: the inter-cluster slot table, then per chunk a
-    header (vertex count and label file offset), per-vertex records (id, in
-    mask, out mask, and the absolute addresses of outgoing intra-cluster
-    cross-chunk messages), and the chunk's incoming intra-cluster message
-    region, which runs to the end of the record its address entry sizes.
+    header (its vertex count), per-vertex records (id, in mask, out mask,
+    and the absolute addresses of outgoing intra-cluster cross-chunk
+    messages), and the chunk's incoming intra-cluster message region, which
+    runs to the end of the record its address entry sizes.
 
     One pass over the clusters: a cell's in-arcs from other clusters come
     from the reachability graph's ``cross_in``, so the plan reads the input
@@ -134,7 +134,6 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     c_stream.write(b"\0" * (inter_slots * 8))
     c_off = inter_slots * 8
     a_entries = []
-    l_off = 0
 
     for q in cl.iterate_clusters(g, scheme):
         local_squares: dict = {}
@@ -200,7 +199,6 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
         recs = bytearray()
         for rank in ranks:
             body = bytearray()
-            cnt = len(asg.members[rank])
             for v in asg.members[rank]:
                 addrs = [send_addr[(v, d)] for d in range(8)
                          if out_mask[v] >> d & 1 and (v, d) in send_addr]
@@ -208,12 +206,11 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 for to, slot in addrs:
                     body += ADDR.pack(region_offset[to] + slot * 8)
             region = region_slots[rank] * 8
-            recs += CHUNK_HDR.pack(cnt, l_off)
+            recs += CHUNK_HDR.pack(len(asg.members[rank]))
             recs += body + bytes(region)
             a_entries.append((rank, q.rank, c_off,
                               CHUNK_HDR.size + len(body) + region))
             c_off += CHUNK_HDR.size + len(body) + region
-            l_off += cnt * LABEL.itemsize
             stats.chunk_count += 1
         c_stream.write(recs)
     c_stream.close()
@@ -231,9 +228,11 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     A chunk's messages go into a fresh ``simdisk.BlockBuffer``, flushed
     before the next chunk reads its record, so each block they touch is
     written once per chunk.
-    The label records go through one stream, reopened only where a chunk's
-    label range does not start at the stream's position, and closed before
-    the final pass reads them back.
+    Each chunk appends its label records to one stream, opened once at
+    offset 0, and notes its range under its cluster.  The final pass builds
+    a cluster's records from its chunks' ranges, one ``read_direct`` each in
+    ascending order, so a block shared by neighbouring ranges is held, not
+    read again; one cluster's labels are resident at a time.
     """
     stats = stats if stats is not None else TfpStats()
     plan = plan_messages(g, h, name=out_name + ".plan", stats=stats)
@@ -241,9 +240,10 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
     scheme = plan.scheme
 
     l_stream = disk.append_stream(plan.l_handle, 0)
+    l_ranges = [[] for _ in scheme.extents]     # per cluster: (offset, bytes)
     for _, crank, off, size in plan.a_entries:
         raw = disk.read_direct(plan.c_handle, off, size)
-        cnt, l_addr = CHUNK_HDR.unpack_from(raw, 0)
+        (cnt,) = CHUNK_HDR.unpack_from(raw, 0)
         r0, c0, hgt, wid = scheme.extents[crank]
         pos = CHUNK_HDR.size
         vertices = []
@@ -297,21 +297,20 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                 stats.slot_writes[slot] = stats.slot_writes.get(slot, 0) + 1
 
         lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
-                         LABEL)
-        if l_stream.pos != l_addr:
-            l_stream.close()
-            l_stream = disk.append_stream(plan.l_handle, l_addr)
-        l_stream.write(lrecs.tobytes())
+                         LABEL).tobytes()
+        l_ranges[crank].append((l_stream.pos, len(lrecs)))
+        l_stream.write(lrecs)
         messages.flush()
     l_stream.close()
 
-    # final pass: cluster-ordered label file -> Z-order output
+    # final pass: evaluation-ordered label file -> Z-order output
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, "labels", g.rows, g.cols, g.n)
-    reader = disk.scan_reader(plan.l_handle, 0)
     for rank, (lo, hi) in enumerate(zip(scheme.starts, scheme.starts[1:])):
-        recs = np.frombuffer(reader.read((hi - lo) * LABEL.itemsize), LABEL)
+        recs = np.frombuffer(b"".join(
+            disk.read_direct(plan.l_handle, off, nbytes)
+            for off, nbytes in l_ranges[rank]), LABEL)
         labels = np.empty(hi - lo, "<u8")
         labels[recs["v"]] = recs["label"]
         stream.write(labels[scheme.shape(rank).local_of_t].tobytes())

@@ -8,6 +8,22 @@ from gridscan import gridfmt as gf
 from gridscan import clusters as cl
 
 
+def coord_to_index(rows: int, cols: int, row: int, col: int) -> int:
+    """Z-order vertex index of 1-based (row, col)."""
+    if not (1 <= row <= rows and 1 <= col <= cols):
+        raise gf.FormatError("coordinate (%d,%d) outside %dx%d grid"
+                             % (row, col, rows, cols))
+    return int(gf.z_tables(rows, cols)[0][(row - 1) * cols + col - 1])
+
+
+def index_to_coord(rows: int, cols: int, index: int) -> tuple[int, int]:
+    """1-based (row, col) of a Z-order vertex index."""
+    if not (0 <= index < rows * cols):
+        raise gf.FormatError("index %d outside grid" % index)
+    cell = int(gf.z_tables(rows, cols)[1][index])
+    return cell // cols + 1, cell % cols + 1
+
+
 def make_disk(block=64, mem_blocks=None):
     mem = block * (mem_blocks if mem_blocks else block)
     return SimDisk(SimConfig(block_bytes=block, memory_bytes=mem))
@@ -21,7 +37,7 @@ def make_graph(disk, rows, cols, encoding, edges, name="input"):
     g.write_header()
     stream = disk.append_stream(handle, g.payload_offset)
     for idx in range(rows * cols):
-        row, col = gf.index_to_coord(rows, cols, idx)
+        row, col = index_to_coord(rows, cols, idx)
         spec = edges.get((row - 1, col - 1), {})
         mask = sum(1 << d for d in spec)
         stream.write(gf.encode_record(encoding, mask, dict(spec)))

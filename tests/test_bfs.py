@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, bfs
 
-from conftest import make_disk, make_graph
+from conftest import index_to_coord, make_disk, make_graph
 
 
 def snake_edges(rows, cols):
@@ -119,7 +119,7 @@ def test_chunks_partition_reachable():
         rec = raw[off:off + bfs.CHUNK_HDR.size + cnt]
         depths = set()
         for z, dv in bfs.decode_chunk(g, rec, rdist):
-            r, c = gf.index_to_coord(16, 16, z)
+            r, c = index_to_coord(16, 16, z)
             seen.append((r - 1, c - 1))
             assert expect[(r - 1, c - 1)] == dv
             depths.add(dv)
@@ -144,7 +144,7 @@ def check_order(g, s, h, name="bfs"):
     assert len(order) == emitted
     expect = oracle.bfs_distances(g, s)
     reach = {v for v in expect if expect[v] != float("inf")}
-    coords = [tuple(x - 1 for x in gf.index_to_coord(g.rows, g.cols, z))
+    coords = [tuple(x - 1 for x in index_to_coord(g.rows, g.cols, z))
               for z in order]
     assert sorted(coords) == sorted(reach)
     dists = [expect[v] for v in coords]

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 from gridscan import toposort as ts
 
-from conftest import make_disk, make_graph, grid4_edges
+from conftest import (coord_to_index, index_to_coord, make_disk, make_graph,
+                      grid4_edges)
 
 
 def boundary_coords(s, rank):
@@ -113,7 +114,7 @@ def test_z_intervals_tile_the_grid(rows, cols, h):
     for rank, (r0, c0, hgt, wid) in enumerate(s.extents):
         lo, hi = s.starts[rank], s.starts[rank + 1]
         assert lo == pos
-        assert sorted(gf.coord_to_index(rows, cols, r + 1, c + 1)
+        assert sorted(coord_to_index(rows, cols, r + 1, c + 1)
                       for r in range(r0, r0 + hgt)
                       for c in range(c0, c0 + wid)) == list(range(lo, hi))
         pos = hi
@@ -128,7 +129,7 @@ def test_load_cluster_matches_read_vertex():
     records = gf.decode_all(g)
     for v, edges in enumerate(q.intra):
         r, c = q.coord(v)
-        idx = gf.coord_to_index(8, 8, r + 1, c + 1)
+        idx = coord_to_index(8, 8, r + 1, c + 1)
         mask, ws = records[idx]
         for dd, u, w in edges:
             assert mask >> dd & 1
@@ -357,10 +358,10 @@ def _expected_cluster(g, s, records, rank):
     local = lambda r, c: (r - r0) * wid + c - c0
     intra = [[] for _ in range(hgt * wid)]
     out = []
-    for z in sorted(gf.coord_to_index(g.rows, g.cols, r + 1, c + 1)
+    for z in sorted(coord_to_index(g.rows, g.cols, r + 1, c + 1)
                     for r in range(r0, r0 + hgt)
                     for c in range(c0, c0 + wid)):
-        row, col = gf.index_to_coord(g.rows, g.cols, z)
+        row, col = index_to_coord(g.rows, g.cols, z)
         r, c = row - 1, col - 1
         mask, weights = records[z]
         for dd in range(8):

@@ -61,6 +61,13 @@ and ``sequential_blocks`` unchanged, when each chunk came to write its
 messages as one gathered write that counts every block of the chunk file
 it touches once: ``blocks_written`` and ``random_blocks`` fell by the same
 amount, the repeated writes of a block shared by two runs of slots.
+They were re-recorded again, with the hashes unchanged, when the label
+records came to be written by one stream in evaluation order and gathered
+per cluster, one direct read per chunk, by the final pass, and the chunk
+header shrank to its vertex count: every row moves fewer bytes, and each
+writes fewer blocks; in the four rows at h = 1, where a cluster has at most
+four cells, each chunk's gathered read is a random block, so
+``random_blocks`` rises.
 
 The ``bfs_order``, ``sssp_simple``, ``sssp_hierarchical``, ``toposort``,
 ``tfp_run`` and ``euler_tour`` counters were re-recorded, with the hashes
@@ -246,29 +253,29 @@ RECORDED_EMITTERS = {
         "ee6b500b7503ae2e7928631f5f0021baa3ecae00f8d0e51023131aa55bc6576f"),
     ('toposort', 13, 7, 2, 3): ((45, 23, 45, 23, 4352),
         "42ec1de28615cf6f155a0c2948e6c4f49f79aa8a7155ae41ae87f4a5a1479aaf"),
-    ('tfp_run', 32, 32, 1, 1): ((3351, 3855, 2315, 4891, 461184),
+    ('tfp_run', 32, 32, 1, 1): ((4093, 2823, 1882, 5034, 442624),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 2): ((2394, 2994, 2095, 3293, 344832),
+    ('tfp_run', 32, 32, 1, 2): ((2771, 2385, 2025, 3131, 329984),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 1, 3): ((1494, 2063, 1722, 1835, 227648),
+    ('tfp_run', 32, 32, 1, 3): ((1616, 1778, 1668, 1726, 217216),
         "e80975e73a6f6f2efcf86b40b694e401dbb15e915bbc401093625f4425aa9a7b"),
-    ('tfp_run', 32, 32, 2, 1): ((3335, 3858, 2313, 4880, 460352),
+    ('tfp_run', 32, 32, 2, 1): ((4066, 2827, 1871, 5022, 441152),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 2): ((2357, 3007, 2156, 3208, 343296),
+    ('tfp_run', 32, 32, 2, 2): ((2707, 2430, 2082, 3055, 328768),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 32, 32, 2, 3): ((1471, 2044, 1712, 1803, 224960),
+    ('tfp_run', 32, 32, 2, 3): ((1597, 1780, 1664, 1713, 216128),
         "3d0c80a90e2acd747f53cd253dec1808246f3a220d2c21694c5d64b9a18ebc82"),
-    ('tfp_run', 13, 7, 1, 1): ((269, 328, 208, 389, 38208),
+    ('tfp_run', 13, 7, 1, 1): ((334, 237, 165, 406, 36544),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 2): ((194, 260, 203, 251, 29056),
+    ('tfp_run', 13, 7, 1, 2): ((218, 205, 194, 229, 27072),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 1, 3): ((104, 172, 166, 110, 17664),
+    ('tfp_run', 13, 7, 1, 3): ((103, 153, 159, 97, 16384),
         "8303b910d9e487e1194c468371ff50576695fb709cda62dbd8397c4e153e2cd5"),
-    ('tfp_run', 13, 7, 2, 1): ((277, 314, 212, 379, 37824),
+    ('tfp_run', 13, 7, 2, 1): ((336, 229, 173, 392, 36160),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 2): ((202, 259, 198, 263, 29504),
+    ('tfp_run', 13, 7, 2, 2): ((226, 206, 190, 242, 27648),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
-    ('tfp_run', 13, 7, 2, 3): ((112, 162, 162, 112, 17536),
+    ('tfp_run', 13, 7, 2, 3): ((113, 146, 161, 98, 16576),
         "905f02d9aa0c2188f7de9c21b2fdce8b1e06166ead102052bd5cc08c0a52074e"),
     ('euler_tour', 32, 32, 1, 1): ((135, 47, 107, 75, 11648),
         "ede54a5ac13e4dc69f5b7c7056c3575599612f7eb8932c924485b0d32044a21c"),

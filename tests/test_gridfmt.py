@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from gridscan.simdisk import SimConfig, SimDisk
 from gridscan import cli, gridfmt as gf
 
+from conftest import coord_to_index, index_to_coord
+
 
 def disk(block=64):
     return SimDisk(SimConfig(block_bytes=block, memory_bytes=block * block))
@@ -33,31 +35,31 @@ def z_order_oracle(rows, cols):
 
 
 def test_z_order_2x2():
-    assert [gf.coord_to_index(2, 2, r, c)
+    assert [coord_to_index(2, 2, r, c)
             for r in (1, 2) for c in (1, 2)] == [0, 1, 2, 3]
 
 
 def test_1x1_all_orders():
-    assert gf.coord_to_index(1, 1, 1, 1) == 0
-    assert gf.index_to_coord(1, 1, 0) == (1, 1)
+    assert coord_to_index(1, 1, 1, 1) == 0
+    assert index_to_coord(1, 1, 0) == (1, 1)
 
 
 def test_z_order_4x4_frozen():
-    assert gf.coord_to_index(4, 4, 3, 2) == 9
+    assert coord_to_index(4, 4, 3, 2) == 9
 
 
 def test_out_of_range_coord():
     with pytest.raises(gf.FormatError):
-        gf.coord_to_index(4, 4, 5, 1)
+        coord_to_index(4, 4, 5, 1)
     with pytest.raises(gf.FormatError):
-        gf.index_to_coord(4, 4, 16)
+        index_to_coord(4, 4, 16)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (5, 5), (7, 3), (8, 8),
                                        (6, 9), (13, 13), (16, 5), (1, 17)])
 def test_z_matches_recursive_oracle(rows, cols):
     expect = z_order_oracle(rows, cols)
-    got = [tuple(x - 1 for x in gf.index_to_coord(rows, cols, i))
+    got = [tuple(x - 1 for x in index_to_coord(rows, cols, i))
            for i in range(rows * cols)]
     assert got == expect
 
@@ -67,8 +69,8 @@ def test_coord_index_bijection(rows, cols):
     seen = set()
     for r in range(1, rows + 1):
         for c in range(1, cols + 1):
-            i = gf.coord_to_index(rows, cols, r, c)
-            assert gf.index_to_coord(rows, cols, i) == (r, c)
+            i = coord_to_index(rows, cols, r, c)
+            assert index_to_coord(rows, cols, i) == (r, c)
             seen.add(i)
     assert seen == set(range(rows * cols))
 
@@ -278,10 +280,10 @@ def test_weighted_undirected_owner_storage():
     for (r, c), edges in adj.items():
         for dd, nr, nc, w in edges:
             if dd == gf.E:
-                i = gf.coord_to_index(4, 4, r + 1, c + 1)
+                i = coord_to_index(4, 4, r + 1, c + 1)
                 mask, ws = records[i]
                 assert ws[gf.E] == w
-                j = gf.coord_to_index(4, 4, nr + 1, nc + 1)
+                j = coord_to_index(4, 4, nr + 1, nc + 1)
                 _, wsj = records[j]
                 assert gf.W not in wsj
                 found = True

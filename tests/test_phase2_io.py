@@ -28,7 +28,7 @@ from gridscan import costmodel as cm
 from gridscan import gridfmt as gf
 from gridscan.simdisk import SimConfig, SimDisk
 
-from conftest import make_disk, make_graph, phase3_by_z
+from conftest import index_to_coord, make_disk, make_graph, phase3_by_z
 
 DESK = SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16)
 # the paper's proviso M = B^2 at the smallest block the simulator takes
@@ -264,7 +264,7 @@ def test_phase2_steps_keep_only_their_blocks(monkeypatch, h, block, solver):
     dfile = sssp.DistanceFile(make_disk(block=block), scheme, "D")
     assert state["phase3"] == Counter(dfile.offsets)
     for z in range(side * side):
-        r, c = gf.index_to_coord(side, side, z)
+        r, c = index_to_coord(side, side, z)
         e = want[(r - 1, c - 1)]
         assert got[z] == (gf.ABSENT if e == oracle.INF else e), z
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, bfs
 
-from conftest import make_disk, make_graph, grid4_edges, phase3_by_z
+from conftest import (coord_to_index, index_to_coord, make_disk, make_graph,
+                      grid4_edges, phase3_by_z)
 
 
 def solve_and_compare(rows, cols, seed, h, variant="simple", density=0.5):
@@ -21,7 +22,7 @@ def solve_and_compare(rows, cols, seed, h, variant="simple", density=0.5):
     got = sssp.read_distances(d, out)
     expect = oracle.dijkstra(g, s)
     for z in range(rows * cols):
-        r, c = gf.index_to_coord(rows, cols, z)
+        r, c = index_to_coord(rows, cols, z)
         e = expect[(r - 1, c - 1)]
         e = gf.ABSENT if e == float("inf") else int(e)
         assert got[z] == e, (z, (r, c), got[z], e)
@@ -33,7 +34,7 @@ def test_distance_to_source_zero():
     g = gf.generate(d, 8, 8, "weighted_dag", seed=1)
     out = sssp.sssp_simple(g, (3, 3), 2)
     got = sssp.read_distances(d, out)
-    z = gf.coord_to_index(8, 8, 4, 4)
+    z = coord_to_index(8, 8, 4, 4)
     assert got[z] == 0
 
 
@@ -213,6 +214,6 @@ def test_key_order_never_reactivates(rows, cols, h, seed, unit):
                                                      "dist%d" % i))
         assert stats.reactivations == 0
         for z in range(rows * cols):
-            r, c = gf.index_to_coord(rows, cols, z)
+            r, c = index_to_coord(rows, cols, z)
             e = expect[(r - 1, c - 1)]
             assert got[z] == (gf.ABSENT if e == float("inf") else e)
