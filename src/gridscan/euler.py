@@ -38,15 +38,21 @@ class EulerStats:
     max_entries_per_cluster: int = 0
 
 
+# _SUCCESSOR[dirs][arrival]: the first direction of presence bitmask dirs
+# clockwise strictly after the reverse of arrival, None if dirs is empty
+_SUCCESSOR = tuple(
+    tuple(next((d for d in ((a + 4 + k) % 8 for k in range(1, 9))
+                if dirs >> d & 1), None) for a in range(8))
+    for dirs in range(256))
+
+
 def _successor(dirs: int, arrival: int) -> int:
     """Next existing direction clockwise strictly after the reverse of the
     direction of travel ``arrival``; ``dirs`` is a presence bitmask."""
-    back = gf.opposite(arrival)
-    for k in range(1, 9):
-        d = (back + k) % 8
-        if dirs >> d & 1:
-            return d
-    raise EulerError("input is not a tree: isolated vertex on tour")
+    d = _SUCCESSOR[dirs][arrival]
+    if d is None:
+        raise EulerError("input is not a tree: isolated vertex on tour")
+    return d
 
 
 def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,

@@ -41,9 +41,12 @@ MASK64 = (1 << 64) - 1
 CHUNK_HDR = struct.Struct("<I")         # vertex count
 VERTEX_HDR = struct.Struct("<IBBB")     # local id, in mask, out mask, n addr
 ADDR = struct.Struct("<Q")              # absolute offset of the slot in C
+ADDRS = tuple(struct.Struct("<%dQ" % k) for k in range(9))   # by count
 LABEL = np.dtype([("v", "<u4"), ("label", "<u8")])   # label file record
 
 _DIAG_A = (gf.SE, gf.NW)                # top-left to bottom-right diagonal
+# _DIRS[mask]: the directions of the set bits of an in- or out-mask, ascending
+_DIRS = tuple(tuple(d for d in range(8) if m >> d & 1) for m in range(256))
 
 
 @dataclass
@@ -142,24 +145,26 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
         for v in range(q.n):
             for d, u, w in q.intra[v]:
                 out_mask[v] |= 1 << d
-                in_mask[u] |= 1 << gf.opposite(d)
-                if d not in (gf.N, gf.E, gf.S, gf.W):
+                in_mask[u] |= ts.IN_BIT[d]
+                if d & 1:                           # a diagonal
                     (vr, vc), (ur, uc) = q.coord(v), q.coord(u)
                     _check_square(local_squares, (min(vr, ur), min(vc, uc)),
                                   d in _DIAG_A)
         sep = slice(scheme.bases[q.rank], scheme.bases[q.rank + 1])
         for v, m in zip(q.boundary, gp.cross_in[sep].tolist()):
             in_mask[v] |= m
+        sep_ranks = rtab[sep].tolist()
+        bpos = scheme.shape(q.rank).bpos
         for v, d, nr, nc, w in q.out_edges:
             out_mask[v] |= 1 << d
-            u = q.coord(v)
-            stats.chunk_pairs.add((int(rtab[scheme.h_number(*u)]),
+            stats.chunk_pairs.add((sep_ranks[bpos[v]],
                                    int(rtab[scheme.h_number(nr, nc)])))
-            if d not in (gf.N, gf.E, gf.S, gf.W):
-                _check_square(cross_squares, (min(u[0], nr), min(u[1], nc)),
+            if d & 1:                               # a diagonal
+                vr, vc = q.coord(v)
+                _check_square(cross_squares, (min(vr, nr), min(vc, nc)),
                               d in _DIAG_A)
 
-        asg = ts.assign_chunk_numbers(q, rtab[sep].tolist())
+        asg = ts.assign_chunk_numbers(q, sep_ranks)
         ranks = sorted(asg.members)
 
         # receive-side slot assignment: vertices in record order, incoming
@@ -170,9 +175,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
             slots = 0
             for v in asg.members[rank]:
                 vr, vc = divmod(v, q.wid)
-                for d in range(8):
-                    if not (in_mask[v] >> d & 1):
-                        continue
+                for d in _DIRS[in_mask[v]]:
                     dr, dc = gf.DIR_OFFSETS[d]
                     ur, uc = vr + dr, vc + dc
                     if not (0 <= ur < q.hgt and 0 <= uc < q.wid):
@@ -180,7 +183,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                     u = ur * q.wid + uc
                     if asg.chunk[u] == rank:
                         continue
-                    send_addr[(u, gf.opposite(d))] = (rank, slots)
+                    # d ^ 4 is the opposite of d: the arc's direction at u
+                    send_addr[(u, d ^ 4)] = (rank, slots)
                     stats.chunk_pairs.add((asg.chunk[u], rank))
                     slots += 1
             region_slots[rank] = slots
@@ -200,8 +204,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
         for rank in ranks:
             body = bytearray()
             for v in asg.members[rank]:
-                addrs = [send_addr[(v, d)] for d in range(8)
-                         if out_mask[v] >> d & 1 and (v, d) in send_addr]
+                addrs = [send_addr[(v, d)] for d in _DIRS[out_mask[v]]
+                         if (v, d) in send_addr]
                 body += VERTEX_HDR.pack(v, in_mask[v], out_mask[v], len(addrs))
                 for to, slot in addrs:
                     body += ADDR.pack(region_offset[to] + slot * 8)
@@ -250,8 +254,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         for _ in range(cnt):
             v, im, om, na = VERTEX_HDR.unpack_from(raw, pos)
             pos += VERTEX_HDR.size
-            vertices.append((v, im, om,
-                             np.frombuffer(raw, "<u8", na, pos).tolist()))
+            vertices.append((v, im, om, ADDRS[na].unpack_from(raw, pos)))
             pos += ADDR.size * na
         # the region's messages, in the order the chunk's vertices read them
         region = iter(np.frombuffer(raw, "<u8", offset=pos).tolist())
@@ -261,9 +264,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         for v, im, om, addrs in vertices:
             vr, vc = divmod(v, wid)
             ins = []
-            for d in range(8):
-                if not (im >> d & 1):
-                    continue
+            for d in _DIRS[im]:
                 dr, dc = gf.DIR_OFFSETS[d]
                 ur, uc = vr + dr, vc + dc
                 if 0 <= ur < hgt and 0 <= uc < wid:
@@ -284,9 +285,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
             lb = label.to_bytes(8, "little")
             for addr in addrs:
                 messages.write(addr, lb)
-            for d in range(8):
-                if not (om >> d & 1):
-                    continue
+            for d in _DIRS[om]:
                 dr, dc = gf.DIR_OFFSETS[d]
                 ur, uc = vr + dr, vc + dc
                 if 0 <= ur < hgt and 0 <= uc < wid:

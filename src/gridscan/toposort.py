@@ -5,8 +5,14 @@ Kahn's algorithm over it with the in-degree table and the queue in memory,
 then number the interior of each cluster into chunks keyed by separator
 ranks.  Alternating predecessor/successor rounds assign most interior
 vertices; the rest form weakly-connected left-over components that inherit
-the chunk of a numbered left neighbour.  Chunks are emitted in rank order,
-each internally topologically sorted.
+the chunk of a numbered left neighbour.  A half-round visits only its
+frontier: the unnumbered vertices reachable (forward in a predecessor
+half-round, backward in a successor one) from those numbered since the last
+half-round of its kind, or from every numbered vertex the first time.  No
+other vertex can change, because a predecessor half-round leaves no
+unnumbered vertex with a numbered predecessor, and a successor half-round
+none with a numbered successor.  Chunks are emitted in rank order, each
+internally topologically sorted.
 
 This module owns the reachability graph, which ``tfp`` numbers too:
 ``build_reach_graph`` writes its record file ``*.gp`` and keeps the
@@ -35,6 +41,10 @@ from . import clusters as cl
 
 class ToposortError(Exception):
     pass
+
+
+# IN_BIT[d]: the bit, in its head's in-mask, of an arc leaving in direction d
+IN_BIT = tuple(1 << gf.opposite(d) for d in range(8))
 
 
 @dataclass
@@ -154,7 +164,7 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
             out_masks[bpos[v]] |= 1 << d
             t = scheme.h_number(nr, nc)
             indeg[t] += 1
-            cross_in[t] |= 1 << gf.opposite(d)
+            cross_in[t] |= IN_BIT[d]
         recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
                         + bytes([m])
                         for v, m in zip(q.boundary, out_masks))
@@ -192,14 +202,37 @@ def topo_number_separator(gp: ReachGraph) -> np.ndarray:
     return r
 
 
+def _half_round(seeds, follow, inputs, chunk, pos, pick, backward):
+    """Number every unnumbered vertex reachable along ``follow`` from
+    ``seeds`` through unnumbered vertices, in ascending topological position
+    (descending if ``backward``), each by ``pick`` over its numbered
+    ``inputs``.  Returns the vertices it numbered, in that order."""
+    found, stack = set(), list(seeds)
+    while stack:
+        for u in follow[stack.pop()]:
+            if chunk[u] is None and u not in found:
+                found.add(u)
+                stack.append(u)
+    fresh = sorted(found, key=pos.__getitem__, reverse=backward)
+    for v in fresh:
+        chunk[v] = pick([chunk[u] for u in inputs[v] if chunk[u] is not None])
+    return fresh
+
+
 def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
     """Chunk every vertex of one cluster.
 
     ``ranks[i]`` is the separator rank of boundary cell ``q.boundary[i]``:
     the cluster's slice of the rank table.  Boundary vertices seed their own
-    rank; the interior is filled by alternating rounds that take the maximum
-    over numbered predecessors, then the minimum over numbered successors,
-    with same-round visibility in (reverse) topological order.
+    rank; the interior is filled by alternating rounds.  A predecessor
+    half-round gives an unnumbered vertex the maximum over its numbered
+    predecessors, a successor half-round the minimum over its numbered
+    successors, in (reverse) topological order, so a vertex numbered earlier
+    in the half-round counts.  A half-round visits only the unnumbered
+    vertices reachable forward (backward) from those numbered since the last
+    half-round of its kind, or from every numbered vertex the first time.
+    No other vertex can take a number, since the last half-round of its kind
+    left no unnumbered vertex with a numbered predecessor (successor).
     """
     n, wid = q.n, q.wid
     pred = [[] for _ in range(n)]
@@ -209,30 +242,24 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
             succ[v].append(u)
             pred[u].append(v)
     order = _topo_order(q)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     chunk = [None] * n
     for v, rank in zip(q.boundary, ranks):
         chunk[v] = rank
 
     rounds = 0
     remaining = sum(1 for x in chunk if x is None)
+    # vertices numbered since the last half-round of each kind
+    since_pred = since_succ = list(q.boundary)
     while remaining:
-        progressed = False
-        for v in order:                       # predecessor round
-            if chunk[v] is None:
-                best = [chunk[u] for u in pred[v] if chunk[u] is not None]
-                if best:
-                    chunk[v] = max(best)
-                    remaining -= 1
-                    progressed = True
-        for v in reversed(order):             # successor round
-            if chunk[v] is None:
-                best = [chunk[u] for u in succ[v] if chunk[u] is not None]
-                if best:
-                    chunk[v] = min(best)
-                    remaining -= 1
-                    progressed = True
+        fwd = _half_round(since_pred, succ, pred, chunk, pos, max, False)
+        back = _half_round(since_succ + fwd, pred, succ, chunk, pos, min, True)
+        since_pred, since_succ = back, []
+        remaining -= len(fwd) + len(back)
         rounds += 1
-        if not progressed:
+        if not (fwd or back):
             break
 
     # left-over components: weak 8-neighbour connectivity, each attached to

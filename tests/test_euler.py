@@ -239,3 +239,19 @@ def test_euler_reads_input_once(rows, cols, seed, h):
     end = g.payload_offset + g.n * g.record_size
     k = (end - 1) // blk - g.payload_offset // blk + 1
     assert d.file_counters(g.handle).blocks_read == k
+
+
+def test_successor_table_matches_clockwise_search():
+    # every (presence mask, arrival) pair against the search the table
+    # replaces: first direction clockwise strictly after the reverse
+    for dirs in range(256):
+        for arrival in range(8):
+            back = gf.opposite(arrival)
+            want = next(((back + k) % 8 for k in range(1, 9)
+                         if dirs >> (back + k) % 8 & 1), None)
+            if want is None:
+                with pytest.raises(euler.EulerError,
+                                   match="isolated vertex on tour"):
+                    euler._successor(dirs, arrival)
+            else:
+                assert euler._successor(dirs, arrival) == want

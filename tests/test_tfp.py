@@ -111,6 +111,25 @@ def test_nonplanar_cross_cluster_rejected():
         tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], 1)
 
 
+@pytest.mark.parametrize("h,square,upward", [
+    (1, (2, 2), False),         # inside one cluster
+    (1, (1, 1), False),         # across four clusters
+    (2, (3, 3), False),
+    (2, (3, 3), True),          # the diagonals' arcs point north
+])
+def test_nonplanar_square_named_by_global_coordinates(h, square, upward):
+    r, c = square
+    if upward:
+        edges = {(r + 1, c + 1): {gf.NW: 1}, (r + 1, c): {gf.NE: 1}}
+    else:
+        edges = {(r, c): {gf.SE: 1}, (r, c + 1): {gf.SW: 1}}
+    d = make_disk()
+    g = make_graph(d, 6, 6, "unweighted", edges)
+    with pytest.raises(tfp.TfpError, match=r"not planar: both diagonals in "
+                       r"square \(%d, %d\)$" % square):
+        tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], h)
+
+
 def test_cross_cluster_cycle_rejected():
     d = make_disk()
     g = make_graph(d, 2, 4, "unweighted",

@@ -251,3 +251,91 @@ def test_stats_round_and_chunk_counts():
     ts.toposort(g, 2, stats=stats)
     assert stats.chunk_count >= 1
     assert stats.rounds_max <= 16       # bounded by cluster vertex count
+
+
+def full_rounds_reference(q, ranks):
+    """Chunk assignment by full-order rounds: every half-round walks all of
+    the cluster's vertices in (reverse) topological order."""
+    n, wid = q.n, q.wid
+    pred = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    for v in range(n):
+        for _, u, _ in q.intra[v]:
+            succ[v].append(u)
+            pred[u].append(v)
+    order = ts._topo_order(q)
+    chunk = [None] * n
+    for v, rank in zip(q.boundary, ranks):
+        chunk[v] = rank
+    rounds = 0
+    remaining = sum(1 for x in chunk if x is None)
+    while remaining:
+        progressed = False
+        for v in order:
+            if chunk[v] is None:
+                best = [chunk[u] for u in pred[v] if chunk[u] is not None]
+                if best:
+                    chunk[v] = max(best)
+                    remaining -= 1
+                    progressed = True
+        for v in reversed(order):
+            if chunk[v] is None:
+                best = [chunk[u] for u in succ[v] if chunk[u] is not None]
+                if best:
+                    chunk[v] = min(best)
+                    remaining -= 1
+                    progressed = True
+        rounds += 1
+        if not progressed:
+            break
+    leftover = remaining
+    if remaining:
+        comp, comps = {}, []
+        for v in range(n):
+            if chunk[v] is not None or v in comp:
+                continue
+            stack, cells = [v], []
+            comp[v] = len(comps)
+            while stack:
+                x = stack.pop()
+                cells.append(x)
+                xr, xc = divmod(x, wid)
+                for dr, dc in gf.DIR_OFFSETS:
+                    yr, yc = xr + dr, xc + dc
+                    if 0 <= yr < q.hgt and 0 <= yc < wid:
+                        y = yr * wid + yc
+                        if chunk[y] is None and y not in comp:
+                            comp[y] = len(comps)
+                            stack.append(y)
+            comps.append(cells)
+        for cells in sorted(comps, key=lambda cs: min(c % wid for c in cs)):
+            v = min(cells, key=lambda c: (c % wid, c // wid))
+            for x in cells:
+                chunk[x] = chunk[v - 1]
+    members = {}
+    for v in order:
+        members.setdefault(chunk[v], []).append(v)
+    return chunk, members, rounds, leftover
+
+
+@pytest.mark.parametrize("rows,cols,hs", [
+    (16, 16, (1, 2, 3, 4)), (24, 40, (1, 2, 3, 4)), (64, 64, (1, 2, 3, 4, 5)),
+])
+@pytest.mark.parametrize("density", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_frontier_rounds_match_full_rounds(rows, cols, hs, density, seed):
+    # each half-round visits only its frontier, yet numbers every cluster
+    # exactly as rounds over all of its vertices do
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "planar_dag", seed=seed, density=density)
+    for h in hs:
+        if h == 5 and (seed, density) != (1, 0.6):
+            continue
+        gp = ts.build_reach_graph(g, h, "reach%d" % h)
+        rtab = ts.topo_number_separator(gp)
+        scheme = gp.scheme
+        for q in cl.iterate_clusters(g, scheme):
+            ranks = rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]]
+            asg = ts.assign_chunk_numbers(q, ranks.tolist())
+            ref = full_rounds_reference(q, ranks.tolist())
+            assert (asg.chunk, asg.members, asg.rounds, asg.leftover) == ref
