@@ -34,8 +34,10 @@ per edge, dead ends first, then the chains' edges in walk order, where
 0..7 indexes ``gf.DIR_OFFSETS`` and 8 marks a representative; each weight
 in ``wb`` bytes, in the same order; and a u32 far end per representative.
 A chain edge starts where the one before it ends.  ``FileStack`` frames
-each record with a trailing u32 length.  Regions of side 2 are the base
-case and push no expansions record; single cells touch neither stack.
+each record with a trailing u32 length.  Regions of side 4 or less are the
+base case: the quadrants below them touch neither stack, and a region of
+side 2, only ever the root of a grid of at most 2x2, pushes no expansions
+record.
 """
 
 from __future__ import annotations
@@ -420,21 +422,28 @@ def _region_ring(r0, c0, size, rows, cols) -> set:
     return ring
 
 
-def _split(part, r0, c0, size, cols) -> list:
-    """Distribute a region's tree part among its four child quadrants.
+# Z index of the cell (dr, dc) of a 4x4 square at 4 * dr + dc, and the
+# (dr, dc) of each Z index; the first four are a 2x2 square's
+_Z16 = [(dr & 2) << 2 | (dc & 2) << 1 | (dr & 1) << 1 | dc & 1
+        for dr in range(4) for dc in range(4)]
+_CELL16 = [divmod(k, 4) for k in sorted(range(16), key=_Z16.__getitem__)]
 
-    An edge goes to the child that holds its owner: its smaller endpoint, or
-    its other one if the smaller lies outside the region (an edge that leaves
-    the region)."""
-    half = size // 2
-    rm, cm, r1, c1 = r0 + half, c0 + half, r0 + size, c0 + size
-    parts = [[], [], [], []]
+
+def _split(part, r0, c0, size, cols, unit) -> list:
+    """Distribute a region's tree part among its sub-squares of side
+    ``unit``, two or four to a side, listed in Z order.
+
+    An edge goes to the sub-square that holds its owner: its smaller
+    endpoint, or its other one if the smaller lies outside the region (an
+    edge that leaves the region)."""
+    r1, c1 = r0 + size, c0 + size
+    parts = [[] for _ in range(16)]
     for e in part:
         u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
         r, c = divmod(u, cols)
         if not (r0 <= r < r1 and c0 <= c < c1):
             r, c = divmod(v, cols)
-        parts[(2 if r >= rm else 0) + (1 if c >= cm else 0)].append(e)
+        parts[_Z16[4 * ((r - r0) // unit) + (c - c0) // unit]].append(e)
     return parts
 
 
@@ -448,11 +457,15 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     the connections stack.  The input is consumed by one sequential scan in
     leaf order.
 
-    A region of side 2 is the base case, held in memory: upward it decodes
-    its cells and pushes only its connections record, since every cell lies
-    on its ring and contraction would leave its forest as it is; downward it
-    pops no expansions record and appends the edges each cell owns to the
-    output, last cell first.  The module docstring gives the stack record
+    A region of side 4 or less is the base case, held in memory.  Upward it
+    reads its cells with one read and decodes them in Z order, so its
+    connections and expansions records are those its side-2 children's
+    records would give; a side-2 region, only ever the root, pushes only
+    its connections record, since every cell lies on its ring.  Downward it
+    pops and expands its expansions record, if it pushed one, and appends
+    to the output the edges each cell owns, last cell in Z order first; an
+    edge's owner is its smaller endpoint, or its other one if the smaller
+    lies outside the region.  The module docstring gives the stack record
     layouts.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
@@ -468,13 +481,18 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     owned = [(d, *gf.DIR_OFFSETS[d]) for d in gf.OWNED_SLOTS]
 
     def upward(r0, c0, size):
-        quads = _quadrants(r0, c0, size, rows, cols)
         r1, c1 = r0 + size, c0 + size
         candidates = []
         out_edges = []
-        if size == 2:
-            raw = reader.read(len(quads) * rs)
-            for i, (_, r, c) in enumerate(quads):
+        if size <= 4:
+            cells = [(z, r0 + dr, c0 + dc)
+                     for z, (dr, dc) in enumerate(_CELL16[:size * size])
+                     if r0 + dr < rows and c0 + dc < cols]
+            raw = reader.read(len(cells) * rs)
+            # out-edges by quadrant, listed last quadrant first, as a
+            # larger region lists its children's
+            outs = [[], [], [], []]
+            for i, (z, r, c) in enumerate(cells):
                 mask, weights = gf.decode_record("weighted_undirected",
                                                  raw[i * rs:(i + 1) * rs])
                 for d, dr, dc in owned:
@@ -487,21 +505,26 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                         if r0 <= vr < r1 and c0 <= vc < c1:
                             candidates.append(e)
                         else:
-                            out_edges.append(e)
-            conn.push(_pack_connections(_forest(candidates), out_edges))
-            return
-        for _, qr, qc in quads:
-            upward(qr, qc, size // 2)
-        for _ in quads:
-            tree, outs = _unpack_connections(conn.pop())
-            candidates.extend(tree)
-            for e in outs:
-                vr, vc = divmod(e[1], cols)
-                if r0 <= vr < r1 and c0 <= vc < c1:
-                    candidates.append(e)
-                else:
-                    out_edges.append(e)
+                            outs[z // 4].append(e)
+            out_edges = outs[3] + outs[2] + outs[1] + outs[0]
+        else:
+            quads = _quadrants(r0, c0, size, rows, cols)
+            for _, qr, qc in quads:
+                upward(qr, qc, size // 2)
+            for _ in quads:
+                tree, outs = _unpack_connections(conn.pop())
+                candidates.extend(tree)
+                for e in outs:
+                    vr, vc = divmod(e[1], cols)
+                    if r0 <= vr < r1 and c0 <= vc < c1:
+                        candidates.append(e)
+                    else:
+                        out_edges.append(e)
         forest = _forest(candidates)
+        if size == 2:
+            # the root of a grid of at most 2x2: every cell is on its ring
+            conn.push(_pack_connections(forest, out_edges))
+            return
         ct = prune_and_contract(forest,
                                 _region_ring(r0, c0, size, rows, cols))
         conn.push(_pack_connections(ct.kept_edges, out_edges))
@@ -515,15 +538,16 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
 
     def downward(part, r0, c0, size):
         nonlocal emitted
-        if size == 2:
-            parts = _split(part, r0, c0, 2, cols)
+        if size > 2:
+            part = expand(_unpack_expansions(expn.pop(), cols), part)
+        if size <= 4:
+            parts = _split(part, r0, c0, size, cols, 1)
             stream.write(b"".join([_OUT.pack(z_of[u], z_of[v], w)
-                                   for k in (3, 2, 1, 0)
-                                   for u, v, w, _ in parts[k]]))
+                                   for p in reversed(parts)
+                                   for u, v, w, _ in p]))
             emitted += len(part)
             return
-        parts = _split(expand(_unpack_expansions(expn.pop(), cols), part),
-                       r0, c0, size, cols)
+        parts = _split(part, r0, c0, size, cols, size // 2)
         quads = _quadrants(r0, c0, size, rows, cols)
         for k, _, _ in quads:
             conn.push(_pack_connections(parts[k], []))

@@ -98,7 +98,11 @@ fetched, and a block a pop leaves dead is never written back.  The 13x7
 counters were re-recorded once more, with the hashes, ``blocks_read``,
 ``blocks_written`` and bytes unchanged, when a ``FileStack`` pop came to
 count a record's missed blocks as one bottom-up run after its top block, so
-fewer of the same reads are classed random.
+fewer of the same reads are classed random.  They were re-recorded again,
+with the hashes and ``random_blocks`` unchanged, when regions of side 4
+became the base case: regions of side 2 no longer push a connections record
+that their parent pops at once, so each 32x32 row reads and writes five
+fewer ``.conn`` blocks, all sequential; the 13x7 rows did not move.
 
 ``RECORDED_D_TRACE`` pins, per ``RECORDED`` row, the sequence of direct
 reads and writes of the distance file ``D``: operation, offset, length
@@ -125,7 +129,9 @@ files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
 expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
 stack-record layout fails here even when the block counters stay the same.
 Its values were re-recorded with that 17-byte edge and side-2 base case, and
-its ``.expn`` hashes once more with the grid-walk expansions record.
+its ``.expn`` hashes once more with the grid-walk expansions record.  Its
+``.conn`` hashes were re-recorded with the side-4 base case, since regions of
+side 2 no longer push records; the ``.expn`` hashes did not move.
 
 The ``mst_cache_aware`` rows at h = 4, the level ``scan`` runs it at, were
 recorded from the code before its contraction came to name vertices by
@@ -329,9 +335,9 @@ RECORDED_EMITTERS = {
         "5445f9944a757ee497ef6feebe156532f1520077f3b8f5029763d4cf78358288"),
     ('mst_cache_aware', 32, 32, 2, 4): ((1183, 544, 1725, 2, 110528),
         "39f92a0b126069a5d1919bcb2822e35cca2d8d5de6e53939cd0d2010e74a1d87"),
-    ('mst_cache_oblivious', 32, 32, 1, None): ((865, 738, 1524, 79, 102592),
+    ('mst_cache_oblivious', 32, 32, 1, None): ((860, 733, 1514, 79, 101952),
         "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2"),
-    ('mst_cache_oblivious', 32, 32, 2, None): ((867, 740, 1520, 87, 102848),
+    ('mst_cache_oblivious', 32, 32, 2, None): ((862, 735, 1510, 87, 102208),
         "b7d08a0be4eb34fb62e715af71ca346ca64d81a81c3a3d25b2065b9e8e494ece"),
     ('mst_cache_oblivious', 13, 7, 1, None): ((46, 35, 81, 0, 5184),
         "73cb160a236ebcf19650297c3eaaaf64f8b5ce71bc16d9685d6bc1c70dac625e"),
@@ -395,16 +401,16 @@ RECORDED_STATS = {
 # (rows, cols, seed): (sha256 of .conn, sha256 of .expn)
 RECORDED_STACKS = {
     (32, 32, 1): (
-        "621e17a4451309f042093242f2e784410ad0abe9a4776bc341619d60abd6775e",
+        "add0e2b34d3b91e66527e5805d09de1251374618e06f891dbfefd77601f1c23a",
         "6a3d8c73af276fd15b700b8206681b6612c7e7dbec507634721ac022ac42c20f"),
     (32, 32, 2): (
-        "2570ac8796d98ea43cc374e300fb06b50a83c5b87c1315d77bcecb5c722f2731",
+        "cf4adef2c853735bf7cc90c3e15bc67964a0e59f7982bc749758c37ffe886a99",
         "6afb19694dd6042fbf0a516fdd7e3390e01b27e0c95b8cc8ce71a9d0400968e5"),
     (13, 7, 1): (
-        "9c154f944400545df411e9d1018dd732e8339835e9714d8cc52c8e19d9a980fe",
+        "7e831d5f673b31ec98f4be4dd544e8c66701304a4cdaad5098919ac8885b3b77",
         "cb2c49b4157a2383f6be3e74ae093175e2dbab4a5461cd4f97af277a36db4313"),
     (13, 7, 2): (
-        "b4a4f002dda4a711314c6b8f23bcad1b3a44678d3913561d09ec5a84c3402a0b",
+        "fe6a0eaa2548e56f877258297750f6e791d9f8b16db2dc64948463050a2f0743",
         "f5c10a1d69fa3ae4ceaf5708ccb163f1d47a74c7165c0b19233c977e7b3705ac"),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -220,12 +221,111 @@ def test_stack_pushes_per_region(monkeypatch, rows, cols):
                     density=0.6)
     mst.mst_cache_oblivious(g)
     # the top-down pass pops the root's expansions record before any push
-    upward = events[:events.index(("mst.out.expn", "pop"))]
+    split = events.index(("mst.out.expn", "pop"))
+    upward, downward = events[:split], events[split:]
     sides = regions_by_side(rows, cols)
     assert events.count(("mst.out.expn", "push")) == sum(
         s >= 4 for s in sides)
+    # regions of side 4 are the base case: smaller ones push nothing
     assert upward.count(("mst.out.conn", "push")) == sum(
-        s >= 2 for s in sides)
+        s >= 4 for s in sides)
+    # top-down, a region of side 8 or more pushes one part per child
+    # quadrant; sides[0] is the root, the only region that is no child
+    assert downward.count(("mst.out.conn", "push")) == sum(
+        s >= 4 for s in sides[1:])
+
+
+# (rows, cols, seed): (sha256 of the output file, sha256 of the records
+#     pushed to the expansions stack, in push order, each preceded by its
+#     u32 length), recorded from the code whose base case was side 2
+OBLIVIOUS_PINS = {
+    (1, 1, 1): (
+        "43d4d8440019f009f4e6e99d5f430e7c38cb83520e7e77d1cb5e7bf88ee1645a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 1, 2): (
+        "43d4d8440019f009f4e6e99d5f430e7c38cb83520e7e77d1cb5e7bf88ee1645a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 9, 1): (
+        "2a0c581f73ce0562aca7a2d35a9067c8fd4c8357bfe44447e658143917c83b42",
+        "0c3730b708364b33b93b6f32370126aa4e1c0933b2c19e2b8cf29a796f852648"),
+    (1, 9, 2): (
+        "1260c7591c6a194f19441d5d17842448a20b9da59bc9b54b89463fc0897183df",
+        "0c3730b708364b33b93b6f32370126aa4e1c0933b2c19e2b8cf29a796f852648"),
+    (9, 1, 1): (
+        "0443d3068f92ec33c85478e8a1f0627f22cdf5ea7dbc8cd8d84512e982685521",
+        "0c3730b708364b33b93b6f32370126aa4e1c0933b2c19e2b8cf29a796f852648"),
+    (9, 1, 2): (
+        "4ff95daccd36e447e508ed08f98a3aa6313f3e5e862ba3a915b373b7977a0308",
+        "0c3730b708364b33b93b6f32370126aa4e1c0933b2c19e2b8cf29a796f852648"),
+    (2, 2, 1): (
+        "acbf619f36ab726a48858c5d95753c0d4c9996188724b25089e165e027b71d31",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 2, 2): (
+        "2697d8537e0998f2c73df305a9a0de76cda215e3189286fc759c0988fc06797e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 3, 1): (
+        "8b105e73ce851ae5cedb8aa4f37641af28d21b637bfd9045007a05c42f6ee0aa",
+        "4cfa52ab8c7767d4cc5284f09f30495ad698da10ee0f95316acb37351319b71d"),
+    (3, 3, 2): (
+        "8f36b030a70c205ef0f1c8d3405bd0313cbf850bb5d0b4203178d74237176474",
+        "64f9c3c4e559a7a94139a50c1498a7f424b87a9199ae3b26e1fbef84de67e92f"),
+    (4, 4, 1): (
+        "683c1581c1042ed848e80ea97ebe544a2dc28dd09f2bd608948de7b4cd51a29e",
+        "d7679c97a44f533e281a6c49e18c9944a1b598e692d162f593da478e38f06981"),
+    (4, 4, 2): (
+        "bc7eeacb6da87245e65b4ccf07215245b65d286de65deef1fc20d7747418bfab",
+        "482845b569a09589b7271320c32ee01dea8109b47d75223cddf82bf68a191a73"),
+    (5, 11, 1): (
+        "93d2bbf47137b3e79aaedf23210542c15f97c3c2ba38ffe342854e0e563f7fdb",
+        "5ee2bb076ff4e77eb87ae4021dcf7104a6cfa238a627bfa9fde9ad8c0d5e918d"),
+    (5, 11, 2): (
+        "37d2af5fb11763daf50d532303f3621e5462a1624e739238175fcf101786cebb",
+        "79710387b8dd72ca524ff37b3259a3f1ba52197743c17ce7c8c7c5c14f1cd36a"),
+    (6, 6, 1): (
+        "59db3289862fbdf8bdf7c73cee6e25b2f3fd0289a1965eaa913dbc884ec602d9",
+        "4327240456d95a12e32c27936ab0e920f6f0d5770cce1fc7cadf25a5d6857aef"),
+    (6, 6, 2): (
+        "6eba50c75ffcb4ce485299718a0348b2acc0ac621b7fd5b2887c2cea7b2f1c0a",
+        "7ce6076496832a0492e39250d7f51b75dd95a23179e5f31d71b44ee75eb36fce"),
+    (13, 7, 1): (
+        "73cb160a236ebcf19650297c3eaaaf64f8b5ce71bc16d9685d6bc1c70dac625e",
+        "561ceecae906b824b485af6bed1156881163c86de9ccb9eb140bc61713fb9f66"),
+    (13, 7, 2): (
+        "88831eaa98ca5f51c0f7b0d029858c2070f78f32dbd357e4bdbe70aec65a5ea5",
+        "3262e6b41e7f6795cf38f0195351636f1669d4f5ef5c5e5d2995da0d7ec2734b"),
+    (32, 32, 1): (
+        "25a9103573a804bf4a8a46ec0d7483634544ab86f7bbcf17c3f94fb75c3923d2",
+        "1b7178a0162abe77c6adecf099aa292302bd3e874135e54acded4883887bdf8c"),
+    (32, 32, 2): (
+        "b7d08a0be4eb34fb62e715af71ca346ca64d81a81c3a3d25b2065b9e8e494ece",
+        "77444066c4d12c3ba0dd2c27a3e99559d8421465582ca8540d4ed6b299dabb8a"),
+    (64, 64, 1): (
+        "9624a500095a5315e05decd286f4e1c7f6146171dd1fa523f2bae6de0b6e40df",
+        "c7a713845a2d51a4034acf9de5721fa146b0ca1afb69ece847302a69e472d090"),
+    (64, 64, 2): (
+        "ea5be3b0c83efaca4e43c82a6e3036525c3ac5956c1e7fa8da6156c4abf3c303",
+        "bffb96d9f69dbb2294f362a9ab721a4f4d9967d72eecec2cb612c6b5aa6e3aaa"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBLIVIOUS_PINS))
+def test_oblivious_output_and_expansions_unchanged(monkeypatch, case):
+    rows, cols, seed = case
+    pushed = hashlib.sha256()
+    push = mst.FileStack.push
+
+    def spy_push(self, record):
+        if self.handle.name == "mst.out.expn":
+            pushed.update(len(record).to_bytes(4, "little") + record)
+        return push(self, record)
+
+    monkeypatch.setattr(mst.FileStack, "push", spy_push)
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "weighted_undirected", seed=seed,
+                    density=0.6)
+    out = mst.mst_cache_oblivious(g)
+    assert (hashlib.sha256(d.raw_bytes(out)).hexdigest(),
+            pushed.hexdigest()) == OBLIVIOUS_PINS[case]
 
 
 def two_by_two(weights):
@@ -472,6 +572,9 @@ def with_off_grid_arc(disk, rows, cols, cell, d):
 @pytest.mark.parametrize("rows,cols,cell,d", [
     (4, 4, (0, 0), gf.SW), (3, 3, (2, 0), gf.S), (3, 3, (2, 0), gf.SE),
     (3, 3, (0, 2), gf.E), (4, 4, (0, 3), gf.E),
+    # in a side-4 region below the root, whole or clipped by the grid
+    (8, 8, (7, 5), gf.S), (6, 6, (2, 5), gf.E), (6, 6, (5, 0), gf.SW),
+    (8, 8, (7, 3), gf.SE), (7, 10, (6, 9), gf.SE),
 ])
 def test_off_grid_arc_rejected(rows, cols, cell, d):
     message = r"edge leaves the grid at \(%d,%d\)" % cell
