@@ -13,7 +13,8 @@ distances (or hop distances) to the other boundary vertices of its cluster
 plus that vertex's edges into neighbouring clusters.  Fixed record sizes
 make every record addressable by its number alone.  This module owns that
 record file; ``toposort`` owns the reachability graph and its record file,
-and numbers it with its Kahn queue in memory.
+and numbers it with its Kahn queue in memory.  ``ChunkFile`` holds
+toposort's and TFP's chunk records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -279,6 +281,32 @@ def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
     for rank in range(len(starts) - 1):
         raw = reader.read((starts[rank + 1] - starts[rank]) * rs)
         yield _decode_cluster(g, scheme, rank, raw)
+
+
+class ChunkFile:
+    """Chunk records appended in cluster order, read back in key order.
+
+    ``put`` appends a record and keeps its entry ``(key, cluster rank,
+    offset, size)`` in memory.  ``chunks`` sorts them, in memory for want of
+    an external sort, by key and then offset, so equal keys keep put order,
+    and yields ``(cluster rank, record)``, one ``read_direct`` each.
+    """
+
+    def __init__(self, disk, name: str):
+        self.disk = disk
+        self.handle = disk.open_file(name)
+        self.stream = disk.append_stream(self.handle)
+        self.entries = []
+
+    def put(self, key, rank: int, record: bytes):
+        self.entries.append((key, rank, self.stream.pos, len(record)))
+        self.stream.write(record)
+
+    def chunks(self):
+        self.stream.close()
+        self.entries.sort(key=itemgetter(0, 2))
+        for _, rank, off, size in self.entries:
+            yield rank, self.disk.read_direct(self.handle, off, size)
 
 
 # ---------------------------------------------------------------------------

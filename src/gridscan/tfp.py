@@ -8,15 +8,14 @@ in an arithmetic address table at the head of the chunk file (one per
 horizontal grid edge on a cluster boundary, one per vertical, one per diagonal
 square, since a planar instance uses at most one diagonal per square), while
 cross-chunk edges inside a cluster get slots in a message region stored right
-after the receiving chunk's record, addressed by absolute offset.  A chunk's
-header is its vertex count; its address entry gives the rest.  Chunks are
-then evaluated in rank order; each reads its record plus intra region
-sequentially, fetches inter-cluster slots arithmetically, asks the label
-callback for each vertex in turn, and writes its outgoing messages into a
-block buffer of the chunk file that it flushes when the chunk ends.  Its
-labels are appended to one stream, in evaluation order, so each label block
-is written once.  A final pass gathers each cluster's labels, one direct
-read per chunk in ascending order, and rewrites them into Z-order.
+after the receiving chunk's record, addressed by absolute offset.  The
+chunk file is a ``clusters.ChunkFile`` keyed by rank; a chunk's header is
+its vertex count.  Chunks are evaluated in rank order; each reads its record
+plus intra region sequentially, fetches inter-cluster slots arithmetically,
+asks the label callback for each vertex in turn, and writes its outgoing
+messages into a block buffer of the chunk file that it flushes when the
+chunk ends.  Its labels go to a ``ChunkFile`` keyed by cluster rank, so each
+label block is written once, and a final pass rewrites them into Z-order.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,10 +62,7 @@ class TfpStats:
 @dataclass
 class MessagePlan:
     scheme: cl.ClusterScheme
-    c_handle: object
-    l_handle: object
-    a_entries: list            # (rank, cluster rank, chunk offset,
-                               # chunk+region bytes)
+    chunks: cl.ChunkFile       # keyed by rank: a chunk and its region
 
 
 def _inter_slot(scheme: cl.ClusterScheme, u, v) -> int:
@@ -116,7 +114,7 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     header (its vertex count), per-vertex records (id, in mask, out mask,
     and the absolute addresses of outgoing intra-cluster cross-chunk
     messages), and the chunk's incoming intra-cluster message region, which
-    runs to the end of the record its address entry sizes.
+    runs to the end of the record the store's entry sizes.
 
     One pass over the clusters: a cell's in-arcs from other clusters come
     from the reachability graph's ``cross_in``, so the plan reads the input
@@ -132,11 +130,8 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     cross_squares: dict = {}
     inter_slots = _inter_slot_count(scheme)
     stats.inter_slots = inter_slots
-    c_handle = disk.open_file(name + ".chunks")
-    c_stream = disk.append_stream(c_handle)
-    c_stream.write(b"\0" * (inter_slots * 8))
-    c_off = inter_slots * 8
-    a_entries = []
+    chunks = cl.ChunkFile(disk, name + ".chunks")
+    chunks.stream.write(b"\0" * (inter_slots * 8))
 
     for q in cl.iterate_clusters(g, scheme):
         local_squares: dict = {}
@@ -193,14 +188,13 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
         # the vertex records, and one address per message it sends
         sent = Counter(asg.chunk[u] for u, _ in send_addr)
         region_offset = {}
-        off = c_off
+        off = chunks.stream.pos
         for rank in ranks:
             off += (CHUNK_HDR.size + VERTEX_HDR.size * len(asg.members[rank])
                     + ADDR.size * sent[rank])
             region_offset[rank] = off
             off += region_slots[rank] * 8
 
-        recs = bytearray()
         for rank in ranks:
             body = bytearray()
             for v in asg.members[rank]:
@@ -209,19 +203,11 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                 body += VERTEX_HDR.pack(v, in_mask[v], out_mask[v], len(addrs))
                 for to, slot in addrs:
                     body += ADDR.pack(region_offset[to] + slot * 8)
-            region = region_slots[rank] * 8
-            recs += CHUNK_HDR.pack(len(asg.members[rank]))
-            recs += body + bytes(region)
-            a_entries.append((rank, q.rank, c_off,
-                              CHUNK_HDR.size + len(body) + region))
-            c_off += CHUNK_HDR.size + len(body) + region
+            chunks.put(rank, q.rank,
+                       CHUNK_HDR.pack(len(asg.members[rank])) + body
+                       + bytes(region_slots[rank] * 8))
             stats.chunk_count += 1
-        c_stream.write(recs)
-    c_stream.close()
-
-    # tfp_run writes every label record once; its label stream grows the file
-    l_handle = disk.open_file(name + ".labels")
-    return MessagePlan(scheme, c_handle, l_handle, sorted(a_entries))
+    return MessagePlan(scheme, chunks)
 
 
 def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
@@ -231,22 +217,19 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
 
     A chunk's messages go into a fresh ``simdisk.BlockBuffer``, flushed
     before the next chunk reads its record, so each block they touch is
-    written once per chunk.
-    Each chunk appends its label records to one stream, opened once at
-    offset 0, and notes its range under its cluster.  The final pass builds
-    a cluster's records from its chunks' ranges, one ``read_direct`` each in
-    ascending order, so a block shared by neighbouring ranges is held, not
-    read again; one cluster's labels are resident at a time.
+    written once per chunk.  Each chunk puts its label records in a
+    ``ChunkFile`` keyed by its cluster's rank.  The final pass reads a
+    cluster's records back in put order, one ``read_direct`` each, so a
+    block shared by neighbouring records is held, not read again; one
+    cluster's labels are resident at a time.
     """
     stats = stats if stats is not None else TfpStats()
     plan = plan_messages(g, h, name=out_name + ".plan", stats=stats)
     disk = g.disk
-    scheme = plan.scheme
+    scheme, c_handle = plan.scheme, plan.chunks.handle
 
-    l_stream = disk.append_stream(plan.l_handle, 0)
-    l_ranges = [[] for _ in scheme.extents]     # per cluster: (offset, bytes)
-    for _, crank, off, size in plan.a_entries:
-        raw = disk.read_direct(plan.c_handle, off, size)
+    labels = cl.ChunkFile(disk, out_name + ".plan.labels")
+    for crank, raw in plan.chunks.chunks():
         (cnt,) = CHUNK_HDR.unpack_from(raw, 0)
         r0, c0, hgt, wid = scheme.extents[crank]
         pos = CHUNK_HDR.size
@@ -260,7 +243,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         region = iter(np.frombuffer(raw, "<u8", offset=pos).tolist())
 
         labels_mem = {}         # this chunk's labels so far
-        messages = disk.buffer(plan.c_handle)   # slots this chunk never reads
+        messages = disk.buffer(c_handle)   # slots this chunk never reads
         for v, im, om, addrs in vertices:
             vr, vc = divmod(v, wid)
             ins = []
@@ -276,7 +259,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                 else:
                     sender = (r0 + vr + dr, c0 + vc + dc)
                     slot = _inter_slot(scheme, sender, (r0 + vr, c0 + vc))
-                    val = disk.read_direct(plan.c_handle, slot * 8, 8)
+                    val = disk.read_direct(c_handle, slot * 8, 8)
                     stats.slot_reads[slot] = stats.slot_reads.get(slot, 0) + 1
                     ins.append(int.from_bytes(val, "little"))
             label = fn((r0 + vr, c0 + vc), ins) & MASK64
@@ -295,24 +278,19 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
                 messages.write(slot * 8, lb)
                 stats.slot_writes[slot] = stats.slot_writes.get(slot, 0) + 1
 
-        lrecs = np.array([(v, labels_mem[v]) for v, _, _, _ in vertices],
-                         LABEL).tobytes()
-        l_ranges[crank].append((l_stream.pos, len(lrecs)))
-        l_stream.write(lrecs)
+        labels.put(crank, crank, np.array(
+            [(v, labels_mem[v]) for v, _, _, _ in vertices], LABEL).tobytes())
         messages.flush()
-    l_stream.close()
 
     # final pass: evaluation-ordered label file -> Z-order output
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, "labels", g.rows, g.cols, g.n)
-    for rank, (lo, hi) in enumerate(zip(scheme.starts, scheme.starts[1:])):
-        recs = np.frombuffer(b"".join(
-            disk.read_direct(plan.l_handle, off, nbytes)
-            for off, nbytes in l_ranges[rank]), LABEL)
-        labels = np.empty(hi - lo, "<u8")
-        labels[recs["v"]] = recs["label"]
-        stream.write(labels[scheme.shape(rank).local_of_t].tobytes())
+    for crank, group in groupby(labels.chunks(), key=itemgetter(0)):
+        recs = np.frombuffer(b"".join(rec for _, rec in group), LABEL)
+        by_local = np.empty(len(recs), "<u8")
+        by_local[recs["v"]] = recs["label"]
+        stream.write(by_local[scheme.shape(crank).local_of_t].tobytes())
     stream.close()
     return out
 

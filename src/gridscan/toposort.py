@@ -20,11 +20,11 @@ in-degree table in memory, and ``topo_number_separator`` keeps Kahn's
 queue in memory as the rank order, so ``*.gp`` is the numbering's only
 file.  The build also keeps each separator vertex's directions in from
 other clusters, ``cross_in``, for ``tfp``'s message plan.  ``toposort``
-writes ``*.chunks`` and the output.  A ``*.chunks`` record is only its
-chunk's topologically sorted 32-bit local ids: the emitter's address entry
-already holds the chunk's rank, cluster rank, offset and size, so the
-file is exactly 4 bytes per vertex.  ``clusters`` supplies the cluster
-scheme and decode.
+writes ``*.chunks``, a ``clusters.ChunkFile`` keyed by rank, and the
+output.  A ``*.chunks`` record is only its chunk's topologically sorted
+32-bit local ids: the store's entry already holds the chunk's rank, cluster
+rank, offset and size, so the file is exactly 4 bytes per vertex.
+``clusters`` supplies the cluster scheme, decode and chunk store.
 """
 
 from __future__ import annotations
@@ -314,10 +314,7 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
     gp = build_reach_graph(g, h, out_name + ".gp")
     scheme, rtab = gp.scheme, topo_number_separator(gp)
 
-    c_handle = disk.open_file(out_name + ".chunks")
-    c_stream = disk.append_stream(c_handle)
-    a_entries = []     # (rank, cluster rank, byte offset in C, record bytes)
-    c_off = 0
+    chunks = cl.ChunkFile(disk, out_name + ".chunks")
     for q in cl.iterate_clusters(g, scheme):
         asg = assign_chunk_numbers(
             q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
@@ -325,24 +322,15 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
             stats.rounds_max = max(stats.rounds_max, asg.rounds)
             stats.leftover_vertices += asg.leftover
             stats.chunk_count += len(asg.members)
-        recs = bytearray()
-        for rank in sorted(asg.members):
-            rec = np.array(asg.members[rank], "<u4").tobytes()
-            recs += rec
-            a_entries.append((rank, q.rank, c_off, len(rec)))
-            c_off += len(rec)
-        c_stream.write(recs)
-    c_stream.close()
-
-    # sort the address table by rank; stand-in for an external merge sort
-    a_entries.sort()
+        for rank, ids in sorted(asg.members.items()):
+            chunks.put(rank, q.rank, np.array(ids, "<u4").tobytes())
 
     out = disk.open_file(out_name)
     stream = disk.append_stream(out)
     gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, g.n)
     emitted = 0
-    for _, crank, off, size in a_entries:
-        ids = np.frombuffer(disk.read_direct(c_handle, off, size), "<u4")
+    for crank, rec in chunks.chunks():
+        ids = np.frombuffer(rec, "<u4")
         t_of_local = scheme.shape(crank).t_of_local
         stream.write((scheme.starts[crank] + t_of_local[ids])
                      .astype("<u8").tobytes())

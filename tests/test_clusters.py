@@ -3,7 +3,7 @@ import random
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 from gridscan import toposort as ts
@@ -144,6 +144,43 @@ def test_iterate_clusters_sequential():
     c = d.counters_snapshot()
     assert c.random_blocks == 0
     assert c.blocks_written == 0
+
+
+@settings(max_examples=60, deadline=None)
+@example(16, [(5, 0, b"a" * 7), (2, 0, b"b" * 20), (5, 1, b"c" * 3),
+              (0, 1, b"d" * 16), (2, 2, b"e")])
+@given(st.sampled_from([4, 16, 64]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.binary(min_size=1, max_size=40)), max_size=24))
+def test_chunk_file_reads_by_key_and_counts_as_one_stream(block, puts):
+    # records come back by key, equal keys in put order, by one direct read
+    # each; the file counts exactly what one append stream of the same bytes
+    # and the same direct reads count
+    d = make_disk(block=block)
+    store = cl.ChunkFile(d, "store")
+    for key, rank, rec in puts:
+        store.put(key, rank, rec)
+    reads, real_read = [], d.read_direct
+
+    def read_direct(handle, offset, nbytes):
+        reads.append((offset, nbytes))
+        return real_read(handle, offset, nbytes)
+
+    d.read_direct = read_direct
+    got = list(store.chunks())
+    order = sorted(range(len(puts)), key=lambda i: puts[i][0])   # stable
+    assert got == [puts[i][1:] for i in order]
+    assert len(reads) == len(puts)
+
+    ref = make_disk(block=block)
+    handle = ref.open_file("store")
+    stream = ref.append_stream(handle)
+    stream.write(b"".join(rec for _, _, rec in puts))
+    stream.close()
+    for offset, nbytes in reads:
+        ref.read_direct(handle, offset, nbytes)
+    assert d.file_counters(store.handle) == ref.file_counters(handle)
+    assert d.raw_bytes(store.handle) == ref.raw_bytes(handle)
 
 
 def test_separator_weighted_2x2_corner_distance():

@@ -104,6 +104,14 @@ became the base case: regions of side 2 no longer push a connections record
 that their parent pops at once, so each 32x32 row reads and writes five
 fewer ``.conn`` blocks, all sequential; the 13x7 rows did not move.
 
+``RECORDED_CHUNK_FILES`` pins, on the ``toposort`` and ``tfp_run`` rows of
+``RECORDED_EMITTERS``, the counters and the sha256 of each intermediate
+file that ``clusters.ChunkFile`` holds: toposort's ``.chunks``, and TFP's
+``.plan.chunks`` and ``.plan.labels``.  Whole-disk counters and the output
+hash do not pin how the transfers split between those files, nor their
+bytes.  Its values were recorded from the code before the three files came
+to share that store.
+
 ``RECORDED_D_TRACE`` pins, per ``RECORDED`` row, the sequence of direct
 reads and writes of the distance file ``D``: operation, offset, length
 and the sha256 of the bytes written.  Counter totals do not pin the
@@ -492,6 +500,136 @@ RECORDED_D_TRACE = {
         "e82a177f029dc1bc66786ae419d41c97b8ff843a3c6478a11f36cbf1f561dc93",
 }
 
+# solver -> suffixes, after its output's name, of its chunk-store files
+CHUNK_FILES = {"toposort": (".chunks",),
+               "tfp_run": (".plan.chunks", ".plan.labels")}
+
+# (solver, rows, cols, seed, h): per file of CHUNK_FILES[solver],
+#     ((blocks_read, blocks_written, sequential_blocks, random_blocks,
+#     bytes_transferred), sha256 of its contents)
+RECORDED_CHUNK_FILES = {
+    ('toposort', 32, 32, 1, 1): (
+        ((644, 64, 256, 452, 45312),
+         "8202f2fa867d077541bcf88ff317c5e6f32bbc6aa258de5623b0b87430150a5c"),
+    ),
+    ('toposort', 32, 32, 1, 2): (
+        ((535, 64, 195, 404, 38336),
+         "c385716ef489f49891dba6f63f37c9ebc459c8b0fd7bb21b218970e2fb9d31ab"),
+    ),
+    ('toposort', 32, 32, 1, 3): (
+        ((267, 64, 103, 228, 21184),
+         "c173ce215de23c80fa3cf923ba5a152b136fcc9d9cb5175b46d7849eee7f297d"),
+    ),
+    ('toposort', 32, 32, 2, 1): (
+        ((647, 64, 252, 459, 45504),
+         "c3860c4a40cd4a6b906b0addf9c9f1fdf665693d4a3f0ff2b7f441db1f235bb5"),
+    ),
+    ('toposort', 32, 32, 2, 2): (
+        ((516, 64, 199, 381, 37120),
+         "92f4dd20c6ba4c38064a19befc643b7412dafcf2f445ca9fee7e6d10513777b6"),
+    ),
+    ('toposort', 32, 32, 2, 3): (
+        ((251, 64, 103, 212, 20160),
+         "661b5d16cddff98bae63439e6a7f391b4047b3d9f422dfa3d00845f6d1c0a1d9"),
+    ),
+    ('toposort', 13, 7, 1, 1): (
+        ((50, 6, 28, 28, 3584),
+         "7798aa347f60416bac98bcf30fa1f62b28f37c0773441559ad420f9aea505100"),
+    ),
+    ('toposort', 13, 7, 1, 2): (
+        ((36, 6, 23, 19, 2688),
+         "4e27435e9b1602ef62bc1da541540a0aaa0047ed6d7f02e919a7046cb99687ab"),
+    ),
+    ('toposort', 13, 7, 1, 3): (
+        ((16, 6, 12, 10, 1408),
+         "022030a64b08caa7431793bf2244011b7d43f0a1f6b5ad9f4ab3ca26e16a41dc"),
+    ),
+    ('toposort', 13, 7, 2, 1): (
+        ((56, 6, 32, 30, 3968),
+         "ce24e57f121320b2713532e6e4f3d7366095cb9b334c89ba1730ae910d0d18c5"),
+    ),
+    ('toposort', 13, 7, 2, 2): (
+        ((44, 6, 22, 28, 3200),
+         "74d119ce87a19074a980aa0eb49b003bbb3523ddfd59db9f0070eb6b0ad4aa0c"),
+    ),
+    ('toposort', 13, 7, 2, 3): (
+        ((16, 6, 10, 12, 1408),
+         "bdbb4c97b0cdb093e3454f51c5ebb567b508db5527e329707ed052aa1df2cd72"),
+    ),
+    ('tfp_run', 32, 32, 1, 1): (
+        ((2518, 2470, 1191, 3797, 319232),
+         "97562e6f33fb850f23d29735fa1b82eb5252ce87c23eb69765f201bf606fb548"),
+        ((1051, 192, 344, 899, 79552),
+         "30366862ccbc1019a26ebb5b80c1622c3214f35c2784cf9043ac2e9a721e230b"),
+    ),
+    ('tfp_run', 32, 32, 1, 2): (
+        ((1611, 2028, 1267, 2372, 232896),
+         "63cfdfe62fa4c300294ba8766b3da70f774b4b945771c465fb276a61859000ec"),
+        ((652, 192, 425, 419, 54016),
+         "23026b0a14921e2fe5a3f8cbb4c35fb9c029501540f592baf8b969f531764666"),
+    ),
+    ('tfp_run', 32, 32, 1, 3): (
+        ((916, 1422, 979, 1359, 149632),
+         "204bf3375eebf20fe21fd003ddb68fcffaf79fe730216132f5a0818e2143ec56"),
+        ((371, 192, 411, 152, 36032),
+         "0b3ff43a20f1257701f477de0a246d4bdf471f58cf3b545e7df1586f4de0b089"),
+    ),
+    ('tfp_run', 32, 32, 2, 1): (
+        ((2502, 2474, 1178, 3798, 318464),
+         "9fa8d1826653e8dcc9b6f7f4ab47284603798a792d376c076bac21df2f417b72"),
+        ((1038, 192, 335, 895, 78720),
+         "52fedee09f834987aa08d2b7ebe9ab60b41a5314d28602831a583ad826893a0f"),
+    ),
+    ('tfp_run', 32, 32, 2, 2): (
+        ((1589, 2073, 1323, 2339, 234368),
+         "ab944db173490fb2a98e1c30c02fb692ac2e7d13c2d94087fd0e589b40e09fd6"),
+        ((631, 192, 408, 415, 52672),
+         "8049d467051ad6574ee198ec3153ab1fd260d3aa9d9cb2063d194b4bcf0d162c"),
+    ),
+    ('tfp_run', 32, 32, 2, 3): (
+        ((912, 1424, 977, 1359, 149504),
+         "4ad572eb3919701415fd6bca828f8cf78c88c5182562a6fe9e6866043dea607b"),
+        ((370, 192, 409, 153, 35968),
+         "ed6948a2ce6488c3680583e7a7e0f7ebe179e713ea4b297ad6a5e0dbf3cbd4cc"),
+    ),
+    ('tfp_run', 13, 7, 1, 1): (
+        ((205, 203, 97, 311, 26112),
+         "9b4b8b35c97a9bfff342ad6d50e8e50a58860d6a2dc4a40cd3d88d512925d10e"),
+        ((94, 18, 33, 79, 7168),
+         "2103fcaea21b25a443623a03fa8de5e3c8e282ed550a3e7781ba4e690381d51d"),
+    ),
+    ('tfp_run', 13, 7, 1, 2): (
+        ((129, 170, 111, 188, 19136),
+         "fadcccc7641b7e508f88093d130d17b863b4845dcaa91be0e1d35987d481d250"),
+        ((53, 18, 46, 25, 4544),
+         "819d8e1b0cff6eea5169f9348e9943aaac7dfebbf982370c6c7de98fd4d657e0"),
+    ),
+    ('tfp_run', 13, 7, 1, 3): (
+        ((55, 118, 90, 83, 11072),
+         "873696d28f246a55627c915358f9ab27e033ae522ac9244c2d4a6671d876a505"),
+        ((23, 18, 37, 4, 2624),
+         "a7b3fae6eebd3479a0e83c9aea374ed7b34c20b0b88799bb39991691fd795d37"),
+    ),
+    ('tfp_run', 13, 7, 2, 1): (
+        ((208, 195, 98, 305, 25792),
+         "cedcd70146d6b8e589a0181768eb95e3b471ba384642e0bf53c79384169b8fe8"),
+        ((88, 18, 39, 67, 6784),
+         "19b76bd66a180ce558e5fd84484d8d40903728bafce1cadb64cd3e2867c80f1e"),
+    ),
+    ('tfp_run', 13, 7, 2, 2): (
+        ((135, 171, 113, 193, 19584),
+         "0d233156c3cf88e4b774d5e104751418e83a3d54e5529acb43247a2b19543c36"),
+        ((53, 18, 39, 32, 4544),
+         "d23e7d2e7e072e4045638c998abb2741c18167f90ed04e4a8b9d6e04d801a1c4"),
+    ),
+    ('tfp_run', 13, 7, 2, 3): (
+        ((58, 111, 87, 82, 10816),
+         "6096327d5d4c0699d9e362cda2096ca5c44e14f912839b57fc71a21168075465"),
+        ((26, 18, 39, 5, 2816),
+         "2729a7914684bbbcab20f4f9e68487e01011e87a74bf16e9341cf5c39dfc9354"),
+    ),
+}
+
 # RECORDED* algorithm name -> its key in the CLI's table
 ROWS = {
     "sssp_simple": ("sssp", "simple"),
@@ -701,3 +839,17 @@ def d_trace(monkeypatch, case):
 @pytest.mark.parametrize("case", sorted(RECORDED))
 def test_distance_file_requests_unchanged(monkeypatch, case):
     assert d_trace(monkeypatch, case) == RECORDED_D_TRACE[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_CHUNK_FILES))
+def test_chunk_files_unchanged(case):
+    d, out = run_case(case)
+    got = []
+    for suffix in CHUNK_FILES[case[0]]:
+        name = out.name + suffix
+        handle = FileHandle(d._names[name], name, d)
+        c = d.file_counters(handle)
+        got.append(((c.blocks_read, c.blocks_written, c.sequential_blocks,
+                     c.random_blocks, c.bytes_transferred),
+                    hashlib.sha256(d.raw_bytes(handle)).hexdigest()))
+    assert tuple(got) == RECORDED_CHUNK_FILES[case]

@@ -145,9 +145,9 @@ def test_message_addresses_point_into_own_cluster_regions(h):
     d = make_disk()
     g = gf.generate(d, 32, 32, "planar_dag", seed=1, density=0.6)
     plan = tfp.plan_messages(g, h)
-    raw = d.raw_bytes(plan.c_handle)
+    raw = d.raw_bytes(plan.chunks.handle)
     regions, addrs = {}, []
-    for _, crank, off, size in plan.a_entries:
+    for _, crank, off, size in plan.chunks.entries:
         (cnt,) = tfp.CHUNK_HDR.unpack_from(raw, off)
         pos = off + tfp.CHUNK_HDR.size
         for _ in range(cnt):
@@ -261,10 +261,11 @@ def test_label_writes_merge_adjacent_ranges(monkeypatch, rows, cols, seed, h,
     monkeypatch.setattr(SimDisk, "append_stream", append_stream)
     d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
     blocks = -(-tfp.LABEL.itemsize * rows * cols // block)
-    c = d.file_counters(plan.l_handle)
+    (labels,) = [f for f in d.files() if f.name.endswith(".plan.labels")]
+    c = d.file_counters(labels)
     assert c.blocks_written == blocks
-    assert c.blocks_read <= blocks + len(plan.a_entries)
-    assert streams.count(plan.l_handle.name) == 1
+    assert c.blocks_read <= blocks + len(plan.chunks.entries)
+    assert streams.count(labels.name) == 1
 
 
 @pytest.mark.parametrize("rows,cols,seed,h,block", RUN_CASES)
@@ -300,7 +301,7 @@ def test_message_writes_are_runs(monkeypatch, rows, cols, seed, h, block):
     monkeypatch.setattr(AppendStream, "write", append_write)
     d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
 
-    assert len(chunks) == len(plan.a_entries)
+    assert len(chunks) == len(plan.chunks.entries)
     assert any(chunks)
     for writes in chunks:
         assert all(lo % block == 0 and hi % block == 0 for lo, hi in writes)
@@ -331,7 +332,7 @@ def test_message_blocks_written_once_per_chunk(monkeypatch, rows, cols, seed,
     monkeypatch.setattr(SimDisk, "_count", count)
     d, plan = run_with_plan(monkeypatch, rows, cols, seed, h, block)
 
-    assert len(chunks) == len(plan.a_entries)
+    assert len(chunks) == len(plan.chunks.entries)
     assert any(chunks)
     for blocks in chunks:
         assert blocks == sorted(set(blocks)), blocks
