@@ -166,7 +166,6 @@ class InMemoryCluster:
 
 _DR = np.array([dr for dr, _ in gf.DIR_OFFSETS], dtype=np.int64)
 _DC = np.array([dc for _, dc in gf.DIR_OFFSETS], dtype=np.int64)
-_OWNED = np.array(gf.OWNED_SLOTS, dtype=np.int64)
 
 
 class _Shape(NamedTuple):
@@ -201,24 +200,6 @@ def _shape(hgt: int, wid: int) -> _Shape:
     return _Shape(local_of_t, t_of_local, nbr, boundary, tuple(bpos))
 
 
-def _stored_arcs(encoding: str, raw: bytes, cnt: int):
-    """(t, d, w) arrays of the arcs stored in cnt records, in (Z rank,
-    direction) order; unweighted arcs get w = 1."""
-    if encoding == "unweighted":
-        masks = np.frombuffer(raw, dtype=np.uint8).reshape(cnt, 1)
-        t, d = np.nonzero(np.unpackbits(masks, axis=1, bitorder="little"))
-        return t, d, np.ones(len(t), dtype=np.int64)
-    if encoding == "weighted_directed":
-        ws = np.frombuffer(raw, dtype="<u8").reshape(cnt, 8)
-        t, d = np.nonzero(ws != gf.ABSENT)
-        return t, d, ws[t, d]
-    if encoding == "weighted_undirected":
-        ws = np.frombuffer(raw, dtype="<u8").reshape(cnt, len(_OWNED))
-        t, slot = np.nonzero(ws != gf.ABSENT)
-        return t, _OWNED[slot], ws[t, slot]
-    raise gf.FormatError("not a vertex encoding: %r" % encoding)
-
-
 def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
                  raw: bytes):
     """Columns of a cluster's out_edges and intra arcs as lists, and the end
@@ -227,7 +208,7 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
     The numpy temporaries die on return, before the caller builds tuples.
     """
     shape = _shape(hgt, wid)
-    t, d, w = _stored_arcs(g.encoding, raw, hgt * wid)
+    t, d, w = gf.decode_record(g.encoding, raw, hgt * wid)
     src = shape.local_of_t[t]
     dst = shape.nbr[t, d]
     inside = dst >= 0

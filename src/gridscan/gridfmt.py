@@ -206,27 +206,33 @@ def read_u64_payload(disk: SimDisk, handle: FileHandle) -> list[int]:
 
 
 _WEIGHT_SLOTS = {                  # one u64 per slot, in direction order
-    "weighted_directed": (struct.Struct("<8Q").unpack, tuple(range(8))),
-    "weighted_undirected": (struct.Struct("<4Q").unpack, OWNED_SLOTS),
+    "weighted_directed": (struct.Struct("<8Q"), tuple(range(8))),
+    "weighted_undirected": (struct.Struct("<4Q"), OWNED_SLOTS),
 }
+_SLOT_DIRS = {enc: np.array(dirs) for enc, (_, dirs) in _WEIGHT_SLOTS.items()}
 
 
-def decode_record(encoding: str, raw: bytes):
-    """``(mask, {direction: weight})`` of one vertex record; a record that is
-    not the encoding's size is a ``FormatError``."""
+def decode_record(encoding: str, raw: bytes, count: int):
+    """``(t, d, w)`` arrays of the arcs stored in a run of ``count`` vertex
+    records, in (record, direction) order: the record's index in the run,
+    the arc's direction and its weight, 1 for unweighted arcs.
+
+    The one payload reader of the algorithms.  A run that is not ``count``
+    records long is a ``FormatError``.
+    """
     if encoding not in VERTEX_ENCODINGS:
         raise FormatError("not a vertex encoding: %r" % encoding)
-    if len(raw) != ENCODINGS[encoding]:
-        raise FormatError("%s record of %d bytes, not %d"
-                          % (encoding, len(raw), ENCODINGS[encoding]))
+    if len(raw) != count * ENCODINGS[encoding]:
+        raise FormatError("%s run of %d bytes, not %d records of %d"
+                          % (encoding, len(raw), count, ENCODINGS[encoding]))
     if encoding == "unweighted":
-        return raw[0], {}
-    unpack, dirs = _WEIGHT_SLOTS[encoding]
-    weights = {d: w for d, w in zip(dirs, unpack(raw)) if w != ABSENT}
-    mask = 0
-    for d in weights:
-        mask |= 1 << d
-    return mask, weights
+        masks = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1)
+        t, d = np.nonzero(np.unpackbits(masks, axis=1, bitorder="little"))
+        return t, d, np.ones(len(t), dtype=np.int64)
+    dirs = _SLOT_DIRS[encoding]
+    ws = np.frombuffer(raw, dtype="<u8").reshape(count, len(dirs))
+    t, slot = np.nonzero(ws != ABSENT)
+    return t, dirs[slot], ws[t, slot]
 
 
 def encode_record(encoding: str, mask: int, weights: dict[int, int]) -> bytes:
@@ -246,11 +252,29 @@ def encode_record(encoding: str, mask: int, weights: dict[int, int]) -> bytes:
 
 
 def decode_all(g: GridGraph):
-    """All records decoded from raw bytes, indexed by Z index. Uncounted."""
-    raw = g.disk.raw_bytes(g.handle)
-    rs, off = g.record_size, g.payload_offset
-    return [decode_record(g.encoding, raw[off + i * rs: off + (i + 1) * rs])
-            for i in range(g.n)]
+    """``(mask, {direction: weight})`` of every record, indexed by Z index.
+    Uncounted.
+
+    It decodes one record at a time with ``struct``, apart from
+    ``decode_record``, so the oracles that read it check the algorithms'
+    reader instead of sharing it.
+    """
+    if g.encoding not in VERTEX_ENCODINGS:
+        raise FormatError("not a vertex encoding: %r" % g.encoding)
+    off = g.payload_offset
+    payload = g.disk.raw_bytes(g.handle)[off:off + g.n * g.record_size]
+    if g.encoding == "unweighted":
+        return [(mask, {}) for mask in payload]
+    fmt, dirs = _WEIGHT_SLOTS[g.encoding]
+    return [_record(dirs, ws) for ws in fmt.iter_unpack(payload)]
+
+
+def _record(dirs, ws):
+    weights = {d: w for d, w in zip(dirs, ws) if w != ABSENT}
+    mask = 0
+    for d in weights:
+        mask |= 1 << d
+    return mask, weights
 
 
 def adjacency(g: GridGraph):

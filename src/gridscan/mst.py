@@ -478,7 +478,6 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     expn = FileStack(disk, disk.open_file(out_name + ".expn"))
     reader = disk.scan_reader(g.handle, g.payload_offset)
     rs = g.record_size
-    owned = [(d, *gf.DIR_OFFSETS[d]) for d in gf.OWNED_SLOTS]
 
     def upward(r0, c0, size):
         r1, c1 = r0 + size, c0 + size
@@ -488,24 +487,23 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
             cells = [(z, r0 + dr, c0 + dc)
                      for z, (dr, dc) in enumerate(_CELL16[:size * size])
                      if r0 + dr < rows and c0 + dc < cols]
-            raw = reader.read(len(cells) * rs)
+            arcs = gf.decode_record(g.encoding, reader.read(len(cells) * rs),
+                                    len(cells))
             # out-edges by quadrant, listed last quadrant first, as a
             # larger region lists its children's
             outs = [[], [], [], []]
-            for i, (z, r, c) in enumerate(cells):
-                mask, weights = gf.decode_record("weighted_undirected",
-                                                 raw[i * rs:(i + 1) * rs])
-                for d, dr, dc in owned:
-                    if mask >> d & 1:
-                        vr, vc = r + dr, c + dc
-                        if not (0 <= vr < rows and 0 <= vc < cols):
-                            raise gf.FormatError(
-                                "edge leaves the grid at (%d,%d)" % (r, c))
-                        e = (r * cols + c, vr * cols + vc, weights[d], False)
-                        if r0 <= vr < r1 and c0 <= vc < c1:
-                            candidates.append(e)
-                        else:
-                            outs[z // 4].append(e)
+            for i, d, w in zip(*(a.tolist() for a in arcs)):
+                z, r, c = cells[i]
+                dr, dc = gf.DIR_OFFSETS[d]
+                vr, vc = r + dr, c + dc
+                if not (0 <= vr < rows and 0 <= vc < cols):
+                    raise gf.FormatError(
+                        "edge leaves the grid at (%d,%d)" % (r, c))
+                e = (r * cols + c, vr * cols + vc, w, False)
+                if r0 <= vr < r1 and c0 <= vc < c1:
+                    candidates.append(e)
+                else:
+                    outs[z // 4].append(e)
             out_edges = outs[3] + outs[2] + outs[1] + outs[0]
         else:
             quads = _quadrants(r0, c0, size, rows, cols)

@@ -65,19 +65,11 @@ def bfs_distances(g: gf.GridGraph, s: tuple[int, int]) -> dict:
 
 
 def undirected_edges(g: gf.GridGraph) -> list:
-    """Each undirected edge once as (w, (r1,c1), (r2,c2)), owner endpoint first."""
+    """Each undirected edge once as (w, (r1,c1), (r2,c2)), its owner, the
+    smaller endpoint, first."""
     _check_size(g)
-    records = gf.decode_all(g)
-    z_of_cell = gf.z_tables(g.rows, g.cols)[0]
-    out = []
-    for r in range(g.rows):
-        for c in range(g.cols):
-            mask, weights = records[z_of_cell[r * g.cols + c]]
-            for d in gf.OWNED_SLOTS:
-                if mask >> d & 1:
-                    dr, dc = gf.DIR_OFFSETS[d]
-                    out.append((weights.get(d, 1), (r, c), (r + dr, c + dc)))
-    return out
+    return [(w, v, (nr, nc)) for v, arcs in gf.adjacency(g).items()
+            for _, nr, nc, w in arcs if v < (nr, nc)]
 
 
 class UnionFind:

@@ -2,7 +2,10 @@
 
 All algorithm modules move their bulk data through a :class:`SimDisk`.  The
 disk carves every file into blocks of ``block_bytes`` and counts block
-transfers, split into sequential and random ones.  Two access regimes exist:
+transfers, split into sequential and random ones under one head per file: a
+transfer is sequential when its block follows the block of the previous
+counted transfer of the same file, or is the file's first, whatever other
+files were touched in between.  Two access regimes exist:
 
 * ``FileStack`` and ``access_block`` / ``read`` / ``write`` / ``flush`` go
   through an LRU cache of ``memory_bytes // block_bytes`` blocks, the

@@ -293,17 +293,57 @@ def test_weighted_undirected_owner_storage():
 @given(st.integers(0, 255),
        st.dictionaries(st.integers(0, 7), st.integers(0, 2 ** 63), max_size=8))
 def test_record_round_trip_weighted_directed(mask, weights):
-    weights = {d: w for d, w in weights.items()}
-    mask &= sum(1 << d for d in weights) if weights else 0
+    mask &= sum(1 << d for d in weights)
     raw = gf.encode_record("weighted_directed", mask, weights)
-    m2, w2 = gf.decode_record("weighted_directed", raw)
-    assert m2 == mask
-    assert w2 == {d: w for d, w in weights.items() if mask >> d & 1}
+    t, d, w = (a.tolist() for a in gf.decode_record("weighted_directed",
+                                                    raw, 1))
+    assert t == [0] * len(d)
+    assert sum(1 << x for x in d) == mask
+    assert dict(zip(d, w)) == {k: v for k, v in weights.items()
+                               if mask >> k & 1}
 
 
 @pytest.mark.parametrize("encoding", gf.VERTEX_ENCODINGS)
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_decode_record_wrong_length(encoding, delta):
-    raw = bytes(gf.ENCODINGS[encoding] + delta)
-    with pytest.raises(gf.FormatError, match="record of %d bytes" % len(raw)):
-        gf.decode_record(encoding, raw)
+    for count in (1, 3):
+        raw = bytes(count * gf.ENCODINGS[encoding] + delta)
+        with pytest.raises(gf.FormatError, match="run of %d bytes" % len(raw)):
+            gf.decode_record(encoding, raw, count)
+
+
+def test_decode_record_rejects_other_encodings():
+    with pytest.raises(gf.FormatError, match="not a vertex encoding"):
+        gf.decode_record("distances", bytes(8), 1)
+
+
+def record_bytes(encoding):
+    """One vertex record of the encoding, each weight slot absent or not."""
+    if encoding == "unweighted":
+        return st.binary(min_size=1, max_size=1)
+    slot = st.one_of(st.just(gf.ABSENT), st.integers(0, gf.ABSENT - 1))
+    k = gf.ENCODINGS[encoding] // 8
+    return st.lists(slot, min_size=k, max_size=k).map(
+        lambda ws: b"".join(w.to_bytes(8, "little") for w in ws))
+
+
+@pytest.mark.parametrize("encoding", gf.VERTEX_ENCODINGS)
+@given(data=st.data())
+def test_decode_record_agrees_with_decode_all(encoding, data):
+    """The algorithms' run reader and the oracle's per-record decode are
+    written apart; on any run of records they list the same arcs, in
+    (record, direction) order."""
+    records = data.draw(st.lists(record_bytes(encoding), min_size=1,
+                                 max_size=16))
+    count = len(records)
+    d = disk()
+    g = gf.GridGraph(d, d.open_file("input"), gf.Z_ORDER, encoding, 1, count,
+                     count)
+    header = gf.pack_header(encoding, 1, count, count)
+    d.load_raw(g.handle, header.ljust(g.payload_offset, b"\0")
+               + b"".join(records))
+    want = [(i, dd, weights.get(dd, 1))
+            for i, (mask, weights) in enumerate(gf.decode_all(g))
+            for dd in range(8) if mask >> dd & 1]
+    got = gf.decode_record(encoding, b"".join(records), count)
+    assert list(zip(*(a.tolist() for a in got))) == want
