@@ -378,32 +378,48 @@ def build_separator_graph(g: gf.GridGraph, h: int,
     handle = g.disk.open_file(name)
     out = g.disk.append_stream(handle)
     for q in iterate_clusters(g, scheme):
-        bpos = _shape(q.hgt, q.wid).bpos
-        bsize = len(q.boundary)
-        recs = np.full((bsize, slots), absent, dtype=dtype)
-        # slots 0 .. bsize-2: distances to the other boundary vertices
-        dists = np.empty((bsize, bsize), dtype=dtype)
-        for i, li in enumerate(q.boundary):
-            dist = local_dijkstra(q, [(0, li)])
-            row = [dist[v] for v in q.boundary]
-            top = max([d for d in row if d != INF])
+        bnd, bpos, intra = q.boundary, _shape(q.hgt, q.wid).bpos, q.intra
+        bsize = len(bnd)
+        # slots 0 .. bsize-2: distances to the other boundary vertices, by
+        # one search per boundary source (local_dijkstra's loop) that stops
+        # once every boundary vertex is popped: a popped distance is final.
+        # Calling local_dijkstra per source, which runs to every vertex as
+        # seeding and phase 3 need, measured slower (ROADMAP item 4).
+        rows = []
+        for i, li in enumerate(bnd):
+            dist = [INF] * q.n
+            dist[li] = top = 0
+            pq, left = [(0, li)], bsize
+            while pq:
+                dv, v = heapq.heappop(pq)
+                if dv > dist[v]:
+                    continue
+                if bpos[v] >= 0:
+                    top, left = dv, left - 1     # pops come in distance order
+                    if not left:
+                        break
+                for _, u, w in intra[v]:
+                    nd = dv + w
+                    if nd < dist[u]:
+                        dist[u] = nd
+                        heapq.heappush(pq, (nd, u))
             if top >= absent:
                 raise ClusterError(
                     "boundary distance %d in the cluster at (%d,%d) does "
                     "not fit below the no-path marker" % (top, q.r0, q.c0))
-            dists[i] = [absent if d == INF else d for d in row]
-        recs[:, :bsize - 1] = dists[~np.eye(bsize, dtype=bool)].reshape(
-            bsize, bsize - 1)
+            row = [absent if dist[v] == INF else dist[v] for v in bnd]
+            del row[i]
+            rows.append(row)
         # then the vertex's edges into other clusters
-        fill = [bsize - 1] * bsize
         for v, d, _, _, w in q.out_edges:
             if w >> shift:
                 raise ClusterError("weight too large for slot encoding")
-            i = bpos[v]
-            if fill[i] == slots:
+            row = rows[bpos[v]]
+            if len(row) == slots:
                 raise ClusterError("cross-cluster slot overflow")
-            recs[i, fill[i]] = (d << shift) | w
-            fill[i] += 1
-        out.write(recs.tobytes())
+            row.append((d << shift) | w)
+        for row in rows:
+            row += [absent] * (slots - len(row))
+        out.write(np.array(rows, dtype=dtype).tobytes())
     out.close()
     return SeparatorGraph(scheme, handle, slots * dtype.itemsize, wide)

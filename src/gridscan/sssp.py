@@ -16,7 +16,7 @@ global key order from a binary-heap min-queue, which breaks key ties by
 least cluster for ``sssp_simple`` and latest inserted first for
 ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests clusters into levels and
 spends a fixed budget of steps per visit to a level; a level cluster's key
-is the minimum of its slice of one array of h0-cluster keys.  A finalized
+is the minimum of the h0-cluster keys of one range of Z ranks.  A finalized
 vertex whose estimate later improves turns tentative again (it is
 reactivated), which keeps the result exact under the budgeted order.
 Strict key order never reactivates: every relaxation adds a non-negative
@@ -246,18 +246,20 @@ def _relax_targets(dfile, rank, dist_u, targets, stats):
     return {r: records[r] for r in touched}
 
 
-def _settle(gp, dfile, rank, stats):
+def _settle(gp, dfile, rank, best, stats):
     """The phase-2 step: finalize the least tentative estimate of one cluster
     and relax that vertex's separator edges.
 
-    Every cluster the step touches is changed in its records from
-    ``dfile``, which encodes them and keeps exactly their blocks when the
-    step ends.  Returns {rank: records} of the clusters whose least
-    tentative estimate may have changed, or None when the cluster holds no
-    tentative estimate.
+    ``best`` is the cluster's least tentative (distance, position), as
+    ``_min_tentative`` finds it in the cluster's records, which the driver
+    keeps beside the cluster's key; None when the cluster holds no
+    tentative estimate.  Every cluster the step touches is changed in its
+    records from ``dfile``, which encodes them and keeps exactly their
+    blocks when the step ends.  Returns {rank: records} of the clusters
+    whose least tentative estimate may have changed, or None for a None
+    ``best``.
     """
     vals = dfile.records(rank)
-    best = _min_tentative(vals)
     if best is None:
         dfile.end_step()
         return None
@@ -329,7 +331,8 @@ def solve_in_key_order(g, s_cell, h: int, queue, stats: SolveStats,
     while (entry := queue.extract_min()) is not None:
         key, rank = entry
         if cur_min[rank] is not None and key == cur_min[rank][0]:
-            for tr, vals in _settle(gp, dfile, rank, stats).items():
+            for tr, vals in _settle(gp, dfile, rank, cur_min[rank],
+                                    stats).items():
                 refresh(tr, vals)
     return _finalize_interiors(g, scheme, dfile, s_cell)
 
@@ -375,8 +378,10 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
     # level slicing and heap ties are 2-D: (row, column) of each h0 cluster
     # in the cluster grid, by rank
     coords = [(r0 >> h0, c0 >> h0) for r0, c0, _, _ in scheme.extents]
-    # least tentative estimate per h0 cluster, INF_D when it holds none
-    keys = np.full((scheme.crows, scheme.ccols), INF_D, dtype=np.int64)
+    # per h0 cluster, by rank: least tentative estimate, INF_D when it holds
+    # none, and that estimate's (distance, position), None when none
+    keys = [INF_D] * len(coords)
+    cur_min = [None] * len(coords)
 
     def ancestor(coord, level):
         """Coords of the level-`level` cluster containing an h0 cluster."""
@@ -384,10 +389,17 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
         return coord[0] >> shift, coord[1] >> shift
 
     def child_key(level, coord):
-        """Exact key of a level-`level` cluster: min over its h0 clusters."""
+        """Exact key of a level-`level` cluster: min over its h0 clusters.
+        In Z order an aligned level cluster's in-grid h0 clusters are the
+        ranks lo, lo + 1, ..., from the rank of its upper-left one."""
         ci, cj = coord
         s = levels[level] - h0
-        return int(keys[ci << s:(ci + 1) << s, cj << s:(cj + 1) << s].min())
+        lo = scheme.rank_of(ci << levels[level], cj << levels[level])
+        if not s:
+            return keys[lo]
+        cnt = (min(1 << s, scheme.crows - (ci << s))
+               * min(1 << s, scheme.ccols - (cj << s)))
+        return min(keys[lo:lo + cnt])
 
     # per (level, parent coord): lazy heap over level-1 children
     heaps: dict[tuple[int, tuple[int, int]], list] = {}
@@ -396,8 +408,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
         """Set an h0 cluster's key from its records and advertise it, if any,
         to every ancestor queue on its chain."""
         coord = coords[rank]
-        best = _min_tentative(vals)
-        keys[coord] = INF_D if best is None else best[0]
+        best = cur_min[rank] = _min_tentative(vals)
+        keys[rank] = INF_D if best is None else best[0]
         if best is None:
             return
         for lv in range(1, k + 1):
@@ -408,9 +420,8 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
         """One extraction inside an h0 cluster; wasted when nothing is
         tentative there."""
         stats.level0_calls += 1
-        touched = _settle(gp, dfile, rank, stats)
+        touched = _settle(gp, dfile, rank, cur_min[rank], stats)
         if touched is None:
-            keys[coords[rank]] = INF_D
             stats.wasted_calls += 1
             return
         for tr, vals in touched.items():

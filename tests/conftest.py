@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -43,6 +44,22 @@ def make_graph(disk, rows, cols, encoding, edges, name="input"):
         stream.write(gf.encode_record(encoding, mask, dict(spec)))
     stream.close()
     return g
+
+
+def dense_digraph(disk, rows, cols, seed, p=0.6):
+    """Each of the 8 neighbour arcs present with probability ``p``, weight
+    uniform in [1, 2^20)."""
+    rng = random.Random(seed)
+    edges = {}
+    for r in range(rows):
+        for c in range(cols):
+            spec = {}
+            for d, (dr, dc) in enumerate(gf.DIR_OFFSETS):
+                if (0 <= r + dr < rows and 0 <= c + dc < cols
+                        and rng.random() < p):
+                    spec[d] = rng.randrange(1, 2 ** 20)
+            edges[(r, c)] = spec
+    return make_graph(disk, rows, cols, "weighted_directed", edges)
 
 
 def phase3_by_z(g, distances):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 from gridscan import toposort as ts
 
-from conftest import (coord_to_index, index_to_coord, make_disk, make_graph,
-                      grid4_edges)
+from conftest import (coord_to_index, dense_digraph, index_to_coord,
+                      make_disk, make_graph, grid4_edges)
 
 
 def boundary_coords(s, rank):
@@ -209,9 +209,8 @@ def test_separator_no_internal_edges_only_cross():
     assert all_edges == [(s.h_number(1, 0), s.h_number(2, 0), 7)]
 
 
-def _local_oracle_distances(g, s, rank):
+def _local_oracle_distances(adj, s, rank):
     """Per-cluster boundary-to-boundary Dijkstra straight off adjacency."""
-    adj = gf.adjacency(g)
     r0, c0, hgt, wid = s.extents[rank]
     inside = lambda v: r0 <= v[0] < r0 + hgt and c0 <= v[1] < c0 + wid
     out = {}
@@ -233,14 +232,15 @@ def _local_oracle_distances(g, s, rank):
     return out
 
 
-@pytest.mark.parametrize("h", [1, 2, 3])
-def test_separator_distance_soundness(h):
-    d = make_disk()
-    g = gf.generate(d, 16, 16, "weighted_dag", seed=h)
+def assert_separator_distances_sound(g, h):
+    """Every boundary-to-boundary slot of the separator graph holds the
+    least in-cluster distance, and a slot is empty exactly when no
+    in-cluster path exists."""
     gp = cl.build_separator_graph(g, h)
     s = gp.scheme
+    adj = gf.adjacency(g)
     for rank in range(len(s.extents)):
-        local = _local_oracle_distances(g, s, rank)
+        local = _local_oracle_distances(adj, s, rank)
         base = s.bases[rank]
         bnd = boundary_coords(s, rank)
         for i, src in enumerate(bnd):
@@ -253,6 +253,29 @@ def test_separator_distance_soundness(h):
                       for j, v in enumerate(bnd)
                       if j != i and v in local[src]}
             assert got == expect
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_separator_distance_soundness(h):
+    d = make_disk()
+    assert_separator_distances_sound(
+        gf.generate(d, 16, 16, "weighted_dag", seed=h), h)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+@pytest.mark.parametrize("rows, cols", [(16, 16), (13, 7)])
+@pytest.mark.parametrize("model", ["dense_digraph", "unit_directed"])
+def test_separator_distance_soundness_cyclic(model, rows, cols, h):
+    """Cyclic inputs with every neighbour pair joined.  With every arc
+    present each cluster is strongly connected, so every boundary search
+    reaches its whole boundary and stops before its queue runs dry; a
+    weighted_dag's searches almost never do."""
+    d = make_disk()
+    if model == "dense_digraph":
+        g = dense_digraph(d, rows, cols, h, p=1.0)
+    else:
+        g = gf.generate(d, rows, cols, "unit_directed", seed=h, density=1.0)
+    assert_separator_distances_sound(g, h)
 
 
 @pytest.mark.parametrize("h", [1, 2])

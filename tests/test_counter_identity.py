@@ -130,7 +130,8 @@ extraction list, ``level0_calls``, ``wasted_calls`` and ``reactivations``.
 At 32x32 the hierarchy has nested levels (``build_hierarchy(1, 32, 32)`` is
 ``[1, 4, 8]``), so a change to the budgeted order fails here even when it
 keeps the counters and the output.  Its values were recorded from the code
-before the hierarchy keys became a numpy array.
+before the hierarchy keys became a numpy array, and the schedule they pin
+also holds with the keys as one list in Z-rank order.
 
 ``RECORDED_STACKS`` pins the sha256 of the final contents of the two stack
 files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,

@@ -28,7 +28,8 @@ from gridscan import costmodel as cm
 from gridscan import gridfmt as gf
 from gridscan.simdisk import SimConfig, SimDisk
 
-from conftest import index_to_coord, make_disk, make_graph, phase3_by_z
+from conftest import (dense_digraph, index_to_coord, make_disk, make_graph,
+                      phase3_by_z)
 
 DESK = SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16)
 # the paper's proviso M = B^2 at the smallest block the simulator takes
@@ -119,22 +120,6 @@ def test_change_in_one_block_writes_only_that_block(monkeypatch):
     dfile.flush()
     assert writes == [(span[1] * block, block)]
     assert dfile.read(0)[i] == 7
-
-
-def dense_digraph(disk, side, seed):
-    """Each of the 8 neighbour arcs present with probability 0.6, weight
-    uniform in [1, 2^20)."""
-    rng = random.Random(seed)
-    edges = {}
-    for r in range(side):
-        for c in range(side):
-            spec = {}
-            for d, (dr, dc) in enumerate(gf.DIR_OFFSETS):
-                if (0 <= r + dr < side and 0 <= c + dc < side
-                        and rng.random() < 0.6):
-                    spec[d] = rng.randrange(1, 2 ** 20)
-            edges[(r, c)] = spec
-    return make_graph(disk, side, side, "weighted_directed", edges)
 
 
 def reaching_source(g, reach_fn, seed):
@@ -245,7 +230,7 @@ def test_phase2_steps_keep_only_their_blocks(monkeypatch, h, block, solver):
         g = gf.generate(disk, side, side, "unit_directed", seed=3,
                         density=0.6)
     else:
-        g = dense_digraph(disk, side, 3)
+        g = dense_digraph(disk, side, side, 3)
     state = spy_distance_file(monkeypatch, disk, h)
     s = (side // 2, side // 3)
     if solver == "sssp_simple":
@@ -274,7 +259,7 @@ def test_phase2_steps_keep_only_their_blocks(monkeypatch, h, block, solver):
 def test_phase2_within_model(side, h):
     n = side * side
     disk = SimDisk(DESK)
-    g = dense_digraph(disk, side, 1)
+    g = dense_digraph(disk, side, side, 1)
     s = reaching_source(g, oracle.dijkstra, 1)
     model = cm.volume_model("sssp", n, DESK.memory_bytes, DESK.block_bytes, h)
     for levels in (None, sssp.build_hierarchy(h, side, side)):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, bfs
 
-from conftest import (coord_to_index, index_to_coord, make_disk, make_graph,
-                      grid4_edges, phase3_by_z)
+from conftest import (coord_to_index, dense_digraph, index_to_coord,
+                      make_disk, make_graph, grid4_edges, phase3_by_z)
 
 
 def solve_and_compare(rows, cols, seed, h, variant="simple", density=0.5):
@@ -92,6 +92,69 @@ def test_hierarchical_64x64():
     solve_and_compare(64, 64, 13, 2, variant="hier")
     # h0 = 0: 1x1 clusters under levels [0, 3, 6]
     solve_and_compare(64, 64, 13, 0, variant="hier")
+
+
+@pytest.mark.parametrize("h0", [1, 2])
+@pytest.mark.parametrize("rows, cols", [(13, 7), (5, 11), (100, 37), (32, 32)])
+def test_level_clusters_are_rank_ranges(rows, cols, h0):
+    # sssp_hierarchical keys a level cluster by the least key of the ranks
+    # [lo, lo + cnt): lo the rank of its upper-left h0 cluster, cnt its
+    # count of in-grid h0 clusters
+    scheme = cl.ClusterScheme(rows, cols, h0)
+    for hl in sssp.build_hierarchy(h0, rows, cols):
+        s = hl - h0
+        blocks = {}
+        for ci in range(scheme.crows):
+            for cj in range(scheme.ccols):
+                blocks.setdefault((ci >> s, cj >> s), []).append(
+                    scheme.rank_of(ci << h0, cj << h0))
+        for (bi, bj), ranks in blocks.items():
+            lo = scheme.rank_of(bi << hl, bj << hl)
+            cnt = (min(1 << s, scheme.crows - (bi << s))
+                   * min(1 << s, scheme.ccols - (bj << s)))
+            assert sorted(ranks) == list(range(lo, lo + cnt)), (hl, bi, bj)
+
+
+# (rows, cols, h, arc probability or density, seed)
+@pytest.mark.parametrize("instance", [(13, 7, 1, 0.6, 1),
+                                      (16, 16, 2, 0.6, 3),
+                                      (16, 16, 1, 1.0, 1)])
+@pytest.mark.parametrize("solver", ["sssp_simple", "sssp_hierarchical",
+                                    "bfs_distances"])
+def test_settle_gets_the_records_least_tentative(monkeypatch, solver,
+                                                 instance):
+    # the (distance, position) a driver keeps beside a cluster's key is the
+    # one _min_tentative finds in the cluster's records at every step
+    rows, cols, h, p, seed = instance
+    real, steps = sssp._settle, []
+
+    def spy(gp, dfile, rank, best, stats):
+        # the step's first records call: it loads what the step loads
+        assert best == sssp._min_tentative(dfile.records(rank))
+        steps.append(best)
+        return real(gp, dfile, rank, best, stats)
+
+    def run():
+        d = make_disk()
+        s = (rows // 2, cols // 3)
+        if solver == "bfs_distances":
+            g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
+                            density=p)
+            list(bfs.bfs_distances(g, s, h))
+        else:
+            g = dense_digraph(d, rows, cols, seed, p)
+            if solver == "sssp_simple":
+                sssp.sssp_simple(g, s, h)
+            else:
+                sssp.sssp_hierarchical(
+                    g, s, sssp.build_hierarchy(h, rows, cols))
+        return d.counters_snapshot()
+
+    monkeypatch.setattr(sssp, "_settle", spy)
+    spied = run()
+    assert len(steps) > 20 and None not in steps
+    monkeypatch.setattr(sssp, "_settle", real)
+    assert run() == spied
 
 
 def test_hierarchical_degenerate_k0():
