@@ -153,6 +153,8 @@ def _min_tentative(vals: list[int]):
 class SolveStats:
     extractions: list = field(default_factory=list)  # (h-number, distance)
     level0_calls: int = 0
+    # steps on a cluster with no tentative estimate; no driver takes
+    # one, so it stays 0, and perfbench reports it
     wasted_calls: int = 0
     reactivations: int = 0
 
@@ -252,17 +254,13 @@ def _settle(gp, dfile, rank, best, stats):
 
     ``best`` is the cluster's least tentative (distance, position), as
     ``_min_tentative`` finds it in the cluster's records, which the driver
-    keeps beside the cluster's key; None when the cluster holds no
-    tentative estimate.  Every cluster the step touches is changed in its
-    records from ``dfile``, which encodes them and keeps exactly their
-    blocks when the step ends.  Returns {rank: records} of the clusters
-    whose least tentative estimate may have changed, or None for a None
-    ``best``.
+    keeps beside the cluster's key; both drivers step only a cluster that
+    holds one.  Every cluster the step touches is changed in its records
+    from ``dfile``, which encodes them and keeps exactly their blocks when
+    the step ends.  Returns {rank: records} of the clusters whose least
+    tentative estimate may have changed.
     """
     vals = dfile.records(rank)
-    if best is None:
-        dfile.end_step()
-        return None
     dist_u, pos = best
     vals[pos] &= ~TENTATIVE            # make final
     u = gp.scheme.bases[rank] + pos
@@ -417,14 +415,11 @@ def sssp_hierarchical(g: gf.GridGraph, s_cell: tuple[int, int],
                            (best[0], ancestor(coord, lv - 1)))
 
     def level0_step(rank):
-        """One extraction inside an h0 cluster; wasted when nothing is
-        tentative there."""
+        """One extraction inside an h0 cluster, which holds a tentative
+        estimate: a child's key is below INF_D only then."""
         stats.level0_calls += 1
-        touched = _settle(gp, dfile, rank, cur_min[rank], stats)
-        if touched is None:
-            stats.wasted_calls += 1
-            return
-        for tr, vals in touched.items():
+        for tr, vals in _settle(gp, dfile, rank, cur_min[rank],
+                                stats).items():
             refresh(tr, vals)
 
     def process(level, coord):

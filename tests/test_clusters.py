@@ -1,7 +1,9 @@
 import heapq
 import random
+import re
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -507,25 +509,138 @@ def snake_graph(d, rows, cols, weight_of):
     return make_graph(d, rows, cols, "weighted_directed", edges)
 
 
-# on the 8x8 snake at h = 3 (one cluster), boundary cell (3,0) lies 31 arcs
-# after (0,0): 63 arcs of BIG pass 2^64 on the way, while 16 arcs of BIG, one
-# of 15 and the rest 0 put (3,0) at exactly 2^64 - 1, the no-path marker
-SNAKE_WEIGHTS = {
-    "past_64_bits": lambda k: BIG,
-    "equal_to_marker": lambda k: BIG if k < 16 else 15 if k == 16 else 0,
+# test id -> (rows, cols, h, weight of the k-th arc) of a snake on one
+# cluster.  On the 8x8 snake at h = 3, boundary cell (3,0) lies 31 arcs after
+# (0,0): 63 arcs of BIG pass 2^64 on the way, while 16 arcs of BIG, one of 15
+# and the rest 0 put (3,0) at exactly 2^64 - 1, the no-path marker.  On the
+# 4x4 snake at h = 2 fifteen arcs of BIG stay below 2^64, so its arcs, all
+# inside the cluster, take weights of up to 2^64 - 2, the largest storable:
+# fifteen of 2^62 pass 2^64, and one of 2^64 - 2 then one of 1 put (0,2) and
+# every cell after it at exactly 2^64 - 1.
+SNAKE_CASES = {
+    "past_64_bits": (8, 8, 3, lambda k: BIG),
+    "equal_to_marker": (8, 8, 3,
+                        lambda k: BIG if k < 16 else 15 if k == 16 else 0),
+    "h2-past_64_bits": (4, 4, 2, lambda k: 2 ** 62),
+    "h2-equal_to_marker": (4, 4, 2,
+                           lambda k: (gf.ABSENT - 1, 1)[k] if k < 2 else 0),
 }
 
 
-@pytest.mark.parametrize("weights", sorted(SNAKE_WEIGHTS))
-def test_separator_distance_overflow_raises(weights, monkeypatch, capsys):
-    weight_of = SNAKE_WEIGHTS[weights]
+@pytest.mark.parametrize("case", sorted(SNAKE_CASES))
+def test_separator_distance_overflow_raises(case, monkeypatch, capsys):
+    rows, cols, h, weight_of = SNAKE_CASES[case]
     for build in (
-            lambda g: cl.build_separator_graph(g, 3),
-            lambda g: sssp.sssp_simple(g, (0, 0), 3)):
-        g = snake_graph(make_disk(), 8, 8, weight_of)
+            lambda g: cl.build_separator_graph(g, h),
+            lambda g: sssp.sssp_simple(g, (0, 0), h)):
+        g = snake_graph(make_disk(), rows, cols, weight_of)
         with pytest.raises(cl.ClusterError):
             build(g)
     monkeypatch.setattr(gf, "generate", lambda disk, rows, cols, *a, **k:
                         snake_graph(disk, rows, cols, weight_of))
-    assert cli.run(["sssp", "--rows", "8", "--cols", "8", "--h", "3"]) == 2
+    assert cli.run(["sssp", "--rows", str(rows), "--cols", str(cols),
+                    "--h", str(h)]) == 2
     assert "no-path marker" in capsys.readouterr().err
+
+
+# one cluster's faults in the order the build checks them: an arc off the
+# grid, a boundary distance past the no-path marker (3 * 2^63 from (0,0)),
+# then a cross edge too heavy for its slot
+CLUSTER_FAULTS = (
+    ("off_grid", {(0, 1): {gf.N: 5}}, gf.FormatError,
+     "edge leaves the grid at (0,1)"),
+    ("distance", {(0, c): {gf.E: 2 ** 63} for c in range(3)},
+     cl.ClusterError, "boundary distance %d in the cluster at (0,0) does "
+     "not fit" % (3 * 2 ** 63)),
+    ("weight", {(1, 3): {gf.E: 2 ** 60}}, cl.ClusterError,
+     "weight too large for slot encoding"),
+)
+
+
+@pytest.mark.parametrize("first", [name for name, *_ in CLUSTER_FAULTS])
+def test_first_failing_cluster_raises_first(first):
+    """The first cluster by rank raises its first fault, amid its later
+    faults and with an arc off the grid in the next cluster.  At block 64
+    and M = 4096 the two upper 4x4 clusters of an 8x8 grid at h = 2 are
+    condensed in one batch."""
+    names = [name for name, *_ in CLUSTER_FAULTS]
+    edges = {(0, 5): {gf.N: 5}}
+    for _, faults, _, _ in CLUSTER_FAULTS[names.index(first):]:
+        for cell, spec in faults.items():
+            edges.setdefault(cell, {}).update(spec)
+    _, _, error, message = CLUSTER_FAULTS[names.index(first)]
+    g = make_graph(make_disk(), 8, 8, "weighted_directed", edges)
+    with pytest.raises(error, match=re.escape(message)):
+        cl.build_separator_graph(g, 2)
+
+
+def _searched_separator_bytes(g, h):
+    """The separator file's bytes by one heap search per boundary source in
+    every cluster, or the (type, message) of the first error."""
+    slots = 4 * (1 << h) if h > 0 else 8
+    fmt = cl._SLOT_FORMATS[g.encoding != "unweighted"]
+    try:
+        return b"".join(
+            np.array(cl._searched_records(q, slots, fmt), fmt[0]).tobytes()
+            for q in cl.iterate_clusters(g, cl.ClusterScheme(g.rows, g.cols,
+                                                             h)))
+    except (cl.ClusterError, gf.FormatError) as e:
+        return type(e), str(e)
+
+
+# intra-cluster weights that keep the batch in int64, and ones that push it
+# to Python ints; 2^60 and up fail as cross edges, and the heaviest make
+# boundary distances pass the no-path marker
+HEAVY = (0, 1, 2 ** 20, 2 ** 58, BIG, 2 ** 60, 2 ** 62, gf.ABSENT - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["weighted_directed", "unweighted"]),
+       st.integers(1, 13), st.integers(1, 13), st.integers(0, 2),
+       st.sampled_from([16, 64, 256]), st.floats(0.3, 1.0),
+       st.lists(st.sampled_from(HEAVY), min_size=1, max_size=3),
+       st.integers(0, 10 ** 9))
+def test_batched_condensation_matches_the_searches(encoding, rows, cols, h,
+                                                   block, p, weights, seed):
+    # the same bytes, or the same first error, as one search per source,
+    # at M = B^2 for batches of 1 (B = 16), 2 and 32 clusters of side 4
+    rng = random.Random(seed)
+    edges = {}
+    for r in range(rows):
+        for c in range(cols):
+            edges[(r, c)] = {
+                dd: rng.choice(weights) for dd, (dr, dc)
+                in enumerate(gf.DIR_OFFSETS)
+                if 0 <= r + dr < rows and 0 <= c + dc < cols
+                and rng.random() < p}
+    g = make_graph(make_disk(block), rows, cols, encoding, edges)
+    expect = _searched_separator_bytes(g, h)
+    try:
+        gp = cl.build_separator_graph(g, h)
+    except (cl.ClusterError, gf.FormatError) as e:
+        assert (type(e), str(e)) == expect
+    else:
+        size = g.disk.content_length(gp.handle)
+        assert g.disk.raw_bytes(gp.handle)[:size] == expect
+
+
+@pytest.mark.parametrize("block, mem_blocks", [(256, 256), (64, 64)])
+@pytest.mark.parametrize("h", [0, 1, 2])
+@pytest.mark.parametrize("rows, cols", [(16, 16), (100, 37)])
+def test_condensation_batches_stay_within_memory(monkeypatch, rows, cols, h,
+                                                 block, mem_blocks):
+    # every batch of distance matrices takes at most M, and every cluster
+    # is condensed in exactly one batch
+    batches, real = [], cl._all_pairs
+
+    def spy(dist):
+        batches.append(dist.shape)
+        real(dist)
+
+    monkeypatch.setattr(cl, "_all_pairs", spy)
+    d = make_disk(block, mem_blocks)
+    g = gf.generate(d, rows, cols, "weighted_dag", seed=1, density=0.6)
+    cl.build_separator_graph(g, h)
+    assert all(k * m * m * 8 <= d.config.memory_bytes for k, m, _ in batches)
+    assert sum(k for k, _, _ in batches) == len(cl.ClusterScheme(
+        rows, cols, h).extents)

@@ -112,6 +112,15 @@ hash do not pin how the transfers split between those files, nor their
 bytes.  Its values were recorded from the code before the three files came
 to share that store.
 
+``RECORDED_SEPARATOR_FILES`` pins what ``clusters.build_separator_graph``
+writes and reads on its own: the counters of the input and of the separator
+file, and the sha256 of the separator file's bytes, on ``weighted_dag`` and
+``unit_directed`` at density 0.6 and ``conftest.dense_digraph`` with every
+arc present, seed 1, at 16x16, 13x7, 1x9, 9x1 and 100x37, h = 0..3, block
+64.  The SSSP and BFS rows pin only what the solvers read back of the file.
+Its values were recorded from the code before clusters of side at most 4
+came to be condensed by one all-pairs pass per batch.
+
 ``RECORDED_D_TRACE`` pins, per ``RECORDED`` row, the sequence of direct
 reads and writes of the distance file ``D``: operation, offset, length
 and the sha256 of the bytes written.  Counter totals do not pin the
@@ -163,7 +172,7 @@ from gridscan import cli, gridfmt as gf, sssp, mst
 from gridscan import clusters as cl
 from gridscan.simdisk import FileHandle, SimDisk
 
-from conftest import make_disk, make_graph
+from conftest import dense_digraph, make_disk, make_graph
 
 # (solver, rows, cols, seed, h): ((blocks_read, blocks_written,
 #     sequential_blocks, random_blocks, bytes_transferred), output sha256)
@@ -631,6 +640,191 @@ RECORDED_CHUNK_FILES = {
     ),
 }
 
+# (model, rows, cols, h): (input counters, separator file counters,
+#     separator file sha256); counters as in RECORDED
+RECORDED_SEPARATOR_FILES = {
+    ("dense_digraph", 16, 16, 0): (
+        (256, 0, 256, 0, 16384), (0, 256, 256, 0, 16384),
+        "e2c296377eea57f734f3bc800cad57f9f17ec8cc2d39143954a0ff73d6458d35"),
+    ("dense_digraph", 16, 16, 1): (
+        (256, 0, 256, 0, 16384), (0, 256, 256, 0, 16384),
+        "b99a6f32b5abd95e8a6a7eb77a084323ed99a44e55b013fdc12ec2471bfc96bb"),
+    ("dense_digraph", 16, 16, 2): (
+        (256, 0, 256, 0, 16384), (0, 384, 384, 0, 24576),
+        "f00818fed910118c09302bec5023a91e3ef7c100821c02239513b4d5ed96755c"),
+    ("dense_digraph", 16, 16, 3): (
+        (256, 0, 256, 0, 16384), (0, 448, 448, 0, 28672),
+        "e73611f8286e7cdae5a30a837293edf05ec1c2543192c2bac633564de5dabe3f"),
+    ("dense_digraph", 13, 7, 0): (
+        (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
+        "4d34d85600792f5788355bfa460321c76a88f4941f463649b9be0f912f2e2864"),
+    ("dense_digraph", 13, 7, 1): (
+        (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
+        "b725180268843137155040ca3090e4e44a8927979399b4afe6a4c683706f8e6e"),
+    ("dense_digraph", 13, 7, 2): (
+        (91, 0, 91, 0, 5824), (0, 146, 146, 0, 9344),
+        "4abfe7a6c897e96fc2ead42494ba5bbfbef90869c0d79f8f2a336ce5b578560b"),
+    ("dense_digraph", 13, 7, 3): (
+        (91, 0, 91, 0, 5824), (0, 184, 184, 0, 11776),
+        "9633499233ee612ef457653d1f879263ece4af88a73bdf38323335c47ac98abc"),
+    ("dense_digraph", 1, 9, 0): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "90b43512435c41608990b413b0f4935422ddcbf5a2a50b6533e5fe79099258c9"),
+    ("dense_digraph", 1, 9, 1): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "64f82b0c5c28b6b9fa517d4e9c61d8e2f7bae5ebcca09a76649412a020e49971"),
+    ("dense_digraph", 1, 9, 2): (
+        (9, 0, 9, 0, 576), (0, 18, 18, 0, 1152),
+        "3b19ce74d621749ea74b7a9f9946a2a6439c618d15fd9ee885a9889ed57fac07"),
+    ("dense_digraph", 1, 9, 3): (
+        (9, 0, 9, 0, 576), (0, 36, 36, 0, 2304),
+        "9439ffb1c3de22173d3f76f4cdd0aaddc1a6c8f386c9847c88a7bba37aa454ef"),
+    ("dense_digraph", 9, 1, 0): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "3915bc58e94fbca203f9f7818842775dabe77643f18a63af4863ebb08b21e5f4"),
+    ("dense_digraph", 9, 1, 1): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "1916fec2ad5cfbd7188bce8a4873d8da49ae558cda9e6d8dd27317909e20ebc8"),
+    ("dense_digraph", 9, 1, 2): (
+        (9, 0, 9, 0, 576), (0, 18, 18, 0, 1152),
+        "aedc2b95892ad54bd63851e802294718ddc5f224c43866e418def137b8d4d879"),
+    ("dense_digraph", 9, 1, 3): (
+        (9, 0, 9, 0, 576), (0, 36, 36, 0, 2304),
+        "1a297efa956ac566100644cfb43bdacb8dfb591fd5ea11a94e35c47467ba4289"),
+    ("dense_digraph", 100, 37, 0): (
+        (3700, 0, 3700, 0, 236800), (0, 3700, 3700, 0, 236800),
+        "d95f51f7102fd0dc65d832ee06d475634b7850251a40e7f20a72f8f3ceef76b5"),
+    ("dense_digraph", 100, 37, 1): (
+        (3700, 0, 3700, 0, 236800), (0, 3700, 3700, 0, 236800),
+        "67d9591b3411d1674232c9b456a29450c292d35361405615e59752726aea0f3d"),
+    ("dense_digraph", 100, 37, 2): (
+        (3700, 0, 3700, 0, 236800), (0, 5600, 5600, 0, 358400),
+        "96d387a6571adedab7e0b53320226eb6128e8368684e5ca5eadde90f764539be"),
+    ("dense_digraph", 100, 37, 3): (
+        (3700, 0, 3700, 0, 236800), (0, 6808, 6808, 0, 435712),
+        "0ae29d90368fa68f2693bf9569d427479c3c6594dfa9e6959167d67623554b4c"),
+    ("unit_directed", 16, 16, 0): (
+        (4, 0, 4, 0, 256), (0, 128, 128, 0, 8192),
+        "216d98705572466871692d29fb414f2e1b7984e979a8aade11c076b1ccbd2a64"),
+    ("unit_directed", 16, 16, 1): (
+        (4, 0, 4, 0, 256), (0, 128, 128, 0, 8192),
+        "98dc9e978fde54619d1751423a16f55b02b019f48760d6d3996432adf0753d68"),
+    ("unit_directed", 16, 16, 2): (
+        (4, 0, 4, 0, 256), (0, 192, 192, 0, 12288),
+        "d27a107df6a86e951e75afdfe7d4ad3ca4d8a7663e5b3fa8839096382211efa9"),
+    ("unit_directed", 16, 16, 3): (
+        (4, 0, 4, 0, 256), (0, 224, 224, 0, 14336),
+        "b46ace077f3340bba0091e90ff5713629b39a01fcd2c551e818351c4521c0518"),
+    ("unit_directed", 13, 7, 0): (
+        (2, 0, 2, 0, 128), (0, 46, 46, 0, 2944),
+        "761155ca5df78f6a4c820ffa4ab66107646860a90929f659c8dc0e8404349168"),
+    ("unit_directed", 13, 7, 1): (
+        (2, 0, 2, 0, 128), (0, 46, 46, 0, 2944),
+        "4c9c0c6e6b1896f5610e43b7eee28b38fe38f89aa0a9a41dbb0e91b7f6a36312"),
+    ("unit_directed", 13, 7, 2): (
+        (2, 0, 2, 0, 128), (0, 73, 73, 0, 4672),
+        "958d49a627dd496ab8e04acf7e8479c980e39743fc5662752735b422a52ba6af"),
+    ("unit_directed", 13, 7, 3): (
+        (2, 0, 2, 0, 128), (0, 92, 92, 0, 5888),
+        "f4f8f52487a957a6700fa129eb7892eee12549d34337ea66a525db56a10dc67e"),
+    ("unit_directed", 1, 9, 0): (
+        (1, 0, 1, 0, 64), (0, 5, 5, 0, 320),
+        "439a51a18bd71d302b97c166e9aefd2875e0fbf6e5f845eeeb49a29fc1fbb5ce"),
+    ("unit_directed", 1, 9, 1): (
+        (1, 0, 1, 0, 64), (0, 5, 5, 0, 320),
+        "0ab6a0774a4f943e67370c10bf75da353702141ba5187f41204cf12c1143222c"),
+    ("unit_directed", 1, 9, 2): (
+        (1, 0, 1, 0, 64), (0, 9, 9, 0, 576),
+        "b45e77ee82ddccf01ef78e43f39b3fcf81f6a956bd47fb49ba0d4010f4849d38"),
+    ("unit_directed", 1, 9, 3): (
+        (1, 0, 1, 0, 64), (0, 18, 18, 0, 1152),
+        "bda57e4b50e83a236b2177231a7a33a4c8dae67d9b1b32a7f43782c88f6572a3"),
+    ("unit_directed", 9, 1, 0): (
+        (1, 0, 1, 0, 64), (0, 5, 5, 0, 320),
+        "4f6511385059bf45dc0ffbc2f26d00a554d246662bf2b2560895fa2ec214ecb2"),
+    ("unit_directed", 9, 1, 1): (
+        (1, 0, 1, 0, 64), (0, 5, 5, 0, 320),
+        "044ded016f2b69c2979c75b4c0f5c17db6f4db7dddcea9808ac690899c64311f"),
+    ("unit_directed", 9, 1, 2): (
+        (1, 0, 1, 0, 64), (0, 9, 9, 0, 576),
+        "b6621068fdc6c59c771dfc78c302194b1b54741538836c82dc2c40e65b9bc3ab"),
+    ("unit_directed", 9, 1, 3): (
+        (1, 0, 1, 0, 64), (0, 18, 18, 0, 1152),
+        "bda57e4b50e83a236b2177231a7a33a4c8dae67d9b1b32a7f43782c88f6572a3"),
+    ("unit_directed", 100, 37, 0): (
+        (58, 0, 58, 0, 3712), (0, 1850, 1850, 0, 118400),
+        "dc2d8249d413c4d615725e15f6af4e2dfa77657b4fa2089e8d02de5624b51b90"),
+    ("unit_directed", 100, 37, 1): (
+        (58, 0, 58, 0, 3712), (0, 1850, 1850, 0, 118400),
+        "a7206ab3e8c40b0fcbcb97d8d7567b5973161b4ab5581785bfe1d9a75085a00b"),
+    ("unit_directed", 100, 37, 2): (
+        (58, 0, 58, 0, 3712), (0, 2800, 2800, 0, 179200),
+        "802f07c978b6aae3e99bddbaa8c5d883bc9f1f7e6d84737858eb4d68bae2fa4f"),
+    ("unit_directed", 100, 37, 3): (
+        (58, 0, 58, 0, 3712), (0, 3404, 3404, 0, 217856),
+        "a773a8923586c86d17aa49b48e8320b8c0995b92dfbe9faa6ded4acf39febf70"),
+    ("weighted_dag", 16, 16, 0): (
+        (256, 0, 256, 0, 16384), (0, 256, 256, 0, 16384),
+        "53c3365d3ee0ff145edc39a832cd8007b10f797a6502e078a6ce47ee5f377dd3"),
+    ("weighted_dag", 16, 16, 1): (
+        (256, 0, 256, 0, 16384), (0, 256, 256, 0, 16384),
+        "f760ea0d89b1d05f49935f67db27b0bcbd1d7d6ca52d3ac1c7cf79fa152487a2"),
+    ("weighted_dag", 16, 16, 2): (
+        (256, 0, 256, 0, 16384), (0, 384, 384, 0, 24576),
+        "fd98618c0055910f8ecd2c7720dac781c28debc10e23c7a2aa7ce95c0f6bd53a"),
+    ("weighted_dag", 16, 16, 3): (
+        (256, 0, 256, 0, 16384), (0, 448, 448, 0, 28672),
+        "b9255e8ca08439b7b7acef7516d1784754d55f04714942db7026418b9ce8b902"),
+    ("weighted_dag", 13, 7, 0): (
+        (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
+        "b8c5ff962b6cdd0e57a680799ded1ed0049f07fb0caa76ef5221f4eee9dff82a"),
+    ("weighted_dag", 13, 7, 1): (
+        (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
+        "39b0201e721da381cac4d6805602e3370e9db3c9f65f5540a0ebec6364c215d1"),
+    ("weighted_dag", 13, 7, 2): (
+        (91, 0, 91, 0, 5824), (0, 146, 146, 0, 9344),
+        "3a62ae32e2db7af6e52166e02ca48798c28aba7eab11bcf1443531fd69ed0e86"),
+    ("weighted_dag", 13, 7, 3): (
+        (91, 0, 91, 0, 5824), (0, 184, 184, 0, 11776),
+        "efb388211397c792b95c829759f972bd97e816ac6b788c0927cd8fab816c9fe7"),
+    ("weighted_dag", 1, 9, 0): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "831cc5d6d002398a002a2d799b44411bbda8f86a71aa0489fa2dc976aad7074f"),
+    ("weighted_dag", 1, 9, 1): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "b8bad49c3098edca5d7c8d66b52afdc62448bcd12633ea9354d097244d03956a"),
+    ("weighted_dag", 1, 9, 2): (
+        (9, 0, 9, 0, 576), (0, 18, 18, 0, 1152),
+        "e62429e361dcc5dc58a6cb417c2f04010c97f2367fc6873369f934d0c29e93ac"),
+    ("weighted_dag", 1, 9, 3): (
+        (9, 0, 9, 0, 576), (0, 36, 36, 0, 2304),
+        "6497a58f26c021e3120e80b568a7646e94e826cfa3c54d34f61e3982b8bc06bb"),
+    ("weighted_dag", 9, 1, 0): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "004f23461276a82b2b83e62d95a985f115bf3c101e5d75cd4abfbf2aa9be9bd8"),
+    ("weighted_dag", 9, 1, 1): (
+        (9, 0, 9, 0, 576), (0, 9, 9, 0, 576),
+        "92797abadeed7d1d6c988378d39d8382c9081ab45eb09eccdd3687b9308184d5"),
+    ("weighted_dag", 9, 1, 2): (
+        (9, 0, 9, 0, 576), (0, 18, 18, 0, 1152),
+        "d4dd00678d74a52c9b04046811450ceea0224496c2a93e8eefdbe0751a8d2eb4"),
+    ("weighted_dag", 9, 1, 3): (
+        (9, 0, 9, 0, 576), (0, 36, 36, 0, 2304),
+        "6497a58f26c021e3120e80b568a7646e94e826cfa3c54d34f61e3982b8bc06bb"),
+    ("weighted_dag", 100, 37, 0): (
+        (3700, 0, 3700, 0, 236800), (0, 3700, 3700, 0, 236800),
+        "5c614a4bc4ab109ac9bb70fa8a59d835fc72091c79a1979642e0038112b3c4f8"),
+    ("weighted_dag", 100, 37, 1): (
+        (3700, 0, 3700, 0, 236800), (0, 3700, 3700, 0, 236800),
+        "e54a98f168e300bf54fc763e30cda0d08c5d0814603145d83815050e13a14c93"),
+    ("weighted_dag", 100, 37, 2): (
+        (3700, 0, 3700, 0, 236800), (0, 5600, 5600, 0, 358400),
+        "56985f98a0e6ce8fce4a5764728a43bb99bbcad0f05a7348dbfd6e0b6664886c"),
+    ("weighted_dag", 100, 37, 3): (
+        (3700, 0, 3700, 0, 236800), (0, 6808, 6808, 0, 435712),
+        "47542439a058b5edf15e725b44843a515fd0312bd8901915decd59be0f7a1b9f"),
+}
+
 # RECORDED* algorithm name -> its key in the CLI's table
 ROWS = {
     "sssp_simple": ("sssp", "simple"),
@@ -854,3 +1048,25 @@ def test_chunk_files_unchanged(case):
                      c.random_blocks, c.bytes_transferred),
                     hashlib.sha256(d.raw_bytes(handle)).hexdigest()))
     assert tuple(got) == RECORDED_CHUNK_FILES[case]
+
+
+def separator_input(disk, model, rows, cols):
+    if model == "dense_digraph":
+        return dense_digraph(disk, rows, cols, 1, p=1.0)
+    return gf.generate(disk, rows, cols, model, seed=1, density=0.6)
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_SEPARATOR_FILES))
+def test_separator_file_unchanged(case):
+    model, rows, cols, h = case
+    d = make_disk()
+    g = separator_input(d, model, rows, cols)
+    d.reset_counters()
+    gp = cl.build_separator_graph(g, h)
+    got = []
+    for handle in (g.handle, gp.handle):
+        c = d.file_counters(handle)
+        got.append((c.blocks_read, c.blocks_written, c.sequential_blocks,
+                    c.random_blocks, c.bytes_transferred))
+    got.append(hashlib.sha256(d.raw_bytes(gp.handle)).hexdigest())
+    assert tuple(got) == RECORDED_SEPARATOR_FILES[case]
