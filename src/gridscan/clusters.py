@@ -16,13 +16,9 @@ record file; ``toposort`` owns the reachability graph and its record file,
 and numbers it with its Kahn queue in memory.  ``ChunkFile`` holds
 toposort's and TFP's chunk records.
 
-The condensation takes one of two routes by cluster side, and both write
-the same bytes and raise the same first error.  Clusters of side at most 4
-go through Floyd's all-pairs recurrence, vectorised over a batch of
-clusters whose distance matrices take at most M; the arithmetic is exact,
-in int64 while the weights allow and in Python ints otherwise.  Larger
-clusters get one heap search per boundary source, which wins from side 8
-on; ``build_separator_graph`` gives the figures.
+The condensation is one pass over runs of same-shape clusters, with one
+record writer and one fault check; the boundary distances come from Floyd's
+recurrence over a run (up to 16 cells a cluster) or one search per source.
 """
 
 from __future__ import annotations
@@ -45,6 +41,9 @@ INF = float("inf")
 # SeparatorGraph.wide: u64 for weighted_directed, u32 for unweighted
 _SLOT_FORMATS = {True: (np.dtype("<u8"), gf.ABSENT, 60),
                  False: (np.dtype("<u4"), ABSENT32, 28)}
+# the separator build's int64 no path: above every finite distance it
+# meets, and a sum of two of it still fits
+_NO_PATH = 2 ** 62 - 1
 
 
 class ClusterError(Exception):
@@ -208,6 +207,18 @@ def _shape(hgt: int, wid: int) -> _Shape:
     return _Shape(local_of_t, t_of_local, nbr, boundary, tuple(bpos))
 
 
+def _heads(g: gf.GridGraph, tr, tc, d):
+    """Heads (rows, columns) of arcs from cells (tr, tc) in directions
+    ``d``; a FormatError names the tail of the first that leaves the grid."""
+    nr, nc = tr + _DR[d], tc + _DC[d]
+    off = (nr < 0) | (nr >= g.rows) | (nc < 0) | (nc >= g.cols)
+    if off.any():
+        k = int(np.argmax(off))
+        raise gf.FormatError("edge leaves the grid at (%d,%d)"
+                             % (tr[k], tc[k]))
+    return nr, nc
+
+
 def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
                  raw: bytes):
     """Columns of a cluster's out_edges and intra arcs as lists, and the end
@@ -224,13 +235,7 @@ def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
     out = ~inside
     lr, lc = np.divmod(src[out], wid)
     od = d[out]
-    nr = lr + (_DR[od] + r0)
-    nc = lc + (_DC[od] + c0)
-    off = (nr < 0) | (nr >= g.rows) | (nc < 0) | (nc >= g.cols)
-    if off.any():
-        k = int(np.argmax(off))
-        raise gf.FormatError("edge leaves the grid at (%d,%d)"
-                             % (r0 + lr[k], c0 + lc[k]))
+    nr, nc = _heads(g, lr + r0, lc + c0, od)
     out_cols = [a.tolist() for a in (src[out], od, nr, nc, w[out])]
 
     owner = src[inside]
@@ -375,25 +380,13 @@ def build_separator_graph(g: gf.GridGraph, h: int,
     Written sequentially in h-number order.  The slots are u64 distances for
     the weighted_directed encoding and u32 hop counts for the unweighted one.
 
-    Two condensations write the same bytes.  Clusters of side at most 4
-    (h <= 2) go in batches through Floyd's all-pairs recurrence
-    (``_condensed_runs``); larger ones get one heap search per boundary
-    source that stops once every boundary vertex is popped
-    (``_searched_records``).  At h = 2 a cluster's 16 cells hold 12
-    boundary vertices, so its searches visit nearly every cell 12 times,
-    while Floyd's pass costs m^3 for m cells and loses from side 8 on.  On
-    the desk machine (B = 2^8, M = 2^16) and a 2-core Xeon host, ``queue``'s
-    128x128 graphs build at h = 2 in 0.021 s batched against 0.201 s
-    searched (weighted digraph) and 0.017 against 0.104 s
-    (``unit_directed``); a 256x256 ``weighted_dag`` builds at h = 3 in 0.46
-    against 0.23 s, and at h = 4, ``scan``'s level, in 5.0 against 0.17 s.
-
-    A batch is a longest run of consecutive clusters of one shape, K of m
-    cells, with K * m^2 * 8 bytes of distance matrices at most M.  The
-    arithmetic is exact: int64 while m - 1 arcs of the run's heaviest
-    intra-cluster weight stay below 2^62 - 1, Python ints otherwise.  A
-    failing input raises what the searches raise, from the first failing
-    cluster by rank.
+    One scan reads the input in runs, each condensed by ``_condense_run``:
+    a run is a longest stretch of consecutive clusters of one shape, K of m
+    cells, with 2 * K * m^2 * 8 bytes at most M, room for Floyd's (K, m, m)
+    matrices and the temporary of its step (one cluster when one does not
+    fit).  On the desk machine (B = 2^8, M = 2^16) that is 16 clusters of
+    side 4, and one from side 8 on.  Floyd's pass, m^3 a cluster, serves
+    m <= 16; from side 8 on per-source heap searches win (ROADMAP item 4).
     """
     gf.check_input(g, ("weighted_directed", "unweighted"), ClusterError)
     scheme = ClusterScheme(g.rows, g.cols, h)
@@ -401,101 +394,90 @@ def build_separator_graph(g: gf.GridGraph, h: int,
     # cross-cluster edges; widen the record so the slot budget still holds
     slots = 4 * (1 << h) if h > 0 else 8
     wide = g.encoding != "unweighted"
-    fmt = _SLOT_FORMATS[wide]
-    dtype = fmt[0]
 
     handle = g.disk.open_file(name)
     out = g.disk.append_stream(handle)
-    if h <= 2:                  # side <= 4: Floyd's pass wins, see above
-        runs = _condensed_runs(g, scheme, slots, fmt)
-    else:
-        runs = (_searched_records(q, slots, fmt)
-                for q in iterate_clusters(g, scheme))
-    for records in runs:
-        out.write(np.asarray(records, dtype=dtype).tobytes())
-    out.close()
-    return SeparatorGraph(scheme, handle, slots * dtype.itemsize, wide)
-
-
-def _searched_records(q: InMemoryCluster, slots: int, fmt) -> list:
-    """One cluster's separator records as lists of slot values, in boundary
-    order, in the slot format ``fmt``; raises the cluster's first failing
-    check."""
-    _, absent, shift = fmt
-    bnd, bpos, intra = q.boundary, _shape(q.hgt, q.wid).bpos, q.intra
-    bsize = len(bnd)
-    # slots 0 .. bsize-2: distances to the other boundary vertices, by one
-    # search per boundary source (local_dijkstra's loop) that stops once
-    # every boundary vertex is popped: a popped distance is final.  Calling
-    # local_dijkstra per source, which runs to every vertex as seeding and
-    # phase 3 need, measured slower (ROADMAP item 4).
-    rows = []
-    for i, li in enumerate(bnd):
-        dist = [INF] * q.n
-        dist[li] = top = 0
-        pq, left = [(0, li)], bsize
-        while pq:
-            dv, v = heapq.heappop(pq)
-            if dv > dist[v]:
-                continue
-            if bpos[v] >= 0:
-                top, left = dv, left - 1     # pops come in distance order
-                if not left:
-                    break
-            for _, u, w in intra[v]:
-                nd = dv + w
-                if nd < dist[u]:
-                    dist[u] = nd
-                    heapq.heappush(pq, (nd, u))
-        if top >= absent:
-            raise ClusterError(
-                "boundary distance %d in the cluster at (%d,%d) does "
-                "not fit below the no-path marker" % (top, q.r0, q.c0))
-        row = [absent if dist[v] == INF else dist[v] for v in bnd]
-        del row[i]
-        rows.append(row)
-    # then the vertex's edges into other clusters
-    for v, d, _, _, w in q.out_edges:
-        if w >> shift:
-            raise ClusterError("weight too large for slot encoding")
-        row = rows[bpos[v]]
-        if len(row) == slots:
-            raise ClusterError("cross-cluster slot overflow")
-        row.append((d << shift) | w)
-    for row in rows:
-        row += [absent] * (slots - len(row))
-    return rows
-
-
-# the batched condensation's int64 infinity: every finite distance it is
-# used with lies below it, and a sum of two of it still fits
-_NO_PATH = 2 ** 62 - 1
-
-
-def _condensed_runs(g: gf.GridGraph, scheme: ClusterScheme, slots: int,
-                    fmt):
-    """The separator records of every cluster, through one scan of the
-    input, as one (clusters, boundary, slots) array per run.
-
-    A run is a longest stretch of consecutive clusters of one shape whose
-    (clusters, m, m) distance array, m cells a cluster, takes at most
-    ``memory_bytes`` at 8 bytes an entry (one cluster when a single one
-    does not fit): 32 4x4 clusters on the desk machine, 2 at M = B^2 with
-    B = 64.
-    """
-    rs, mem = g.record_size, g.disk.config.memory_bytes
     reader = g.disk.scan_reader(g.handle, g.payload_offset)
+    rs, mem = g.record_size, g.disk.config.memory_bytes
     extents, starts = scheme.extents, scheme.starts
+    origins = np.array(extents)
     lo = 0
     while lo < len(extents):
         hgt, wid = extents[lo][2:]
-        end = min(len(extents), lo + max(1, mem // (8 * (hgt * wid) ** 2)))
+        end = min(len(extents), lo + max(1, mem // (16 * (hgt * wid) ** 2)))
         hi = lo + 1
         while hi < end and extents[hi][2:] == (hgt, wid):
             hi += 1
         raw = reader.read((starts[hi] - starts[lo]) * rs)
-        yield _condense_run(g, scheme, lo, hi, raw, slots, fmt)
+        out.write(_condense_run(g, origins[lo:hi], raw, slots, wide).tobytes())
         lo = hi
+    out.close()
+    return SeparatorGraph(scheme, handle,
+                          slots * _SLOT_FORMATS[wide][0].itemsize, wide)
+
+
+def _condense_run(g, extents, raw, slots, wide):
+    """A run's records as one (clusters, boundary, slots) array, from its
+    input bytes; ``extents`` holds its clusters' ``ClusterScheme.extents``.
+
+    Distances are exact: int64 with ``_NO_PATH`` for no path while m - 1
+    arcs of the run's heaviest intra-cluster weight stay below it, Python
+    ints otherwise.  The first failing cluster raises its first fault: an
+    arc off the grid, then, per source in clockwise order, a boundary
+    distance at or past the no-path marker, then a cross edge too heavy.
+    """
+    dtype, absent, shift = _SLOT_FORMATS[wide]
+    hgt, wid = extents[0, 2:].tolist()
+    shape = _shape(hgt, wid)
+    k, m, bsize = len(extents), hgt * wid, len(shape.boundary)
+    t, d, w = gf.decode_record(g.encoding, raw, k * m)
+    b, lt = np.divmod(t, m)
+    src, dst = shape.local_of_t[lt], shape.nbr[lt, d]
+    inside = dst >= 0
+
+    iw = w[inside]
+    longest = (m - 1) * int(iw.max(initial=0))
+    inf, kind = ((_NO_PATH, np.int64) if longest < _NO_PATH
+                 else (longest + 1, object))
+    rows = (_all_pairs_rows if m <= 16 else _searched_rows)(
+        shape, k, b[inside], src[inside], dst[inside], iw.astype(kind), inf)
+    found = rows < inf
+    rows = np.where(found, rows, 0)
+    top = rows.max(axis=2)                  # per source, in clockwise order
+
+    # the first cluster with a source whose boundary distances reach the
+    # marker or with a cross edge too heavy; an arc off the grid there or
+    # before it raises first
+    out = ~inside
+    ob, osrc, od, ow, ot = b[out], src[out], d[out], w[out], t[out]
+    far = top >= absent
+    bad = far.any(axis=1)
+    bad[ob[ow >> shift != 0]] = True
+    first = int(bad.argmax()) if bad.any() else k
+    cut = np.searchsorted(ob, first, "right")
+    lr, lc = np.divmod(osrc[:cut], wid)
+    _heads(g, lr + extents[ob[:cut], 0], lc + extents[ob[:cut], 1], od[:cut])
+    if first < k:
+        if far[first].any():
+            i = int(np.argmax(far[first]))
+            raise ClusterError(
+                "boundary distance %d in the cluster at (%d,%d) does not "
+                "fit below the no-path marker"
+                % (top[first, i], *extents[first, :2]))
+        raise ClusterError("weight too large for slot encoding")
+
+    rec = np.full((k, bsize, slots), absent, dtype)
+    # each source's distances to the others, in position order
+    rows = np.where(found, rows.astype(dtype), dtype.type(absent))
+    rec[:, :, :bsize - 1] = rows[:, ~np.eye(bsize, dtype=bool)].reshape(
+        k, bsize, bsize - 1)
+    # then its cross edges, in storage order: the arcs of a record are
+    # adjacent and the records ascend, so an arc's place among its tail's
+    # cross edges is its distance from its record's first one
+    slot = bsize - 1 + np.arange(len(ot)) - np.searchsorted(ot, ot)
+    rec[ob, np.array(shape.bpos)[osrc], slot] = (
+        od.astype(np.uint64) << np.uint64(shift)) | ow.astype(np.uint64)
+    return rec
 
 
 def _all_pairs(dist: np.ndarray):
@@ -505,61 +487,49 @@ def _all_pairs(dist: np.ndarray):
         np.minimum(dist, dist[:, :, v, None] + dist[:, None, v, :], out=dist)
 
 
-def _condense_run(g, scheme, lo, hi, raw, slots, fmt):
-    """The records of clusters ``lo`` .. ``hi - 1``, all of one shape, from
-    their input bytes ``raw``.
-
-    Exact: the distances are int64 with ``_NO_PATH`` for no path while no
-    path of m - 1 arcs of the run's heaviest intra-cluster arc reaches
-    ``_NO_PATH``, and Python ints otherwise.  When any cluster of the run
-    fails a check, the run is condensed again cluster by cluster through
-    ``_searched_records``, so the first failing cluster raises its own
-    error.
-    """
-    dtype, absent, shift = fmt
-    _, _, hgt, wid = scheme.extents[lo]
-    shape = _shape(hgt, wid)
-    k, m, bsize = hi - lo, hgt * wid, len(shape.boundary)
-    t, d, w = gf.decode_record(g.encoding, raw, k * m)
-    b, lt = np.divmod(t, m)
-    src, dst = shape.local_of_t[lt], shape.nbr[lt, d]
-    inside = dst >= 0
-
-    iw = w[inside]
-    top = (m - 1) * int(iw.max(initial=0))
-    inf, kind = (_NO_PATH, np.int64) if top < _NO_PATH else (top + 1, object)
-    dist = np.full((k, m, m), inf, kind)
+def _all_pairs_rows(shape, k, b, src, dst, w, inf):
+    """A run's (clusters, boundary, boundary) distances, ``inf`` for no
+    path, by Floyd's recurrence; cluster ``b`` has arcs ``src`` -> ``dst``
+    of weight ``w``."""
+    m = len(shape.bpos)
+    dist = np.full((k, m, m), inf, w.dtype)
     dist[:, np.arange(m), np.arange(m)] = 0
-    dist[b[inside], src[inside], dst[inside]] = iw.astype(kind)
+    dist[b, src, dst] = w
     _all_pairs(dist)
     bnd = np.array(shape.boundary)
-    # each boundary vertex's distances to the others, in position order
-    rows = dist[:, bnd[:, None], bnd][:, ~np.eye(bsize, dtype=bool)]
-    rows = rows.reshape(k, bsize, bsize - 1)
-    found = rows < inf
+    return dist[:, bnd[:, None], bnd]
 
-    # cross edges, in storage order: the arcs of a record are adjacent and
-    # the records ascend, so an arc's place among its tail's cross edges is
-    # its distance from its record's first one
-    out = ~inside
-    ob, osrc, od, ow, ot = b[out], src[out], d[out], w[out], t[out]
-    slot = bsize - 1 + np.arange(len(ot)) - np.searchsorted(ot, ot)
-    lr, lc = np.divmod(osrc, wid)
-    origin = np.array(scheme.extents[lo:hi])
-    nr = lr + _DR[od] + origin[ob, 0]
-    nc = lc + _DC[od] + origin[ob, 1]
-    if (((nr < 0) | (nr >= g.rows) | (nc < 0) | (nc >= g.cols)).any()
-            or (found & (rows >= absent)).any()
-            or (ow >= 1 << shift).any() or (slot >= slots).any()):
-        size = m * g.record_size
-        for i in range(k):
-            _searched_records(
-                _decode_cluster(g, scheme, lo + i,
-                                raw[i * size:(i + 1) * size]),
-                slots, fmt)
 
-    rec = np.full((k, bsize, slots), absent, dtype)
-    rec[:, :, :bsize - 1][found] = rows[found]
-    rec[ob, np.array(shape.bpos)[osrc], slot] = (
-        od.astype(np.uint64) << np.uint64(shift)) | ow.astype(np.uint64)
-    return rec
+def _searched_rows(shape, k, b, src, dst, w, inf):
+    """``_all_pairs_rows``' distances by one heap search per boundary
+    source, which stops once every boundary vertex is popped (a popped
+    distance is final); ``local_dijkstra`` per source measured slower."""
+    bpos, bnd = shape.bpos, shape.boundary
+    m = len(bpos)
+    key = b * m + src
+    order = np.argsort(key, kind="stable")
+    arcs = list(zip(dst[order].tolist(), w[order].tolist()))
+    ends = np.cumsum(np.bincount(key, minlength=k * m)).tolist()
+    adj = [arcs[a:e] for a, e in zip([0, *ends], ends)]
+    row_of, rows = itemgetter(*bnd), []
+    for base in range(0, k * m, m):
+        nbrs = adj[base:base + m]
+        for s in bnd:
+            dist = [inf] * m
+            dist[s] = 0
+            pq, left = [(0, s)], len(bnd)
+            while pq:
+                dv, v = heapq.heappop(pq)
+                if dv > dist[v]:
+                    continue
+                if bpos[v] >= 0:
+                    left -= 1
+                    if not left:
+                        break
+                for u, wt in nbrs[v]:
+                    nd = dv + wt
+                    if nd < dist[u]:
+                        dist[u] = nd
+                        heapq.heappush(pq, (nd, u))
+            rows.append(row_of(dist))
+    return np.array(rows, w.dtype).reshape(k, len(bnd), len(bnd))

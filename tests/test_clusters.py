@@ -574,18 +574,96 @@ def test_first_failing_cluster_raises_first(first):
         cl.build_separator_graph(g, 2)
 
 
-def _searched_separator_bytes(g, h):
-    """The separator file's bytes by one heap search per boundary source in
-    every cluster, or the (type, message) of the first error."""
+def _reference_separator_bytes(g, h):
+    """The separator file's bytes from ``iterate_clusters`` and one
+    ``local_dijkstra`` per boundary source, or the (type, message) of the
+    first error: per cluster in rank order an arc off the grid, then per
+    source in clockwise order a boundary distance at or past the no-path
+    marker, then a cross edge too heavy for its slot."""
     slots = 4 * (1 << h) if h > 0 else 8
-    fmt = cl._SLOT_FORMATS[g.encoding != "unweighted"]
+    dtype, absent, shift = cl._SLOT_FORMATS[g.encoding != "unweighted"]
+    out = []
     try:
-        return b"".join(
-            np.array(cl._searched_records(q, slots, fmt), fmt[0]).tobytes()
-            for q in cl.iterate_clusters(g, cl.ClusterScheme(g.rows, g.cols,
-                                                             h)))
+        for q in cl.iterate_clusters(g, cl.ClusterScheme(g.rows, g.cols, h)):
+            rows = []
+            for i, s in enumerate(q.boundary):
+                dist = [cl.local_dijkstra(q, [(0, s)])[v] for v in q.boundary]
+                top = max(x for x in dist if x != cl.INF)
+                if top >= absent:
+                    raise cl.ClusterError(
+                        "boundary distance %d in the cluster at (%d,%d) does "
+                        "not fit below the no-path marker" % (top, q.r0, q.c0))
+                rows.append([absent if x == cl.INF else x
+                             for j, x in enumerate(dist) if j != i])
+            for v, d, _, _, w in q.out_edges:
+                if w >> shift:
+                    raise cl.ClusterError("weight too large for slot encoding")
+                rows[q.boundary.index(v)].append((d << shift) | w)
+            out += [row + [absent] * (slots - len(row)) for row in rows]
     except (cl.ClusterError, gf.FormatError) as e:
         return type(e), str(e)
+    return np.array(out, dtype).tobytes()
+
+
+def _random_edges(rows, cols, p, weights, seed, stray=0.0):
+    """Each arc inside the grid present with probability ``p``, and each
+    arc off it with probability ``stray``."""
+    rng = random.Random(seed)
+    return {(r, c): {dd: rng.choice(weights) for dd, (dr, dc)
+                     in enumerate(gf.DIR_OFFSETS)
+                     if rng.random() < (
+                         p if 0 <= r + dr < rows and 0 <= c + dc < cols
+                         else stray)}
+            for r in range(rows) for c in range(cols)}
+
+
+def _faulty_grid(first, block):
+    """test_first_failing_cluster_raises_first's 8x8 grid, on a disk of
+    ``block``-byte blocks, with its expected error and message."""
+    names = [name for name, *_ in CLUSTER_FAULTS]
+    edges = {(0, 5): {gf.N: 5}}
+    for _, faults, _, _ in CLUSTER_FAULTS[names.index(first):]:
+        for cell, spec in faults.items():
+            edges.setdefault(cell, {}).update(spec)
+    _, _, error, message = CLUSTER_FAULTS[names.index(first)]
+    g = make_graph(make_disk(block), 8, 8, "weighted_directed", edges)
+    return g, error, message
+
+
+@pytest.mark.parametrize("first", [name for name, *_ in CLUSTER_FAULTS])
+def test_first_failing_cluster_raises_first_within_a_run(first):
+    # on the desk machine the grid's four 4x4 clusters are one run, so the
+    # arc off the grid in the second cluster is decoded before the first
+    # cluster's faults are checked
+    g, error, message = _faulty_grid(first, 256)
+    kind, text = _reference_separator_bytes(g, 2)
+    assert kind is error and text.startswith(message)
+    with pytest.raises(error, match=re.escape(message)):
+        cl.build_separator_graph(g, 2)
+
+
+# a cluster at (r0, c0) whose boundary positions 1 and 2 both reach past
+# the no-path marker, 2^64 + 1 and 2^64 from the cells of its top row: the
+# message quotes position 1's largest distance.  (dr, dc, direction, w)
+FAR_CHAINS = {
+    2: ((4, 4), ((0, 1, gf.E, 1), (0, 2, gf.E, 2 ** 63),
+                 (0, 3, gf.S, 2 ** 63))),
+    3: ((8, 8), ((0, 1, gf.E, 1), (0, 2, gf.E, 2 ** 63),
+                 (0, 3, gf.E, 2 ** 63))),
+}
+
+
+@pytest.mark.parametrize("block", [64, 256])
+@pytest.mark.parametrize("h", sorted(FAR_CHAINS))
+def test_distance_fault_quotes_the_first_far_source(h, block):
+    (r0, c0), chain = FAR_CHAINS[h]
+    edges = {(r0 + dr, c0 + dc): {d: w} for dr, dc, d, w in chain}
+    g = make_graph(make_disk(block), 16, 16, "weighted_directed", edges)
+    message = ("boundary distance %d in the cluster at (%d,%d) does not "
+               "fit below the no-path marker" % (2 ** 64 + 1, r0, c0))
+    assert _reference_separator_bytes(g, h) == (cl.ClusterError, message)
+    with pytest.raises(cl.ClusterError, match=re.escape(message)):
+        cl.build_separator_graph(g, h)
 
 
 # intra-cluster weights that keep the batch in int64, and ones that push it
@@ -596,25 +674,19 @@ HEAVY = (0, 1, 2 ** 20, 2 ** 58, BIG, 2 ** 60, 2 ** 62, gf.ABSENT - 1)
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["weighted_directed", "unweighted"]),
-       st.integers(1, 13), st.integers(1, 13), st.integers(0, 2),
+       st.integers(1, 13), st.integers(1, 13), st.integers(0, 4),
        st.sampled_from([16, 64, 256]), st.floats(0.3, 1.0),
        st.lists(st.sampled_from(HEAVY), min_size=1, max_size=3),
-       st.integers(0, 10 ** 9))
+       st.sampled_from([0.0, 0.0, 0.01]), st.integers(0, 10 ** 9))
 def test_batched_condensation_matches_the_searches(encoding, rows, cols, h,
-                                                   block, p, weights, seed):
+                                                   block, p, weights, stray,
+                                                   seed):
     # the same bytes, or the same first error, as one search per source,
-    # at M = B^2 for batches of 1 (B = 16), 2 and 32 clusters of side 4
-    rng = random.Random(seed)
-    edges = {}
-    for r in range(rows):
-        for c in range(cols):
-            edges[(r, c)] = {
-                dd: rng.choice(weights) for dd, (dr, dc)
-                in enumerate(gf.DIR_OFFSETS)
-                if 0 <= r + dr < rows and 0 <= c + dc < cols
-                and rng.random() < p}
+    # at M = B^2 for runs of one cluster (B = 16 and 64) and of 16 of side
+    # 4 (B = 256), some with arcs off the grid
+    edges = _random_edges(rows, cols, p, weights, seed, stray)
     g = make_graph(make_disk(block), rows, cols, encoding, edges)
-    expect = _searched_separator_bytes(g, h)
+    expect = _reference_separator_bytes(g, h)
     try:
         gp = cl.build_separator_graph(g, h)
     except (cl.ClusterError, gf.FormatError) as e:
@@ -622,6 +694,38 @@ def test_batched_condensation_matches_the_searches(encoding, rows, cols, h,
     else:
         size = g.disk.content_length(gp.handle)
         assert g.disk.raw_bytes(gp.handle)[:size] == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["weighted_directed", "unweighted"]),
+       st.integers(1, 10), st.integers(1, 10), st.integers(0, 4),
+       st.floats(0.3, 1.0),
+       st.lists(st.sampled_from(HEAVY), min_size=1, max_size=3),
+       st.integers(0, 10 ** 9))
+def test_distance_routes_agree(encoding, rows, cols, h, p, weights, seed):
+    # Floyd's batch and the searches give the same boundary distances, of
+    # the same dtype, on every run, the Python-int runs included
+    routes = cl._all_pairs_rows, cl._searched_rows
+    kinds = set()
+
+    def both(*args):
+        floyd, searched = (route(*args) for route in routes)
+        assert floyd.dtype == searched.dtype
+        assert floyd.shape == searched.shape
+        assert (floyd == searched).all()
+        kinds.add(floyd.dtype)
+        return floyd
+
+    edges = _random_edges(rows, cols, p, weights, seed)
+    g = make_graph(make_disk(256), rows, cols, encoding, edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cl, "_all_pairs_rows", both)
+        mp.setattr(cl, "_searched_rows", both)
+        try:
+            cl.build_separator_graph(g, h)
+        except (cl.ClusterError, gf.FormatError):
+            pass
+    assert kinds
 
 
 @pytest.mark.parametrize("block, mem_blocks", [(256, 256), (64, 64)])
@@ -644,3 +748,52 @@ def test_condensation_batches_stay_within_memory(monkeypatch, rows, cols, h,
     assert all(k * m * m * 8 <= d.config.memory_bytes for k, m, _ in batches)
     assert sum(k for k, _, _ in batches) == len(cl.ClusterScheme(
         rows, cols, h).extents)
+
+
+@pytest.mark.parametrize("block, mem_blocks", [(256, 256), (64, 64)])
+@pytest.mark.parametrize("h", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rows, cols", [(16, 16), (100, 37)])
+def test_condensation_runs_hold_floyd_and_its_temporary(monkeypatch, rows,
+                                                        cols, h, block,
+                                                        mem_blocks):
+    # a run's K distance matrices of m cells and the temporary of Floyd's
+    # step, 2 * K * m^2 * 8 bytes, take at most M: 16 clusters of side 4 on
+    # the desk machine and one at M = 2^12, one from side 8 on
+    runs, real = [], cl._condense_run
+
+    def spy(g, extents, *args):
+        runs.append((len(extents), int(extents[0, 2] * extents[0, 3])))
+        return real(g, extents, *args)
+
+    monkeypatch.setattr(cl, "_condense_run", spy)
+    d = make_disk(block, mem_blocks)
+    g = gf.generate(d, rows, cols, "weighted_dag", seed=1, density=0.6)
+    cl.build_separator_graph(g, h)
+    mem = d.config.memory_bytes
+    assert all(2 * k * m * m * 8 <= mem or k == 1 for k, m in runs)
+    assert sum(k for k, _ in runs) == len(cl.ClusterScheme(
+        rows, cols, h).extents)
+    full = {k for k, m in runs if m == 4 ** h}
+    if full and (h >= 3 or h == 2 and mem == 2 ** 12):
+        assert full == {1}
+    elif (h, mem, rows) == (2, 2 ** 16, 16):
+        assert runs == [(16, 16)]
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 3, 4, 5])
+def test_cross_edges_always_fit_their_slots(h):
+    # a boundary vertex's record holds bsize - 1 distances and at most one
+    # cross edge per direction that leaves its cluster, so no input can
+    # overflow its slots: every cluster shape, clipped ones included, fits,
+    # and the full shape's corners fill every slot
+    slots = 4 * (1 << h) if h > 0 else 8
+    side = 1 << h
+    for hgt in range(1, side + 1):
+        for wid in range(1, side + 1):
+            shape = cl._shape(hgt, wid)
+            leaving = (shape.nbr < 0).sum(axis=1)[shape.t_of_local]
+            need = [len(shape.boundary) - 1 + leaving[v]
+                    for v in shape.boundary]
+            assert max(need) <= slots
+            if (hgt, wid) == (side, side):
+                assert max(need) == slots

@@ -116,10 +116,12 @@ to share that store.
 writes and reads on its own: the counters of the input and of the separator
 file, and the sha256 of the separator file's bytes, on ``weighted_dag`` and
 ``unit_directed`` at density 0.6 and ``conftest.dense_digraph`` with every
-arc present, seed 1, at 16x16, 13x7, 1x9, 9x1 and 100x37, h = 0..3, block
-64.  The SSSP and BFS rows pin only what the solvers read back of the file.
-Its values were recorded from the code before clusters of side at most 4
-came to be condensed by one all-pairs pass per batch.
+arc present, seed 1, at 16x16, 13x7, 1x9, 9x1 and 100x37, h = 0..3, and at
+16x16, h = 4, and 100x37, h = 4 and 5, block 64.  The SSSP and BFS rows pin
+only what the solvers read back of the file.  The h = 0..3 values were
+recorded from the code before clusters of side at most 4 came to be
+condensed by one all-pairs pass per batch, and the h = 4 and 5 values from
+the code before both condensations came to share one batched pass.
 
 ``RECORDED_D_TRACE`` pins, per ``RECORDED`` row, the sequence of direct
 reads and writes of the distance file ``D``: operation, offset, length
@@ -655,6 +657,9 @@ RECORDED_SEPARATOR_FILES = {
     ("dense_digraph", 16, 16, 3): (
         (256, 0, 256, 0, 16384), (0, 448, 448, 0, 28672),
         "e73611f8286e7cdae5a30a837293edf05ec1c2543192c2bac633564de5dabe3f"),
+    ("dense_digraph", 16, 16, 4): (
+        (256, 0, 256, 0, 16384), (0, 480, 480, 0, 30720),
+        "bdea012a4088b91cb4b6ec1d262de432231ec0aa0ea895b605102c08c3d457c9"),
     ("dense_digraph", 13, 7, 0): (
         (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
         "4d34d85600792f5788355bfa460321c76a88f4941f463649b9be0f912f2e2864"),
@@ -703,6 +708,12 @@ RECORDED_SEPARATOR_FILES = {
     ("dense_digraph", 100, 37, 3): (
         (3700, 0, 3700, 0, 236800), (0, 6808, 6808, 0, 435712),
         "0ae29d90368fa68f2693bf9569d427479c3c6594dfa9e6959167d67623554b4c"),
+    ("dense_digraph", 100, 37, 4): (
+        (3700, 0, 3700, 0, 236800), (0, 8272, 8272, 0, 529408),
+        "9f637b632f463ebf0e8007517f4a839f3c720f25d911b9615188ab9d0b118d94"),
+    ("dense_digraph", 100, 37, 5): (
+        (3700, 0, 3700, 0, 236800), (0, 10624, 10624, 0, 679936),
+        "48ea09e89e87e9b28c40fc3489656d6584380a4e200549a990bd29788780d9e1"),
     ("unit_directed", 16, 16, 0): (
         (4, 0, 4, 0, 256), (0, 128, 128, 0, 8192),
         "216d98705572466871692d29fb414f2e1b7984e979a8aade11c076b1ccbd2a64"),
@@ -715,6 +726,9 @@ RECORDED_SEPARATOR_FILES = {
     ("unit_directed", 16, 16, 3): (
         (4, 0, 4, 0, 256), (0, 224, 224, 0, 14336),
         "b46ace077f3340bba0091e90ff5713629b39a01fcd2c551e818351c4521c0518"),
+    ("unit_directed", 16, 16, 4): (
+        (4, 0, 4, 0, 256), (0, 240, 240, 0, 15360),
+        "19c5c659d9df6695cf193f6584ca44c26f34953838d3001e09fbc500f354609f"),
     ("unit_directed", 13, 7, 0): (
         (2, 0, 2, 0, 128), (0, 46, 46, 0, 2944),
         "761155ca5df78f6a4c820ffa4ab66107646860a90929f659c8dc0e8404349168"),
@@ -763,6 +777,12 @@ RECORDED_SEPARATOR_FILES = {
     ("unit_directed", 100, 37, 3): (
         (58, 0, 58, 0, 3712), (0, 3404, 3404, 0, 217856),
         "a773a8923586c86d17aa49b48e8320b8c0995b92dfbe9faa6ded4acf39febf70"),
+    ("unit_directed", 100, 37, 4): (
+        (58, 0, 58, 0, 3712), (0, 4136, 4136, 0, 264704),
+        "f3e0f4a0899880844314748105e3f17a89fa26d12cb4001065e888b326129f5c"),
+    ("unit_directed", 100, 37, 5): (
+        (58, 0, 58, 0, 3712), (0, 5312, 5312, 0, 339968),
+        "58efecf415c3fc1f9aefee2009477b4dcf3d1036bdc6f03e7256e7f9425ff9d1"),
     ("weighted_dag", 16, 16, 0): (
         (256, 0, 256, 0, 16384), (0, 256, 256, 0, 16384),
         "53c3365d3ee0ff145edc39a832cd8007b10f797a6502e078a6ce47ee5f377dd3"),
@@ -775,6 +795,9 @@ RECORDED_SEPARATOR_FILES = {
     ("weighted_dag", 16, 16, 3): (
         (256, 0, 256, 0, 16384), (0, 448, 448, 0, 28672),
         "b9255e8ca08439b7b7acef7516d1784754d55f04714942db7026418b9ce8b902"),
+    ("weighted_dag", 16, 16, 4): (
+        (256, 0, 256, 0, 16384), (0, 480, 480, 0, 30720),
+        "e793380b2bc0f44c4e6f8c2d396ba255fc382a3fae67d06fa56fdaef428d006d"),
     ("weighted_dag", 13, 7, 0): (
         (91, 0, 91, 0, 5824), (0, 91, 91, 0, 5824),
         "b8c5ff962b6cdd0e57a680799ded1ed0049f07fb0caa76ef5221f4eee9dff82a"),
@@ -823,6 +846,12 @@ RECORDED_SEPARATOR_FILES = {
     ("weighted_dag", 100, 37, 3): (
         (3700, 0, 3700, 0, 236800), (0, 6808, 6808, 0, 435712),
         "47542439a058b5edf15e725b44843a515fd0312bd8901915decd59be0f7a1b9f"),
+    ("weighted_dag", 100, 37, 4): (
+        (3700, 0, 3700, 0, 236800), (0, 8272, 8272, 0, 529408),
+        "80dd77791d048c7cafdef1e410a5eb7ce42a451b9544feb296d85eb4909bef73"),
+    ("weighted_dag", 100, 37, 5): (
+        (3700, 0, 3700, 0, 236800), (0, 10624, 10624, 0, 679936),
+        "0378dd54fc40946b8c7bd543c4368efdca8a67feab2e972464bd24a997154774"),
 }
 
 # RECORDED* algorithm name -> its key in the CLI's table
