@@ -1,20 +1,19 @@
 """Breadth-first traversal order via cluster keys and chunk files.
 
 Pipeline: exact hop distances through the three-phase scheme of ``sssp``
-(its key-order driver, with a binary-heap phase-2 queue that returns equal
-keys the latest inserted first); per-cluster BFS forests cut into chunks of
-height < 2^h as phase 3 hands over each cluster's distances; an address list
-sorted by root distance; and emission through a rotating pool of
-distance-keyed stacks.  No file of final hop distances is written, and the
-input is read twice: once to build the separator graph and once in phase 3.
-A chunk record is its root's Z index (8 B), its vertex count (4 B) and one
-child-direction mask byte per vertex in preorder; the root's distance is in
-the chunk's address entry only, beside the record's byte offset.
+(``solve_in_key_order``, whose heap settles equal keys the latest pushed
+first); per-cluster BFS forests cut into chunks of height < 2^h as phase 3
+hands over each cluster's distances; an address list sorted by root
+distance; and emission through a rotating pool of distance-keyed stacks.
+No file of final hop distances is written, and the input is read twice:
+once to build the separator graph and once in phase 3.  A chunk record is
+its root's Z index (8 B), its vertex count (4 B) and one child-direction
+mask byte per vertex in preorder; the root's distance is in the chunk's
+address entry only, beside the record's byte offset.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
@@ -30,15 +29,6 @@ _ADDR = struct.Struct("<QQ")           # chunk byte offset, root distance
 
 class BfsError(Exception):
     pass
-
-
-class LatestFirstQueue(sssp.HeapQueue):
-    """Binary-heap min-queue whose ties count down, so equal keys come out
-    the latest inserted first."""
-
-    def __init__(self):
-        super().__init__()
-        self.ties = itertools.count(0, -1)
 
 
 @dataclass
@@ -57,8 +47,8 @@ def bfs_distances(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
     cell, ``clusters.INF`` if unreachable).  ``out_name`` prefixes the
     separator graph and distance file; nothing else is written."""
     sssp.check_source(g, s_cell, "unweighted", BfsError)
-    return sssp.solve_in_key_order(g, s_cell, h, LatestFirstQueue(),
-                                   sssp.SolveStats(), out_name)
+    return sssp.solve_in_key_order(g, s_cell, h, latest_first=True,
+                                   stats=sssp.SolveStats(), out_name=out_name)
 
 
 # ---------------------------------------------------------------------------

@@ -424,9 +424,8 @@ def _region_ring(r0, c0, size, rows, cols) -> set:
 
 # Z index of the cell (dr, dc) of a 4x4 square at 4 * dr + dc, and the
 # (dr, dc) of each Z index; the first four are a 2x2 square's
-_Z16 = [(dr & 2) << 2 | (dc & 2) << 1 | (dr & 1) << 1 | dc & 1
-        for dr in range(4) for dc in range(4)]
-_CELL16 = [divmod(k, 4) for k in sorted(range(16), key=_Z16.__getitem__)]
+_Z16 = gf.z_tables(4, 4)[0].tolist()
+_CELL16 = [divmod(k, 4) for k in gf.z_tables(4, 4)[1].tolist()]
 
 
 def _split(part, r0, c0, size, cols, unit) -> list:
@@ -460,13 +459,13 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
     A region of side 4 or less is the base case, held in memory.  Upward it
     reads its cells with one read and decodes them in Z order, so its
     connections and expansions records are those its side-2 children's
-    records would give; a side-2 region, only ever the root, pushes only
-    its connections record, since every cell lies on its ring.  Downward it
-    pops and expands its expansions record, if it pushed one, and appends
-    to the output the edges each cell owns, last cell in Z order first; an
-    edge's owner is its smaller endpoint, or its other one if the smaller
-    lies outside the region.  The module docstring gives the stack record
-    layouts.
+    records would give; a region of side 2 or 1, only ever the root,
+    pushes only its connections record, since every cell lies on its ring.
+    Downward it pops and expands its expansions record, if it pushed one,
+    and appends to the output the edges each cell owns, last cell in Z
+    order first; an edge's owner is its smaller endpoint, or its other one
+    if the smaller lies outside the region.  The module docstring gives the
+    stack record layouts.
     """
     gf.check_input(g, ("weighted_undirected",), MstError)
     disk = g.disk
@@ -519,7 +518,7 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
                     else:
                         out_edges.append(e)
         forest = _forest(candidates)
-        if size == 2:
+        if size <= 2:
             # the root of a grid of at most 2x2: every cell is on its ring
             conn.push(_pack_connections(forest, out_edges))
             return
@@ -552,14 +551,6 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
         for _, qr, qc in reversed(quads):
             sub, _ = _unpack_connections(conn.pop())
             downward(sub, qr, qc, size // 2)
-
-    if side == 1:
-        # single-cell grid: empty tree, header only
-        reader.read(rs)
-        stream.close()
-        if g.n != 1:
-            raise MstError("internal: padded side 1 for multi-cell grid")
-        return handle
 
     upward(0, 0, side)
     tree, _ = _unpack_connections(conn.pop())

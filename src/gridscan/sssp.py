@@ -12,8 +12,8 @@ Two solvers share the same three-phase skeleton:
 Phase 2 is one step, ``_settle``, repeated: finalize the least tentative
 estimate of a cluster and relax that vertex's separator edges.  Only the
 order of the steps differs.  ``solve_in_key_order`` takes the step in strict
-global key order from a binary-heap min-queue, which breaks key ties by
-least cluster for ``sssp_simple`` and latest inserted first for
+global key order from a heap of its own, whose tie rule settles equal keys
+least cluster first for ``sssp_simple`` and latest pushed first for
 ``bfs.bfs_distances``.  ``sssp_hierarchical`` nests clusters into levels and
 spends a fixed budget of steps per visit to a level; a level cluster's key
 is the minimum of the h0-cluster keys of one range of Z ranks.  A finalized
@@ -26,7 +26,7 @@ finalized before it.
 A step touches its own cluster and the clusters the settled vertex's edges
 reach, at most the cluster and its 8 grid neighbours.  It changes their
 records through the block buffer of ``DistanceFile``, which between steps
-holds only the blocks of ``D`` of the previous step's clusters.  The queues
+holds only the blocks of ``D`` of the previous step's clusters.  The heaps
 are refreshed from the step's records, never from ``D``.  In ``D`` a
 cluster's records form one range that touches as few blocks as its length
 allows.  While a range fits one block, a step that reaches one other cluster
@@ -159,26 +159,6 @@ class SolveStats:
     reactivations: int = 0
 
 
-class HeapQueue:
-    """Binary-heap min-queue of (key, item) entries, stored as (key, tie,
-    item) with every tie 0, so equal keys come out least item first.  A
-    decreased key is reinserted and the stale copy discarded by the caller."""
-
-    def __init__(self):
-        self.heap: list = []
-        self.ties = itertools.repeat(0)
-
-    def insert(self, key: int, item):
-        heapq.heappush(self.heap, (key, next(self.ties), item))
-
-    def extract_min(self):
-        """(key, item) with minimal key, or None when empty."""
-        if not self.heap:
-            return None
-        key, _, item = heapq.heappop(self.heap)
-        return key, item
-
-
 def _too_long(d: int) -> SsspError:
     return SsspError("distance %d does not fit below the 63-bit limit %d"
                      % (d, INF_D))
@@ -240,9 +220,9 @@ def _relax_targets(dfile, rank, dist_u, targets, stats):
             changed.add(r)
         elif nd >= INF_D and cur == TENTATIVE | INF_D:
             raise _too_long(nd)
-    # the queues are refreshed in the set's order, and BFS's queue breaks
-    # key ties by insertion, so the set is filled in the clusters' order of
-    # first appearance, then ``rank``
+    # the heaps are refreshed in the set's order, and BFS's tie rule settles
+    # equal keys latest pushed first, so the set is filled in the clusters'
+    # order of first appearance, then ``rank``
     touched = {r for r in records if r in changed}
     touched.add(rank)
     return {r: records[r] for r in touched}
@@ -306,31 +286,36 @@ def _write_distances(g, scheme, phase3, out_name):
     return handle
 
 
-def solve_in_key_order(g, s_cell, h: int, queue, stats: SolveStats,
-                       out_name: str):
+def solve_in_key_order(g, s_cell, h: int, latest_first: bool,
+                       stats: SolveStats, out_name: str):
     """Phases 1 and 2 with phase 2 in strict global key order.
 
-    ``queue`` is any min-queue with ``insert(key, rank)`` and
-    ``extract_min()``.  ``out_name`` prefixes the separator graph and
-    distance file.  Returns phase 3's stream of (cluster, distances).
+    The heap holds (key, tie, rank) entries, one pushed whenever a step may
+    have changed a cluster's least tentative estimate.  The ties are all 0,
+    so equal keys come out least rank first, or with ``latest_first`` they
+    count down, so equal keys come out the latest pushed first.  An entry
+    whose key no longer matches its cluster's least tentative estimate is a
+    stale copy and is skipped.  ``out_name`` prefixes the separator graph
+    and distance file.  Returns phase 3's stream of (cluster, distances).
     """
     gp, dfile, srank, svals = _condense_and_seed(g, s_cell, h, out_name)
     scheme = gp.scheme
     # least tentative (distance, position) per cluster, or None; it mirrors
-    # the distance file, so a queue entry whose key matches it is live
+    # the distance file, so a heap entry whose key matches it is live
     cur_min = [None] * len(scheme.extents)
+    heap, ties = [], itertools.count(0, -1 if latest_first else 0)
 
     def refresh(rank, vals):
-        cur_min[rank] = _min_tentative(vals)
-        if cur_min[rank] is not None:
-            queue.insert(cur_min[rank][0], rank)
+        best = cur_min[rank] = _min_tentative(vals)
+        if best is not None:
+            heapq.heappush(heap, (best[0], next(ties), rank))
 
     refresh(srank, svals)
-    while (entry := queue.extract_min()) is not None:
-        key, rank = entry
-        if cur_min[rank] is not None and key == cur_min[rank][0]:
-            for tr, vals in _settle(gp, dfile, rank, cur_min[rank],
-                                    stats).items():
+    while heap:
+        key, _, rank = heapq.heappop(heap)
+        best = cur_min[rank]
+        if best is not None and key == best[0]:
+            for tr, vals in _settle(gp, dfile, rank, best, stats).items():
                 refresh(tr, vals)
     return _finalize_interiors(g, scheme, dfile, s_cell)
 
@@ -340,7 +325,8 @@ def sssp_simple(g: gf.GridGraph, s_cell: tuple[int, int], h: int,
     """Exact distances from s to every vertex; strict global key order."""
     check_source(g, s_cell, "weighted_directed")
     stats = stats if stats is not None else SolveStats()
-    phase3 = solve_in_key_order(g, s_cell, h, HeapQueue(), stats, out_name)
+    phase3 = solve_in_key_order(g, s_cell, h, latest_first=False,
+                                stats=stats, out_name=out_name)
     return _write_distances(g, cl.ClusterScheme(g.rows, g.cols, h), phase3,
                             out_name)
 

@@ -1,12 +1,15 @@
+import heapq
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gridscan.simdisk import SimConfig, SimDisk
 from gridscan import gridfmt as gf
 from gridscan import clusters as cl
+from gridscan import sssp
 
 
 def coord_to_index(rows: int, cols: int, row: int, col: int) -> int:
@@ -72,6 +75,59 @@ def phase3_by_z(g, distances):
             r, c = q.coord(v)
             out[z_of[r * g.cols + c]] = gf.ABSENT if dv == cl.INF else dv
     return out
+
+
+def spy_phase2(mp):
+    """Record, through the ``pytest.MonkeyPatch`` ``mp``, what
+    ``sssp.solve_in_key_order`` pushes on its heap, pops off it and settles.
+    Returns the event list the solver fills as it runs: ("push", entry),
+    ("pop", entry) and ("settle", rank, least), an entry being (key, tie,
+    rank) and ``least`` mapping each cluster the step hands back for
+    refreshing to its least tentative distance, None if it holds none."""
+    events, settle = [], sssp._settle
+
+    def push(heap, entry):
+        events.append(("push", entry))
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        events.append(("pop", entry))
+        return entry
+
+    def spy(gp, dfile, rank, best, stats):
+        touched = settle(gp, dfile, rank, best, stats)
+        least = {r: sssp._min_tentative(vals) for r, vals in touched.items()}
+        events.append(("settle", rank, {r: None if b is None else b[0]
+                                        for r, b in least.items()}))
+        return touched
+
+    mp.setattr(sssp, "heapq", SimpleNamespace(heappush=push, heappop=pop))
+    mp.setattr(sssp, "_settle", spy)
+    return events
+
+
+def phase2_pops(events):
+    """Per pop of ``spy_phase2``'s events, in order: (entry, the entries on
+    the heap just before it, the popped cluster's least tentative distance
+    as its last refresh left it, None if none, and whether the solver
+    settled the cluster next)."""
+    heap, keys, pops = [], {}, []
+    for i, event in enumerate(events):
+        if event[0] == "push":
+            heap.append(event[1])
+            keys[event[1][2]] = event[1][0]
+        elif event[0] == "pop":
+            entry = event[1]
+            nxt = events[i + 1] if i + 1 < len(events) else ("end",)
+            settled = nxt[0] == "settle"
+            assert not settled or nxt[1] == entry[2]
+            pops.append((entry, list(heap), keys.get(entry[2]), settled))
+            heap.remove(entry)
+        else:
+            keys.update(event[2])
+    assert heap == []
+    return pops
 
 
 def grid4_edges(rows, cols, weight=1, both_dirs=True):

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, bfs
 
-from conftest import index_to_coord, make_disk, make_graph
+from conftest import (index_to_coord, make_disk, make_graph,
+                      phase2_pops, spy_phase2)
 
 
 def snake_edges(rows, cols):
@@ -26,53 +27,60 @@ def snake_edges(rows, cols):
     return edges
 
 
-def test_bucket_queue_min():
-    q = bfs.LatestFirstQueue()
-    for k in (3, 1, 2):
-        q.insert(k, "x%d" % k)
-    assert q.extract_min() == (1, "x1")
+def bfs_pops(mp, rows, cols, h, seed, density):
+    """``phase2_pops`` of one spied ``bfs_distances`` run, and its events."""
+    events = spy_phase2(mp)
+    g = gf.generate(make_disk(), rows, cols, "unit_directed", seed=seed,
+                    density=density)
+    list(bfs.bfs_distances(g, (rows // 2, cols // 3), h))
+    return phase2_pops(events), events
 
 
-def test_bucket_queue_reinsert_fresh_first():
-    q = bfs.LatestFirstQueue()
-    q.insert(5, "c")
-    q.insert(3, "c")                # decreased key, stale copy remains
-    k, it = q.extract_min()
-    assert (k, it) == (3, "c")
-    assert q.extract_min() == (5, "c")  # stale; caller discards
+def test_bucket_queue_min(monkeypatch):
+    # the solver pops the least key on its heap, so hop distances are
+    # settled in non-decreasing order
+    pops, _ = bfs_pops(monkeypatch, 16, 16, 2, 3, 0.55)
+    assert len(pops) > 20
+    for (key, _, _), heap, _, _ in pops:
+        assert key == min(heap)[0]
+    settled = [key for (key, _, _), _, _, live in pops if live]
+    assert settled == sorted(settled)
 
 
-@settings(max_examples=200, deadline=None)
-@given(ops=st.lists(st.one_of(st.none(), st.integers(0, 20)), max_size=80))
-def test_bucket_queue_random_schedule(ops):
-    """Random inserts at or above the last extracted key (an integer is the
-    key's offset from it) interleaved with extractions (None): each entry
-    comes out once, least key first and the latest inserted of a key first,
-    and keys never decrease."""
-    q = bfs.LatestFirstQueue()
-    live, out = [], []
+def test_bucket_queue_reinsert_fresh_first(monkeypatch):
+    # a cluster whose key decreases is pushed again: the fresh entry comes
+    # out first, and the stale copy, popped later, is skipped
+    pops, events = bfs_pops(monkeypatch, 16, 16, 2, 3, 0.55)
+    pushes = [event[1] for event in events if event[0] == "push"]
+    popped_at = {entry: i for i, (entry, *_) in enumerate(pops)}
+    decreased = 0
+    for i, ((key, tie, rank), _, cur, live) in enumerate(pops):
+        assert live == (cur == key)
+        # the ties count down, so an entry's tie is minus its push index
+        fresh = [e for e in pushes[-tie + 1:] if e[2] == rank and e[0] < key]
+        assert all(popped_at[e] < i for e in fresh)
+        decreased += bool(fresh) and not live
+    assert decreased > 0
 
-    def extract():
-        got = q.extract_min()
-        if not live:
-            assert got is None
-            return
-        want = min(live, key=lambda e: (e[0], -e[1]))
-        assert got == want
-        live.remove(want)
-        assert not out or out[-1] <= got[0]
-        out.append(got[0])
 
-    for i, op in enumerate(ops):
-        if op is None:
-            extract()
-        else:
-            entry = ((out[-1] if out else 0) + op, i)
-            q.insert(*entry)
-            live.append(entry)
-    while live:
-        extract()
-    assert q.extract_min() is None
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 12), cols=st.integers(2, 12), h=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from((0.4, 0.7, 1.0)))
+def test_bucket_queue_random_schedule(rows, cols, h, seed, density):
+    """On random instances BFS's ties count down in push order, so each
+    pushed entry comes out once, least key first and the latest pushed of
+    a key first, and keys never decrease."""
+    with pytest.MonkeyPatch.context() as mp:
+        pops, events = bfs_pops(mp, rows, cols, h, seed, density)
+    pushes = [event[1] for event in events if event[0] == "push"]
+    assert [tie for _, tie, _ in pushes] == [-i for i in range(len(pushes))]
+    assert sorted(entry for entry, *_ in pops) == sorted(pushes)
+    for entry, heap, _, _ in pops:
+        least = min(key for key, _, _ in heap)
+        assert entry == min(e for e in heap if e[0] == least)
+    keys = [key for (key, _, _), *_ in pops]
+    assert keys == sorted(keys)
 
 
 def dist_map(distances):

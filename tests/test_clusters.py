@@ -561,8 +561,10 @@ CLUSTER_FAULTS = (
 def test_first_failing_cluster_raises_first(first):
     """The first cluster by rank raises its first fault, amid its later
     faults and with an arc off the grid in the next cluster.  At block 64
-    and M = 4096 the two upper 4x4 clusters of an 8x8 grid at h = 2 are
-    condensed in one batch."""
+    and M = 4096 each 4x4 cluster of an 8x8 grid at h = 2 is a run of its
+    own, so this checks the fault order across runs;
+    ``test_first_failing_cluster_raises_first_within_a_run`` checks it
+    within one run."""
     names = [name for name, *_ in CLUSTER_FAULTS]
     edges = {(0, 5): {gf.N: 5}}
     for _, faults, _, _ in CLUSTER_FAULTS[names.index(first):]:

@@ -575,6 +575,8 @@ def with_off_grid_arc(disk, rows, cols, cell, d):
     # in a side-4 region below the root, whole or clipped by the grid
     (8, 8, (7, 5), gf.S), (6, 6, (2, 5), gf.E), (6, 6, (5, 0), gf.SW),
     (8, 8, (7, 3), gf.SE), (7, 10, (6, 9), gf.SE),
+    # a one-cell grid, read and checked like any other region
+    (1, 1, (0, 0), gf.E), (1, 1, (0, 0), gf.SW),
 ])
 def test_off_grid_arc_rejected(rows, cols, cell, d):
     message = r"edge leaves the grid at \(%d,%d\)" % cell
@@ -594,3 +596,12 @@ def test_cli_off_grid_arc_exits_2(monkeypatch, capsys):
     assert cli.run(["mst", "--variant", "oblivious",
                     "--rows", "4", "--cols", "4"]) == 2
     assert "edge leaves the grid at (0,3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["aware", "oblivious"])
+def test_cli_off_grid_arc_on_one_cell_exits_2(monkeypatch, capsys, variant):
+    monkeypatch.setattr(gf, "generate", lambda disk, rows, cols, *args,
+                        **kwargs: with_off_grid_arc(disk, 1, 1, (0, 0), gf.S))
+    assert cli.run(["mst", "--variant", variant,
+                    "--rows", "1", "--cols", "1"]) == 2
+    assert "edge leaves the grid at (0,0)" in capsys.readouterr().err

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, bfs
 
 from conftest import (coord_to_index, dense_digraph, index_to_coord,
-                      make_disk, make_graph, grid4_edges, phase3_by_z)
+                      make_disk, make_graph, grid4_edges, phase2_pops,
+                      phase3_by_z, spy_phase2)
 
 
 def solve_and_compare(rows, cols, seed, h, variant="simple", density=0.5):
@@ -231,18 +232,26 @@ def test_large_distances_below_the_limit_are_exact():
     assert [got[int(z_of[c])] for c in range(9)] == [c * BIG for c in range(9)]
 
 
-@given(entries=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)),
-                       max_size=30))
-def test_heap_queue_ties_least_item_first(entries):
-    # sssp_simple's schedule: equal keys come out least item first, whatever
-    # the insertion order
-    q = sssp.HeapQueue()
-    for key, item in entries:
-        q.insert(key, item)
-    got = []
-    while (entry := q.extract_min()) is not None:
-        got.append(entry)
-    assert got == sorted(entries)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 12), cols=st.integers(2, 12), h=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_heap_queue_ties_least_item_first(rows, cols, h, seed):
+    # sssp_simple's schedule: every tie is 0, so of the entries on the heap
+    # with the least key the least cluster rank comes out first, whatever
+    # the push order; zero weights make equal keys common
+    rng = random.Random(seed)
+    edges = {(r, c): {d: rng.choice((0, 0, 1, 3))
+                      for d, (dr, dc) in enumerate(gf.DIR_OFFSETS)
+                      if 0 <= r + dr < rows and 0 <= c + dc < cols
+                      and rng.random() < 0.5}
+             for r in range(rows) for c in range(cols)}
+    with pytest.MonkeyPatch.context() as mp:
+        events = spy_phase2(mp)
+        g = make_graph(make_disk(), rows, cols, "weighted_directed", edges)
+        sssp.sssp_simple(g, (rows // 2, cols // 3), h)
+    assert all(e[1][1] == 0 for e in events if e[0] == "push")
+    for (key, _, rank), heap, _, _ in phase2_pops(events):
+        assert (key, rank) == min((k, r) for k, _, r in heap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,7 +267,7 @@ def test_key_order_never_reactivates(rows, cols, h, seed, unit):
         g = gf.generate(d, rows, cols, "unit_directed", seed=seed,
                         density=0.6)
         expect = oracle.bfs_distances(g, s)
-        queues = (sssp.HeapQueue, bfs.LatestFirstQueue)
+        tie_rules = (False, True)            # sssp_simple's, BFS's
     else:
         edges = {}
         for r in range(rows):
@@ -270,11 +279,11 @@ def test_key_order_never_reactivates(rows, cols, h, seed, unit):
                     and rng.random() < 0.5}
         g = make_graph(d, rows, cols, "weighted_directed", edges)
         expect = oracle.dijkstra(g, s)
-        queues = (sssp.HeapQueue,)
-    for i, queue in enumerate(queues):
+        tie_rules = (False,)
+    for i, latest_first in enumerate(tie_rules):
         stats = sssp.SolveStats()
-        got = phase3_by_z(g, sssp.solve_in_key_order(g, s, h, queue(), stats,
-                                                     "dist%d" % i))
+        got = phase3_by_z(g, sssp.solve_in_key_order(
+            g, s, h, latest_first, stats, "dist%d" % i))
         assert stats.reactivations == 0
         for z in range(rows * cols):
             r, c = index_to_coord(rows, cols, z)
