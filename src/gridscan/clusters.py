@@ -16,16 +16,16 @@ record file; ``toposort`` owns the reachability graph and its record file,
 and numbers it with its Kahn queue in memory.  ``ChunkFile`` holds
 toposort's and TFP's chunk records.
 
-The condensation is one pass over runs of same-shape clusters, with one
-record writer and one fault check; the boundary distances come from Floyd's
-recurrence over a run (up to 16 cells a cluster) or one search per source.
+One reader, ``_runs``, reads the input for every cluster pass, in runs of
+same-shape clusters, and states the run rule: ``iterate_clusters`` builds
+each cluster of a run, and the separator build condenses a run at once.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -155,9 +155,9 @@ class InMemoryCluster:
     c0: int
     hgt: int
     wid: int
-    intra: list = field(default_factory=list)
-    out_edges: list = field(default_factory=list)
-    boundary: tuple = ()
+    intra: list
+    out_edges: list
+    boundary: tuple
 
     def local(self, r: int, c: int) -> int:
         return (r - self.r0) * self.wid + (c - self.c0)
@@ -180,11 +180,10 @@ class _Shape(NamedTuple):
 
     local_of_t: np.ndarray   # local cell of each local Z rank
     t_of_local: np.ndarray   # local Z rank of each local cell
-    nbr: np.ndarray          # (n, 8): local cell of the neighbour of Z rank
-                             # t in direction d; -1 outside the cluster
+    nbr: np.ndarray          # (n, 8): local neighbour of Z rank t, -1 off
     boundary: tuple          # boundary local cells, clockwise
-    bpos: tuple              # clockwise boundary position per local cell, -1
-                             # for interior cells
+    bpos: tuple              # clockwise position per local cell, -1 inside
+    shift: np.ndarray        # local cell minus local Z rank, per Z rank
 
 
 @lru_cache(maxsize=256)
@@ -193,88 +192,118 @@ def _shape(hgt: int, wid: int) -> _Shape:
     # order is the Z order of an hgt x wid grid, clipped clusters included
     t_of_local, local_of_t = gf.z_tables(hgt, wid)
     lr, lc = np.divmod(local_of_t, wid)
-    nr = lr[:, None] + _DR
-    nc = lc[:, None] + _DC
+    nr, nc = lr[:, None] + _DR, lc[:, None] + _DC
     inside = (nr >= 0) & (nr < hgt) & (nc >= 0) & (nc < wid)
     nbr = np.where(inside, nr * wid + nc, -1)
     t_of_local, local_of_t = t_of_local.view(), local_of_t.view()
-    for a in (local_of_t, t_of_local, nbr):
+    shift = local_of_t - np.arange(hgt * wid)
+    for a in (local_of_t, t_of_local, nbr, shift):
         a.setflags(write=False)
     boundary = _clockwise(hgt, wid)
     bpos = [-1] * (hgt * wid)
     for i, v in enumerate(boundary):
         bpos[v] = i
-    return _Shape(local_of_t, t_of_local, nbr, boundary, tuple(bpos))
+    return _Shape(local_of_t, t_of_local, nbr, boundary, tuple(bpos), shift)
 
 
-def _heads(g: gf.GridGraph, tr, tc, d):
-    """Heads (rows, columns) of arcs from cells (tr, tc) in directions
-    ``d``; a FormatError names the tail of the first that leaves the grid."""
-    nr, nc = tr + _DR[d], tc + _DC[d]
-    off = (nr < 0) | (nr >= g.rows) | (nc < 0) | (nc >= g.cols)
-    if off.any():
-        k = int(np.argmax(off))
-        raise gf.FormatError("edge leaves the grid at (%d,%d)"
-                             % (tr[k], tc[k]))
-    return nr, nc
-
-
-def _arc_columns(g: gf.GridGraph, r0: int, c0: int, hgt: int, wid: int,
-                 raw: bytes):
-    """Columns of a cluster's out_edges and intra arcs as lists, and the end
-    of each local cell's run of intra arcs, in InMemoryCluster's order.
-
-    The numpy temporaries die on return, before the caller builds tuples.
-    """
+def _decode(g: gf.GridGraph, hgt: int, wid: int, k: int, raw: bytes):
+    """The arcs of a run of k hgt x wid clusters from its input bytes: the
+    shape and, per arc in storage order, its record ``t`` in the run, its
+    tail ``cell`` across the run (cluster in the run * m + local cell), its
+    direction ``d``, local head ``dst`` (-1 off the cluster) and weight."""
     shape = _shape(hgt, wid)
-    t, d, w = gf.decode_record(g.encoding, raw, hgt * wid)
-    src = shape.local_of_t[t]
-    dst = shape.nbr[t, d]
-    inside = dst >= 0
-
-    out = ~inside
-    lr, lc = np.divmod(src[out], wid)
-    od = d[out]
-    nr, nc = _heads(g, lr + r0, lc + c0, od)
-    out_cols = [a.tolist() for a in (src[out], od, nr, nc, w[out])]
-
-    owner = src[inside]
-    order = np.argsort(owner, kind="stable")
-    intra_cols = [a[inside][order].tolist() for a in (d, dst, w)]
-    ends = np.cumsum(np.bincount(owner, minlength=hgt * wid)).tolist()
-    return out_cols, intra_cols, ends
+    t, d, w = gf.decode_record(g.encoding, raw, k * hgt * wid)
+    # record t is local Z rank t mod m of its cluster
+    cell = t + shape.shift.take(t, mode="wrap")
+    return shape, t, cell, d, shape.nbr.take(t * 8 + d, mode="wrap"), w
 
 
-def _decode_cluster(g: gf.GridGraph, scheme: ClusterScheme, rank: int,
-                    raw: bytes) -> InMemoryCluster:
-    r0, c0, hgt, wid = scheme.extents[rank]
-    q = InMemoryCluster(rank, r0, c0, hgt, wid,
-                        boundary=_shape(hgt, wid).boundary)
-    out_cols, intra_cols, ends = _arc_columns(g, r0, c0, hgt, wid, raw)
-    q.out_edges = list(zip(*out_cols))
-    arcs = list(zip(*intra_cols))
-    q.intra = [arcs[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return q
+def _runs(g: gf.GridGraph, scheme: ClusterScheme):
+    """``(first rank, extents, arcs)`` of each run, in Z-rank order: the one
+    reader of a cluster pass, one sequential scan of the input.
+
+    A run is a longest stretch of consecutive clusters of one shape, K of m
+    cells, with 2 * K * m^2 * 8 bytes at most M, room for the separator
+    build's (K, m, m) Floyd matrices and the temporary of its step (one
+    cluster when one does not fit): 16 clusters of side 4 on the desk
+    machine (B = 2^8, M = 2^16), one from side 8 on.  Each run is one
+    ``ScanReader.read`` and one ``gf.decode_record`` call.
+    """
+    reader = g.disk.scan_reader(g.handle, g.payload_offset)
+    rs, mem = g.record_size, g.disk.config.memory_bytes
+    extents, starts = scheme.extents, scheme.starts
+    origins = np.array(extents)
+    lo = 0
+    while lo < len(extents):
+        hgt, wid = extents[lo][2:]
+        end = min(len(extents), lo + max(1, mem // (16 * (hgt * wid) ** 2)))
+        hi = lo + 1
+        while hi < end and extents[hi][2:] == (hgt, wid):
+            hi += 1
+        raw = reader.read((starts[hi] - starts[lo]) * rs)
+        yield lo, origins[lo:hi], _decode(g, hgt, wid, hi - lo, raw)
+        lo = hi
+
+
+def _heads(g: gf.GridGraph, extents, ob, osrc, od):
+    """Heads (rows, columns) of arcs ``od`` from cells ``osrc`` of clusters
+    ``ob`` of a run, then the first with an arc off the grid and its error."""
+    lr, lc = np.divmod(osrc, int(extents[0, 3]))
+    tr, tc = lr + extents[:, 0][ob], lc + extents[:, 1][ob]
+    nr, nc = tr + _DR[od], tc + _DC[od]
+    # as unsigned, a negative row or column is past the grid too
+    off = (nr.view(np.uint64) >= g.rows) | (nc.view(np.uint64) >= g.cols)
+    if not off.any():
+        return nr, nc, len(extents), None
+    i = int(np.argmax(off))
+    return nr, nc, int(ob[i]), gf.FormatError(
+        "edge leaves the grid at (%d,%d)" % (tr[i], tc[i]))
+
+
+def _grouped(key, n: int, *cols) -> list:
+    """Per key 0..n-1, the tuples of ``cols`` at its entries, in order."""
+    order = np.argsort(key, kind="stable")
+    rows = list(zip(*[c[order].tolist() for c in cols]))
+    ends = np.cumsum(np.bincount(key, minlength=n)).tolist()
+    return [rows[a:e] for a, e in zip([0, *ends], ends)]
+
+
+def _clusters(g: gf.GridGraph, lo: int, extents, arcs):
+    """The InMemoryCluster of each cluster of a run, rank ``lo`` first, up
+    to the first with an arc off the grid, and that arc's error or None."""
+    shape, _, cell, d, dst, w = arcs
+    k, m = len(extents), len(shape.bpos)
+    inside, out = dst >= 0, dst < 0
+    (ob, osrc), od = np.divmod(cell[out], m), d[out]
+    nr, nc, bad, fault = _heads(g, extents, ob, osrc, od)
+    outs = list(zip(*[a.tolist() for a in (osrc, od, nr, nc, w[out])]))
+    cuts = [0, *np.bincount(ob, minlength=k).cumsum().tolist()]
+    intra = _grouped(cell[inside], k * m, d[inside], dst[inside], w[inside])
+    return [InMemoryCluster(lo + j, *ext, intra[j * m:(j + 1) * m],
+                            outs[cuts[j]:cuts[j + 1]], shape.boundary)
+            for j, ext in enumerate(extents[:bad].tolist())], fault
 
 
 def load_cluster(g: gf.GridGraph, scheme: ClusterScheme,
                  rank: int) -> InMemoryCluster:
     """One cluster via a counted direct read of its contiguous byte range."""
-    lo, hi = scheme.starts[rank], scheme.starts[rank + 1]
-    rs = g.record_size
+    rs, (lo, hi) = g.record_size, scheme.starts[rank:rank + 2]
     raw = g.disk.read_direct(g.handle, g.payload_offset + lo * rs,
                              (hi - lo) * rs)
-    return _decode_cluster(g, scheme, rank, raw)
+    arcs = _decode(g, *scheme.extents[rank][2:], 1, raw)
+    qs, fault = _clusters(g, rank, np.array([scheme.extents[rank]]), arcs)
+    if fault:
+        raise fault
+    return qs[0]
 
 
 def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
-    """All clusters in Z-rank order through one sequential scan of the input."""
-    rs = g.record_size
-    reader = g.disk.scan_reader(g.handle, g.payload_offset)
-    starts = scheme.starts
-    for rank in range(len(starts) - 1):
-        raw = reader.read((starts[rank + 1] - starts[rank]) * rs)
-        yield _decode_cluster(g, scheme, rank, raw)
+    """All clusters in Z-rank order, from the one reader ``_runs``."""
+    # map holds no run: a run's arrays die before its clusters go out
+    for qs, fault in map(lambda run: _clusters(g, *run), _runs(g, scheme)):
+        yield from qs
+        if fault:
+            raise fault
 
 
 class ChunkFile:
@@ -375,18 +404,9 @@ def local_dijkstra(q: InMemoryCluster, seeds) -> list:
 def build_separator_graph(g: gf.GridGraph, h: int,
                           name: str = "gprime") -> SeparatorGraph:
     """Condense every cluster to boundary-to-boundary distances plus cross
-    edges.
-
-    Written sequentially in h-number order.  The slots are u64 distances for
-    the weighted_directed encoding and u32 hop counts for the unweighted one.
-
-    One scan reads the input in runs, each condensed by ``_condense_run``:
-    a run is a longest stretch of consecutive clusters of one shape, K of m
-    cells, with 2 * K * m^2 * 8 bytes at most M, room for Floyd's (K, m, m)
-    matrices and the temporary of its step (one cluster when one does not
-    fit).  On the desk machine (B = 2^8, M = 2^16) that is 16 clusters of
-    side 4, and one from side 8 on.  Floyd's pass, m^3 a cluster, serves
-    m <= 16; from side 8 on per-source heap searches win (ROADMAP item 4).
+    edges, written in h-number order a run of ``_runs`` at a time by
+    ``_condense_run``.  Floyd's pass, m^3 a cluster, serves m <= 16; from
+    side 8 on per-source heap searches win (ROADMAP item 4).
     """
     gf.check_input(g, ("weighted_directed", "unweighted"), ClusterError)
     scheme = ClusterScheme(g.rows, g.cols, h)
@@ -397,28 +417,16 @@ def build_separator_graph(g: gf.GridGraph, h: int,
 
     handle = g.disk.open_file(name)
     out = g.disk.append_stream(handle)
-    reader = g.disk.scan_reader(g.handle, g.payload_offset)
-    rs, mem = g.record_size, g.disk.config.memory_bytes
-    extents, starts = scheme.extents, scheme.starts
-    origins = np.array(extents)
-    lo = 0
-    while lo < len(extents):
-        hgt, wid = extents[lo][2:]
-        end = min(len(extents), lo + max(1, mem // (16 * (hgt * wid) ** 2)))
-        hi = lo + 1
-        while hi < end and extents[hi][2:] == (hgt, wid):
-            hi += 1
-        raw = reader.read((starts[hi] - starts[lo]) * rs)
-        out.write(_condense_run(g, origins[lo:hi], raw, slots, wide).tobytes())
-        lo = hi
+    for _, extents, arcs in _runs(g, scheme):
+        out.write(_condense_run(g, extents, arcs, slots, wide).tobytes())
     out.close()
     return SeparatorGraph(scheme, handle,
                           slots * _SLOT_FORMATS[wide][0].itemsize, wide)
 
 
-def _condense_run(g, extents, raw, slots, wide):
+def _condense_run(g, extents, arcs, slots, wide):
     """A run's records as one (clusters, boundary, slots) array, from its
-    input bytes; ``extents`` holds its clusters' ``ClusterScheme.extents``.
+    arcs; ``extents`` holds its clusters' ``ClusterScheme.extents``.
 
     Distances are exact: int64 with ``_NO_PATH`` for no path while m - 1
     arcs of the run's heaviest intra-cluster weight stay below it, Python
@@ -427,20 +435,16 @@ def _condense_run(g, extents, raw, slots, wide):
     distance at or past the no-path marker, then a cross edge too heavy.
     """
     dtype, absent, shift = _SLOT_FORMATS[wide]
-    hgt, wid = extents[0, 2:].tolist()
-    shape = _shape(hgt, wid)
-    k, m, bsize = len(extents), hgt * wid, len(shape.boundary)
-    t, d, w = gf.decode_record(g.encoding, raw, k * m)
-    b, lt = np.divmod(t, m)
-    src, dst = shape.local_of_t[lt], shape.nbr[lt, d]
-    inside = dst >= 0
+    shape, t, cell, d, dst, w = arcs
+    k, m, bsize = len(extents), len(shape.bpos), len(shape.boundary)
+    inside, out = dst >= 0, dst < 0
 
     iw = w[inside]
     longest = (m - 1) * int(iw.max(initial=0))
     inf, kind = ((_NO_PATH, np.int64) if longest < _NO_PATH
                  else (longest + 1, object))
     rows = (_all_pairs_rows if m <= 16 else _searched_rows)(
-        shape, k, b[inside], src[inside], dst[inside], iw.astype(kind), inf)
+        shape, k, cell[inside], dst[inside], iw.astype(kind), inf)
     found = rows < inf
     rows = np.where(found, rows, 0)
     top = rows.max(axis=2)                  # per source, in clockwise order
@@ -448,15 +452,14 @@ def _condense_run(g, extents, raw, slots, wide):
     # the first cluster with a source whose boundary distances reach the
     # marker or with a cross edge too heavy; an arc off the grid there or
     # before it raises first
-    out = ~inside
-    ob, osrc, od, ow, ot = b[out], src[out], d[out], w[out], t[out]
+    (ob, osrc), od, ow, ot = np.divmod(cell[out], m), d[out], w[out], t[out]
     far = top >= absent
     bad = far.any(axis=1)
     bad[ob[ow >> shift != 0]] = True
     first = int(bad.argmax()) if bad.any() else k
-    cut = np.searchsorted(ob, first, "right")
-    lr, lc = np.divmod(osrc[:cut], wid)
-    _heads(g, lr + extents[ob[:cut], 0], lc + extents[ob[:cut], 1], od[:cut])
+    off, fault = _heads(g, extents, ob, osrc, od)[2:]
+    if fault and off <= first:
+        raise fault
     if first < k:
         if far[first].any():
             i = int(np.argmax(far[first]))
@@ -487,30 +490,26 @@ def _all_pairs(dist: np.ndarray):
         np.minimum(dist, dist[:, :, v, None] + dist[:, None, v, :], out=dist)
 
 
-def _all_pairs_rows(shape, k, b, src, dst, w, inf):
+def _all_pairs_rows(shape, k, cell, dst, w, inf):
     """A run's (clusters, boundary, boundary) distances, ``inf`` for no
-    path, by Floyd's recurrence; cluster ``b`` has arcs ``src`` -> ``dst``
-    of weight ``w``."""
+    path, by Floyd's recurrence, over arcs from ``cell`` (see ``_decode``)
+    to local ``dst`` of weight ``w``."""
     m = len(shape.bpos)
     dist = np.full((k, m, m), inf, w.dtype)
     dist[:, np.arange(m), np.arange(m)] = 0
-    dist[b, src, dst] = w
+    dist.reshape(k * m, m)[cell, dst] = w
     _all_pairs(dist)
     bnd = np.array(shape.boundary)
     return dist[:, bnd[:, None], bnd]
 
 
-def _searched_rows(shape, k, b, src, dst, w, inf):
+def _searched_rows(shape, k, cell, dst, w, inf):
     """``_all_pairs_rows``' distances by one heap search per boundary
     source, which stops once every boundary vertex is popped (a popped
     distance is final); ``local_dijkstra`` per source measured slower."""
     bpos, bnd = shape.bpos, shape.boundary
     m = len(bpos)
-    key = b * m + src
-    order = np.argsort(key, kind="stable")
-    arcs = list(zip(dst[order].tolist(), w[order].tolist()))
-    ends = np.cumsum(np.bincount(key, minlength=k * m)).tolist()
-    adj = [arcs[a:e] for a, e in zip([0, *ends], ends)]
+    adj = _grouped(cell, k * m, dst, w)
     row_of, rows = itemgetter(*bnd), []
     for base in range(0, k * m, m):
         nbrs = adj[base:base + m]

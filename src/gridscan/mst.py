@@ -49,7 +49,6 @@ from operator import itemgetter
 
 from . import gridfmt as gf
 from . import clusters as cl
-from . import oracle
 from .simdisk import SimDisk, FileStack
 
 
@@ -580,24 +579,3 @@ def mst_edge_coords(disk: SimDisk, handle) -> list:
         ca, cb = int(cell_of_z[a]), int(cell_of_z[b])
         out.append((divmod(ca, g.cols), divmod(cb, g.cols), w))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Property harness
-
-
-def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
-    """True iff the union of all per-cluster minimum spanning forests and the
-    cross-cluster edges still contains a minimum spanning tree of the grid."""
-    gf.check_input(g, ("weighted_undirected",), MstError)
-    scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    union = []
-    for q in cl.iterate_clusters(g, scheme):
-        for u, v, w, f in _forest(_cluster_undirected_edges(q)):
-            union.append((w, q.coord(u), q.coord(v)))
-        union += [(w, q.coord(v), (nr, nc))
-                  for v, _, nr, nc, w in q.out_edges]
-    cells = [(r, c) for r in range(g.rows) for c in range(g.cols)]
-    total_u, _ = oracle.kruskal(union, vertices=cells)
-    total_g, _ = oracle.mst(g)
-    return total_u == total_g

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gridscan.simdisk import SimConfig, SimDisk
 from gridscan import gridfmt as gf
 from gridscan import clusters as cl
-from gridscan import sssp
+from gridscan import mst, oracle, sssp
 
 
 def coord_to_index(rows: int, cols: int, row: int, col: int) -> int:
@@ -26,6 +26,23 @@ def index_to_coord(rows: int, cols: int, index: int) -> tuple[int, int]:
         raise gf.FormatError("index %d outside grid" % index)
     cell = int(gf.z_tables(rows, cols)[1][index])
     return cell // cols + 1, cell % cols + 1
+
+
+def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
+    """True iff the union of all per-cluster minimum spanning forests and the
+    cross-cluster edges still contains a minimum spanning tree of the grid."""
+    gf.check_input(g, ("weighted_undirected",), mst.MstError)
+    scheme = cl.ClusterScheme(g.rows, g.cols, h)
+    union = []
+    for q in cl.iterate_clusters(g, scheme):
+        for u, v, w, f in mst._forest(mst._cluster_undirected_edges(q)):
+            union.append((w, q.coord(u), q.coord(v)))
+        union += [(w, q.coord(v), (nr, nc))
+                  for v, _, nr, nc, w in q.out_edges]
+    cells = [(r, c) for r in range(g.rows) for c in range(g.cols)]
+    total_u, _ = oracle.kruskal(union, vertices=cells)
+    total_g, _ = oracle.mst(g)
+    return total_u == total_g
 
 
 def make_disk(block=64, mem_blocks=None):

@@ -14,7 +14,8 @@ from gridscan import (gridfmt as gf, clusters as cl, costmodel as cm, oracle,
                       sssp, bfs, mst, toposort as ts, tfp, euler)
 from gridscan.simdisk import SimDisk, SimConfig
 
-from conftest import coord_to_index, index_to_coord
+from conftest import (coord_to_index, index_to_coord,
+                      union_contains_mst_check)
 
 DESK = SimConfig(block_bytes=2 ** 8, memory_bytes=2 ** 16)
 
@@ -162,7 +163,7 @@ def test_criterion_3_union_contains_mst():
         d = make_disk()
         g = gf.generate(d, rows, cols, "weighted_undirected", seed=i,
                         distinct_weights=i % 3 == 0)
-        assert mst.union_contains_mst_check(g, rng.randint(1, 3))
+        assert union_contains_mst_check(g, rng.randint(1, 3))
     print("criterion 3 PASS: 500 random cluster covers contain a minimum "
           "spanning tree")
 

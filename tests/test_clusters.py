@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
+from gridscan import mst
 from gridscan import toposort as ts
 
 from conftest import (coord_to_index, dense_digraph, index_to_coord,
@@ -146,6 +147,51 @@ def test_iterate_clusters_sequential():
     c = d.counters_snapshot()
     assert c.random_blocks == 0
     assert c.blocks_written == 0
+
+
+@pytest.mark.parametrize("block, mem_blocks, calls", [(256, 256, 1),
+                                                     (64, 64, 16)])
+def test_cluster_pass_decodes_once_per_run(monkeypatch, block, mem_blocks,
+                                           calls):
+    # 16 clusters of side 4 are one run on the desk machine and sixteen at
+    # M = 2^12, and each run is one decode_record call
+    made, real = [], gf.decode_record
+
+    def spy(*args):
+        made.append(args[2])
+        return real(*args)
+
+    g = gf.generate(make_disk(block, mem_blocks), 16, 16, "weighted_dag",
+                    seed=1, density=0.6)
+    monkeypatch.setattr(gf, "decode_record", spy)
+    assert len(list(cl.iterate_clusters(g, cl.ClusterScheme(16, 16, 2)))) \
+        == 16
+    assert made == [256 // calls] * calls
+
+
+# a fault that a consumer of iterate_clusters finds in the cluster at (0,0),
+# per algorithm: (encoding, stored arcs, run, error, message)
+CONSUMER_FAULTS = {
+    "toposort": ("unweighted", {(0, 0): {gf.E: 1}, (0, 1): {gf.W: 1}},
+                 lambda g: ts.toposort(g, 2), ts.ToposortError,
+                 "cycle inside the cluster at (0,0)"),
+    "mst_cache_aware": ("weighted_undirected", {(1, 1): {gf.E: 5}},
+                        lambda g: mst.mst_cache_aware(g, 2), mst.MstError,
+                        "disconnected input (cluster-interior component)"),
+}
+
+
+@pytest.mark.parametrize("alg", sorted(CONSUMER_FAULTS))
+def test_consumer_fault_comes_first_within_a_run(alg):
+    # on the desk machine the 8x8 grid's four 4x4 clusters are one run, so
+    # the arc off the grid in rank 1 is decoded with rank 0; it must still
+    # wait until the consumer has seen rank 0, whose own fault wins
+    encoding, edges, run, error, message = CONSUMER_FAULTS[alg]
+    assert cl.ClusterScheme(8, 8, 2).extents[1][:2] == (0, 4)
+    g = make_graph(make_disk(256), 8, 8, encoding,
+                   {**edges, (1, 7): {gf.E: 1}})
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        run(g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -144,6 +144,11 @@ keeps the counters and the output.  Its values were recorded from the code
 before the hierarchy keys became a numpy array, and the schedule they pin
 also holds with the keys as one list in Z-rank order.
 
+``RECORDED_TIES`` pins ``sssp_simple``'s tie rule in the same form.  The
+``RECORDED_STATS`` instances draw weights from [0, 2^20], so no two cluster
+keys tie there and either rule passes them.  Its instances take weights from
+[0, 3], where keys tie, and the latest-first rule fails every row.
+
 ``RECORDED_STACKS`` pins the sha256 of the final contents of the two stack
 files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
 expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
@@ -416,6 +421,27 @@ RECORDED_STATS = {
         "0b93ec2e7cf3ce6d35b7d5d8d30fc9177574e3292990247e0025b204c5265941"),
     ('sssp_hierarchical', 13, 7, 2, 3): (46, 46, 0, 0,
         "fca2772540b53e8bd1b6a1ed79dda6831fbfa2178651bf4d012ae0922851901b"),
+}
+
+# (rows, cols, seed, h): sssp_simple's RECORDED_STATS row on
+#     weighted_digraph(..., max_weight=3)
+RECORDED_TIES = {
+    (32, 32, 1, 1): (1024, 0, 0, 0,
+        "4b5ae9b7b768f091c97c0a881f7cba87eccd560660588d5b68518747dbdfc130"),
+    (32, 32, 1, 2): (768, 0, 0, 0,
+        "793b952371b69aedd5edc3ae6d7b57b5f0ff92cdbb839a81fdf7568448f1bbe1"),
+    (32, 32, 2, 1): (1024, 0, 0, 0,
+        "d6d98419a11ef2c37f8e4bb04c7630b5db1e35136beb7515a9f63efff06d1a58"),
+    (32, 32, 2, 2): (768, 0, 0, 0,
+        "1a0f286d7e980eda2c5f28ec336891f96233b960e55cc49e5228d5c8d1e5972f"),
+    (13, 7, 1, 1): (91, 0, 0, 0,
+        "15a9a5f6e73face5a954bf326d34ab12f35fe603083a46781ee398bbd1fcb32d"),
+    (13, 7, 1, 2): (73, 0, 0, 0,
+        "62c7e193dca951f53c0ce91e2e88c96e9773eb5fb08b49bd9f8d7e8a29efe087"),
+    (13, 7, 2, 1): (91, 0, 0, 0,
+        "2cc7d229c003f47654025d479bd704b7d4c00712dd2effd97ad542ff34837ef7"),
+    (13, 7, 2, 2): (73, 0, 0, 0,
+        "c8217261878ed67f84df662bc0acef1f3668f718204966608b050246edcaabc1"),
 }
 
 # (rows, cols, seed): (sha256 of .conn, sha256 of .expn)
@@ -874,9 +900,9 @@ def counters_and_hash(d, out):
             hashlib.sha256(d.raw_bytes(out)).hexdigest())
 
 
-def weighted_digraph(disk, rows, cols, seed):
+def weighted_digraph(disk, rows, cols, seed, max_weight=2 ** 20):
     u = gf.generate(make_disk(), rows, cols, "weighted_undirected",
-                    seed=seed, density=0.6)
+                    seed=seed, density=0.6, max_weight=max_weight)
     edges = {v: {d: w for d, _, _, w in arcs}
              for v, arcs in gf.adjacency(u).items()}
     return make_graph(disk, rows, cols, "weighted_directed", edges)
@@ -920,6 +946,18 @@ def test_solver_schedule_unchanged(monkeypatch, case):
             st.reactivations,
             hashlib.sha256(repr(st.extractions).encode()).hexdigest()
             ) == RECORDED_STATS[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_TIES))
+def test_simple_solver_tie_rule_unchanged(case):
+    rows, cols, seed, h = case
+    g = weighted_digraph(make_disk(), rows, cols, seed, max_weight=3)
+    st = sssp.SolveStats()
+    sssp.sssp_simple(g, (rows // 2, cols // 3), h, stats=st)
+    assert (len(st.extractions), st.level0_calls, st.wasted_calls,
+            st.reactivations,
+            hashlib.sha256(repr(st.extractions).encode()).hexdigest()
+            ) == RECORDED_TIES[case]
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_EMITTERS, key=str))

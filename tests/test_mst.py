@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from gridscan import cli, gridfmt as gf, oracle, mst
 from gridscan import costmodel as cm
 
-from conftest import grid4_edges, make_disk, make_graph
+from conftest import (grid4_edges, make_disk, make_graph,
+                      union_contains_mst_check)
 
 
 def random_tree(rng, n):
@@ -552,13 +553,13 @@ def test_single_vertex():
 def test_union_contains_mst(seed, h):
     d = make_disk()
     g = gf.generate(d, 24, 24, "weighted_undirected", seed=seed + 70)
-    assert mst.union_contains_mst_check(g, h)
+    assert union_contains_mst_check(g, h)
 
 
 def test_union_contains_mst_trivial_cover():
     d = make_disk()
     g = gf.generate(d, 8, 8, "weighted_undirected", seed=2)
-    assert mst.union_contains_mst_check(g, 3)
+    assert union_contains_mst_check(g, 3)
 
 
 def with_off_grid_arc(disk, rows, cols, cell, d):

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import gridscan
 from gridscan import gridfmt as gf, oracle
 
 from conftest import make_disk, make_graph, grid4_edges
@@ -120,3 +124,31 @@ def test_euler_spanning_tree_tour_properties():
     for (r1, c1), (r2, c2) in steps:
         assert max(abs(r1 - r2), abs(c1 - c2)) == 1
 
+
+def _package_imports(path: Path) -> set:
+    """The gridscan modules that the module at ``path`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module != "gridscan":
+                if (node.module or "").startswith("gridscan."):
+                    names.add(node.module.split(".")[1])
+            elif node.module in (None, "gridscan"):
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("gridscan."))
+    return names
+
+
+def test_oracle_stays_apart_from_the_algorithms():
+    # the oracle checks the algorithms, so no algorithm module may import
+    # it and it may share nothing with them but the input format; only the
+    # CLI, which runs both, imports it
+    modules = {p.stem: p for p in Path(gridscan.__file__).parent.glob("*.py")}
+    importers = {name for name, p in modules.items()
+                 if "oracle" in _package_imports(p)}
+    assert importers == {"cli"}
+    assert _package_imports(modules["oracle"]) <= {"gridfmt"}
