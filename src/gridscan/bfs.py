@@ -59,30 +59,21 @@ def _cluster_forest(q, dist):
     """Local BFS forest: parent = first in-cluster in-neighbour one hop
     closer, scanning directions clockwise from north.  ``dist`` holds the
     hop distance per local cell, ``clusters.INF`` if unreachable.  Returns
-    (roots, children) with children listed per vertex in clockwise direction
-    order."""
-    incoming = [[] for _ in range(q.n)]
-    for v in range(q.n):
-        for d, u, _ in q.intra[v]:
-            incoming[u].append((gf.opposite(d), v))
-    roots, children = [], [[] for _ in range(q.n)]
-    for v in range(q.n):
-        dv = dist[v]
-        if dv == cl.INF:
+    (roots, up), ``up[v]`` the parent of v, -1 for a root or an unreached
+    cell.  A vertex's children are the heads of its arcs whose parent it
+    is, in column order, so clockwise."""
+    first, head, dirs = q.first, q.head, q.dirs
+    up, via = [-1] * q.n, [8] * q.n     # via: direction from v to up[v]
+    for u in range(q.n):
+        if dist[u] == cl.INF:
             continue
-        parent = None
-        if dv > 0:
-            for d, u in sorted(incoming[v]):
-                if dist[u] == dv - 1:
-                    parent = (d, u)
-                    break
-        if parent is None:
-            roots.append(v)
-        else:
-            children[parent[1]].append((gf.opposite(parent[0]), v))
-    for v in range(q.n):
-        children[v].sort()
-    return roots, children
+        du = dist[u] + 1
+        for i in range(first[u], first[u + 1]):
+            v, back = head[i], (dirs[i] + 4) % 8
+            if dist[v] == du and back < via[v]:
+                up[v], via[v] = u, back
+    roots = [v for v in range(q.n) if up[v] < 0 and dist[v] != cl.INF]
+    return roots, up
 
 
 def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
@@ -106,7 +97,8 @@ def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
     for q, dist in distances:
         z0 = scheme.starts[q.rank]
         t_of_local = scheme.shape(q.rank).t_of_local
-        roots, children = _cluster_forest(q, dist)
+        roots, up = _cluster_forest(q, dist)
+        first, head, dirs = q.first, q.head, q.dirs
         # a child at chunk depth 2^h starts a fresh chunk
         owner = [None] * q.n              # vertex -> (chunk root, chunk depth)
         chunk_roots = []
@@ -117,7 +109,9 @@ def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
             while stack:
                 v = stack.pop()
                 croot, cd = owner[v]
-                for _, u in children[v]:
+                for u in head[first[v]:first[v + 1]]:
+                    if up[u] != v:
+                        continue
                     if cd + 1 >= span:
                         owner[u] = (u, 0)
                         chunk_roots.append(u)
@@ -132,9 +126,12 @@ def build_chunks_bfs(g: gf.GridGraph, distances, h: int,
             stack = [croot]
             while stack:
                 v = stack.pop()
-                kids = [u for _, u in children[v] if owner[u][0] == croot]
-                mask = sum(1 << d for d, u in children[v]
-                           if owner[u][0] == croot)
+                kids, mask = [], 0
+                for i in range(first[v], first[v + 1]):
+                    u = head[i]
+                    if up[u] == v and owner[u][0] == croot:
+                        kids.append(u)
+                        mask |= 1 << dirs[i]
                 masks.append(mask)
                 stack.extend(reversed(kids))
             rz = z0 + int(t_of_local[croot])

@@ -17,8 +17,13 @@ and numbers it with its Kahn queue in memory.  ``ChunkFile`` holds
 toposort's and TFP's chunk records.
 
 One reader, ``_runs``, reads the input for every cluster pass, in runs of
-same-shape clusters, and states the run rule: ``iterate_clusters`` builds
-each cluster of a run, and the separator build condenses a run at once.
+same-shape clusters, and states the run rule: ``iterate_runs`` builds the
+clusters of a run, ``iterate_clusters`` yields them one at a time, and the
+separator build condenses a run at once.  A built cluster keeps its arcs
+inside the cluster as flat columns in CSR form (compressed sparse rows: one
+offset list by tail, then the heads, directions and weights), made with a
+few ``tolist`` calls per run and no Python object per arc or per vertex;
+the heap searches of the separator build read the same CSR.
 """
 
 from __future__ import annotations
@@ -133,21 +138,25 @@ class InMemoryCluster:
     addressed by local id.
 
     The local id of the cell at (r0 + lr, c0 + lc) is lr * wid + lc.
-    ``intra[v]`` lists the arcs leaving local cell v that stay inside the
-    cluster, as (dir, u, w) with u the local id of the head.  ``out_edges``
-    lists the arcs that leave the cluster, as (v, dir, r2, c2, w) with v the
-    local id of the tail and (r2, c2) the 0-based global coordinates of the
-    head.  Unweighted arcs have w = 1.  ``boundary`` holds the local ids of
-    the boundary cells in h order (clockwise from the upper-left corner), so
-    the i-th is the separator vertex at position i of the cluster.
-    ``coord(v)`` maps a local id back to global coordinates.
+    The arcs that stay inside the cluster are four flat columns in CSR
+    form: the arcs leaving local cell v are the positions ``first[v]`` up
+    to ``first[v + 1]`` (``first`` has n + 1 offsets), and the arc at
+    position i has local head ``head[i]``, direction ``dirs[i]`` and weight
+    ``weight[i]``.  ``out_edges`` lists the arcs that leave the cluster, as
+    (v, dir, r2, c2, w) with v the local id of the tail and (r2, c2) the
+    0-based global coordinates of the head.  Unweighted arcs have w = 1.
+    ``boundary`` holds the local ids of the boundary cells in h order
+    (clockwise from the upper-left corner), so the i-th is the separator
+    vertex at position i of the cluster.  ``coord(v)`` maps a local id back
+    to global coordinates.
 
-    Both arc lists hold exactly the stored arcs, in storage order: by the
-    cluster's local Z rank and, per vertex, by ascending direction.  A
-    weighted_undirected edge is stored once, at its owning endpoint, so it
-    appears once, in that endpoint's list.  Algorithms break ties by list
-    position, so their outputs and transfer counts are reproducible only
-    while this order holds.
+    Both arc sets hold exactly the stored arcs.  The columns run by tail
+    local id and, per tail, in storage order, by ascending direction;
+    ``out_edges`` runs in storage order: by the cluster's local Z rank and,
+    per vertex, by ascending direction.  A weighted_undirected edge is
+    stored once, at its owning endpoint, so it appears once, as an arc of
+    that endpoint.  Algorithms break ties by position, so their outputs and
+    transfer counts are reproducible only while this order holds.
     """
 
     rank: int
@@ -155,7 +164,10 @@ class InMemoryCluster:
     c0: int
     hgt: int
     wid: int
-    intra: list
+    first: list
+    head: list
+    dirs: list
+    weight: list
     out_edges: list
     boundary: tuple
 
@@ -260,12 +272,13 @@ def _heads(g: gf.GridGraph, extents, ob, osrc, od):
         "edge leaves the grid at (%d,%d)" % (tr[i], tc[i]))
 
 
-def _grouped(key, n: int, *cols) -> list:
-    """Per key 0..n-1, the tuples of ``cols`` at its entries, in order."""
+def csr(key, n: int, *cols):
+    """The CSR form of ``cols`` by ``key`` in 0..n-1: the n + 1 offsets and
+    each column in key order, entries of one key in their given order."""
+    first = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(key, minlength=n), out=first[1:])
     order = np.argsort(key, kind="stable")
-    rows = list(zip(*[c[order].tolist() for c in cols]))
-    ends = np.cumsum(np.bincount(key, minlength=n)).tolist()
-    return [rows[a:e] for a, e in zip([0, *ends], ends)]
+    return first, [c[order] for c in cols]
 
 
 def _clusters(g: gf.GridGraph, lo: int, extents, arcs):
@@ -277,11 +290,18 @@ def _clusters(g: gf.GridGraph, lo: int, extents, arcs):
     (ob, osrc), od = np.divmod(cell[out], m), d[out]
     nr, nc, bad, fault = _heads(g, extents, ob, osrc, od)
     outs = list(zip(*[a.tolist() for a in (osrc, od, nr, nc, w[out])]))
-    cuts = [0, *np.bincount(ob, minlength=k).cumsum().tolist()]
-    intra = _grouped(cell[inside], k * m, d[inside], dst[inside], w[inside])
-    return [InMemoryCluster(lo + j, *ext, intra[j * m:(j + 1) * m],
-                            outs[cuts[j]:cuts[j + 1]], shape.boundary)
-            for j, ext in enumerate(extents[:bad].tolist())], fault
+    ocuts = [0, *np.bincount(ob, minlength=k).cumsum().tolist()]
+    first, cols = csr(cell[inside], k * m, dst[inside], d[inside], w[inside])
+    # per cluster, its m + 1 offsets counted from its own first arc
+    at = (np.arange(k) * m)[:, None] + np.arange(m + 1)
+    firsts = (first[at] - first[at[:, :1]]).tolist()
+    cuts = first[::m].tolist()
+    head, dirs, weight = [c.tolist() for c in cols]
+    return [InMemoryCluster(lo + j, *ext, firsts[j], head[a:b], dirs[a:b],
+                            weight[a:b], outs[ocuts[j]:ocuts[j + 1]],
+                            shape.boundary)
+            for j, (ext, a, b) in enumerate(zip(extents[:bad].tolist(),
+                                                cuts, cuts[1:]))], fault
 
 
 def load_cluster(g: gf.GridGraph, scheme: ClusterScheme,
@@ -297,13 +317,21 @@ def load_cluster(g: gf.GridGraph, scheme: ClusterScheme,
     return qs[0]
 
 
-def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
-    """All clusters in Z-rank order, from the one reader ``_runs``."""
+def iterate_runs(g: gf.GridGraph, scheme: ClusterScheme):
+    """The clusters of each run of the one reader ``_runs``, as one list
+    per run, in Z-rank order; an arc off the grid is raised after the list
+    of the clusters before it."""
     # map holds no run: a run's arrays die before its clusters go out
     for qs, fault in map(lambda run: _clusters(g, *run), _runs(g, scheme)):
-        yield from qs
+        yield qs
         if fault:
             raise fault
+
+
+def iterate_clusters(g: gf.GridGraph, scheme: ClusterScheme):
+    """All clusters in Z-rank order, from the one reader ``_runs``."""
+    for qs in iterate_runs(g, scheme):
+        yield from qs
 
 
 class ChunkFile:
@@ -382,6 +410,7 @@ class SeparatorGraph:
 def local_dijkstra(q: InMemoryCluster, seeds) -> list:
     """Least distances over intra-cluster arcs from the (distance, local
     cell) pairs in ``seeds`` to every local cell; INF where none reaches."""
+    first, head, weight = q.first, q.head, q.weight
     dist = [INF] * q.n
     pq = []
     for d, v in seeds:
@@ -393,8 +422,8 @@ def local_dijkstra(q: InMemoryCluster, seeds) -> list:
         dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
-        for _, u, w in q.intra[v]:
-            nd = dv + w
+        for i in range(first[v], first[v + 1]):
+            u, nd = head[i], dv + weight[i]
             if nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(pq, (nd, u))
@@ -509,10 +538,10 @@ def _searched_rows(shape, k, cell, dst, w, inf):
     distance is final); ``local_dijkstra`` per source measured slower."""
     bpos, bnd = shape.bpos, shape.boundary
     m = len(bpos)
-    adj = _grouped(cell, k * m, dst, w)
+    first, cols = csr(cell, k * m, dst, w)
+    first, (head, weight) = first.tolist(), [c.tolist() for c in cols]
     row_of, rows = itemgetter(*bnd), []
     for base in range(0, k * m, m):
-        nbrs = adj[base:base + m]
         for s in bnd:
             dist = [inf] * m
             dist[s] = 0
@@ -525,8 +554,8 @@ def _searched_rows(shape, k, cell, dst, w, inf):
                     left -= 1
                     if not left:
                         break
-                for u, wt in nbrs[v]:
-                    nd = dv + wt
+                for i in range(first[base + v], first[base + v + 1]):
+                    u, nd = head[i], dv + weight[i]
                     if nd < dist[u]:
                         dist[u] = nd
                         heapq.heappush(pq, (nd, u))

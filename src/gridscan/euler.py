@@ -55,17 +55,17 @@ def _successor(dirs: int, arrival: int) -> int:
     return d
 
 
-def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
+def _simulate(q: cl.InMemoryCluster, dirs: list, intra: list, entry: int,
               arrival: int, root: int | None, first_dir: int | None,
               fictitious: bool):
     """Walk the tour inside one cluster from local cell ``entry``.
 
-    ``heads[v]`` maps each direction of an intra-cluster edge of v to its
-    other end.  Returns (steps, exit edge or None), the exit edge as (global
-    coordinates, direction).  ``first_dir`` is the departure of the local
-    cell ``root``; reaching the root with that successor means the tour is
-    over.
+    ``intra[v]`` masks the directions of v's intra-cluster edges.  Returns
+    (steps, exit edge or None), the exit edge as (global coordinates,
+    direction).  ``first_dir`` is the departure of the local cell ``root``;
+    reaching the root with that successor means the tour is over.
     """
+    step = [dr * q.wid + dc for dr, dc in gf.DIR_OFFSETS]
     steps = []
     v, a = entry, arrival
     started = not fictitious
@@ -74,30 +74,32 @@ def _simulate(q: cl.InMemoryCluster, dirs: list, heads: list, entry: int,
         if first_dir is not None and v == root and started and d == first_dir:
             return steps, None
         started = True
-        if d not in heads[v]:
+        if not intra[v] >> d & 1:
             return steps, (q.coord(v), d)
         steps.append(d)
-        v, a = heads[v][d], d
+        v, a = v + step[d], d
 
 
 def _walk_tables(q: cl.InMemoryCluster):
-    """Per local cell, its tree directions as a bit mask (its stored arcs)
-    and the other end of each intra-cluster edge by direction.  Symmetric
-    storage lists every intra edge at both ends, so an arc stored one way
-    only is rejected, and every walk in the cluster ends."""
-    heads = [{} for _ in range(q.n)]
+    """Per local cell, bit masks of its tree directions (its stored arcs)
+    and of its intra-cluster ones.  Symmetric storage lists every intra
+    edge at both ends, so an arc stored one way only is rejected, at the
+    least local id with an in-arc it has no arc back along, and every walk
+    in the cluster ends."""
+    first, head, arc_dirs = q.first, q.head, q.dirs
+    intra, back = [0] * q.n, [0] * q.n
     for v in range(q.n):
-        for d, u, w in q.intra[v]:
-            heads[v][d] = u
-            heads[u][gf.opposite(d)] = v
+        for i in range(first[v], first[v + 1]):
+            intra[v] |= 1 << arc_dirs[i]
+            back[head[i]] |= 1 << (arc_dirs[i] + 4) % 8
     for v in range(q.n):
-        if len(heads[v]) != len(q.intra[v]):
+        if back[v] & ~intra[v]:
             raise EulerError("input is not a tree: one-way arc at (%d,%d)"
                              % q.coord(v))
-    dirs = [sum(1 << d for d in hv) for hv in heads]
+    dirs = intra[:]
     for v, d, nr, nc, w in q.out_edges:
         dirs[v] |= 1 << d
-    return dirs, heads
+    return dirs, intra
 
 
 def _scan_segments(g: gf.GridGraph, h: int, root=None):
@@ -124,8 +126,8 @@ def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, root):
     unpaired = {}
     arcs = 0
     for q in cl.iterate_clusters(g, scheme):
-        dirs, heads = _walk_tables(q)
-        arcs += sum(map(len, q.intra)) + len(q.out_edges)
+        dirs, intra = _walk_tables(q)
+        arcs += len(q.head) + len(q.out_edges)
         entries = []
         for v, d, nr, nc, w in q.out_edges:
             a, b = q.coord(v), (nr, nc)
@@ -139,11 +141,11 @@ def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, root):
         if q.rank == root_rank and g.n > 1:
             lroot = q.local(*root)
             fd = _successor(dirs[lroot], gf.NW)
-            steps, exit_edge = _simulate(q, dirs, heads, lroot, gf.NW, lroot,
+            steps, exit_edge = _simulate(q, dirs, intra, lroot, gf.NW, lroot,
                                          fd, True)
             yield q.rank, root, None, steps, exit_edge
         for _, _, v, d in entries:
-            steps, exit_edge = _simulate(q, dirs, heads, v, d, lroot, fd,
+            steps, exit_edge = _simulate(q, dirs, intra, v, d, lroot, fd,
                                          False)
             yield q.rank, q.coord(v), d, steps, exit_edge
     if unpaired:

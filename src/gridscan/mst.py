@@ -45,7 +45,10 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
+
+import numpy as np
 
 from . import gridfmt as gf
 from . import clusters as cl
@@ -200,32 +203,59 @@ def _forest(edge_iter) -> list:
 def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
     """Intra-cluster edges once each, as stored at their owners, endpoints
     as cluster-local ids."""
-    return [(v, u, w, False) for v in range(q.n) for _, u, w in q.intra[v]]
+    return [(v, q.head[i], q.weight[i], False)
+            for v in range(q.n) for i in range(q.first[v], q.first[v + 1])]
 
 
-def _contract_cluster(q: cl.InMemoryCluster) -> ContractedTree:
-    """The cluster's minimum spanning forest contracted onto its boundary.
+def _contracted_clusters(g: gf.GridGraph, scheme: cl.ClusterScheme):
+    """Each cluster, in Z-rank order, with its contraction.
+
+    Kruskal's order, (weight, tail, head), comes from one ``np.lexsort``
+    per run of ``cl.iterate_runs``, the cluster as the first key, so a
+    cluster's edges are one slice of it."""
+    for qs in cl.iterate_runs(g, scheme):
+        if not qs:
+            continue
+        m = qs[0].n
+        tail = np.repeat(np.arange(len(qs) * m),
+                         np.diff(np.array([q.first for q in qs])).ravel())
+        head = np.fromiter(chain.from_iterable(q.head for q in qs), np.int64)
+        weight = np.fromiter(chain.from_iterable(q.weight for q in qs),
+                             np.uint64)
+        order = np.lexsort((head, tail, weight, tail // m))
+        cuts = np.searchsorted(tail[order], np.arange(len(qs) + 1) * m)
+        edges = zip((tail[order] % m).tolist(), head[order].tolist(),
+                    weight[order].tolist())
+        for q, a, b in zip(qs, cuts.tolist(), cuts[1:].tolist()):
+            yield q, _contract_cluster(q, islice(edges, b - a))
+
+
+def _contract_cluster(q: cl.InMemoryCluster, edges) -> ContractedTree:
+    """The cluster's minimum spanning forest, from its (tail, head, weight)
+    ``edges`` in Kruskal's order, contracted onto its boundary.
 
     Kruskal runs on a list union-find over the dense local ids, a root being
-    its own parent; that forest also shows an intra-cluster component that
-    misses the boundary ring: it has no edge to the rest of the grid at all.
+    its own parent, with path halving; that forest also shows an
+    intra-cluster component that misses the boundary ring: it has no edge
+    to the rest of the grid at all.
     """
     parent = list(range(q.n))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
     forest = []
-    for e in sorted(_cluster_undirected_edges(q), key=_BY_WEIGHT):
-        a, b = find(e[0]), find(e[1])
+    for u, v, w in edges:
+        a, b = u, v
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
-            forest.append(e)
+            forest.append((u, v, w, False))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     with_keep = {find(b) for b in q.boundary}
     if any(find(u) not in with_keep for u, _, _, _ in forest):
         raise MstError("disconnected input (cluster-interior component)")
@@ -262,10 +292,10 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     u_handle = disk.open_file(out_name + ".union")
     u_stream = disk.append_stream(u_handle)
     u_count = 0
-    for q in cl.iterate_clusters(g, scheme):
+    for q, ct in _contracted_clusters(g, scheme):
         zl = z_of_local(q)
         recs = [_UEDGE.pack(zl[u], zl[v], w, 2 | f)
-                for u, v, w, f in _contract_cluster(q).kept_edges]
+                for u, v, w, f in ct.kept_edges]
         recs += [_UEDGE.pack(zl[v], int(z_of[nr * g.cols + nc]), w, 0)
                  for v, _, nr, nc, w in q.out_edges]
         u_stream.write(b"".join(recs))
@@ -294,8 +324,7 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     gf.write_header_via(stream, disk, "edges", g.rows, g.cols, g.n - 1)
     count = 0
     rec = 0
-    for q in cl.iterate_clusters(g, scheme):
-        ct = _contract_cluster(q)
+    for q, ct in _contracted_clusters(g, scheme):
         nforest = len(ct.kept_edges) - len(ct.chains)
         kept = enumerate(ct.kept_edges[:nforest], rec)
         edges = ct.dead_ends + [e for k, e in kept if k in chosen_intra]

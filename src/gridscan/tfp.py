@@ -106,6 +106,22 @@ def _check_square(square_classes: dict, square, cls):
         raise TfpError("not planar: both diagonals in square %r" % (square,))
 
 
+def _check_squares(q: cl.InMemoryCluster, tail, head, d):
+    """``_check_square`` over the cluster's diagonal arcs, from ``tail`` to
+    ``head`` in direction ``d`` in column order: the first arc whose unit
+    square came earlier with the other diagonal is raised."""
+    (tr, tc), (hr, hc) = np.divmod(tail, q.wid), np.divmod(head, q.wid)
+    rows, cols = np.minimum(tr, hr), np.minimum(tc, hc)
+    cls = (d == _DIAG_A[0]) | (d == _DIAG_A[1])
+    _, at, of = np.unique(rows * q.wid + cols, return_index=True,
+                          return_inverse=True)
+    clash = cls != cls[at][of.ravel()]
+    if clash.any():
+        i = int(clash.argmax())
+        raise TfpError("not planar: both diagonals in square %r"
+                       % ((q.r0 + int(rows[i]), q.c0 + int(cols[i])),))
+
+
 def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
                   stats: TfpStats | None = None) -> MessagePlan:
     """Build the chunk file with message addressing annotations.
@@ -134,20 +150,16 @@ def plan_messages(g: gf.GridGraph, h: int, name: str = "tfp",
     chunks.stream.write(b"\0" * (inter_slots * 8))
 
     for q in cl.iterate_clusters(g, scheme):
-        local_squares: dict = {}
-        in_mask = [0] * q.n
-        out_mask = [0] * q.n
-        for v in range(q.n):
-            for d, u, w in q.intra[v]:
-                out_mask[v] |= 1 << d
-                in_mask[u] |= ts.IN_BIT[d]
-                if d & 1:                           # a diagonal
-                    (vr, vc), (ur, uc) = q.coord(v), q.coord(u)
-                    _check_square(local_squares, (min(vr, ur), min(vc, uc)),
-                                  d in _DIAG_A)
+        tail = np.repeat(np.arange(q.n), np.diff(q.first))
+        head, d = np.array(q.head, np.int64), np.array(q.dirs, np.int64)
+        diag = d % 2 == 1
+        _check_squares(q, tail[diag], head[diag], d[diag])
+        # a cell has one arc per direction, so the sums are the masks
+        out_mask = np.bincount(tail, 1 << d, q.n).astype(np.int64)
+        in_mask = np.bincount(head, 1 << (d + 4) % 8, q.n).astype(np.int64)
         sep = slice(scheme.bases[q.rank], scheme.bases[q.rank + 1])
-        for v, m in zip(q.boundary, gp.cross_in[sep].tolist()):
-            in_mask[v] |= m
+        in_mask[list(q.boundary)] |= gp.cross_in[sep]
+        out_mask, in_mask = out_mask.tolist(), in_mask.tolist()
         sep_ranks = rtab[sep].tolist()
         bpos = scheme.shape(q.rank).bpos
         for v, d, nr, nc, w in q.out_edges:

@@ -66,16 +66,15 @@ def _topo_order(q: cl.InMemoryCluster, error=ToposortError) -> list:
     """Topological order of the intra-cluster subgraph; a cycle is raised as
     ``error``.  Of the cells ready at each step the smallest row-major local
     id comes first, so the order is deterministic."""
-    indeg = [0] * q.n
-    for arcs in q.intra:
-        for _, u, _ in arcs:
-            indeg[u] += 1
-    heap = [v for v in range(q.n) if indeg[v] == 0]    # ascending: a heap
+    first, head = q.first, q.head
+    indeg = np.bincount(np.array(head, np.int64), minlength=q.n)
+    heap = np.flatnonzero(indeg == 0).tolist()         # ascending: a heap
+    indeg = indeg.tolist()
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for _, u, _ in q.intra[v]:
+        for u in head[first[v]:first[v + 1]]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 heapq.heappush(heap, u)
@@ -148,26 +147,29 @@ def build_reach_graph(g: gf.GridGraph, h: int, name: str = "reach",
     indeg = np.zeros(scheme.total_boundary, dtype=np.int64)
     cross_in = np.zeros(scheme.total_boundary, dtype=np.uint8)
     for q in cl.iterate_clusters(g, scheme):
+        first, head = q.first, q.head
         bpos = scheme.shape(q.rank).bpos
         bsize = len(q.boundary)
         base = scheme.bases[q.rank]
-        reached = [0] * q.n
+        # per cell, the boundary positions it reaches, its own included; in
+        # a DAG no cell reaches itself, so a record is its set less its own
+        reach = [0] * q.n
+        for i, v in enumerate(q.boundary):
+            reach[v] = 1 << i
         for v in reversed(_topo_order(q, error)):
-            acc = 0
-            for _, u, _ in q.intra[v]:
-                if bpos[u] >= 0:
-                    acc |= 1 << bpos[u]
-                acc |= reached[u]
-            reached[v] = acc
+            acc = reach[v]
+            for u in head[first[v]:first[v + 1]]:
+                acc |= reach[u]
+            reach[v] = acc
         out_masks = [0] * bsize
         for v, d, nr, nc, _ in q.out_edges:
             out_masks[bpos[v]] |= 1 << d
             t = scheme.h_number(nr, nc)
             indeg[t] += 1
             cross_in[t] |= IN_BIT[d]
-        recs = b"".join(reached[v].to_bytes(rec_size - 1, "little")
+        recs = b"".join((reach[v] ^ 1 << i).to_bytes(rec_size - 1, "little")
                         + bytes([m])
-                        for v, m in zip(q.boundary, out_masks))
+                        for i, (v, m) in enumerate(zip(q.boundary, out_masks)))
         masks = np.frombuffer(recs, dtype=np.uint8).reshape(bsize, rec_size)
         bits = np.unpackbits(masks[:, :-1], axis=1, bitorder="little")
         indeg[base:base + bsize] += bits[:, :bsize].sum(axis=0,
@@ -206,16 +208,20 @@ def _half_round(seeds, follow, inputs, chunk, pos, pick, backward):
     """Number every unnumbered vertex reachable along ``follow`` from
     ``seeds`` through unnumbered vertices, in ascending topological position
     (descending if ``backward``), each by ``pick`` over its numbered
-    ``inputs``.  Returns the vertices it numbered, in that order."""
+    ``inputs``.  ``follow`` and ``inputs`` are (offsets, vertices) pairs in
+    CSR form.  Returns the vertices it numbered, in that order."""
+    (ff, fv), (inf, inv) = follow, inputs
     found, stack = set(), list(seeds)
     while stack:
-        for u in follow[stack.pop()]:
+        x = stack.pop()
+        for u in fv[ff[x]:ff[x + 1]]:
             if chunk[u] is None and u not in found:
                 found.add(u)
                 stack.append(u)
     fresh = sorted(found, key=pos.__getitem__, reverse=backward)
     for v in fresh:
-        chunk[v] = pick([chunk[u] for u in inputs[v] if chunk[u] is not None])
+        chunk[v] = pick([chunk[u] for u in inv[inf[v]:inf[v + 1]]
+                         if chunk[u] is not None])
     return fresh
 
 
@@ -235,12 +241,12 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
     left no unnumbered vertex with a numbered predecessor (successor).
     """
     n, wid = q.n, q.wid
-    pred = [[] for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    for v in range(n):
-        for _, u, _ in q.intra[v]:
-            succ[v].append(u)
-            pred[u].append(v)
+    succ = q.first, q.head
+    # the predecessors are the CSR of the transpose
+    tail = np.repeat(np.arange(n), np.diff(q.first))
+    head = np.array(q.head, np.int64)
+    pfirst, (ptail,) = cl.csr(head, n, tail)
+    pred = pfirst.tolist(), ptail.tolist()
     order = _topo_order(q)
     pos = [0] * n
     for i, v in enumerate(order):
@@ -296,10 +302,9 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
             for x in cells:
                 chunk[x] = chunk[left]
 
-    for v in range(n):
-        for u in succ[v]:
-            if chunk[v] > chunk[u]:
-                raise ToposortError("chunk numbers decrease along an edge")
+    ranked = np.array(chunk)
+    if (ranked[tail] > ranked[head]).any():
+        raise ToposortError("chunk numbers decrease along an edge")
 
     members: dict = {}
     for v in order:                           # already topologically sorted

@@ -28,6 +28,13 @@ def index_to_coord(rows: int, cols: int, index: int) -> tuple[int, int]:
     return cell // cols + 1, cell % cols + 1
 
 
+def arcs_by_vertex(q) -> list:
+    """Per local cell of the cluster ``q``, its intra-cluster arcs as
+    (dir, head, weight), rebuilt from the cluster's arc columns."""
+    return [list(zip(q.dirs[a:b], q.head[a:b], q.weight[a:b]))
+            for a, b in zip(q.first, q.first[1:])]
+
+
 def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     """True iff the union of all per-cluster minimum spanning forests and the
     cross-cluster edges still contains a minimum spanning tree of the grid."""

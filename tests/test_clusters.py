@@ -1,6 +1,8 @@
+import gc
 import heapq
 import random
 import re
+import types
 from bisect import bisect_right
 
 import numpy as np
@@ -11,8 +13,8 @@ from gridscan import gridfmt as gf, clusters as cl, oracle, sssp, cli
 from gridscan import mst
 from gridscan import toposort as ts
 
-from conftest import (coord_to_index, dense_digraph, index_to_coord,
-                      make_disk, make_graph, grid4_edges)
+from conftest import (arcs_by_vertex, coord_to_index, dense_digraph,
+                      index_to_coord, make_disk, make_graph, grid4_edges)
 
 
 def boundary_coords(s, rank):
@@ -130,7 +132,7 @@ def test_load_cluster_matches_read_vertex():
     s = cl.ClusterScheme(8, 8, 2)
     q = cl.load_cluster(g, s, s.rank_of(4, 0))
     records = gf.decode_all(g)
-    for v, edges in enumerate(q.intra):
+    for v, edges in enumerate(arcs_by_vertex(q)):
         r, c = q.coord(v)
         idx = coord_to_index(8, 8, r + 1, c + 1)
         mask, ws = records[idx]
@@ -167,6 +169,31 @@ def test_cluster_pass_decodes_once_per_run(monkeypatch, block, mem_blocks,
     assert len(list(cl.iterate_clusters(g, cl.ClusterScheme(16, 16, 2)))) \
         == 16
     assert made == [256 // calls] * calls
+
+
+def _lists_reachable(obj) -> int:
+    """The list objects reachable from ``obj`` through ``gc.get_referents``,
+    classes, modules and functions not followed."""
+    seen, stack, lists = set(), [obj], 0
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType,
+                                           types.FunctionType)):
+            continue
+        seen.add(id(x))
+        lists += type(x) is list
+        stack.extend(gc.get_referents(x))
+    return lists
+
+
+def test_cluster_holds_no_per_vertex_containers():
+    # a cluster's arcs are flat columns: as many lists at h = 7 (one
+    # 128x128 cluster) as at h = 2, not one per vertex
+    g = gf.generate(make_disk(), 128, 128, "weighted_dag", seed=1,
+                    density=0.6)
+    counts = {h: _lists_reachable(next(cl.iterate_clusters(
+        g, cl.ClusterScheme(128, 128, h)))) for h in (2, 7)}
+    assert counts[2] == counts[7] <= 8
 
 
 # a fault that a consumer of iterate_clusters finds in the cluster at (0,0),
@@ -431,7 +458,8 @@ def test_undirected_decode_lists_each_stored_edge_once(rows, cols, seed, h):
     got = []
     for q in cl.iterate_clusters(g, cl.ClusterScheme(rows, cols, h)):
         got += [(w, q.coord(v), q.coord(u))
-                for v in range(q.n) for _, u, w in q.intra[v]]
+                for v, arcs in enumerate(arcs_by_vertex(q))
+                for _, u, w in arcs]
         got += [(w, q.coord(v), (nr, nc)) for v, _, nr, nc, w in q.out_edges]
     assert sorted(got) == sorted(oracle.undirected_edges(g))
 
@@ -506,7 +534,7 @@ def test_decode_matches_record_by_record_reference(encoding, shape, h, seed):
         direct = cl.load_cluster(g, s, q.rank)
         intra, out, boundary = _expected_cluster(g, s, records, q.rank)
         for got in (q, direct):
-            assert got.intra == intra
+            assert arcs_by_vertex(got) == intra
             assert got.out_edges == out
             assert got.boundary == boundary
 

@@ -149,6 +149,13 @@ also holds with the keys as one list in Z-rank order.
 keys tie there and either rule passes them.  Its instances take weights from
 [0, 3], where keys tie, and the latest-first rule fails every row.
 
+``RECORDED_MST_TIES`` pins ``mst_cache_aware``'s tie rule: Kruskal takes a
+cluster's edges by (weight, tail, head), and which of several tied edges it
+keeps decides the output.  The ``RECORDED`` instances draw weights from
+[0, 2^20], where ties are rare, and ``test_variants_agree_on_weight_with_ties``
+checks only the total weight.  Its instances take weights from [0, 1] and
+[0, 3], at h = 1, 2 and 4.
+
 ``RECORDED_STACKS`` pins the sha256 of the final contents of the two stack
 files of ``mst_cache_oblivious`` (``.conn``, connections, and ``.expn``,
 expansions) on the ``RECORDED_EMITTERS`` instances, so a change to the
@@ -442,6 +449,35 @@ RECORDED_TIES = {
         "2cc7d229c003f47654025d479bd704b7d4c00712dd2effd97ad542ff34837ef7"),
     (13, 7, 2, 2): (73, 0, 0, 0,
         "c8217261878ed67f84df662bc0acef1f3668f718204966608b050246edcaabc1"),
+}
+
+# (rows, cols, max_weight, h): mst_cache_aware's (counters, output sha256) on
+#     gf.generate(..., "weighted_undirected", seed=1, max_weight=max_weight)
+RECORDED_MST_TIES = {
+    (32, 32, 1, 1): ((1717, 1078, 2793, 2, 178880),
+        "af1ab8b4da5ef5a7d2140e53ba099c17e9983061dc3d7b5e41fb5fe89c7edfd5"),
+    (32, 32, 1, 2): ((1549, 910, 2457, 2, 157376),
+        "d7fbb430d353cf11e076f0c037651e84d4be6b41e2124e7db09876424405f96a"),
+    (32, 32, 1, 4): ((1181, 542, 1721, 2, 110272),
+        "138b0bc3076ca3d7af1f04bfc2bf29367cf1b07972bc30cd6242281984809f38"),
+    (32, 32, 3, 1): ((1717, 1078, 2793, 2, 178880),
+        "015d3b39c829af65eee87ced3b08d4df3047b640eee579339fd704acf25111a4"),
+    (32, 32, 3, 2): ((1553, 914, 2465, 2, 157888),
+        "594d6a0081de6997afda89412f1a76df88a31204fdd34db4c583f9762d2d7739"),
+    (32, 32, 3, 4): ((1183, 544, 1725, 2, 110528),
+        "d1c9ea036cf04e1cb9a1edc4f17f89e23f3a255638964739aaf9e99c47f282a6"),
+    (13, 7, 1, 1): ((150, 93, 241, 2, 15552),
+        "2403d263260edc1bd66c48047969a8c32dbff50e20f3bdbb832d7e13d3a357b7"),
+    (13, 7, 1, 2): ((138, 81, 217, 2, 14016),
+        "1b139b37af8f599ff5235378cd263dbd9503e0970563518bda011834e23a5574"),
+    (13, 7, 1, 4): ((110, 53, 161, 2, 10432),
+        "70a057aee809a228fa95b715c5ca9dc671c2222215f887f88e7aad59f4f34c1b"),
+    (13, 7, 3, 1): ((150, 93, 241, 2, 15552),
+        "c7badb7331dd085ab3b80f5a03ba128f503edd19c15b33d2fddb46ce548ad49e"),
+    (13, 7, 3, 2): ((138, 81, 217, 2, 14016),
+        "28d94f383efd06fcce36ed2da0fc3d6ba2f133725a9d3694e3a33d26cb111fd7"),
+    (13, 7, 3, 4): ((111, 54, 163, 2, 10560),
+        "429e2f9afcf8f8ceb96014adeac10b0d8264119cd455dc26c88d5f608a6aa667"),
 }
 
 # (rows, cols, seed): (sha256 of .conn, sha256 of .expn)
@@ -958,6 +994,17 @@ def test_simple_solver_tie_rule_unchanged(case):
             st.reactivations,
             hashlib.sha256(repr(st.extractions).encode()).hexdigest()
             ) == RECORDED_TIES[case]
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_MST_TIES))
+def test_cache_aware_mst_tie_rule_unchanged(case):
+    rows, cols, max_weight, h = case
+    d = make_disk()
+    g = gf.generate(d, rows, cols, "weighted_undirected", seed=1,
+                    density=0.6, max_weight=max_weight)
+    d.reset_counters()
+    out = mst.mst_cache_aware(g, h)
+    assert counters_and_hash(d, out) == RECORDED_MST_TIES[case]
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_EMITTERS, key=str))

@@ -212,6 +212,17 @@ def test_one_way_pair_rejected(h):
         euler.euler_tour(g, h)
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_first_one_way_arc_is_named(h):
+    # two one-way arcs in one cluster, named by their heads: (0,2) comes
+    # first by local id (row-major), (1,0) by local Z rank
+    g = make_graph(make_disk(), 8, 8, "unweighted",
+                   {(0, 3): {gf.W: 1}, (1, 1): {gf.W: 1}})
+    with time_limit(), pytest.raises(euler.EulerError,
+                                     match=r"one-way arc at \(0,2\)$"):
+        euler.euler_tour(g, h)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 12), st.integers(4, 12), st.integers(0, 2 ** 16),
        st.integers(0, 3), st.data())

@@ -130,6 +130,17 @@ def test_nonplanar_square_named_by_global_coordinates(h, square, upward):
         tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], h)
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_first_nonplanar_square_in_storage_order_is_named(h):
+    # two squares with both diagonals in one cluster: (0,2)'s arcs come
+    # first by tail (row-major, then direction), (1,0)'s by local Z rank
+    edges = {(0, 2): {gf.SE: 1}, (0, 3): {gf.SW: 1},
+             (1, 0): {gf.SE: 1}, (1, 1): {gf.SW: 1}}
+    g = make_graph(make_disk(), 8, 8, "unweighted", edges)
+    with pytest.raises(tfp.TfpError, match=r"square \(0, 2\)$"):
+        tfp.tfp_run(g, oracle.TFP_ORACLES["indegree"], h)
+
+
 def test_cross_cluster_cycle_rejected():
     d = make_disk()
     g = make_graph(d, 2, 4, "unweighted",

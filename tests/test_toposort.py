@@ -4,7 +4,7 @@ import pytest
 from gridscan import gridfmt as gf, clusters as cl, oracle, tfp, toposort as ts
 from gridscan import costmodel as cm
 
-from conftest import make_disk, make_graph
+from conftest import arcs_by_vertex, make_disk, make_graph
 
 
 def positions(d, out, g):
@@ -184,8 +184,8 @@ def test_chunk_monotone_along_edges():
     for rank, q in enumerate(cl.iterate_clusters(g, scheme)):
         asg = ts.assign_chunk_numbers(
             q, rtab[scheme.bases[rank]:scheme.bases[rank + 1]].tolist())
-        for v in range(q.n):
-            for _, u, _ in q.intra[v]:
+        for v, arcs in enumerate(arcs_by_vertex(q)):
+            for _, u, _ in arcs:
                 assert asg.chunk[v] <= asg.chunk[u]
 
 
@@ -259,8 +259,8 @@ def full_rounds_reference(q, ranks):
     n, wid = q.n, q.wid
     pred = [[] for _ in range(n)]
     succ = [[] for _ in range(n)]
-    for v in range(n):
-        for _, u, _ in q.intra[v]:
+    for v, arcs in enumerate(arcs_by_vertex(q)):
+        for _, u, _ in arcs:
             succ[v].append(u)
             pred[u].append(v)
     order = ts._topo_order(q)
