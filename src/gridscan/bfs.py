@@ -204,9 +204,8 @@ def emit_bfs_order(g: gf.GridGraph, c_handle, a_sorted, count: int, h: int,
     window = 2 * (1 << h) + 2
     stacks = [FileStack(disk, disk.open_file("%s.stk%d" % (out_name, i)))
               for i in range(window)]
-    out = disk.open_file(out_name)
-    stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, 0)
+    out, stream = gf.open_result(disk, out_name, "vertex_seq", g.rows, g.cols,
+                                 0)
     emitted = 0
     flushed = -1            # all distances <= flushed are already emitted
 

@@ -11,10 +11,10 @@ cluster in rank order, so the numbering is global and arithmetic.
 and BFS: per boundary vertex one fixed-size record holding the shortest
 distances (or hop distances) to the other boundary vertices of its cluster
 plus that vertex's edges into neighbouring clusters.  Fixed record sizes
-make every record addressable by its number alone.  This module owns that
-record file; ``toposort`` owns the reachability graph and its record file,
-and numbers it with its Kahn queue in memory.  ``ChunkFile`` holds
-toposort's and TFP's chunk records.
+make every record addressable by its number alone, and ``SeparatorRecords``
+reads them all.  This module owns ``SeparatorGraph``'s file; ``toposort``
+owns the reachability graph, its ``ReachGraph``, numbered with a Kahn queue
+in memory.  ``ChunkFile`` holds toposort's and TFP's chunk records.
 
 One reader, ``_runs``, reads the input for every cluster pass, in runs of
 same-shape clusters, and states the run rule: ``iterate_runs`` builds the
@@ -365,19 +365,25 @@ class ChunkFile:
 
 
 @dataclass
-class SeparatorGraph:
-    """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
-    ``hnum * record_size`` of ``handle``.  Its slots are u64 distances when
-    ``wide`` (weighted_directed) and u32 hop counts otherwise."""
+class SeparatorRecords:
+    """Fixed-size separator vertex records: vertex ``hnum``'s is the
+    ``record_size`` bytes at ``hnum * record_size`` of ``handle``."""
 
     scheme: ClusterScheme
-    handle: object                # G' record file
+    handle: object
     record_size: int
-    wide: bool
 
     def read_record(self, hnum: int) -> bytes:
         return self.handle.disk.read_direct(
             self.handle, hnum * self.record_size, self.record_size)
+
+
+@dataclass
+class SeparatorGraph(SeparatorRecords):
+    """SSSP's and BFS's distance records (G'): u64 slots when ``wide``
+    (weighted_directed), u32 hop counts otherwise."""
+
+    wide: bool
 
     def decode_edges(self, rank: int, pos: int, raw: bytes):
         """Yield (cluster rank, boundary position, weight) of every edge of

@@ -21,7 +21,7 @@ of no steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gridfmt as gf
 from . import clusters as cl
@@ -163,10 +163,8 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     root, segments = _scan_segments(g, h, root)
     z_root = int(gf.z_tables(g.rows, g.cols)[0][root[0] * g.cols + root[1]])
 
-    out = disk.open_file(out_name)
-    stream = disk.append_stream(out)
-    total = 2 * (g.n - 1) + 1
-    gf.write_header_via(stream, disk, "tour", g.rows, g.cols, total)
+    out, stream = gf.open_result(disk, out_name, "tour", g.rows, g.cols,
+                                 2 * (g.n - 1) + 1)
     stream.write(z_root.to_bytes(8, "little"))
     if g.n == 1:
         # no segment, but the scan still reads the input and checks it

@@ -17,7 +17,8 @@ Direction bits run clockwise from north: N, NE, E, SE, S, SW, W, NW.
 
 Every file starts with a fixed header (padded to a block boundary):
 magic ``GGIO``, version u16, order u8 (always 2, Z-order), encoding u8,
-rows u32, cols u32, count u64, all little-endian.
+rows u32, cols u32, count u64, all little-endian.  Every algorithm opens
+its result file, header written, with ``open_result``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .simdisk import SimDisk, FileHandle, SimDiskError
+from .simdisk import SimDisk, FileHandle
 
 # direction codes, clockwise from north
 N, NE, E, SE, S, SW, W, NW = range(8)
@@ -159,10 +160,15 @@ def _header_span(disk: SimDisk) -> int:
     return -(-HEADER_BYTES // b) * b
 
 
-def write_header_via(stream, disk, encoding, rows, cols, count):
-    """Emit a header through an append stream (keeps output fully sequential)."""
-    hdr = pack_header(encoding, rows, cols, count)
-    stream.write(hdr.ljust(_header_span(disk), b"\0"))
+def open_result(disk: SimDisk, name: str, encoding: str, rows: int,
+                cols: int, count: int):
+    """``(handle, stream)`` of a new result file ``name``, whose append
+    stream has written the padded header: outputs are fully sequential."""
+    handle = disk.open_file(name)
+    stream = disk.append_stream(handle)
+    stream.write(pack_header(encoding, rows, cols, count)
+                 .ljust(_header_span(disk), b"\0"))
+    return handle, stream
 
 
 def open_grid(disk: SimDisk, handle: FileHandle) -> GridGraph:

@@ -200,13 +200,6 @@ def _forest(edge_iter) -> list:
 # Cache-aware variant
 
 
-def _cluster_undirected_edges(q: cl.InMemoryCluster) -> list:
-    """Intra-cluster edges once each, as stored at their owners, endpoints
-    as cluster-local ids."""
-    return [(v, q.head[i], q.weight[i], False)
-            for v in range(q.n) for i in range(q.first[v], q.first[v + 1])]
-
-
 def _contracted_clusters(g: gf.GridGraph, scheme: cl.ClusterScheme):
     """Each cluster, in Z-rank order, with its contraction.
 
@@ -319,9 +312,8 @@ def mst_cache_aware(g: gf.GridGraph, h: int, out_name: str = "mst.out"):
     # edges come in the order phase 1 wrote them, so record ``rec + k`` is
     # kept edge k; re-expand, one output write per cluster, then one for
     # the chosen cross edges
-    handle = disk.open_file(out_name)
-    stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, "edges", g.rows, g.cols, g.n - 1)
+    handle, stream = gf.open_result(disk, out_name, "edges", g.rows, g.cols,
+                                    g.n - 1)
     count = 0
     rec = 0
     for q, ct in _contracted_clusters(g, scheme):
@@ -557,9 +549,8 @@ def mst_cache_oblivious(g: gf.GridGraph, out_name: str = "mst.out"):
 
     emitted = 0
     z_of = gf.z_tables(rows, cols)[0].tolist()
-    handle = disk.open_file(out_name)
-    stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, "edges", rows, cols, g.n - 1)
+    handle, stream = gf.open_result(disk, out_name, "edges", rows, cols,
+                                    g.n - 1)
 
     def downward(part, r0, c0, size):
         nonlocal emitted

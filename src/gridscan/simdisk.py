@@ -33,8 +33,10 @@ files were touched in between.  Two access regimes exist:
   drops it (in Aggarwal & Vitter's I/O model a block already in memory
   costs nothing).
 
-No real I/O happens; file contents live in bytearrays and the counters are
-the product.
+One range check guards every byte-range access: a negative offset or
+length, or a read past a file's end, is a ``SimDiskError`` that leaves the
+file and the counters as they were.  No real I/O happens; file contents
+live in bytearrays and the counters are the product.
 """
 
 from __future__ import annotations
@@ -133,6 +135,17 @@ class SimDisk:
         self._stats.append(_FileStats())
         return FileHandle(fid, name, self)
 
+    def _check(self, handle: FileHandle, offset: int, nbytes: int,
+               read: bool = False):
+        """The range check of every byte-range access: a negative offset or
+        length, or a read past the end of the file, is a ``SimDiskError``.
+        An append stream is checked where it opens, as it only moves on, and
+        a stack's top never falls below 0."""
+        if offset < 0 or nbytes < 0:
+            raise SimDiskError("negative offset or length in %r" % handle.name)
+        if read and offset + nbytes > len(self._data[handle.file_id]):
+            raise SimDiskError("read past end of %r" % handle.name)
+
     def _prepare_write(self, fid: int, start: int, end: int):
         """Prepare a write of bytes [start, end): drop the held block if the
         write lands in it, note ``end`` as the file's content length if it is
@@ -185,11 +198,8 @@ class SimDisk:
         """Read or write one whole block through the LRU cache."""
         b = self.config.block_bytes
         fid = handle.file_id
-        if block_index < 0:
-            raise SimDiskError("negative block index")
+        self._check(handle, block_index * b, b, read=mode == "read")
         if mode == "read":
-            if (block_index + 1) * b > len(self._data[fid]):
-                raise SimDiskError("read past end of %r" % handle.name)
             self._touch(fid, block_index, False, True)
             off = block_index * b
             return bytes(self._data[fid][off:off + b])
@@ -208,8 +218,7 @@ class SimDisk:
         """Byte-range read through the LRU cache."""
         b = self.config.block_bytes
         fid = handle.file_id
-        if offset + nbytes > len(self._data[fid]):
-            raise SimDiskError("read past end of %r" % handle.name)
+        self._check(handle, offset, nbytes, read=True)
         for block in range(offset // b, -(-(offset + nbytes) // b) if nbytes else offset // b):
             self._touch(fid, block, False, True)
         return bytes(self._data[fid][offset:offset + nbytes])
@@ -220,6 +229,7 @@ class SimDisk:
         b = self.config.block_bytes
         fid = handle.file_id
         end, live = offset + len(data), self._ends[fid]
+        self._check(handle, offset, len(data))
         self._prepare_write(fid, offset, end)
         if data:
             for block in range(offset // b, -(-end // b)):
@@ -246,8 +256,7 @@ class SimDisk:
         """
         b = self.config.block_bytes
         fid = handle.file_id
-        if offset + nbytes > len(self._data[fid]):
-            raise SimDiskError("read past end of %r" % handle.name)
+        self._check(handle, offset, nbytes, read=True)
         if nbytes:
             st = self._stats[fid]
             first, last = offset // b, (offset + nbytes - 1) // b
@@ -260,6 +269,7 @@ class SimDisk:
         """Counted write bypassing the cache: every touched block is one."""
         b = self.config.block_bytes
         fid = handle.file_id
+        self._check(handle, offset, len(data))
         self._prepare_write(fid, offset, offset + len(data))
         if data:
             first = offset // b
@@ -276,7 +286,10 @@ class SimDisk:
         return ScanReader(self, handle, offset)
 
     def append_stream(self, handle: FileHandle, offset: int | None = None) -> "AppendStream":
-        return AppendStream(self, handle, len(self._data[handle.file_id]) if offset is None else offset)
+        if offset is None:
+            offset = len(self._data[handle.file_id])
+        self._check(handle, offset, 0)
+        return AppendStream(self, handle, offset)
 
     def files(self) -> list[FileHandle]:
         """A handle to every file, in name order."""
@@ -342,8 +355,7 @@ class ScanReader:
     def read(self, nbytes: int) -> bytes:
         disk, b = self.disk, self.disk.config.block_bytes
         fid = self.handle.file_id
-        if self.pos + nbytes > len(disk._data[fid]):
-            raise SimDiskError("scan past end of %r" % self.handle.name)
+        disk._check(self.handle, self.pos, nbytes, read=True)
         if nbytes:
             last = (self.pos + nbytes - 1) // b
             for block in range(self._counted_until + 1, last + 1):
@@ -435,6 +447,7 @@ class BlockBuffer:
                 resident[k] = bytearray(raw[i * b:(i + 1) * b])
 
     def write(self, offset: int, data: bytes):
+        self.disk._check(self.handle, offset, len(data))
         b, resident, pos = self.block, self.resident, 0
         while pos < len(data):
             k, lo = divmod(offset + pos, b)

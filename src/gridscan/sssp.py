@@ -274,10 +274,8 @@ def _finalize_interiors(g, scheme, dfile, s_cell):
 def _write_distances(g, scheme, phase3, out_name):
     """Write phase 3's distances in Z-order (ABSENT unreachable); returns
     the output handle."""
-    disk = g.disk
-    handle = disk.open_file(out_name)
-    stream = disk.append_stream(handle)
-    gf.write_header_via(stream, disk, "distances", g.rows, g.cols, g.n)
+    handle, stream = gf.open_result(g.disk, out_name, "distances", g.rows,
+                                    g.cols, g.n)
     for q, dist in phase3:
         dist = [gf.ABSENT if d == cl.INF else d for d in dist]
         local_of_t = scheme.shape(q.rank).local_of_t

@@ -295,9 +295,7 @@ def tfp_run(g: gf.GridGraph, fn, h: int, out_name: str = "tfp.out",
         messages.flush()
 
     # final pass: evaluation-ordered label file -> Z-order output
-    out = disk.open_file(out_name)
-    stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, "labels", g.rows, g.cols, g.n)
+    out, stream = gf.open_result(disk, out_name, "labels", g.rows, g.cols, g.n)
     for crank, group in groupby(labels.chunks(), key=itemgetter(0)):
         recs = np.frombuffer(b"".join(rec for _, rec in group), LABEL)
         by_local = np.empty(len(recs), "<u8")

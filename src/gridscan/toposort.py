@@ -15,16 +15,17 @@ none with a numbered successor.  Chunks are emitted in rank order, each
 internally topologically sorted.
 
 This module owns the reachability graph, which ``tfp`` numbers too:
-``build_reach_graph`` writes its record file ``*.gp`` and keeps the
-in-degree table in memory, and ``topo_number_separator`` keeps Kahn's
-queue in memory as the rank order, so ``*.gp`` is the numbering's only
-file.  The build also keeps each separator vertex's directions in from
-other clusters, ``cross_in``, for ``tfp``'s message plan.  ``toposort``
-writes ``*.chunks``, a ``clusters.ChunkFile`` keyed by rank, and the
-output.  A ``*.chunks`` record is only its chunk's topologically sorted
-32-bit local ids: the store's entry already holds the chunk's rank, cluster
-rank, offset and size, so the file is exactly 4 bytes per vertex.
-``clusters`` supplies the cluster scheme, decode and chunk store.
+``build_reach_graph`` writes its record file ``*.gp``, a
+``clusters.SeparatorRecords``, and keeps the in-degree table in memory, and
+``topo_number_separator`` keeps Kahn's queue in memory as the rank order,
+so ``*.gp`` is the numbering's only file.  The build also keeps each
+separator vertex's directions in from other clusters, ``cross_in``, for
+``tfp``'s message plan.  ``toposort`` writes ``*.chunks``, a
+``clusters.ChunkFile`` keyed by rank, and the output.  A ``*.chunks``
+record is only its chunk's topologically sorted 32-bit local ids: the
+store's entry already holds the chunk's rank, cluster rank, offset and
+size, so the file is exactly 4 bytes per vertex.  ``clusters`` supplies the
+cluster scheme, decode and chunk store.
 """
 
 from __future__ import annotations
@@ -84,25 +85,17 @@ def _topo_order(q: cl.InMemoryCluster, error=ToposortError) -> list:
 
 
 @dataclass
-class ReachGraph:
-    """Separator vertex ``hnum``'s record is ``record_size`` bytes at offset
-    ``hnum * record_size`` of ``handle``.  ``indeg`` holds the in-degree of
-    every separator vertex, in memory from the build to the numbering.
+class ReachGraph(cl.SeparatorRecords):
+    """The reachability records.  ``indeg`` holds the in-degree of every
+    separator vertex, in memory from the build to the numbering.
     ``cross_in`` holds, one byte per separator vertex, the in-mask bits of
     its arcs from other clusters, as TFP's vertex record stores them; only
     ``tfp.plan_messages`` reads it, toposort does not.
     ``error`` is the exception the build raises, and the numbering too."""
 
-    scheme: cl.ClusterScheme
-    handle: object
-    record_size: int
     indeg: np.ndarray
     cross_in: np.ndarray
     error: type
-
-    def read_record(self, hnum: int) -> bytes:
-        return self.handle.disk.read_direct(
-            self.handle, hnum * self.record_size, self.record_size)
 
     def decode_reach(self, hnum: int, raw: bytes) -> list[int]:
         """H-numbers of every target of separator vertex ``hnum`` from its
@@ -268,39 +261,30 @@ def assign_chunk_numbers(q: cl.InMemoryCluster, ranks) -> ChunkAssignment:
         if not (fwd or back):
             break
 
-    # left-over components: weak 8-neighbour connectivity, each attached to
-    # the chunk of a numbered in-cluster left neighbour; resolvable left to
-    # right because the leftmost column is boundary
+    # left-over components, by weak 8-neighbour connectivity: a row-major
+    # sweep settles each with the chunk of the cell left of its leftmost,
+    # topmost cell, numbered before the sweep (an unnumbered one would be
+    # 8-adjacent, so in the component), so no component waits on another.
     leftover = remaining
-    if remaining:
-        comp = {}
-        comps = []
-        for v in range(n):
-            if chunk[v] is not None or v in comp:
-                continue
-            stack, cells = [v], []
-            comp[v] = len(comps)
-            while stack:
-                x = stack.pop()
-                cells.append(x)
-                xr, xc = divmod(x, wid)
-                for d in range(8):
-                    dr, dc = gf.DIR_OFFSETS[d]
-                    yr, yc = xr + dr, xc + dc
-                    if 0 <= yr < q.hgt and 0 <= yc < wid:
-                        y = yr * wid + yc
-                        if chunk[y] is None and y not in comp:
-                            comp[y] = len(comps)
-                            stack.append(y)
-            comps.append(cells)
-        for cells in sorted(comps, key=lambda cs: min(c % wid for c in cs)):
-            v = min(cells, key=lambda c: (c % wid, c // wid))
-            left = v - 1
-            if v % wid == 0 or chunk[left] is None:
-                raise ToposortError("left-over component has no numbered "
-                                    "left neighbour")
-            for x in cells:
-                chunk[x] = chunk[left]
+    for v in range(n if remaining else 0):
+        if chunk[v] is not None:
+            continue
+        cells, stack = {v}, [v]
+        while stack:
+            xr, xc = divmod(stack.pop(), wid)
+            for dr, dc in gf.DIR_OFFSETS:
+                yr, yc = xr + dr, xc + dc
+                y = yr * wid + yc
+                if (0 <= yr < q.hgt and 0 <= yc < wid and chunk[y] is None
+                        and y not in cells):
+                    cells.add(y)
+                    stack.append(y)
+        lead = min(cells, key=lambda c: (c % wid, c // wid))
+        if lead % wid == 0 or chunk[lead - 1] is None:
+            raise ToposortError("left-over component has no numbered "
+                                "left neighbour")
+        for x in cells:
+            chunk[x] = chunk[lead - 1]
 
     ranked = np.array(chunk)
     if (ranked[tail] > ranked[head]).any():
@@ -330,9 +314,8 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
         for rank, ids in sorted(asg.members.items()):
             chunks.put(rank, q.rank, np.array(ids, "<u4").tobytes())
 
-    out = disk.open_file(out_name)
-    stream = disk.append_stream(out)
-    gf.write_header_via(stream, disk, "vertex_seq", g.rows, g.cols, g.n)
+    out, stream = gf.open_result(disk, out_name, "vertex_seq", g.rows, g.cols,
+                                 g.n)
     emitted = 0
     for crank, rec in chunks.chunks():
         ids = np.frombuffer(rec, "<u4")

@@ -35,6 +35,13 @@ def arcs_by_vertex(q) -> list:
             for a, b in zip(q.first, q.first[1:])]
 
 
+def cluster_undirected_edges(q) -> list:
+    """Intra-cluster edges of the cluster ``q`` once each, as stored at
+    their owners, endpoints as cluster-local ids."""
+    return [(v, q.head[i], q.weight[i], False)
+            for v in range(q.n) for i in range(q.first[v], q.first[v + 1])]
+
+
 def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     """True iff the union of all per-cluster minimum spanning forests and the
     cross-cluster edges still contains a minimum spanning tree of the grid."""
@@ -42,7 +49,7 @@ def union_contains_mst_check(g: gf.GridGraph, h: int) -> bool:
     scheme = cl.ClusterScheme(g.rows, g.cols, h)
     union = []
     for q in cl.iterate_clusters(g, scheme):
-        for u, v, w, f in mst._forest(mst._cluster_undirected_edges(q)):
+        for u, v, w, f in mst._forest(cluster_undirected_edges(q)):
             union.append((w, q.coord(u), q.coord(v)))
         union += [(w, q.coord(v), (nr, nc))
                   for v, _, nr, nc, w in q.out_edges]

@@ -125,9 +125,7 @@ def test_open_grid_rejects_vertex_count_other_than_n(model, records):
 
 def test_payload_encodings_keep_a_free_count():
     d = disk()
-    h = d.open_file("dist")
-    s = d.append_stream(h)
-    gf.write_header_via(s, d, "distances", 8, 8, 3)
+    h, s = gf.open_result(d, "dist", "distances", 8, 8, 3)
     s.write(bytes(24))
     s.close()
     assert gf.read_u64_payload(d, h) == [0, 0, 0]

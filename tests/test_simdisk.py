@@ -624,3 +624,70 @@ def test_scan_reader_counts_unchanged_by_held_block():
     assert (c.blocks_read, c.sequential_blocks, c.random_blocks) == (4, 3, 1)
     d.read_direct(h, 20, 4)                 # still held: not counted
     assert d.counters_snapshot().blocks_read == 4
+
+
+def file_state(d, h):
+    """Everything a byte-range access may change: the file's bytes, its
+    content length and the disk's and the file's counters."""
+    return (d.raw_bytes(h), d.content_length(h), d.counters_snapshot(),
+            d.file_counters(h))
+
+
+def buffered_write(d, h, offset):
+    buf = d.buffer(h)
+    try:
+        buf.write(offset, bytes(8))
+    finally:
+        buf.flush()
+
+
+@pytest.mark.parametrize("access", [
+    lambda d, h: d.read_direct(h, 0, -4),
+    lambda d, h: d.read_direct(h, -8, 8),
+    lambda d, h: d.write_direct(h, -8, bytes(8)),
+    lambda d, h: d.read(h, 0, -4),
+    lambda d, h: d.read(h, -8, 8),
+    lambda d, h: d.write(h, -8, bytes(8)),
+    lambda d, h: d.scan_reader(h).read(-4),
+    lambda d, h: d.scan_reader(h, -8).read(8),
+    lambda d, h: d.append_stream(h, -8).write(bytes(4)),
+    lambda d, h: buffered_write(d, h, -8),
+], ids=["read_direct-length", "read_direct-offset", "write_direct-offset",
+        "read-length", "read-offset", "write-offset", "scan-length",
+        "scan-offset", "append-offset", "buffer-offset"])
+def test_negative_range_raises_and_changes_nothing(access):
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(range(32)))
+    before = file_state(d, h)
+    with pytest.raises(SimDiskError, match="negative"):
+        access(d, h)
+    assert file_state(d, h) == before
+
+
+def test_scan_reader_keeps_its_position_after_a_negative_read():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(range(32)))
+    r = d.scan_reader(h, 4)
+    with pytest.raises(SimDiskError):
+        r.read(-4)
+    assert (r.pos, r.read(4)) == (4, bytes(range(4, 8)))
+
+
+@pytest.mark.parametrize("access", [
+    lambda d, h: d.read_direct(h, 24, 16),
+    lambda d, h: d.read(h, 24, 16),
+    lambda d, h: d.access_block(h, -1, "read"),
+    lambda d, h: d.access_block(h, -1, "write"),
+    lambda d, h: d.scan_reader(h, 24).read(16),
+], ids=["read_direct", "read", "access_block-negative-read",
+        "access_block-negative-write", "scan"])
+def test_bad_block_or_read_past_end_raises_and_changes_nothing(access):
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, bytes(range(32)))
+    before = file_state(d, h)
+    with pytest.raises(SimDiskError):
+        access(d, h)
+    assert file_state(d, h) == before
