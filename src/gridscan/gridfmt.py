@@ -17,14 +17,15 @@ Direction bits run clockwise from north: N, NE, E, SE, S, SW, W, NW.
 
 Every file starts with a fixed header (padded to a block boundary):
 magic ``GGIO``, version u16, order u8 (always 2, Z-order), encoding u8,
-rows u32, cols u32, count u64, all little-endian.  Every algorithm opens
-its result file, header written, with ``open_result``.
+rows u32, cols u32, count u64, all little-endian.  ``generate`` and every
+algorithm open their files, header written, with ``open_result``.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -318,125 +319,175 @@ GEN_MODELS = ("weighted_dag", "weighted_undirected", "unit_directed", "tree",
               "planar_dag")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
+_CHUNK = 1 << 14                   # records per payload write of generate
 
 
-def _all_undirected_pairs(rows, cols):
-    """Each 8-neighbour pair once, as (r, c, direction) at the owning endpoint."""
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            for d in OWNED_SLOTS:
-                dr, dc = DIR_OFFSETS[d]
-                if 0 <= r + dr < rows and 0 <= c + dc < cols:
-                    pairs.append((r, c, d))
-    return pairs
+def _pairs(rows, cols, dirs):
+    """``(tail, head, d)`` int32 columns of every pair of a cell (the tail,
+    row-major ``r * cols + c``) and its in-grid neighbour (the head) in a
+    direction ``d`` of ``dirs``: row-major by tail, then in ``dirs`` order."""
+    r = np.arange(rows, dtype=np.int32)[:, None, None]
+    c = np.arange(cols, dtype=np.int32)[None, :, None]
+    dr, dc = np.array([DIR_OFFSETS[d] for d in dirs], dtype=np.int32).T
+    hr, hc = r + dr, c + dc
+    inside = (hr >= 0) & (hr < rows) & (hc >= 0) & (hc < cols)
+    tail = np.broadcast_to(r * cols + c, inside.shape)[inside]
+    d = np.broadcast_to(np.array(dirs, dtype=np.int32), inside.shape)[inside]
+    return tail, (hr * cols + hc)[inside], d
+
+
+def _masks(n, src, dirs):
+    """The direction masks of ``n`` cells holding the arcs ``(src, dirs)``."""
+    bits = np.zeros((n, 8), dtype=bool)
+    bits[src, dirs] = True
+    return np.packbits(bits, axis=1, bitorder="little").ravel()
+
+
+def _spanning(rng, rows, cols, model, max_weight, distinct_weights, density):
+    """``(encoding, records)`` of a ``weighted_undirected`` or ``tree``
+    instance, records by row-major cell; see ``generate``."""
+    n = rows * cols
+    tail, head, d = _pairs(rows, cols, OWNED_SLOTS)
+    order = list(range(len(tail)))
+    rng.shuffle(order)
+    order = np.array(order, dtype=np.int32)
+    tail, head, d = tail[order], head[order], d[order]
+    flags = bytearray(len(tail))       # 1: spanning tree, 2: extra edge
+    parent = list(range(n))
+    for k, (u, v) in enumerate(zip(memoryview(tail), memoryview(head))):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            flags[k] = 1
+    if model == "tree":
+        tree = np.frombuffer(flags, np.uint8) == 1
+        tail, head, d = tail[tree], head[tree], d[tree]
+        return "unweighted", _masks(n, np.concatenate((tail, head)),
+                                    np.concatenate((d, opposite(d))))
+    random, low = rng.random, density * 0.5
+    for k, flag in enumerate(flags):
+        if not flag and random() < low:
+            flags[k] = 2
+    flags = np.frombuffer(flags, np.uint8)
+    chosen = np.concatenate((np.flatnonzero(flags == 1),
+                             np.flatnonzero(flags == 2)))
+    if distinct_weights:
+        ws = rng.sample(range(1, 8 * n + 1), len(chosen))
+    else:
+        top = max_weight + 1
+        ws = [rng.randrange(top) for _ in range(len(chosen))]
+    records = np.full((n, len(OWNED_SLOTS)), ABSENT, dtype="<u8")
+    # the slots E, SE, S, SW are the directions E..SW in order
+    records[tail[chosen], d[chosen] - E] = np.array(ws, dtype=np.uint64)
+    return "weighted_undirected", records
+
+
+def _oriented(rng, rows, cols, model, max_weight, density):
+    """``(encoding, records)`` of a ``weighted_dag``, ``planar_dag`` or
+    ``unit_directed`` instance, records by row-major cell; see
+    ``generate``."""
+    n = rows * cols
+    prio = list(range(n))
+    rng.shuffle(prio)
+    tail, head, d = _pairs(rows, cols, (E, S, SE, SW))
+    count = len(tail)
+    # lefts[k]: the pair whose keeping skips pair k, or the unkept ``count``
+    lefts = np.full(count, count, dtype=np.int32)
+    if model == "planar_dag":
+        # the SW pair of (r, c) crosses the SE pair of (r, c - 1)
+        se, sw = np.flatnonzero(d == SE), np.flatnonzero(d == SW)
+        lefts[sw] = se[np.searchsorted(tail[se], tail[sw] - 1)]
+    flags = bytearray(count + 1)       # 1: kept as listed, 2: kept reversed
+    ws = array("Q")
+    random, top = rng.random, max_weight + 1
+    unit, weighted = model == "unit_directed", model == "weighted_dag"
+    for k, left in enumerate(memoryview(lefts)):
+        if flags[left] or random() >= density:
+            continue
+        if unit:
+            flags[k] = 1 if random() < 0.5 else 2
+        else:
+            flags[k] = 1
+            if weighted:
+                ws.append(rng.randrange(top))
+    flags = np.frombuffer(flags, np.uint8, count)
+    kept = np.flatnonzero(flags)
+    tail, head, d = tail[kept], head[kept], d[kept]
+    if unit:
+        forward = flags[kept] == 1
+    else:
+        prio = np.array(prio, dtype=np.int32)
+        forward = prio[tail] < prio[head]
+    src = np.where(forward, tail, head)
+    d = np.where(forward, d, opposite(d))
+    if not weighted:
+        return "unweighted", _masks(n, src, d)
+    records = np.full((n, 8), ABSENT, dtype="<u8")
+    records[src, d] = np.frombuffer(ws, dtype=np.uint64)
+    return "weighted_directed", records
 
 
 def generate(disk: SimDisk, rows: int, cols: int, model: str, seed: int,
              name: str = "input", max_weight: int = 2 ** 20,
              distinct_weights: bool = False, density: float = 0.5
              ) -> GridGraph:
-    """Deterministic random instance of the given model, written to a new file."""
+    """Deterministic random instance of the given model, written to a new
+    file ``name``.
+
+    The draws of ``random.Random(seed)`` define the instance: a change that
+    makes the same draws in the same order writes the same bytes.  Cells are
+    row-major, and a *pair* is a cell and an in-grid neighbour in one of a
+    list of directions, the pairs listed row-major by that cell and then in
+    the list's order.
+
+    * ``weighted_undirected`` and ``tree`` list the pairs in the directions
+      E, SE, S, SW and shuffle that list with one ``rng.shuffle``.  The
+      spanning tree takes, in the shuffled order, each pair that joins two
+      components (no draw).  ``weighted_undirected`` then draws one
+      ``rng.random()`` for every other pair, in the shuffled order, and
+      keeps the pair if the draw is below ``density * 0.5``.  Its weights
+      come last, one per kept pair, the tree's pairs first and then the
+      others, each in the shuffled order: ``rng.sample(range(1, 8n + 1), k)``
+      under ``distinct_weights``, otherwise ``rng.randrange(max_weight + 1)``
+      each.  An edge is stored at the pair's first cell, in its direction's
+      slot.  ``tree`` draws no weights and sets each edge's bit in both
+      endpoints' masks.
+    * ``weighted_dag``, ``planar_dag`` and ``unit_directed`` first shuffle a
+      priority list ``list(range(n))``, indexed by cell, with
+      ``rng.shuffle`` (``unit_directed`` too, which never reads it).  They
+      walk the pairs in the directions E, S, SE, SW.  ``planar_dag`` skips
+      the SW pair of (r, c), without a draw, when the SE pair of (r, c - 1),
+      the other diagonal of the same unit square, was kept.  Every other
+      pair draws one ``rng.random()`` and is kept if the draw is below
+      ``density``.  A kept pair of ``unit_directed`` draws ``rng.random()``
+      once more and points from the first cell to the second if it is below
+      0.5, back otherwise.  The two DAG models point each edge to the cell
+      of higher priority, and ``weighted_dag`` draws its weight,
+      ``rng.randrange(max_weight + 1)``, right after the pair's keep draw.
+
+    A ``max_weight`` outside [0, ABSENT) is a ``FormatError``.
+    """
     if rows <= 0 or cols <= 0:
         raise FormatError("rows and cols must be positive")
     if model not in GEN_MODELS:
         raise FormatError("unknown model %r" % model)
+    if not 0 <= max_weight < ABSENT:
+        raise FormatError("max_weight %d is outside [0, 2^64 - 1)"
+                          % max_weight)
     rng = random.Random(seed)
-    n = rows * cols
-    masks = [0] * n            # row-major cell -> direction mask
-    weights: list[dict[int, int]] = [dict() for _ in range(n)]
-
-    def cell(r, c):
-        return r * cols + c
-
-    def rand_w():
-        return rng.randrange(0, max_weight + 1)
-
     if model in ("weighted_undirected", "tree"):
-        pairs = _all_undirected_pairs(rows, cols)
-        rng.shuffle(pairs)
-        uf = _UnionFind(n)
-        chosen = []
-        for r, c, d in pairs:
-            dr, dc = DIR_OFFSETS[d]
-            if uf.union(cell(r, c), cell(r + dr, c + dc)):
-                chosen.append((r, c, d))
-        if model == "weighted_undirected":
-            tree_edges = set(chosen)
-            for r, c, d in pairs:
-                if (r, c, d) not in tree_edges and rng.random() < density * 0.5:
-                    chosen.append((r, c, d))
-        if distinct_weights:
-            wlist = rng.sample(range(1, 8 * n + 1), len(chosen))
-        else:
-            wlist = [rand_w() for _ in chosen]
-        for (r, c, d), w in zip(chosen, wlist):
-            i = cell(r, c)
-            masks[i] |= 1 << d
-            weights[i][d] = w
-        if model == "tree":
-            # symmetric unweighted masks
-            sym = [0] * n
-            for r, c, d in chosen:
-                dr, dc = DIR_OFFSETS[d]
-                sym[cell(r, c)] |= 1 << d
-                sym[cell(r + dr, c + dc)] |= 1 << opposite(d)
-            masks = sym
-            weights = [dict() for _ in range(n)]
-        encoding = "unweighted" if model == "tree" else "weighted_undirected"
-
-    elif model in ("weighted_dag", "planar_dag", "unit_directed"):
-        prio = list(range(n))
-        rng.shuffle(prio)
-        for r in range(rows):
-            for c in range(cols):
-                for d in (E, S, SE, SW):
-                    dr, dc = DIR_OFFSETS[d]
-                    nr, nc = r + dr, c + dc
-                    if not (0 <= nr < rows and 0 <= nc < cols):
-                        continue
-                    if model == "planar_dag" and d == SW:
-                        # the SW diagonal of (r,c) crosses the same grid cell
-                        # as the SE diagonal of (r,c-1); keep at most one,
-                        # whichever endpoint ended up storing it
-                        if (masks[cell(r, c - 1)] >> SE & 1
-                                or masks[cell(r + 1, c)] >> NW & 1):
-                            continue
-                    if rng.random() >= density:
-                        continue
-                    i, j = cell(r, c), cell(nr, nc)
-                    if model == "unit_directed":
-                        src, dst, dd = (i, j, d) if rng.random() < 0.5 else (j, i, opposite(d))
-                    elif prio[i] < prio[j]:
-                        src, dst, dd = i, j, d
-                    else:
-                        src, dst, dd = j, i, opposite(d)
-                    masks[src] |= 1 << dd
-                    if model == "weighted_dag":
-                        weights[src][dd] = rand_w()
-        encoding = "weighted_directed" if model == "weighted_dag" else "unweighted"
-
-    handle = disk.open_file(name)
-    g = GridGraph(disk, handle, Z_ORDER, encoding, rows, cols, n)
-    g.write_header()
-    stream = disk.append_stream(handle, g.payload_offset)
-    for i in z_tables(rows, cols)[1]:
-        stream.write(encode_record(encoding, masks[i], weights[i]))
+        encoding, records = _spanning(rng, rows, cols, model, max_weight,
+                                      distinct_weights, density)
+    else:
+        encoding, records = _oriented(rng, rows, cols, model, max_weight,
+                                      density)
+    n = rows * cols
+    handle, stream = open_result(disk, name, encoding, rows, cols, n)
+    cell_of_z = z_tables(rows, cols)[1]
+    for a in range(0, n, _CHUNK):
+        stream.write(records[cell_of_z[a:a + _CHUNK]].tobytes())
     stream.close()
-    return g
+    return GridGraph(disk, handle, Z_ORDER, encoding, rows, cols, n)
