@@ -35,7 +35,6 @@ class EulerError(Exception):
 @dataclass
 class EulerStats:
     segments: int = 0
-    max_entries_per_cluster: int = 0
 
 
 # _SUCCESSOR[dirs][arrival]: the first direction of presence bitmask dirs
@@ -102,23 +101,10 @@ def _walk_tables(q: cl.InMemoryCluster):
     return dirs, intra
 
 
-def _scan_segments(g: gf.GridGraph, h: int, root=None):
-    """Check the encoding and the root; returns the resolved root and a
-    generator that simulates every possible cluster entry, one cluster in
-    memory at a time, and yields each (rank, entry, arrival, steps, exit
-    edge) segment as soon as it is simulated.  The generator checks that
-    the input is a tree as it goes, and raises after its last segment if
-    it is not."""
-    gf.check_input(g, ("unweighted",), EulerError)
-    scheme = cl.ClusterScheme(g.rows, g.cols, h)
-    if root is None:
-        root = (0, 0)               # Morton code 0, the smallest Z index
-    if not (0 <= root[0] < g.rows and 0 <= root[1] < g.cols):
-        raise EulerError("root outside grid")
-    return root, _cluster_segments(g, scheme, root)
-
-
 def _cluster_segments(g: gf.GridGraph, scheme: cl.ClusterScheme, root):
+    """Simulate every possible cluster entry, one cluster in memory at a
+    time, yielding each (rank, entry, arrival, steps, exit edge) segment;
+    raise after the last one if the input is not a tree."""
     z_of = gf.z_tables(g.rows, g.cols)[0]
     root_rank = scheme.rank_of(*root)
     # cross edges seen at one end only, keyed by (smaller end, direction
@@ -160,7 +146,13 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
                stats: EulerStats | None = None):
     """Write the tour as one 8-byte root id plus one direction byte per step."""
     disk = g.disk
-    root, segments = _scan_segments(g, h, root)
+    gf.check_input(g, ("unweighted",), EulerError)
+    scheme = cl.ClusterScheme(g.rows, g.cols, h)
+    if root is None:
+        root = (0, 0)               # Morton code 0, the smallest Z index
+    if not (0 <= root[0] < g.rows and 0 <= root[1] < g.cols):
+        raise EulerError("root outside grid")
+    segments = _cluster_segments(g, scheme, root)
     z_root = int(gf.z_tables(g.rows, g.cols)[0][root[0] * g.cols + root[1]])
 
     out, stream = gf.open_result(disk, out_name, "tour", g.rows, g.cols,
@@ -178,17 +170,14 @@ def euler_tour(g: gf.GridGraph, h: int, root=None, out_name: str = "euler.out",
     c_handle = disk.open_file(out_name + ".segs")
     c_stream = disk.append_stream(c_handle)
     index = {}
-    per_cluster: dict = {}
     off = 0
-    for rank, entry, arrival, steps, exit_edge in segments:
+    for _, entry, arrival, steps, exit_edge in segments:
         c_stream.write(bytes(steps))
         index[(entry, arrival)] = (off, len(steps), exit_edge)
-        per_cluster[rank] = per_cluster.get(rank, 0) + 1
         off += len(steps)
     c_stream.close()
     if stats is not None:
         stats.segments = len(index)
-        stats.max_entries_per_cluster = max(per_cluster.values())
 
     written = 0
     used = set()

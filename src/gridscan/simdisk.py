@@ -9,7 +9,8 @@ files were touched in between.  Two access regimes exist:
 
 * ``FileStack`` and ``access_block`` / ``read`` / ``write`` / ``flush`` go
   through an LRU cache of ``memory_bytes // block_bytes`` blocks, the
-  ideal-cache stand-in for cache-oblivious code.  One miss rule holds for
+  ideal-cache stand-in for cache-oblivious code; ``access_block`` is a
+  whole-block ``read`` or ``write``.  One miss rule holds for
   all of them: a miss counts a read only when the block holds live bytes
   that the access does not overwrite (a file's live bytes are those below
   its content length, a stack's those below its top); a written block turns
@@ -21,7 +22,7 @@ files were touched in between.  Two access regimes exist:
   read of the record would on a real device.  Stacks call the private
   ``_touch``; no algorithm calls the four public methods, which stay for
   tests and because the benchmark's per-layer timers wrap them by name.
-* ``read_direct`` / ``write_direct``, the stream helpers and
+* ``read_direct`` / ``write_direct``, the two streams and
   ``BlockBuffer`` model explicitly managed buffers: every block touched is
   counted, the LRU cache is bypassed.  Cache-aware algorithms use these.  A
   direct write counts each block it touches once per call, as a write, and
@@ -31,7 +32,10 @@ files were touched in between.  Two access regimes exist:
   block the file's last ``read_direct`` ended in.  A ``read_direct`` that
   starts in it does not count it again, and any write of bytes into it
   drops it (in Aggarwal & Vitter's I/O model a block already in memory
-  costs nothing).
+  costs nothing).  A stream (``ScanReader``, ``AppendStream``) holds one
+  block and moves forward through one file: it counts each block once, in
+  ascending order, as a read reaches it or a write leaves it; ``close``
+  leaves the last partial block.
 
 One range check guards every byte-range access: a negative offset or
 length, or a read past a file's end, is a ``SimDiskError`` that leaves the
@@ -195,22 +199,16 @@ class SimDisk:
 
     def access_block(self, handle: FileHandle, block_index: int, mode: str,
                      payload: bytes | None = None) -> bytes:
-        """Read or write one whole block through the LRU cache."""
+        """Read or write one whole block through the LRU cache: a ``read``
+        of the block, or a ``write`` of ``payload`` zero-filled to it."""
         b = self.config.block_bytes
-        fid = handle.file_id
-        self._check(handle, block_index * b, b, read=mode == "read")
         if mode == "read":
-            self._touch(fid, block_index, False, True)
-            off = block_index * b
-            return bytes(self._data[fid][off:off + b])
-        elif mode == "write":
-            payload = payload if payload is not None else b"\0" * b
-            if len(payload) > b:
+            return self.read(handle, block_index * b, b)
+        if mode == "write":
+            data = (payload or b"").ljust(b, b"\0")
+            if len(data) > b:
                 raise SimDiskError("payload exceeds block size")
-            self._prepare_write(fid, block_index * b, (block_index + 1) * b)
-            self._touch(fid, block_index, True, False)
-            off = block_index * b
-            self._data[fid][off:off + len(payload)] = payload
+            self.write(handle, block_index * b, data)
             return b""
         raise SimDiskError("mode must be 'read' or 'write'")
 
@@ -299,20 +297,19 @@ class SimDisk:
     # -- counters ----------------------------------------------------------
 
     def counters_snapshot(self) -> IoCounters:
-        c = IoCounters()
-        for st in self._stats:
-            c.blocks_read += st.reads
-            c.blocks_written += st.writes
-            c.sequential_blocks += st.sequential
-            c.random_blocks += st.random
+        return self._sum(self._stats)
+
+    def file_counters(self, handle: FileHandle) -> IoCounters:
+        return self._sum([self._stats[handle.file_id]])
+
+    def _sum(self, stats) -> IoCounters:
+        c = IoCounters(sum(st.reads for st in stats),
+                       sum(st.writes for st in stats),
+                       sum(st.sequential for st in stats),
+                       sum(st.random for st in stats))
         c.bytes_transferred = ((c.blocks_read + c.blocks_written)
                                * self.config.block_bytes)
         return c
-
-    def file_counters(self, handle: FileHandle) -> IoCounters:
-        st = self._stats[handle.file_id]
-        return IoCounters(st.reads, st.writes, st.sequential, st.random,
-                          (st.reads + st.writes) * self.config.block_bytes)
 
     def reset_counters(self):
         for i in range(len(self._stats)):
@@ -339,72 +336,59 @@ class SimDisk:
         self._stats[handle.file_id].held = None
 
 
-class ScanReader:
-    """Sequential reader with an explicit one-block buffer.
-
-    Each block of the scanned range is counted exactly once, regardless of the
-    LRU cache state.
-    """
+class _Stream:
+    """A one-block buffer that moves forward through one file from
+    ``offset``.  ``_pass`` counts each block after the last counted one up
+    to ``last``, once; a written block also leaves the LRU cache."""
 
     def __init__(self, disk: SimDisk, handle: FileHandle, offset: int):
         self.disk = disk
         self.handle = handle
         self.pos = offset
         self._counted_until = offset // disk.config.block_bytes - 1
+
+    def _pass(self, last: int, write: bool):
+        disk, fid = self.disk, self.handle.file_id
+        for block in range(self._counted_until + 1, last + 1):
+            disk._count(fid, block, write)
+            if write:
+                disk._cache.pop((fid, block), None)
+        self._counted_until = max(self._counted_until, last)
+
+
+class ScanReader(_Stream):
+    """Sequential reader: a block counts as a read reaches it."""
 
     def read(self, nbytes: int) -> bytes:
-        disk, b = self.disk, self.disk.config.block_bytes
-        fid = self.handle.file_id
-        disk._check(self.handle, self.pos, nbytes, read=True)
+        disk, pos = self.disk, self.pos
+        disk._check(self.handle, pos, nbytes, read=True)
         if nbytes:
-            last = (self.pos + nbytes - 1) // b
-            for block in range(self._counted_until + 1, last + 1):
-                disk._count(fid, block, write=False)
-            self._counted_until = max(self._counted_until, last)
-        out = bytes(disk._data[fid][self.pos:self.pos + nbytes])
-        self.pos += nbytes
-        return out
+            self._pass((pos + nbytes - 1) // disk.config.block_bytes, False)
+        self.pos = pos + nbytes
+        return bytes(disk._data[self.handle.file_id][pos:pos + nbytes])
 
 
-class AppendStream:
-    """Sequential writer with an explicit one-block buffer.
+class AppendStream(_Stream):
+    """Sequential writer: a block counts as the stream leaves it, the final
+    partial one at ``close``, after which a write raises."""
 
-    A block is counted as written when the stream moves past it; ``close``
-    flushes the final partial block.
-    """
-
-    def __init__(self, disk: SimDisk, handle: FileHandle, offset: int):
-        self.disk = disk
-        self.handle = handle
-        self.pos = offset
-        self._counted_until = offset // disk.config.block_bytes - 1
-        self._open = True
+    closed = False
 
     def write(self, data: bytes):
-        disk, b = self.disk, self.disk.config.block_bytes
+        if self.closed:
+            raise SimDiskError("write to closed stream %r" % self.handle.name)
+        disk, pos, end = self.disk, self.pos, self.pos + len(data)
         fid = self.handle.file_id
-        disk._prepare_write(fid, self.pos, self.pos + len(data))
-        disk._data[fid][self.pos:self.pos + len(data)] = data
-        self.pos += len(data)
-        # count all blocks that are now completely behind the write position
-        last_full = self.pos // b - 1
-        for block in range(self._counted_until + 1, last_full + 1):
-            disk._count(fid, block, write=True)
-            disk._cache.pop((fid, block), None)
-        self._counted_until = max(self._counted_until, last_full)
+        disk._prepare_write(fid, pos, end)
+        disk._data[fid][pos:end] = data
+        self.pos = end
+        self._pass(end // disk.config.block_bytes - 1, True)
 
     def close(self):
-        if not self._open:
-            return
-        disk, b = self.disk, self.disk.config.block_bytes
-        fid = self.handle.file_id
+        b = self.disk.config.block_bytes
         if self.pos % b:
-            block = self.pos // b
-            if block > self._counted_until:
-                disk._count(fid, block, write=True)
-                disk._cache.pop((fid, block), None)
-                self._counted_until = block
-        self._open = False
+            self._pass(self.pos // b, True)
+        self.closed = True
 
 
 def _runs(blocks):

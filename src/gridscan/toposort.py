@@ -59,7 +59,6 @@ class ChunkAssignment:
 @dataclass
 class TopoStats:
     rounds_max: int = 0
-    leftover_vertices: int = 0
     chunk_count: int = 0
 
 
@@ -309,7 +308,6 @@ def toposort(g: gf.GridGraph, h: int, out_name: str = "topo.out",
             q, rtab[scheme.bases[q.rank]:scheme.bases[q.rank + 1]].tolist())
         if stats is not None:
             stats.rounds_max = max(stats.rounds_max, asg.rounds)
-            stats.leftover_vertices += asg.leftover
             stats.chunk_count += len(asg.members)
         for rank, ids in sorted(asg.members.items()):
             chunks.put(rank, q.rank, np.array(ids, "<u4").tobytes())

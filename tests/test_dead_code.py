@@ -6,8 +6,12 @@ the tests call, or none at all, is a candidate for deletion or for a move
 into the tests.  Names count as code reads them: a bare name, an
 attribute, an imported name, or a string constant equal to it, since the
 benchmark's tracer wraps methods by their names as strings.  Dunder methods
-are exempt, since Python calls them.  And no package module may import a
-name it never uses.  These tests read the sources and change nothing.
+are exempt, since Python calls them.  Every field a package dataclass or
+named tuple declares must be read by some code in ``src/``, ``perfbench/``
+or ``tests/``: an attribute load, or a string constant equal to it; a field
+only ever written is a candidate for deletion.  And no package module may
+import a name it never uses.  These tests read the sources and change
+nothing.
 """
 
 import ast
@@ -17,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "gridscan").glob("*.py"))
 READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
+FIELD_READERS = READERS + sorted((ROOT / "tests").glob("*.py"))
 
 
 def named(tree: ast.AST):
@@ -59,6 +64,49 @@ def unnamed_definitions(sources: dict) -> list:
     return unnamed
 
 
+def last_name(node: ast.AST):
+    """The name a decorator or base class ends in: ``dataclass`` for
+    ``@dataclasses.dataclass(frozen=True)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def declared_fields(tree: ast.AST):
+    """(class, field) of every field a dataclass or ``NamedTuple`` class, or
+    a ``collections.namedtuple`` call, of ``tree`` declares."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (
+                "dataclass" in map(last_name, node.decorator_list)
+                or "NamedTuple" in map(last_name, node.bases)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    yield node.name, stmt.target.id
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))
+              and last_name(node) == "namedtuple"):
+            name, fields = (arg.value for arg in node.args)
+            for field in fields.replace(",", " ").split():
+                yield name, field
+
+
+def unread_fields(sources: dict) -> list:
+    """``module.Class.field`` of every field that a package module of
+    ``sources`` ({path: source}) declares and no source reads, by an
+    attribute load or a string constant equal to its name."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return ["%s.%s.%s" % (path.stem, cls, field)
+            for path, tree in trees.items() if path.parent.name == "gridscan"
+            for cls, field in declared_fields(tree) if field not in read]
+
+
 def unused_imports(source: str) -> list:
     """Every name ``source`` imports and never reads."""
     tree = ast.parse(source)
@@ -95,6 +143,34 @@ def test_guards_see_their_examples():
                           "from os import path, sep\n"
                           "from . import gridfmt as gf\n"
                           "x: 'sep' = np.zeros(gf.N)\n") == ["heapq", "path"]
+
+
+def test_field_guard_sees_its_examples():
+    sources = {
+        Path("src/gridscan/a.py"): (
+            "import collections, dataclasses\n"
+            "from typing import NamedTuple\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class D:\n"
+            "    loaded: int\n"
+            "    stored: int\n"
+            "    named: int = 0\n"
+            "class T(NamedTuple):\n"
+            "    unread: int\n"
+            "class Plain:\n"
+            "    free: int\n"
+            "P = collections.namedtuple('P', 'x, y')\n"
+            "def f(d, p):\n"
+            "    d.stored = d.loaded + p.x\n"
+            "    d.stored += 1\n"),
+        Path("tests/test_a.py"): "getattr(d, 'named')\n",
+    }
+    assert unread_fields(sources) == ["a.D.stored", "a.T.unread", "a.P.y"]
+
+
+def test_every_package_field_is_read():
+    sources = {path: path.read_text() for path in FIELD_READERS}
+    assert unread_fields(sources) == []
 
 
 def test_every_package_definition_is_named():

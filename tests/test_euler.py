@@ -103,7 +103,8 @@ def entry_exit(g, h, root):
     direction): (exit vertex, exit direction) or None for the terminal
     entry}, from Euler's segment scan."""
     maps = {}
-    _, segments = euler._scan_segments(g, h, root)
+    segments = euler._cluster_segments(g, cl.ClusterScheme(g.rows, g.cols, h),
+                                       root)
     for rank, entry, arrival, _, exit_edge in segments:
         maps.setdefault(rank, {})[(entry, arrival)] = exit_edge
     return maps

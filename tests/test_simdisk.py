@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridscan.simdisk import (
-    SimConfig, SimDisk, SimDiskError, FileStack,
+    SimConfig, SimDisk, SimDiskError, FileStack, IoCounters,
 )
 
 
@@ -321,6 +321,100 @@ def test_append_stream_one_write_per_block():
     assert d.raw_bytes(h) == bytes(80)
 
 
+def test_append_stream_write_after_close_raises():
+    d = small_disk(block=64)
+    h = d.open_file("f")
+    s = d.append_stream(h)
+    s.write(bytes(10))
+    s.close()
+    with pytest.raises(SimDiskError, match="closed"):
+        s.write(bytes(100))
+    s.close()
+    assert d.content_length(h) == 10
+    assert d.file_counters(h).blocks_written == 1
+
+
+def restated_counters(block, transfers):
+    """The counters of ``transfers``, (block index, write) pairs of one
+    file in order, restated: one per transfer, sequential when it follows
+    the previous one's block or is the file's first."""
+    c, last = IoCounters(), None
+    for k, write in transfers:
+        if write:
+            c.blocks_written += 1
+        else:
+            c.blocks_read += 1
+        if last is None or k == last + 1:
+            c.sequential_blocks += 1
+        else:
+            c.random_blocks += 1
+        last = k
+    c.bytes_transferred = block * (c.blocks_read + c.blocks_written)
+    return c
+
+
+def stream_pass(block, size, start, lengths, write, head, warm):
+    """Stream ``lengths`` bytes from ``start`` through a file of ``size``
+    bytes, after an optional LRU warm-up and an optional one-block direct
+    read of block ``head``; returns what the stream read, the file's bytes,
+    its counters and the blocks the pass covers."""
+    d = small_disk(block=block)
+    h = d.open_file("f")
+    d.load_raw(h, bytes(i * 7 % 251 for i in range(size)))
+    if warm:
+        d.read(h, 0, size)                  # every block into the cache
+        d.reset_counters()
+    if head is not None:
+        d.read_direct(h, head * block, 1)
+    expect, got, pos = bytearray(d.raw_bytes(h)), [], start
+    if write:
+        s = d.append_stream(h, start)
+        for n in lengths:
+            data = bytes((pos + i) * 31 % 256 for i in range(n))
+            s.write(data)
+            expect.extend(bytes(max(pos + n - len(expect), 0)))
+            expect[pos:pos + n] = data
+            pos += n
+        s.close()
+        s.close()
+        expect.extend(bytes(-len(expect) % block))
+    else:
+        r = d.scan_reader(h, start)
+        for n in lengths:
+            got.append(r.read(n))
+            pos += n
+    first, stop = start // block, -(-pos // block)
+    if not write and pos == start:
+        stop = first                        # a read of no bytes reaches none
+    passed = range(first, stop)
+    assert not (write and any((h.file_id, k) in d._cache for k in passed))
+    return got, d.raw_bytes(h), bytes(expect), d.file_counters(h), passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4, 16]), st.integers(0, 60), st.integers(0, 40),
+       st.lists(st.integers(0, 20), max_size=8), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 7)))
+def test_stream_counts_each_block_it_passes_once(block, size, start, lengths,
+                                                 write, head):
+    if not write:
+        size = max(size, start + sum(lengths))
+    head = None if head is None or head * block >= size else head
+    cold = stream_pass(block, size, start, lengths, write, head, False)
+    got, raw, expect, counters, passed = cold
+    assert stream_pass(block, size, start, lengths, write, head, True) == cold
+    if write:
+        assert raw == expect
+    else:
+        pos = start
+        for n, piece in zip(lengths, got):
+            assert piece == expect[pos:pos + n]
+            pos += n
+    transfers = [(head, False)] if head is not None else []
+    assert counters == restated_counters(
+        block, transfers + [(k, write) for k in passed])
+
+
 def test_stack_lifo_round_trip():
     d = small_disk(block=16)
     st_ = FileStack(d, d.open_file("stack"))
@@ -480,6 +574,19 @@ def test_partial_write_miss_fetches_and_whole_block_write_does_not():
     d.write(h, 48, b"tail")                 # past the live bytes
     c = d.counters_snapshot()
     assert (c.blocks_read, c.blocks_written) == (1, 0)
+
+
+def test_access_block_write_zero_fills_the_block_and_fetches_nothing():
+    d = small_disk(block=16)
+    h = d.open_file("f")
+    d.write_direct(h, 0, b"\xff" * 48)
+    d.reset_counters()
+    d.access_block(h, 1, "write", b"ab")
+    assert d.raw_bytes(h)[16:32] == b"ab" + bytes(14)
+    assert d.access_block(h, 1, "read") == b"ab" + bytes(14)
+    assert d.counters_snapshot().blocks_read == 0
+    d.flush()
+    assert d.counters_snapshot().blocks_written == 1
 
 
 def test_dirty_block_counts_one_write_on_eviction_and_one_on_flush():
